@@ -278,6 +278,7 @@ class QueryEngine:
                 "repro_views_live",
                 "repro_nodes_live",
                 "repro_memory_entries",
+                "repro_sharing_binding_core_hits",
                 "repro_catalog_answered",
                 "repro_catalog_fallbacks",
                 "repro_shard_batches_fanned_out",

@@ -422,6 +422,31 @@ class StoreBucket:
             yield tuple(column[pos] for column in columns), mults[pos]
 
 
+class _KeyProbe:
+    """A dict probe that remembers which stored key it matched.
+
+    Hashes like the tuple it wraps; the dict settles a hash match by
+    comparing its stored key with the probe, which lands here (a tuple
+    does not know how to compare with this class) and is where the
+    stored object is captured.
+    """
+
+    __slots__ = ("key", "stored")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.stored: "tuple | None" = None
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        if self.key == other:
+            self.stored = other
+            return True
+        return False
+
+
 class ColumnStore:
     """A column-backed keyed bag memory (the ``columnar_memories`` path).
 
@@ -620,6 +645,89 @@ class ColumnStore:
     def values(self) -> Iterator[StoreBucket]:
         for key, positions in self.index.items():
             yield StoreBucket(self, key, positions)
+
+    def stored(self, key: tuple) -> "tuple[tuple, StoreBucket] | None":
+        """The index entry equal to *key* as ``(stored key, bucket)``.
+
+        Unlike :meth:`get`, whose bucket assembles rows around the probe's
+        key, this hands back the key object the index *holds*: ``1``,
+        ``True`` and ``1.0`` hash and compare alike, so a probe built from
+        a binding's ``True`` finds the bucket stored under ``1`` and must
+        not dress its rows in the binding's value.
+        """
+        probe = _KeyProbe(key)
+        positions = self.index.get(probe)
+        if positions is None:
+            return None
+        return probe.stored, StoreBucket(self, probe.stored, positions)
+
+    def select(
+        self, pairs: Sequence[tuple[int, object]]
+    ) -> tuple[int, list[tuple[tuple, StoreBucket]]]:
+        """The buckets of :meth:`items` narrowed to the rows with
+        ``row[col] == value`` for every ``(col, value)`` pair, preceded by
+        the number of entries examined to find them — the restricted
+        look-up behind targeted activation.
+
+        Equality is Python ``==`` (``1 == True == 1.0``, and an identical
+        NaN object matches itself): the result is a candidate set for a
+        predicate the caller still evaluates, never an answer by itself —
+        which is why every key and cell handed back is the *stored*
+        object, never a pair's value.  Nothing is indexed for this: a
+        payload pair scans its one column (``list.index``, a C loop) and
+        the slots' keys are then recovered by walking the hash index (its
+        visited entries count as examined too); key pairs probe the index
+        directly when they cover the whole key and filter its distinct
+        keys otherwise.
+        """
+        index = self.index
+        key_pairs = []
+        payload_pairs = []
+        for col, value in pairs:
+            from_key, j = self._assemble[col]
+            (key_pairs if from_key else payload_pairs).append((j, value))
+        if not payload_pairs:
+            wanted = dict(key_pairs)
+            if len(wanted) == len(key_pairs) == len(self.key_cols):
+                entry = self.stored(
+                    tuple(wanted[j] for j in range(len(self.key_cols)))
+                )
+                return 0, [] if entry is None else [entry]
+            return len(index), [
+                (key, StoreBucket(self, key, positions))
+                for key, positions in index.items()
+                if all(key[j] == value for j, value in key_pairs)
+            ]
+        (first, value), rest = payload_pairs[0], payload_pairs[1:]
+        column = self.columns[first]
+        mults = self.mults
+        columns = self.columns
+        hits = set()
+        position = -1
+        try:
+            while True:
+                position = column.index(value, position + 1)
+                # a freed slot holds None/0: never a live row
+                if mults[position] and all(
+                    columns[j][position] == other for j, other in rest
+                ):
+                    hits.add(position)
+        except ValueError:
+            pass
+        found = []
+        remaining = len(hits)
+        visited = 0
+        for key, positions in index.items():
+            if not remaining:
+                break
+            visited += 1
+            if hits.isdisjoint(positions):
+                continue
+            kept = [p for p in positions if p in hits]
+            remaining -= len(kept)
+            if all(key[j] == other for j, other in key_pairs):
+                found.append((key, StoreBucket(self, key, kept)))
+        return self.size() + visited, found
 
     def __len__(self) -> int:
         return len(self.index)

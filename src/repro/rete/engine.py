@@ -535,6 +535,9 @@ class IncrementalEngine:
             (stats.nodes, "repro_sharing_input_nodes", "Distinct input nodes ever created"),
             (stats.subplan_requests, "repro_sharing_subplan_requests", "Subplan cache probes"),
             (stats.subplan_hits, "repro_sharing_subplan_hits", "Subplan cache hits"),
+            (stats.binding_core_hits, "repro_sharing_binding_core_hits", "New bindings that joined a live binding-indexed core"),
+            (stats.replay_rows_scanned, "repro_sharing_replay_rows_scanned_total", "Rows examined by targeted activation"),
+            (stats.replay_rows_emitted, "repro_sharing_replay_rows_emitted_total", "Rows targeted activation handed to new subscribers"),
             (stats.acquires, "repro_sharing_acquires", "Subplan refcount acquires"),
             (stats.releases, "repro_sharing_releases", "Subplan refcount releases"),
             (stats.pruned, "repro_sharing_pruned", "Shared nodes genuinely dropped by prune"),

@@ -337,7 +337,8 @@ class ReteNetwork:
           replay machinery feeds its current state to this view's nodes;
         * the node exists but this binding is new — the partition is
           created on the live node; it is *not* marked fresh, so populate
-          replays the shared core's state through the partition's
+          replays the shared core's state — restricted to the rows this
+          binding's equality conjuncts admit — through the partition's
           ``transform`` onto exactly this network's edges;
         * nothing exists — the binding-free core is built (sharing as
           usual), topped with a fresh binding-indexed node carrying the
@@ -460,10 +461,17 @@ class ReteNetwork:
 
         if isinstance(op, ops.Project):
             child = self._build(op.children[0])
-            items = [
-                compile_expr(expr, op.children[0].schema) for _, expr in op.items
-            ]
-            return ProjectionNode(op.schema, items, self.ctx), [(child, LEFT)]
+            child_schema = op.children[0].schema
+            items = [compile_expr(expr, child_schema) for _, expr in op.items]
+            source_cols = tuple(
+                child_schema.index_of(expr.name)
+                if isinstance(expr, ast.Variable)
+                and expr.name in child_schema.names
+                else None
+                for _, expr in op.items
+            )
+            node = ProjectionNode(op.schema, items, self.ctx, source_cols)
+            return node, [(child, LEFT)]
 
         if isinstance(op, ops.Dedup):
             child = self._build(op.children[0])
@@ -608,13 +616,17 @@ class ReteNetwork:
             node.activate(self.graph)
         if not self._replay_edges:
             return
+        layer = self.subplan_layer
         deltas: dict[int, Any] = {}
         for node, subscriber, side in self._replay_edges:
             delta = deltas.get(id(node))
             if delta is None:
-                delta = node.state_delta()
-                if delta is None:
-                    delta = self.subplan_layer.state_delta(node)
+                # without a subplan layer only input nodes are ever shared
+                delta = (
+                    layer.state_delta(node)
+                    if layer is not None
+                    else node.state_delta()
+                )
                 deltas[id(node)] = delta
             if delta:
                 subscriber.apply(delta, side)

@@ -114,7 +114,7 @@ class AggregateNode(Node):
                 out.add(new_row, 1)
         self.emit(out)
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
         for key, group in self.groups.items():
             out.add(self._result_row(key, group), 1)

@@ -48,6 +48,10 @@ class Node:
         self.applied_rows = 0
         self.columnar_batches = 0
         self.columnar_rows = 0
+        #: memory slots and index entries a *restricted* :meth:`state_delta`
+        #: examined to find its answer (the answer's own rows are counted
+        #: by the caller)
+        self.replay_scanned = 0
 
     def subscribe(self, node: "Node", side: int = LEFT) -> None:
         self._subscribers.append((node, side))
@@ -109,7 +113,7 @@ class Node:
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         raise NotImplementedError
 
-    def state_delta(self) -> Delta | None:
+    def state_delta(self, restriction: tuple = ()) -> Delta | None:
         """Current output bag as an insertion delta, or ``None``.
 
         Shared (cross-view) nodes use this for *targeted activation*: a
@@ -120,8 +124,23 @@ class Node:
         sharing layer derives their output by running :meth:`transform`
         over the upstream states instead.  State always crosses this
         boundary in row form.
+
+        *restriction* — ``(output column, atom)`` pairs from a binding
+        partition's equality conjuncts — is a prefilter the node *may*
+        use: every row of the full state with ``row[column] == value``
+        (Python ``==``) for all pairs must be returned at its exact
+        multiplicity, anything else may be left out.  The partition's
+        predicate implies the pairs and re-confirms every row it is
+        handed, so a node that cannot restrict just ignores the argument
+        and answers in full.
         """
         return None
+
+    def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
+        """*restriction* on this stateless node's output, re-expressed on
+        the columns of its *side* input (pairs that do not map are
+        dropped — a shorter restriction is only a coarser prefilter)."""
+        return ()
 
     def transform(self, delta: Delta, side: int) -> Delta:
         """Pure output delta for *delta* on *side* — stateless nodes only.

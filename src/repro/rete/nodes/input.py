@@ -41,7 +41,7 @@ class UnitNode(Node):
         delta.add((), 1)
         return delta
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         delta = Delta()
         delta.add((), 1)
         return delta
@@ -152,7 +152,7 @@ class VertexInputNode(Node):
                     delta.add(row, 1)
         return delta
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         return self.activation_delta(self.graph)
 
     def activate(self, graph: PropertyGraph) -> None:
@@ -452,7 +452,7 @@ class EdgeInputNode(Node):
                 self._edge_delta(e, s, t, 1, delta)
         return delta
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         return self.activation_delta(self.graph)
 
     def activate(self, graph: PropertyGraph) -> None:

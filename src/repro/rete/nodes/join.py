@@ -231,16 +231,57 @@ class JoinNode(Node):
             ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
         )
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
+        """The join of the two memories, narrowed by *restriction*.
+
+        Under column storage a restricted look-up starts from the side
+        that owns the restricted columns — :meth:`ColumnStore.select`
+        finds that side's surviving rows (one column scan, or an index
+        probe for join-key columns) — and probes the other side once per
+        surviving key, so the cost is that side's rows plus the matches,
+        not the whole join.  Pairs on the other side are left to the
+        caller's predicate, which must see the very objects the full fold
+        would show it — so every output cell comes from a memory, never
+        from a pair's value.  No restriction (and the row-dict ablation,
+        which has no column to scan) is the full fold.
+        """
         out = Delta()
-        for key, bucket in self.left_index.items():
+        left_pairs: list[tuple] = []
+        right_pairs: list[tuple] = []
+        if restriction and self.columnar_memories:
+            left_width = self.left_index.width
+            for column, value in restriction:
+                if column < left_width:
+                    left_pairs.append((column, value))
+                else:
+                    right_pairs.append(
+                        (self.right_extra[column - left_width], value)
+                    )
+        if right_pairs and not left_pairs:
+            examined, survivors = self.right_index.select(right_pairs)
+            self.replay_scanned += examined
+            for key, matches in survivors:
+                # left rows are built around the *left* memory's own key
+                # object: the right's may be an equal 1.0 where it holds 1
+                entry = self.left_index.stored(key)
+                if entry is not None:
+                    self._cross(out, entry[1], matches)
+            return out
+        if left_pairs:
+            examined, buckets = self.left_index.select(left_pairs)
+            self.replay_scanned += examined
+        else:
+            buckets = self.left_index.items()
+        for key, bucket in buckets:
             matches = self.right_index.get(key)
-            if not matches:
-                continue
-            for row, multiplicity in bucket.items():
-                for other, m2 in matches.items():
-                    out.add(self._merge(row, other), multiplicity * m2)
+            if matches:
+                self._cross(out, bucket, matches)
         return out
+
+    def _cross(self, out: Delta, bucket, matches) -> None:
+        for row, multiplicity in bucket.items():
+            for other, m2 in matches.items():
+                out.add(self._merge(row, other), multiplicity * m2)
 
     def memory_size(self) -> int:
         return index_size(self.left_index) + index_size(self.right_index)
@@ -352,7 +393,7 @@ class AntiJoinNode(Node):
             ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
         )
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
         for key, bucket in self.left_index.items():
             if self.right_counts.get(key, 0) == 0:
@@ -602,7 +643,7 @@ class LeftOuterJoinNode(Node):
             ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
         )
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
         for key, bucket in self.left_index.items():
             matches = self.right_index.get(key)

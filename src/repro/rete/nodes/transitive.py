@@ -34,6 +34,26 @@ from .base import LEFT, Node
 EDGES = 1
 
 
+def _restricted_left(node: Node, left_width: int, restriction: tuple):
+    """``left_index.items()`` of a ⋈* *node*, narrowed to the left rows
+    that pass *restriction*'s pairs on left columns (targeted activation
+    under a binding: only those sources' trails/targets are expanded)."""
+    pairs = [(c, v) for c, v in restriction if c < left_width]
+    if not pairs:
+        return node.left_index.items()
+    narrowed = []
+    for source, rows in node.left_index.items():
+        node.replay_scanned += len(rows)
+        kept = {
+            row: multiplicity
+            for row, multiplicity in rows.items()
+            if all(row[c] == v for c, v in pairs)
+        }
+        if kept:
+            narrowed.append((source, kept))
+    return narrowed
+
+
 class TransitiveClosureNode(Node):
     """⋈* with full trail materialisation (default mode)."""
 
@@ -182,9 +202,10 @@ class TransitiveClosureNode(Node):
                 row for bucket in self.left_index.values() for row in bucket
             )
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
-        for source, rows in self.left_index.items():
+        left_width = len(self.schema.names) - (2 if self.emit_path else 1)
+        for source, rows in _restricted_left(self, left_width, restriction):
             trails = [
                 trail
                 for trail in self.trails_by_start.get(source, ())
@@ -338,9 +359,10 @@ class ReachabilityNode(Node):
                 row for bucket in self.left_index.values() for row in bucket
             )
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
-        for source, rows in self.left_index.items():
+        left_width = len(self.schema.names) - 1
+        for source, rows in _restricted_left(self, left_width, restriction):
             targets = self.reachable.get(source, ())
             for row, multiplicity in rows.items():
                 for target in targets:

@@ -102,6 +102,9 @@ class SelectionNode(Node):
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         self.emit(self.transform(delta, side))
 
+    def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
+        return restriction  # σ keeps its input's columns
+
 
 class SelectionPartitionNode(Node):
     """One live binding's output channel of a binding-indexed σ.
@@ -113,13 +116,17 @@ class SelectionPartitionNode(Node):
     output is reconstructed by folding the owner's predicate (under this
     partition's resolved bindings) over the shared core's state, exactly
     the ``transform`` protocol the sharing layer already uses for plain
-    stateless nodes.
+    stateless nodes.  ``restriction`` — this binding's ``(column, atom)``
+    equality pairs, set by the owner when the binding is value-indexed on
+    bare columns — lets that fold ask the core for just the rows the
+    predicate can accept instead of its whole state.
     """
 
     def __init__(self, schema, owner: "BindingIndexedSelectionNode", ctx: EvalContext):
         super().__init__(schema)
         self.owner = owner
         self.ctx = ctx
+        self.restriction: tuple[tuple[int, Any], ...] = ()
 
     def passes(self, row: tuple) -> bool:
         return self.owner.predicate(row, self.ctx) is True
@@ -143,6 +150,9 @@ class SelectionPartitionNode(Node):
 
     def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
         raise AssertionError("partitions are fed by their owning node")
+
+    def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
+        return restriction + self.restriction
 
 
 class BindingIndexedSelectionNode(Node):
@@ -226,6 +236,8 @@ class BindingIndexedSelectionNode(Node):
         indexable, key = self._index_value(facade)
         if indexable:
             self._index.setdefault(key, []).append(facade)
+            if self._disc_cols is not None:
+                facade.restriction = tuple(zip(self._disc_cols, key))
         else:
             self._scan.append(facade)
 
@@ -351,10 +363,19 @@ class ProjectionNode(Node):
     """π — maps each row through compiled item expressions (bag π:
     multiplicities are preserved, collisions accumulate)."""
 
-    def __init__(self, schema, items: list[CompiledExpr], ctx: EvalContext):
+    def __init__(
+        self,
+        schema,
+        items: list[CompiledExpr],
+        ctx: EvalContext,
+        source_cols: "tuple[int | None, ...]",
+    ):
         super().__init__(schema)
         self.items = items
         self.ctx = ctx
+        #: per output column, the input column it copies unchanged (``None``
+        #: for computed items) — what lets a restriction pass through π
+        self.source_cols = source_cols
 
     def transform(self, delta: "Delta | ColumnDelta", side: int):
         items = self.items
@@ -373,6 +394,14 @@ class ProjectionNode(Node):
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         self.emit(self.transform(delta, side))
+
+    def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
+        sources = self.source_cols
+        return tuple(
+            (sources[column], value)
+            for column, value in restriction
+            if sources[column] is not None
+        )
 
 
 class DedupNode(Node):
@@ -408,7 +437,7 @@ class DedupNode(Node):
         if self.interner is not None:
             self.interner.release_all(self.counts)
 
-    def state_delta(self) -> Delta:
+    def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
         for row in self.counts:
             out.add(row, 1)

@@ -35,7 +35,11 @@ subscription edges, never re-emitted to existing subscribers.  Input nodes
 recompute that delta from the graph (``activation_delta``); interior nodes
 reconstruct it from their memories (``state_delta``), with stateless nodes
 derived on demand by replaying their upstreams' state through the node's
-pure ``transform``.
+pure ``transform``.  A new binding joining a live binding-indexed σ does
+not fold the whole shared core for its handful of rows: its partition
+hands its equality conjuncts down as a *restriction* and the first
+stateful node below answers just the rows that can pass (one column scan
+plus probes), the partition's predicate confirming each.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Any, Mapping
 
 from ..algebra import ops
@@ -78,6 +84,9 @@ class SharingStats:
     subplan_nodes: int = 0
     binding_nodes: int = 0
     binding_partitions: int = 0
+    # a new binding joining a live binding-indexed σ: the whole core below
+    # it is reused, though the partition lookup itself counts as a miss
+    binding_core_hits: int = 0
     detached_retained: int = 0
     detached_revived: int = 0
     detached_evicted: int = 0
@@ -87,6 +96,12 @@ class SharingStats:
     acquires: int = 0
     releases: int = 0
     pruned: int = 0
+    # targeted-activation work: rows read out of node memories (or the
+    # graph) to answer state_delta() — the answer's rows plus any slots and
+    # index entries a restricted look-up examined to find them — against
+    # rows handed over
+    replay_rows_scanned: int = 0
+    replay_rows_emitted: int = 0
 
     @property
     def requests(self) -> int:
@@ -362,6 +377,8 @@ class _SubplanEntry:
 
     node: Node
     upstreams: tuple[tuple[Node, int], ...]
+    #: adoption sequence number — the entry's position in ``_subplans``
+    order: int
     refcount: int = 0
 
 
@@ -439,6 +456,10 @@ class SharedSubplanLayer(SharedInputLayer):
         super().__post_init__()
         self._subplans: dict[tuple, _SubplanEntry] = {}
         self._key_by_node: dict[int, tuple] = {}
+        self._adoptions = count()
+        # keys released since the last prune(): the only entries (besides
+        # the upstreams a drop orphans) that can have died in between
+        self._released: list[tuple] = []
         # binding-indexed σ nodes, keyed by (generalised structure, variant);
         # their per-binding partitions are ordinary _subplans entries under
         # BINDING_TIER-tagged keys
@@ -488,7 +509,9 @@ class SharedSubplanLayer(SharedInputLayer):
         self, key: tuple, node: Node, upstreams: tuple[tuple[Node, int], ...]
     ) -> None:
         """Take ownership of a freshly built node under *key*."""
-        self._subplans[key] = _SubplanEntry(node, upstreams)
+        self._subplans[key] = _SubplanEntry(
+            node, upstreams, next(self._adoptions)
+        )
         self._key_by_node[id(node)] = key
         self.stats.subplan_nodes += 1
 
@@ -531,7 +554,10 @@ class SharedSubplanLayer(SharedInputLayer):
     def param_node(self, key: tuple) -> BindingIndexedSelectionNode | None:
         """The live binding-indexed node for a partition *key*, if any."""
         entry = self._param_nodes.get((key[1], key[2]))
-        return entry.node if entry is not None else None
+        if entry is None:
+            return None
+        self.stats.binding_core_hits += 1
+        return entry.node
 
     def param_adopt(
         self, key: tuple, node: BindingIndexedSelectionNode, upstream: Node, side: int
@@ -563,7 +589,7 @@ class SharedSubplanLayer(SharedInputLayer):
         facade = SelectionPartitionNode(entry.node.schema, entry.node, ctx)
         entry.node.add_partition(key[3], facade)
         self._subplans[key] = _SubplanEntry(
-            facade, ((entry.upstream, entry.side),)
+            facade, ((entry.upstream, entry.side),), next(self._adoptions)
         )
         self._key_by_node[id(facade)] = key
         self.stats.binding_partitions += 1
@@ -599,6 +625,7 @@ class SharedSubplanLayer(SharedInputLayer):
         entry = self._subplans.get(key)
         if entry is None:
             return
+        self._released.append(key)
         if entry.refcount <= 0:
             # a release without a live acquire (e.g. a detach racing a
             # prune) must not drive the count negative: prune() reads
@@ -623,14 +650,33 @@ class SharedSubplanLayer(SharedInputLayer):
         derived by replaying each upstream's state through the node's pure
         ``transform`` (upstream chains bottom out at input nodes, whose
         state is the graph itself).
+
+        A value-indexed binding partition on the way contributes its
+        ``(column, atom)`` equality pairs as a *restriction*: stateless
+        nodes re-express it on their inputs and the first stateful node
+        below answers only the rows that can pass (see
+        :meth:`~.nodes.base.Node.state_delta`), so a new binding costs its
+        own rows, not the shared core's.  The partition's ``transform``
+        still runs the full predicate over whatever comes back.
         """
-        own = node.state_delta()
+        out = self._replay(node, ())
+        self.stats.replay_rows_emitted += len(out)
+        return out
+
+    def _replay(self, node: Node, restriction: tuple) -> Delta:
+        """*node*'s state under *restriction* (see :meth:`state_delta`)."""
+        examined = node.replay_scanned
+        own = node.state_delta(restriction)
         if own is not None:
+            self.stats.replay_rows_scanned += (
+                len(own) + node.replay_scanned - examined
+            )
             return own
         entry = self._subplans[self._key_by_node[id(node)]]
         out = Delta()
         for upstream, side in entry.upstreams:
-            out.update(node.transform(self.state_delta(upstream), side))
+            narrowed = node.upstream_restriction(restriction, side)
+            out.update(node.transform(self._replay(upstream, narrowed), side))
         return out
 
     # -- maintenance ----------------------------------------------------------
@@ -643,24 +689,43 @@ class SharedSubplanLayer(SharedInputLayer):
         detached LRU (still connected and maintained, see the class
         docstring); only overflow — or ``detached_cache_size=0`` — makes
         them genuinely drop, unsubscribing from their upstreams, which can
-        push *them* to zero subscribers, so the scan repeats until a
-        fixpoint before the input tier is swept.
+        push *them* to zero subscribers.
+
+        Only a released key or an upstream orphaned by a drop can have
+        died, so the sweep is a worklist over exactly those, visited the
+        way a repeated full scan of ``_subplans`` would meet them (LRU
+        order depends on it): in adoption order, an orphan adopted after
+        the entry being visited still in this pass, an earlier one in the
+        next.
         """
         removed = 0
         # upstreams orphaned by an eviction this sweep: they died only
         # because their (colder) downstream was dropped, so they must not
         # enter the LRU as most-recent and displace genuinely warm roots
         cascade_orphans: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for key, entry in list(self._subplans.items()):
-                if self._subplans.get(key) is not entry:
-                    continue  # dropped by an eviction earlier in this sweep
-                if entry.refcount != 0 or entry.node.subscriber_count != 0:
+        subplans = self._subplans
+        pending = {
+            subplans[key].order: key
+            for key in self._released
+            if key in subplans
+        }
+        self._released.clear()
+        while pending:
+            later: dict[int, tuple] = {}
+            heap = list(pending)
+            heapify(heap)
+            while heap:
+                order = heappop(heap)
+                key = pending[order]
+                entry = subplans.get(key)
+                if (
+                    entry is None  # dropped by an eviction earlier in this sweep
+                    or entry.refcount != 0
+                    or entry.node.subscriber_count != 0
+                    or key in self._detached_lru  # retained; ages out via overflow
+                ):
                     continue
-                if key in self._detached_lru:
-                    continue  # already retained; ages out via overflow
+                orphans: set[int] = set()
                 if self.detached_cache_size > 0:
                     self._detached_lru[key] = None
                     if id(entry.node) in cascade_orphans:
@@ -668,14 +733,24 @@ class SharedSubplanLayer(SharedInputLayer):
                     self.stats.detached_retained += 1
                     while len(self._detached_lru) > self.detached_cache_size:
                         oldest, _ = self._detached_lru.popitem(last=False)
-                        cascade_orphans |= self._drop_subplan(oldest)
+                        orphans |= self._drop_subplan(oldest)
                         self.stats.detached_evicted += 1
                         removed += 1
-                        changed = True
                 else:
-                    cascade_orphans |= self._drop_subplan(key)
+                    orphans = self._drop_subplan(key)
                     removed += 1
-                    changed = True
+                cascade_orphans |= orphans
+                for node_id in orphans:
+                    orphan_key = self._key_by_node.get(node_id)
+                    if orphan_key is None:
+                        continue  # an input node: swept below
+                    orphan_order = subplans[orphan_key].order
+                    if orphan_order < order:
+                        later[orphan_order] = orphan_key
+                    elif orphan_order not in pending:
+                        pending[orphan_order] = orphan_key
+                        heappush(heap, orphan_order)
+            pending = later
         self.stats.pruned += removed
         return removed + super().prune()
 

@@ -210,8 +210,9 @@ class ViewCatalog:
                 )
             # binding-indexed tier: a parameterised σ whose shape is
             # maintained for this exact binding as one partition of a
-            # shared node — reconstructed by filtering the shared core's
-            # state under the partition's bindings
+            # shared node — reconstructed by asking the shared core for
+            # the rows the binding's equality conjuncts admit (the whole
+            # core only when it has none) and confirming the predicate
             partition = layer.partition_peek(op, parameters, self._variant())
             if partition is not None and self._servable(op):
                 def fetch_partition(layer=layer, node=partition) -> Bag:

@@ -357,6 +357,76 @@ class TestColumnStore:
         with pytest.raises(ValueError):
             ColumnStore((0, 1), (1,))
 
+    @pytest.mark.parametrize(
+        "key_cols,payload_cols", [((0,), (1, 2)), ((0, 1), (2,)), ((2,), (0, 1))]
+    )
+    def test_select_is_a_filter_over_items(self, key_cols, payload_cols):
+        """``select(pairs)`` == brute-force filtering of every stored row,
+        whichever mix of key and payload columns the pairs name — on a
+        store with freed and reused slots."""
+        store, plain = self._mirror(21, key_cols, payload_cols)
+        assert store.free  # the stream cancelled some slots
+        pair_sets = [
+            [(0, 2)],
+            [(1, 1)],
+            [(2, "b")],
+            [(0, 1), (2, "a")],
+            [(0, 3), (1, 0)],
+            [(0, 0), (1, 2), (2, "c")],
+            [(1, 1), (1, 2)],  # one column, two values: nothing passes
+            [(2, "zzz")],
+            [(2, None)],  # what freed slots hold
+        ]
+        for pairs in pair_sets:
+            examined, buckets = store.select(pairs)
+            got = {key: dict(bucket.items()) for key, bucket in buckets}
+            want: dict = {}
+            for key, bucket in plain.items():
+                for row, mult in bucket.items():
+                    if all(row[col] == value for col, value in pairs):
+                        want.setdefault(key, {})[row] = mult
+            assert got == want, pairs
+            columns = {col for col, _ in pairs}
+            if columns - set(key_cols):
+                # one column scan + the index entries walked for the keys
+                assert (
+                    store.size() <= examined <= store.size() + len(store)
+                ), pairs
+            elif len(pairs) == len(columns) == len(key_cols):
+                assert examined == 0, pairs  # direct index probe
+            else:
+                assert examined == len(store), pairs  # distinct keys
+
+    def test_select_uses_python_equality(self):
+        """A candidate set, not an answer: 1 == True == 1.0 all surface
+        (the caller's predicate re-confirms), NaN only by identity."""
+        nan = float("nan")
+        store = ColumnStore((0,), (1,))
+        for key, value in enumerate([1, True, 1.0, "1", nan, None]):
+            store.insert((key,), (key, value), 1)
+        _, buckets = store.select([(1, True)])
+        assert [key for key, _ in buckets] == [(0,), (1,), (2,)]
+        assert [key for key, _ in store.select([(1, nan)])[1]] == [(4,)]
+        assert store.select([(1, float("nan"))])[1] == []
+        assert [key for key, _ in store.select([(0, 3.0)])[1]] == [(3,)]
+
+    def test_select_and_stored_hand_back_stored_objects(self):
+        """A probe equal to — but typed differently from — a stored key
+        must not lend its own objects to the rows it finds."""
+        store = ColumnStore((0,), (1,))
+        store.insert((1,), (1, "a"), 1)
+        store.insert((4,), (4, 2), 1)
+        for probe in (True, 1.0, 1):
+            (key, bucket), = store.select([(0, probe)])[1]
+            assert type(key[0]) is int
+            assert [repr(row) for row, _ in bucket.items()] == ["(1, 'a')"]
+            key, bucket = store.stored((probe,))
+            assert type(key[0]) is int
+            assert [repr(row) for row, _ in bucket.items()] == ["(1, 'a')"]
+        (key, bucket), = store.select([(0, 4.0), (1, 2.0)])[1]
+        assert [repr(row) for row, _ in bucket.items()] == ["(4, 2)"]
+        assert store.stored((7,)) is None
+
 
 class TestRowInterner:
     def test_refcounted_canonicalisation(self):

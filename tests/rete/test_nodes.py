@@ -109,6 +109,7 @@ class TestProjection:
             Schema([Attribute("y", AttrKind.VALUE)]),
             [compile_expr(parse_expression("x % 2"), schema)],
             CTX,
+            (None,),
         )
         sink = Sink()
         node.subscribe(sink)
@@ -193,6 +194,27 @@ class TestJoin:
         node.apply(delta((("k", "a"), 1)), LEFT)
         node.apply(delta((("k", "b"), 1)), RIGHT)
         assert node.memory_size() == 2
+
+    def test_restricted_state_shows_stored_objects_only(self):
+        """Whatever side a restriction starts from, and whatever equal-but-
+        differently-typed value it carries, the rows are the full fold's:
+        the left memory's key, each side's own payload cells."""
+        node, _ = make_join()
+        node.apply(delta(((1, "a"), 1), ((2, "a"), 1)), LEFT)
+        node.apply(delta(((1.0, 7), 1), ((2, 8), 1)), RIGHT)
+        full = [repr(row) for row, _ in node.state_delta()]
+        assert full == ["(1, 'a', 7)", "(2, 'a', 8)"]
+        for restriction in [
+            ((0, True),),  # the join key, probed directly
+            ((0, 1.0), (1, "a")),  # key + left payload
+            ((2, 7.0),),  # right payload: survivors probe the left memory
+        ]:
+            got = [repr(row) for row, _ in node.state_delta(restriction)]
+            assert got == full[:1], restriction
+        # pairs on both sides: driven from the left, the right pair is the
+        # caller's predicate's business — a superset, same objects
+        got = [repr(row) for row, _ in node.state_delta(((1, "a"), (2, 7.0)))]
+        assert got == full
 
 
 class TestAntiJoin:
