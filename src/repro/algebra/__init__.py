@@ -7,7 +7,6 @@ from .expressions import (
     EvalContext,
     compile_expr,
     contains_aggregate,
-    evaluate,
     is_aggregate_call,
 )
 from .fra import check_incremental_fragment, validate_fra
@@ -23,7 +22,6 @@ __all__ = [
     "AttrKind",
     "EMPTY_SCHEMA",
     "compile_expr",
-    "evaluate",
     "EvalContext",
     "AggregateSpec",
     "AGGREGATE_NAMES",

@@ -27,11 +27,27 @@ class Expr(AstNode):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Literal(Expr):
-    """A constant: int, float, str, bool or None."""
+    """A constant: int, float, str, bool or None.
+
+    Equality is type-exact — ``1``, ``true``, ``1.0`` and ``0.0``/``-0.0``
+    are four different constants although Python ``==`` conflates them —
+    because expression ASTs key caches (generated code, fingerprints).
+    """
 
     value: Any
+
+    def _identity(self) -> tuple:
+        return (type(self.value), repr(self.value))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Literal:
+            return self._identity() == other._identity()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
 
 @dataclass(frozen=True, slots=True)

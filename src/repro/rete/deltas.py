@@ -52,6 +52,7 @@ once.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -121,6 +122,12 @@ class ColumnDelta:
     and its net multiplicity is the sum of its occurrences.  Construction
     from a :class:`Delta` (:meth:`from_delta`) yields a consolidated
     batch; node outputs built with :meth:`from_rows` generally are not.
+
+    **A batch is immutable once emitted.**  Column lists and the
+    multiplicity list may be shared between an input batch and an output
+    batch — a σ that keeps everything returns its input, a bare-column π
+    item or a ∪ arm hands the input's own column list on — so no node may
+    mutate an incoming ``ColumnDelta`` or its lists in place.
     """
 
     __slots__ = ("columns", "mults", "width")
@@ -171,6 +178,25 @@ class ColumnDelta:
         if len(indices) == 1:
             return [(value,) for value in self.columns[indices[0]]]
         return list(zip(*(self.columns[i] for i in indices)))
+
+    def take(self, positions: Sequence[int]) -> "ColumnDelta":
+        """The batch at *positions* (in that order, repeats allowed),
+        gathered one column at a time — no row tuple is built."""
+        if not positions:
+            return ColumnDelta([[] for _ in range(self.width)], [], self.width)
+        if len(positions) == 1:
+            position = positions[0]
+            return ColumnDelta(
+                [[column[position]] for column in self.columns],
+                [self.mults[position]],
+                self.width,
+            )
+        gather = itemgetter(*positions)
+        return ColumnDelta(
+            [list(gather(column)) for column in self.columns],
+            list(gather(self.mults)),
+            self.width,
+        )
 
     def rows(self) -> list[tuple]:
         """All row tuples, materialised in one C-level transpose."""

@@ -51,7 +51,12 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..algebra import ops
-from ..algebra.expressions import EvalContext, compile_expr
+from ..algebra.expressions import (
+    EvalContext,
+    compile_expr,
+    compile_predicate,
+    compile_projection,
+)
 from ..algebra.fra import check_incremental_fragment, validate_fra
 from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import split_conjuncts
@@ -362,7 +367,7 @@ class ReteNetwork:
             child_node = self._build(op.children[0])
             node = BindingIndexedSelectionNode(
                 op.schema,
-                compile_expr(op.predicate, op.children[0].schema),
+                compile_predicate(op.predicate, op.children[0].schema),
                 generalized_fingerprint(op).param_order,
                 discriminants=self._equality_discriminants(op),
             )
@@ -440,8 +445,9 @@ class ReteNetwork:
     ) -> tuple[Node, list[tuple[Node, int]]]:
         """Build the node for *op* plus its (not yet subscribed) upstreams."""
         if isinstance(op, ops.Select):
-            conjuncts = self._constant_conjuncts(op)
-            value_filters = self._vertex_value_filters(op, conjuncts)
+            value_filters = self._vertex_value_filters(
+                op, self._constant_conjuncts(op)
+            )
             if value_filters:
                 # value pushdown: the σ reads a constant-filtered © node, so
                 # the router narrows dispatch by value (the σ still runs the
@@ -451,18 +457,17 @@ class ReteNetwork:
                 child = self._build(op.children[0])
             node = SelectionNode(
                 op.schema,
-                compile_expr(op.predicate, op.children[0].schema),
+                compile_predicate(op.predicate, op.children[0].schema),
                 self.ctx,
-                const_filters=tuple(
-                    (column, value) for column, _, value in conjuncts
-                ),
             )
             return node, [(child, LEFT)]
 
         if isinstance(op, ops.Project):
             child = self._build(op.children[0])
             child_schema = op.children[0].schema
-            items = [compile_expr(expr, child_schema) for _, expr in op.items]
+            items = compile_projection(
+                [expr for _, expr in op.items], child_schema
+            )
             source_cols = tuple(
                 child_schema.index_of(expr.name)
                 if isinstance(expr, ast.Variable)
@@ -481,7 +486,7 @@ class ReteNetwork:
             child = self._build(op.children[0])
             node = UnwindNode(
                 op.schema,
-                compile_expr(op.expression, op.children[0].schema),
+                compile_projection([op.expression], op.children[0].schema),
                 self.ctx,
             )
             return node, [(child, LEFT)]

@@ -2,9 +2,11 @@
 
 The stateless nodes (σ, π, ω and the binding-indexed σ's partitions) are
 counting-linear, so their ``transform`` accepts both delta representations
-and answers in kind: a columnar batch filters/maps column-wise without
-per-row dict churn, a row delta takes the original loop.  δ (dedup) is
-transition-sensitive and consolidates columnar batches at entry
+and answers in kind: a columnar batch goes through the generated column
+form of its expressions (:class:`~repro.algebra.expressions.Generated`
+``.cols``) and never becomes row tuples, a row delta goes through the row
+form of the same generated body.  δ (dedup) is transition-sensitive and
+consolidates columnar batches at entry
 (:func:`~repro.rete.deltas.as_row_delta`).
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ...algebra.expressions import CompiledExpr, EvalContext
+from ...algebra.expressions import CompiledExpr, EvalContext, Generated
 from ...graph.values import ListValue, freeze_value
 from ..deltas import ColumnDelta, Delta, as_row_delta, interned_bag_insert
 from .base import Node
@@ -27,77 +29,35 @@ _INDEXABLE_ATOMS = (bool, int, float, str)
 _NO_PARAMS = EvalContext({})
 
 
+def _select(predicate: Generated, ctx: EvalContext, delta: "Delta | ColumnDelta"):
+    """The part of *delta* on which *predicate* is exactly true, in kind."""
+    if type(delta) is ColumnDelta:
+        keep = predicate.cols(delta.columns, len(delta.mults), ctx)
+        # a batch is immutable once emitted: all kept means the same batch
+        return delta if len(keep) == len(delta.mults) else delta.take(keep)
+    out = Delta()
+    row_predicate = predicate.row
+    for row, multiplicity in delta.items():
+        if row_predicate(row, ctx) is True:
+            out.add(row, multiplicity)
+    return out
+
+
 class SelectionNode(Node):
     """σ — forwards rows whose predicate is exactly ``true``.
 
     Stateless: deltas filter the same way in both directions, so a
     retraction of a previously-passed row passes again and cancels
     downstream (counting maintenance of σ).
-
-    ``const_filters`` — ``(column, frozen atom)`` pairs extracted from
-    constant equality conjuncts (``n.lang = 'en'``) — run before the
-    compiled predicate.  They are *necessary* conditions only: Python
-    ``==`` accepts at least everything Cypher ``=`` does on atoms, so a
-    prefiltered row can never be one the predicate would have passed, and
-    every survivor still runs the full predicate.  On the columnar path
-    the prefilter scans the constant's column directly, skipping row
-    materialisation for the (typically vast) non-matching majority.
     """
 
-    def __init__(
-        self,
-        schema,
-        predicate: CompiledExpr,
-        ctx: EvalContext,
-        const_filters: tuple[tuple[int, Any], ...] = (),
-    ):
+    def __init__(self, schema, predicate: Generated, ctx: EvalContext):
         super().__init__(schema)
         self.predicate = predicate
         self.ctx = ctx
-        self.const_filters = const_filters
 
     def transform(self, delta: "Delta | ColumnDelta", side: int):
-        if type(delta) is ColumnDelta:
-            return self._transform_columnar(delta)
-        out = Delta()
-        predicate = self.predicate
-        ctx = self.ctx
-        filters = self.const_filters
-        for row, multiplicity in delta.items():
-            if filters and any(row[i] != v for i, v in filters):
-                continue
-            if predicate(row, ctx) is True:
-                out.add(row, multiplicity)
-        return out
-
-    def _transform_columnar(self, delta: ColumnDelta) -> ColumnDelta:
-        mults = delta.mults
-        predicate = self.predicate
-        ctx = self.ctx
-        out_rows: list[tuple] = []
-        out_mults: list[int] = []
-        if self.const_filters:
-            live: list[int] | None = None
-            for col_idx, value in self.const_filters:
-                column = delta.columns[col_idx]
-                if live is None:
-                    live = [i for i, v in enumerate(column) if v == value]
-                else:
-                    live = [i for i in live if column[i] == value]
-                if not live:
-                    break
-            columns = delta.columns
-            for i in live or ():
-                row = tuple(column[i] for column in columns)
-                if predicate(row, ctx) is True:
-                    out_rows.append(row)
-                    out_mults.append(mults[i])
-        else:
-            for row, multiplicity in zip(delta.rows(), mults):
-                if predicate(row, ctx) is True:
-                    out_rows.append(row)
-                    out_mults.append(multiplicity)
-        return ColumnDelta.from_rows(out_rows, out_mults, delta.width)
+        return _select(self.predicate, self.ctx, delta)
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         self.emit(self.transform(delta, side))
@@ -129,24 +89,10 @@ class SelectionPartitionNode(Node):
         self.restriction: tuple[tuple[int, Any], ...] = ()
 
     def passes(self, row: tuple) -> bool:
-        return self.owner.predicate(row, self.ctx) is True
+        return self.owner.predicate.row(row, self.ctx) is True
 
     def transform(self, delta: "Delta | ColumnDelta", side: int):
-        predicate = self.owner.predicate
-        ctx = self.ctx
-        if type(delta) is ColumnDelta:
-            out_rows: list[tuple] = []
-            out_mults: list[int] = []
-            for row, multiplicity in zip(delta.rows(), delta.mults):
-                if predicate(row, ctx) is True:
-                    out_rows.append(row)
-                    out_mults.append(multiplicity)
-            return ColumnDelta.from_rows(out_rows, out_mults, delta.width)
-        out = Delta()
-        for row, multiplicity in delta.items():
-            if predicate(row, ctx) is True:
-                out.add(row, multiplicity)
-        return out
+        return _select(self.owner.predicate, self.ctx, delta)
 
     def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
         raise AssertionError("partitions are fed by their owning node")
@@ -187,7 +133,7 @@ class BindingIndexedSelectionNode(Node):
     def __init__(
         self,
         schema,
-        predicate: CompiledExpr,
+        predicate: Generated,
         param_order: tuple[str, ...],
         discriminants: "tuple[tuple[int, CompiledExpr, int | None], ...] | None" = None,
     ):
@@ -360,13 +306,13 @@ class BindingIndexedSelectionNode(Node):
 
 
 class ProjectionNode(Node):
-    """π — maps each row through compiled item expressions (bag π:
+    """π — maps each row through generated item expressions (bag π:
     multiplicities are preserved, collisions accumulate)."""
 
     def __init__(
         self,
         schema,
-        items: list[CompiledExpr],
+        items: Generated,
         ctx: EvalContext,
         source_cols: "tuple[int | None, ...]",
     ):
@@ -378,18 +324,15 @@ class ProjectionNode(Node):
         self.source_cols = source_cols
 
     def transform(self, delta: "Delta | ColumnDelta", side: int):
-        items = self.items
         ctx = self.ctx
         if type(delta) is ColumnDelta:
-            out_rows = [
-                tuple(fn(row, ctx) for fn in items) for row in delta.rows()
-            ]
-            return ColumnDelta.from_rows(
-                out_rows, delta.mults, len(self.schema.names)
-            )
+            mults = delta.mults  # shared with the input: batches are immutable
+            columns = self.items.cols(delta.columns, len(mults), ctx)
+            return ColumnDelta(columns, mults, len(columns))
         out = Delta()
+        items = self.items.row
         for row, multiplicity in delta.items():
-            out.add(tuple(fn(row, ctx) for fn in items), multiplicity)
+            out.add(items(row, ctx), multiplicity)
         return out
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
@@ -454,33 +397,33 @@ class UnwindNode(Node):
     """ω — one output row per element of the list value (null/empty: none;
     scalars pass through as a single row, per openCypher)."""
 
-    def __init__(self, schema, expression: CompiledExpr, ctx: EvalContext):
+    def __init__(self, schema, expression: Generated, ctx: EvalContext):
         super().__init__(schema)
+        #: a one-item projection: ``row`` gives ``(value,)``, ``cols`` ``[values]``
         self.expression = expression
         self.ctx = ctx
 
     def transform(self, delta: "Delta | ColumnDelta", side: int):
-        expression = self.expression
         ctx = self.ctx
         if type(delta) is ColumnDelta:
-            out_rows: list[tuple] = []
-            out_mults: list[int] = []
-            for row, multiplicity in zip(delta.rows(), delta.mults):
-                value = expression(row, ctx)
+            (values,) = self.expression.cols(delta.columns, len(delta.mults), ctx)
+            positions: list[int] = []
+            elements: list = []
+            for position, value in enumerate(values):
                 if value is None:
                     continue
-                elements = (
-                    list(value) if isinstance(value, ListValue) else [value]
-                )
-                for element in elements:
-                    out_rows.append(row + (element,))
-                    out_mults.append(multiplicity)
-            return ColumnDelta.from_rows(
-                out_rows, out_mults, len(self.schema.names)
-            )
+                if isinstance(value, ListValue):
+                    positions.extend([position] * len(value))
+                    elements.extend(value)
+                else:
+                    positions.append(position)
+                    elements.append(value)
+            out = delta.take(positions)
+            return ColumnDelta(out.columns + [elements], out.mults, out.width + 1)
         out = Delta()
+        expression = self.expression.row
         for row, multiplicity in delta.items():
-            value = expression(row, ctx)
+            (value,) = expression(row, ctx)
             if value is None:
                 continue
             elements = list(value) if isinstance(value, ListValue) else [value]

@@ -862,11 +862,15 @@ class TestRestrictedReplay:
         (entry,) = layer._param_nodes.values()
         predicate, calls = entry.node.predicate, []
 
-        def counting(row, ctx):
-            calls.append(row)
-            return predicate(row, ctx)
+        class Counting:  # replay hands state over in row form
+            cols = predicate.cols
 
-        entry.node.predicate = counting
+            @staticmethod
+            def row(row, ctx):
+                calls.append(row)
+                return predicate.row(row, ctx)
+
+        entry.node.predicate = Counting
         stats = layer.stats
         scanned, emitted = stats.replay_rows_scanned, stats.replay_rows_emitted
         hits = stats.binding_core_hits

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.algebra.expressions import AggregateSpec, EvalContext, compile_expr
+from repro.algebra.expressions import (
+    AggregateSpec,
+    EvalContext,
+    compile_expr,
+    compile_predicate,
+    compile_projection,
+)
 from repro.algebra.schema import AttrKind, Attribute, Schema
 from repro.cypher import parse_expression
 from repro.graph.values import ListValue, PathValue
@@ -86,7 +92,7 @@ class TestDelta:
 class TestSelection:
     def test_filters_both_signs(self):
         schema = value_schema("x")
-        node = SelectionNode(schema, compile_expr(parse_expression("x > 2"), schema), CTX)
+        node = SelectionNode(schema, compile_predicate(parse_expression("x > 2"), schema), CTX)
         sink = Sink()
         node.subscribe(sink)
         node.apply(delta(((1,), 1), ((5,), 2)), LEFT)
@@ -95,7 +101,7 @@ class TestSelection:
 
     def test_unknown_predicate_filters_row(self):
         schema = value_schema("x")
-        node = SelectionNode(schema, compile_expr(parse_expression("x > 2"), schema), CTX)
+        node = SelectionNode(schema, compile_predicate(parse_expression("x > 2"), schema), CTX)
         sink = Sink()
         node.subscribe(sink)
         node.apply(delta(((None,), 1)), LEFT)
@@ -107,7 +113,7 @@ class TestProjection:
         schema = value_schema("x")
         node = ProjectionNode(
             Schema([Attribute("y", AttrKind.VALUE)]),
-            [compile_expr(parse_expression("x % 2"), schema)],
+            compile_projection([parse_expression("x % 2")], schema),
             CTX,
             (None,),
         )
@@ -140,7 +146,7 @@ class TestUnwind:
         schema = value_schema("xs")
         node = UnwindNode(
             value_schema("xs", "x"),
-            compile_expr(parse_expression("xs"), schema),
+            compile_projection([parse_expression("xs")], schema),
             CTX,
         )
         sink = Sink()
@@ -152,7 +158,7 @@ class TestUnwind:
         schema = value_schema("xs")
         node = UnwindNode(
             value_schema("xs", "x"),
-            compile_expr(parse_expression("xs"), schema),
+            compile_projection([parse_expression("xs")], schema),
             CTX,
         )
         sink = Sink()
