@@ -669,7 +669,7 @@ class _Emitter:
         return self.assign(f"cypher_in({self.value(expr.item)}, {self.value(expr.container)})")
 
     def _StringPredicate(self, expr: ast.StringPredicate) -> str:
-        s, p = self.value(expr.subject), self.value(expr.pattern)
+        s, p = self.name(expr.subject), self.value(expr.pattern)  # `0.startswith` is no syntax
         test = {"STARTS WITH": f"{s}.startswith({p})", "ENDS WITH": f"{s}.endswith({p})"}
         return self.assign(
             f"{test.get(expr.kind, f'{p} in {s}')} "
@@ -795,9 +795,9 @@ def _generate(mode: str, exprs: tuple[ast.Expr, ...], layout: dict, with_resolve
             tail = [f"if {atoms[0]} is True:", "    keep.append(i)"]
         cols = head
         if atoms:  # only the columns mentioned are zipped; parameters are fetched once
-            targets = ", ".join(["i", *emitter.columns.values()])
+            targets = ", ".join(["i", *emitter.columns.values()]) + "," * (not emitter.columns)
             sources = ", ".join(["range(n)", *(f"columns[{i}]" for i in emitter.columns)])
-            loop = f"for ({targets},) in zip({sources}):"
+            loop = f"for ({targets}) in zip({sources}):"
             cols = head + ["if n:", *_indent(prelude + [loop], 1), *_indent(emitter.lines + tail, 2)]
         lines += ["    def cols(columns, n, ctx):", *_indent(cols + [f"return {result}"], 2)]
     return "\n".join(lines + [f"    return row, {'None' if mode == 'value' else 'cols'}", ""])

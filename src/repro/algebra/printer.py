@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..cypher.unparser import unparse_expr
 from . import ops
+from .expressions import compile_predicate, compile_projection
 
 
 def _hops(min_hops: int, max_hops: int | None) -> str:
@@ -112,11 +113,24 @@ def _trivial(expr, name: str) -> bool:
     return isinstance(expr, ast.Variable) and expr.name == name
 
 
-def format_plan(op: ops.Operator, indent: int = 0) -> str:
-    """Indented multi-line rendering of the operator tree."""
+def format_plan(op: ops.Operator, indent: int = 0, sources: bool = False) -> str:
+    """Indented multi-line rendering of the operator tree.
+
+    With *sources* (flat plans only) each σ/π line is followed by the
+    Python source generated for its predicate / items — the code its Rete
+    node runs.
+    """
     lines = ["  " * indent + _node_label(op)]
+    if sources and isinstance(op, (ops.Select, ops.Project)):
+        schema = op.children[0].schema
+        if isinstance(op, ops.Select):
+            generated = compile_predicate(op.predicate, schema)
+        else:
+            generated = compile_projection([expr for _, expr in op.items], schema)
+        margin = "  " * indent + "  │ "
+        lines.extend(margin + line for line in generated.source.splitlines())
     for child in op.children:
-        lines.append(format_plan(child, indent + 1))
+        lines.append(format_plan(child, indent + 1, sources))
     return "\n".join(lines)
 
 

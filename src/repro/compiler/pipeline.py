@@ -62,7 +62,9 @@ class CompiledQuery:
         ]
         parts = [f"Query: {self.text.strip()}"]
         for title, plan in sections:
-            parts.append(f"\n== {title} ==\n{format_plan(plan)}")
+            # the physical plan is what runs: show the code generated for it
+            rendered = format_plan(plan, sources=plan is self.plan)
+            parts.append(f"\n== {title} ==\n{rendered}")
         if self.incremental_reason is not None:
             parts.append(
                 f"\nIncremental registration: UNSUPPORTED ({self.incremental_reason})"

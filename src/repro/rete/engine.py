@@ -28,6 +28,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
+from ..algebra.expressions import cache_stats
 from ..compiler.optimizer import lifted_plan
 from ..compiler.pipeline import CompiledQuery, compile_query
 from ..errors import TransactionError
@@ -526,6 +527,13 @@ class IncrementalEngine:
             gauge(name, help).set(
                 sum(getattr(router, attribute) for router in routers)
             )
+        expressions = cache_stats()  # process-wide, like the memo they count
+        gauge("repro_expr_compiled_total", "Expression shapes generated and compile()d").set(
+            expressions["compiled"]
+        )
+        gauge("repro_expr_cache_hits_total", "Expression compilations served from the memo").set(
+            expressions["hits"]
+        )
         layer = self.input_layer
         if layer is None:
             return
