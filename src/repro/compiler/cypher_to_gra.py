@@ -191,15 +191,17 @@ class GraCompiler:
 
     def _pattern_part(
         self, part: ast.PatternPart
-    ) -> tuple[ops.Operator, list[ast.Expr], list[str], list[str]]:
+    ) -> tuple[ops.Operator, list[ast.Expr], list[tuple[str, tuple[str, ...]]], list[str]]:
         """Compile one pattern part.
 
-        Returns ``(plan, predicates, single_edge_vars, segment_path_vars)``;
+        Returns ``(plan, predicates, single_edges, segment_path_vars)``;
         predicates carry pattern property maps and intra-part vertex reuse
         equalities, and are applied by the caller after joining parts.
+        ``single_edges`` pairs each single-hop edge variable with the
+        relationship types its pattern admits (empty: any).
         """
         predicates: list[ast.Expr] = []
-        single_edges: list[str] = []
+        single_edges: list[tuple[str, tuple[str, ...]]] = []
         segment_paths: list[str] = []
         path_components: list[ast.Expr] = []
 
@@ -283,7 +285,7 @@ class GraCompiler:
                     tgt_labels=node.labels,
                     direction=rel.direction,
                 )
-                single_edges.append(edge_var)
+                single_edges.append((edge_var, rel.types))
                 if rel.direction == "out":
                     self._edge_endpoints[edge_var] = (previous_var, target_var)
                 elif rel.direction == "in":
@@ -313,19 +315,23 @@ class GraCompiler:
         return ast.FunctionCall("relationships", (ast.Variable(path_var),))
 
     def _uniqueness_predicates(
-        self, single_edges: list[str], segment_paths: list[str]
+        self, single_edges: list[tuple[str, tuple[str, ...]]], segment_paths: list[str]
     ) -> list[ast.Expr]:
-        """Cypher's per-MATCH relationship uniqueness as predicates."""
+        """Cypher's per-MATCH relationship uniqueness as predicates.
+
+        An edge has exactly one type, so two single hops whose (non-empty)
+        type sets are disjoint can never bind the same edge: that pair's
+        ``<>`` cannot fail and is not emitted.
+        """
         predicates: list[ast.Expr] = []
-        for i in range(len(single_edges)):
-            for j in range(i + 1, len(single_edges)):
+        for i, (edge, types) in enumerate(single_edges):
+            for other, other_types in single_edges[i + 1 :]:
+                if types and other_types and not set(types) & set(other_types):
+                    continue
                 predicates.append(
-                    ast.Comparison(
-                        (ast.Variable(single_edges[i]), ast.Variable(single_edges[j])),
-                        ("<>",),
-                    )
+                    ast.Comparison((ast.Variable(edge), ast.Variable(other)), ("<>",))
                 )
-        for edge in single_edges:
+        for edge, _ in single_edges:
             for path in segment_paths:
                 predicates.append(
                     ast.Not(ast.In(ast.Variable(edge), self._relationships_of(path)))
@@ -348,7 +354,7 @@ class GraCompiler:
     def _match(self, plan: ops.Operator | None, clause: ast.MatchClause) -> ops.Operator:
         part_plans: list[ops.Operator] = []
         predicates: list[ast.Expr] = []
-        single_edges: list[str] = []
+        single_edges: list[tuple[str, tuple[str, ...]]] = []
         segment_paths: list[str] = []
         for part in clause.pattern.parts:
             part_plan, part_preds, edges, paths = self._pattern_part(part)

@@ -3,15 +3,19 @@ paper's §4 worked example, step by step."""
 
 import pytest
 
+from repro import PropertyGraph, QueryEngine
 from repro.algebra import ops
 from repro.algebra.fra import validate_fra
 from repro.algebra.gra import validate_gra
 from repro.algebra.nra import collect_unnests, validate_nra
 from repro.compiler import compile_query
+from repro.compiler.optimizer import split_conjuncts
+from repro.cypher import ast
 from repro.errors import (
     CypherSemanticError,
     UnsupportedFeatureError,
 )
+from repro.workloads.trainbenchmark import QUERIES
 
 PAPER_QUERY = (
     "MATCH t = (p:Post)-[:REPLY*]->(c:Comm) "
@@ -246,3 +250,40 @@ class TestRewrites:
     def test_keys_of_vertex_via_properties(self):
         compiled = compile_query("MATCH (a:X) RETURN keys(a) AS ks")
         assert compiled.is_incremental
+
+
+class TestUniquenessConjuncts:
+    """Relationship uniqueness is only asserted where it can fail."""
+
+    @staticmethod
+    def edge_inequalities(query):
+        gra = compile_query(QUERIES.get(query, query)).gra
+        return [
+            conjunct
+            for select in operators_of(gra, ops.Select)
+            for conjunct in split_conjuncts(select.predicate)
+            if isinstance(conjunct, ast.Comparison)
+            and conjunct.ops == ("<>",)
+            and all(isinstance(o, ast.Variable) and o.name.startswith("_e") for o in conjunct.operands)
+        ]
+
+    def test_disjointly_typed_hops_need_no_conjunct(self):
+        # 11 hops = 55 pairs; 6 monitoredBy x 5 connectsTo of them cannot collide
+        assert len(self.edge_inequalities("ConnectedSegments")) == 25
+        # 6 hops = 15 pairs; only requires/requires and monitoredBy/monitoredBy can
+        assert len(self.edge_inequalities("SemaphoreNeighbor")) == 2
+
+    def test_untyped_and_overlapping_hops_keep_theirs(self):
+        for pattern in ("(a)-[:A|B]->(b), (a)-[:B]->(b)", "(a)-[]->(b), (a)-[:B]->(b)"):
+            query = f"MATCH {pattern} RETURN a, b"
+            assert len(self.edge_inequalities(query)) == 1
+            # one B edge could bind both hops; uniqueness says it may not
+            graph = PropertyGraph()
+            a, b = graph.add_vertex(), graph.add_vertex()
+            graph.add_edge(a, b, "B")
+            engine = QueryEngine(graph)
+            view = engine.register(query)
+            assert engine.evaluate(query).rows() == view.rows() == []
+            graph.add_edge(a, b, "B")  # a second edge: two ways to pair them
+            assert sorted(engine.evaluate(query).rows()) == sorted(view.rows()) == [(a, b)] * 2
+        assert self.edge_inequalities("MATCH (a)-[:A]->(b), (a)-[:B]->(b) RETURN a") == []
