@@ -227,7 +227,7 @@ def _java_mod(a: Any, b: Any) -> Any:
 
 #: operator symbol → (name in generated code, implementation over ``[a, b]``)
 ARITHMETIC: dict[str, tuple[str, Callable[[Sequence[Any]], Any]]] = {
-    "+": ("arith_add", _numeric("operator +", _add, arity=0)),
+    "+": ("arith_add", _numeric("operator +", _add, arity=0)),  # _add checks its own operands
     "-": ("arith_sub", _numeric("operator -", operator.sub, arity=2)),
     "*": ("arith_mul", _numeric("operator *", operator.mul, arity=2)),
     "/": ("arith_div", _numeric("operator /", _trunc_div, arity=2)),
@@ -857,7 +857,7 @@ def _generated(mode: str, exprs: tuple[ast.Expr, ...], schema: Schema, with_reso
 def cache_stats() -> dict[str, int]:
     """Process-wide counters of the generated-code memo."""
     info = _compiled.cache_info()
-    return {"compiled": info.misses, "hits": info.hits, "entries": info.currsize}
+    return {"compiled": info.misses, "hits": info.hits}
 
 
 def compile_expr(

@@ -38,16 +38,14 @@ class Literal(Expr):
 
     value: Any
 
-    def _identity(self) -> tuple:
-        return (type(self.value), repr(self.value))
-
     def __eq__(self, other: object) -> bool:
-        if type(other) is Literal:
-            return self._identity() == other._identity()
-        return NotImplemented
+        if type(other) is not Literal:
+            return NotImplemented
+        a, b = self.value, other.value
+        return type(a) is type(b) and a == b and repr(a) == repr(b)
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True, slots=True)

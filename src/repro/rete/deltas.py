@@ -183,7 +183,7 @@ class ColumnDelta:
         """The batch at *positions* (in that order, repeats allowed),
         gathered one column at a time — no row tuple is built."""
         if not positions:
-            return ColumnDelta([[] for _ in range(self.width)], [], self.width)
+            return ColumnDelta.from_rows((), [], self.width)
         if len(positions) == 1:
             position = positions[0]
             return ColumnDelta(

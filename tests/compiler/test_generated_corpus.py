@@ -33,24 +33,28 @@ def corpus_queries() -> list[str]:
     return texts
 
 
+def expressions_of(plan: ops.Operator) -> list[ast.Expr]:
+    """The scalar expressions operator *plan* evaluates over its child's rows."""
+    if isinstance(plan, ops.Project):
+        return [expr for _, expr in plan.items]
+    if isinstance(plan, ops.Unwind):
+        return [plan.expression]
+    if isinstance(plan, ops.Aggregate):
+        arguments = [a.argument for a in plan.aggregates if a.argument is not None]
+        return [expr for _, expr in plan.keys] + arguments
+    if isinstance(plan, ops.Sort):
+        return [expr for expr, _ in plan.items]
+    if isinstance(plan, (ops.Skip, ops.Limit)):
+        return [plan.count]
+    return []
+
+
 def generated_sources(plan: ops.Operator):
     """The generated source of every expression in *plan*, in plan order."""
-    if plan.children:
-        schema = plan.children[0].schema
-        if isinstance(plan, ops.Select):
-            yield compile_predicate(plan.predicate, schema).source
-        else:
-            exprs = {
-                ops.Project: lambda: [e for _, e in plan.items],
-                ops.Unwind: lambda: [plan.expression],
-                ops.Aggregate: lambda: [e for _, e in plan.keys]
-                + [a.argument for a in plan.aggregates if a.argument is not None],
-                ops.Sort: lambda: [e for e, _ in plan.items],
-                ops.Skip: lambda: [plan.count],
-                ops.Limit: lambda: [plan.count],
-            }.get(type(plan), list)()
-            if exprs:
-                yield compile_projection(exprs, schema).source
+    if isinstance(plan, ops.Select):
+        yield compile_predicate(plan.predicate, plan.children[0].schema).source
+    elif expressions_of(plan):
+        yield compile_projection(expressions_of(plan), plan.children[0].schema).source
     for child in plan.children:
         yield from generated_sources(child)
 
