@@ -42,7 +42,8 @@ what changed.  Meta commands:
   :metrics [json|table] metrics snapshot, Prometheus text (JSON, or a p50/p99 table)
   :trace [on|off]       toggle per-batch tracing; bare :trace prints the last tree
   :costs                maintenance cost attributed per view (row-work units)
-  :explain <query>      show the compilation stages and view-answering plan
+  :explain <query>      show the compilation stages, the code generated for
+                        each σ/π, and the view-answering plan
   :profile <n>          per-node counters of view n
   :index <Label> <key>  create a property index
   :indexes              list property indexes
