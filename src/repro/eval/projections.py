@@ -50,6 +50,42 @@ def vertex_projection_value(
     raise ValueError(f"projection kind {projection.kind!r} not valid for vertices")
 
 
+def vertex_projection_column(
+    graph: PropertyGraph, vertex_ids: list[int], projection: PropertyProjection
+) -> list:
+    """:func:`vertex_projection_value` over the live graph for every id in
+    *vertex_ids*, in order — one comprehension per column."""
+    kind = projection.kind
+    if kind == "property":
+        get, key = graph.vertex_property, projection.key
+        return [get(v, key) for v in vertex_ids]
+    if kind == "labels":
+        labels = graph.labels_view
+        return [labels_value(labels(v)) for v in vertex_ids]
+    if kind == "properties":
+        properties = graph.vertex_properties
+        return [MapValue(properties(v)) for v in vertex_ids]
+    raise ValueError(f"projection kind {kind!r} not valid for vertices")
+
+
+def edge_projection_column(
+    graph: PropertyGraph, edge_ids: list[int], projection: PropertyProjection
+) -> list:
+    """:func:`edge_projection_value` over the live graph for every id in
+    *edge_ids*, in order."""
+    kind = projection.kind
+    if kind == "property":
+        get, key = graph.edge_property, projection.key
+        return [get(e, key) for e in edge_ids]
+    if kind == "type":
+        type_of = graph.type_of
+        return [type_of(e) for e in edge_ids]
+    if kind == "properties":
+        properties = graph.edge_properties
+        return [MapValue(properties(e)) for e in edge_ids]
+    raise ValueError(f"projection kind {kind!r} not valid for edges")
+
+
 def edge_projection_value(
     graph: PropertyGraph,
     edge_id: int,

@@ -451,6 +451,10 @@ class PropertyGraph:
             return iter(self._vertices)
         return iter(self._label_index.get(label, ()))
 
+    def label_count(self, label: str) -> int:
+        """Number of vertices carrying *label* (the size of its bucket)."""
+        return len(self._label_index.get(label, ()))
+
     def edges(self, edge_type: str | None = None) -> Iterator[int]:
         """Iterate edge ids, optionally restricted to a type."""
         if edge_type is None:

@@ -298,6 +298,19 @@ class EngineMetrics:
             "repro_event_dispatch_seconds",
             "Per-event dispatch latency (unbatched path)",
         )
+        # view registration: network build, then populate (initial evaluation)
+        self.register_build_seconds = histogram(
+            "repro_register_build_seconds",
+            "View registration: network build phase",
+        )
+        self.register_populate_seconds = histogram(
+            "repro_register_populate_seconds",
+            "View registration: populate phase (initial evaluation)",
+        )
+        self.populate_rows = counter(
+            "repro_populate_rows_total",
+            "Rows populate handed out (input activations plus replays)",
+        )
         # sharded tier (coordinator side; zero on the in-process engine)
         self.shard_fanout_seconds = histogram(
             "repro_shard_fanout_seconds",

@@ -27,7 +27,7 @@ linear in occurrences, so an unconsolidated batch nets to exactly the same
 output.  Transition-sensitive operators (δ, γ, ⋈*, the production node) are
 defined on *net* per-row changes and consolidate at entry via
 :func:`as_row_delta` — the boundary-materialisation rule of the columnar
-hot path.
+hot path — then hand their answer on as columns again.
 
 Node *memories* have two physical representations as well:
 
@@ -53,7 +53,17 @@ once.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+
+def gather(positions: Sequence[int]) -> Callable[[Sequence], list]:
+    """A function picking *positions* (in order, repeats allowed) out of a
+    column as a new list — one C-level ``itemgetter`` call per column."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda column: [column[position]]
+    pick = itemgetter(*positions)
+    return lambda column: list(pick(column))
 
 
 class Delta:
@@ -176,7 +186,7 @@ class ColumnDelta:
         if not indices:
             return [()] * n
         if len(indices) == 1:
-            return [(value,) for value in self.columns[indices[0]]]
+            return list(zip(self.columns[indices[0]]))
         return list(zip(*(self.columns[i] for i in indices)))
 
     def take(self, positions: Sequence[int]) -> "ColumnDelta":
@@ -184,18 +194,9 @@ class ColumnDelta:
         gathered one column at a time — no row tuple is built."""
         if not positions:
             return ColumnDelta.from_rows((), [], self.width)
-        if len(positions) == 1:
-            position = positions[0]
-            return ColumnDelta(
-                [[column[position]] for column in self.columns],
-                [self.mults[position]],
-                self.width,
-            )
-        gather = itemgetter(*positions)
+        pick = gather(positions)
         return ColumnDelta(
-            [list(gather(column)) for column in self.columns],
-            list(gather(self.mults)),
-            self.width,
+            [pick(column) for column in self.columns], pick(self.mults), self.width
         )
 
     def rows(self) -> list[tuple]:
@@ -224,7 +225,8 @@ class ColumnDelta:
         """Consolidated row form — duplicate occurrences merge and cancel."""
         out = Delta()
         add = out.add
-        for row, multiplicity in zip(self.rows(), self.mults):
+        rows = zip(*self.columns) if self.width else [()] * len(self.mults)
+        for row, multiplicity in zip(rows, self.mults):
             add(row, multiplicity)
         return out
 
@@ -490,9 +492,10 @@ class ColumnStore:
     writes go through ``insert``/``insert_batch`` (row-form, dispatched
     by :func:`index_insert`/:func:`index_update`) or ``insert_columns``
     (column-form: a :class:`ColumnDelta`'s columns fold straight into
-    column storage with no row tuples built).  The invariant matches the
-    row path's: no slot ever holds multiplicity zero and emptied buckets
-    leave the index.
+    column storage with no row tuples built, and the first batch a store
+    ever receives — a join memory at populate — is copied in bulk).  The
+    invariant matches the row path's: no slot ever holds multiplicity zero
+    and emptied buckets leave the index.
     """
 
     __slots__ = (
@@ -628,7 +631,14 @@ class ColumnStore:
     def insert_columns(
         self, keys: Sequence[tuple], columns: Sequence[list], mults: Sequence[int]
     ) -> None:
-        """Fold a columnar batch in directly — no row tuples materialised."""
+        """Fold a columnar batch in directly — no row tuples materialised.
+
+        A store that has never held a slot bulk-loads instead
+        (:meth:`_load`); every later batch folds occurrence by occurrence.
+        """
+        if not self.mults:
+            self._load(keys, [columns[i] for i in self.payload_cols], mults)
+            return
         fold = self._fold
         if self._single is not None:
             source = columns[self.payload_cols[0]]
@@ -648,6 +658,92 @@ class ColumnStore:
                     multiplicity,
                 )
             pos += 1
+
+    def _load(
+        self, keys: Sequence[tuple], sources: list[list], mults: Sequence[int]
+    ) -> None:
+        """:meth:`insert_columns` into an empty store, in bulk.
+
+        Slot *i* is live occurrence *i*: one pass groups positions by key,
+        and the payload columns and multiplicities are copied with C-level
+        ``extend``.  Only a bucket that received several positions can hold
+        equal payloads, and only those are checked (:meth:`_merge_bucket`).
+        """
+        if 0 in mults:
+            occurring = [p for p, m in enumerate(mults) if m]
+            if not occurring:
+                return
+            pick = gather(occurring)
+            keys, mults = pick(keys), pick(mults)
+            sources = [pick(source) for source in sources]
+        index = self.index
+        get = index.get
+        shared: list[tuple[tuple, list[int]]] = []
+        for position, key in enumerate(keys):
+            bucket = get(key)
+            if bucket is None:
+                index[key] = [position]
+            else:
+                if len(bucket) == 1:
+                    shared.append((key, bucket))
+                bucket.append(position)
+        for column, source in zip(self.columns, sources):
+            column.extend(source)
+        self.mults.extend(mults)
+        for key, bucket in shared:
+            self._merge_bucket(key, bucket, keys)
+
+    def _merge_bucket(
+        self, key: tuple, bucket: list[int], keys: Sequence[tuple]
+    ) -> None:
+        """Merge equal payloads of one freshly loaded bucket.
+
+        Payloads that are pairwise distinct (one C-level set build) leave
+        the bucket as it is.  Otherwise its occurrences are replayed in
+        order with :meth:`_fold`'s identity (``is`` or ``==``): a repeat
+        adds into the live slot holding its payload and frees its own, a
+        merge that cancels to zero frees that slot too, and a bucket that
+        empties leaves the index — re-keyed by the occurrence that revives
+        it, which is the key object one-at-a-time folding would keep.
+        """
+        pick = gather(bucket)
+        if self._single is not None:
+            payloads = pick(self._single)
+        elif self.columns:
+            payloads = list(zip(*(pick(column) for column in self.columns)))
+        else:
+            payloads = [()] * len(bucket)
+        if len(set(payloads)) == len(payloads):
+            return
+        mults = self.mults
+        live: list[int] = []
+        held: list = []
+        revived = None
+        for position, payload in zip(bucket, payloads):
+            for i, other in enumerate(held):
+                if other is payload or other == payload:
+                    break
+            else:
+                if not live and position != bucket[0]:
+                    revived = keys[position]
+                live.append(position)
+                held.append(payload)
+                continue
+            slot = live[i]
+            count = mults[slot] + mults[position]
+            self._release(position)
+            if count:
+                mults[slot] = count
+            else:
+                self._release(slot)
+                del live[i], held[i]
+        index = self.index
+        if not live or revived is not None:
+            del index[key]
+            if live:
+                index[revived] = live
+        else:
+            bucket[:] = live
 
     def insert_payload(
         self, key: tuple, payload: tuple, multiplicity: int

@@ -226,6 +226,8 @@ class IncrementalEngine:
             # per-binding private chain all the way down (see
             # compiler.optimizer.lift_parameter_selections).
             plan = lifted_plan(compiled)
+        metrics = self.metrics
+        start = perf_counter() if metrics is not None else 0.0
         network = ReteNetwork(
             self.graph,
             plan,
@@ -237,7 +239,12 @@ class IncrementalEngine:
             columnar_memories=self.columnar_memories,
             interner=self.interner,
         )
-        network.populate()
+        built = perf_counter() if metrics is not None else 0.0
+        rows = network.populate()
+        if metrics is not None:
+            metrics.register_build_seconds.observe(built - start)
+            metrics.register_populate_seconds.observe(perf_counter() - built)
+            metrics.populate_rows.inc(rows)
         view = View(self, compiled, network)
         self._views.append(view)
         if network.has_private_inputs:

@@ -64,6 +64,7 @@ from ..cypher import ast
 from ..errors import CompilerError
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
+from .deltas import ColumnDelta, Delta, as_row_delta
 from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
 from .nodes.input import EdgeInputNode, UnitNode, VertexInputNode
@@ -596,8 +597,9 @@ class ReteNetwork:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def populate(self) -> None:
-        """Emit base rows and initial scans through the network.
+    def populate(self) -> int:
+        """Emit base rows and initial scans through the network; returns
+        the number of rows handed out (activations plus replays).
 
         Order matters: aggregates built here first publish their empty-state
         rows, then this network's private input nodes stream the current
@@ -606,25 +608,23 @@ class ReteNetwork:
         Shared nodes (cross-view sharing) use *targeted activation*: each
         replay edge applies the upstream's current-state delta only to the
         subscriber built by this network, never re-emitting to other views.
-        Input nodes recompute that state from the graph; interior subplans
-        reconstruct it from their memories (``state_delta``).  Construction
-        and population happen back-to-back inside ``register``, so no graph
-        event can slip in between.
+        Input nodes build that state from the graph, column by column;
+        interior subplans reconstruct it from their memories
+        (``state_delta``), in row form, and each such answer is transposed
+        once here, so populate runs the same column kernels a batched
+        commit does (``columnar_deltas=False`` gets rows throughout).
+        Construction and population happen back-to-back inside
+        ``register``, so no graph event can slip in between.
         """
         for aggregate in self.aggregates:
             aggregate.initialize()
-        for unit in self.unit_inputs:
-            unit.activate(self.graph)
-        for node in self.vertex_inputs:
-            node.activate(self.graph)
-        for node in self.edge_inputs:
-            node.activate(self.graph)
-        if not self._replay_edges:
-            return
+        rows = 0
+        for node in (*self.unit_inputs, *self.vertex_inputs, *self.edge_inputs):
+            rows += node.activate()
         layer = self.subplan_layer
-        deltas: dict[int, Any] = {}
+        answers: dict[int, Any] = {}
         for node, subscriber, side in self._replay_edges:
-            delta = deltas.get(id(node))
+            delta = answers.get(id(node))
             if delta is None:
                 # without a subplan layer only input nodes are ever shared
                 delta = (
@@ -632,9 +632,15 @@ class ReteNetwork:
                     if layer is not None
                     else node.state_delta()
                 )
-                deltas[id(node)] = delta
+                if not self.columnar_deltas:
+                    delta = as_row_delta(delta)
+                elif type(delta) is Delta:
+                    delta = ColumnDelta.from_delta(delta, len(node.schema.names))
+                answers[id(node)] = delta
             if delta:
+                rows += len(delta)
                 subscriber.apply(delta, side)
+        return rows
 
     def disconnect_shared(self) -> None:
         """Detach this network from the sharing layers.

@@ -69,9 +69,8 @@ class AggregateNode(Node):
         # transition-sensitive boundary: aggregator state machines (notably
         # min/max undo logs) depend on net per-row changes, so columnar
         # batches consolidate at entry
-        delta = as_row_delta(delta)
         touched: dict[tuple, tuple | None] = {}
-        for row, multiplicity in delta.items():
+        for row, multiplicity in as_row_delta(delta).items():
             key = tuple(fn(row, self.ctx) for fn in self.key_fns)
             group = self.groups.get(key)
             if key not in touched:
@@ -112,7 +111,7 @@ class AggregateNode(Node):
                 out.add(old_row, -1)
             if new_row is not None:
                 out.add(new_row, 1)
-        self.emit(out)
+        self.emit_like(out, delta)
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()

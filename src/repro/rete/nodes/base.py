@@ -15,7 +15,8 @@ Deltas travel in either physical representation — the row-at-a-time
 :class:`~repro.rete.deltas.Delta` or the columnar
 :class:`~repro.rete.deltas.ColumnDelta` batch — and every node's ``apply``
 accepts both (transition-sensitive nodes consolidate columnar batches at
-entry via :func:`~repro.rete.deltas.as_row_delta`).
+entry via :func:`~repro.rete.deltas.as_row_delta` and answer them in
+columns again, :meth:`Node.emit_like`).
 """
 
 from __future__ import annotations
@@ -82,6 +83,16 @@ class Node:
                 node.columnar_rows += rows
             node.apply(delta, side)
 
+    def emit_like(self, out: Delta, received: "Delta | ColumnDelta") -> None:
+        """Emit a transition-sensitive node's answer in the form of the
+        delta it answers.  Such nodes consolidate a columnar batch at entry
+        and build their output in rows; handing it on as columns (one
+        transpose) keeps the counting-linear nodes below — a ⋈ over a ⋈*,
+        say — on their column kernels, at populate as in batched commits."""
+        if type(received) is ColumnDelta and out:
+            out = ColumnDelta.from_delta(out, len(self.schema.names))
+        self.emit(out)
+
     def _emit_traced(self, tracer, delta, rows: int, columnar: bool) -> None:
         """The ``emit`` loop with one span per subscriber ``apply``.
 
@@ -113,17 +124,20 @@ class Node:
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         raise NotImplementedError
 
-    def state_delta(self, restriction: tuple = ()) -> Delta | None:
+    def state_delta(self, restriction: tuple = ()) -> "Delta | ColumnDelta | None":
         """Current output bag as an insertion delta, or ``None``.
 
         Shared (cross-view) nodes use this for *targeted activation*: a
         late-registering view replays the node's present output onto only
-        its own subscription edges, exactly like input nodes' existing
-        ``activation_delta`` protocol.  Stateful nodes reconstruct the bag
-        from their memories; stateless nodes return ``None`` and the
-        sharing layer derives their output by running :meth:`transform`
-        over the upstream states instead.  State always crosses this
-        boundary in row form.
+        its own subscription edges.  Input nodes build it from the graph
+        and answer in column form — a :class:`~repro.rete.deltas.ColumnDelta`
+        that is also what their ``activate()`` emits at populate.  Stateful
+        interior nodes reconstruct the bag from their memories and answer
+        in row form (a :class:`~repro.rete.deltas.Delta` — the shard tier's
+        wire format); populate transposes each such answer once.
+        Stateless nodes return ``None`` and the sharing layer derives their
+        output by running :meth:`transform` over the upstream states
+        instead.
 
         *restriction* — ``(output column, atom)`` pairs from a binding
         partition's equality conjuncts — is a prefilter the node *may*

@@ -4,7 +4,9 @@ Each input node materialises one base relation (the paper's © and ⇑
 operators, including their pushed-down ``{prop → attr}`` columns) and
 translates graph events into tuple deltas.  Events carry *before* state, so
 retraction tuples are rebuilt exactly as they were emitted — the network
-never consults its own memory to undo an input.
+never consults its own memory to undo an input.  The current relation
+(``state_delta``, what populate activates and replays) is built straight
+from the graph as a :class:`~repro.rete.deltas.ColumnDelta`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Any
 
 from ...algebra.ops import GetEdges, GetVertices, PropertyProjection
 from ...eval.projections import (
+    edge_projection_column,
     edge_projection_value,
+    vertex_projection_column,
     vertex_projection_value,
 )
 from ...graph import events as ev
@@ -34,20 +38,17 @@ def _private_dict(properties) -> dict[str, Any]:
 
 
 class UnitNode(Node):
-    """Emits the single empty tuple once, at activation."""
-
-    def activation_delta(self, graph: PropertyGraph) -> Delta:
-        delta = Delta()
-        delta.add((), 1)
-        return delta
+    """Emits the single empty tuple once, at activation — in row form: a
+    zero-width batch has no column to carry its one row."""
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         delta = Delta()
         delta.add((), 1)
         return delta
 
-    def activate(self, graph: PropertyGraph) -> None:
-        self.emit(self.activation_delta(graph))
+    def activate(self) -> int:
+        self.emit(self.state_delta())
+        return 1
 
     def on_event(self, event: ev.GraphEvent) -> None:  # pragma: no cover
         pass
@@ -56,7 +57,42 @@ class UnitNode(Node):
         raise AssertionError("input nodes have no upstream")
 
 
-class VertexInputNode(Node):
+class _GraphInputNode(Node):
+    """What © and ⇑ share: their state is the graph itself.
+
+    ``state_delta`` builds the relation over the live graph column by
+    column (one id column, one list per pushed projection) — the single
+    builder behind initial population, targeted replay and the catalog.
+    ``columnar`` is the engine's wire format: with it off, activations and
+    batch translations travel as consolidated row deltas.
+    """
+
+    columnar: bool
+
+    def activate(self) -> int:
+        """Emit the current relation downstream; returns its row count."""
+        delta = self.state_delta()
+        self.emit(delta if self.columnar else delta.to_delta())
+        return len(delta)
+
+    def emit_batch(self, batch) -> None:
+        """Translate one coalesced batch and emit it, columnar when enabled.
+
+        The net delta is built in row form either way — consolidation is
+        what cancels a batch's internal insert/delete pairs — and the
+        columnar flag only changes the *wire* representation handed to
+        subscribers (one transpose for the whole batch)."""
+        delta = self.batch_delta(batch)
+        if self.columnar and delta:
+            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
+        else:
+            self.emit(delta)
+
+    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
+        raise AssertionError("input nodes have no upstream")
+
+
+class VertexInputNode(_GraphInputNode):
     """© — vertices carrying all required labels, with pushed-down columns.
 
     ``value_filters`` — ``(column, property key, frozen atom)`` triples from
@@ -82,7 +118,8 @@ class VertexInputNode(Node):
         self.labels = frozenset(op.labels)
         self.projections = op.projections
         self.value_filters = value_filters
-        #: emit batch translations as ColumnDelta (engine columnar flag)
+        #: emit activations and batch translations as ColumnDelta (engine
+        #: columnar flag)
         self.columnar = columnar
         self._property_keys = frozenset(
             p.key for p in op.projections if p.kind == "property"
@@ -142,21 +179,41 @@ class VertexInputNode(Node):
 
     # -- activation & events --------------------------------------------------
 
-    def activation_delta(self, graph: PropertyGraph) -> Delta:
-        delta = Delta()
-        seed = next(iter(self.labels)) if self.labels else None
-        for vertex in graph.vertices(seed):
-            if self._matches(graph.labels_of(vertex)):
-                row = self._tuple(vertex)
-                if self._passes(row):
-                    delta.add(row, 1)
-        return delta
+    def _scan(self) -> list[int]:
+        """Ids of the vertices carrying every required label.
 
-    def state_delta(self, restriction: tuple = ()) -> Delta:
-        return self.activation_delta(self.graph)
+        The scan walks the smallest required label's bucket (ties broken
+        by label name, so the walk never depends on string hashing) and
+        checks the rest against the uncopied label set."""
+        graph = self.graph
+        if not self.labels:
+            return list(graph.vertices())
+        seed = min(self.labels, key=lambda label: (graph.label_count(label), label))
+        rest = self.labels - {seed}
+        if not rest:
+            return list(graph.vertices(seed))
+        labels = graph.labels_view
+        return [v for v in graph.vertices(seed) if rest <= labels(v)]
 
-    def activate(self, graph: PropertyGraph) -> None:
-        self.emit(self.activation_delta(graph))
+    def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
+        graph = self.graph
+        ids = self._scan()
+        columns = [ids]
+        columns.extend(
+            vertex_projection_column(graph, ids, projection)
+            for projection in self.projections
+        )
+        delta = ColumnDelta(columns, [1] * len(ids), len(columns))
+        if not self.value_filters:
+            return delta
+        filters = [(columns[i], value) for i, _, value in self.value_filters]
+        return delta.take(
+            [
+                position
+                for position in range(len(ids))
+                if all(column[position] == value for column, value in filters)
+            ]
+        )
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.VertexAdded):
@@ -259,19 +316,6 @@ class VertexInputNode(Node):
                     )
         return self._filtered(delta)
 
-    def emit_batch(self, batch) -> None:
-        """Translate one coalesced batch and emit it, columnar when enabled.
-
-        The net delta is built in row form either way — consolidation is
-        what cancels a batch's internal insert/delete pairs — and the
-        columnar flag only changes the *wire* representation handed to
-        subscribers (one transpose for the whole batch)."""
-        delta = self.batch_delta(batch)
-        if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
-        else:
-            self.emit(delta)
-
     def _property_change(self, event: ev.VertexPropertySet) -> None:
         if not (self._wants_properties or event.key in self._property_keys):
             return
@@ -284,11 +328,8 @@ class VertexInputNode(Node):
         delta.add(self._tuple(event.vertex_id, properties=after), 1)
         self.emit(self._filtered(delta))
 
-    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
-        raise AssertionError("input nodes have no upstream")
 
-
-class EdgeInputNode(Node):
+class EdgeInputNode(_GraphInputNode):
     """⇑ — ``(src, edge, tgt)`` triples with endpoint label constraints and
     pushed-down columns (the paper's ``⇑(c:Comm{lang→cL})(p:Post)``).
 
@@ -301,7 +342,8 @@ class EdgeInputNode(Node):
     def __init__(self, op: GetEdges, graph: PropertyGraph, columnar: bool = False):
         super().__init__(op.schema)
         self.graph = graph
-        #: emit batch translations as ColumnDelta (engine columnar flag)
+        #: emit activations and batch translations as ColumnDelta (engine
+        #: columnar flag)
         self.columnar = columnar
         self.types = frozenset(op.types)
         self.src_labels = frozenset(op.src_labels)
@@ -444,19 +486,33 @@ class EdgeInputNode(Node):
 
     # -- activation & events --------------------------------------------------
 
-    def activation_delta(self, graph: PropertyGraph) -> Delta:
-        delta = Delta()
-        type_list = self.types if self.types else {None}
-        for edge_type in type_list:
-            for s, e, t in graph.edge_triples(edge_type):
-                self._edge_delta(e, s, t, 1, delta)
-        return delta
-
-    def state_delta(self, restriction: tuple = ()) -> Delta:
-        return self.activation_delta(self.graph)
-
-    def activate(self, graph: PropertyGraph) -> None:
-        self.emit(self.activation_delta(graph))
+    def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
+        graph = self.graph
+        triples: list[tuple[int, int, int]] = []
+        for edge_type in sorted(self.types) if self.types else (None,):
+            triples.extend(graph.edge_triples(edge_type))
+        if not self.directed:
+            triples.extend([(t, e, s) for s, e, t in triples if s != t])
+        src_labels, tgt_labels = self.src_labels, self.tgt_labels
+        if src_labels or tgt_labels:
+            labels = graph.labels_view
+            triples = [
+                triple
+                for triple in triples
+                if src_labels <= labels(triple[0]) and tgt_labels <= labels(triple[2])
+            ]
+        if triples:
+            src, edges, tgt = (list(column) for column in zip(*triples))
+        else:
+            src, edges, tgt = [], [], []
+        columns = [src, edges, tgt]
+        for projection, role in zip(self.projections, self._roles):
+            if role == "edge":
+                columns.append(edge_projection_column(graph, edges, projection))
+            else:
+                ids = src if role == "src" else tgt
+                columns.append(vertex_projection_column(graph, ids, projection))
+        return ColumnDelta(columns, [1] * len(edges), len(columns))
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.EdgeAdded):
@@ -564,15 +620,6 @@ class EdgeInputNode(Node):
                 self._edge_delta(edge_id, source, target, 1, delta)
         return delta
 
-    def emit_batch(self, batch) -> None:
-        """Translate one coalesced batch and emit it, columnar when enabled
-        (see :meth:`VertexInputNode.emit_batch`)."""
-        delta = self.batch_delta(batch)
-        if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
-        else:
-            self.emit(delta)
-
     def _endpoint_change_relevant(self, event: ev.VertexChanged) -> bool:
         """Whether a net endpoint transition can move this node's tuples."""
         if event.before_labels != event.after_labels and self._relevant_label_change(
@@ -650,6 +697,3 @@ class EdgeInputNode(Node):
                 vertex_properties={event.vertex_id: after},
             )
         self.emit(delta)
-
-    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
-        raise AssertionError("input nodes have no upstream")

@@ -21,8 +21,9 @@ or the :class:`~repro.rete.deltas.ColumnStore` — key cells stored once
 per distinct key, payload values in parallel columns.  Under column
 storage the batch loops specialise further: a :class:`ColumnDelta`'s key
 column probes the store and its value columns fold in directly
-(``insert_columns``), materialising row tuples only for the positions
-that actually produce output; the right store of ⋈/⟕ keeps its payload
+(``insert_columns``, a bulk copy into a store that is still empty, as
+every memory is at populate); ⋈ gathers its output column by column and
+builds no row tuple at all; the right store of ⋈/⟕ keeps its payload
 in ``right_extra`` order so probe hits *are* the merge suffixes.  The
 left outer join's per-key right count map dissolves into the store
 (``key_weight``) — one fewer copy of every distinct right key.
@@ -30,10 +31,13 @@ left outer join's per-key right count map dissolves into the store
 
 from __future__ import annotations
 
+from operator import mul
+
 from ..deltas import (
     ColumnDelta,
     ColumnStore,
     Delta,
+    gather,
     index_cells,
     index_insert,
     index_size,
@@ -169,67 +173,45 @@ class JoinNode(Node):
         )
 
     def _apply_columnar_store(self, delta: ColumnDelta, side: int) -> None:
-        """The batch loop over column storage: the prebuilt key column
-        probes, the value columns fold in directly (``insert_columns``),
-        and row tuples materialise only at positions that produce output."""
+        """The batch loop over column storage, gathered: one probe loop
+        pairs batch positions with the other store's matching slots, then
+        every output column is gathered from its source — batch columns by
+        position, stored payload by slot, and a left row's key cells from
+        the probing batch's key columns — and the value columns fold in
+        directly (``insert_columns``).  No row tuple is built."""
         mults = delta.mults
         cols = delta.columns
-        out_rows: list[tuple] = []
-        out_mults: list[int] = []
-        append_row = out_rows.append
-        append_mult = out_mults.append
         if side == LEFT:
             keys = delta.key_column(self.left_key)
-            store = self.right_index
-            positions_of = store.index.get
-            s_single = store._single
-            s_columns = store.columns
-            s_mults = store.mults
-            pos = 0
-            for key, multiplicity in zip(keys, mults):
-                positions = positions_of(key)
-                if positions is not None:
-                    row = tuple(col[pos] for col in cols)
-                    # payload order == right_extra: payloads are suffixes
-                    if s_single is not None:
-                        for p in positions:
-                            append_row(row + (s_single[p],))
-                            append_mult(multiplicity * s_mults[p])
-                    else:
-                        for p in positions:
-                            append_row(
-                                row + tuple(c[p] for c in s_columns)
-                            )
-                            append_mult(multiplicity * s_mults[p])
-                pos += 1
-            self.left_index.insert_columns(keys, cols, mults)
+            probed, own = self.right_index, self.left_index
         else:
-            extra = self.right_extra
             keys = delta.key_column(self.right_key)
-            store = self.left_index
-            positions_of = store.index.get
-            assemble = store._assemble
-            s_columns = store.columns
-            s_mults = store.mults
-            pos = 0
-            for key, multiplicity in zip(keys, mults):
-                positions = positions_of(key)
-                if positions is not None:
-                    suffix = tuple(cols[i][pos] for i in extra)
-                    for p in positions:
-                        append_row(
-                            tuple(
-                                key[j] if from_key else s_columns[j][p]
-                                for from_key, j in assemble
-                            )
-                            + suffix
-                        )
-                        append_mult(multiplicity * s_mults[p])
-                pos += 1
-            self.right_index.insert_columns(keys, cols, mults)
-        self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
-        )
+            probed, own = self.left_index, self.right_index
+        at: list[int] = []
+        slots: list[int] = []
+        for position, found in enumerate(map(probed.index.get, keys)):
+            if found is not None:
+                slots += found
+                at += [position] * len(found)
+        if at:
+            from_batch, from_store = gather(at), gather(slots)
+            if side == LEFT:
+                # payload order == right_extra: stored payloads are suffixes
+                out = [from_batch(col) for col in cols]
+                out += [from_store(col) for col in probed.columns]
+            else:
+                right_key = self.right_key
+                out = [
+                    from_batch(cols[right_key[j]])
+                    if from_key
+                    else from_store(probed.columns[j])
+                    for from_key, j in probed._assemble
+                ]
+                out += [from_batch(cols[i]) for i in self.right_extra]
+            out_mults = list(map(mul, from_batch(mults), from_store(probed.mults)))
+        own.insert_columns(keys, cols, mults)
+        if at:
+            self.emit(ColumnDelta(out, out_mults, len(self.schema.names)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         """The join of the two memories, narrowed by *restriction*.

@@ -146,10 +146,10 @@ class TransitiveClosureNode(Node):
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         # transition-sensitive boundary: trail derivation replays edge
         # occurrences one at a time, so columnar batches consolidate at entry
-        delta = as_row_delta(delta)
+        rows = as_row_delta(delta)
         out = Delta()
         if side == LEFT:
-            for row, multiplicity in delta.items():
+            for row, multiplicity in rows.items():
                 source = row[self.source_index]
                 if source is None or not isinstance(source, int):
                     continue
@@ -163,7 +163,7 @@ class TransitiveClosureNode(Node):
                     self.left_index, source, row, multiplicity, self.interner
                 )
         else:
-            for row, multiplicity in delta.items():
+            for row, multiplicity in rows.items():
                 s, e, t = row[0], row[1], row[2]
                 if multiplicity > 0:
                     for _ in range(multiplicity):
@@ -171,7 +171,7 @@ class TransitiveClosureNode(Node):
                 else:
                     for _ in range(-multiplicity):
                         self._remove_edge(e, out)
-        self.emit(out)
+        self.emit_like(out, delta)
 
     def _arcs_for(self, s: int, t: int) -> list[tuple[int, int]]:
         if self.direction == "out":
@@ -313,10 +313,10 @@ class ReachabilityNode(Node):
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         # transition-sensitive boundary (same rule as the trail mode above)
-        delta = as_row_delta(delta)
+        rows = as_row_delta(delta)
         out = Delta()
         if side == LEFT:
-            for row, multiplicity in delta.items():
+            for row, multiplicity in rows.items():
                 source = row[self.source_index]
                 if source is None or not isinstance(source, int):
                     continue
@@ -331,7 +331,7 @@ class ReachabilityNode(Node):
                 if source not in self.left_index:
                     del self.reachable[source]
         else:
-            for row, multiplicity in delta.items():
+            for row, multiplicity in rows.items():
                 s, e, t = row[0], row[1], row[2]
                 arcs = (
                     [(s, t)]
@@ -351,7 +351,7 @@ class ReachabilityNode(Node):
                 if before != after:
                     self._emit_target_diff(out, source, before, after)
                     self.reachable[source] = after
-        self.emit(out)
+        self.emit_like(out, delta)
 
     def dispose(self) -> None:
         if self.interner is not None:

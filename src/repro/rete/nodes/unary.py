@@ -362,10 +362,9 @@ class DedupNode(Node):
         self.interner = interner
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        delta = as_row_delta(delta)
         out = Delta()
         interner = self.interner
-        for row, multiplicity in delta.items():
+        for row, multiplicity in as_row_delta(delta).items():
             before = self.counts.get(row, 0)
             after = interned_bag_insert(self.counts, row, multiplicity, interner)
             if before == 0 and after > 0:
@@ -374,7 +373,7 @@ class DedupNode(Node):
                 out.add(row, -1)
             elif after < 0:
                 raise AssertionError(f"negative multiplicity for {row}")
-        self.emit(out)
+        self.emit_like(out, delta)
 
     def dispose(self) -> None:
         if self.interner is not None:

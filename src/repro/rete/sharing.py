@@ -32,11 +32,11 @@ subnetwork sharing to keep many-view workloads affordable.
 Late registration is handled by *targeted activation*: when a view joins a
 live node, the current-state delta is applied only to the new view's
 subscription edges, never re-emitted to existing subscribers.  Input nodes
-recompute that delta from the graph (``activation_delta``); interior nodes
-reconstruct it from their memories (``state_delta``), with stateless nodes
-derived on demand by replaying their upstreams' state through the node's
-pure ``transform``.  A new binding joining a live binding-indexed σ does
-not fold the whole shared core for its handful of rows: its partition
+build that delta from the graph, in columns; interior nodes reconstruct it
+from their memories, in rows (both via ``state_delta``), with stateless
+nodes derived on demand by replaying their upstreams' state through the
+node's pure ``transform``.  A new binding joining a live binding-indexed σ
+does not fold the whole shared core for its handful of rows: its partition
 hands its equality conjuncts down as a *restriction* and the first
 stateful node below answers just the rows that can pass (one column scan
 plus probes), the partition's predicate confirming each.
@@ -61,7 +61,7 @@ from ..compiler.fingerprint import (
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, freeze_value
-from .deltas import Delta
+from .deltas import ColumnDelta, Delta, as_row_delta
 from .nodes.base import Node
 from .nodes.input import EdgeInputNode, UnitNode, VertexInputNode
 from .nodes.unary import BindingIndexedSelectionNode, SelectionPartitionNode
@@ -643,13 +643,17 @@ class SharedSubplanLayer(SharedInputLayer):
 
     # -- targeted activation --------------------------------------------------
 
-    def state_delta(self, node: Node) -> Delta:
+    def state_delta(self, node: Node) -> "Delta | ColumnDelta":
         """Current output of a layer-owned node, for targeted activation.
 
-        Stateful nodes answer from their own memories; stateless ones are
-        derived by replaying each upstream's state through the node's pure
-        ``transform`` (upstream chains bottom out at input nodes, whose
-        state is the graph itself).
+        Stateful nodes answer from their own memories, in row form;
+        stateless ones are derived by replaying each upstream's state
+        through the node's pure ``transform`` (upstream chains bottom out
+        at input nodes, whose state is the graph itself, answered in
+        columns).  A stateless node with one upstream answers in the form
+        its ``transform`` hands back — over an input, an unconsolidated
+        column batch — and only a ∪ merges its arms into rows; row-form
+        readers call :func:`~.deltas.as_row_delta`.
 
         A value-indexed binding partition on the way contributes its
         ``(column, atom)`` equality pairs as a *restriction*: stateless
@@ -663,7 +667,7 @@ class SharedSubplanLayer(SharedInputLayer):
         self.stats.replay_rows_emitted += len(out)
         return out
 
-    def _replay(self, node: Node, restriction: tuple) -> Delta:
+    def _replay(self, node: Node, restriction: tuple) -> "Delta | ColumnDelta":
         """*node*'s state under *restriction* (see :meth:`state_delta`)."""
         examined = node.replay_scanned
         own = node.state_delta(restriction)
@@ -673,10 +677,18 @@ class SharedSubplanLayer(SharedInputLayer):
             )
             return own
         entry = self._subplans[self._key_by_node[id(node)]]
+        answers = [
+            node.transform(
+                self._replay(upstream, node.upstream_restriction(restriction, side)),
+                side,
+            )
+            for upstream, side in entry.upstreams
+        ]
+        if len(answers) == 1:
+            return answers[0]
         out = Delta()
-        for upstream, side in entry.upstreams:
-            narrowed = node.upstream_restriction(restriction, side)
-            out.update(node.transform(self._replay(upstream, narrowed), side))
+        for answer in answers:
+            out.update(as_row_delta(answer))
         return out
 
     # -- maintenance ----------------------------------------------------------

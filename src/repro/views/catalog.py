@@ -47,6 +47,7 @@ from ..algebra import ops
 from ..algebra.printer import format_compact
 from ..eval.interpreter import Interpreter
 from ..eval.results import ResultTable
+from ..rete.deltas import as_row_delta
 from ..rete.sharing import SharedSubplanLayer, subplan_cache_key
 from .matcher import rewrite_query
 
@@ -201,7 +202,7 @@ class ViewCatalog:
             node = layer.subplan_peek(key)
             if node is not None and self._servable(op):
                 def fetch(layer=layer, node=node) -> Bag:
-                    return {row: m for row, m in layer.state_delta(node)}
+                    return dict(as_row_delta(layer.state_delta(node)).items())
 
                 return MaterializedSource(
                     fetch=fetch,
@@ -216,7 +217,7 @@ class ViewCatalog:
             partition = layer.partition_peek(op, parameters, self._variant())
             if partition is not None and self._servable(op):
                 def fetch_partition(layer=layer, node=partition) -> Bag:
-                    return {row: m for row, m in layer.state_delta(node)}
+                    return dict(as_row_delta(layer.state_delta(node)).items())
 
                 return MaterializedSource(
                     fetch=fetch_partition,

@@ -103,6 +103,23 @@ class TestMemoryCounters:
         assert view.memory_cells() >= view.memory_size()
 
 
+class TestRegisterMetrics:
+    def test_build_populate_split_and_rows_with_metrics_on(self):
+        engine = engine_with_traffic(collect_metrics=True)
+        engine.register("MATCH (p:Post) RETURN p.lang AS lang")
+        snapshot = engine.metrics_snapshot()
+        for name in ("repro_register_build_seconds", "repro_register_populate_seconds"):
+            assert snapshot[name]["type"] == "histogram"
+            assert snapshot[name]["count"] == 2  # one observation per register
+        rows = snapshot["repro_populate_rows_total"]
+        assert rows["type"] == "counter"
+        assert rows["value"] >= 1  # the second view replayed the loaded post
+
+    def test_absent_with_metrics_off(self):
+        engine = engine_with_traffic()
+        assert engine.metrics_snapshot() is None
+
+
 class TestExplainLiveStats:
     def test_section_present_with_metrics_on(self):
         engine = engine_with_traffic(collect_metrics=True)
