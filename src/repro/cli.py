@@ -116,7 +116,7 @@ class Shell:
             view = self.engine.register(argument)
             self._print(
                 f"registered view [{len(self.engine.views) - 1}] "
-                f"({len(view.rows())} rows)"
+                f"({sum(view.multiset().values())} rows)"
             )
         elif command == ":detach":
             views = self.engine.views

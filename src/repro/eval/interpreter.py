@@ -29,7 +29,7 @@ from ..errors import EvaluationError
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, PathValue, order_key
 from .projections import edge_projection_value, vertex_projection_value
-from .results import ResultTable
+from .results import ResultTable, canonical_order
 
 Bag = dict[tuple, int]
 
@@ -152,7 +152,7 @@ class Interpreter:
             rows = [row for row, m in bag.items() for _ in range(m)]
             return ResultTable(plan.schema, rows, ordered=False, graph=self.graph)
         rows = self._expand(self.evaluate(inner))
-        rows = self._canonical(rows)
+        rows = canonical_order(rows)
         for modifier in reversed(modifiers):
             if isinstance(modifier, ops.Sort):
                 rows = self._sorted(rows, modifier, inner.schema)
@@ -172,9 +172,6 @@ class Interpreter:
 
     def _expand(self, bag: Bag) -> list[tuple]:
         return [row for row, m in bag.items() for _ in range(m)]
-
-    def _canonical(self, rows: list[tuple]) -> list[tuple]:
-        return sorted(rows, key=lambda r: tuple(order_key(v) for v in r))
 
     def _sorted(
         self, rows: list[tuple], sort: ops.Sort, schema: Schema
@@ -477,9 +474,9 @@ class Interpreter:
         determinism keeps tests and benchmarks reproducible).
         """
         if isinstance(op, ops.Sort):
-            rows = self._canonical(self._expand(self.evaluate(op.children[0])))
+            rows = canonical_order(self._expand(self.evaluate(op.children[0])))
             return self._sorted(rows, op, op.children[0].schema)
-        return self._canonical(self._expand(self.evaluate(op)))
+        return canonical_order(self._expand(self.evaluate(op)))
 
 
 def evaluate_plan(

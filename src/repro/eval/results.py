@@ -7,16 +7,21 @@ rendering helpers resolve them against the originating graph on demand.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..algebra.schema import AttrKind, Schema
 from ..graph.graph import PropertyGraph
 from ..graph.values import order_key
 
 
-def canonical_order(rows: Iterator[tuple]) -> list[tuple]:
+def row_order_key(row: tuple) -> tuple:
+    """The sort key of one row in :func:`canonical_order`."""
+    return tuple(map(order_key, row))
+
+
+def canonical_order(rows: Iterable[tuple]) -> list[tuple]:
     """Deterministic ordering of rows for comparison and display."""
-    return sorted(rows, key=lambda row: tuple(order_key(v) for v in row))
+    return sorted(rows, key=row_order_key)
 
 
 class ResultTable:
@@ -25,6 +30,8 @@ class ResultTable:
     ``ordered`` is True only for one-shot queries with ORDER BY/SKIP/LIMIT,
     where row order is semantically meaningful (the incrementally
     maintainable fragment never produces ordered results, per the paper).
+    ``canonical`` says unordered *rows* already are in canonical order (a
+    maintained view's listing), so no read sorts them again.
     """
 
     def __init__(
@@ -33,12 +40,15 @@ class ResultTable:
         rows: list[tuple],
         *,
         ordered: bool = False,
+        canonical: bool = False,
         graph: PropertyGraph | None = None,
     ):
         self._schema = schema
         self._rows = rows
         self._ordered = ordered
         self._graph = graph
+        # the presentation order, sorted at most once (the table is immutable)
+        self._listed: list[tuple] | None = rows if ordered or canonical else None
 
     @property
     def schema(self) -> Schema:
@@ -56,17 +66,20 @@ class ResultTable:
         """Rows with multiplicity (a bag expanded to a list).
 
         Unordered results are returned in canonical order so the same bag
-        always lists identically.
+        always lists identically.  Each call returns a fresh list.
         """
-        if self._ordered:
-            return list(self._rows)
-        return canonical_order(iter(self._rows))
+        return list(self._listing())
+
+    def _listing(self) -> list[tuple]:
+        if self._listed is None:
+            self._listed = canonical_order(self._rows)
+        return self._listed
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows())
+        return iter(self._listing())
 
     def multiset(self) -> dict[tuple, int]:
         """The result as a multiplicity map (basis for bag comparison)."""
@@ -77,11 +90,11 @@ class ResultTable:
 
     def records(self) -> list[dict[str, Any]]:
         """Rows as dicts keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows()]
+        return [dict(zip(self.columns, row)) for row in self._listing()]
 
     def single(self) -> tuple:
         """The only row; raises if the result does not have exactly one."""
-        rows = self.rows()
+        rows = self._listing()
         if len(rows) != 1:
             raise ValueError(f"expected exactly one row, got {len(rows)}")
         return rows[0]
@@ -110,7 +123,7 @@ class ResultTable:
     def to_text(self, limit: int | None = 20) -> str:
         """A fixed-width table rendering (paper-style result tables)."""
         kinds = [a.kind for a in self._schema]
-        rows = self.rows()
+        rows = self._listing()
         shown = rows if limit is None else rows[:limit]
         cells = [
             [self._render_value(v, k) for v, k in zip(row, kinds)] for row in shown

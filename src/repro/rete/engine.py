@@ -5,6 +5,14 @@ registered views.  By default every elementary graph change propagates
 synchronously through each view's Rete network, so ``View.rows()`` is
 always consistent with the current graph — the paper's IVM property.
 
+Reads
+-----
+``View.rows()`` is maintained too: the first call sorts the view's bag
+into canonical order once, and each later call splices in only the rows
+whose count changed since the previous one (see
+:meth:`~repro.rete.nodes.production.ProductionNode.sorted_rows`), so a
+read costs the changes since the last read, not a full sort.
+
 Batched propagation
 -------------------
 ``engine.batch()`` opens a re-entrant scope that buffers elementary events
@@ -50,6 +58,8 @@ class View:
         self._engine = engine
         self.compiled = compiled
         self.network = network
+        #: the result bag every read is served from
+        self._production = network.production
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -57,25 +67,23 @@ class View:
 
     def multiset(self) -> dict[tuple, int]:
         """Current contents as a bag (row → multiplicity)."""
-        return self.network.production.multiset()
+        return self._production.multiset()
 
     def rows(self) -> list[tuple]:
         """Current contents, expanded and canonically ordered."""
-        return self.result_table().rows()
+        return self._production.sorted_rows()
 
     def result_table(self) -> ResultTable:
-        rows = [
-            row
-            for row, multiplicity in self.network.production.multiset().items()
-            for _ in range(multiplicity)
-        ]
         return ResultTable(
-            self.compiled.plan.schema, rows, graph=self._engine.graph
+            self.compiled.plan.schema,
+            self.rows(),
+            canonical=True,
+            graph=self._engine.graph,
         )
 
     def on_change(self, callback: Callable[[Delta], None]) -> None:
         """Invoke *callback* with the net output delta of each change."""
-        self.network.production.on_change(callback)
+        self._production.on_change(callback)
 
     def detach(self) -> None:
         """Stop maintaining this view."""
@@ -92,7 +100,8 @@ class View:
         return self.network.profile()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"View({self.compiled.text!r}, rows={len(self.network.production.results)})"
+        rows = sum(self._production.results.values())
+        return f"View({self.compiled.text!r}, rows={rows})"
 
 
 class IncrementalEngine:
@@ -513,6 +522,7 @@ class IncrementalEngine:
         gauge("repro_memory_cells", "Stored tuple fields, shared counted once").set(
             self.memory_cells()
         )
+        self._collect_listing_gauges()
         if self.interner is not None:
             gauge(
                 "repro_interned_rows",
@@ -573,6 +583,20 @@ class IncrementalEngine:
             )
             gauge("repro_sharing_binding_partitions", "Live binding partitions").set(
                 layer.binding_partition_count
+            )
+
+    def _collect_listing_gauges(self) -> None:
+        """The read-listing gauges, summed over the live views' result bags
+        (see :meth:`ProductionNode.sorted_rows`)."""
+        productions = [view._production for view in self._views]
+        gauge = self.metrics.registry.gauge
+        for attribute, name, help in (
+            ("listing_splices", "repro_view_listing_splices_total", "View reads that spliced changed rows into the listing"),
+            ("listing_rebuilds", "repro_view_listing_rebuilds_total", "View reads that sorted the listing from scratch"),
+            ("listing_rows", "repro_view_listing_rows", "Rows held by view read listings (outside memory_cells)"),
+        ):
+            gauge(name, help).set(
+                sum(getattr(production, attribute) for production in productions)
             )
 
     def metrics_snapshot(self) -> dict | None:

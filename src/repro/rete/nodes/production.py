@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
+from ...eval.results import row_order_key
 from ..deltas import (
     ColumnDelta,
     Delta,
+    _KeyProbe,
     as_row_delta,
     interned_bag_insert,
     merged,
@@ -14,6 +19,11 @@ from ..deltas import (
 from .base import Node
 
 ChangeCallback = Callable[[Delta], None]
+
+#: cell types whose ``==``-equal values are type-identical and whose sort
+#: keys are totally ordered — the domain in which splicing a changed row
+#: into the listing is guaranteed to match a full sort row for row
+_PLAIN = frozenset((int, str, type(None)))
 
 
 class ProductionNode(Node):
@@ -24,6 +34,11 @@ class ProductionNode(Node):
     partial output deltas are buffered instead and the callbacks fire
     exactly once, at ``end_batch``, with the consolidated net delta — or
     not at all when the batch nets to nothing.
+
+    The first :meth:`sorted_rows` builds the *canonical listing* — the
+    bag expanded in :func:`~repro.eval.results.canonical_order`, beside
+    each row's sort key — and from then on ``apply`` notes every row whose
+    count changed, so the next read splices just those rows back in.
     """
 
     def __init__(self, schema, interner=None):
@@ -35,6 +50,16 @@ class ProductionNode(Node):
         self._callbacks: list[ChangeCallback] = []
         self._batch_depth = 0
         self._pending: list[Delta] = []
+        self._listing: list[tuple] | None = None
+        self._keys: list[tuple] = []
+        #: rows whose count changed since the listing was last brought up
+        #: to date; ``None`` while there is no listing to keep
+        self._changed: dict[tuple, None] | None = None
+        #: every cell of the listing has a type in ``_PLAIN``
+        self._plain = False
+        #: reads that spliced pending changes in / that sorted from scratch
+        self.listing_splices = 0
+        self.listing_rebuilds = 0
 
     def on_change(self, callback: ChangeCallback) -> None:
         self._callbacks.append(callback)
@@ -60,6 +85,7 @@ class ProductionNode(Node):
         delta = as_row_delta(delta)
         real = Delta()
         interner = self.interner
+        changed = self._changed
         for row, multiplicity in delta.items():
             before = self.results.get(row, 0)
             after = interned_bag_insert(self.results, row, multiplicity, interner)
@@ -69,6 +95,10 @@ class ProductionNode(Node):
                 )
             if after != before:
                 real.add(row, after - before)
+                if changed is not None:
+                    changed[row] = None
+        if changed is not None and len(changed) > len(self._listing):
+            self._drop_listing()  # the next read's sort is the cheaper way
         if real:
             if self._batch_depth > 0:
                 self._pending.append(real)
@@ -76,7 +106,69 @@ class ProductionNode(Node):
                 for callback in self._callbacks:
                     callback(real)
 
+    # -- the canonical listing -------------------------------------------------
+
+    def sorted_rows(self) -> list[tuple]:
+        """The bag expanded in canonical order, as a fresh list.
+
+        Costs the rows changed since the previous call; a full sort only
+        on the first call, after many changes, or when a changed row or
+        the listing holds a value outside ``int``/``str``/``None``.
+        """
+        if self._listing is None or (self._changed and not self._splice()):
+            self._rebuild()
+        return list(self._listing)
+
+    def _rebuild(self) -> None:
+        # exactly canonical_order (the same keys, compared in the same order)
+        expanded = [row for row, m in self.results.items() for _ in range(m)]
+        pairs = sorted(
+            zip(map(row_order_key, expanded), expanded), key=itemgetter(0)
+        )
+        self._keys = [key for key, _ in pairs]
+        self._listing = [row for _, row in pairs]
+        self._changed = {}
+        self._plain = _PLAIN.issuperset(map(type, chain.from_iterable(self.results)))
+        self.listing_rebuilds += 1
+
+    def _splice(self) -> bool:
+        """Bring the listing up to date row by row; ``False`` when that
+        cannot be guaranteed to equal the full sort (the caller rebuilds)."""
+        if not self._plain:
+            return False
+        listing, keys, results = self._listing, self._keys, self.results
+        for row in self._changed:
+            probe = _KeyProbe(row)
+            count = results.get(probe, 0)
+            stored = row if probe.stored is None else probe.stored
+            if not _PLAIN.issuperset(map(type, chain(row, stored))):
+                return False
+            key = row_order_key(stored)
+            lo = bisect_left(keys, key)
+            hi = bisect_right(keys, key, lo)
+            if (
+                (lo and not keys[lo - 1] < key)
+                or (hi < len(keys) and not key < keys[hi])
+                or listing[lo:hi].count(stored) != hi - lo
+            ):
+                return False
+            listing[lo:hi] = (stored,) * count
+            keys[lo:hi] = (key,) * count
+        self._changed = {}
+        self.listing_splices += 1
+        return True
+
+    def _drop_listing(self) -> None:
+        self._listing = self._changed = None
+        self._keys = []
+
+    @property
+    def listing_rows(self) -> int:
+        """Rows held by the read listing (0 until the view is read)."""
+        return 0 if self._listing is None else len(self._listing)
+
     def dispose(self) -> None:
+        self._drop_listing()
         if self.interner is not None:
             self.interner.release_all(self.results)
 

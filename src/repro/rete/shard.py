@@ -59,13 +59,13 @@ from typing import Any, Callable, Mapping
 from ..algebra import ops
 from ..compiler.pipeline import CompiledQuery, compile_query
 from ..errors import ShardError
-from ..eval.results import ResultTable
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
 from ..obs.metrics import merge_snapshots
 from .batch import BatchAccumulator, CoalescedBatch
 from .deltas import Delta
-from .engine import IncrementalEngine
+from .engine import IncrementalEngine, View
+from .nodes.production import ProductionNode
 from .router import InterestSummary
 
 # ---------------------------------------------------------------------------
@@ -446,13 +446,16 @@ class _WorkerHandle:
         return self.recv()
 
 
-class ShardView:
+class ShardView(View):
     """A continuously maintained query result hosted on a shard worker.
 
-    The coordinator keeps a parent-side mirror multiset — initialised from
+    The coordinator keeps a parent-side mirror — a
+    :class:`~repro.rete.nodes.production.ProductionNode` initialised from
     the hosting worker's population and advanced by the merged ``on_change``
-    deltas — so :meth:`rows`/:meth:`multiset` are served locally without a
-    round trip.  :meth:`profile`/:meth:`memory_size` ask the worker, where
+    deltas — in place of a local network's production node, so the whole
+    read surface of :class:`~repro.rete.engine.View` (``rows``,
+    ``multiset``, ``result_table``, ``on_change``) is served locally without
+    a round trip.  :meth:`profile`/:meth:`memory_size` ask the worker, where
     the network actually lives.
     """
 
@@ -465,43 +468,14 @@ class ShardView:
         worker_index: int,
         initial: dict[tuple, int],
     ):
-        self._coordinator = coordinator
+        # no View.__init__: there is no local network, only its mirror
+        self._engine = coordinator
         self.compiled = compiled
         self.parameters = dict(parameters) if parameters else {}
         self.view_id = view_id
         self.worker_index = worker_index
-        self._results: dict[tuple, int] = dict(initial)
-        self._callbacks: list[Callable[[Delta], None]] = []
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self.compiled.columns
-
-    def multiset(self) -> dict[tuple, int]:
-        """Current contents as a bag (row → multiplicity)."""
-        return dict(self._results)
-
-    def rows(self) -> list[tuple]:
-        """Current contents, expanded and canonically ordered."""
-        return self.result_table().rows()
-
-    def result_table(self) -> ResultTable:
-        rows = [
-            row
-            for row, multiplicity in self._results.items()
-            for _ in range(multiplicity)
-        ]
-        return ResultTable(
-            self.compiled.plan.schema, rows, graph=self._coordinator.graph
-        )
-
-    def on_change(self, callback: Callable[[Delta], None]) -> None:
-        """Invoke *callback* with the net output delta of each batch."""
-        self._callbacks.append(callback)
-
-    def detach(self) -> None:
-        """Stop maintaining this view (and release its worker state)."""
-        self._coordinator._detach(self)
+        self._production = ProductionNode(compiled.plan.schema)
+        self._production.results.update(initial)
 
     def memory_size(self) -> int:
         return self._worker.request(("measure", self.view_id))[0]
@@ -521,24 +495,12 @@ class ShardView:
 
     @property
     def _worker(self) -> _WorkerHandle:
-        return self._coordinator._workers[self.worker_index]
-
-    def _apply(self, delta: Delta) -> None:
-        for row, multiplicity in delta.items():
-            count = self._results.get(row, 0) + multiplicity
-            if count:
-                self._results[row] = count
-            else:
-                self._results.pop(row, None)
-
-    def _notify(self, delta: Delta) -> None:
-        for callback in list(self._callbacks):
-            callback(delta)
+        return self._engine._workers[self.worker_index]
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"ShardView({self.compiled.text!r}, worker={self.worker_index}, "
-            f"rows={sum(self._results.values())})"
+            f"rows={sum(self._production.results.values())})"
         )
 
 
@@ -682,6 +644,7 @@ class ShardCoordinator(IncrementalEngine):
         self._views.remove(view)
         handle = self._workers[view.worker_index]
         handle.summary = handle.request(("detach", view.view_id))
+        view._production.dispose()
         for listener in self._view_listeners:
             listener("detach", view)
 
@@ -765,7 +728,7 @@ class ShardCoordinator(IncrementalEngine):
             tracer.enter("fanout", f"workers={len(self._workers)}", records)
         start = perf_counter() if metrics is not None else 0.0
         blob = pickle.dumps(changes, protocol=pickle.HIGHEST_PROTOCOL)
-        changed: list[tuple[ShardView, Delta]] = []
+        changed: list[ProductionNode] = []
         self._dispatch_depth += 1
         try:
             for handle in self._workers:
@@ -795,27 +758,30 @@ class ShardCoordinator(IncrementalEngine):
             for view in self._views:
                 delta = merged_notes.get(view.view_id)
                 if delta is not None and delta:
-                    view._apply(delta)
-                    changed.append((view, delta))
+                    mirror = view._production
+                    mirror.begin_batch()  # its callbacks wait for the merge point
+                    changed.append(mirror)
+                    mirror.apply(delta, 0)
             if metrics is not None:
                 metrics.shard_merge_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracer.exit()
         finally:
             self._dispatch_depth -= 1
-        # the merge point: every mirror has caught up before the first
-        # callback fires, and callbacks run in view registration order —
-        # the same discipline as the single-process batch path.  One raising
-        # callback must not silence the rest (see engine._propagate_batch).
-        error: BaseException | None = None
-        for view, delta in changed:
-            try:
-                view._notify(delta)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
+            # the merge point: every mirror has caught up before the first
+            # callback fires, and callbacks run in view registration order —
+            # the same discipline as the single-process batch path.  One
+            # raising callback must not strand the other mirrors in batch
+            # mode (see engine._propagate_batch).
+            error: BaseException | None = None
+            for mirror in changed:
+                try:
+                    mirror.end_batch()
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    if error is None:
+                        error = exc
+            if error is not None:
+                raise error
 
     # -- aggregated observability ---------------------------------------------
 
@@ -875,6 +841,7 @@ class ShardCoordinator(IncrementalEngine):
             "repro_shard_records_sliced_away",
             "Record dispatches skipped by interest slicing",
         ).set(self._records_sliced_away)
+        self._collect_listing_gauges()
 
     def metrics_snapshot(self) -> dict | None:
         """Cluster-wide snapshot: coordinator metrics plus all workers'.

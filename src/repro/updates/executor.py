@@ -37,7 +37,7 @@ from ..cypher import ast
 from ..cypher.unparser import unparse_expr
 from ..errors import CypherSemanticError, EvaluationError
 from ..eval.interpreter import GraphResolver
-from ..eval.results import ResultTable
+from ..eval.results import ResultTable, canonical_order
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, order_key
 from .matcher import PatternMatcher, pattern_bindings
@@ -309,9 +309,7 @@ class UpdateExecutor:
         return _Table(Schema(tuple(a for a in attributes if a is not None)), rows)
 
     def _ordered_rows(self, table: _Table, body: ast.ProjectionBody) -> list[tuple]:
-        rows = sorted(
-            table.rows, key=lambda r: tuple(order_key(value) for value in r)
-        )
+        rows = canonical_order(table.rows)
         for item in reversed(body.order_by):
             fn = compile_expr(item.expression, table.schema, self.resolver)
             rows.sort(

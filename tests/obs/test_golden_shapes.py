@@ -120,6 +120,35 @@ class TestRegisterMetrics:
         assert engine.metrics_snapshot() is None
 
 
+class TestListingMetrics:
+    def test_listing_gauges_with_metrics_on(self):
+        engine = engine_with_traffic(collect_metrics=True)
+        view = engine.views[0]
+        assert engine.metrics_snapshot()["repro_view_listing_rows"]["value"] == 0
+        view.rows()  # first read: sorted from scratch
+        graph = engine._incremental.graph
+        post = graph.add_vertex(labels=["Post"], properties={"lang": "de"})
+        graph.add_edge(post, graph.add_vertex(labels=["Comm"], properties={"lang": "de"}), "REPLY")
+        view.rows()  # second read: the new row spliced in
+        snapshot = engine.metrics_snapshot()
+        for name, value in (
+            ("repro_view_listing_splices_total", 1),
+            ("repro_view_listing_rebuilds_total", 1),
+            ("repro_view_listing_rows", 2),
+        ):
+            assert snapshot[name]["type"] == "gauge"
+            assert snapshot[name]["value"] == value
+        production = view.network.production
+        assert (production.listing_splices, production.listing_rebuilds) == (1, 1)
+
+    def test_row_counts_are_multiplicity_sums(self):
+        engine = QueryEngine(PropertyGraph())
+        engine.execute("CREATE (:Post {lang: 'en'}), (:Post {lang: 'en'})")
+        view = engine.register("MATCH (p:Post) RETURN p.lang AS lang")
+        assert "rows=2)" in repr(view)
+        assert view.network.production.listing_rows == 0  # repr does not sort
+
+
 class TestExplainLiveStats:
     def test_section_present_with_metrics_on(self):
         engine = engine_with_traffic(collect_metrics=True)
@@ -194,6 +223,16 @@ class TestCliObservability:
         assert "maintenance cost per view" in output
         assert "[0]" in output and "MATCH (p:Post)" in output
         assert "total" in output
+
+    def test_register_line_counts_rows_with_multiplicity(self):
+        status, output = run_shell(
+            "CREATE (:Post {lang: 'en'}), (:Post {lang: 'en'});\n"
+            ":register MATCH (p:Post) RETURN p.lang AS lang\n"
+            ":views\n"
+        )
+        assert status == 0
+        assert "registered view [0] (2 rows)\n" in output
+        assert "(1 distinct rows)" in output
 
     def test_costs_without_views(self):
         status, output = run_shell(":costs\n")
