@@ -574,10 +574,15 @@ class ViewScan(Operator):
     ``row → multiplicity`` bag whose tuple layout matches the replaced
     subtree (and therefore ``schema``: fingerprint equality guarantees
     positional layout equality even when variable names differ).
+
+    ``listing``, when not ``None``, is a zero-argument callable returning
+    the same bag already expanded in canonical order as a fresh list (a
+    view root's maintained listing), so readers that need the canonical
+    order skip the expansion and the sort.
     """
 
-    __slots__ = ("source", "label")
+    __slots__ = ("source", "label", "listing")
 
-    def __init__(self, schema: Schema, source, label: str = "view"):
+    def __init__(self, schema: Schema, source, label: str = "view", listing=None):
         self._init((), schema)
-        self._set(source=source, label=label)
+        self._set(source=source, label=label, listing=listing)

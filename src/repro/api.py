@@ -386,6 +386,8 @@ class QueryEngine:
             "subplan_hits": "Catalog sources read from shared subplan memories",
             "fallbacks": "Catalog declines (no cover / params / stale)",
             "stale_declines": "Declines forced by an open batch window",
+            "memo_hits": "Catalog matches (hits and misses) served from the match memo",
+            "listing_answers": "Exact hits returned as the view's maintained listing",
         }
         for name, value in self._catalog.stats.as_dict().items():
             gauge(

@@ -148,11 +148,9 @@ class Interpreter:
             modifiers.append(inner)
             inner = inner.children[0]
         if not modifiers:
-            bag = self.evaluate(plan)
-            rows = [row for row, m in bag.items() for _ in range(m)]
+            rows = self._expand(self.evaluate(plan))
             return ResultTable(plan.schema, rows, ordered=False, graph=self.graph)
-        rows = self._expand(self.evaluate(inner))
-        rows = canonical_order(rows)
+        rows = self._canonical_rows(inner)
         for modifier in reversed(modifiers):
             if isinstance(modifier, ops.Sort):
                 rows = self._sorted(rows, modifier, inner.schema)
@@ -173,14 +171,32 @@ class Interpreter:
     def _expand(self, bag: Bag) -> list[tuple]:
         return [row for row, m in bag.items() for _ in range(m)]
 
+    def _canonical_rows(self, op: ops.Operator) -> list[tuple]:
+        """*op*'s rows expanded in canonical order, as a fresh list.
+
+        A view root's scan already maintains exactly that list (type-exact
+        to ``canonical_order`` of its expanded bag), so it is read, not
+        re-derived.
+        """
+        if isinstance(op, ops.ViewScan) and op.listing is not None:
+            return op.listing()
+        return canonical_order(self._expand(self.evaluate(op)))
+
     def _sorted(
         self, rows: list[tuple], sort: ops.Sort, schema: Schema
     ) -> list[tuple]:
         compiled = [(self._compile(e, schema), asc) for e, asc in sort.items]
+        ctx = self.ctx
         for fn, ascending in reversed(compiled):  # stable multi-key sort
-            rows = sorted(
-                rows, key=lambda r: order_key(fn(r, self.ctx)), reverse=not ascending
-            )
+            keys = [fn(row, ctx) for row in rows]
+            kinds = set(map(type, keys))
+            if kinds != {int} and kinds != {str}:
+                # within exactly int (or exactly str) values order_key is
+                # order-isomorphic to the value itself; anything else —
+                # bool, float/NaN, None, mixed, nested — sorts on order_key
+                keys = list(map(order_key, keys))
+            order = sorted(range(len(rows)), key=keys.__getitem__, reverse=not ascending)
+            rows = [rows[i] for i in order]
         return rows
 
     # -- bag evaluation ---------------------------------------------------------
@@ -474,9 +490,9 @@ class Interpreter:
         determinism keeps tests and benchmarks reproducible).
         """
         if isinstance(op, ops.Sort):
-            rows = canonical_order(self._expand(self.evaluate(op.children[0])))
+            rows = self._canonical_rows(op.children[0])
             return self._sorted(rows, op, op.children[0].schema)
-        return canonical_order(self._expand(self.evaluate(op)))
+        return self._canonical_rows(op)
 
 
 def evaluate_plan(

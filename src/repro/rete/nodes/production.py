@@ -8,6 +8,7 @@ from operator import itemgetter
 from typing import Callable
 
 from ...eval.results import row_order_key
+from ...graph.values import PathValue
 from ..deltas import (
     ColumnDelta,
     Delta,
@@ -24,6 +25,24 @@ ChangeCallback = Callable[[Delta], None]
 #: keys are totally ordered — the domain in which splicing a changed row
 #: into the listing is guaranteed to match a full sort row for row
 _PLAIN = frozenset((int, str, type(None)))
+_INT = frozenset((int,))
+
+
+def _plain(rows) -> bool:
+    """Whether every cell of *rows* lies in the splice domain.
+
+    That is a ``_PLAIN`` value or a path whose vertex ids are all exactly
+    ``int``: its sort key is then a tuple of int keys, and ``==``-equal
+    paths share it.  Paths with equal keys but different edges (parallel
+    edges) are caught by the splice's run check and force a rebuild.
+    """
+    if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+        return True
+    return all(
+        type(cell) in _PLAIN
+        or (type(cell) is PathValue and _INT.issuperset(map(type, cell.vertices)))
+        for cell in chain.from_iterable(rows)
+    )
 
 
 class ProductionNode(Node):
@@ -55,7 +74,7 @@ class ProductionNode(Node):
         #: rows whose count changed since the listing was last brought up
         #: to date; ``None`` while there is no listing to keep
         self._changed: dict[tuple, None] | None = None
-        #: every cell of the listing has a type in ``_PLAIN``
+        #: every cell of the listing lies in the splice domain (``_plain``)
         self._plain = False
         #: reads that spliced pending changes in / that sorted from scratch
         self.listing_splices = 0
@@ -112,8 +131,9 @@ class ProductionNode(Node):
         """The bag expanded in canonical order, as a fresh list.
 
         Costs the rows changed since the previous call; a full sort only
-        on the first call, after many changes, or when a changed row or
-        the listing holds a value outside ``int``/``str``/``None``.
+        on the first call, after many changes, when a changed row or the
+        listing holds a value outside ``int``/``str``/``None``/int-vertex
+        paths, or when a changed path ties another's key (parallel edges).
         """
         if self._listing is None or (self._changed and not self._splice()):
             self._rebuild()
@@ -128,7 +148,7 @@ class ProductionNode(Node):
         self._keys = [key for key, _ in pairs]
         self._listing = [row for _, row in pairs]
         self._changed = {}
-        self._plain = _PLAIN.issuperset(map(type, chain.from_iterable(self.results)))
+        self._plain = _plain(self.results)
         self.listing_rebuilds += 1
 
     def _splice(self) -> bool:
@@ -141,7 +161,7 @@ class ProductionNode(Node):
             probe = _KeyProbe(row)
             count = results.get(probe, 0)
             stored = row if probe.stored is None else probe.stored
-            if not _PLAIN.issuperset(map(type, chain(row, stored))):
+            if not _plain((row, stored)):
                 return False
             key = row_order_key(stored)
             lo = bisect_left(keys, key)

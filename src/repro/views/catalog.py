@@ -36,26 +36,43 @@ Consistency rules (each one differentially tested):
 * in ``reachability`` transitive mode the maintained closure semantics
   differ from the interpreter's trail semantics, so subtrees containing a
   transitive join are never served there.
+
+Read cost: an exact hit on a view root returns the production node's
+maintained canonical listing (O(changes since the last read), see
+:meth:`~repro.rete.nodes.production.ProductionNode.sorted_rows`) with no
+interpreter run; ``ORDER BY`` / ``SKIP`` / ``LIMIT`` directly over a root
+sorts that listing; any other residual reads a fresh copy of the bag.  The
+match itself is memoised per (compiled query, type-exact parameter
+bindings) and the memo is cleared on every view register/detach event —
+the only points where what :meth:`ViewCatalog.lookup` can see changes
+(``prune()`` and detached-LRU eviction run inside detach).  A memoised read
+therefore does not refresh a retained subplan's LRU recency; the first
+read after each lifecycle event does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..algebra import ops
 from ..algebra.printer import format_compact
+from ..errors import InvalidValueError
 from ..eval.interpreter import Interpreter
 from ..eval.results import ResultTable
 from ..rete.deltas import as_row_delta
-from ..rete.sharing import SharedSubplanLayer, subplan_cache_key
+from ..rete.sharing import SharedSubplanLayer, binding_key, subplan_cache_key
 from .matcher import rewrite_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..compiler.pipeline import CompiledQuery
     from ..rete.engine import IncrementalEngine, View
+    from .rewriter import RewriteResult
 
 Bag = dict[tuple, int]
+
+#: match-memo entries kept before the memo is cleared wholesale
+MATCH_MEMO_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,9 @@ class MaterializedSource:
     description: str
     #: ``"view"`` (production-backed root) or ``"subplan"`` (shared node)
     kind: str
+    #: view roots only: returns the contents expanded in canonical order,
+    #: as a fresh list (the production node's maintained listing)
+    listing: Callable[[], list[tuple]] | None = None
 
 
 @dataclass
@@ -82,6 +102,8 @@ class AnswerStats:
     subplan_hits: int = 0  # sources read from shared subplan memories
     fallbacks: int = 0  # full evaluation (no cover / params / stale)
     stale_declines: int = 0  # fallbacks forced by an open batch window
+    memo_hits: int = 0  # matches (hits and misses) served from the memo
+    listing_answers: int = 0  # exact hits returned as a view's listing
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -102,6 +124,8 @@ class ViewCatalog:
         #: catalog key → views materialising exactly that plan (FIFO serve)
         self._roots: dict[tuple, list["View"]] = {}
         self._root_keys: dict[int, tuple] = {}  # id(view) → its key
+        #: (id(compiled), binding keys) → (compiled, rewrite or None)
+        self._memo: dict[tuple, tuple["CompiledQuery", "RewriteResult | None"]] = {}
         self.stats = AnswerStats()
         engine.subscribe_views(self._on_view_event)
         for view in engine.views:
@@ -113,6 +137,7 @@ class ViewCatalog:
         return (self._engine.transitive_mode,)
 
     def _on_view_event(self, phase: str, view: "View") -> None:
+        self._memo.clear()
         if phase == "register":
             self._index_view(view)
         else:
@@ -192,10 +217,12 @@ class ViewCatalog:
         views = self._roots.get(key)
         if views and self._servable(op):
             view = views[0]
+            production = view.network.production
             return MaterializedSource(
-                fetch=view.network.production.multiset,
+                fetch=production.multiset,
                 description=f"view[{view.compiled.text.strip()}]",
                 kind="view",
+                listing=production.sorted_rows,
             )
         layer = self._subplan_layer()
         if layer is not None:
@@ -244,7 +271,7 @@ class ViewCatalog:
         if not self._roots and self.subplan_count == 0:
             self.stats.fallbacks += 1
             return None
-        rewrite = rewrite_query(self, compiled, parameters)
+        rewrite = self._match(compiled, parameters)
         if rewrite is None:
             self.stats.fallbacks += 1
             return None
@@ -258,7 +285,42 @@ class ViewCatalog:
                 self.stats.root_hits += 1
             else:
                 self.stats.subplan_hits += 1
+        listing = rewrite.plan.listing if rewrite.exact else None
+        if listing is not None:
+            # the view's maintained listing is the canonical expansion of
+            # the very bag the interpreter would read: nothing to re-derive
+            self.stats.listing_answers += 1
+            return ResultTable(
+                compiled.plan.schema,
+                listing(),
+                canonical=True,
+                graph=self._engine.graph,
+            )
         return Interpreter(self._engine.graph, parameters).run(rewrite.plan)
+
+    def _match(
+        self,
+        compiled: "CompiledQuery",
+        parameters: Mapping[str, Any] | None,
+    ) -> "RewriteResult | None":
+        """:func:`rewrite_query`, memoised until the next view event."""
+        try:
+            bindings = sorted(
+                (name, binding_key(value)) for name, value in (parameters or {}).items()
+            )
+        except (TypeError, InvalidValueError):
+            # a binding with no type-exact key: match without the memo
+            return rewrite_query(self, compiled, parameters)
+        key = (id(compiled), tuple(bindings))
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] is compiled:
+            self.stats.memo_hits += 1
+            return entry[1]
+        rewrite = rewrite_query(self, compiled, parameters)
+        if len(self._memo) >= MATCH_MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = (compiled, rewrite)
+        return rewrite
 
     def describe_match(
         self,
@@ -280,6 +342,8 @@ class ViewCatalog:
         lines = []
         if rewrite.exact:
             lines.append(f"exact hit: {rewrite.sources[0].description}")
+            if rewrite.plan.listing is not None:
+                lines.append("  served from the view's maintained listing")
         else:
             lines.append(
                 f"containment hit: residual plan over "

@@ -43,7 +43,7 @@ class RewriteResult:
 
 def make_view_scan(op: ops.Operator, source: MaterializedSource) -> ops.ViewScan:
     """A scan leaf standing in for *op*'s subtree, fed by *source*."""
-    return ops.ViewScan(op.schema, source.fetch, source.description)
+    return ops.ViewScan(op.schema, source.fetch, source.description, source.listing)
 
 
 def rebuild_residual(

@@ -83,9 +83,25 @@ class TestAnswerStatsShape:
             "subplan_hits",
             "fallbacks",
             "stale_declines",
+            "memo_hits",
+            "listing_answers",
         ]
         assert all(isinstance(value, int) for value in stats.values())
         assert stats["queries"] >= 1
+
+    def test_catalog_gauges_carry_help_text(self):
+        engine = engine_with_traffic(collect_metrics=True)
+        query = "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
+        engine.evaluate(query)
+        engine.evaluate(query)
+        snapshot = engine.metrics_snapshot()
+        for name, value in (
+            ("repro_catalog_memo_hits", 1),
+            ("repro_catalog_listing_answers", 2),
+        ):
+            assert snapshot[name]["type"] == "gauge"
+            assert snapshot[name]["value"] == value
+            assert snapshot[name]["help"] != "View-catalog counter"  # not the fallback
 
 
 class TestMemoryCounters:

@@ -16,6 +16,7 @@ from repro import PropertyGraph, QueryEngine
 from repro.compiler.fingerprint import fingerprint
 from repro.rete.sharing import SharedSubplanLayer
 from repro.workloads.random_graphs import random_graph, random_updates
+from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
 
 #: registered view shapes over the random-graph schema
 VIEW_QUERIES = [
@@ -471,6 +472,47 @@ class TestRandomDifferential:
             assert_answers_match(engine, READ_QUERIES[:3])
         assert_answers_match(engine)
         assert engine.answer_stats().stale_declines > 0
+
+
+class TestSnbDistinctFriends:
+    """``ic2_distinct_friends`` over the SNB interactive views.
+
+    The matcher cannot see π + δ over the ``ic2_friend_messages`` root
+    (that view's ⇑ also pushes down ``m.content``, so the join fingerprints
+    differ): the read is a containment hit on the shared ``KNOWS`` subplan
+    with the ``HAS_CREATOR`` / ``recent`` join recomputed from the graph.
+    Whatever serves it must equal recomputation, under a write stream too.
+    """
+
+    QUERY = (
+        "MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post) "
+        "WHERE m.recent = TRUE RETURN DISTINCT f.name AS friend"
+    )
+    VIEWS = (
+        "is3_friends",
+        "ic2_friend_messages",
+        "ic4_friend_tags",
+        "ic5_forum_posts",
+        "ic7_likers",
+        "ic8_replies",
+    )
+
+    def test_served_equals_recomputation(self):
+        net = generate_snb(
+            persons=12, forums=2, posts_per_forum=4, comments_per_post=2, seed=71
+        )
+        engine = QueryEngine(net.graph)
+        for key in self.VIEWS:
+            engine.register(SNB_QUERIES[key])
+        assert "subplan[(©(p:Person) ⋈ ⇑(p)-[_e1:KNOWS]" in engine.explain(self.QUERY)
+        for round_ in range(3):
+            served = engine.evaluate(self.QUERY).rows()
+            assert served == engine.evaluate(self.QUERY, use_views=False).rows()
+            assert served
+            for _, apply in update_stream(net, 10, seed=71 + round_):
+                apply()
+        stats = engine.answer_stats()
+        assert stats.residual == 3 and stats.subplan_hits == 3
 
 
 class TestBindingPartitionServing:
