@@ -14,8 +14,9 @@ three columnar levers:
   router buckets, so property churn on non-matching values never reaches
   (or translates through) the filtered input nodes,
 * a **join view** fed whole :class:`~repro.rete.deltas.ColumnDelta`
-  batches per window: key extraction is one column transpose and index
-  maintenance one bulk ``index_update`` instead of a per-row dict dance.
+  batches per window: key extraction is one column transpose and memory
+  maintenance one column fold (``insert_columns``) instead of a per-row
+  dict dance.
 
 Every run is correctness-gated: the columnar engine and the
 ``columnar_deltas=False`` baseline replay the identical stream over

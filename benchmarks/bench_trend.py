@@ -33,7 +33,6 @@ TOLERANCE = 0.30
 #: are deterministic at the smoke scale (pure cell arithmetic over seeded
 #: graphs): any regression past the tolerance fails the gate.
 HARD_METRICS: dict[str, dict[str, str]] = {
-    "columnar_memory": {"cells_reduction": "up"},
     "sharing": {"memory_ratio": "up"},
     "param_sharing": {"memory_ratio": "up", "shared_layer_growth": "down"},
 }
@@ -41,7 +40,6 @@ HARD_METRICS: dict[str, dict[str, str]] = {
 #: timing-derived metrics: compared with the same tolerance but only
 #: warned about, because smoke runs on shared CI runners are noisy.
 SOFT_METRICS: dict[str, dict[str, str]] = {
-    "columnar_memory": {"churn_speedup": "up"},
     "sharing": {"throughput_speedup": "up"},
     "param_sharing": {"throughput_speedup": "up", "registration_speedup": "up"},
 }

@@ -77,7 +77,6 @@ class QueryEngine:
         detached_cache_size: int = 4,
         share_across_bindings: bool = True,
         columnar_deltas: bool = True,
-        columnar_memories: bool = True,
         workers: int = 0,
         collect_metrics: bool = False,
         trace_batches: bool = False,
@@ -96,7 +95,6 @@ class QueryEngine:
                 detached_cache_size=detached_cache_size,
                 share_across_bindings=share_across_bindings,
                 columnar_deltas=columnar_deltas,
-                columnar_memories=columnar_memories,
                 collect_metrics=collect_metrics,
                 trace_batches=trace_batches,
             )
@@ -114,7 +112,6 @@ class QueryEngine:
                 detached_cache_size=detached_cache_size,
                 share_across_bindings=share_across_bindings,
                 columnar_deltas=columnar_deltas,
-                columnar_memories=columnar_memories,
                 collect_metrics=collect_metrics,
                 trace_batches=trace_batches,
             )

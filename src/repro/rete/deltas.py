@@ -29,25 +29,16 @@ defined on *net* per-row changes and consolidate at entry via
 :func:`as_row_delta` — the boundary-materialisation rule of the columnar
 hot path — then hand their answer on as columns again.
 
-Node *memories* have two physical representations as well:
-
-* the row-dict index — ``key → {row: multiplicity}`` plain dicts
-  maintained by :func:`index_insert`/:func:`index_update` (the PR 1–9
-  path, restored exactly by the ``columnar_memories=False`` ablation);
-* :class:`ColumnStore` — a column-backed keyed bag: non-key ("payload")
-  values live in parallel columns beside a signed multiplicity column,
-  and the hash index maps each distinct key tuple to a list of slot
-  positions.  Key cells are stored once per *distinct* key instead of
-  once per row, which is where the memory reduction of columnar
-  memories comes from; probes return lightweight bucket views whose
-  ``payloads()`` hands a natural join its merge suffixes without
-  reconstructing the stored row.
-
-:class:`RowInterner` rounds the memory model out for the
-transition-sensitive nodes: they keep their count-map semantics but
-intern the row tuples they key on through one engine-wide refcounted
-pool, so the same result row held by many overlapping views is stored
-once.
+Node *memories* split along the same line.  Every counting-linear memory
+(the ⋈, ▷ and ⟕ indexes) is a :class:`ColumnStore` — a column-backed
+keyed bag: non-key ("payload") values live in parallel columns beside a
+signed multiplicity column, and the hash index maps each distinct key
+tuple to a list of slot positions.  Key cells are stored once per
+*distinct* key instead of once per row; probes return lightweight bucket
+views whose ``payloads()`` hands a natural join its merge suffixes
+without reconstructing the stored row.  Every transition-sensitive
+memory (δ, γ, ⋈*, production) is a plain ``dict`` count map maintained
+by :func:`bag_insert` / :func:`index_insert`.
 """
 
 from __future__ import annotations
@@ -271,21 +262,13 @@ def bag_insert(bag: dict[tuple, int], row: tuple, multiplicity: int) -> int:
     return count
 
 
-def index_insert(
-    index: "dict | ColumnStore", key: tuple, row: tuple, multiplicity: int
-) -> None:
+def index_insert(index: dict, key, row: tuple, multiplicity: int) -> None:
     """Adjust a keyed bag index (key → bag of rows); prunes empty buckets.
 
     Buckets never retain zero-count rows: a cancellation pops the row, and
-    a bucket whose last row cancels is deleted from the index.  Accepts
-    either memory representation — a plain row-dict index or a
-    :class:`ColumnStore` (dispatched here so node maintenance loops stay
-    single-path).
+    a bucket whose last row cancels is deleted from the index.
     """
     if multiplicity == 0:
-        return
-    if type(index) is not dict:
-        index.insert(key, row, multiplicity)
         return
     bucket = index.get(key)
     if bucket is None:
@@ -300,109 +283,12 @@ def index_insert(
             del index[key]
 
 
-def index_update(
-    index: dict,
-    keys: Sequence[tuple],
-    rows: Sequence[tuple],
-    mults: Sequence[int],
-) -> None:
-    """Bulk :func:`index_insert` over parallel key/row/multiplicity columns.
-
-    One pass folds a whole columnar batch into a keyed bag index with the
-    dict probes hoisted out of the per-row path; the invariant is the same
-    as :func:`index_insert`'s — buckets never retain zero-count rows and
-    emptied buckets leave the index, even under repeated insert/delete
-    churn of the same row inside one batch.
-    """
-    if type(index) is not dict:
-        index.insert_batch(keys, rows, mults)
-        return
-    get = index.get
-    for key, row, multiplicity in zip(keys, rows, mults):
-        if multiplicity == 0:
-            continue
-        bucket = get(key)
-        if bucket is None:
-            index[key] = {row: multiplicity}
-            continue
-        count = bucket.get(row, 0) + multiplicity
-        if count:
-            bucket[row] = count
-        else:
-            del bucket[row]
-            if not bucket:
-                del index[key]
-
-
-def interned_bag_insert(
-    bag: dict[tuple, int],
-    row: tuple,
-    multiplicity: int,
-    interner: "RowInterner | None",
-) -> int:
-    """:func:`bag_insert` with dict-key rows held via *interner*.
-
-    The transition-sensitive nodes keep count-map semantics but route
-    their row keys through the engine's :class:`RowInterner`: the key is
-    interned exactly when its entry is created and released exactly when
-    the entry dies, so the pool's refcounts mirror the bags and a node's
-    ``dispose()`` can return its remaining keys.  ``interner=None`` is
-    plain :func:`bag_insert` (the ``columnar_memories=False`` ablation).
-    """
-    before = bag.get(row, 0)
-    count = before + multiplicity
-    if count:
-        if before == 0 and interner is not None:
-            row = interner.intern(row)
-        bag[row] = count
-    elif before:
-        del bag[row]
-        if interner is not None:
-            interner.release(row)
-    return count
-
-
-def interned_index_insert(
-    index: dict,
-    key,
-    row: tuple,
-    multiplicity: int,
-    interner: "RowInterner | None",
-) -> None:
-    """:func:`index_insert` (row-dict form) with interned bucket keys.
-
-    Same entry-lifetime discipline as :func:`interned_bag_insert`, for the
-    keyed bag indexes of ⋈* (left rows bucketed per source vertex).
-    """
-    if multiplicity == 0:
-        return
-    bucket = index.get(key)
-    if bucket is None:
-        if interner is not None:
-            row = interner.intern(row)
-        index[key] = {row: multiplicity}
-        return
-    before = bucket.get(row, 0)
-    count = before + multiplicity
-    if count:
-        if before == 0 and interner is not None:
-            row = interner.intern(row)
-        bucket[row] = count
-    else:
-        del bucket[row]
-        if not bucket:
-            del index[key]
-        if interner is not None:
-            interner.release(row)
-
-
 class StoreBucket:
     """A lightweight read view over one :class:`ColumnStore` bucket.
 
-    Duck-typed like the ``{row: multiplicity}`` dict the row path keeps:
-    truthy when non-empty, sized, and ``items()`` yields ``(row, mult)``
-    pairs with the row reassembled from the bucket key and the payload
-    columns.  ``payloads()`` skips the reassembly and yields the payload
+    Duck-typed like a ``{row: multiplicity}`` dict: truthy when non-empty,
+    sized, and ``items()`` yields ``(row, mult)`` pairs with the row
+    reassembled from the bucket key and the payload columns.  ``payloads()`` skips the reassembly and yields the payload
     tuples directly — for a natural join's right memory (payload order ==
     ``right_extra``) these are exactly the merge suffixes.  Both methods
     return a fresh generator per call, so a view may be iterated several
@@ -476,26 +362,23 @@ class _KeyProbe:
 
 
 class ColumnStore:
-    """A column-backed keyed bag memory (the ``columnar_memories`` path).
+    """A column-backed keyed bag memory (every counting-linear memory).
 
     Rows of a fixed width are split into *key* columns (the hash-index
     key, e.g. a join's shared attributes) and *payload* columns (the
     rest, in a caller-chosen order).  Payload values sit in parallel
     lists beside one signed multiplicity column; ``index`` maps each
     distinct key tuple to the list of live slot positions holding that
-    key.  Key cells are therefore stored once per distinct key — the
-    row-dict path stores the full row per entry — and cancelled slots go
-    on a free list for reuse.
+    key.  Key cells are therefore stored once per distinct key, and
+    cancelled slots go on a free list for reuse.
 
-    The read surface mirrors the row-dict index (``get``/``items``/
-    ``values``/truthiness) so probe-side code is representation-agnostic;
-    writes go through ``insert``/``insert_batch`` (row-form, dispatched
-    by :func:`index_insert`/:func:`index_update`) or ``insert_columns``
+    The read surface is a keyed bag index's (``get``/``items``/
+    ``values``/truthiness); writes go through ``insert``/
+    ``insert_payload`` (one row occurrence) or ``insert_columns``
     (column-form: a :class:`ColumnDelta`'s columns fold straight into
     column storage with no row tuples built, and the first batch a store
-    ever receives — a join memory at populate — is copied in bulk).  The
-    invariant matches the row path's: no slot ever holds multiplicity zero
-    and emptied buckets leave the index.
+    ever receives — a join memory at populate — is copied in bulk).  No
+    slot ever holds multiplicity zero and emptied buckets leave the index.
     """
 
     __slots__ = (
@@ -609,24 +492,6 @@ class ColumnStore:
         self._fold(
             key, tuple(row[i] for i in self.payload_cols), multiplicity
         )
-
-    def insert_batch(
-        self,
-        keys: Sequence[tuple],
-        rows: Sequence[tuple],
-        mults: Sequence[int],
-    ) -> None:
-        payload_cols = self.payload_cols
-        fold = self._fold
-        if self._single is not None:
-            payload_col = payload_cols[0]
-            for key, row, multiplicity in zip(keys, rows, mults):
-                if multiplicity:
-                    fold(key, (row[payload_col],), multiplicity)
-            return
-        for key, row, multiplicity in zip(keys, rows, mults):
-            if multiplicity:
-                fold(key, tuple(row[i] for i in payload_cols), multiplicity)
 
     def insert_columns(
         self, keys: Sequence[tuple], columns: Sequence[list], mults: Sequence[int]
@@ -752,7 +617,7 @@ class ColumnStore:
         if multiplicity:
             self._fold(key, payload, multiplicity)
 
-    # -- reads (row-dict index surface) -------------------------------------
+    # -- reads (keyed bag index surface) ------------------------------------
 
     def get(self, key: tuple, default=None):
         positions = self.index.get(key)
@@ -869,107 +734,13 @@ class ColumnStore:
     # -- accounting ---------------------------------------------------------
 
     def size(self) -> int:
-        """Live slot count — one per distinct (key, payload) entry, the
-        same number the row-dict index reports as bucket entries."""
+        """Live slot count — one per distinct (key, payload) entry."""
         return len(self.mults) - len(self.free)
 
     def cells(self) -> int:
         """Stored tuple fields: payload cells per live slot plus key cells
-        once per distinct key (the columnar saving the row path lacks)."""
+        once per distinct key."""
         return (len(self.mults) - len(self.free)) * len(self.payload_cols) + len(
             self.index
         ) * len(self.key_cols)
 
-
-def index_size(index: "dict | ColumnStore") -> int:
-    """Entry count of either memory representation (same number both ways)."""
-    if type(index) is not dict:
-        return index.size()
-    return sum(len(bucket) for bucket in index.values())
-
-
-def index_cells(index: "dict | ColumnStore") -> int:
-    """Stored tuple fields of either memory representation."""
-    if type(index) is not dict:
-        return index.cells()
-    return sum(len(row) for bucket in index.values() for row in bucket)
-
-
-#: value types the intern pool may canonicalise across nodes: for these a
-#: per-element type tag makes the pool key *type-exact*, so Python's
-#: ``1 == True == 1.0`` conflation can never hand one view another view's
-#: equal-but-differently-typed tuple (observable through ``multiset()``)
-_INTERN_ATOMS = (bool, int, float, str, bytes, type(None))
-
-
-def _intern_key(row: tuple) -> "tuple | None":
-    """Type-exact pool key for *row*, or ``None`` when uninternable.
-
-    Rows holding container values (lists, maps, paths) are passed through
-    uninterned — equality on those can cross type boundaries below the
-    reach of a shallow tag, and sharing them would risk returning a
-    different view's representation of an equal value.  Rows shorter than
-    two cells are also passed through: a pool entry costs more than
-    sharing a 1-tuple saves, and aggregate outputs churn through them
-    constantly.
-    """
-    if len(row) < 2:
-        return None
-    types = []
-    for value in row:
-        cls = value.__class__
-        if cls not in _INTERN_ATOMS:
-            return None
-        types.append(cls)
-    return (row, tuple(types))
-
-
-class RowInterner:
-    """A refcounted pool of canonical row tuples.
-
-    Transition-sensitive nodes (δ, γ, ⋈*, production) keep count-map
-    semantics under columnar memories but route the tuples they key on
-    through one engine-wide pool: ``intern`` returns the canonical
-    type-identical tuple (storing the argument only on first sight),
-    ``release`` drops a reference when a node's count for the row returns
-    to zero.  With many overlapping views the same result row is then held
-    once, not once per view — a real-bytes reduction that leaves every
-    node's cell *accounting* untouched (accounting counts logical fields,
-    which obs gauges and ``view_costs()`` are built on).  Rows with
-    non-atomic values pass through unpooled (see :func:`_intern_key`).
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, list] = {}
-
-    def intern(self, row: tuple) -> tuple:
-        key = _intern_key(row)
-        if key is None:
-            return row
-        entry = self._entries.get(key)
-        if entry is None:
-            self._entries[key] = [row, 1]
-            return row
-        entry[1] += 1
-        return entry[0]
-
-    def release(self, row: tuple) -> None:
-        key = _intern_key(row)
-        if key is None:
-            return
-        entry = self._entries.get(key)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._entries[key]
-
-    def release_all(self, rows: Iterable[tuple]) -> None:
-        """Bulk release at node teardown (view detach, subplan eviction)."""
-        for row in rows:
-            self.release(row)
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -46,7 +46,7 @@ from ..graph.graph import PropertyGraph
 from ..obs import tracing
 from ..obs.metrics import EngineMetrics
 from .batch import BatchAccumulator
-from .deltas import Delta, RowInterner
+from .deltas import Delta
 from .network import ReteNetwork
 from .sharing import SharedInputLayer, SharedSubplanLayer
 
@@ -142,7 +142,6 @@ class IncrementalEngine:
         detached_cache_size: int = 4,
         share_across_bindings: bool = True,
         columnar_deltas: bool = True,
-        columnar_memories: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
     ):
@@ -154,13 +153,6 @@ class IncrementalEngine:
         #: composite binding discriminants) are enabled; ``False`` is the
         #: exact row-at-a-time ablation baseline
         self.columnar_deltas = columnar_deltas
-        #: node memories use :class:`~repro.rete.deltas.ColumnStore` column
-        #: storage in the join layer, and transition-sensitive nodes intern
-        #: their dict-key rows through one engine-wide
-        #: :class:`~repro.rete.deltas.RowInterner`; ``False`` restores the
-        #: exact PR 1–9 row-dict memory layout (ablation)
-        self.columnar_memories = columnar_memories
-        self.interner = RowInterner() if columnar_memories else None
         if share_inputs:
             if share_subplans:
                 self.input_layer: SharedInputLayer | None = SharedSubplanLayer(
@@ -245,8 +237,6 @@ class IncrementalEngine:
             input_layer=self.input_layer,
             route_events=self.route_events,
             columnar_deltas=self.columnar_deltas,
-            columnar_memories=self.columnar_memories,
-            interner=self.interner,
         )
         built = perf_counter() if metrics is not None else 0.0
         rows = network.populate()
@@ -523,11 +513,6 @@ class IncrementalEngine:
             self.memory_cells()
         )
         self._collect_listing_gauges()
-        if self.interner is not None:
-            gauge(
-                "repro_interned_rows",
-                "Distinct row tuples held by the engine intern pool",
-            ).set(len(self.interner))
         routers = []
         if self.input_layer is not None and self.input_layer.router is not None:
             routers.append(self.input_layer.router)

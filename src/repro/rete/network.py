@@ -95,8 +95,6 @@ class ReteNetwork:
         input_layer: "SharedInputLayer | None" = None,
         route_events: bool = True,
         columnar_deltas: bool = True,
-        columnar_memories: bool = True,
-        interner=None,
     ):
         validate_fra(plan)
         check_incremental_fragment(plan)
@@ -113,12 +111,6 @@ class ReteNetwork:
         #: composite discriminants on the binding-indexed σ tier) — False
         #: reproduces the row-at-a-time path exactly (ablation)
         self.columnar_deltas = columnar_deltas
-        #: node memories live in :class:`~repro.rete.deltas.ColumnStore`
-        #: column storage (join layer) and transition-sensitive nodes
-        #: intern their dict-key rows through *interner*; ``False`` is the
-        #: exact row-dict memory layout (ablation)
-        self.columnar_memories = columnar_memories
-        self.interner = interner if columnar_memories else None
         self.subplan_layer: SharedSubplanLayer | None = (
             input_layer if isinstance(input_layer, SharedSubplanLayer) else None
         )
@@ -140,7 +132,7 @@ class ReteNetwork:
         self._detach_edges: list[tuple[Node, Node, int]] = []
 
         root = self._build(plan)
-        self.production = ProductionNode(plan.schema, interner=self.interner)
+        self.production = ProductionNode(plan.schema)
         self.all_nodes.append(self.production)
         self._connect(root, self.production, LEFT)
         # Private input layers get their own interest router; with a shared
@@ -481,7 +473,7 @@ class ReteNetwork:
 
         if isinstance(op, ops.Dedup):
             child = self._build(op.children[0])
-            return DedupNode(op.schema, interner=self.interner), [(child, LEFT)]
+            return DedupNode(op.schema), [(child, LEFT)]
 
         if isinstance(op, ops.Unwind):
             child = self._build(op.children[0])
@@ -506,7 +498,6 @@ class ReteNetwork:
                     for a in op.aggregates
                 ],
                 self.ctx,
-                interner=self.interner,
             )
             self.aggregates.append(node)
             return node, [(child, LEFT)]
@@ -524,7 +515,6 @@ class ReteNetwork:
                     for i, a in enumerate(right.schema)
                     if a.name not in op.common
                 ],
-                columnar_memories=self.columnar_memories,
             )
             return node, [(left_node, LEFT), (right_node, RIGHT)]
 
@@ -536,7 +526,6 @@ class ReteNetwork:
                 op.schema,
                 [left.schema.index_of(n) for n in op.common],
                 [right.schema.index_of(n) for n in op.common],
-                columnar_memories=self.columnar_memories,
             )
             return node, [(left_node, LEFT), (right_node, RIGHT)]
 
@@ -552,7 +541,6 @@ class ReteNetwork:
                 [left.schema.index_of(n) for n in op.common],
                 [right.schema.index_of(n) for n in op.common],
                 extra,
-                columnar_memories=self.columnar_memories,
             )
             node.configure_nulls(len(extra))
             return node, [(left_node, LEFT), (right_node, RIGHT)]
@@ -575,11 +563,7 @@ class ReteNetwork:
                 and op.max_hops is None
             ):
                 node: Node = ReachabilityNode(
-                    op.schema,
-                    source_index,
-                    op.direction,
-                    op.min_hops,
-                    interner=self.interner,
+                    op.schema, source_index, op.direction, op.min_hops
                 )
             else:
                 node = TransitiveClosureNode(
@@ -589,7 +573,6 @@ class ReteNetwork:
                     op.min_hops,
                     op.max_hops,
                     emit_path=op.path_alias is not None,
-                    interner=self.interner,
                 )
             return node, [(left_node, LEFT), (edges_node, EDGES)]
 
@@ -647,10 +630,8 @@ class ReteNetwork:
 
         Removes this network's frontier subscriptions and releases its
         subplan refcounts; the engine then prunes the layer, which cascades
-        the release down any shared chains nobody else reads.  This
-        network's private nodes die with it, so their interned rows are
-        returned to the engine pool here (shared nodes release theirs when
-        the layer genuinely drops them).
+        the release down any shared chains nobody else reads; this
+        network's private nodes die with it.
         """
         for node, subscriber, side in self.shared_edges:
             node.unsubscribe(subscriber, side)
@@ -659,8 +640,7 @@ class ReteNetwork:
             for key in self._acquired_keys:
                 self.subplan_layer.release(key)
             self._acquired_keys = []
-        for node in self.all_nodes:
-            node.dispose()
+        self.production.dispose()
 
     @property
     def has_private_inputs(self) -> bool:

@@ -36,7 +36,6 @@ class AggregateNode(Node):
         specs: list[AggregateSpec],
         arg_fns: list[CompiledExpr | None],
         ctx: EvalContext,
-        interner=None,
     ):
         super().__init__(schema)
         self.key_fns = key_fns
@@ -45,9 +44,6 @@ class AggregateNode(Node):
         self.ctx = ctx
         self.groups: dict[tuple, _Group] = {}
         self.is_global = not key_fns
-        #: group keys are interned through the engine row pool when given —
-        #: interned on group creation, released on group death/dispose
-        self.interner = interner
 
     def _fresh_group(self) -> _Group:
         return _Group([spec.make_aggregator() for spec in self.specs])
@@ -59,8 +55,7 @@ class AggregateNode(Node):
         """Emit the base row of the always-present global group."""
         if self.is_global:
             group = self._fresh_group()
-            key = () if self.interner is None else self.interner.intern(())
-            self.groups[key] = group
+            self.groups[()] = group
             delta = Delta()
             delta.add(self._result_row((), group), 1)
             self.emit(delta)
@@ -79,8 +74,6 @@ class AggregateNode(Node):
                 )
             if group is None:
                 group = self._fresh_group()
-                if self.interner is not None:
-                    key = self.interner.intern(key)
                 self.groups[key] = group
             values = [
                 fn(row, self.ctx) if fn is not None else True
@@ -103,8 +96,6 @@ class AggregateNode(Node):
             new_row = self._result_row(key, group) if alive else None
             if not alive:
                 del self.groups[key]
-                if self.interner is not None:
-                    self.interner.release(key)
             if old_row == new_row:
                 continue
             if old_row is not None:
@@ -118,10 +109,6 @@ class AggregateNode(Node):
         for key, group in self.groups.items():
             out.add(self._result_row(key, group), 1)
         return out
-
-    def dispose(self) -> None:
-        if self.interner is not None:
-            self.interner.release_all(self.groups)
 
     def memory_size(self) -> int:
         return len(self.groups)

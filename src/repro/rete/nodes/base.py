@@ -167,17 +167,6 @@ class Node:
             f"{type(self).__name__} keeps state; use state_delta()"
         )
 
-    def dispose(self) -> None:
-        """Release engine-owned resources when the node is dropped.
-
-        Nodes that intern their dict-key rows through the engine's
-        :class:`~repro.rete.deltas.RowInterner` return those refcounts
-        here; everything else is a no-op.  Called when a private network
-        is detached and when the sharing layer genuinely drops a cached
-        subplan (never for detached-LRU residents — they are still
-        maintained).
-        """
-
     def memory_size(self) -> int:
         """Number of stored entries (for memory-footprint reporting)."""
         return 0

@@ -5,47 +5,32 @@ attributes and follow the sequential counting rule — an incoming delta is
 joined against the *other* side's current memory, then folded into this
 side's memory (see :mod:`.base`).
 
-Each node has two inner loops per side: the row-at-a-time loop over a
-:class:`~repro.rete.deltas.Delta` and a batch-at-a-time loop over a
-:class:`~repro.rete.deltas.ColumnDelta` — key columns are extracted with
-one C-level transpose, hash probes run over the prebuilt key column, and
-memory folds use the bulk :func:`~repro.rete.deltas.index_update`.  All
-four maintenance rules are linear in row occurrences, so the columnar
-loops are exact on unconsolidated batches (duplicate occurrences sum; any
-compensating output pairs cancel at the next consolidation boundary).
+Every memory is a :class:`~repro.rete.deltas.ColumnStore` — key cells
+stored once per distinct key, payload values in parallel columns — and
+each node has one loop per delta form: a row loop over a
+:class:`~repro.rete.deltas.Delta` (per-event mode) and a column loop over
+a :class:`~repro.rete.deltas.ColumnDelta` (batched mode and populate).
+In the column loop key columns are extracted with one C-level transpose,
+the key column probes the store and the batch's value columns fold in
+directly (``insert_columns``, a bulk copy into a store that is still
+empty, as every memory is at populate); ⋈ gathers its output column by
+column and builds no row tuple at all.  All four maintenance rules are
+linear in row occurrences, so the column loops are exact on
+unconsolidated batches (duplicate occurrences sum; any compensating
+output pairs cancel at the next consolidation boundary).
 
-Memories come in two representations, chosen at construction by the
-``columnar_memories`` flag: the PR 1–9 row-dict index (``key → {row:
-mult}``, the ``columnar_memories=False`` ablation, byte-identical loops)
-or the :class:`~repro.rete.deltas.ColumnStore` — key cells stored once
-per distinct key, payload values in parallel columns.  Under column
-storage the batch loops specialise further: a :class:`ColumnDelta`'s key
-column probes the store and its value columns fold in directly
-(``insert_columns``, a bulk copy into a store that is still empty, as
-every memory is at populate); ⋈ gathers its output column by column and
-builds no row tuple at all; the right store of ⋈/⟕ keeps its payload
-in ``right_extra`` order so probe hits *are* the merge suffixes.  The
-left outer join's per-key right count map dissolves into the store
-(``key_weight``) — one fewer copy of every distinct right key.
+The right store of ⋈/⟕ keeps its payload in ``right_extra`` order, so
+probe hits *are* the merge suffixes.  The left outer join keeps no
+separate per-key right count: the right store's bucket weight
+(``key_weight``) is that count.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from ..deltas import (
-    ColumnDelta,
-    ColumnStore,
-    Delta,
-    gather,
-    index_cells,
-    index_insert,
-    index_size,
-    index_update,
-)
+from ..deltas import ColumnDelta, ColumnStore, Delta, gather
 from .base import LEFT, Node
-
-Index = dict  # key -> {row: multiplicity}
 
 
 def _complement(key: list[int], width: int) -> list[int]:
@@ -63,25 +48,15 @@ class JoinNode(Node):
         left_key: list[int],
         right_key: list[int],
         right_extra: list[int],
-        columnar_memories: bool = True,
     ):
         super().__init__(schema)
         self.left_key = left_key
         self.right_key = right_key
         self.right_extra = right_extra
-        self.columnar_memories = columnar_memories
-        if columnar_memories:
-            left_width = len(schema.names) - len(right_extra)
-            self.left_index: "Index | ColumnStore" = ColumnStore(
-                left_key, _complement(left_key, left_width)
-            )
-            # payload order == right_extra: probe hits are merge suffixes
-            self.right_index: "Index | ColumnStore" = ColumnStore(
-                right_key, right_extra
-            )
-        else:
-            self.left_index = {}
-            self.right_index = {}
+        left_width = len(schema.names) - len(right_extra)
+        self.left_index = ColumnStore(left_key, _complement(left_key, left_width))
+        # payload order == right_extra: probe hits are merge suffixes
+        self.right_index = ColumnStore(right_key, right_extra)
 
     def _merge(self, left_row: tuple, right_row: tuple) -> tuple:
         return left_row + tuple(right_row[i] for i in self.right_extra)
@@ -89,28 +64,10 @@ class JoinNode(Node):
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         if type(delta) is ColumnDelta:
             self._apply_columnar(delta, side)
-            return
-        if self.columnar_memories:
-            self._apply_row_store(delta, side)
-            return
-        out = Delta()
-        if side == LEFT:
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.left_key)
-                for other, m2 in self.right_index.get(key, {}).items():
-                    out.add(self._merge(row, other), multiplicity * m2)
-                index_insert(self.left_index, key, row, multiplicity)
         else:
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.right_key)
-                for other, m2 in self.left_index.get(key, {}).items():
-                    out.add(self._merge(other, row), multiplicity * m2)
-                index_insert(self.right_index, key, row, multiplicity)
-        self.emit(out)
+            self._apply_rows(delta, side)
 
-    def _apply_row_store(self, delta: Delta, side: int) -> None:
-        """The row loop over column storage — probe hits on the right store
-        are suffix tuples already (payload order == ``right_extra``)."""
+    def _apply_rows(self, delta: Delta, side: int) -> None:
         out = Delta()
         if side == LEFT:
             probe = self.right_index.get
@@ -137,48 +94,12 @@ class JoinNode(Node):
         self.emit(out)
 
     def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
-        if self.columnar_memories:
-            self._apply_columnar_store(delta, side)
-            return
-        rows = delta.rows()
-        mults = delta.mults
-        extra = self.right_extra
-        out_rows: list[tuple] = []
-        out_mults: list[int] = []
-        append_row = out_rows.append
-        append_mult = out_mults.append
-        if side == LEFT:
-            keys = delta.key_column(self.left_key)
-            probe = self.right_index.get
-            for key, row, multiplicity in zip(keys, rows, mults):
-                bucket = probe(key)
-                if bucket:
-                    for other, m2 in bucket.items():
-                        append_row(row + tuple(other[i] for i in extra))
-                        append_mult(multiplicity * m2)
-            index_update(self.left_index, keys, rows, mults)
-        else:
-            keys = delta.key_column(self.right_key)
-            probe = self.left_index.get
-            for key, row, multiplicity in zip(keys, rows, mults):
-                bucket = probe(key)
-                if bucket:
-                    suffix = tuple(row[i] for i in extra)
-                    for other, m2 in bucket.items():
-                        append_row(other + suffix)
-                        append_mult(multiplicity * m2)
-            index_update(self.right_index, keys, rows, mults)
-        self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
-        )
-
-    def _apply_columnar_store(self, delta: ColumnDelta, side: int) -> None:
-        """The batch loop over column storage, gathered: one probe loop
-        pairs batch positions with the other store's matching slots, then
-        every output column is gathered from its source — batch columns by
-        position, stored payload by slot, and a left row's key cells from
-        the probing batch's key columns — and the value columns fold in
-        directly (``insert_columns``).  No row tuple is built."""
+        """Gathered: one probe loop pairs batch positions with the other
+        store's matching slots, then every output column is gathered from
+        its source — batch columns by position, stored payload by slot,
+        and a left row's key cells from the probing batch's key columns —
+        and the value columns fold in directly (``insert_columns``).  No
+        row tuple is built."""
         mults = delta.mults
         cols = delta.columns
         if side == LEFT:
@@ -216,29 +137,25 @@ class JoinNode(Node):
     def state_delta(self, restriction: tuple = ()) -> Delta:
         """The join of the two memories, narrowed by *restriction*.
 
-        Under column storage a restricted look-up starts from the side
-        that owns the restricted columns — :meth:`ColumnStore.select`
-        finds that side's surviving rows (one column scan, or an index
-        probe for join-key columns) — and probes the other side once per
-        surviving key, so the cost is that side's rows plus the matches,
-        not the whole join.  Pairs on the other side are left to the
-        caller's predicate, which must see the very objects the full fold
-        would show it — so every output cell comes from a memory, never
-        from a pair's value.  No restriction (and the row-dict ablation,
-        which has no column to scan) is the full fold.
+        A restricted look-up starts from the side that owns the restricted
+        columns — :meth:`ColumnStore.select` finds that side's surviving
+        rows (one column scan, or an index probe for join-key columns) —
+        and probes the other side once per surviving key, so the cost is
+        that side's rows plus the matches, not the whole join.  Pairs on
+        the other side are left to the caller's predicate, which must see
+        the very objects the full fold would show it — so every output
+        cell comes from a memory, never from a pair's value.  No
+        restriction is the full fold.
         """
         out = Delta()
         left_pairs: list[tuple] = []
         right_pairs: list[tuple] = []
-        if restriction and self.columnar_memories:
-            left_width = self.left_index.width
-            for column, value in restriction:
-                if column < left_width:
-                    left_pairs.append((column, value))
-                else:
-                    right_pairs.append(
-                        (self.right_extra[column - left_width], value)
-                    )
+        left_width = self.left_index.width
+        for column, value in restriction:
+            if column < left_width:
+                left_pairs.append((column, value))
+            else:
+                right_pairs.append((self.right_extra[column - left_width], value))
         if right_pairs and not left_pairs:
             examined, survivors = self.right_index.select(right_pairs)
             self.replay_scanned += examined
@@ -266,10 +183,10 @@ class JoinNode(Node):
                 out.add(self._merge(row, other), multiplicity * m2)
 
     def memory_size(self) -> int:
-        return index_size(self.left_index) + index_size(self.right_index)
+        return self.left_index.size() + self.right_index.size()
 
     def memory_cells(self) -> int:
-        return index_cells(self.left_index) + index_cells(self.right_index)
+        return self.left_index.cells() + self.right_index.cells()
 
 
 class AntiJoinNode(Node):
@@ -278,25 +195,15 @@ class AntiJoinNode(Node):
     Right memory stores aggregate multiplicity per key; left rows toggle
     in or out of the result when that count crosses zero."""
 
-    def __init__(
-        self,
-        schema,
-        left_key: list[int],
-        right_key: list[int],
-        columnar_memories: bool = True,
-    ):
+    def __init__(self, schema, left_key: list[int], right_key: list[int]):
         super().__init__(schema)
         self.left_key = left_key
         self.right_key = right_key
-        self.columnar_memories = columnar_memories
-        if columnar_memories:
-            self.left_index: "Index | ColumnStore" = ColumnStore(
-                left_key, _complement(left_key, len(schema.names))
-            )
-        else:
-            self.left_index = {}
-        # the right memory is a per-key count either way: no rows are
-        # stored, so there is nothing for column storage to deduplicate
+        self.left_index = ColumnStore(
+            left_key, _complement(left_key, len(schema.names))
+        )
+        # the right memory is a per-key count: no rows are stored, so there
+        # is nothing for column storage to deduplicate
         self.right_counts: dict[tuple, int] = {}
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
@@ -305,11 +212,12 @@ class AntiJoinNode(Node):
             return
         out = Delta()
         if side == LEFT:
+            fold = self.left_index.insert
             for row, multiplicity in delta.items():
                 key = tuple(row[i] for i in self.left_key)
                 if self.right_counts.get(key, 0) == 0:
                     out.add(row, multiplicity)
-                index_insert(self.left_index, key, row, multiplicity)
+                fold(key, row, multiplicity)
         else:
             for row, multiplicity in delta.items():
                 key = tuple(row[i] for i in self.right_key)
@@ -332,26 +240,18 @@ class AntiJoinNode(Node):
         out_rows: list[tuple] = []
         out_mults: list[int] = []
         if side == LEFT:
+            # emit-side rows materialise only where the key is unmatched;
+            # the fold reads the columns directly
             keys = delta.key_column(self.left_key)
             unmatched = self.right_counts.get
-            if self.columnar_memories:
-                # column storage: emit-side rows materialise only where the
-                # key is unmatched; the fold reads the columns directly
-                cols = delta.columns
-                pos = 0
-                for key, multiplicity in zip(keys, mults):
-                    if unmatched(key, 0) == 0:
-                        out_rows.append(tuple(col[pos] for col in cols))
-                        out_mults.append(multiplicity)
-                    pos += 1
-                self.left_index.insert_columns(keys, cols, mults)
-            else:
-                rows = delta.rows()
-                for key, row, multiplicity in zip(keys, rows, mults):
-                    if unmatched(key, 0) == 0:
-                        out_rows.append(row)
-                        out_mults.append(multiplicity)
-                index_update(self.left_index, keys, rows, mults)
+            cols = delta.columns
+            pos = 0
+            for key, multiplicity in zip(keys, mults):
+                if unmatched(key, 0) == 0:
+                    out_rows.append(tuple(col[pos] for col in cols))
+                    out_mults.append(multiplicity)
+                pos += 1
+            self.left_index.insert_columns(keys, cols, mults)
         else:
             keys = delta.key_column(self.right_key)
             counts = self.right_counts
@@ -384,10 +284,10 @@ class AntiJoinNode(Node):
         return out
 
     def memory_size(self) -> int:
-        return index_size(self.left_index) + len(self.right_counts)
+        return self.left_index.size() + len(self.right_counts)
 
     def memory_cells(self) -> int:
-        return index_cells(self.left_index) + sum(
+        return self.left_index.cells() + sum(
             len(key) for key in self.right_counts
         )
 
@@ -401,29 +301,14 @@ class LeftOuterJoinNode(Node):
         left_key: list[int],
         right_key: list[int],
         right_extra: list[int],
-        columnar_memories: bool = True,
     ):
         super().__init__(schema)
         self.left_key = left_key
         self.right_key = right_key
         self.right_extra = right_extra
-        self.columnar_memories = columnar_memories
-        if columnar_memories:
-            left_width = len(schema.names) - len(right_extra)
-            self.left_index: "Index | ColumnStore" = ColumnStore(
-                left_key, _complement(left_key, left_width)
-            )
-            self.right_index: "Index | ColumnStore" = ColumnStore(
-                right_key, right_extra
-            )
-            # no separate per-key count map: the store's bucket weight
-            # (``key_weight``) is that count, so every distinct right key
-            # is stored once instead of twice
-            self.right_counts: dict[tuple, int] | None = None
-        else:
-            self.left_index = {}
-            self.right_index = {}
-            self.right_counts = {}
+        left_width = len(schema.names) - len(right_extra)
+        self.left_index = ColumnStore(left_key, _complement(left_key, left_width))
+        self.right_index = ColumnStore(right_key, right_extra)
         self._nulls = ()  # set by network builder via configure_nulls
 
     def configure_nulls(self, width: int) -> None:
@@ -435,47 +320,13 @@ class LeftOuterJoinNode(Node):
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         if type(delta) is ColumnDelta:
             self._apply_columnar(delta, side)
-            return
-        if self.columnar_memories:
-            self._apply_row_store(delta, side)
-            return
-        out = Delta()
-        if side == LEFT:
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.left_key)
-                matches = self.right_index.get(key)
-                if matches:
-                    for other, m2 in matches.items():
-                        out.add(self._merge(row, other), multiplicity * m2)
-                else:
-                    out.add(row + self._nulls, multiplicity)
-                index_insert(self.left_index, key, row, multiplicity)
         else:
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.right_key)
-                left_rows = self.left_index.get(key, {})
-                for left_row, m in left_rows.items():
-                    out.add(self._merge(left_row, row), multiplicity * m)
-                before = self.right_counts.get(key, 0)
-                after = before + multiplicity
-                if after:
-                    self.right_counts[key] = after
-                else:
-                    self.right_counts.pop(key, None)
-                index_insert(self.right_index, key, row, multiplicity)
-                if before == 0 and after > 0:
-                    for left_row, m in left_rows.items():
-                        out.add(left_row + self._nulls, -m)
-                elif before > 0 and after == 0:
-                    for left_row, m in left_rows.items():
-                        out.add(left_row + self._nulls, m)
-        self.emit(out)
+            self._apply_rows(delta, side)
 
-    def _apply_row_store(self, delta: Delta, side: int) -> None:
-        """The row loop over column storage.  The right count map is gone:
-        ``key_weight`` (the bucket's summed multiplicity) *is* the count,
-        read just before each fold, so the before/after zero-crossing that
-        toggles null padding is decided exactly as in the row-dict loop."""
+    def _apply_rows(self, delta: Delta, side: int) -> None:
+        """The right count is ``key_weight`` (the bucket's summed
+        multiplicity), read just before each fold, so the before/after
+        zero-crossing that toggles null padding is decided per occurrence."""
         out = Delta()
         nulls = self._nulls
         if side == LEFT:
@@ -514,66 +365,9 @@ class LeftOuterJoinNode(Node):
         self.emit(out)
 
     def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
-        if self.columnar_memories:
-            self._apply_columnar_store(delta, side)
-            return
-        rows = delta.rows()
-        mults = delta.mults
-        extra = self.right_extra
-        nulls = self._nulls
-        out_rows: list[tuple] = []
-        out_mults: list[int] = []
-        if side == LEFT:
-            keys = delta.key_column(self.left_key)
-            probe = self.right_index.get
-            for key, row, multiplicity in zip(keys, rows, mults):
-                matches = probe(key)
-                if matches:
-                    for other, m2 in matches.items():
-                        out_rows.append(row + tuple(other[i] for i in extra))
-                        out_mults.append(multiplicity * m2)
-                else:
-                    out_rows.append(row + nulls)
-                    out_mults.append(multiplicity)
-            index_update(self.left_index, keys, rows, mults)
-        else:
-            # the right side interleaves count transitions with memory folds
-            # per row occurrence (exactly the row loop's discipline), with
-            # the key column prebuilt and the dict probes hoisted
-            keys = delta.key_column(self.right_key)
-            counts = self.right_counts
-            left = self.left_index.get
-            right_index = self.right_index
-            for key, row, multiplicity in zip(keys, rows, mults):
-                left_rows = left(key, {})
-                suffix = tuple(row[i] for i in extra)
-                for left_row, m in left_rows.items():
-                    out_rows.append(left_row + suffix)
-                    out_mults.append(multiplicity * m)
-                before = counts.get(key, 0)
-                after = before + multiplicity
-                if after:
-                    counts[key] = after
-                else:
-                    counts.pop(key, None)
-                index_insert(right_index, key, row, multiplicity)
-                if before == 0 and after > 0:
-                    for left_row, m in left_rows.items():
-                        out_rows.append(left_row + nulls)
-                        out_mults.append(-m)
-                elif before > 0 and after == 0:
-                    for left_row, m in left_rows.items():
-                        out_rows.append(left_row + nulls)
-                        out_mults.append(m)
-        self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
-        )
-
-    def _apply_columnar_store(self, delta: ColumnDelta, side: int) -> None:
-        """The batch loop over column storage.  The right side keeps the
-        per-occurrence interleaving of joins, count transition and fold
-        (the row loop's discipline); the left side bulk-folds because only
-        the right memory drives null toggles."""
+        """The right side keeps the row loop's per-occurrence interleaving
+        of joins, count transition and fold; the left side bulk-folds
+        because only the right memory drives null toggles."""
         mults = delta.mults
         cols = delta.columns
         extra = self.right_extra
@@ -639,28 +433,15 @@ class LeftOuterJoinNode(Node):
         return out
 
     def memory_size(self) -> int:
-        if self.columnar_memories:
-            # the dissolved count map's entries are the store's distinct keys
-            return (
-                self.left_index.size()
-                + self.right_index.size()
-                + len(self.right_index.index)
-            )
+        # the right count's entries are the right store's distinct keys
         return (
-            sum(len(b) for b in self.left_index.values())
-            + sum(len(b) for b in self.right_index.values())
-            + len(self.right_counts)
+            self.left_index.size()
+            + self.right_index.size()
+            + len(self.right_index.index)
         )
 
     def memory_cells(self) -> int:
-        if self.columnar_memories:
-            return self.left_index.cells() + self.right_index.cells()
-        return sum(
-            len(row)
-            for index in (self.left_index, self.right_index)
-            for bucket in index.values()
-            for row in bucket
-        ) + sum(len(key) for key in self.right_counts)
+        return self.left_index.cells() + self.right_index.cells()
 
 
 class UnionNode(Node):

@@ -14,7 +14,7 @@ from ..deltas import (
     Delta,
     _KeyProbe,
     as_row_delta,
-    interned_bag_insert,
+    bag_insert,
     merged,
 )
 from .base import Node
@@ -60,12 +60,9 @@ class ProductionNode(Node):
     count changed, so the next read splices just those rows back in.
     """
 
-    def __init__(self, schema, interner=None):
+    def __init__(self, schema):
         super().__init__(schema)
         self.results: dict[tuple, int] = {}
-        #: result-bag keys are interned through the engine row pool when
-        #: given (see :class:`~repro.rete.deltas.RowInterner`)
-        self.interner = interner
         self._callbacks: list[ChangeCallback] = []
         self._batch_depth = 0
         self._pending: list[Delta] = []
@@ -103,11 +100,10 @@ class ProductionNode(Node):
         # transient delete/insert pair can never trip the negative check
         delta = as_row_delta(delta)
         real = Delta()
-        interner = self.interner
         changed = self._changed
         for row, multiplicity in delta.items():
             before = self.results.get(row, 0)
-            after = interned_bag_insert(self.results, row, multiplicity, interner)
+            after = bag_insert(self.results, row, multiplicity)
             if after < 0:
                 raise AssertionError(
                     f"view multiplicity went negative for row {row!r}"
@@ -189,8 +185,6 @@ class ProductionNode(Node):
 
     def dispose(self) -> None:
         self._drop_listing()
-        if self.interner is not None:
-            self.interner.release_all(self.results)
 
     def multiset(self) -> dict[tuple, int]:
         return dict(self.results)

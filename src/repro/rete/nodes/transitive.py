@@ -28,7 +28,7 @@ ablation D2.
 from __future__ import annotations
 
 from ...graph.values import PathValue
-from ..deltas import ColumnDelta, Delta, as_row_delta, interned_index_insert
+from ..deltas import ColumnDelta, Delta, as_row_delta, index_insert
 from .base import LEFT, Node
 
 EDGES = 1
@@ -65,7 +65,6 @@ class TransitiveClosureNode(Node):
         min_hops: int,
         max_hops: int | None,
         emit_path: bool,
-        interner=None,
     ):
         super().__init__(schema)
         self.source_index = source_index
@@ -73,8 +72,6 @@ class TransitiveClosureNode(Node):
         self.min_hops = min_hops
         self.max_hops = max_hops
         self.emit_path = emit_path
-        #: left rows are interned through the engine row pool when given
-        self.interner = interner
         # left memory: source vertex -> {left row: multiplicity}
         self.left_index: dict[int, dict[tuple, int]] = {}
         # trail store, triple-indexed
@@ -159,9 +156,7 @@ class TransitiveClosureNode(Node):
                 for trail in self.trails_by_start.get(source, ()):
                     if len(trail) >= self.min_hops:
                         out.add(self._out_row(row, trail), multiplicity)
-                interned_index_insert(
-                    self.left_index, source, row, multiplicity, self.interner
-                )
+                index_insert(self.left_index, source, row, multiplicity)
         else:
             for row, multiplicity in rows.items():
                 s, e, t = row[0], row[1], row[2]
@@ -195,12 +190,6 @@ class TransitiveClosureNode(Node):
             self._discard(trail)
             self._emit_trail_delta(out, trail, -1)
         self.trails_by_edge.pop(e, None)
-
-    def dispose(self) -> None:
-        if self.interner is not None:
-            self.interner.release_all(
-                row for bucket in self.left_index.values() for row in bucket
-            )
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
@@ -247,21 +236,13 @@ class ReachabilityNode(Node):
     ``min_hops <= 1`` and no ``max_hops`` cap.
     """
 
-    def __init__(
-        self,
-        schema,
-        source_index: int,
-        direction: str,
-        min_hops: int,
-        interner=None,
-    ):
+    def __init__(self, schema, source_index: int, direction: str, min_hops: int):
         if min_hops > 1:
             raise ValueError("reachability mode supports min_hops <= 1 only")
         super().__init__(schema)
         self.source_index = source_index
         self.direction = direction
         self.min_hops = min_hops
-        self.interner = interner
         self.left_index: dict[int, dict[tuple, int]] = {}
         self.arcs: dict[int, dict[int, set[int]]] = {}  # u -> v -> {edge ids}
         self.reachable: dict[int, set[int]] = {}  # source -> targets
@@ -325,9 +306,7 @@ class ReachabilityNode(Node):
                     self.reachable[source] = self._bfs(source)
                 for target in self.reachable[source]:
                     out.add(row + (target,), multiplicity)
-                interned_index_insert(
-                    self.left_index, source, row, multiplicity, self.interner
-                )
+                index_insert(self.left_index, source, row, multiplicity)
                 if source not in self.left_index:
                     del self.reachable[source]
         else:
@@ -352,12 +331,6 @@ class ReachabilityNode(Node):
                     self._emit_target_diff(out, source, before, after)
                     self.reachable[source] = after
         self.emit_like(out, delta)
-
-    def dispose(self) -> None:
-        if self.interner is not None:
-            self.interner.release_all(
-                row for bucket in self.left_index.values() for row in bucket
-            )
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()

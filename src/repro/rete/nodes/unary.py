@@ -16,7 +16,7 @@ from typing import Any
 
 from ...algebra.expressions import CompiledExpr, EvalContext, Generated
 from ...graph.values import ListValue, freeze_value
-from ..deltas import ColumnDelta, Delta, as_row_delta, interned_bag_insert
+from ..deltas import ColumnDelta, Delta, as_row_delta, bag_insert
 from .base import Node
 
 #: atom types whose Python hashing/equality agree with Cypher ``=`` closely
@@ -351,22 +351,17 @@ class DedupNode(Node):
     """δ — collapses multiplicities to one; emits only 0↔positive edges.
 
     Transition-sensitive: defined on net per-row changes, so columnar
-    batches consolidate at entry (boundary-materialisation rule).  Count
-    keys are interned through the engine's row pool when one is given, so
-    a row held by several transition-sensitive memories is one tuple
-    object engine-wide."""
+    batches consolidate at entry (boundary-materialisation rule)."""
 
-    def __init__(self, schema, interner=None):
+    def __init__(self, schema):
         super().__init__(schema)
         self.counts: dict[tuple, int] = {}
-        self.interner = interner
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         out = Delta()
-        interner = self.interner
         for row, multiplicity in as_row_delta(delta).items():
             before = self.counts.get(row, 0)
-            after = interned_bag_insert(self.counts, row, multiplicity, interner)
+            after = bag_insert(self.counts, row, multiplicity)
             if before == 0 and after > 0:
                 out.add(row, 1)
             elif before > 0 and after == 0:
@@ -374,10 +369,6 @@ class DedupNode(Node):
             elif after < 0:
                 raise AssertionError(f"negative multiplicity for {row}")
         self.emit_like(out, delta)
-
-    def dispose(self) -> None:
-        if self.interner is not None:
-            self.interner.release_all(self.counts)
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()

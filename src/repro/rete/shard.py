@@ -532,7 +532,6 @@ class ShardCoordinator(IncrementalEngine):
         detached_cache_size: int = 4,
         share_across_bindings: bool = True,
         columnar_deltas: bool = True,
-        columnar_memories: bool = True,
         split_batches: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
@@ -551,7 +550,6 @@ class ShardCoordinator(IncrementalEngine):
             detached_cache_size=detached_cache_size,
             share_across_bindings=share_across_bindings,
             columnar_deltas=columnar_deltas,
-            columnar_memories=columnar_memories,
             collect_metrics=collect_metrics,
             trace_batches=trace_batches,
         )
@@ -572,7 +570,6 @@ class ShardCoordinator(IncrementalEngine):
             detached_cache_size=detached_cache_size,
             share_across_bindings=share_across_bindings,
             columnar_deltas=columnar_deltas,
-            columnar_memories=columnar_memories,
             collect_metrics=collect_metrics,
         )
         self._next_view_id = 0

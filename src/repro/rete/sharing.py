@@ -785,14 +785,10 @@ class SharedSubplanLayer(SharedInputLayer):
             if not node_entry.node.has_partitions:
                 del self._param_nodes[gen_key]
                 node_entry.upstream.unsubscribe(node_entry.node, node_entry.side)
-                node_entry.node.dispose()
                 return {id(node_entry.upstream)}
             return set()
         for upstream, side in entry.upstreams:
             upstream.unsubscribe(entry.node, side)
-        # genuinely dropped (never a mere LRU retention): interned rows
-        # held by this node's memories go back to the engine pool
-        entry.node.dispose()
         return {id(upstream) for upstream, _ in entry.upstreams}
 
     @property

@@ -27,7 +27,6 @@ from repro.rete.deltas import (
     Delta,
     as_row_delta,
     index_insert,
-    index_update,
 )
 from repro.rete.engine import IncrementalEngine
 
@@ -321,18 +320,6 @@ class TestIndexMaintenance:
         index_insert(index, "k", (1,), -1)
         assert index == {"k": {(2,): 1}}
         self.assert_no_zero_rows(index)
-
-    def test_index_update_matches_repeated_insert(self):
-        rng = random.Random(3)
-        keys = [rng.randrange(4) for _ in range(200)]
-        rows = [(k, rng.randrange(3)) for k in keys]
-        mults = [rng.choice((-2, -1, 0, 1, 2)) for _ in keys]
-        bulk, single = {}, {}
-        index_update(bulk, keys, rows, mults)
-        for key, row, mult in zip(keys, rows, mults):
-            index_insert(single, key, row, mult)
-        assert bulk == single
-        self.assert_no_zero_rows(bulk)
 
 
 def _engine_pair(**flags):

@@ -1,20 +1,24 @@
-"""Columnar node memories: differential oracle against the row-dict path.
+"""Column-backed node memories: every view ≡ recomputation.
 
-``columnar_memories=True`` (the default) re-homes the counting-linear
-node memories — join/antijoin/outer-join indexes and the binding tier's
-value indexes — onto :class:`~repro.rete.deltas.ColumnStore`, a
-column-backed keyed bag whose key cells are stored once per distinct
-key, and routes transition-sensitive count-map keys (δ, γ, ⋈*,
-production) through one engine-wide :class:`~repro.rete.deltas.RowInterner`.
-All of that must be *invisible*: the mirror class here drives identical
-random streams through a column-memory engine and its
-``columnar_memories=False`` baseline (the exact PR 1–9 row-dict path)
-and requires identical per-view contents and change logs throughout —
+Every counting-linear node memory — the ⋈, ▷ and ⟕ indexes — is a
+:class:`~repro.rete.deltas.ColumnStore`, a column-backed keyed bag whose
+key cells are stored once per distinct key; every transition-sensitive
+memory (δ, γ, ⋈*, production) is a plain count map.  The check here is
+against the specification, not a sibling implementation: one engine is
+driven through random streams and, after every step, each view must equal
+``evaluate(use_views=False)`` and each view's ``on_change`` log, replayed
+onto the contents the view was registered with, must reproduce the view —
 across per-event and batched maintenance, rollback transactions, process
 sharding, binding-tier sharing, columnar and row deltas, and mid-stream
-register/detach.  Mechanics classes pin the store itself (row-dict
-write/read equivalence, free-list reuse, accounting) and the interner
-(refcounts, type-exactness, teardown).
+register/detach.  Views are compared by ``(type name, repr)`` per cell on
+a value pool Python equality does not conflate, and as ``==`` bags where
+``1``/``True``/``1.0`` are in play.  The same check runs per node: ⋈, ▷
+and ⟕ fed random batches in either delta form must hold what
+recomputation over their two input bags gives (the Cypher front end never
+emits ▷, so this is where its column loop is exercised).  Mechanics
+classes pin the store itself against a dict fold (write/read equivalence,
+free-list reuse, accounting), and the drain test pins that detaching
+every view empties every memory and index.
 """
 
 import random
@@ -23,123 +27,145 @@ import pytest
 
 from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
-from repro.rete.deltas import (
-    ColumnStore,
-    RowInterner,
-    index_cells,
-    index_insert,
-    index_size,
-    index_update,
-)
+from repro.rete.deltas import ColumnDelta, ColumnStore
+from repro.rete.nodes.base import LEFT, RIGHT, Node
+from repro.rete.nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode
 
-from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, _columnar_op, oracle
-from .test_sharing import _Abort
+from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, SCORES, _columnar_op
+from .test_populate import _Schema, dict_fold, exact
+from .test_sharing import SP_EDGE_TYPES, SP_LABELS, SP_VALUES, _Abort
 
-
-class MemoryMirrorPair:
-    """A column-memory engine and its row-dict baseline, fed identically."""
-
-    def __init__(self, **flags):
-        self.graphs = (PropertyGraph(), PropertyGraph())
-        self.engines = (
-            QueryEngine(self.graphs[0], columnar_memories=True, **flags),
-            QueryEngine(self.graphs[1], columnar_memories=False, **flags),
-        )
-        self.registered: list[tuple[str, dict | None]] = []
-        self.views: list[tuple] = []
-        self.logs: list[tuple] = []
-
-    def close(self) -> None:
-        for engine in self.engines:
-            engine.shutdown()
-
-    def register(self, query: str, parameters=None) -> None:
-        pair, logs = [], []
-        for engine in self.engines:
-            view = engine.register(query, parameters=parameters)
-            log: list = []
-            view.on_change(log.append)
-            pair.append(view)
-            logs.append(log)
-        self.registered.append((query, parameters))
-        self.views.append(tuple(pair))
-        self.logs.append(tuple(logs))
-
-    def register_all(self) -> None:
-        for query in QUERIES:
-            self.register(query)
-        for query, names in PARAM_QUERIES:
-            for lang in LANGS[:3]:
-                binding = {"lang": lang}
-                if "score" in names:
-                    binding["score"] = 1
-                self.register(query, binding)
-
-    def detach(self, index: int) -> None:
-        for view in self.views.pop(index):
-            view.detach()
-        self.registered.pop(index)
-        self.logs.pop(index)
-
-    def apply(self, op) -> None:
-        for graph in self.graphs:
-            op(graph)
-
-    def assert_consistent(self, use_oracle: bool = False) -> None:
-        for (query, parameters), (columnar, baseline) in zip(
-            self.registered, self.views
-        ):
-            assert columnar.multiset() == baseline.multiset(), (query, parameters)
-            if use_oracle:
-                assert columnar.multiset() == oracle(
-                    self.graphs[0], query, parameters
-                ), (query, parameters)
-        for (query, parameters), (columnar_log, baseline_log) in zip(
-            self.registered, self.logs
-        ):
-            assert columnar_log == baseline_log, (query, parameters)
-
-
-def _drive(pair, rng, operations=60, rollback_chance=0.08, oracle_every=20):
-    for step in range(operations):
-        vertices = list(pair.graphs[0].vertices())
-        edges = list(pair.graphs[0].edges())
-        if rng.random() < rollback_chance:
-            ops = [
-                _columnar_op(rng, vertices, edges)
-                for _ in range(rng.randint(1, 4))
-            ]
-
-            def aborted(graph, ops=ops):
-                try:
-                    with graph.transaction():
-                        for op in ops:
-                            op(graph)
-                        raise _Abort()
-                except (_Abort, GraphError):
-                    pass
-
-            pair.apply(aborted)
-        else:
-            pair.apply(_columnar_op(rng, vertices, edges))
-        pair.assert_consistent(use_oracle=step % oracle_every == 0)
-    pair.assert_consistent(use_oracle=True)
-
-
-#: the outer-join query exercises the dissolved right-count map
+#: the outer-join query exercises the right count that lives in the store
 #: (``ColumnStore.key_weight``) — not part of the shared corpus
 OPTIONAL_QUERY = (
     "MATCH (p:Post) OPTIONAL MATCH (p)-[:REPLY]->(c:Comm) RETURN p, c"
 )
+#: values Python equality conflates
+HOSTILE = (1, True, 1.0)
+
+
+def fold(bag: dict, items) -> None:
+    """Add signed ``(row, mult)`` items into *bag*, dropping zero counts."""
+    for row, mult in items:
+        count = bag.get(row, 0) + mult
+        if count:
+            bag[row] = count
+        else:
+            del bag[row]
+
+
+def _bindings():
+    for query, names in PARAM_QUERIES:
+        for lang in LANGS[:3]:
+            yield query, {"lang": lang, **({"score": 1} if "score" in names else {})}
+
+
+def _hostile_op(rng: random.Random, vertices, edges):
+    """The shared mutation pool, with ``1``/``True``/``1.0`` property values."""
+    if vertices and rng.random() < 0.3:
+        vertex = rng.choice(vertices)
+        key, value = rng.choice(("lang", "score")), rng.choice(HOSTILE)
+        return lambda g: g.set_vertex_property(vertex, key, value)
+    return _columnar_op(rng, vertices, edges)
+
+
+class RecomputationMirror:
+    """One engine whose views are held to recomputation and to their own
+    ``on_change`` streams.  The graph starts with a dozen vertices and
+    edges, so views populate over data before the stream begins."""
+
+    def __init__(self, plain: bool = True, **flags):
+        self.graph = PropertyGraph()
+        rng = random.Random(5)
+        for _ in range(12):
+            self.graph.add_vertex(
+                labels=rng.sample(SP_LABELS, rng.randint(1, 2)),
+                properties={
+                    "lang": rng.choice(SP_VALUES),
+                    "score": rng.choice(SCORES),
+                },
+            )
+        vertices = list(self.graph.vertices())
+        for _ in range(16):
+            self.graph.add_edge(
+                rng.choice(vertices), rng.choice(vertices), rng.choice(SP_EDGE_TYPES)
+            )
+        self.engine = QueryEngine(self.graph, **flags)
+        self.plain = plain
+        self.op = _columnar_op if plain else _hostile_op
+        self.registered: list[tuple[str, dict | None]] = []
+        self.views: list = []
+        self.replays: list[dict] = []
+
+    def close(self) -> None:
+        self.engine.shutdown()
+
+    def register(self, query: str, parameters=None) -> None:
+        view = self.engine.register(query, parameters=parameters)
+        replay = dict(view.multiset())
+        view.on_change(lambda delta: fold(replay, delta.items()))
+        self.registered.append((query, parameters))
+        self.views.append(view)
+        self.replays.append(replay)
+
+    def register_all(self) -> None:
+        for query in QUERIES:
+            self.register(query)
+        for query, parameters in _bindings():
+            self.register(query, parameters)
+        self.register(OPTIONAL_QUERY)
+
+    def detach(self, index: int) -> None:
+        self.views.pop(index).detach()
+        self.registered.pop(index)
+        self.replays.pop(index)
+
+    def same(self, left, right) -> bool:
+        if self.plain:
+            return exact(left) == exact(right)
+        return dict(left) == dict(right)
+
+    def assert_consistent(self) -> None:
+        for (query, parameters), view, replay in zip(
+            self.registered, self.views, self.replays
+        ):
+            held = view.multiset()
+            recomputed = self.engine.evaluate(query, parameters, use_views=False)
+            assert self.same(held, recomputed.multiset()), (query, parameters)
+            assert self.same(replay, held), (query, parameters)
+
+    def step(self, rng: random.Random, rollback_chance: float = 0.08) -> None:
+        """One mutation, or a transaction of a few that rolls back or
+        commits (one batch under ``batch_transactions``)."""
+        vertices = list(self.graph.vertices())
+        edges = list(self.graph.edges())
+        roll = rng.random()
+        if roll >= rollback_chance + 0.25:
+            self.op(rng, vertices, edges)(self.graph)
+            return
+        ops = [self.op(rng, vertices, edges) for _ in range(rng.randint(1, 4))]
+        try:
+            with self.graph.transaction():
+                for op in ops:
+                    op(self.graph)
+                if roll < rollback_chance:
+                    raise _Abort()
+        except (_Abort, GraphError):
+            pass
+
+
+def _drive(mirror, rng, operations=60):
+    for _ in range(operations):
+        mirror.step(rng)
+        mirror.assert_consistent()
 
 
 class TestColumnarMemoryDifferential:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_stream_matches_row_dict_baseline(self, seed):
-        pair = MemoryMirrorPair()
-        pair.register_all()
-        pair.register(OPTIONAL_QUERY)
-        _drive(pair, random.Random(1300 + seed))
+    def test_random_stream_matches_recomputation(self, seed):
+        mirror = RecomputationMirror()
+        mirror.register_all()
+        _drive(mirror, random.Random(1300 + seed))
 
     @pytest.mark.parametrize(
         "flags",
@@ -156,106 +182,161 @@ class TestColumnarMemoryDifferential:
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )
-    def test_flag_matrix_matches_row_dict_baseline(self, flags):
-        """Column memories compose with every existing ablation flag —
-        including row deltas folding into column stores and the sharded
-        tier replicating the flag into worker processes."""
-        pair = MemoryMirrorPair(**flags)
+    def test_flag_matrix_matches_recomputation(self, flags):
+        """Column memories compose with every engine flag — including row
+        deltas folding into column stores and the sharded tier."""
+        mirror = RecomputationMirror(**flags)
         try:
-            pair.register_all()
-            pair.register(OPTIONAL_QUERY)
-            _drive(pair, random.Random(64), operations=30, oracle_every=10)
+            mirror.register_all()
+            _drive(mirror, random.Random(64), operations=30)
         finally:
-            pair.close()
+            mirror.close()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    def test_hostile_values_match_recomputation_as_bags(self, batched):
+        """``1``/``True``/``1.0`` properties through every memory kind;
+        ``==``-equal values may keep a stored type, so bags compare by
+        ``==`` here."""
+        mirror = RecomputationMirror(plain=False, batch_transactions=batched)
+        mirror.register_all()
+        _drive(mirror, random.Random(77), operations=40)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_mid_stream_register_and_detach(self, seed):
-        """Late joiners replay shared state (always row-form) into column
-        stores; detach releases interned rows without disturbing twins."""
+        """Late joiners replay shared state into column stores; detaching
+        one view leaves its twins intact."""
         rng = random.Random(1400 + seed)
-        pair = MemoryMirrorPair()
-        pair.register(QUERIES[2])
-        pool = [(query, None) for query in QUERIES] + [
-            (query, {"lang": lang, **({"score": 1} if "score" in names else {})})
-            for query, names in PARAM_QUERIES
-            for lang in LANGS[:3]
-        ]
-        for step in range(50):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+        mirror = RecomputationMirror()
+        mirror.register(QUERIES[2])
+        pool = [(query, None) for query in QUERIES] + list(_bindings())
+        pool.append((OPTIONAL_QUERY, None))
+        for _ in range(50):
             roll = rng.random()
             if roll < 0.15:
-                query, parameters = pool[rng.randrange(len(pool))]
-                pair.register(query, parameters)
-            elif roll < 0.25 and len(pair.views) > 1:
-                pair.detach(rng.randrange(len(pair.views)))
+                mirror.register(*pool[rng.randrange(len(pool))])
+            elif roll < 0.25 and len(mirror.views) > 1:
+                mirror.detach(rng.randrange(len(mirror.views)))
             else:
-                pair.apply(_columnar_op(rng, vertices, edges))
-            pair.assert_consistent(use_oracle=step % 10 == 0)
-        pair.assert_consistent(use_oracle=True)
+                mirror.step(rng, rollback_chance=0)
+            mirror.assert_consistent()
 
     def test_state_delta_replay_parity_after_stream(self):
-        """Shared-node replay out of column stores must hand late twins
-        the same row-form contents the row-dict baseline replays."""
+        """Registering every query again after a long stream replays the
+        shared column stores into fresh views equal to recomputation."""
         rng = random.Random(11)
-        pair = MemoryMirrorPair()
-        pair.register_all()
-        pair.register(OPTIONAL_QUERY)
+        mirror = RecomputationMirror()
+        mirror.register_all()
         for _ in range(40):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
-            pair.apply(_columnar_op(rng, vertices, edges))
-        before = len(pair.views)
-        for query, parameters in list(pair.registered[:before]):
-            pair.register(query, parameters)
-        for (query, parameters), (columnar, _) in zip(
-            pair.registered[before:], pair.views[before:]
-        ):
-            assert columnar.multiset() == oracle(
-                pair.graphs[0], query, parameters
-            ), (query, parameters)
-        pair.assert_consistent(use_oracle=True)
+            mirror.step(rng, rollback_chance=0)
+        for query, parameters in list(mirror.registered):
+            mirror.register(query, parameters)
+        mirror.assert_consistent()
 
-    def test_accounting_keeps_meaning_across_representations(self):
-        """memory_size counts entries and stays identical both ways;
-        memory_cells counts stored fields, so the columnar number may
-        only shrink (key dedup), never grow."""
-        pair = MemoryMirrorPair()
-        pair.register_all()
-        pair.register(OPTIONAL_QUERY)
+    def test_accounting_depends_on_state_not_history(self):
+        """memory_size counts entries and memory_cells stored fields: an
+        engine maintained through churn (freed and reused slots) reports
+        exactly what one populated over the final graph reports."""
         rng = random.Random(21)
+        mirror = RecomputationMirror()
+        mirror.register_all()
         for _ in range(40):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
-            pair.apply(_columnar_op(rng, vertices, edges))
-        columnar, baseline = pair.engines
-        assert columnar.memory_size() == baseline.memory_size()
-        assert 0 < columnar.memory_cells() <= baseline.memory_cells()
+            mirror.step(rng, rollback_chance=0)
+        fresh = QueryEngine(mirror.graph)
+        for query, parameters in mirror.registered:
+            fresh.register(query, parameters)
+        assert mirror.engine.memory_cells() > 0
+        assert fresh.memory_size() == mirror.engine.memory_size()
+        assert fresh.memory_cells() == mirror.engine.memory_cells()
 
-    def test_detaching_every_view_empties_the_intern_pool(self):
-        """dispose() releases each node's interned rows — after the last
-        view detaches the engine-wide pool must be empty, or refcounts
-        leaked somewhere in the fold/teardown paths."""
-        graph = PropertyGraph()
-        engine = QueryEngine(graph, detached_cache_size=0)
-        incremental = engine._incremental
-        assert incremental.interner is not None
-        views = [engine.register(query) for query in QUERIES]
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    def test_detaching_every_view_drains_every_memory_and_index(self, batched):
+        """After the last view detaches nothing is left: no memory cell,
+        no shared node, no router registration, no catalog root."""
+        mirror = RecomputationMirror(
+            detached_cache_size=0, batch_transactions=batched
+        )
+        mirror.register_all()
         rng = random.Random(31)
         for _ in range(30):
-            vertices = list(graph.vertices())
-            edges = list(graph.edges())
-            _columnar_op(rng, vertices, edges)(graph)
-        assert len(incremental.interner) > 0
-        for view in views:
-            view.detach()
-        assert len(incremental.interner) == 0
+            mirror.step(rng, rollback_chance=0.2)
+        engine = mirror.engine
+        layer = engine._incremental.input_layer
+        assert engine.memory_cells() > 0 and layer.node_count > 0
+        while mirror.views:
+            mirror.detach(rng.randrange(len(mirror.views)))
+        assert engine.memory_cells() == 0
+        assert layer.node_count == 0
+        assert len(layer.router) == 0
+        assert engine.catalog._roots == {} and engine.catalog._root_keys == {}
+
+
+class _Collector(Node):
+    def __init__(self, width: int):
+        super().__init__(_Schema(width))
+        self.bag: dict = {}
+
+    def apply(self, delta, side) -> None:
+        fold(self.bag, delta.items())
+
+
+def _spec(kind, left: dict, right: dict) -> dict:
+    """⋈ / ▷ / ⟕ of two ``(key, value)`` bags, recomputed from scratch."""
+    out: dict = {}
+    for row, m in left.items():
+        matches = [(other, m2) for other, m2 in right.items() if other[0] == row[0]]
+        if kind is AntiJoinNode:
+            fold(out, [] if matches else [(row, m)])
+        elif matches:
+            fold(out, [(row + other[1:], m * m2) for other, m2 in matches])
+        elif kind is LeftOuterJoinNode:
+            fold(out, [(row + (None,), m)])
+    return out
+
+
+class TestJoinFamilyAgainstRecomputation:
+    """Each join-family node, fed random batches on both sides in either
+    delta form, holds an output that recomputation over the two input bags
+    reproduces after every batch."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kind", [JoinNode, AntiJoinNode, LeftOuterJoinNode], ids=lambda k: k.__name__
+    )
+    def test_batches_in_either_form_match_recomputation(self, kind, seed):
+        rng = random.Random(seed)
+        if kind is AntiJoinNode:
+            node, width = kind(_Schema(2), [0], [0]), 2
+        else:
+            node, width = kind(_Schema(3), [0], [0], [1]), 3
+            if kind is LeftOuterJoinNode:
+                node.configure_nulls(1)
+        collector = _Collector(width)
+        node.subscribe(collector)
+        bags = ({}, {})
+        for _ in range(40):
+            side = rng.choice((LEFT, RIGHT))
+            held, rows, mults = dict(bags[side]), [], []
+            for _ in range(rng.randint(1, 6)):
+                if held and rng.random() < 0.4:
+                    row = rng.choice(sorted(held))
+                    mult = -1
+                else:
+                    row, mult = (rng.randrange(3), rng.choice("ab")), rng.choice((1, 2))
+                fold(held, [(row, mult)])
+                rows.append(row)
+                mults.append(mult)
+            batch = ColumnDelta.from_rows(rows, mults, 2)
+            node.apply(batch if rng.random() < 0.6 else batch.to_delta(), side)
+            bags[side].clear()
+            bags[side].update(held)
+            assert exact(collector.bag) == exact(_spec(kind, *bags))
 
 
 class TestColumnStore:
     def _mirror(self, seed, key_cols=(0,), payload_cols=(1, 2), bulk=False):
-        """Drive identical folds through a ColumnStore and a row-dict
-        index; return both."""
+        """Drive identical folds through a ColumnStore and the reference
+        dict fold; return both.  *bulk* feeds the store column batches —
+        the first half bulk-loads the empty store, the second folds."""
         rng = random.Random(seed)
         store = ColumnStore(key_cols, payload_cols)
         rows = [
@@ -266,12 +347,15 @@ class TestColumnStore:
         mults = [rng.choice((-2, -1, 0, 1, 2)) for _ in rows]
         plain: dict = {}
         if bulk:
-            store.insert_batch(keys, rows, mults)
+            for part in (slice(0, 150), slice(150, None)):
+                part_rows = rows[part]
+                columns = [[row[i] for row in part_rows] for i in range(3)]
+                store.insert_columns(keys[part], columns, mults[part])
         else:
             for key, row, mult in zip(keys, rows, mults):
                 store.insert(key, row, mult)
         for key, row, mult in zip(keys, rows, mults):
-            index_insert(plain, key, row, mult)
+            dict_fold(plain, key, row, mult)
         return store, plain
 
     def _as_dict(self, store):
@@ -283,17 +367,7 @@ class TestColumnStore:
     def test_insert_matches_row_dict_index(self, bulk):
         store, plain = self._mirror(5, bulk=bulk)
         assert self._as_dict(store) == plain
-        assert index_size(store) == index_size(plain)
-
-    def test_index_update_dispatches_to_store(self):
-        store = ColumnStore((0,), (1,))
-        plain: dict = {}
-        keys = [(1,), (2,), (1,)]
-        rows = [(1, "a"), (2, "b"), (1, "a")]
-        mults = [1, 1, -1]
-        index_update(store, keys, rows, mults)
-        index_update(plain, keys, rows, mults)
-        assert self._as_dict(store) == plain
+        assert store.size() == sum(len(bucket) for bucket in plain.values())
 
     def test_insert_columns_matches_row_form(self):
         rng = random.Random(9)
@@ -303,8 +377,11 @@ class TestColumnStore:
         columns = [list(col) for col in zip(*rows)]
         by_columns = ColumnStore((0,), (1,))
         by_columns.insert_columns(keys, columns, mults)
+        by_columns.insert_columns(keys, columns, mults)  # the fold path
         by_rows = ColumnStore((0,), (1,))
-        by_rows.insert_batch(keys, rows, mults)
+        for _ in range(2):
+            for key, row, mult in zip(keys, rows, mults):
+                by_rows.insert(key, row, mult)
         assert self._as_dict(by_columns) == self._as_dict(by_rows)
 
     def test_cancelled_slots_go_on_the_free_list_and_get_reused(self):
@@ -335,14 +412,13 @@ class TestColumnStore:
 
     def test_cells_counts_keys_once_per_distinct_key(self):
         store = ColumnStore((0, 1), (2,))
-        for suffix in "abc":
-            store.insert((1, 2), (1, 2, suffix), 1)
-        # 3 payload cells + one 2-wide key vs 9 cells in the row path
-        assert store.cells() == 5
         plain: dict = {}
         for suffix in "abc":
-            index_insert(plain, (1, 2), (1, 2, suffix), 1)
-        assert index_cells(plain) == 9
+            store.insert((1, 2), (1, 2, suffix), 1)
+            dict_fold(plain, (1, 2), (1, 2, suffix), 1)
+        # 3 payload cells + one 2-wide key vs 9 cells stored row by row
+        assert store.cells() == 5
+        assert sum(len(row) for bucket in plain.values() for row in bucket) == 9
 
     def test_bucket_is_re_iterable_within_one_step(self):
         store = ColumnStore((0,), (1,))
@@ -426,57 +502,3 @@ class TestColumnStore:
         (key, bucket), = store.select([(0, 4.0), (1, 2.0)])[1]
         assert [repr(row) for row, _ in bucket.items()] == ["(4, 2)"]
         assert store.stored((7,)) is None
-
-
-class TestRowInterner:
-    def test_refcounted_canonicalisation(self):
-        interner = RowInterner()
-        first = (1, "en")
-        second = (1, "en")
-        assert interner.intern(first) is first
-        assert interner.intern(second) is first  # canonical survivor
-        assert len(interner) == 1
-        interner.release((1, "en"))
-        assert len(interner) == 1  # one reference still out
-        interner.release((1, "en"))
-        assert len(interner) == 0
-
-    def test_type_exact_pooling(self):
-        """1 == True == 1.0 in Python; the pool must never hand a view a
-        differently-typed equal tuple."""
-        interner = RowInterner()
-        as_int = interner.intern((7, 1))
-        as_bool = interner.intern((7, True))
-        as_float = interner.intern((7, 1.0))
-        assert as_int == as_bool == as_float
-        assert isinstance(as_int[1], int) and not isinstance(as_int[1], bool)
-        assert as_bool[1] is True
-        assert isinstance(as_float[1], float)
-        assert len(interner) == 3
-
-    def test_non_atomic_rows_pass_through_unpooled(self):
-        interner = RowInterner()
-        row = (1, [2, 3])
-        assert interner.intern(row) is row
-        assert len(interner) == 0
-        interner.release(row)  # symmetric no-op
-
-    def test_short_rows_pass_through_unpooled(self):
-        """Pooling a 1-tuple costs more than sharing it saves — aggregate
-        outputs churn through them on every transition."""
-        interner = RowInterner()
-        for row in ((), (7,)):
-            assert interner.intern(row) is row
-            interner.release(row)
-        assert len(interner) == 0
-
-    def test_release_all(self):
-        interner = RowInterner()
-        rows = [interner.intern((i, i)) for i in range(5)]
-        interner.release_all(rows)
-        assert len(interner) == 0
-
-    def test_release_of_unknown_row_is_a_no_op(self):
-        interner = RowInterner()
-        interner.release((1, 2))
-        assert len(interner) == 0

@@ -166,13 +166,13 @@ class TestPopulateEqualsIncremental:
 
 class TestRowPathGuard:
     def test_corpus_registers_without_the_row_join_loop(self, monkeypatch):
-        """Default flags: populate never reaches ⋈'s row-store loop nor
+        """Default flags: populate never reaches ⋈'s row loop nor
         materialises a batch's row tuples."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("populate took a row path")
 
-        monkeypatch.setattr(JoinNode, "_apply_row_store", forbidden)
+        monkeypatch.setattr(JoinNode, "_apply_rows", forbidden)
         monkeypatch.setattr(ColumnDelta, "rows", forbidden)
         graph = hostile_snb()
         for labels, value in ((["X"], 1), (["Y"], 2.0)):
@@ -413,6 +413,53 @@ def join_batches(left_width, right_width, left_key, right_key):
     return st.lists(st.sampled_from([LEFT, RIGHT]).flatmap(batch), max_size=10)
 
 
+def dict_fold(index: dict, key, row, mult) -> None:
+    """One occurrence into a ``key → {row: mult}`` index, pruning zeros."""
+    bucket = index.setdefault(key, {})
+    count = bucket.get(row, 0) + mult
+    if count:
+        bucket[row] = count
+    else:
+        bucket.pop(row, None)
+        if not bucket:
+            del index[key]
+
+
+class RowDictJoin(Node):
+    """Reference ⋈: row-dict memories, one row tuple per occurrence."""
+
+    def __init__(self, schema, left_key, right_key, right_extra):
+        super().__init__(schema)
+        self.left_key, self.right_key, self.extra = left_key, right_key, right_extra
+        self.left_index: dict = {}
+        self.right_index: dict = {}
+
+    def apply(self, delta: ColumnDelta, side) -> None:
+        rows, mults = delta.rows(), delta.mults
+        if side == LEFT:
+            keys = delta.key_column(self.left_key)
+            probed, own = self.right_index, self.left_index
+        else:
+            keys = delta.key_column(self.right_key)
+            probed, own = self.left_index, self.right_index
+        out_rows, out_mults = [], []
+        for key, row, mult in zip(keys, rows, mults):
+            for other, m2 in probed.get(key, {}).items():
+                left, right = (row, other) if side == LEFT else (other, row)
+                out_rows.append(left + tuple(right[i] for i in self.extra))
+                out_mults.append(mult * m2)
+        for key, row, mult in zip(keys, rows, mults):
+            dict_fold(own, key, row, mult)
+        self.emit(ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names)))
+
+    def memory_size(self) -> int:
+        return sum(
+            len(bucket)
+            for index in (self.left_index, self.right_index)
+            for bucket in index.values()
+        )
+
+
 class TestGatheredJoin:
     @settings(max_examples=120, deadline=None)
     @given(shape=st.sampled_from(JOIN_SHAPES), data=st.data())
@@ -420,10 +467,8 @@ class TestGatheredJoin:
         left_width, right_width, left_key, right_key, extra = shape
         width = left_width + len(extra)
         nodes, collectors = [], []
-        for columnar in (True, False):
-            node = JoinNode(
-                _Schema(width), left_key, right_key, extra, columnar_memories=columnar
-            )
+        for kind in (JoinNode, RowDictJoin):
+            node = kind(_Schema(width), left_key, right_key, extra)
             collector = Collector(node.schema)
             node.subscribe(collector)
             nodes.append(node)

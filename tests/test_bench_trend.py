@@ -39,7 +39,6 @@ class TestRegression:
 
 class TestCompare:
     BASELINES = {
-        "columnar_memory": {"cells_reduction": 1.7, "churn_speedup": 1.0},
         "sharing": {"memory_ratio": 2.4, "throughput_speedup": 1.9},
         "param_sharing": {
             "memory_ratio": 8.9,
@@ -65,17 +64,17 @@ class TestCompare:
 
     def test_improvements_pass(self):
         fresh = self.fresh(
-            columnar_memory={"cells_reduction": 3.0},
+            sharing={"memory_ratio": 3.0},
             param_sharing={"shared_layer_growth": 0.8},
         )
         failures, _ = bench_trend.compare(self.BASELINES, fresh)
         assert failures == []
 
     def test_hard_regression_fails(self):
-        fresh = self.fresh(columnar_memory={"cells_reduction": 1.0})
+        fresh = self.fresh(sharing={"memory_ratio": 1.0})
         failures, _ = bench_trend.compare(self.BASELINES, fresh)
         assert len(failures) == 1
-        assert "columnar_memory.cells_reduction" in failures[0]
+        assert "sharing.memory_ratio" in failures[0]
 
     def test_lower_is_better_metric_fails_when_it_grows(self):
         fresh = self.fresh(param_sharing={"shared_layer_growth": 1.9})
@@ -98,9 +97,9 @@ class TestCompare:
 
     def test_missing_metric_fails(self):
         fresh = self.fresh()
-        del fresh["columnar_memory"]["cells_reduction"]
+        del fresh["sharing"]["memory_ratio"]
         failures, _ = bench_trend.compare(self.BASELINES, fresh)
-        assert any("cells_reduction: metric missing" in f for f in failures)
+        assert any("memory_ratio: metric missing" in f for f in failures)
 
     def test_unbaselined_experiment_is_skipped(self):
         baselines = {"sharing": dict(self.BASELINES["sharing"])}
@@ -108,7 +107,7 @@ class TestCompare:
         assert failures == []
 
     def test_regression_within_tolerance_passes(self):
-        fresh = self.fresh(columnar_memory={"cells_reduction": 1.7 * 0.75})
+        fresh = self.fresh(sharing={"memory_ratio": 2.4 * 0.75})
         failures, _ = bench_trend.compare(self.BASELINES, fresh)
         assert failures == []
         failures, _ = bench_trend.compare(
