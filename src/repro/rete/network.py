@@ -618,7 +618,7 @@ class ReteNetwork:
                 if not self.columnar_deltas:
                     delta = as_row_delta(delta)
                 elif type(delta) is Delta:
-                    delta = ColumnDelta.from_delta(delta, len(node.schema.names))
+                    delta = ColumnDelta.from_delta(delta, len(node.schema))
                 answers[id(node)] = delta
             if delta:
                 rows += len(delta)

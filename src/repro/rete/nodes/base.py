@@ -90,7 +90,7 @@ class Node:
         transpose) keeps the counting-linear nodes below — a ⋈ over a ⋈*,
         say — on their column kernels, at populate as in batched commits."""
         if type(received) is ColumnDelta and out:
-            out = ColumnDelta.from_delta(out, len(self.schema.names))
+            out = ColumnDelta.from_delta(out, len(self.schema))
         self.emit(out)
 
     def _emit_traced(self, tracer, delta, rows: int, columnar: bool) -> None:

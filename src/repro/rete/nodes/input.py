@@ -84,7 +84,7 @@ class _GraphInputNode(Node):
         subscribers (one transpose for the whole batch)."""
         delta = self.batch_delta(batch)
         if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
+            self.emit(ColumnDelta.from_delta(delta, len(self.schema)))
         else:
             self.emit(delta)
 

@@ -12,12 +12,13 @@ each node has one loop per delta form: a row loop over a
 a :class:`~repro.rete.deltas.ColumnDelta` (batched mode and populate).
 In the column loop key columns are extracted with one C-level transpose,
 the key column probes the store and the batch's value columns fold in
-directly (``insert_columns``, a bulk copy into a store that is still
-empty, as every memory is at populate); ⋈ gathers its output column by
-column and builds no row tuple at all.  All four maintenance rules are
-linear in row occurrences, so the column loops are exact on
-unconsolidated batches (duplicate occurrences sum; any compensating
-output pairs cancel at the next consolidation boundary).
+directly (``insert_columns``: a bulk copy into a store that is still
+empty, as every memory is at populate, and the batch fold after that).
+⋈ and the left sides of ▷ and ⟕ gather their output column by column
+and build no row tuple at all.  All four maintenance rules are linear in
+row occurrences, so the column loops are exact on unconsolidated batches
+(duplicate occurrences sum; any compensating output pairs cancel at the
+next consolidation boundary).
 
 The right store of ⋈/⟕ keeps its payload in ``right_extra`` order, so
 probe hits *are* the merge suffixes.  The left outer join keeps no
@@ -39,6 +40,21 @@ def _complement(key: list[int], width: int) -> list[int]:
     return [i for i in range(width) if i not in covered]
 
 
+def _pair(store: ColumnStore, keys: list[tuple]):
+    """Batch positions paired with the *store* slots their keys match (one
+    entry per pair, in parallel lists), and the positions that match none."""
+    at: list[int] = []
+    slots: list[int] = []
+    missed: list[int] = []
+    for position, found in enumerate(map(store.index.get, keys)):
+        if found is None:
+            missed.append(position)
+        else:
+            slots += found
+            at += [position] * len(found)
+    return at, slots, missed
+
+
 class JoinNode(Node):
     """⋈ — natural join with two hash memories."""
 
@@ -53,7 +69,7 @@ class JoinNode(Node):
         self.left_key = left_key
         self.right_key = right_key
         self.right_extra = right_extra
-        left_width = len(schema.names) - len(right_extra)
+        left_width = len(schema) - len(right_extra)
         self.left_index = ColumnStore(left_key, _complement(left_key, left_width))
         # payload order == right_extra: probe hits are merge suffixes
         self.right_index = ColumnStore(right_key, right_extra)
@@ -108,12 +124,7 @@ class JoinNode(Node):
         else:
             keys = delta.key_column(self.right_key)
             probed, own = self.left_index, self.right_index
-        at: list[int] = []
-        slots: list[int] = []
-        for position, found in enumerate(map(probed.index.get, keys)):
-            if found is not None:
-                slots += found
-                at += [position] * len(found)
+        at, slots, _ = _pair(probed, keys)
         if at:
             from_batch, from_store = gather(at), gather(slots)
             if side == LEFT:
@@ -132,7 +143,7 @@ class JoinNode(Node):
             out_mults = list(map(mul, from_batch(mults), from_store(probed.mults)))
         own.insert_columns(keys, cols, mults)
         if at:
-            self.emit(ColumnDelta(out, out_mults, len(self.schema.names)))
+            self.emit(ColumnDelta(out, out_mults, len(self.schema)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         """The join of the two memories, narrowed by *restriction*.
@@ -200,7 +211,7 @@ class AntiJoinNode(Node):
         self.left_key = left_key
         self.right_key = right_key
         self.left_index = ColumnStore(
-            left_key, _complement(left_key, len(schema.names))
+            left_key, _complement(left_key, len(schema))
         )
         # the right memory is a per-key count: no rows are stored, so there
         # is nothing for column storage to deduplicate
@@ -237,43 +248,35 @@ class AntiJoinNode(Node):
 
     def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
         mults = delta.mults
+        if side == LEFT:
+            # the output is the batch at its unmatched positions, taken
+            # column by column; the fold reads the columns directly
+            keys = delta.key_column(self.left_key)
+            count = self.right_counts.get
+            unmatched = [pos for pos, key in enumerate(keys) if not count(key, 0)]
+            self.left_index.insert_columns(keys, delta.columns, mults)
+            self.emit(delta.take(unmatched))
+            return
         out_rows: list[tuple] = []
         out_mults: list[int] = []
-        if side == LEFT:
-            # emit-side rows materialise only where the key is unmatched;
-            # the fold reads the columns directly
-            keys = delta.key_column(self.left_key)
-            unmatched = self.right_counts.get
-            cols = delta.columns
-            pos = 0
-            for key, multiplicity in zip(keys, mults):
-                if unmatched(key, 0) == 0:
-                    out_rows.append(tuple(col[pos] for col in cols))
-                    out_mults.append(multiplicity)
-                pos += 1
-            self.left_index.insert_columns(keys, cols, mults)
-        else:
-            keys = delta.key_column(self.right_key)
-            counts = self.right_counts
-            left = self.left_index.get
-            for key, multiplicity in zip(keys, mults):
-                before = counts.get(key, 0)
-                after = before + multiplicity
-                if after:
-                    counts[key] = after
-                else:
-                    counts.pop(key, None)
-                if before == 0 and after > 0:
-                    for left_row, m in left(key, {}).items():
-                        out_rows.append(left_row)
-                        out_mults.append(-m)
-                elif before > 0 and after == 0:
-                    for left_row, m in left(key, {}).items():
-                        out_rows.append(left_row)
-                        out_mults.append(m)
-        self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
-        )
+        counts = self.right_counts
+        left = self.left_index.get
+        for key, multiplicity in zip(delta.key_column(self.right_key), mults):
+            before = counts.get(key, 0)
+            after = before + multiplicity
+            if after:
+                counts[key] = after
+            else:
+                counts.pop(key, None)
+            if before == 0 and after > 0:
+                for left_row, m in left(key, {}).items():
+                    out_rows.append(left_row)
+                    out_mults.append(-m)
+            elif before > 0 and after == 0:
+                for left_row, m in left(key, {}).items():
+                    out_rows.append(left_row)
+                    out_mults.append(m)
+        self.emit(ColumnDelta.from_rows(out_rows, out_mults, len(self.schema)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
@@ -306,7 +309,7 @@ class LeftOuterJoinNode(Node):
         self.left_key = left_key
         self.right_key = right_key
         self.right_extra = right_extra
-        left_width = len(schema.names) - len(right_extra)
+        left_width = len(schema) - len(right_extra)
         self.left_index = ColumnStore(left_key, _complement(left_key, left_width))
         self.right_index = ColumnStore(right_key, right_extra)
         self._nulls = ()  # set by network builder via configure_nulls
@@ -366,58 +369,59 @@ class LeftOuterJoinNode(Node):
 
     def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
         """The right side keeps the row loop's per-occurrence interleaving
-        of joins, count transition and fold; the left side bulk-folds
-        because only the right memory drives null toggles."""
+        of joins and count transition, tallying each key's weight so the
+        store folds the batch once, after the loop.  The left side builds
+        no row tuple: matches are gathered as in ⋈, misses taken from the
+        batch and padded with ``None`` columns."""
         mults = delta.mults
         cols = delta.columns
+        if side == LEFT:
+            keys = delta.key_column(self.left_key)
+            probed = self.right_index
+            at, slots, unmatched = _pair(probed, keys)
+            from_batch, from_store, pad = gather(at), gather(slots), gather(unmatched)
+            out = [from_batch(col) + pad(col) for col in cols]
+            # payload order == right_extra: stored payloads are suffixes
+            nulls = [None] * len(unmatched)
+            out += [from_store(col) + nulls for col in probed.columns]
+            out_mults = list(map(mul, from_batch(mults), from_store(probed.mults)))
+            out_mults += pad(mults)
+            self.left_index.insert_columns(keys, cols, mults)
+            self.emit(ColumnDelta(out, out_mults, len(self.schema)))
+            return
         extra = self.right_extra
         nulls = self._nulls
         out_rows: list[tuple] = []
         out_mults: list[int] = []
-        if side == LEFT:
-            keys = delta.key_column(self.left_key)
-            probe = self.right_index.get
-            pos = 0
-            for key, multiplicity in zip(keys, mults):
-                row = tuple(col[pos] for col in cols)
-                bucket = probe(key)
-                if bucket is not None:
-                    for suffix, m2 in bucket.payloads():
-                        out_rows.append(row + suffix)
-                        out_mults.append(multiplicity * m2)
-                else:
-                    out_rows.append(row + nulls)
-                    out_mults.append(multiplicity)
-                pos += 1
-            self.left_index.insert_columns(keys, cols, mults)
-        else:
-            keys = delta.key_column(self.right_key)
-            left = self.left_index.get
-            right_store = self.right_index
-            pos = 0
-            for key, multiplicity in zip(keys, mults):
+        keys = delta.key_column(self.right_key)
+        left = self.left_index.get
+        right_store = self.right_index
+        # a key's right weight as folding the batch so far would leave it:
+        # a fold of m moves the bucket's summed multiplicity by exactly m
+        weights: dict[tuple, int] = {}
+        pos = 0
+        for key, multiplicity in zip(keys, mults):
+            bucket = left(key)
+            if bucket is not None:
                 suffix = tuple(cols[i][pos] for i in extra)
-                bucket = left(key)
-                if bucket is not None:
+                for left_row, m in bucket.items():
+                    out_rows.append(left_row + suffix)
+                    out_mults.append(multiplicity * m)
+                before = weights.get(key)
+                if before is None:
+                    before = right_store.key_weight(key)
+                after = weights[key] = before + multiplicity
+                if before == 0 and after > 0:
                     for left_row, m in bucket.items():
-                        out_rows.append(left_row + suffix)
-                        out_mults.append(multiplicity * m)
-                before = right_store.key_weight(key)
-                right_store.insert_payload(key, suffix, multiplicity)
-                after = before + multiplicity
-                if bucket is not None:
-                    if before == 0 and after > 0:
-                        for left_row, m in bucket.items():
-                            out_rows.append(left_row + nulls)
-                            out_mults.append(-m)
-                    elif before > 0 and after == 0:
-                        for left_row, m in bucket.items():
-                            out_rows.append(left_row + nulls)
-                            out_mults.append(m)
-                pos += 1
-        self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
-        )
+                        out_rows.append(left_row + nulls)
+                        out_mults.append(-m)
+                elif before > 0 and after == 0:
+                    for left_row, m in bucket.items():
+                        out_rows.append(left_row + nulls)
+                        out_mults.append(m)
+            pos += 1
+        right_store.insert_columns(keys, cols, mults)
+        self.emit(ColumnDelta.from_rows(out_rows, out_mults, len(self.schema)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()

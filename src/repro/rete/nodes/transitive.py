@@ -193,7 +193,7 @@ class TransitiveClosureNode(Node):
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
-        left_width = len(self.schema.names) - (2 if self.emit_path else 1)
+        left_width = len(self.schema) - (2 if self.emit_path else 1)
         for source, rows in _restricted_left(self, left_width, restriction):
             trails = [
                 trail
@@ -334,7 +334,7 @@ class ReachabilityNode(Node):
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
-        left_width = len(self.schema.names) - 1
+        left_width = len(self.schema) - 1
         for source, rows in _restricted_left(self, left_width, restriction):
             targets = self.reachable.get(source, ())
             for row, multiplicity in rows.items():

@@ -300,7 +300,7 @@ class BindingIndexedSelectionNode(Node):
                             routed[id(facade)] = slot
                         slot[1].append(row)
                         slot[2].append(multiplicity)
-        width = len(self.schema.names)
+        width = len(self.schema)
         for facade, out_rows, out_mults in routed.values():
             facade.emit(ColumnDelta.from_rows(out_rows, out_mults, width))
 

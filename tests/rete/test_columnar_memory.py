@@ -17,13 +17,16 @@ and ⟕ fed random batches in either delta form must hold what
 recomputation over their two input bags gives (the Cypher front end never
 emits ▷, so this is where its column loop is exercised).  Mechanics
 classes pin the store itself against a dict fold (write/read equivalence,
-free-list reuse, accounting), and the drain test pins that detaching
+free-list reuse, accounting) and its batch fold against its
+one-occurrence fold, slot for slot; the drain test pins that detaching
 every view empties every memory and index.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
@@ -502,3 +505,76 @@ class TestColumnStore:
         (key, bucket), = store.select([(0, 4.0), (1, 2.0)])[1]
         assert [repr(row) for row, _ in bucket.items()] == ["(4, 2)"]
         assert store.stored((7,)) is None
+
+
+#: one NaN object, reused: it matches itself only by identity
+FOLD_NAN = float("nan")
+#: values Python equality conflates (1/True/1.0, 0.0/-0.0) or does not
+#: reflect (NaN), beside plain ones
+FOLD_VALUES = st.sampled_from([1, True, 1.0, 0.0, -0.0, FOLD_NAN, None, "a"])
+#: (key columns, payload columns): one, two (permuted) and no payload columns
+FOLD_SHAPES = [((0,), (1,)), ((1,), (2, 0)), ((0,), ())]
+
+
+def fold_batches(width: int):
+    """Batches of occurrences: a fresh ``(row, mult)`` — mult 0 included —
+    or an integer naming an earlier occurrence to retract, which cancels
+    slots and later lets an equal row revive them."""
+    fresh = st.tuples(
+        st.tuples(*[FOLD_VALUES] * width), st.sampled_from([1, -1, 2, 0])
+    )
+    step = st.one_of(fresh, st.integers(0, 1000))
+    return st.lists(st.lists(step, min_size=1, max_size=12), min_size=2, max_size=8)
+
+
+class TestFoldKernel:
+    """``insert_columns``' batch fold leaves exactly the layout that
+    folding the same occurrences one at a time with ``insert`` leaves:
+    the same index keys (the very key objects, in order), buckets, cells
+    (the very objects), multiplicities and free list."""
+
+    @staticmethod
+    def assert_same_layout(batched: ColumnStore, single: ColumnStore) -> None:
+        assert len(batched.index) == len(single.index)
+        for (key, bucket), (other, slots) in zip(
+            batched.index.items(), single.index.items()
+        ):
+            assert key is other and bucket == slots
+        for column, other in zip(batched.columns, single.columns):
+            assert len(column) == len(other)
+            assert all(cell is held for cell, held in zip(column, other))
+        assert batched.mults == single.mults
+        assert batched.free == single.free
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from(FOLD_SHAPES), data=st.data())
+    def test_batch_fold_is_the_one_occurrence_fold(self, shape, data):
+        key_cols, payload_cols = shape
+        width = len(key_cols) + len(payload_cols)
+        batched = ColumnStore(key_cols, payload_cols)
+        single = ColumnStore(key_cols, payload_cols)
+        history: list[tuple[tuple, int]] = []
+        for steps in data.draw(fold_batches(width)):
+            rows, mults = [], []
+            for step in steps:
+                if isinstance(step, int):
+                    if not history:
+                        continue
+                    row, mult = history[step % len(history)]
+                    mult = -mult
+                else:
+                    row, mult = step
+                rows.append(row)
+                mults.append(mult)
+                if mult:
+                    history.append((row, mult))
+            keys = [tuple(row[i] for i in key_cols) for row in rows]
+            columns = [[row[i] for row in rows] for i in range(width)]
+            if not single.mults:
+                # both stores bulk-load the same first batch
+                single.insert_columns(keys, columns, mults)
+            else:
+                for key, row, mult in zip(keys, rows, mults):
+                    single.insert(key, row, mult)
+            batched.insert_columns(keys, columns, mults)
+            self.assert_same_layout(batched, single)

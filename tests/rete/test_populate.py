@@ -377,6 +377,9 @@ class _Schema:
     def __init__(self, width):
         self.names = tuple(f"c{i}" for i in range(width))
 
+    def __len__(self):
+        return len(self.names)
+
 
 #: (left width, right width, left key, right key, right extra)
 JOIN_SHAPES = [
