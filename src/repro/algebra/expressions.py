@@ -876,6 +876,13 @@ def compile_expr(
     return generated.row if resolver is None else generated.make(resolver)[0]
 
 
+def reads_graph(expr: ast.Expr, schema: Schema) -> bool:
+    """Whether *expr* over *schema* dereferences an entity column with a
+    resolver (a property, label or type lookup), so that its value depends
+    on the graph and not on the row alone."""
+    return "resolver." in _generated("value", (expr,), schema, True).source
+
+
 def compile_predicate(expr: ast.Expr, schema: Schema) -> Generated:
     """σ's predicate: ``row`` gives its value, ``cols`` the positions of a
     batch where it is exactly true."""

@@ -32,7 +32,8 @@ def _projections(projections: tuple[ops.PropertyProjection, ...], subject: str) 
     return "{" + ",".join(keys) + "}" if keys else ""
 
 
-def _node_label(op: ops.Operator) -> str:
+def format_label(op: ops.Operator) -> str:
+    """One operator's own label, without its children (``σ[...]``, ``δ``)."""
     if isinstance(op, ops.GetVertices):
         labels = "".join(f":{l}" for l in op.labels)
         return f"©({op.var}{labels}{_projections(op.projections, op.var)})"
@@ -120,7 +121,7 @@ def format_plan(op: ops.Operator, indent: int = 0, sources: bool = False) -> str
     Python source generated for its predicate / items — the code its Rete
     node runs.
     """
-    lines = ["  " * indent + _node_label(op)]
+    lines = ["  " * indent + format_label(op)]
     if sources and isinstance(op, (ops.Select, ops.Project)):
         schema = op.children[0].schema
         if isinstance(op, ops.Select):
@@ -136,7 +137,7 @@ def format_plan(op: ops.Operator, indent: int = 0, sources: bool = False) -> str
 
 def format_compact(op: ops.Operator) -> str:
     """Single-line rendering close to the paper's formulas."""
-    label = _node_label(op)
+    label = format_label(op)
     if not op.children:
         return label
     if isinstance(op, (ops.Join, ops.LeftOuterJoin, ops.AntiJoin, ops.Union)):

@@ -385,6 +385,7 @@ class QueryEngine:
             "stale_declines": "Declines forced by an open batch window",
             "memo_hits": "Catalog matches (hits and misses) served from the match memo",
             "listing_answers": "Exact hits returned as the view's maintained listing",
+            "residual_listing_answers": "Residual σ/δ/ORDER BY/SKIP/LIMIT reads served as a slice of a view's maintained listing",
         }
         for name, value in self._catalog.stats.as_dict().items():
             gauge(

@@ -27,11 +27,18 @@ from ..algebra.schema import Schema
 from ..cypher import ast
 from ..errors import EvaluationError
 from ..graph.graph import PropertyGraph
-from ..graph.values import ListValue, PathValue, order_key
+from ..graph.values import ListValue, PathValue
 from .projections import edge_projection_value, vertex_projection_value
-from .results import ResultTable, canonical_order
+from .results import ResultTable, canonical_order, sort_pass
 
 Bag = dict[tuple, int]
+
+
+def checked_count(value: Any) -> int:
+    """A ``SKIP``/``LIMIT`` count's value, or the error openCypher requires."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise EvaluationError(f"SKIP/LIMIT must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _add(bag: Bag, row: tuple, multiplicity: int) -> None:
@@ -163,10 +170,7 @@ class Interpreter:
         return ResultTable(plan.schema, rows, ordered=True, graph=self.graph)
 
     def _count_of(self, expr: ast.Expr) -> int:
-        value = self._compile(expr, Schema(()))((), self.ctx)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise EvaluationError(f"SKIP/LIMIT must be a non-negative integer, got {value!r}")
-        return value
+        return checked_count(self._compile(expr, Schema(()))((), self.ctx))
 
     def _expand(self, bag: Bag) -> list[tuple]:
         return [row for row, m in bag.items() for _ in range(m)]
@@ -188,15 +192,7 @@ class Interpreter:
         compiled = [(self._compile(e, schema), asc) for e, asc in sort.items]
         ctx = self.ctx
         for fn, ascending in reversed(compiled):  # stable multi-key sort
-            keys = [fn(row, ctx) for row in rows]
-            kinds = set(map(type, keys))
-            if kinds != {int} and kinds != {str}:
-                # within exactly int (or exactly str) values order_key is
-                # order-isomorphic to the value itself; anything else —
-                # bool, float/NaN, None, mixed, nested — sorts on order_key
-                keys = list(map(order_key, keys))
-            order = sorted(range(len(rows)), key=keys.__getitem__, reverse=not ascending)
-            rows = [rows[i] for i in order]
+            rows = sort_pass(rows, [fn(row, ctx) for row in rows], ascending)
         return rows
 
     # -- bag evaluation ---------------------------------------------------------

@@ -24,6 +24,22 @@ def canonical_order(rows: Iterable[tuple]) -> list[tuple]:
     return sorted(rows, key=row_order_key)
 
 
+def sort_pass(rows: list[tuple], keys: list, ascending: bool) -> list[tuple]:
+    """One ``ORDER BY`` item applied to *rows*, given each row's *keys*.
+
+    Stable, descending included, so applying the items last to first sorts
+    by all of them.  Within exactly ``int`` (or exactly ``str``) keys
+    :func:`order_key` is order-isomorphic to the value itself, so those sort
+    on the values; anything else — bool, float/NaN, None, mixed, nested —
+    sorts on ``order_key``.
+    """
+    kinds = set(map(type, keys))
+    if kinds != {int} and kinds != {str}:
+        keys = list(map(order_key, keys))
+    order = sorted(range(len(rows)), key=keys.__getitem__, reverse=not ascending)
+    return [rows[i] for i in order]
+
+
 class ResultTable:
     """An immutable query result.
 

@@ -11,7 +11,12 @@ Reads
 into canonical order once, and each later call splices in only the rows
 whose count changed since the previous one (see
 :meth:`~repro.rete.nodes.production.ProductionNode.sorted_rows`), so a
-read costs the changes since the last read, not a full sort.
+read costs the changes since the last read, not a full sort.  The same
+production node keeps *derived* listings — the bag filtered, deduplicated
+or ordered by bare columns — for the filtered and top-k reads
+``QueryEngine.evaluate`` serves over a view root
+(:meth:`~repro.rete.nodes.production.ProductionNode.listing`); every
+listing splices its own changes from one change log.
 
 Batched propagation
 -------------------
@@ -70,7 +75,8 @@ class View:
         return self._production.multiset()
 
     def rows(self) -> list[tuple]:
-        """Current contents, expanded and canonically ordered."""
+        """Current contents, expanded and canonically ordered: a copy of the
+        production node's canonical listing, brought up to date first."""
         return self._production.sorted_rows()
 
     def result_table(self) -> ResultTable:
@@ -571,13 +577,14 @@ class IncrementalEngine:
             )
 
     def _collect_listing_gauges(self) -> None:
-        """The read-listing gauges, summed over the live views' result bags
-        (see :meth:`ProductionNode.sorted_rows`)."""
+        """The read-listing gauges, summed over every listing, canonical and
+        derived, of the live views' result bags (see
+        :meth:`ProductionNode.listing`)."""
         productions = [view._production for view in self._views]
         gauge = self.metrics.registry.gauge
         for attribute, name, help in (
-            ("listing_splices", "repro_view_listing_splices_total", "View reads that spliced changed rows into the listing"),
-            ("listing_rebuilds", "repro_view_listing_rebuilds_total", "View reads that sorted the listing from scratch"),
+            ("listing_splices", "repro_view_listing_splices_total", "Listing reads that spliced changed rows in"),
+            ("listing_rebuilds", "repro_view_listing_rebuilds_total", "Listing reads that sorted from scratch"),
             ("listing_rows", "repro_view_listing_rows", "Rows held by view read listings (outside memory_cells)"),
         ):
             gauge(name, help).set(

@@ -37,17 +37,24 @@ Consistency rules (each one differentially tested):
   differ from the interpreter's trail semantics, so subtrees containing a
   transitive join are never served there.
 
-Read cost: an exact hit on a view root returns the production node's
-maintained canonical listing (O(changes since the last read), see
-:meth:`~repro.rete.nodes.production.ProductionNode.sorted_rows`) with no
-interpreter run; ``ORDER BY`` / ``SKIP`` / ``LIMIT`` directly over a root
-sorts that listing; any other residual reads a fresh copy of the bag.  The
-match itself is memoised per (compiled query, type-exact parameter
-bindings) and the memo is cleared on every view register/detach event —
-the only points where what :meth:`ViewCatalog.lookup` can see changes
-(``prune()`` and detached-LRU eviction run inside detach).  A memoised read
-therefore does not refresh a retained subplan's LRU recency; the first
-read after each lifecycle event does.
+Read cost: a read over one view root whose residual is a chain of σ (its
+predicate a function of the row alone), identity π and δ, optionally
+topped by ``ORDER BY`` on bare columns and ``SKIP`` / ``LIMIT``, is a slice
+of a listing the production node maintains for that spec (see
+:func:`listing_read` and
+:meth:`~repro.rete.nodes.production.ProductionNode.listing`): it costs the
+rows changed since that listing's last read plus the slice, with no bag
+copy, no interpreter run and no sort.  An exact hit is the same path with
+the empty spec, the canonical listing.  Any other residual — γ, joins, a
+second σ, sorting on an expression — and every shared-subplan hit runs the
+interpreter over a fresh copy of the materialised bag.  The match itself,
+with the listing spec it implies, is memoised per (compiled query,
+type-exact parameter bindings) and the memo is cleared on every view
+register/detach event — the only points where what
+:meth:`ViewCatalog.lookup` can see changes (``prune()`` and detached-LRU
+eviction run inside detach).  A memoised read therefore does not refresh a
+retained subplan's LRU recency; the first read after each lifecycle event
+does.
 """
 
 from __future__ import annotations
@@ -56,20 +63,31 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..algebra import ops
-from ..algebra.printer import format_compact
-from ..errors import InvalidValueError
-from ..eval.interpreter import Interpreter
+from ..algebra.expressions import (
+    EvalContext,
+    compile_expr,
+    compile_predicate,
+    reads_graph,
+)
+from ..algebra.printer import format_compact, format_label
+from ..algebra.schema import Schema
+from ..cypher import ast
+from ..errors import InvalidValueError, ReproError
+from ..eval.interpreter import Interpreter, checked_count
 from ..eval.results import ResultTable
 from ..rete.deltas import as_row_delta
+from ..rete.nodes.production import ListingSpec
 from ..rete.sharing import SharedSubplanLayer, binding_key, subplan_cache_key
 from .matcher import rewrite_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..compiler.pipeline import CompiledQuery
     from ..rete.engine import IncrementalEngine, View
+    from ..rete.nodes.production import ProductionNode
     from .rewriter import RewriteResult
 
 Bag = dict[tuple, int]
+_Match = tuple["RewriteResult", "ListingRead | None"]
 
 #: match-memo entries kept before the memo is cleared wholesale
 MATCH_MEMO_LIMIT = 1024
@@ -85,9 +103,9 @@ class MaterializedSource:
     description: str
     #: ``"view"`` (production-backed root) or ``"subplan"`` (shared node)
     kind: str
-    #: view roots only: returns the contents expanded in canonical order,
-    #: as a fresh list (the production node's maintained listing)
-    listing: Callable[[], list[tuple]] | None = None
+    #: view roots only: the production node whose maintained listings
+    #: serve reads (the canonical one feeds the scan's ``listing``)
+    production: "ProductionNode | None" = None
 
 
 @dataclass
@@ -104,9 +122,121 @@ class AnswerStats:
     stale_declines: int = 0  # fallbacks forced by an open batch window
     memo_hits: int = 0  # matches (hits and misses) served from the memo
     listing_answers: int = 0  # exact hits returned as a view's listing
+    residual_listing_answers: int = 0  # residuals served as a listing slice
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
+
+
+@dataclass(frozen=True)
+class ListingRead:
+    """A plan served as a slice of one view root's maintained listing."""
+
+    production: "ProductionNode"
+    spec: ListingSpec
+    #: the ``SKIP``/``LIMIT`` counts over the listing, innermost first, as
+    #: ``(is a limit, compiled count)``
+    slices: tuple[tuple[bool, Callable], ...]
+    #: the plan's top is ordering: its result is a sequence, not a bag
+    ordered: bool
+    #: the residual operators the listing stands for, outermost first
+    description: str
+
+    def serve(
+        self, schema, parameters: Mapping[str, Any], graph
+    ) -> ResultTable | None:
+        """The result table, or ``None`` when the listing's predicate
+        raised (the interpreter path then meets the error itself)."""
+        rows = self.production.listing(self.spec, parameters)
+        if rows is None:
+            return None
+        start, stop = 0, len(rows)
+        if self.slices:
+            ctx = EvalContext(dict(parameters))
+            for is_limit, count in self.slices:  # as Interpreter.run applies them
+                n = checked_count(count((), ctx))
+                if is_limit:
+                    stop = min(stop, start + n)
+                else:
+                    start = min(start + n, stop)
+        return ResultTable(
+            schema,
+            rows[start:stop],
+            ordered=self.ordered,
+            canonical=not self.ordered,
+            graph=graph,
+        )
+
+
+def listing_read(
+    rewrite: "RewriteResult", parameters: Mapping[str, Any]
+) -> ListingRead | None:
+    """Serve *rewrite* from its view root's listings, if its shape allows.
+
+    That shape is one exact root scan under a chain of σ (at most one, its
+    predicate a function of the row alone), identity π and δ, optionally
+    topped by a ``Sort`` on bare columns and then ``SKIP``/``LIMIT``.  The
+    σ, the δ and the sort items make the listing's spec; the counts slice
+    it.  Anything else is ``None``: the interpreter path serves it.
+    """
+    op = rewrite.plan
+    slices, labels = [], []
+    while isinstance(op, (ops.Skip, ops.Limit)):
+        try:
+            count = compile_expr(op.count, Schema(()))
+        except ReproError:
+            return None
+        slices.append((isinstance(op, ops.Limit), count))
+        labels.append(format_label(op))
+        op = op.children[0]
+    order: tuple[tuple[int, bool], ...] = ()
+    if isinstance(op, ops.Sort):
+        schema = op.children[0].schema
+        if not all(isinstance(e, ast.Variable) and e.name in schema for e, _ in op.items):
+            return None
+        order = tuple((schema.index_of(e.name), ascending) for e, ascending in op.items)
+        labels.append(format_label(op))
+        op = op.children[0]
+    select, distinct = None, False
+    while not isinstance(op, ops.ViewScan):
+        if isinstance(op, ops.Dedup):
+            distinct = True
+        elif isinstance(op, ops.Select) and select is None:
+            select = op
+        elif not (isinstance(op, ops.Project) and _identity(op)):
+            return None
+        if not isinstance(op, ops.Project):
+            labels.append(format_label(op))
+        op = op.children[0]
+    production = rewrite.sources[0].production
+    if production is None:
+        return None  # a shared subplan: no listings there
+    predicate, bindings = None, ()
+    if select is not None:
+        schema = select.children[0].schema
+        names = dict.fromkeys(
+            n.name for n in ast.walk(select.predicate) if isinstance(n, ast.Parameter)
+        )
+        try:
+            if reads_graph(select.predicate, schema):
+                return None
+            bindings = tuple((name, binding_key(parameters[name])) for name in names)
+            predicate = compile_predicate(select.predicate, schema).row
+        except (KeyError, TypeError, ReproError):
+            return None  # unbound, unkeyable or uncompilable: not a spec
+    return ListingRead(
+        production,
+        ListingSpec(predicate, bindings, distinct, order),
+        tuple(reversed(slices)),
+        bool(slices) or bool(order),
+        " ∘ ".join(labels),
+    )
+
+
+def _identity(op: ops.Project) -> bool:
+    """Whether π *op* passes each row through unchanged."""
+    names = [e.name if isinstance(e, ast.Variable) else None for _, e in op.items]
+    return names == list(op.children[0].schema.names)
 
 
 class ViewCatalog:
@@ -124,8 +254,8 @@ class ViewCatalog:
         #: catalog key → views materialising exactly that plan (FIFO serve)
         self._roots: dict[tuple, list["View"]] = {}
         self._root_keys: dict[int, tuple] = {}  # id(view) → its key
-        #: (id(compiled), binding keys) → (compiled, rewrite or None)
-        self._memo: dict[tuple, tuple["CompiledQuery", "RewriteResult | None"]] = {}
+        #: (id(compiled), binding keys) → (compiled, match or None)
+        self._memo: dict[tuple, tuple["CompiledQuery", "_Match | None"]] = {}
         self.stats = AnswerStats()
         engine.subscribe_views(self._on_view_event)
         for view in engine.views:
@@ -222,7 +352,7 @@ class ViewCatalog:
                 fetch=production.multiset,
                 description=f"view[{view.compiled.text.strip()}]",
                 kind="view",
-                listing=production.sorted_rows,
+                production=production,
             )
         layer = self._subplan_layer()
         if layer is not None:
@@ -271,10 +401,11 @@ class ViewCatalog:
         if not self._roots and self.subplan_count == 0:
             self.stats.fallbacks += 1
             return None
-        rewrite = self._match(compiled, parameters)
-        if rewrite is None:
+        match = self._match(compiled, parameters)
+        if match is None:
             self.stats.fallbacks += 1
             return None
+        rewrite, read = match
         self.stats.answered += 1
         if rewrite.exact:
             self.stats.exact += 1
@@ -285,42 +416,44 @@ class ViewCatalog:
                 self.stats.root_hits += 1
             else:
                 self.stats.subplan_hits += 1
-        listing = rewrite.plan.listing if rewrite.exact else None
-        if listing is not None:
-            # the view's maintained listing is the canonical expansion of
-            # the very bag the interpreter would read: nothing to re-derive
-            self.stats.listing_answers += 1
-            return ResultTable(
-                compiled.plan.schema,
-                listing(),
-                canonical=True,
-                graph=self._engine.graph,
+        if read is not None:
+            # a slice of a listing the view maintains: the very rows, in the
+            # very order, the interpreter would derive from the root's bag
+            table = read.serve(
+                compiled.plan.schema, parameters or {}, self._engine.graph
             )
+            if table is not None:
+                if rewrite.exact:
+                    self.stats.listing_answers += 1
+                else:
+                    self.stats.residual_listing_answers += 1
+                return table
         return Interpreter(self._engine.graph, parameters).run(rewrite.plan)
 
     def _match(
         self,
         compiled: "CompiledQuery",
         parameters: Mapping[str, Any] | None,
-    ) -> "RewriteResult | None":
-        """:func:`rewrite_query`, memoised until the next view event."""
+    ) -> "_Match | None":
+        """:func:`rewrite_query` and :func:`listing_read`, memoised until
+        the next view event."""
         try:
             bindings = sorted(
                 (name, binding_key(value)) for name, value in (parameters or {}).items()
             )
         except (TypeError, InvalidValueError):
             # a binding with no type-exact key: match without the memo
-            return rewrite_query(self, compiled, parameters)
+            return _rewrite(self, compiled, parameters)
         key = (id(compiled), tuple(bindings))
         entry = self._memo.get(key)
         if entry is not None and entry[0] is compiled:
             self.stats.memo_hits += 1
             return entry[1]
-        rewrite = rewrite_query(self, compiled, parameters)
+        match = _rewrite(self, compiled, parameters)
         if len(self._memo) >= MATCH_MEMO_LIMIT:
             self._memo.clear()
-        self._memo[key] = (compiled, rewrite)
-        return rewrite
+        self._memo[key] = (compiled, match)
+        return match
 
     def describe_match(
         self,
@@ -336,14 +469,20 @@ class ViewCatalog:
                 "declined (open batch/transaction window — maintained "
                 "state lags the graph); full evaluation"
             )
-        rewrite = rewrite_query(self, compiled, parameters)
-        if rewrite is None:
+        match = _rewrite(self, compiled, parameters)
+        if match is None:
             return "no covering view or shared subplan; full evaluation"
+        rewrite, read = match
         lines = []
         if rewrite.exact:
             lines.append(f"exact hit: {rewrite.sources[0].description}")
-            if rewrite.plan.listing is not None:
+            if read is not None:
                 lines.append("  served from the view's maintained listing")
+        elif read is not None:
+            lines.append(f"residual hit: {rewrite.sources[0].description}")
+            lines.append(
+                f"  served from the view's maintained listing: {read.description}"
+            )
         else:
             lines.append(
                 f"containment hit: residual plan over "
@@ -352,6 +491,19 @@ class ViewCatalog:
             for source in rewrite.sources:
                 lines.append(f"  - {source.description}")
         return "\n".join(lines)
+
+
+def _rewrite(
+    catalog: ViewCatalog,
+    compiled: "CompiledQuery",
+    parameters: Mapping[str, Any] | None,
+) -> "_Match | None":
+    """The catalog's match for *compiled*: the rewritten plan, and how a
+    view's listing serves it (``None`` when the interpreter must)."""
+    rewrite = rewrite_query(catalog, compiled, parameters)
+    if rewrite is None:
+        return None
+    return rewrite, listing_read(rewrite, parameters or {})
 
 
 def _compact(op: ops.Operator, limit: int = 72) -> str:

@@ -43,7 +43,9 @@ class RewriteResult:
 
 def make_view_scan(op: ops.Operator, source: MaterializedSource) -> ops.ViewScan:
     """A scan leaf standing in for *op*'s subtree, fed by *source*."""
-    return ops.ViewScan(op.schema, source.fetch, source.description, source.listing)
+    production = source.production
+    listing = None if production is None else production.sorted_rows
+    return ops.ViewScan(op.schema, source.fetch, source.description, listing)
 
 
 def rebuild_residual(

@@ -85,6 +85,7 @@ class TestAnswerStatsShape:
             "stale_declines",
             "memo_hits",
             "listing_answers",
+            "residual_listing_answers",
         ]
         assert all(isinstance(value, int) for value in stats.values())
         assert stats["queries"] >= 1
@@ -94,10 +95,12 @@ class TestAnswerStatsShape:
         query = "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
         engine.evaluate(query)
         engine.evaluate(query)
+        engine.evaluate(query + " ORDER BY c DESC LIMIT 1")
         snapshot = engine.metrics_snapshot()
         for name, value in (
             ("repro_catalog_memo_hits", 1),
             ("repro_catalog_listing_answers", 2),
+            ("repro_catalog_residual_listing_answers", 1),
         ):
             assert snapshot[name]["type"] == "gauge"
             assert snapshot[name]["value"] == value

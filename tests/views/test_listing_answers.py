@@ -1,9 +1,10 @@
 """Reads served from maintained state ≡ the reads they replace.
 
 ``evaluate()`` serves an exact hit on a view root straight from the
-production node's canonical listing, sorts that listing for ``ORDER BY`` /
-``SKIP`` / ``LIMIT`` over a root, and memoises the catalog match until the
-next view register/detach.  None of that may be observable:
+production node's canonical listing, ``ORDER BY`` / ``SKIP`` / ``LIMIT``
+and σ/δ over a root from a derived listing (``test_residual_listings.py``
+covers those in depth), and memoises the catalog match until the next view
+register/detach.  None of that may be observable:
 
 * every served read lists exactly what the expand-and-sort path lists over
   the same materialisation — same rows, same types, same order, NaN
@@ -344,6 +345,7 @@ class TestMatchMemo:
         for view in views:
             view.detach()
             view.network.production.sorted_rows = gone
+            view.network.production.listing = gone
             view.network.production.multiset = gone
         for value in (2, 3):
             graph.add_vertex(labels=["N"], properties={"v": value, "w": "y"})
