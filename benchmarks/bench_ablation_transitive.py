@@ -1,7 +1,7 @@
 """E10 — ablation D2: transitive closure maintenance strategy.
 
-The default node materialises every *trail* (needed because the paper's
-fragment returns atomic paths); when a query only asks for reachability
+The default node materialises every *trail* from a live source, a vertex
+with a left row (needed because the paper's fragment returns atomic paths); when a query only asks for reachability
 (no path variable, DISTINCT results), a pair-based mode in the spirit of
 Bergmann et al. [3] suffices.  This experiment quantifies the trade-off:
 trail materialisation pays memory and per-edge work proportional to the

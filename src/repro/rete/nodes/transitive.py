@@ -1,24 +1,37 @@
 """Incremental transitive closure (⋈*) — maintenance of atomic paths.
 
 The paper's central design decision (§4): paths are *atomic* list values —
-inserted and deleted as units, never patched.  This node materialises every
-**trail** (edge-distinct walk, Cypher's variable-length-pattern semantics)
-of the traversal graph, indexed three ways:
+inserted and deleted as units, never patched.  ⋈* emits the **trails**
+(edge-distinct walks, Cypher's variable-length-pattern semantics) that
+start at a vertex of its left operand, so this node stores exactly those:
+the trails of the traversal graph that start at a *live source*, a vertex
+with at least one row in the left memory.  They are indexed three ways:
 
 * by start vertex — to join with left rows,
 * by end vertex — to extend on edge insertion,
 * by member edge — to retract atomically on edge deletion.
 
-Edge insertion ``(u —e→ v)`` derives exactly the new trails
-``p1 · e · p2`` where ``p1`` ends at ``u``, ``p2`` starts at ``v`` (either
-may be the empty trail at that vertex), ``e ∉ p1 ∪ p2`` and
-``edges(p1) ∩ edges(p2) = ∅``.  Every trail containing the new edge
-decomposes *uniquely* this way around ``e``, so the rule is complete and
-duplicate-free; incremental transitive computability beyond first-order
-logic follows the approach of Bergmann et al. (paper ref [3]).
+An arc ``u —e→ v`` whose tail ``u`` is live is held only as ``u``'s
+one-hop trail.  Every other arc sits in an *arc index* keyed by tail, so
+no arc is stored twice, and a ⋈* whose every vertex is live stores no arc
+outside its trails.  The current arcs are therefore the arc index plus the
+live sources' one-hop trails, and a walk over them reads a live vertex's
+continuations straight off its stored trails.
 
-Edge deletion retracts ``trails_by_edge[e]`` — the paper's "the previous
-path has to be deleted and the new one inserted" as an index lookup.
+* A source *going live* (its first left row) walks its trails over the
+  current arcs, up to ``max_hops``; a source losing its last left row drops
+  them and returns its one-hop trails to the arc index.
+* Edge insertion ``(u —e→ v)`` derives exactly the new trails
+  ``p1 · e · p2`` where ``p1`` is a stored trail ending at ``u`` (or the
+  empty trail at ``u`` if ``u`` is live), ``p2`` is a trail from ``v`` over
+  the current arcs (possibly empty), ``e ∉ p1 ∪ p2`` and
+  ``edges(p1) ∩ edges(p2) = ∅``.  Every trail from a live source containing
+  the new edge decomposes *uniquely* this way around ``e``, so the rule is
+  complete and duplicate-free; incremental transitive computability beyond
+  first-order logic follows the approach of Bergmann et al. (paper ref [3]).
+* Edge deletion retracts ``trails_by_edge[e]`` — the paper's "the previous
+  path has to be deleted and the new one inserted" as an index lookup —
+  and drops the edge's arcs from the arc index.
 
 A cheaper pair-counting alternative (for queries that never observe the
 path) lives in :class:`ReachabilityNode`; the trade-off is benchmarked as
@@ -32,6 +45,10 @@ from ..deltas import ColumnDelta, Delta, as_row_delta, index_insert
 from .base import LEFT, Node
 
 EDGES = 1
+
+#: Cells one arc holds, in the arc index or an adjacency: tail, edge, head
+#: (the cells of the one-hop trail it stands for).
+ARC_CELLS = 3
 
 
 def _restricted_left(node: Node, left_width: int, restriction: tuple):
@@ -54,8 +71,25 @@ def _restricted_left(node: Node, left_width: int, restriction: tuple):
     return narrowed
 
 
+def _arcs_for(direction: str, s: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The traversal arcs ``(tail, head)`` of an edge ``s → t``."""
+    if direction == "out":
+        return ((s, t),)
+    if direction == "in":
+        return ((t, s),)
+    if s == t:
+        return ((s, t),)
+    return ((s, t), (t, s))
+
+
 class TransitiveClosureNode(Node):
-    """⋈* with full trail materialisation (default mode)."""
+    """⋈* with trail materialisation for the live sources (default mode).
+
+    ``trails_by_start`` holds every trail of 1..``max_hops`` hops from each
+    live source (``left_index``'s keys); ``arcs`` holds the arcs whose tail
+    is not live.  With ``max_hops == 0`` no edge can reach the output, so
+    the edge side is ignored.
+    """
 
     def __init__(
         self,
@@ -74,10 +108,12 @@ class TransitiveClosureNode(Node):
         self.emit_path = emit_path
         # left memory: source vertex -> {left row: multiplicity}
         self.left_index: dict[int, dict[tuple, int]] = {}
-        # trail store, triple-indexed
+        # trails from live sources, triple-indexed
         self.trails_by_start: dict[int, set[PathValue]] = {}
         self.trails_by_end: dict[int, set[PathValue]] = {}
         self.trails_by_edge: dict[int, set[PathValue]] = {}
+        # arcs with a tail that is not live: tail -> {edge: head}
+        self.arcs: dict[int, dict[int, int]] = {}
 
     # -- trail bookkeeping ---------------------------------------------------
 
@@ -88,8 +124,14 @@ class TransitiveClosureNode(Node):
             self.trails_by_edge.setdefault(edge, set()).add(trail)
 
     def _discard(self, trail: PathValue) -> None:
-        self.trails_by_start[trail.start].discard(trail)
-        self.trails_by_end[trail.end].discard(trail)
+        for index, key in (
+            (self.trails_by_start, trail.start),
+            (self.trails_by_end, trail.end),
+        ):
+            bucket = index[key]
+            bucket.discard(trail)
+            if not bucket:
+                del index[key]
         for edge in trail.edges:
             bucket = self.trails_by_edge.get(edge)
             if bucket is not None:
@@ -97,33 +139,64 @@ class TransitiveClosureNode(Node):
                 if not bucket:
                     del self.trails_by_edge[edge]
 
-    def _new_trails(self, u: int, e: int, v: int) -> list[PathValue]:
-        """All trails created by inserting arc ``u —e→ v``."""
-        empty_u = PathValue((u,), ())
-        empty_v = PathValue((v,), ())
-        prefixes = list(self.trails_by_end.get(u, ())) + [empty_u]
-        suffixes = list(self.trails_by_start.get(v, ())) + [empty_v]
-        out: list[PathValue] = []
-        cap = self.max_hops
-        for p1 in prefixes:
-            edges1 = set(p1.edges)
-            if e in edges1:
+    def _walk(self, start: int, cap: int | None, banned: int | None) -> list:
+        """``(vertices, edges)`` of every trail from *start* over the current
+        arcs with at most *cap* hops and without edge *banned*, the empty
+        trail first.
+
+        A non-live vertex continues along its arcs in the arc index; a live
+        one along its stored trails, which already are all its
+        continuations, so the walk stops there.
+        """
+        live, stored, arcs = self.left_index, self.trails_by_start, self.arcs
+        found = []
+        stack = [((start,), ())]
+        while stack:
+            path = stack.pop()
+            found.append(path)
+            vertices, edges = path
+            room = None if cap is None else cap - len(edges)
+            if room == 0:
                 continue
-            for p2 in suffixes:
-                length = len(p1) + 1 + len(p2)
-                if cap is not None and length > cap:
-                    continue
-                if e in p2.edges:
-                    continue
-                if edges1 and edges1.intersection(p2.edges):
-                    continue
-                out.append(
-                    PathValue(
-                        p1.vertices + p2.vertices,
-                        p1.edges + (e,) + p2.edges,
-                    )
-                )
-        return out
+            at = vertices[-1]
+            if at in live:
+                taken = set(edges)
+                for q in stored.get(at, ()):
+                    if (
+                        (room is None or len(q.edges) <= room)
+                        and banned not in q.edges
+                        and taken.isdisjoint(q.edges)
+                    ):
+                        found.append((vertices + q.vertices[1:], edges + q.edges))
+                continue
+            for edge, head in arcs.get(at, {}).items():
+                if edge != banned and edge not in edges:
+                    stack.append((vertices + (head,), edges + (edge,)))
+        return found
+
+    def _activate(self, source: int) -> None:
+        """*source* gets its first left row: store its trails, which take
+        over its arcs from the arc index."""
+        if self.max_hops == 0:
+            return
+        walked = self._walk(source, self.max_hops, None)
+        self.arcs.pop(source, None)
+        for vertices, edges in walked[1:]:
+            self._store(PathValue(vertices, edges))
+
+    def _deactivate(self, source: int) -> None:
+        """*source* lost its last left row: drop its trails and hand its
+        one-hop trails back to the arc index as arcs."""
+        trails = self.trails_by_start.get(source)
+        if not trails:
+            return
+        returned = {}
+        for trail in list(trails):
+            if len(trail.edges) == 1:
+                returned[trail.edges[0]] = trail.end
+            self._discard(trail)
+        if returned:
+            self.arcs[source] = returned
 
     # -- output emission -------------------------------------------------------
 
@@ -150,6 +223,8 @@ class TransitiveClosureNode(Node):
                 source = row[self.source_index]
                 if source is None or not isinstance(source, int):
                     continue
+                if source not in self.left_index:
+                    self._activate(source)
                 if self.min_hops == 0:
                     zero = PathValue((source,), ())
                     out.add(self._out_row(row, zero), multiplicity)
@@ -157,7 +232,9 @@ class TransitiveClosureNode(Node):
                     if len(trail) >= self.min_hops:
                         out.add(self._out_row(row, trail), multiplicity)
                 index_insert(self.left_index, source, row, multiplicity)
-        else:
+                if source not in self.left_index:
+                    self._deactivate(source)
+        elif self.max_hops != 0:
             for row, multiplicity in rows.items():
                 s, e, t = row[0], row[1], row[2]
                 if multiplicity > 0:
@@ -165,31 +242,48 @@ class TransitiveClosureNode(Node):
                         self._insert_edge(s, e, t, out)
                 else:
                     for _ in range(-multiplicity):
-                        self._remove_edge(e, out)
+                        self._remove_edge(s, e, t, out)
         self.emit_like(out, delta)
 
-    def _arcs_for(self, s: int, t: int) -> list[tuple[int, int]]:
-        if self.direction == "out":
-            return [(s, t)]
-        if self.direction == "in":
-            return [(t, s)]
-        if s == t:
-            return [(s, t)]
-        return [(s, t), (t, s)]
-
     def _insert_edge(self, s: int, e: int, t: int, out: Delta) -> None:
-        for u, v in self._arcs_for(s, t):
-            created = self._new_trails(u, e, v)
-            for trail in created:
-                self._store(trail)
-                self._emit_trail_delta(out, trail, 1)
+        cap = self.max_hops
+        for u, v in _arcs_for(self.direction, s, t):
+            prefixes = [
+                p1
+                for p1 in self.trails_by_end.get(u, ())
+                if (cap is None or len(p1.edges) < cap) and e not in p1.edges
+            ]
+            if u in self.left_index:
+                prefixes.append(PathValue((u,), ()))
+            else:
+                self.arcs.setdefault(u, {})[e] = v
+            if not prefixes:
+                continue
+            shortest = min(len(p1.edges) for p1 in prefixes)
+            suffixes = self._walk(v, None if cap is None else cap - 1 - shortest, e)
+            for p1 in prefixes:
+                edges1 = p1.edges
+                taken = set(edges1)
+                room = None if cap is None else cap - 1 - len(edges1)
+                for vertices2, edges2 in suffixes:
+                    if room is not None and len(edges2) > room:
+                        continue
+                    if taken and not taken.isdisjoint(edges2):
+                        continue
+                    trail = PathValue(p1.vertices + vertices2, edges1 + (e,) + edges2)
+                    self._store(trail)
+                    self._emit_trail_delta(out, trail, 1)
 
-    def _remove_edge(self, e: int, out: Delta) -> None:
-        doomed = list(self.trails_by_edge.get(e, ()))
-        for trail in doomed:
+    def _remove_edge(self, s: int, e: int, t: int, out: Delta) -> None:
+        for trail in list(self.trails_by_edge.get(e, ())):
             self._discard(trail)
             self._emit_trail_delta(out, trail, -1)
-        self.trails_by_edge.pop(e, None)
+        for u, _ in _arcs_for(self.direction, s, t):
+            bucket = self.arcs.get(u)
+            if bucket is not None:
+                bucket.pop(e, None)
+                if not bucket:
+                    del self.arcs[u]
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
@@ -209,8 +303,10 @@ class TransitiveClosureNode(Node):
         return out
 
     def memory_size(self) -> int:
-        return sum(len(s) for s in self.trails_by_start.values()) + sum(
-            len(b) for b in self.left_index.values()
+        return (
+            sum(len(s) for s in self.trails_by_start.values())
+            + sum(len(b) for b in self.left_index.values())
+            + sum(len(b) for b in self.arcs.values())
         )
 
     def memory_cells(self) -> int:
@@ -222,7 +318,8 @@ class TransitiveClosureNode(Node):
         left_cells = sum(
             len(row) for bucket in self.left_index.values() for row in bucket
         )
-        return trail_cells + left_cells
+        arc_cells = ARC_CELLS * sum(len(b) for b in self.arcs.values())
+        return trail_cells + left_cells + arc_cells
 
 
 class ReachabilityNode(Node):
@@ -312,14 +409,7 @@ class ReachabilityNode(Node):
         else:
             for row, multiplicity in rows.items():
                 s, e, t = row[0], row[1], row[2]
-                arcs = (
-                    [(s, t)]
-                    if self.direction == "out"
-                    else [(t, s)]
-                    if self.direction == "in"
-                    else ([(s, t)] if s == t else [(s, t), (t, s)])
-                )
-                for u, v in arcs:
+                for u, v in _arcs_for(self.direction, s, t):
                     if multiplicity > 0:
                         self._add_arc(u, v, e)
                     else:
@@ -342,12 +432,19 @@ class ReachabilityNode(Node):
                     out.add(row + (target,), multiplicity)
         return out
 
+    def _arc_count(self) -> int:
+        return sum(len(edges) for heads in self.arcs.values() for edges in heads.values())
+
     def memory_size(self) -> int:
-        return sum(len(v) for v in self.reachable.values()) + sum(
-            len(b) for b in self.left_index.values()
+        return (
+            sum(len(v) for v in self.reachable.values())
+            + sum(len(b) for b in self.left_index.values())
+            + self._arc_count()
         )
 
     def memory_cells(self) -> int:
-        return 2 * sum(len(v) for v in self.reachable.values()) + sum(
-            len(row) for bucket in self.left_index.values() for row in bucket
+        return (
+            2 * sum(len(v) for v in self.reachable.values())
+            + sum(len(row) for bucket in self.left_index.values() for row in bucket)
+            + ARC_CELLS * self._arc_count()
         )

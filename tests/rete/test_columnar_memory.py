@@ -34,12 +34,15 @@ from repro.rete.deltas import ColumnDelta, ColumnStore
 from repro.rete.nodes.base import LEFT, RIGHT, Node
 from repro.rete.nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode
 
+from ..conftest import PAPER_QUERY
 from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, SCORES, _columnar_op
 from .test_populate import _Schema, dict_fold, exact
 from .test_sharing import SP_EDGE_TYPES, SP_LABELS, SP_VALUES, _Abort
 
 #: the outer-join query exercises the right count that lives in the store
-#: (``ColumnStore.key_weight``) — not part of the shared corpus
+#: (``ColumnStore.key_weight``), and the paper's query (unbounded ⋈*, path
+#: returned) has label churn take ⋈* sources live and dead — neither is
+#: part of the shared corpus
 OPTIONAL_QUERY = (
     "MATCH (p:Post) OPTIONAL MATCH (p)-[:REPLY]->(c:Comm) RETURN p, c"
 )
@@ -117,6 +120,7 @@ class RecomputationMirror:
         for query, parameters in _bindings():
             self.register(query, parameters)
         self.register(OPTIONAL_QUERY)
+        self.register(PAPER_QUERY)
 
     def detach(self, index: int) -> None:
         self.views.pop(index).detach()
@@ -212,7 +216,7 @@ class TestColumnarMemoryDifferential:
         mirror = RecomputationMirror()
         mirror.register(QUERIES[2])
         pool = [(query, None) for query in QUERIES] + list(_bindings())
-        pool.append((OPTIONAL_QUERY, None))
+        pool += [(OPTIONAL_QUERY, None), (PAPER_QUERY, None)]
         for _ in range(50):
             roll = rng.random()
             if roll < 0.15:
