@@ -123,20 +123,14 @@ def churn_ops(labels: int, by_label, operations: int, seed: int = SEED + 1):
     return ops
 
 
-def run_stream(
-    sizes: dict, route_events: bool, columnar: bool = True, workers: int = 0
-):
+def run_stream(sizes: dict, route_events: bool, columnar: bool = True):
     """Replay the churn stream under one dispatch mode.
 
     Returns (seconds, views, engine); timing covers only the event loop.
-    With ``workers > 0`` maintenance runs on the sharded multi-process
-    tier (interest summaries then slice the fan-out the same way the
-    router slices in-process dispatch) — callers own the shutdown.
     """
     graph, by_label = build_graph(sizes["labels"], sizes["vertices_per_label"])
     engine = QueryEngine(
-        graph, route_events=route_events, columnar_deltas=columnar,
-        workers=workers,
+        graph, route_events=route_events, columnar_deltas=columnar
     )
     views = register_views(engine, sizes["labels"])
     ops = churn_ops(sizes["labels"], by_label, sizes["operations"])
@@ -195,7 +189,7 @@ def test_routed_matches_broadcast_and_oracle():
 # -- standalone report ---------------------------------------------------------
 
 
-def main(smoke: bool = False, columnar: bool = True, workers: int = 0) -> None:
+def main(smoke: bool = False, columnar: bool = True) -> None:
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     signatures = len(VIEW_SHAPES) * sizes["labels"]
     operations = sizes["operations"]
@@ -203,7 +197,6 @@ def main(smoke: bool = False, columnar: bool = True, workers: int = 0) -> None:
         f"dispatch churn: {operations} events, {signatures} registered "
         f"input signatures ({sizes['labels']} labels × {len(VIEW_SHAPES)} "
         f"view shapes), columnar_deltas={columnar}"
-        + (f", workers={workers}" if workers else "")
     )
     routed_seconds, broadcast_seconds = run_pair(
         sizes, rounds=1 if smoke else 3, columnar=columnar
@@ -223,25 +216,6 @@ def main(smoke: bool = False, columnar: bool = True, workers: int = 0) -> None:
             speedup(broadcast_seconds, routed_seconds),
         ],
     ]
-    sharded_seconds = None
-    if workers:
-        sharded_seconds, sharded_views, sharded_engine = run_stream(
-            sizes, True, columnar, workers=workers
-        )
-        try:
-            # same oracle gate as the in-process pair: every sharded view
-            # must equal one-shot recomputation over the final graph
-            verify(sizes, sharded_views, sharded_views, sharded_engine)
-        finally:
-            sharded_engine.shutdown()
-        rows.append(
-            [
-                f"routed + sharded ({workers} workers)",
-                sharded_seconds,
-                f"{operations / sharded_seconds:.0f}",
-                speedup(broadcast_seconds, sharded_seconds),
-            ]
-        )
     print(
         format_table(
             ["dispatch", "total", "events/sec", "vs broadcast"],
@@ -263,10 +237,6 @@ def main(smoke: bool = False, columnar: bool = True, workers: int = 0) -> None:
         "routed_events_per_sec": operations / routed_seconds,
         "speedup": ratio,
     }
-    if sharded_seconds is not None:
-        point["workers"] = workers
-        point["sharded_seconds"] = sharded_seconds
-        point["sharded_events_per_sec"] = operations / sharded_seconds
     Path("BENCH_dispatch.json").write_text(json.dumps(point, indent=2) + "\n")
     print(f"\nwrote BENCH_dispatch.json (speedup {ratio:.1f}x)")
     assert ratio >= 5.0, (
@@ -281,9 +251,4 @@ if __name__ == "__main__":
     main(
         smoke="--smoke" in _argv,
         columnar="--no-columnar" not in _argv,
-        workers=(
-            int(_argv[_argv.index("--workers") + 1])
-            if "--workers" in _argv
-            else 0
-        ),
     )

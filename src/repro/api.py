@@ -24,7 +24,6 @@ Example
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import asdict
 from typing import Any, Mapping
 
 from .compiler.pipeline import CompiledQuery, compile_query
@@ -36,8 +35,6 @@ from .eval.interpreter import Interpreter
 from .eval.results import ResultTable
 from .graph.graph import PropertyGraph
 from .rete.engine import IncrementalEngine, View
-from .rete.shard import ShardCoordinator
-from .rete.sharing import SharedSubplanLayer
 from .updates import ExecutionResult, UpdateExecutor, UpdateSummary
 from .views import AnswerStats, ViewCatalog
 
@@ -54,15 +51,6 @@ class QueryEngine:
     the graph.  ``evaluate(..., use_views=False)`` forces the full
     recomputation baseline per call; ``answer_from_views=False`` disables
     the catalog engine-wide (the ablation configuration).
-
-    With ``workers=N`` (N ≥ 1) incremental maintenance runs on the sharded
-    multi-process tier (:class:`~repro.rete.shard.ShardCoordinator`): views
-    are partitioned across N forked worker processes by input-signature
-    shard key, net batches fan out over pipes, and per-view ``on_change``
-    streams merge back in registration order.  ``workers=0`` (the default)
-    is the exact in-process PR 1–6 engine.  Sharding disables the view
-    catalog (maintained state lives in the workers, not this process), so
-    one-shot ``evaluate`` always recomputes.
     """
 
     def __init__(
@@ -77,47 +65,26 @@ class QueryEngine:
         detached_cache_size: int = 4,
         share_across_bindings: bool = True,
         columnar_deltas: bool = True,
-        workers: int = 0,
         collect_metrics: bool = False,
         trace_batches: bool = False,
     ):
         self.graph = graph
-        self.workers = workers
-        if workers:
-            self._incremental: IncrementalEngine = ShardCoordinator(
-                graph,
-                workers=workers,
-                transitive_mode=transitive_mode,
-                share_inputs=share_inputs,
-                batch_transactions=batch_transactions,
-                route_events=route_events,
-                share_subplans=share_subplans,
-                detached_cache_size=detached_cache_size,
-                share_across_bindings=share_across_bindings,
-                columnar_deltas=columnar_deltas,
-                collect_metrics=collect_metrics,
-                trace_batches=trace_batches,
-            )
-            # view answering needs in-process networks; ShardViews have none
-            self.answer_from_views = False
-            self._catalog = None
-        else:
-            self._incremental = IncrementalEngine(
-                graph,
-                transitive_mode=transitive_mode,
-                share_inputs=share_inputs,
-                batch_transactions=batch_transactions,
-                route_events=route_events,
-                share_subplans=share_subplans,
-                detached_cache_size=detached_cache_size,
-                share_across_bindings=share_across_bindings,
-                columnar_deltas=columnar_deltas,
-                collect_metrics=collect_metrics,
-                trace_batches=trace_batches,
-            )
-            self.answer_from_views = answer_from_views
-            self._catalog = ViewCatalog(self._incremental)
-        if self._catalog is not None and self._incremental.metrics is not None:
+        self._incremental = IncrementalEngine(
+            graph,
+            transitive_mode=transitive_mode,
+            share_inputs=share_inputs,
+            batch_transactions=batch_transactions,
+            route_events=route_events,
+            share_subplans=share_subplans,
+            detached_cache_size=detached_cache_size,
+            share_across_bindings=share_across_bindings,
+            columnar_deltas=columnar_deltas,
+            collect_metrics=collect_metrics,
+            trace_batches=trace_batches,
+        )
+        self.answer_from_views = answer_from_views
+        self._catalog = ViewCatalog(self._incremental)
+        if self._incremental.metrics is not None:
             self._incremental.metrics.registry.add_collector(
                 self._collect_catalog_gauges
             )
@@ -169,7 +136,7 @@ class QueryEngine:
         compiled = self.compile(query)
         if use_views is None:
             use_views = self.answer_from_views
-        if use_views and self._catalog is not None:
+        if use_views:
             answered = self._catalog.try_answer(compiled, parameters)
             if answered is not None:
                 return answered
@@ -261,10 +228,10 @@ class QueryEngine:
         """The compilation pipeline's stages for *query*, plus how view
         answering would serve it against the current catalog."""
         compiled = self.compile(query)
-        if self._catalog is None:
-            match = "disabled (sharded tier: maintained state lives in workers)"
-        else:
+        if self.answer_from_views:
             match = self._catalog.describe_match(compiled, parameters)
+        else:
+            match = "off (answer_from_views=False): evaluate() recomputes"
         text = compiled.explain() + f"\n\n== View answering ==\n{match}"
         snapshot = self.metrics_snapshot()
         if snapshot is not None:
@@ -278,7 +245,6 @@ class QueryEngine:
                 "repro_sharing_binding_core_hits",
                 "repro_catalog_answered",
                 "repro_catalog_fallbacks",
-                "repro_shard_batches_fanned_out",
             ):
                 data = snapshot.get(name)
                 if data is not None:
@@ -294,58 +260,19 @@ class QueryEngine:
         return text
 
     @property
-    def catalog(self) -> ViewCatalog | None:
-        """The view-answering catalog (``None`` under ``workers=N``)."""
+    def catalog(self) -> ViewCatalog:
+        """The view-answering catalog."""
         return self._catalog
 
     def answer_stats(self) -> AnswerStats:
         """Counters of how evaluate() calls were served."""
-        if self._catalog is None:
-            return AnswerStats()
         return self._catalog.stats
-
-    def shard_stats(self) -> dict:
-        """Per-worker and aggregate maintenance counters.
-
-        Under ``workers=N`` the real cluster picture: one section per
-        worker plus aggregates.  The in-process engine answers the same
-        shape with zero workers — empty ``workers``/zeroed coordinator
-        counters and its own totals — so callers (the CLI's ``:shards``,
-        dashboards) need no special case.
-        """
-        if isinstance(self._incremental, ShardCoordinator):
-            return self._incremental.shard_stats()
-        engine = self._incremental
-        layer = engine.input_layer
-        totals: dict[str, Any] = {
-            "views": len(engine.views),
-            "memory_size": engine.memory_size(),
-            "memory_cells": engine.memory_cells(),
-            "node_count": layer.node_count if layer is not None else 0,
-            "sharing": asdict(layer.stats) if layer is not None else {},
-        }
-        if isinstance(layer, SharedSubplanLayer):
-            totals["subplan_count"] = layer.subplan_count
-            totals["binding_node_count"] = layer.binding_node_count
-            totals["binding_partition_count"] = layer.binding_partition_count
-            totals["detached_count"] = layer.detached_count
-        return {
-            "workers": [],
-            "totals": totals,
-            "views": len(engine.views),
-            "coordinator": {
-                "batches_fanned_out": 0,
-                "records_fanned_out": 0,
-                "records_sliced_away": 0,
-            },
-        }
 
     # -- observability --------------------------------------------------------
 
     def metrics_snapshot(self) -> dict | None:
         """JSON-ready metrics snapshot (``None`` with ``collect_metrics``
-        off).  Under ``workers=N`` this merges the coordinator's pipeline
-        metrics with every worker's node/router/sharing samples."""
+        off)."""
         return self._incremental.metrics_snapshot()
 
     def view_costs(self) -> dict:
@@ -392,11 +319,6 @@ class QueryEngine:
                 f"repro_catalog_{name}",
                 help_by_name.get(name, "View-catalog counter"),
             ).set(value)
-
-    def shutdown(self) -> None:
-        """Stop shard workers, if any.  A no-op for the in-process engine."""
-        if isinstance(self._incremental, ShardCoordinator):
-            self._incremental.shutdown()
 
     @property
     def views(self) -> tuple[View, ...]:

@@ -38,7 +38,6 @@ what changed.  Meta commands:
   :register <query>     register an incremental view
   :detach <n>           drop view number n
   :catalog              view-answering catalog: entries and hit counters
-  :shards               per-worker maintenance stats (zeroed when in-process)
   :metrics [json|table] metrics snapshot, Prometheus text (JSON, or a p50/p99 table)
   :trace [on|off]       toggle per-batch tracing; bare :trace prints the last tree
   :costs                maintenance cost attributed per view (row-work units)
@@ -128,45 +127,17 @@ class Shell:
                 self._print(f"detached view [{index}]")
         elif command == ":catalog":
             catalog = self.engine.catalog
-            if catalog is None:
-                self._print(
-                    "view answering is disabled under --workers "
-                    "(maintained state lives in the shard workers)"
-                )
-            else:
-                self._print(
-                    f"{catalog.root_count} view root(s), "
-                    f"{catalog.subplan_count} shared subplan(s) servable"
-                )
-                stats = catalog.stats
-                self._print(
-                    f"answered {stats.answered}/{stats.queries} one-shot "
-                    f"queries from views ({stats.exact} exact, "
-                    f"{stats.residual} residual, "
-                    f"{stats.fallbacks} full evaluations)"
-                )
-        elif command == ":shards":
-            stats = self.engine.shard_stats()
-            fanned = stats["coordinator"]
             self._print(
-                f"{len(stats['workers'])} workers, {stats['views']} views, "
-                f"{fanned['batches_fanned_out']} batches fanned out "
-                f"({fanned['records_sliced_away']} records sliced away)"
+                f"{catalog.root_count} view root(s), "
+                f"{catalog.subplan_count} shared subplan(s) servable"
             )
-            if not stats["workers"]:
-                totals = stats["totals"]
-                self._print(
-                    f"  in-process engine: {totals['memory_size']} memory "
-                    f"entries, {totals['memory_cells']} cells, "
-                    f"{totals['node_count']} shared nodes"
-                )
-            for worker in stats["workers"]:
-                self._print(
-                    f"  worker {worker['worker']}: {worker['views']} views, "
-                    f"{worker['memory_cells']} memory cells, "
-                    f"{worker['dispatched_batches']}/{worker['batches']} "
-                    f"batches dispatched"
-                )
+            stats = catalog.stats
+            self._print(
+                f"answered {stats.answered}/{stats.queries} one-shot "
+                f"queries from views ({stats.exact} exact, "
+                f"{stats.residual} residual, "
+                f"{stats.fallbacks} full evaluations)"
+            )
         elif command == ":metrics":
             snapshot = self.engine.metrics_snapshot()
             if snapshot is None:
@@ -201,14 +172,9 @@ class Shell:
                 self._print(f"maintenance cost per view ({costs['unit']})")
                 total = costs["total"] or 1.0
                 for entry in costs["views"]:
-                    where = (
-                        f" on worker {entry['worker']}"
-                        if "worker" in entry
-                        else ""
-                    )
                     self._print(
                         f"  [{entry['view']}] {entry['cost']:.1f} "
-                        f"({entry['cost'] / total * 100:.1f}%){where}  "
+                        f"({entry['cost'] / total * 100:.1f}%)  "
                         f"{entry['query'].strip()}"
                     )
                 self._print(
@@ -302,14 +268,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
         "consolidated delta at commit (instead of per elementary change)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="maintain views on N forked shard worker processes "
-        "(0 = in-process; incompatible with --db)",
-    )
-    parser.add_argument(
         "--metrics",
         action="store_true",
         help="collect engine metrics (inspect with :metrics; small "
@@ -323,11 +281,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     args = parser.parse_args(argv)
     out = stdout if stdout is not None else sys.stdout
 
-    if args.workers and args.db:
-        # shard workers fork the store; a forked WAL handle would interleave
-        # writes from every process and corrupt the log
-        parser.error("--workers requires an in-memory store (omit --db)")
-
     durable = None
     if args.db:
         durable = DurableGraph(args.db)
@@ -337,7 +290,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
     engine = QueryEngine(
         graph,
         batch_transactions=args.batch_transactions,
-        workers=args.workers,
         collect_metrics=args.metrics,
         trace_batches=args.trace,
     )
@@ -354,7 +306,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None,
                 out.write("repro shell — :help for commands, :quit to leave\n")
             shell.run(source, interactive=interactive)
     finally:
-        engine.shutdown()
         if durable is not None:
             durable.close()
     return 1 if shell.failed else 0

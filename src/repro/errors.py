@@ -71,15 +71,6 @@ class EvaluationError(ReproError):
     """Runtime error while evaluating an expression or a plan."""
 
 
-class ShardError(ReproError):
-    """A sharded maintenance tier worker failed or was misused.
-
-    Raised by :class:`~repro.rete.shard.ShardCoordinator` when a worker
-    process dies, reports an exception, or a migration's replayed state
-    fails the parity check against the source worker.
-    """
-
-
 class UnsupportedForIncrementalError(ReproError):
     """The query is valid but outside the incrementally maintainable fragment.
 

@@ -67,7 +67,7 @@ class MapValue:
         # The default slot-state protocol restores attributes through
         # __setattr__, which immutability forbids; rebuild through the
         # constructor instead (items are already frozen, so this is cheap).
-        # Needed because deltas cross process boundaries in the sharded tier.
+        # Needed so pickle and copy.deepcopy can rebuild immutable values.
         return (MapValue, (self._items,))
 
     def __getitem__(self, key: str) -> Any:

@@ -16,14 +16,7 @@ instrumentation sites, so this package stays dependency-free):
 """
 
 from .export import render_json, render_prometheus
-from .metrics import (
-    Counter,
-    EngineMetrics,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_snapshots,
-)
+from .metrics import Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry
 from .tracing import BatchTracer, Span
 
 __all__ = [
@@ -34,7 +27,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "merge_snapshots",
     "render_json",
     "render_prometheus",
 ]

@@ -21,9 +21,7 @@ Snapshot format
      ...}
 
 Histogram buckets are cumulative (Prometheus ``le`` semantics) and the
-rendering lives in :mod:`repro.obs.export`.  Snapshots from several
-processes (the shard workers) merge bucket-wise via
-:func:`merge_snapshots`.
+rendering lives in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -219,36 +217,6 @@ class MetricsRegistry:
         }
 
 
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Sum several snapshots metric-wise (shard workers → one cluster view).
-
-    Counters, gauges and histogram sums/counts add; histogram buckets add
-    bucket-wise (all processes share the instrument definitions, so bucket
-    bounds agree).  Metrics present in only some snapshots pass through.
-    """
-    merged: dict[str, dict] = {}
-    for snapshot in snapshots:
-        for name, data in snapshot.items():
-            held = merged.get(name)
-            if held is None:
-                merged[name] = {
-                    key: (
-                        [list(pair) for pair in value]
-                        if key == "buckets"
-                        else value
-                    )
-                    for key, value in data.items()
-                }
-            elif data["type"] == "histogram":
-                held["sum"] += data["sum"]
-                held["count"] += data["count"]
-                for pair, other in zip(held["buckets"], data["buckets"]):
-                    pair[1] += other[1]
-            else:
-                held["value"] += data["value"]
-    return merged
-
-
 class EngineMetrics:
     """The instrument bundle one engine threads through its batch pipeline.
 
@@ -310,13 +278,4 @@ class EngineMetrics:
         self.populate_rows = counter(
             "repro_populate_rows_total",
             "Rows populate handed out (input activations plus replays)",
-        )
-        # sharded tier (coordinator side; zero on the in-process engine)
-        self.shard_fanout_seconds = histogram(
-            "repro_shard_fanout_seconds",
-            "Coordinator fan-out phase (pickle plus per-worker sends)",
-        )
-        self.shard_merge_seconds = histogram(
-            "repro_shard_merge_seconds",
-            "Coordinator merge phase (blocking for worker replies)",
         )

@@ -4,8 +4,7 @@ from .batch import BatchAccumulator, CoalescedBatch
 from .deltas import Delta
 from .engine import BatchScope, IncrementalEngine, View
 from .network import ReteNetwork
-from .router import EdgeInterest, EventRouter, InterestSummary, VertexInterest
-from .shard import ShardCoordinator, ShardView
+from .router import EdgeInterest, EventRouter, VertexInterest
 
 __all__ = [
     "BatchAccumulator",
@@ -15,9 +14,6 @@ __all__ = [
     "EdgeInterest",
     "EventRouter",
     "IncrementalEngine",
-    "InterestSummary",
-    "ShardCoordinator",
-    "ShardView",
     "VertexInterest",
     "View",
     "ReteNetwork",

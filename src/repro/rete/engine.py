@@ -220,8 +220,10 @@ class IncrementalEngine:
         # A view joining mid-batch must not replay buffered changes that its
         # initial population (which reads the live graph) already contains:
         # flush the pending window to the existing views first.
-        if self._accumulator is not None and self._accumulator:
-            self._flush_pending()
+        accumulator = self._accumulator
+        if accumulator is not None and accumulator:
+            self._accumulator = BatchAccumulator(self.graph)
+            self._run_batch(accumulator)
         plan = compiled.plan
         if (
             isinstance(self.input_layer, SharedSubplanLayer)
@@ -325,12 +327,6 @@ class IncrementalEngine:
             if accumulator is not None and accumulator:
                 self._run_batch(accumulator)
 
-    def _flush_pending(self) -> None:
-        """Flush the open window mid-batch (see :meth:`register`)."""
-        accumulator = self._accumulator
-        self._accumulator = BatchAccumulator(self.graph)
-        self._run_batch(accumulator)
-
     def _run_batch(self, accumulator: BatchAccumulator) -> None:
         """Coalesce and propagate one window, instrumented when asked.
 
@@ -422,6 +418,8 @@ class IncrementalEngine:
         # constructed mid-transaction) — there is no matching batch to close
 
     def _detach(self, view: View) -> None:
+        if view not in self._views:
+            return  # already detached
         self._views.remove(view)
         if view in self._private_views:
             self._private_views.remove(view)
@@ -518,7 +516,15 @@ class IncrementalEngine:
         gauge("repro_memory_cells", "Stored tuple fields, shared counted once").set(
             self.memory_cells()
         )
-        self._collect_listing_gauges()
+        productions = [view._production for view in self._views]
+        for attribute, name, help in (
+            ("listing_splices", "repro_view_listing_splices_total", "Listing reads that spliced changed rows in"),
+            ("listing_rebuilds", "repro_view_listing_rebuilds_total", "Listing reads that sorted from scratch"),
+            ("listing_rows", "repro_view_listing_rows", "Rows held by view read listings (outside memory_cells)"),
+        ):
+            gauge(name, help).set(
+                sum(getattr(production, attribute) for production in productions)
+            )
         routers = []
         if self.input_layer is not None and self.input_layer.router is not None:
             routers.append(self.input_layer.router)
@@ -574,21 +580,6 @@ class IncrementalEngine:
             )
             gauge("repro_sharing_binding_partitions", "Live binding partitions").set(
                 layer.binding_partition_count
-            )
-
-    def _collect_listing_gauges(self) -> None:
-        """The read-listing gauges, summed over every listing, canonical and
-        derived, of the live views' result bags (see
-        :meth:`ProductionNode.listing`)."""
-        productions = [view._production for view in self._views]
-        gauge = self.metrics.registry.gauge
-        for attribute, name, help in (
-            ("listing_splices", "repro_view_listing_splices_total", "Listing reads that spliced changed rows in"),
-            ("listing_rebuilds", "repro_view_listing_rebuilds_total", "Listing reads that sorted from scratch"),
-            ("listing_rows", "repro_view_listing_rows", "Rows held by view read listings (outside memory_cells)"),
-        ):
-            gauge(name, help).set(
-                sum(getattr(production, attribute) for production in productions)
             )
 
     def metrics_snapshot(self) -> dict | None:

@@ -133,8 +133,8 @@ class Node:
         and answer in column form — a :class:`~repro.rete.deltas.ColumnDelta`
         that is also what their ``activate()`` emits at populate.  Stateful
         interior nodes reconstruct the bag from their memories and answer
-        in row form (a :class:`~repro.rete.deltas.Delta` — the shard tier's
-        wire format); populate transposes each such answer once.
+        in row form (a :class:`~repro.rete.deltas.Delta`); populate
+        transposes each such answer once.
         Stateless nodes return ``None`` and the sharing layer derives their
         output by running :meth:`transform` over the upstream states
         instead.

@@ -95,39 +95,6 @@ class EdgeInterest:
     all_edge_properties: bool
 
 
-@dataclass(frozen=True, slots=True)
-class InterestSummary:
-    """A process-boundary digest of every interest a router holds.
-
-    The sharded tier's coordinator keeps one summary per worker and uses it
-    to decide, per consolidated batch record, whether the record can concern
-    *any* input node hosted there (:func:`repro.rete.shard.split_batch`).
-    The summary deliberately over-approximates the router's per-node
-    relevance predicates — labels are unioned across nodes, value-level
-    buckets collapse to their membership labels — so a positive answer may
-    still translate to an empty delta worker-side (the router and the nodes
-    re-run their exact checks), but a negative answer is always safe to act
-    on: the worker skips Rete dispatch entirely for that record.
-    """
-
-    #: a label-free (or label-free value-filtered) © node exists
-    vertex_wildcard: bool = False
-    #: union of every © node's required labels
-    vertex_labels: frozenset[str] = frozenset()
-    #: a type-free ⇑ node exists
-    edge_wildcard: bool = False
-    #: union of every ⇑ node's admissible edge types
-    edge_types: frozenset[str] = frozenset()
-    #: a ⇑ node carries an endpoint labels(...) column
-    endpoint_label_values: bool = False
-    #: union of ⇑ endpoint label constraints
-    endpoint_labels: frozenset[str] = frozenset()
-    #: a ⇑ node carries an endpoint properties(...) column
-    endpoint_all_properties: bool = False
-    #: union of ⇑ endpoint property columns
-    endpoint_property_keys: frozenset[str] = frozenset()
-
-
 _EMPTY: dict = {}
 
 
@@ -336,42 +303,6 @@ class EventRouter:
                 self._v_value_key_counts[fk] = count
             else:
                 self._v_value_key_counts.pop(fk, None)
-
-    def interest_summary(self) -> InterestSummary:
-        """Fold every registered interest into one conservative digest."""
-        vertex_wildcard = False
-        vertex_labels: set[str] = set()
-        edge_wildcard = False
-        edge_types: set[str] = set()
-        endpoint_label_values = False
-        endpoint_labels: set[str] = set()
-        endpoint_all_properties = False
-        endpoint_property_keys: set[str] = set()
-        for interest, _ in self._registered.values():
-            if isinstance(interest, VertexInterest):
-                if interest.labels:
-                    vertex_labels |= interest.labels
-                else:
-                    vertex_wildcard = True
-            else:
-                if interest.types:
-                    edge_types |= interest.types
-                else:
-                    edge_wildcard = True
-                endpoint_label_values |= interest.endpoint_label_values
-                endpoint_labels |= interest.endpoint_labels
-                endpoint_all_properties |= interest.all_vertex_properties
-                endpoint_property_keys |= interest.vertex_property_keys
-        return InterestSummary(
-            vertex_wildcard=vertex_wildcard,
-            vertex_labels=frozenset(vertex_labels),
-            edge_wildcard=edge_wildcard,
-            edge_types=frozenset(edge_types),
-            endpoint_label_values=endpoint_label_values,
-            endpoint_labels=frozenset(endpoint_labels),
-            endpoint_all_properties=endpoint_all_properties,
-            endpoint_property_keys=frozenset(endpoint_property_keys),
-        )
 
     # -- candidate selection ------------------------------------------------
 

@@ -1,6 +1,9 @@
 """Unit tests for the property value domain (freeze/thaw, 3VL comparisons,
 paths, global ordering)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -217,3 +220,48 @@ class TestOrderKey:
     def test_order_key_is_deterministic_total_order(self, values):
         keys = [order_key(v) for v in values]
         sorted(keys)  # must not raise: keys are mutually comparable
+
+
+def roundtrip(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestValueRoundTrips:
+    """Immutable slotted values rebuild through their constructors:
+    pickle and ``copy.deepcopy`` must both round-trip them losslessly."""
+
+    def test_list_value(self):
+        value = ListValue((1, "two", None, ListValue((3,))))
+        restored = roundtrip(value)
+        assert restored == value
+        assert isinstance(restored, ListValue)
+        assert hash(restored) == hash(value)
+
+    def test_map_value(self):
+        value = MapValue({"a": 1, "nested": MapValue({"b": ListValue((2,))})})
+        restored = roundtrip(value)
+        assert restored == value
+        assert isinstance(restored, MapValue)
+        assert hash(restored) == hash(value)
+        assert dict(restored.items()) == dict(value.items())
+
+    def test_path_value(self):
+        value = PathValue((1, 2, 3), (10, 11))
+        restored = roundtrip(value)
+        assert restored == value
+        assert isinstance(restored, PathValue)
+        assert hash(restored) == hash(value)
+        assert restored.vertices == (1, 2, 3) and restored.edges == (10, 11)
+
+    def test_zero_length_path(self):
+        assert roundtrip(PathValue((7,), ())) == PathValue((7,), ())
+
+    def test_deepcopy_nested_map_and_path(self):
+        path = PathValue((1, 2), (9,))
+        value = MapValue({"path": path, "nested": MapValue({"xs": ListValue((1, 2))})})
+        copied = copy.deepcopy((value, path))
+        assert copied == (value, path)
+        assert isinstance(copied[0], MapValue)
+        assert isinstance(copied[0]["nested"], MapValue)
+        assert isinstance(copied[1], PathValue)
+        assert hash(copied[0]) == hash(value) and hash(copied[1]) == hash(path)

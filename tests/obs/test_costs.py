@@ -105,23 +105,3 @@ class TestAttribution:
         engine.register("MATCH (p:Post) RETURN p.lang AS lang")
         graph.add_vertex(labels=["Post"], properties={"lang": "en"})
         assert engine.view_costs()["total"] > 0
-
-
-class TestShardedAttribution:
-    def test_merged_costs_carry_worker_and_sum(self):
-        graph = PropertyGraph()
-        engine = QueryEngine(graph, workers=2)
-        try:
-            engine.register("MATCH (p:Post) RETURN p.lang AS lang")
-            engine.register(
-                "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c"
-            )
-            churn(graph, operations=20)
-            costs = engine.view_costs()
-            assert len(costs["views"]) == 2
-            assert {entry["view"] for entry in costs["views"]} == {0, 1}
-            assert all("worker" in entry for entry in costs["views"])
-            assert costs["total"] > 0
-            assert_sums_to_total(costs)
-        finally:
-            engine.shutdown()

@@ -1,8 +1,8 @@
 """Golden shapes of the introspection surfaces.
 
 Pins the *structure* callers script against — profile columns,
-``answer_stats`` keys, memory counters, the EXPLAIN live-stats section,
-the shard-worker profile label, and the CLI observability metas — so a
+``answer_stats`` keys, memory counters, the EXPLAIN live-stats section
+and the CLI observability metas — so a
 refactor cannot silently change a shape dashboards and the README
 examples rely on.
 """
@@ -55,18 +55,6 @@ class TestProfileShape:
         engine = engine_with_traffic()
         profile = engine.views[0].profile()
         assert "(shared)" in profile
-
-    def test_shard_view_profile_names_its_worker(self):
-        graph = PropertyGraph()
-        engine = QueryEngine(graph, workers=2)
-        try:
-            view = engine.register("MATCH (p:Post) RETURN p.lang AS lang")
-            profile = view.profile()
-            first, rest = profile.split("\n", 1)
-            assert first == f"-- shard worker {view.worker_index} --"
-            assert "node" in rest  # the worker-side profile table follows
-        finally:
-            engine.shutdown()
 
 
 class TestAnswerStatsShape:
@@ -257,12 +245,6 @@ class TestCliObservability:
         status, output = run_shell(":costs\n")
         assert status == 0
         assert "no views registered" in output
-
-    def test_shards_reports_in_process_engine(self):
-        status, output = run_shell(self.SETUP + ":shards\n")
-        assert status == 0
-        assert "0 workers, 1 views" in output
-        assert "in-process engine:" in output
 
     def test_help_lists_the_new_metas(self):
         status, output = run_shell(":help\n")

@@ -1,4 +1,4 @@
-"""Metrics registry mechanics: instruments, snapshots, merging, export."""
+"""Metrics registry mechanics: instruments, snapshots, export."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
 )
 
 
@@ -92,39 +91,6 @@ class TestRegistry:
         assert "repro_batches_total" in snapshot
         assert "repro_batch_seconds" in snapshot
         assert snapshot["repro_batch_seconds"]["type"] == "histogram"
-
-
-class TestMergeSnapshots:
-    def test_sums_counters_and_buckets(self):
-        def make(observations):
-            registry = MetricsRegistry()
-            registry.counter("c", "help").inc(2)
-            histogram = registry.histogram("h", "help", bounds=(1.0, 10.0))
-            for value in observations:
-                histogram.observe(value)
-            return registry.snapshot()
-
-        merged = merge_snapshots([make([0.5, 5.0]), make([0.5])])
-        assert merged["c"]["value"] == 4
-        assert merged["h"]["count"] == 3
-        assert merged["h"]["buckets"] == [[1.0, 2], [10.0, 3]]
-
-    def test_merge_does_not_mutate_inputs(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", "", bounds=(1.0,)).observe(0.5)
-        snapshot = registry.snapshot()
-        before = json.loads(json.dumps(snapshot))
-        merge_snapshots([snapshot, snapshot])
-        assert snapshot == before
-
-    def test_disjoint_metrics_pass_through(self):
-        left = MetricsRegistry()
-        left.counter("only_left", "").inc()
-        right = MetricsRegistry()
-        right.counter("only_right", "").inc(2)
-        merged = merge_snapshots([left.snapshot(), right.snapshot()])
-        assert merged["only_left"]["value"] == 1
-        assert merged["only_right"]["value"] == 2
 
 
 class TestExport:

@@ -6,8 +6,8 @@ they are *pure observers*.  The mirror class here drives identical random
 streams through an instrumented engine and a flags-off baseline (the
 exact prior-PR path) and requires identical per-view multisets and
 ``on_change`` logs throughout — across per-event and batched propagation,
-rollback transactions, the columnar ablation, mid-stream register/detach,
-and the sharded tier.
+rollback transactions, the columnar ablation and mid-stream
+register/detach.
 """
 
 import random
@@ -43,12 +43,12 @@ OBS_IDS = ["metrics", "trace", "metrics+trace"]
 class ObsMirrorPair:
     """An instrumented engine and its flags-off baseline, fed identically."""
 
-    def __init__(self, obs=None, workers=0, **flags):
+    def __init__(self, obs=None, **flags):
         obs = obs or {"collect_metrics": True, "trace_batches": True}
         self.graphs = (PropertyGraph(), PropertyGraph())
         self.engines = (
-            QueryEngine(self.graphs[0], workers=workers, **obs, **flags),
-            QueryEngine(self.graphs[1], workers=workers, **flags),
+            QueryEngine(self.graphs[0], **obs, **flags),
+            QueryEngine(self.graphs[1], **flags),
         )
         self.registered: list[str] = []
         self.views: list[tuple] = []
@@ -87,10 +87,6 @@ class ObsMirrorPair:
             self.registered, self.logs
         ):
             assert instrumented_log == baseline_log, query
-
-    def shutdown(self) -> None:
-        for engine in self.engines:
-            engine.shutdown()
 
 
 def _drive(pair, rng, operations=40, rollback_chance=0.1, oracle_every=10):
@@ -188,39 +184,6 @@ class TestObservabilityIsPure:
                 pair.apply(_random_op(rng, vertices, edges))
             pair.assert_consistent(use_oracle=step % 10 == 0)
         pair.assert_consistent(use_oracle=True)
-
-    def test_sharded_tier_matches_baseline(self):
-        rng = random.Random(2500)
-        pair = ObsMirrorPair(workers=2, batch_transactions=True)
-        try:
-            for query in QUERIES[:4]:
-                pair.register(query)
-            for _ in range(12):
-                vertices = list(pair.graphs[0].vertices())
-                edges = list(pair.graphs[0].edges())
-                ops = [
-                    _random_op(rng, vertices, edges)
-                    for _ in range(rng.randint(1, 4))
-                ]
-                abort = rng.random() < 0.25
-
-                def run(graph, ops=ops, abort=abort):
-                    try:
-                        with graph.transaction():
-                            for op in ops:
-                                op(graph)
-                            if abort:
-                                raise _Abort()
-                    except (_Abort, GraphError):
-                        pass
-
-                pair.apply(run)
-                pair.assert_consistent(use_oracle=True)
-            # the instrumented coordinator actually recorded something
-            snapshot = pair.engines[0].metrics_snapshot()
-            assert snapshot["repro_batches_total"]["value"] > 0
-        finally:
-            pair.shutdown()
 
     def test_instrumented_engine_actually_measures(self):
         """Guard against the oracle passing because metrics never engage."""

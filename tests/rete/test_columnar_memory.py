@@ -8,8 +8,8 @@ against the specification, not a sibling implementation: one engine is
 driven through random streams and, after every step, each view must equal
 ``evaluate(use_views=False)`` and each view's ``on_change`` log, replayed
 onto the contents the view was registered with, must reproduce the view —
-across per-event and batched maintenance, rollback transactions, process
-sharding, binding-tier sharing, columnar and row deltas, and mid-stream
+across per-event and batched maintenance, rollback transactions,
+binding-tier sharing, columnar and row deltas, and mid-stream
 register/detach.  Views are compared by ``(type name, repr)`` per cell on
 a value pool Python equality does not conflate, and as ``==`` bags where
 ``1``/``True``/``1.0`` are in play.  The same check runs per node: ⋈, ▷
@@ -103,9 +103,6 @@ class RecomputationMirror:
         self.views: list = []
         self.replays: list[dict] = []
 
-    def close(self) -> None:
-        self.engine.shutdown()
-
     def register(self, query: str, parameters=None) -> None:
         view = self.engine.register(query, parameters=parameters)
         replay = dict(view.multiset())
@@ -184,20 +181,15 @@ class TestColumnarMemoryDifferential:
             {"batch_transactions": True},
             {"batch_transactions": True, "columnar_deltas": False},
             {"batch_transactions": True, "share_across_bindings": False},
-            {"workers": 2},
-            {"workers": 2, "batch_transactions": True},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )
     def test_flag_matrix_matches_recomputation(self, flags):
         """Column memories compose with every engine flag — including row
-        deltas folding into column stores and the sharded tier."""
+        deltas folding into column stores."""
         mirror = RecomputationMirror(**flags)
-        try:
-            mirror.register_all()
-            _drive(mirror, random.Random(64), operations=30)
-        finally:
-            mirror.close()
+        mirror.register_all()
+        _drive(mirror, random.Random(64), operations=30)
 
     @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
     def test_hostile_values_match_recomputation_as_bags(self, batched):
@@ -258,7 +250,8 @@ class TestColumnarMemoryDifferential:
     @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
     def test_detaching_every_view_drains_every_memory_and_index(self, batched):
         """After the last view detaches nothing is left: no memory cell,
-        no shared node, no router registration, no catalog root."""
+        no shared node, no router registration, no catalog root — and
+        detaching every view a second time changes nothing."""
         mirror = RecomputationMirror(
             detached_cache_size=0, batch_transactions=batched
         )
@@ -269,8 +262,16 @@ class TestColumnarMemoryDifferential:
         engine = mirror.engine
         layer = engine._incremental.input_layer
         assert engine.memory_cells() > 0 and layer.node_count > 0
+        views = list(mirror.views)
+        lifecycle: list[str] = []
+        engine._incremental.subscribe_views(lambda kind, view: lifecycle.append(kind))
         while mirror.views:
             mirror.detach(rng.randrange(len(mirror.views)))
+        pruned = layer.stats.pruned
+        for view in views:
+            view.detach()  # a second detach is a no-op
+        assert layer.stats.pruned == pruned
+        assert lifecycle == ["detach"] * len(views)
         assert engine.memory_cells() == 0
         assert layer.node_count == 0
         assert len(layer.router) == 0

@@ -333,37 +333,3 @@ class TestResultTableSortsOnce:
         table.records()
         table.to_text()
         assert len(calls) == 1
-
-
-class TestShardViewListing:
-    def test_workers_2_parity(self):
-        graph = PropertyGraph()
-        local = QueryEngine(graph)
-        sharded = QueryEngine(graph, workers=2, collect_metrics=True)
-        try:
-            pairs = [(local.register(q), sharded.register(q)) for q in QUERIES[:3]]
-            rng = random.Random(3)
-            for _ in range(12):
-                with graph.transaction():
-                    graph.add_vertex(
-                        labels=["N"],
-                        properties={"v": rng.choice(PLAIN), "w": rng.choice(HOSTILE)},
-                    )
-                    vertices = sorted(graph.vertices())
-                    graph.add_edge(rng.choice(vertices), rng.choice(vertices), "E")
-                    graph.set_vertex_property(rng.choice(vertices), "v", rng.choice(PLAIN))
-                for mine, theirs in pairs:
-                    assert list(map(typed, theirs.rows())) == list(map(typed, mine.rows()))
-                    assert theirs.result_table().rows() == theirs.rows()
-                    count = f"rows={len(mine.rows())})"
-                    assert count in repr(mine) and count in repr(theirs)
-            mirrors = [theirs._production for _, theirs in pairs]
-            assert sum(m.listing_splices for m in mirrors) > 0
-            snapshot = sharded.metrics_snapshot()
-            assert snapshot["repro_view_listing_rows"]["value"] == sum(
-                len(theirs.rows()) for _, theirs in pairs
-            )
-            pairs[0][1].detach()
-            assert mirrors[0].listing_rows == 0
-        finally:
-            sharded.shutdown()

@@ -154,6 +154,20 @@ class TestResidualHits:
         # explain is pure: no answering counters moved
         assert engine.answer_stats().queries == 0
 
+    def test_explain_reports_answering_off(self):
+        """With ``answer_from_views=False`` explain reports no hit that
+        evaluate() would not use."""
+        graph = PropertyGraph()
+        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        engine = QueryEngine(graph, answer_from_views=False)
+        query = "MATCH (p:Post) RETURN p.lang AS lang"
+        engine.register(query)
+        report = engine.explain(query)
+        assert "answer_from_views=False" in report
+        assert "exact hit" not in report and "listing" not in report
+        assert engine.evaluate(query).rows() == [("en",)]
+        assert engine.answer_stats().queries == 0
+
 
 class TestParameterCompatibility:
     QUERY = "MATCH (p:Post) WHERE p.lang = $lang RETURN p"
