@@ -49,8 +49,9 @@ class QueryEngine:
     materialises the query (or a subtree the query is residual work over),
     the result is served from live maintained state instead of re-scanning
     the graph.  ``evaluate(..., use_views=False)`` forces the full
-    recomputation baseline per call; ``answer_from_views=False`` disables
-    the catalog engine-wide (the ablation configuration).
+    recomputation baseline per call; ``answer_from_views=False`` makes it
+    the engine-wide default (the ablation configuration), which a call can
+    still override with ``use_views=True``.
     """
 
     def __init__(

@@ -105,3 +105,24 @@ class TestAttribution:
         engine.register("MATCH (p:Post) RETURN p.lang AS lang")
         graph.add_vertex(labels=["Post"], properties={"lang": "en"})
         assert engine.view_costs()["total"] > 0
+
+    def test_batched_windows_sum_to_total(self):
+        """Coalesced transactions book their work the same way: one entry
+        per view with a fixed shape, summing to the total."""
+        graph = PropertyGraph()
+        engine = QueryEngine(graph, batch_transactions=True)
+        engine.register("MATCH (p:Post) RETURN p.lang AS lang")
+        engine.register("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c")
+        rng = random.Random(11)
+        for _ in range(10):
+            with graph.transaction():
+                for _ in range(rng.randint(1, 4)):
+                    vertices = list(graph.vertices())
+                    edges = list(graph.edges())
+                    _random_op(rng, vertices, edges)(graph)
+        costs = engine.view_costs()
+        assert [entry["view"] for entry in costs["views"]] == [0, 1]
+        for entry in costs["views"]:
+            assert set(entry) == {"view", "query", "cost", "shared_cost"}
+        assert costs["total"] > 0
+        assert_sums_to_total(costs)

@@ -158,6 +158,8 @@ class TestObservabilityIsPure:
             {"route_events": False},
             {"share_subplans": False},
             {"batch_transactions": True, "columnar_deltas": False},
+            {"batch_transactions": True, "share_subplans": False},
+            {"batch_transactions": True, "route_events": False},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

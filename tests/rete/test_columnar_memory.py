@@ -181,6 +181,8 @@ class TestColumnarMemoryDifferential:
             {"batch_transactions": True},
             {"batch_transactions": True, "columnar_deltas": False},
             {"batch_transactions": True, "share_across_bindings": False},
+            {"columnar_deltas": False, "share_across_bindings": False},
+            {"batch_transactions": True, "route_events": False},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

@@ -51,6 +51,12 @@ class TestRegistration:
         assert first.rows() == [(post,)]
         assert second.rows() == [(comment,)]
 
+    def test_one_in_process_engine_has_no_workers_option(self, graph):
+        with pytest.raises(TypeError, match="workers"):
+            QueryEngine(graph, workers=2)
+        engine = QueryEngine(graph, answer_from_views=False)
+        assert engine.catalog is not None
+
     def test_detach_stops_maintenance(self, graph, engine):
         view = engine.register("MATCH (p:Post) RETURN p")
         view.detach()
@@ -418,3 +424,52 @@ class TestProfileCells:
         assert join_lines and all(
             int(line.split()[-1]) > 0 for line in join_lines
         )
+
+
+#: one query per operator shape the second detach must leave alone: σ, ⋈,
+#: θ-join, γ, δ, ⋈* (bounded and unbounded), ⟕ and the binding tier
+DETACH_SHAPES = [
+    ("MATCH (p:Post) WHERE p.lang = 'en' RETURN p", None),
+    ("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c", None),
+    ("MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c", None),
+    ("MATCH (p:Post) RETURN p.lang AS lang, count(*) AS n", None),
+    ("MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN DISTINCT p", None),
+    ("MATCH (p:Post)-[:REPLY*1..2]->(c:Comm) RETURN p, c", None),
+    (PAPER_QUERY, None),
+    ("MATCH (p:Post) OPTIONAL MATCH (p)-[:REPLY]->(c:Comm) RETURN p, c", None),
+    ("MATCH (p:Post) WHERE p.lang = $lang RETURN p", {"lang": "en"}),
+]
+
+
+class TestDetachTwice:
+    """A second ``detach()`` is a no-op for every operator shape: it
+    releases nothing a sibling view over the same shared nodes still
+    holds, so the sibling stays exact and memory does not move."""
+
+    @pytest.mark.parametrize(
+        "query, parameters",
+        DETACH_SHAPES,
+        ids=["select", "join", "theta", "aggregate", "distinct",
+             "bounded-path", "paper", "optional", "binding"],
+    )
+    def test_second_detach_leaves_the_sibling_exact(
+        self, graph, engine, query, parameters
+    ):
+        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+        graph.add_edge(post, comm, "REPLY")
+        sibling = engine.register(query, parameters=parameters)
+        view = engine.register(query, parameters=parameters)
+        view.detach()
+        cells = engine.memory_cells()
+        view.detach()
+        assert engine.memory_cells() == cells
+        assert list(engine.views) == [sibling]
+        reply = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+        graph.add_edge(comm, reply, "REPLY")
+        graph.add_edge(post, reply, "REPLY")
+        graph.set_vertex_property(post, "lang", "de")
+        recomputed = engine.evaluate(query, parameters, use_views=False)
+        assert sibling.multiset() == recomputed.multiset()
+        late = engine.register(query, parameters=parameters)
+        assert late.multiset() == recomputed.multiset()

@@ -288,6 +288,40 @@ class TestListingLifecycle:
         assert production.listing_rows == 0
         stream.op(("add", 2, None))  # no longer noted anywhere
 
+    def test_columnar_and_row_engines_list_alike(self):
+        """Two engines over one graph, one per delta form: their listings
+        agree row for row, the listing gauge counts every listed row, and
+        detaching releases the listing."""
+        graph = PropertyGraph()
+        rows_engine = QueryEngine(graph, columnar_deltas=False)
+        columnar = QueryEngine(graph, collect_metrics=True)
+        pairs = [
+            (rows_engine.register(q), columnar.register(q)) for q in QUERIES[:3]
+        ]
+        rng = random.Random(3)
+        for _ in range(12):
+            with graph.transaction():
+                graph.add_vertex(
+                    labels=["N"],
+                    properties={"v": rng.choice(PLAIN), "w": rng.choice(HOSTILE)},
+                )
+                vertices = sorted(graph.vertices())
+                graph.add_edge(rng.choice(vertices), rng.choice(vertices), "E")
+                graph.set_vertex_property(rng.choice(vertices), "v", rng.choice(PLAIN))
+            for mine, theirs in pairs:
+                assert list(map(typed, theirs.rows())) == list(map(typed, mine.rows()))
+                assert theirs.result_table().rows() == theirs.rows()
+                count = f"rows={len(mine.rows())})"
+                assert count in repr(mine) and count in repr(theirs)
+        productions = [theirs.network.production for _, theirs in pairs]
+        assert sum(p.listing_splices for p in productions) > 0
+        snapshot = columnar.metrics_snapshot()
+        assert snapshot["repro_view_listing_rows"]["value"] == sum(
+            len(theirs.rows()) for _, theirs in pairs
+        )
+        pairs[0][1].detach()
+        assert productions[0].listing_rows == 0
+
     def test_mutating_a_returned_list_leaves_the_listing_intact(self):
         stream = Stream(batched=False)
         for value in (3, 1, 2):

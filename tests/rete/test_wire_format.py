@@ -1,14 +1,15 @@
-"""Wire-format regression: everything the sharded tier ships must pickle.
+"""Pickle round trips: the values the engine consumes and hands out.
 
-The shard coordinator's entire protocol is pickled tuples over pipes:
-consolidated :class:`~repro.rete.batch.CoalescedBatch` payloads outbound,
-:class:`~repro.rete.deltas.Delta` streams (whose rows may carry the frozen
-graph values ``ListValue``/``MapValue``/``PathValue``) inbound, and
-``state_delta()`` bags during view migration.  Each class here serialises
-one layer and requires the round trip to be lossless — including *replay
-parity*: a deserialised batch rebuilds an identical graph, and every live
-Rete node's serialised ``state_delta()`` reconstructs the exact memory the
-``populate()`` replay path would install.
+Graph events, ``on_change`` deltas in row and column form (whose rows may
+carry the frozen graph values ``ListValue``/``MapValue``/``PathValue``),
+consolidated :class:`~repro.rete.batch.CoalescedBatch` windows and every
+node's ``state_delta()`` are plain values: a caller can pickle them to
+persist or ship a change stream.  Each class here serialises one layer and
+requires the round trip to be lossless — including *replay parity*: a
+deserialised batch, applied to a graph that holds the window-start state,
+rebuilds the window-end graph, and every live Rete node's serialised
+``state_delta()`` equals its live memory.  The frozen values themselves are
+round-tripped in ``tests/graph/test_values.py``.
 """
 
 import pickle
@@ -18,9 +19,8 @@ import pytest
 
 from repro import ListValue, MapValue, PathValue, PropertyGraph, QueryEngine
 from repro.graph import events as ev
-from repro.rete.batch import BatchAccumulator
+from repro.rete.batch import BatchAccumulator, CoalescedBatch
 from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
-from repro.rete.shard import apply_batch_to_replica
 
 from .test_sharing import _random_op
 
@@ -29,32 +29,51 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-class TestValueRoundTrips:
-    def test_list_value(self):
-        value = ListValue((1, "two", None, ListValue((3,))))
-        restored = roundtrip(value)
-        assert restored == value
-        assert isinstance(restored, ListValue)
-        assert hash(restored) == hash(value)
+def _replay(graph: PropertyGraph, batch: CoalescedBatch) -> None:
+    """Apply a consolidated batch's net records to *graph*.
 
-    def test_map_value(self):
-        value = MapValue({"a": 1, "nested": MapValue({"b": ListValue((2,))})})
-        restored = roundtrip(value)
-        assert restored == value
-        assert isinstance(restored, MapValue)
-        assert hash(restored) == hash(value)
-        assert dict(restored.items()) == dict(value.items())
-
-    def test_path_value(self):
-        value = PathValue((1, 2, 3), (10, 11))
-        restored = roundtrip(value)
-        assert restored == value
-        assert isinstance(restored, PathValue)
-        assert hash(restored) == hash(value)
-        assert restored.vertices == (1, 2, 3) and restored.edges == (10, 11)
-
-    def test_zero_length_path(self):
-        assert roundtrip(PathValue((7,), ())) == PathValue((7,), ())
+    Edge removals run before vertex removals (the store forbids dangling
+    edges), vertex additions before edge additions (endpoints must exist),
+    and transitions in between; ``_restore_vertex``/``_restore_edge`` keep
+    the source's entity ids.
+    """
+    vertex_events, edge_events = batch.vertex_events, batch.edge_events
+    for event in edge_events:
+        if isinstance(event, ev.EdgeRemoved):
+            graph.remove_edge(event.edge_id)
+    for event in vertex_events:
+        if isinstance(event, ev.VertexRemoved):
+            graph.remove_vertex(event.vertex_id)
+    for event in vertex_events:
+        if isinstance(event, ev.VertexAdded):
+            graph._restore_vertex(event.vertex_id, event.labels, event.properties)
+        elif isinstance(event, ev.VertexChanged):
+            for label in event.after_labels - event.before_labels:
+                graph.add_label(event.vertex_id, label)
+            for label in event.before_labels - event.after_labels:
+                graph.remove_label(event.vertex_id, label)
+            for key in ev.changed_property_keys(
+                event.before_properties, event.after_properties
+            ):
+                graph.set_vertex_property(
+                    event.vertex_id, key, event.after_properties.get(key)
+                )
+    for event in edge_events:
+        if isinstance(event, ev.EdgeAdded):
+            graph._restore_edge(
+                event.edge_id,
+                event.source,
+                event.target,
+                event.edge_type,
+                event.properties,
+            )
+        elif isinstance(event, ev.EdgeChanged):
+            for key in ev.changed_property_keys(
+                event.before_properties, event.after_properties
+            ):
+                graph.set_edge_property(
+                    event.edge_id, key, event.after_properties.get(key)
+                )
 
 
 EVENTS = [
@@ -107,7 +126,8 @@ class TestDeltaRoundTrips:
 
 
 class TestBatchReplayParity:
-    """A pickled batch must rebuild the source graph on a fresh replica."""
+    """A pickled batch must carry a replica from the window-start graph
+    to the window-end graph."""
 
     def _assert_equal_graphs(self, left: PropertyGraph, right: PropertyGraph):
         left_vertices = {
@@ -155,14 +175,14 @@ class TestBatchReplayParity:
                 restored.vertex_before_properties
                 == batch.vertex_before_properties
             )
-            apply_batch_to_replica(replica, restored)
+            _replay(replica, restored)
             self._assert_equal_graphs(source, replica)
         # ids stay in lockstep too: fresh entities get identical ids
         assert source.add_vertex() == replica.add_vertex()
 
 
 class TestStateDeltaReplayParity:
-    """Every node's migration payload reconstructs its live memory."""
+    """Every node's pickled ``state_delta()`` equals its live memory."""
 
     #: covers input, selection, join (inner/anti via OPTIONAL-free fragment),
     #: dedup, aggregate, transitive and production nodes
@@ -207,7 +227,7 @@ class TestStateDeltaReplayParity:
         assert checked >= len(views)  # at least every production memory
 
     def test_view_multiset_equals_shipped_state(self):
-        """The migration payload (the production's bag) is the view itself."""
+        """The production's bag, pickled, is the view itself."""
         graph = PropertyGraph()
         engine = QueryEngine(graph)
         view = engine.register("MATCH (p:Post) RETURN p.lang AS lang")

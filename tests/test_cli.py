@@ -110,6 +110,27 @@ class TestMetaCommands:
         status, output = run_shell(":checkpoint\n")
         assert "not a durable store" in output
 
+    def test_shards_is_an_unknown_command(self):
+        status, output = run_shell(":shards\n")
+        assert status == 1
+        assert "unknown command" in output
+
+
+class TestOptions:
+    def test_usage_lists_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--batch-transactions" in usage
+        assert "workers" not in usage
+
+    def test_workers_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_shell("CREATE (n:Post);\n", "--workers", "2")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
 
 class TestDurableMode:
     def test_db_mode_persists_across_sessions(self, tmp_path):

@@ -169,6 +169,55 @@ class TestResidualHits:
         assert engine.answer_stats().queries == 0
 
 
+#: (registered view, its binding, one-shot read) for every kind of hit
+ANSWERING_SHAPES = [
+    (VIEW_QUERIES[0], None, READ_QUERIES[1]),
+    (VIEW_QUERIES[1], None, READ_QUERIES[2]),
+    (VIEW_QUERIES[2], None, READ_QUERIES[3]),
+    (
+        "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang RETURN a, b",
+        {"lang": "en"},
+        "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang "
+        "RETURN DISTINCT b",
+    ),
+]
+
+
+class TestAnsweringOff:
+    """``answer_from_views=False`` switches the engine default, not the
+    catalog: explain says so for every kind of hit, ``evaluate()``
+    recomputes, and a per-call ``use_views=True`` still serves."""
+
+    @pytest.mark.parametrize(
+        "view, parameters, read",
+        ANSWERING_SHAPES,
+        ids=["exact", "residual", "top-k", "binding-partition"],
+    )
+    def test_explain_matches_what_evaluate_does(self, view, parameters, read):
+        _, serving = small_engine()
+        _, engine = small_engine(answer_from_views=False)
+        for each in (serving, engine):
+            each.register(view, parameters=parameters)
+        answering = "== View answering ==\n"
+        served = serving.explain(read, parameters).split(answering)[1]
+        assert "hit" in served or "binding-partition[" in served, served
+        report = engine.explain(read, parameters).split(answering)[1]
+        assert report.startswith("off (answer_from_views=False)"), report
+        assert "hit" not in report and "binding-partition[" not in report
+        direct = engine.evaluate(read, parameters, use_views=False).rows()
+        assert engine.evaluate(read, parameters).rows() == direct
+        assert engine.answer_stats().queries == 0
+
+    def test_per_call_use_views_still_serves(self):
+        _, engine = small_engine(answer_from_views=False)
+        query = VIEW_QUERIES[0]
+        engine.register(query)
+        served = engine.evaluate(query, use_views=True).rows()
+        assert served == engine.evaluate(query, use_views=False).rows()
+        stats = engine.answer_stats()
+        assert stats.queries == 1 and stats.answered == 1
+
+
 class TestParameterCompatibility:
     QUERY = "MATCH (p:Post) WHERE p.lang = $lang RETURN p"
 
