@@ -13,11 +13,13 @@ naive alternative for a schema-free data model.  Costs measured:
 
 from __future__ import annotations
 
-from repro import QueryEngine, compile_query
+from dataclasses import replace
+
+from repro import compile_query
 from repro.algebra import ops
 from repro.bench import Timer, format_table, speedup
 from repro.compiler.treeutil import rebuild
-from repro.rete.network import ReteNetwork
+from repro.rete.engine import IncrementalEngine
 from repro.workloads import social
 
 QUERY = social.RUNNING_EXAMPLE_QUERY
@@ -54,14 +56,12 @@ def with_all_properties(plan: ops.Operator) -> ops.Operator:
     return rebuild(plan, [with_all_properties(c) for c in plan.children])
 
 
-def build_network(graph, inferred: bool, subscribe: bool = True):
+def build_view(graph, inferred: bool):
+    """The query as a view on its own engine, so the modes share nothing."""
     compiled = compile_query(QUERY)
-    plan = compiled.plan if inferred else with_all_properties(compiled.plan)
-    network = ReteNetwork(graph, plan)
-    network.populate()
-    if subscribe:
-        graph.subscribe(network.dispatch)
-    return network
+    if not inferred:
+        compiled = replace(compiled, plan=with_all_properties(compiled.plan))
+    return IncrementalEngine(graph).register(compiled)
 
 
 def workload(persons=12):
@@ -75,17 +75,17 @@ def workload(persons=12):
 
 def test_register_inferred(benchmark, bench_sizes):
     net = workload(bench_sizes["persons"])
-    benchmark(lambda: build_network(net.graph, inferred=True, subscribe=False))
+    benchmark(lambda: build_view(net.graph, inferred=True))
 
 
 def test_register_all_properties(benchmark, bench_sizes):
     net = workload(bench_sizes["persons"])
-    benchmark(lambda: build_network(net.graph, inferred=False, subscribe=False))
+    benchmark(lambda: build_view(net.graph, inferred=False))
 
 
 def test_update_inferred(benchmark, bench_sizes):
     net = workload(bench_sizes["persons"])
-    build_network(net.graph, inferred=True)
+    build_view(net.graph, inferred=True)
     counter = iter(range(10**9))
 
     def update():
@@ -98,7 +98,7 @@ def test_update_inferred(benchmark, bench_sizes):
 
 def test_update_all_properties(benchmark, bench_sizes):
     net = workload(bench_sizes["persons"])
-    build_network(net.graph, inferred=False)
+    build_view(net.graph, inferred=False)
     counter = iter(range(10**9))
 
     def update():
@@ -110,11 +110,11 @@ def test_update_all_properties(benchmark, bench_sizes):
 
 def test_both_modes_agree():
     net = workload(persons=6)
-    inferred = build_network(net.graph, inferred=True)
-    naive = build_network(net.graph, inferred=False)
+    inferred = build_view(net.graph, inferred=True)
+    naive = build_view(net.graph, inferred=False)
     social.add_comment(net, net.posts[0], "en")
     net.graph.set_vertex_property(net.posts[0], "lang", "de")
-    assert inferred.production.multiset() == naive.production.multiset()
+    assert inferred.multiset() == naive.multiset()
 
 
 # -- standalone report --------------------------------------------------------------
@@ -125,7 +125,7 @@ def main() -> None:
     for inferred, label in ((True, "inferred (paper)"), (False, "all properties")):
         net = workload(persons=20)
         with Timer() as t_reg:
-            network = build_network(net.graph, inferred)
+            view = build_view(net.graph, inferred)
         with Timer() as t_update:
             for i in range(100):
                 message = net.posts[i % len(net.posts)]
@@ -138,7 +138,7 @@ def main() -> None:
             [
                 label,
                 t_reg.seconds,
-                network.memory_cells(),
+                view.memory_cells(),
                 t_update.seconds / 100,
                 t_relevant.seconds / 100,
             ]

@@ -58,13 +58,9 @@ class QueryEngine:
         self,
         graph: PropertyGraph,
         transitive_mode: str = "trails",
-        share_inputs: bool = True,
         batch_transactions: bool = False,
-        route_events: bool = True,
-        share_subplans: bool = True,
         answer_from_views: bool = True,
         detached_cache_size: int = 4,
-        share_across_bindings: bool = True,
         columnar_deltas: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
@@ -73,12 +69,8 @@ class QueryEngine:
         self._incremental = IncrementalEngine(
             graph,
             transitive_mode=transitive_mode,
-            share_inputs=share_inputs,
             batch_transactions=batch_transactions,
-            route_events=route_events,
-            share_subplans=share_subplans,
             detached_cache_size=detached_cache_size,
-            share_across_bindings=share_across_bindings,
             columnar_deltas=columnar_deltas,
             collect_metrics=collect_metrics,
             trace_batches=trace_batches,

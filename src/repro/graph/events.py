@@ -132,8 +132,8 @@ def changed_property_keys(
 
     ``None`` and *absent* compare equal (the Cypher convention this event
     model uses throughout).  Both the event router's candidate filters and
-    the input nodes' relevance checks must use this one definition — they
-    have to agree exactly for routed dispatch to match broadcast.
+    the input nodes' relevance checks must use this one definition — a
+    node the router skips must be one whose relevance check would fail.
     """
     return {
         key

@@ -277,5 +277,5 @@ class EngineMetrics:
         )
         self.populate_rows = counter(
             "repro_populate_rows_total",
-            "Rows populate handed out (input activations plus replays)",
+            "Rows populate handed out (replays of shared state)",
         )

@@ -42,9 +42,10 @@ from time import perf_counter
 from typing import Any, Callable, Mapping
 
 from ..algebra.expressions import cache_stats
+from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import lifted_plan
 from ..compiler.pipeline import CompiledQuery, compile_query
-from ..errors import TransactionError
+from ..errors import InvalidValueError, TransactionError
 from ..eval.results import ResultTable
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
@@ -53,16 +54,25 @@ from ..obs.metrics import EngineMetrics
 from .batch import BatchAccumulator
 from .deltas import Delta
 from .network import ReteNetwork
-from .sharing import SharedInputLayer, SharedSubplanLayer
+from .sharing import SharingLayer, binding_key
 
 
 class View:
     """A continuously maintained query result."""
 
-    def __init__(self, engine: "IncrementalEngine", compiled: CompiledQuery, network: ReteNetwork):
+    def __init__(
+        self,
+        engine: "IncrementalEngine",
+        compiled: CompiledQuery,
+        network: ReteNetwork,
+        shape: tuple | None = None,
+    ):
         self._engine = engine
         self.compiled = compiled
         self.network = network
+        #: ``(shape, binding)`` of a parameterised query (see
+        #: ``IncrementalEngine._registered_plan``), else ``None``
+        self._shape = shape
         #: the result bag every read is served from
         self._production = network.production
 
@@ -113,73 +123,49 @@ class View:
 class IncrementalEngine:
     """Registers incremental views and feeds them graph events.
 
-    With ``share_inputs=True`` (the default) views share base-relation
-    input nodes through a :class:`~repro.rete.sharing.SharedInputLayer`:
-    each graph event is translated once per distinct ©/⇑ signature instead
-    of once per view.  Set it to ``False`` to give every view a private
-    input layer (the ablation baseline of experiment E11).
+    Every view's network is built through one engine-owned
+    :class:`~repro.rete.sharing.SharingLayer`: views share input nodes
+    (each graph event is translated once per distinct ©/⇑ signature, and
+    the layer's router offers it only to the nodes it can concern) and
+    whole interior subtrees — selections, joins, aggregates, their
+    memories *and* their per-event work — keyed by the canonical subplan
+    fingerprint.
 
-    With ``share_subplans=True`` (the default; requires ``share_inputs``)
-    the layer is a :class:`~repro.rete.sharing.SharedSubplanLayer` and
-    sharing extends to whole interior subtrees: overlapping views share
-    selections, joins, aggregates — their memories *and* their per-event
-    work — keyed by the canonical subplan fingerprint.
-    ``share_subplans=False`` keeps input-only sharing as the ablation
-    baseline.
-
-    With ``share_across_bindings=True`` (the default; requires
-    ``share_subplans``) sharing additionally crosses *parameter bindings*:
-    the same parameterised query registered once per user shares one
-    binding-free core (plans are registered with parameter-dependent
-    selections lifted back above it) topped by a single value-indexed σ
-    node with one output partition per live binding.
-    ``share_across_bindings=False`` keeps the exact-binding cache keys —
-    and the pushed-down plans — as the ablation baseline.
+    Sharing crosses *parameter bindings* once there is a second one: while
+    a parameterised query's shape has a single live binding, its view
+    keeps the pushed-down plan; a view whose binding differs from another
+    live one of the same shape is registered with its parameter-dependent
+    selections lifted above a binding-free core, which every such binding
+    shares below one value-indexed σ node with a partition per binding.
     """
 
     def __init__(
         self,
         graph: PropertyGraph,
         transitive_mode: str = "trails",
-        share_inputs: bool = True,
         batch_transactions: bool = False,
-        route_events: bool = True,
-        share_subplans: bool = True,
         detached_cache_size: int = 4,
-        share_across_bindings: bool = True,
         columnar_deltas: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
     ):
         self.graph = graph
         self.transitive_mode = transitive_mode
-        self.route_events = route_events
         #: batched deltas travel the networks in columnar form, and the two
         #: value-level refinements (constant pushdown into input nodes and
         #: composite binding discriminants) are enabled; ``False`` is the
         #: exact row-at-a-time ablation baseline
         self.columnar_deltas = columnar_deltas
-        if share_inputs:
-            if share_subplans:
-                self.input_layer: SharedInputLayer | None = SharedSubplanLayer(
-                    graph,
-                    route_events=route_events,
-                    detached_cache_size=detached_cache_size,
-                    share_across_bindings=share_across_bindings,
-                    columnar_deltas=columnar_deltas,
-                )
-            else:
-                self.input_layer = SharedInputLayer(
-                    graph,
-                    route_events=route_events,
-                    columnar_deltas=columnar_deltas,
-                )
-        else:
-            self.input_layer = None
+        self.input_layer = SharingLayer(
+            graph,
+            detached_cache_size=detached_cache_size,
+            columnar_deltas=columnar_deltas,
+        )
+        self._router = self.input_layer.router
         self._views: list[View] = []
-        # views whose networks own private input nodes (share_inputs=False);
-        # with a shared layer per-view dispatch would be a guaranteed no-op
-        self._private_views: list[View] = []
+        # live bindings per parameterised query shape: generalised
+        # structure of the lifted plan → {binding keys: live views}
+        self._live_bindings: dict[tuple, dict[tuple, int]] = {}
         # view-lifecycle observers (the view-answering catalog), called with
         # ("register" | "detach", view) after the engine state is consistent
         self._view_listeners: list[Callable[[str, View], None]] = []
@@ -213,7 +199,10 @@ class IncrementalEngine:
 
         Raises :class:`~repro.errors.UnsupportedForIncrementalError` for
         queries outside the paper's maintainable fragment (ORDER BY / SKIP /
-        LIMIT / top-k).
+        LIMIT / top-k).  A parameterised query is built lifted, sharing a
+        binding-free core with the other bindings of its shape, only once
+        another binding of that shape is live (see
+        :meth:`_registered_plan`).
         """
         compiled = compile_query(query) if isinstance(query, str) else query
         compiled.require_incremental()
@@ -224,27 +213,16 @@ class IncrementalEngine:
         if accumulator is not None and accumulator:
             self._accumulator = BatchAccumulator(self.graph)
             self._run_batch(accumulator)
-        plan = compiled.plan
-        if (
-            isinstance(self.input_layer, SharedSubplanLayer)
-            and self.input_layer.share_across_bindings
-        ):
-            # Hoist parameter-dependent σ conjuncts above their binding-free
-            # cores: the builder can then cut the σ over to one
-            # binding-indexed node shared by every binding, instead of a
-            # per-binding private chain all the way down (see
-            # compiler.optimizer.lift_parameter_selections).
-            plan = lifted_plan(compiled)
+        plan, shape = self._registered_plan(compiled, parameters)
         metrics = self.metrics
         start = perf_counter() if metrics is not None else 0.0
         network = ReteNetwork(
-            self.graph,
             plan,
+            self.input_layer,
             parameters=parameters,
             transitive_mode=self.transitive_mode,
-            input_layer=self.input_layer,
-            route_events=self.route_events,
             columnar_deltas=self.columnar_deltas,
+            binding_tier=plan is not compiled.plan,
         )
         built = perf_counter() if metrics is not None else 0.0
         rows = network.populate()
@@ -252,16 +230,54 @@ class IncrementalEngine:
             metrics.register_build_seconds.observe(built - start)
             metrics.register_populate_seconds.observe(perf_counter() - built)
             metrics.populate_rows.inc(rows)
-        view = View(self, compiled, network)
+        view = View(self, compiled, network, shape)
+        if shape is not None:
+            live = self._live_bindings.setdefault(shape[0], {})
+            live[shape[1]] = live.get(shape[1], 0) + 1
         self._views.append(view)
-        if network.has_private_inputs:
-            self._private_views.append(view)
         if not self._subscribed:
             self.graph.subscribe(self._on_event)
             self._subscribed = True
         for listener in self._view_listeners:
             listener("register", view)
         return view
+
+    def _registered_plan(
+        self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
+    ) -> tuple[Any, tuple | None]:
+        """The plan to build for one registration, and its binding shape.
+
+        A plan with parameter-dependent selections has a *shape* (the
+        generalised structure of its lifted form) and a *binding* (the
+        type-exact keys of its parameters in the shape's order).  It is
+        built lifted — σ hoisted above a binding-free core that the
+        layer's binding-indexed node shares across bindings (see
+        :func:`~repro.compiler.optimizer.lift_parameter_selections`) —
+        only when another live view of the same shape holds a different
+        binding; a lone binding keeps the pushed-down plan, where a lifted
+        one would build an unfiltered core nobody else reads.  A view
+        never migrates: the first binding of a shape stays pushed down
+        after later ones lift.  Returns ``(plan, None)`` for a plan that
+        cannot lift or whose bindings have no type-exact key.
+        """
+        lifted = lifted_plan(compiled)
+        if lifted is compiled.plan:
+            return lifted, None
+        gfp = generalized_fingerprint(lifted)
+        if gfp is None:
+            return compiled.plan, None
+        try:
+            binding = tuple(
+                binding_key(parameters[name]) for name in gfp.param_order
+            )
+            hash(binding)
+        except (KeyError, TypeError, InvalidValueError):
+            return compiled.plan, None
+        shape = (gfp.structure, binding)
+        live = self._live_bindings.get(gfp.structure, ())
+        if len(live) > 1 or (live and binding not in live):
+            return lifted, shape  # another live binding differs
+        return compiled.plan, shape
 
     def subscribe_views(self, listener: Callable[[str, "View"], None]) -> None:
         """Observe view lifecycle: called with ("register"|"detach", view)."""
@@ -284,10 +300,7 @@ class IncrementalEngine:
         # served half-updated maintained state (see pending_changes).
         self._dispatch_depth += 1
         try:
-            if self.input_layer is not None:
-                self.input_layer.dispatch(event)
-            for view in self._private_views:
-                view.network.dispatch(event)
+            self._router.dispatch(event)
         finally:
             self._dispatch_depth -= 1
             if metrics is not None:
@@ -378,10 +391,7 @@ class IncrementalEngine:
             tracer.enter("dispatch", f"net_records={net_records}", net_records)
         start = perf_counter() if metrics is not None else 0.0
         try:
-            if self.input_layer is not None:
-                self.input_layer.dispatch_batch(changes)
-            for view in self._private_views:
-                view.network.dispatch_batch(changes)
+            self._router.dispatch_batch(changes)
         finally:
             if metrics is not None:
                 metrics.dispatch_seconds.observe(perf_counter() - start)
@@ -421,11 +431,16 @@ class IncrementalEngine:
         if view not in self._views:
             return  # already detached
         self._views.remove(view)
-        if view in self._private_views:
-            self._private_views.remove(view)
+        if view._shape is not None:
+            structure, binding = view._shape
+            live = self._live_bindings[structure]
+            live[binding] -= 1
+            if not live[binding]:
+                del live[binding]
+                if not live:
+                    del self._live_bindings[structure]
         view.network.disconnect_shared()
-        if self.input_layer is not None:
-            self.input_layer.prune()
+        self.input_layer.prune()
         for listener in self._view_listeners:
             listener("detach", view)
 
@@ -453,15 +468,13 @@ class IncrementalEngine:
 
     def memory_size(self) -> int:
         """Total memory entries across all views, shared nodes counted once."""
-        layer = self.input_layer.memory_size() if self.input_layer else 0
-        return layer + sum(
+        return self.input_layer.memory_size() + sum(
             view.network.private_memory_size() for view in self._views
         )
 
     def memory_cells(self) -> int:
         """Total stored tuple fields, shared nodes counted once."""
-        layer = self.input_layer.memory_cells() if self.input_layer else 0
-        return layer + sum(
+        return self.input_layer.memory_cells() + sum(
             view.network.private_memory_cells() for view in self._views
         )
 
@@ -471,11 +484,10 @@ class IncrementalEngine:
         """Every live node, shared counted once (layer first, then private)."""
         seen: set[int] = set()
         nodes = []
-        if self.input_layer is not None:
-            for node in self.input_layer.shared_nodes():
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    nodes.append(node)
+        for node in self.input_layer.shared_nodes():
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
         for view in self._views:
             for node in view.network.all_nodes:
                 if id(node) not in seen:
@@ -525,12 +537,7 @@ class IncrementalEngine:
             gauge(name, help).set(
                 sum(getattr(production, attribute) for production in productions)
             )
-        routers = []
-        if self.input_layer is not None and self.input_layer.router is not None:
-            routers.append(self.input_layer.router)
-        for view in self._private_views:
-            if view.network.router is not None:
-                routers.append(view.network.router)
+        router = self._router
         for attribute, name, help in (
             ("events_routed", "repro_router_events_routed", "Events dispatched through interest routers"),
             ("batches_routed", "repro_router_batches_routed", "Consolidated batches dispatched through routers"),
@@ -538,9 +545,7 @@ class IncrementalEngine:
             ("union_hits", "repro_router_union_cache_hits", "Router candidate-union cache hits"),
             ("union_misses", "repro_router_union_cache_misses", "Router candidate-union cache misses"),
         ):
-            gauge(name, help).set(
-                sum(getattr(router, attribute) for router in routers)
-            )
+            gauge(name, help).set(getattr(router, attribute))
         expressions = cache_stats()  # process-wide, like the memo they count
         gauge("repro_expr_compiled_total", "Expression shapes generated and compile()d").set(
             expressions["compiled"]
@@ -549,8 +554,6 @@ class IncrementalEngine:
             expressions["hits"]
         )
         layer = self.input_layer
-        if layer is None:
-            return
         stats = layer.stats
         for value, name, help in (
             (stats.requests, "repro_sharing_input_requests", "Input-node requests across all views"),
@@ -566,21 +569,12 @@ class IncrementalEngine:
             (stats.detached_retained, "repro_sharing_detached_retained", "Dead subplan roots retained in the LRU"),
             (stats.detached_revived, "repro_sharing_detached_revived", "Retained subplans revived by a later view"),
             (stats.detached_evicted, "repro_sharing_detached_evicted", "Retained subplans evicted on LRU overflow"),
+            (layer.subplan_count, "repro_sharing_subplans_live", "Live cached subplan entries"),
+            (layer.detached_count, "repro_sharing_detached_live", "Dead-but-retained subplan roots"),
+            (layer.binding_node_count, "repro_sharing_binding_nodes", "Live binding-indexed selection nodes"),
+            (layer.binding_partition_count, "repro_sharing_binding_partitions", "Live binding partitions"),
         ):
             gauge(name, help).set(value)
-        if isinstance(layer, SharedSubplanLayer):
-            gauge("repro_sharing_subplans_live", "Live cached subplan entries").set(
-                layer.subplan_count
-            )
-            gauge("repro_sharing_detached_live", "Dead-but-retained subplan roots").set(
-                layer.detached_count
-            )
-            gauge("repro_sharing_binding_nodes", "Live binding-indexed selection nodes").set(
-                layer.binding_node_count
-            )
-            gauge("repro_sharing_binding_partitions", "Live binding partitions").set(
-                layer.binding_partition_count
-            )
 
     def metrics_snapshot(self) -> dict | None:
         """JSON-ready metrics snapshot, or ``None`` with collection off."""

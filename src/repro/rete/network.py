@@ -19,29 +19,31 @@ FRA operator       Rete node
 ⋈* transitive      :class:`~.nodes.transitive.TransitiveClosureNode`
 =================  =========================================
 
-Node sharing happens at three scopes:
+Every node comes from, or is adopted by, the engine's
+:class:`~.sharing.SharingLayer`, so node sharing spans views at three
+scopes:
 
-* **within one network** identical base relations share an input node
-  (classic Rete sharing; tuple layout depends only on labels/types and
-  pushed projections, never on variable names);
-* **across views, inputs** — with a :class:`~.sharing.SharedInputLayer`
-  the ©/⇑/unit leaves come from an engine-owned cache;
-* **across views, subplans** — with a
-  :class:`~.sharing.SharedSubplanLayer` *any* interior subtree whose
-  canonical fingerprint matches a live cached node is cut over to that
-  node, so overlapping views share join memories and per-event work;
-* **across bindings** — a parameterised σ over a binding-free core is cut
-  over at its *generalised* fingerprint (parameter names and bindings
+* **inputs** — ©/⇑/unit leaves are cached by base-relation signature
+  (tuple layout depends only on labels/types and pushed projections,
+  never on variable names);
+* **subplans** — *any* interior subtree whose canonical fingerprint
+  matches a live cached node is cut over to that node, so overlapping
+  views share join memories and per-event work;
+* **bindings** — a parameterised σ over a binding-free core is cut over
+  at its *generalised* fingerprint (parameter names and bindings
   abstracted away) to one binding-indexed node shared by every binding,
-  this view subscribing below its own binding's partition.
+  this view subscribing below its own binding's partition.  The engine
+  hands the builder such a lifted plan only once a second binding of the
+  query's shape is live.
 
 The builder classifies every subscription edge it creates:
 
 * *replay* edges (from an already-populated shared node into a node built
   here) receive the upstream's current state during :meth:`populate` —
   targeted activation, applied only to this network's edges;
-* *detach* edges (from a layer-owned node into a private node of this
-  network) are the ones removed again by :meth:`disconnect_shared`;
+* *detach* edges (from a layer-owned node into a node private to this
+  network — its production, or a node the layer cannot key) are the ones
+  removed again by :meth:`disconnect_shared`;
 * structural edges between two layer-owned nodes belong to the sharing
   layer and live exactly as long as their downstream subplan does.
 """
@@ -62,12 +64,9 @@ from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import split_conjuncts
 from ..cypher import ast
 from ..errors import CompilerError
-from ..graph import events as ev
-from ..graph.graph import PropertyGraph
 from .deltas import ColumnDelta, Delta, as_row_delta
 from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
-from .nodes.input import EdgeInputNode, UnitNode, VertexInputNode
 from .nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode, UnionNode
 from .nodes.production import ProductionNode
 from .nodes.transitive import EDGES, ReachabilityNode, TransitiveClosureNode
@@ -79,8 +78,7 @@ from .nodes.unary import (
     SelectionNode,
     UnwindNode,
 )
-from .router import EventRouter
-from .sharing import SharedInputLayer, SharedSubplanLayer
+from .sharing import SharingLayer, subplan_cache_key
 
 
 class ReteNetwork:
@@ -88,39 +86,32 @@ class ReteNetwork:
 
     def __init__(
         self,
-        graph: PropertyGraph,
         plan: ops.Operator,
+        layer: SharingLayer,
         parameters: Mapping[str, Any] | None = None,
         transitive_mode: str = "trails",
-        input_layer: "SharedInputLayer | None" = None,
-        route_events: bool = True,
         columnar_deltas: bool = True,
+        binding_tier: bool = False,
     ):
         validate_fra(plan)
         check_incremental_fragment(plan)
         if transitive_mode not in ("trails", "reachability"):
             raise CompilerError(f"unknown transitive mode {transitive_mode!r}")
-        self.graph = graph
         self.plan = plan
         self.ctx = EvalContext(dict(parameters or {}))
         self.transitive_mode = transitive_mode
-        self.input_layer = input_layer
+        self.layer = layer
         #: batch translations travel as ColumnDelta; also enables the two
         #: value-level refinements that only pay off at batch granularity
         #: (constant pushdown into input nodes / router value buckets, and
         #: composite discriminants on the binding-indexed σ tier) — False
         #: reproduces the row-at-a-time path exactly (ablation)
         self.columnar_deltas = columnar_deltas
-        self.subplan_layer: SharedSubplanLayer | None = (
-            input_layer if isinstance(input_layer, SharedSubplanLayer) else None
-        )
-        self.vertex_inputs: list[VertexInputNode] = []
-        self.edge_inputs: list[EdgeInputNode] = []
-        self.unit_inputs: list[UnitNode] = []
+        #: cut parameterised σ over to binding-indexed nodes: set for a
+        #: lifted plan, whose σ sit above binding-free cores
+        self.binding_tier = binding_tier
         self.aggregates: list[AggregateNode] = []
         self.all_nodes: list[Node] = []
-        self._vertex_cache: dict[tuple, VertexInputNode] = {}
-        self._edge_cache: dict[tuple, EdgeInputNode] = {}
         # layer-owned nodes this network reads (inputs and shared subplans),
         # in first-use order; fresh-this-build shared nodes are additionally
         # tracked so replay never double-feeds a node that is populated by
@@ -135,26 +126,13 @@ class ReteNetwork:
         self.production = ProductionNode(plan.schema)
         self.all_nodes.append(self.production)
         self._connect(root, self.production, LEFT)
-        # Private input layers get their own interest router; with a shared
-        # layer this network owns no input nodes and routing lives there.
-        self.router: EventRouter | None = None
-        if route_events and (self.vertex_inputs or self.edge_inputs):
-            self.router = EventRouter(graph)
-            for node in self.vertex_inputs:
-                self.router.register_vertex_node(node)
-            for edge_node in self.edge_inputs:
-                self.router.register_edge_node(edge_node)
-        # The frontier between the sharing layers and this network, frozen:
+        # The frontier between the sharing layer and this network, frozen:
         # exactly the edges disconnect_shared() must remove on detach.
         self.shared_edges: tuple[tuple[Node, Node, int], ...] = tuple(
             self._detach_edges
         )
 
     # -- construction -----------------------------------------------------
-
-    def _register(self, node: Node) -> Node:
-        self.all_nodes.append(node)
-        return node
 
     def _use_shared(self, node: Node) -> Node:
         self._shared_nodes.setdefault(id(node), node)
@@ -173,44 +151,19 @@ class ReteNetwork:
             self._replay_edges.append((upstream, node, side))
 
     def _build(self, op: ops.Operator) -> Node:
+        layer = self.layer
         if isinstance(op, ops.Unit):
-            if self.input_layer is not None:
-                return self._use_shared(self.input_layer.unit_node(op.schema))
-            node = UnitNode(op.schema)
-            self.unit_inputs.append(node)
-            return self._register(node)
-
+            return self._use_shared(layer.unit_node(op.schema))
         if isinstance(op, ops.GetVertices):
-            return self._vertex_input(op)
-
+            return self._use_shared(layer.vertex_node(op))
         if isinstance(op, ops.GetEdges):
-            if self.input_layer is not None:
-                return self._use_shared(self.input_layer.edge_node(op))
-            key = (
-                op.types,
-                op.src_labels,
-                op.tgt_labels,
-                op.directed,
-                op.projection_roles(),
-            )
-            cached = self._edge_cache.get(key)
-            if cached is not None:
-                return cached
-            node = EdgeInputNode(op, self.graph, columnar=self.columnar_deltas)
-            self._edge_cache[key] = node
-            self.edge_inputs.append(node)
-            return self._register(node)
+            return self._use_shared(layer.edge_node(op))
 
-        layer = self.subplan_layer
-        if layer is not None:
-            partition = self._build_binding_partition(op, layer)
+        if self.binding_tier:
+            partition = self._build_binding_partition(op)
             if partition is not None:
                 return partition
-        key = (
-            layer.subplan_key(op, self.ctx.parameters, (self.transitive_mode,))
-            if layer is not None
-            else None
-        )
+        key = subplan_cache_key(op, self.ctx.parameters, (self.transitive_mode,))
         if key is not None:
             cached = layer.subplan_lookup(key)
             if cached is not None:
@@ -225,32 +178,10 @@ class ReteNetwork:
             self._use_shared(node)
             self._fresh_shared.add(id(node))
         else:
-            self._register(node)
+            self.all_nodes.append(node)  # unkeyable: private to this view
         for upstream, side in edges:
             self._connect(upstream, node, side)
         return node
-
-    def _vertex_input(
-        self, op: ops.GetVertices, value_filters: tuple = ()
-    ) -> Node:
-        """The (possibly value-filtered) © input node for *op*."""
-        if self.input_layer is not None:
-            return self._use_shared(
-                self.input_layer.vertex_node(op, value_filters)
-            )
-        key = (op.labels, op.projections, value_filters)
-        cached = self._vertex_cache.get(key)
-        if cached is not None:
-            return cached
-        node = VertexInputNode(
-            op,
-            self.graph,
-            value_filters=value_filters,
-            columnar=self.columnar_deltas,
-        )
-        self._vertex_cache[key] = node
-        self.vertex_inputs.append(node)
-        return self._register(node)
 
     def _constant_conjuncts(
         self, op: ops.Select
@@ -320,9 +251,7 @@ class ReteNetwork:
             filters.append((column, projection.key, value))
         return tuple(filters)
 
-    def _build_binding_partition(
-        self, op: ops.Operator, layer: SharedSubplanLayer
-    ) -> Node | None:
+    def _build_binding_partition(self, op: ops.Operator) -> Node | None:
         """Cut a parameterised σ over to the binding-indexed tier.
 
         Returns the partition facade this view subscribes below, or
@@ -343,6 +272,7 @@ class ReteNetwork:
           first partition; both are fresh, so population flows through
           the core's replay/activation.
         """
+        layer = self.layer
         variant = (self.transitive_mode,)
         pkey = layer.partition_key(op, self.ctx.parameters, variant)
         if pkey is None:
@@ -445,7 +375,9 @@ class ReteNetwork:
                 # value pushdown: the σ reads a constant-filtered © node, so
                 # the router narrows dispatch by value (the σ still runs the
                 # full predicate over every surviving tuple)
-                child = self._vertex_input(op.children[0], value_filters)
+                child = self._use_shared(
+                    self.layer.vertex_node(op.children[0], value_filters)
+                )
             else:
                 child = self._build(op.children[0])
             node = SelectionNode(
@@ -581,40 +513,31 @@ class ReteNetwork:
     # -- lifecycle ------------------------------------------------------------
 
     def populate(self) -> int:
-        """Emit base rows and initial scans through the network; returns
-        the number of rows handed out (activations plus replays).
+        """Emit initial state through the network; returns the number of
+        rows handed out by replays.
 
-        Order matters: aggregates built here first publish their empty-state
-        rows, then this network's private input nodes stream the current
-        graph contents as one insertion delta each.
+        Order matters: aggregates built here first publish their
+        empty-state rows, then every replay edge feeds its subscriber.
 
-        Shared nodes (cross-view sharing) use *targeted activation*: each
-        replay edge applies the upstream's current-state delta only to the
-        subscriber built by this network, never re-emitting to other views.
-        Input nodes build that state from the graph, column by column;
-        interior subplans reconstruct it from their memories
-        (``state_delta``), in row form, and each such answer is transposed
-        once here, so populate runs the same column kernels a batched
-        commit does (``columnar_deltas=False`` gets rows throughout).
-        Construction and population happen back-to-back inside
-        ``register``, so no graph event can slip in between.
+        Shared nodes use *targeted activation*: each replay edge applies
+        the upstream's current-state delta only to the subscriber built by
+        this network, never re-emitting to other views.  Input nodes build
+        that state from the graph, column by column; interior subplans
+        reconstruct it from their memories (``state_delta``), in row form,
+        and each such answer is transposed once here, so populate runs the
+        same column kernels a batched commit does (``columnar_deltas=False``
+        gets rows throughout).  Construction and population happen
+        back-to-back inside ``register``, so no graph event can slip in
+        between.
         """
         for aggregate in self.aggregates:
             aggregate.initialize()
         rows = 0
-        for node in (*self.unit_inputs, *self.vertex_inputs, *self.edge_inputs):
-            rows += node.activate()
-        layer = self.subplan_layer
         answers: dict[int, Any] = {}
         for node, subscriber, side in self._replay_edges:
             delta = answers.get(id(node))
             if delta is None:
-                # without a subplan layer only input nodes are ever shared
-                delta = (
-                    layer.state_delta(node)
-                    if layer is not None
-                    else node.state_delta()
-                )
+                delta = self.layer.state_delta(node)
                 if not self.columnar_deltas:
                     delta = as_row_delta(delta)
                 elif type(delta) is Delta:
@@ -626,7 +549,7 @@ class ReteNetwork:
         return rows
 
     def disconnect_shared(self) -> None:
-        """Detach this network from the sharing layers.
+        """Detach this network from the sharing layer.
 
         Removes this network's frontier subscriptions and releases its
         subplan refcounts; the engine then prunes the layer, which cascades
@@ -636,56 +559,10 @@ class ReteNetwork:
         for node, subscriber, side in self.shared_edges:
             node.unsubscribe(subscriber, side)
         self.shared_edges = ()
-        if self.subplan_layer is not None:
-            for key in self._acquired_keys:
-                self.subplan_layer.release(key)
-            self._acquired_keys = []
+        for key in self._acquired_keys:
+            self.layer.release(key)
+        self._acquired_keys = []
         self.production.dispose()
-
-    @property
-    def has_private_inputs(self) -> bool:
-        """Whether this network owns input nodes (no shared layer)."""
-        return bool(self.vertex_inputs or self.edge_inputs)
-
-    def dispatch(self, event: ev.GraphEvent) -> None:
-        """Route one graph event to the input nodes that may care."""
-        if self.router is not None:
-            self.router.dispatch(event)
-            return
-        if isinstance(
-            event,
-            (ev.VertexAdded, ev.VertexRemoved),
-        ):
-            for node in self.vertex_inputs:
-                node.on_event(event)
-        elif isinstance(event, (ev.VertexLabelAdded, ev.VertexLabelRemoved)):
-            for node in self.vertex_inputs:
-                node.on_event(event)
-            for edge_node in self.edge_inputs:
-                edge_node.on_event(event)
-        elif isinstance(event, ev.VertexPropertySet):
-            for node in self.vertex_inputs:
-                node.on_event(event)
-            for edge_node in self.edge_inputs:
-                edge_node.on_event(event)
-        elif isinstance(event, (ev.EdgeAdded, ev.EdgeRemoved, ev.EdgePropertySet)):
-            for edge_node in self.edge_inputs:
-                edge_node.on_event(event)
-
-    def dispatch_batch(self, batch) -> None:
-        """Route one consolidated batch to this network's private inputs.
-
-        With a shared input layer the network owns no input nodes and this
-        is a no-op — the layer's own ``dispatch_batch`` feeds the shared
-        nodes instead.
-        """
-        if self.router is not None:
-            self.router.dispatch_batch(batch)
-            return
-        for node in self.vertex_inputs:
-            node.emit_batch(batch)
-        for edge_node in self.edge_inputs:
-            edge_node.emit_batch(batch)
 
     def profile(self) -> str:
         """PROFILE rendering: per-node traffic and memory counters.
@@ -737,19 +614,22 @@ class ReteNetwork:
         )
 
     def memory_size(self) -> int:
-        """Entries across all memories this view reads (ablation metric).
+        """Entries across all memories this view reads.
 
-        Shared nodes count fully here — this is the memory the view would
+        Shared nodes count fully here, down to the inputs below the ones
+        this network subscribes to — this is the memory the view would
         need privately; engine-level totals deduplicate shared nodes.
         """
         return self.private_memory_size() + sum(
-            node.memory_size() for node in self._shared_nodes.values()
+            node.memory_size()
+            for node in self.layer.upstream_closure(self._shared_nodes.values())
         )
 
     def memory_cells(self) -> int:
         """Total stored tuple fields this view reads (width-sensitive)."""
         return self.private_memory_cells() + sum(
-            node.memory_cells() for node in self._shared_nodes.values()
+            node.memory_cells()
+            for node in self.layer.upstream_closure(self._shared_nodes.values())
         )
 
     def private_memory_size(self) -> int:

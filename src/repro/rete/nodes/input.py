@@ -5,8 +5,7 @@ operators, including their pushed-down ``{prop → attr}`` columns) and
 translates graph events into tuple deltas.  Events carry *before* state, so
 retraction tuples are rebuilt exactly as they were emitted — the network
 never consults its own memory to undo an input.  The current relation
-(``state_delta``, what populate activates and replays) is built straight
-from the graph as a :class:`~repro.rete.deltas.ColumnDelta`.
+(``state_delta``, what populate replays) is built straight from the graph as a :class:`~repro.rete.deltas.ColumnDelta`.
 """
 
 from __future__ import annotations
@@ -38,17 +37,13 @@ def _private_dict(properties) -> dict[str, Any]:
 
 
 class UnitNode(Node):
-    """Emits the single empty tuple once, at activation — in row form: a
-    zero-width batch has no column to carry its one row."""
+    """Its state is the single empty tuple, in row form: a zero-width
+    batch has no column to carry its one row."""
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         delta = Delta()
         delta.add((), 1)
         return delta
-
-    def activate(self) -> int:
-        self.emit(self.state_delta())
-        return 1
 
     def on_event(self, event: ev.GraphEvent) -> None:  # pragma: no cover
         pass
@@ -62,18 +57,12 @@ class _GraphInputNode(Node):
 
     ``state_delta`` builds the relation over the live graph column by
     column (one id column, one list per pushed projection) — the single
-    builder behind initial population, targeted replay and the catalog.
-    ``columnar`` is the engine's wire format: with it off, activations and
-    batch translations travel as consolidated row deltas.
+    builder behind population, targeted replay and the catalog.
+    ``columnar`` is the engine's wire format: with it off, batch
+    translations travel as consolidated row deltas.
     """
 
     columnar: bool
-
-    def activate(self) -> int:
-        """Emit the current relation downstream; returns its row count."""
-        delta = self.state_delta()
-        self.emit(delta if self.columnar else delta.to_delta())
-        return len(delta)
 
     def emit_batch(self, batch) -> None:
         """Translate one coalesced batch and emit it, columnar when enabled.

@@ -1,14 +1,13 @@
 """Interest-indexed event routing: dispatch O(affected), not O(registered).
 
-The broadcast dispatcher hands every graph event to every live input node,
-each of which re-runs an isinstance chain plus label/type relevance checks
-that almost always answer "not mine".  That makes event cost proportional
-to the number of *registered* signatures — exactly what the paper's IVM
-property (change cost ∝ affected view fraction) forbids at the dispatch
-layer, and what Viatra/ingraph (refs [31, 33]) avoid with notification
-filters.
+Handing every graph event to every live input node, each of which re-runs
+an isinstance chain plus label/type relevance checks that almost always
+answer "not mine", would make event cost proportional to the number of
+*registered* signatures — exactly what the paper's IVM property (change
+cost ∝ affected view fraction) forbids at the dispatch layer, and what
+Viatra/ingraph (refs [31, 33]) avoid with notification filters.
 
-:class:`EventRouter` restores the property: at registration each
+:class:`EventRouter` keeps the property: at registration each
 :class:`~.nodes.input.VertexInputNode` / :class:`~.nodes.input.EdgeInputNode`
 publishes an interest signature (:class:`VertexInterest` /
 :class:`EdgeInterest` — event kinds × required labels / edge types ×
@@ -38,10 +37,8 @@ pure candidate-set reduction — a node the router skips is precisely a node
 that would have produced an empty delta.  Wildcard buckets subsume their
 keyed counterparts by construction (a node is registered keyed *or*
 wildcarded, never both), so candidate collection never yields duplicates.
-
-The broadcast path remains selectable (``route_events=False`` on the
-engine) as the ablation baseline; ``benchmarks/bench_dispatch.py``
-measures the gap on a many-views churn workload.
+The engine dispatches every event and batch through its sharing layer's
+router, the one dispatch path.
 """
 
 from __future__ import annotations
@@ -102,8 +99,8 @@ class _Bucketed:
     """Keyed buckets plus one wildcard bucket, with ordered members.
 
     Buckets map ``id(node) → (seq, node)``; *seq* is the global
-    registration order, so multi-bucket candidate sets can be replayed in
-    exactly the order the broadcast dispatcher would have used.
+    registration order, so multi-bucket candidate sets are replayed in
+    registration order.
     """
 
     __slots__ = ("keyed", "wildcard")
@@ -155,10 +152,9 @@ _NO_NODES: list = []
 class EventRouter:
     """Inverted interest indexes over live input nodes.
 
-    Owned by a :class:`~repro.rete.sharing.SharedInputLayer` (one per
-    engine) or by a :class:`~repro.rete.network.ReteNetwork` that keeps a
-    private input layer.  ``register_*`` is called when an input node goes
-    live, ``unregister`` when sharing's ``prune()`` drops it.
+    Owned by the engine's :class:`~repro.rete.sharing.SharingLayer`.
+    ``register_*`` is called when an input node goes live,
+    ``unregister`` when the layer's ``prune()`` drops it.
     """
 
     def __init__(self, graph: PropertyGraph):
@@ -445,7 +441,7 @@ class EventRouter:
         """Feed *event* to every input node it can possibly concern.
 
         Vertex nodes run before edge nodes, and nodes within each group in
-        registration order — the exact discipline of the broadcast path.
+        registration order.
         """
         self.events_routed += 1
         vertex_nodes = self.vertex_candidates(event)
@@ -460,8 +456,8 @@ class EventRouter:
         """Feed one consolidated batch to the input nodes it concerns.
 
         Candidate sets are the unions of the per-record interests; each
-        candidate then translates the whole batch once, exactly as under
-        broadcast (irrelevant records inside cancel to nothing).
+        candidate then translates the whole batch once (irrelevant records
+        inside cancel to nothing).
         """
         self.batches_routed += 1
         vertex_nodes = self._batch_vertex_candidates(batch)

@@ -1,30 +1,32 @@
-"""Cross-view subnetwork sharing (classic Rete node sharing, two tiers).
+"""Cross-view subnetwork sharing (classic Rete node sharing).
 
-Within one network, identical base relations already share an input node.
-This module extends the idea across *views*, in two tiers:
+The engine owns one :class:`SharingLayer`, and every view's network is
+built through it, so node sharing is a property of the network, not a
+mode:
 
-* :class:`SharedInputLayer` caches **input nodes** by their base-relation
-  signature — two views over ``(p:Post {lang})`` feed from one
+* **input nodes** are cached by base-relation signature — two views over
+  ``(p:Post {lang})`` feed from one
   :class:`~.nodes.input.VertexInputNode`, so each graph event is
-  translated into tuples **once per distinct signature** instead of once
-  per view (ablation E11).
-* :class:`SharedSubplanLayer` extends the cache to **whole subplans**:
-  any interior node (σ, π, δ, ω, γ, ⋈, ▷, ⟕, ∪, ⋈*) is cached by the
-  canonical :mod:`~repro.compiler.fingerprint` of the FRA subtree it
-  computes, so two views that both need ``σ(⋈(©, ⇑))`` share one join
+  translated into tuples once per distinct signature, and the layer's
+  :class:`~.router.EventRouter` offers it only to the nodes it can
+  concern;
+* **interior subplans** (σ, π, δ, ω, γ, ⋈, ▷, ⟕, ∪, ⋈*) are cached by the
+  canonical :mod:`~repro.compiler.fingerprint` of the FRA subtree they
+  compute, so two views that both need ``σ(⋈(©, ⇑))`` share one join
   memory and pay the per-event join work once.  Entries are refcounted
   per view and released on detach; ``prune()`` cascades the release down
-  shared chains until only live subplans remain.
-
-  The layer's **binding-indexed tier** (``share_across_bindings``)
-  additionally shares parameterised selections across *differing*
-  bindings: one :class:`~.nodes.unary.BindingIndexedSelectionNode` per
-  generalised σ shape, fed by the binding-free core below it, with one
-  partition per live binding.  Partitions are ordinary refcounted
-  entries under :data:`BINDING_TIER`-tagged keys, so the LRU, stats and
-  targeted activation are the same machinery; only their drop path
-  differs (the binding leaves the node; the node leaves the core with
-  its last binding).
+  shared chains until only live subplans remain;
+* **parameterised selections** over a binding-free core share across
+  *differing* bindings: one
+  :class:`~.nodes.unary.BindingIndexedSelectionNode` per generalised σ
+  shape, fed by the core below it, with one partition per live binding.
+  Partitions are ordinary refcounted entries under
+  :data:`BINDING_TIER`-tagged keys, so the LRU, stats and targeted
+  activation are the same machinery; only their drop path differs (the
+  binding leaves the node; the node leaves the core with its last
+  binding).  The engine registers a plan in this lifted form only once a
+  second distinct binding of its shape is live (see
+  :meth:`~.engine.IncrementalEngine.register`).
 
 ingraph and Viatra (the paper's lineage, refs [31, 33]) both rely on
 subnetwork sharing to keep many-view workloads affordable.
@@ -58,7 +60,6 @@ from ..compiler.fingerprint import (
     fingerprint,
     generalized_fingerprint,
 )
-from ..graph import events as ev
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, freeze_value
 from .deltas import ColumnDelta, Delta, as_row_delta
@@ -72,7 +73,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(slots=True)
 class SharingStats:
-    """Cache effectiveness counters for the ablation report."""
+    """Cache effectiveness counters, sampled into the engine's metrics."""
 
     vertex_requests: int = 0
     vertex_nodes: int = 0
@@ -110,192 +111,6 @@ class SharingStats:
     @property
     def nodes(self) -> int:
         return self.vertex_nodes + self.edge_nodes + (1 if self.unit_requests else 0)
-
-
-def vertex_signature(
-    op: ops.GetVertices, value_filters: tuple = ()
-) -> tuple:
-    """Cache key for a © operator: tuple layout depends only on this.
-
-    A pushed constant filter (value-level routing) narrows the node's
-    *relation*, so filtered and unfiltered requests must never collide —
-    the filters are part of the signature, and two views selecting the
-    same constant still share one filtered node."""
-    return (op.labels, op.projections, value_filters)
-
-
-def edge_signature(op: ops.GetEdges) -> tuple:
-    """Cache key for a ⇑ operator; projections keyed by role, not name."""
-    return (
-        op.types,
-        op.src_labels,
-        op.tgt_labels,
-        op.directed,
-        op.projection_roles(),
-    )
-
-
-@dataclass
-class SharedInputLayer:
-    """Engine-owned cache of live input nodes, keyed by signature.
-
-    With ``route_events=True`` (the default) the layer also owns an
-    :class:`~repro.rete.router.EventRouter`: every cached node registers
-    its interest signature, ``dispatch``/``dispatch_batch`` touch only the
-    nodes an event can possibly concern, and ``prune()`` withdraws the
-    interests of dropped nodes.  ``route_events=False`` keeps the original
-    broadcast loops (the ablation baseline).
-    """
-
-    graph: PropertyGraph
-    stats: SharingStats = field(default_factory=SharingStats)
-    route_events: bool = True
-    #: emit batch translations as ColumnDelta (engine columnar flag);
-    #: cached input nodes are created with the matching wire format
-    columnar_deltas: bool = True
-
-    def __post_init__(self) -> None:
-        self._vertex_nodes: dict[tuple, VertexInputNode] = {}
-        self._edge_nodes: dict[tuple, EdgeInputNode] = {}
-        self._unit_node: UnitNode | None = None
-        self.router: EventRouter | None = (
-            EventRouter(self.graph) if self.route_events else None
-        )
-
-    # -- node acquisition ----------------------------------------------------
-
-    def vertex_node(
-        self, op: ops.GetVertices, value_filters: tuple = ()
-    ) -> VertexInputNode:
-        self.stats.vertex_requests += 1
-        key = vertex_signature(op, value_filters)
-        node = self._vertex_nodes.get(key)
-        if node is None:
-            node = VertexInputNode(
-                op,
-                self.graph,
-                value_filters=value_filters,
-                columnar=self.columnar_deltas,
-            )
-            self._vertex_nodes[key] = node
-            self.stats.vertex_nodes += 1
-            if self.router is not None:
-                self.router.register_vertex_node(node)
-        return node
-
-    def edge_node(self, op: ops.GetEdges) -> EdgeInputNode:
-        self.stats.edge_requests += 1
-        key = edge_signature(op)
-        node = self._edge_nodes.get(key)
-        if node is None:
-            node = EdgeInputNode(op, self.graph, columnar=self.columnar_deltas)
-            self._edge_nodes[key] = node
-            self.stats.edge_nodes += 1
-            if self.router is not None:
-                self.router.register_edge_node(node)
-        return node
-
-    def unit_node(self, schema) -> UnitNode:
-        self.stats.unit_requests += 1
-        if self._unit_node is None:
-            self._unit_node = UnitNode(schema)
-        return self._unit_node
-
-    # -- event routing -----------------------------------------------------------
-
-    def dispatch(self, event: ev.GraphEvent) -> None:
-        """Translate one graph event, once per distinct input signature.
-
-        Routed mode touches only the nodes whose interest signature the
-        event can satisfy; broadcast mode offers it to every node.
-        """
-        if self.router is not None:
-            self.router.dispatch(event)
-            return
-        if isinstance(event, (ev.VertexAdded, ev.VertexRemoved)):
-            for node in self._vertex_nodes.values():
-                node.on_event(event)
-        elif isinstance(
-            event,
-            (ev.VertexLabelAdded, ev.VertexLabelRemoved, ev.VertexPropertySet),
-        ):
-            for node in self._vertex_nodes.values():
-                node.on_event(event)
-            for edge_node in self._edge_nodes.values():
-                edge_node.on_event(event)
-        elif isinstance(event, (ev.EdgeAdded, ev.EdgeRemoved, ev.EdgePropertySet)):
-            for edge_node in self._edge_nodes.values():
-                edge_node.on_event(event)
-
-    def dispatch_batch(self, batch) -> None:
-        """Translate one consolidated batch, once per distinct signature.
-
-        Each live input node turns the whole batch into a single net delta
-        and emits it downstream once — the batched analogue of
-        :meth:`dispatch`.
-        """
-        if self.router is not None:
-            self.router.dispatch_batch(batch)
-            return
-        if batch.vertex_events:
-            for node in self._vertex_nodes.values():
-                node.emit_batch(batch)
-        if batch.edge_events or any(
-            isinstance(event, ev.VertexChanged) for event in batch.vertex_events
-        ):
-            for edge_node in self._edge_nodes.values():
-                edge_node.emit_batch(batch)
-
-    # -- maintenance ---------------------------------------------------------------
-
-    def prune(self) -> int:
-        """Drop input nodes with no remaining subscribers; returns count.
-
-        Dropped nodes also withdraw their routing interests, so future
-        events stop being offered to them at all.
-        """
-        removed = 0
-        for cache in (self._vertex_nodes, self._edge_nodes):
-            for key in [k for k, n in cache.items() if n.subscriber_count == 0]:
-                if self.router is not None:
-                    self.router.unregister(cache[key])
-                del cache[key]
-                removed += 1
-        if self._unit_node is not None and self._unit_node.subscriber_count == 0:
-            self._unit_node = None
-        self.stats.pruned += removed
-        return removed
-
-    @property
-    def node_count(self) -> int:
-        return (
-            len(self._vertex_nodes)
-            + len(self._edge_nodes)
-            + (1 if self._unit_node is not None else 0)
-        )
-
-    def _shared_nodes(self):
-        yield from self._vertex_nodes.values()
-        yield from self._edge_nodes.values()
-        if self._unit_node is not None:
-            yield self._unit_node
-
-    def shared_nodes(self):
-        """Every layer-owned node (public iteration for observability)."""
-        yield from self._shared_nodes()
-
-    def memory_size(self) -> int:
-        """Total entries across layer-owned node memories (engine metric)."""
-        return sum(node.memory_size() for node in self._shared_nodes())
-
-    def memory_cells(self) -> int:
-        """Total stored tuple fields across layer-owned node memories."""
-        return sum(node.memory_cells() for node in self._shared_nodes())
-
-
-# ---------------------------------------------------------------------------
-# subplan tier
-# ---------------------------------------------------------------------------
 
 
 _MISSING_BINDING = ("$missing",)
@@ -418,12 +233,17 @@ class _ParamNodeEntry:
 
 
 @dataclass
-class SharedSubplanLayer(SharedInputLayer):
-    """Input sharing plus a fingerprint-keyed cache of interior subplans.
+class SharingLayer:
+    """Engine-owned cache of live input nodes and interior subplans.
 
-    The network builder asks :meth:`subplan_key` for a cache key before
-    building any interior node; on a hit it cuts the whole subtree over to
-    the cached node, on a miss it hands the freshly built node to
+    Input nodes are keyed by signature and register their interest with
+    the layer's :class:`~.router.EventRouter`, through which the engine
+    dispatches every event and batch; ``prune()`` withdraws the interests
+    of dropped nodes.
+
+    The network builder asks :func:`subplan_cache_key` for a cache key
+    before building any interior node; on a hit it cuts the whole subtree
+    over to the cached node, on a miss it hands the freshly built node to
     :meth:`subplan_adopt`.  Ownership is the layer's: a shared node
     outlives the view that built it for as long as any view (or any live
     downstream shared subplan) still needs it.
@@ -449,11 +269,18 @@ class SharedSubplanLayer(SharedInputLayer):
     eager pruning.
     """
 
+    graph: PropertyGraph
+    stats: SharingStats = field(default_factory=SharingStats)
+    #: emit batch translations as ColumnDelta (engine columnar flag);
+    #: cached input nodes are created with the matching wire format
+    columnar_deltas: bool = True
     detached_cache_size: int = 4
-    share_across_bindings: bool = True
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        self._vertex_nodes: dict[tuple, VertexInputNode] = {}
+        self._edge_nodes: dict[tuple, EdgeInputNode] = {}
+        self._unit_node: UnitNode | None = None
+        self.router = EventRouter(self.graph)
         self._subplans: dict[tuple, _SubplanEntry] = {}
         self._key_by_node: dict[int, tuple] = {}
         self._adoptions = count()
@@ -468,18 +295,54 @@ class SharedSubplanLayer(SharedInputLayer):
         # members are also (still) present in _subplans
         self._detached_lru: OrderedDict[tuple, None] = OrderedDict()
 
-    # -- cache keys -----------------------------------------------------------
+    # -- input nodes ------------------------------------------------------------
 
-    def subplan_key(
-        self,
-        op: ops.Operator,
-        parameters: Mapping[str, Any],
-        variant: tuple = (),
-    ) -> tuple | None:
-        """Cache key for *op*'s subtree, or ``None`` when unshareable."""
-        return subplan_cache_key(op, parameters, variant)
+    def vertex_node(
+        self, op: ops.GetVertices, value_filters: tuple = ()
+    ) -> VertexInputNode:
+        """The © node for *op*.  A pushed constant filter narrows the
+        node's relation, so the filters are part of its key; two views
+        selecting the same constant still share one filtered node."""
+        self.stats.vertex_requests += 1
+        key = (op.labels, op.projections, value_filters)
+        node = self._vertex_nodes.get(key)
+        if node is None:
+            node = VertexInputNode(
+                op,
+                self.graph,
+                value_filters=value_filters,
+                columnar=self.columnar_deltas,
+            )
+            self._vertex_nodes[key] = node
+            self.stats.vertex_nodes += 1
+            self.router.register_vertex_node(node)
+        return node
 
-    # -- node acquisition -----------------------------------------------------
+    def edge_node(self, op: ops.GetEdges) -> EdgeInputNode:
+        """The ⇑ node for *op*; projections are keyed by role, not name."""
+        self.stats.edge_requests += 1
+        key = (
+            op.types,
+            op.src_labels,
+            op.tgt_labels,
+            op.directed,
+            op.projection_roles(),
+        )
+        node = self._edge_nodes.get(key)
+        if node is None:
+            node = EdgeInputNode(op, self.graph, columnar=self.columnar_deltas)
+            self._edge_nodes[key] = node
+            self.stats.edge_nodes += 1
+            self.router.register_edge_node(node)
+        return node
+
+    def unit_node(self, schema) -> UnitNode:
+        self.stats.unit_requests += 1
+        if self._unit_node is None:
+            self._unit_node = UnitNode(schema)
+        return self._unit_node
+
+    # -- subplans -----------------------------------------------------
 
     def subplan_lookup(self, key: tuple) -> Node | None:
         self.stats.subplan_requests += 1
@@ -530,10 +393,10 @@ class SharedSubplanLayer(SharedInputLayer):
         its child's mentions none (so the whole child chain shares across
         every binding already), and every mentioned parameter is bound to
         a hashable value.  Anything else — missing bindings, unhashable
-        bindings, parameters below the σ, ``share_across_bindings=False``
-        — falls back to the resolved (exact-binding) tier unchanged.
+        bindings, parameters below the σ — falls back to the resolved
+        (exact-binding) tier unchanged.
         """
-        if not self.share_across_bindings or not isinstance(op, ops.Select):
+        if not isinstance(op, ops.Select):
             return None
         fp = fingerprint(op)
         if fp is None or not fp.parameters:
@@ -694,7 +557,8 @@ class SharedSubplanLayer(SharedInputLayer):
     # -- maintenance ----------------------------------------------------------
 
     def prune(self) -> int:
-        """Drop dead subplans (cascading) and then dead input nodes.
+        """Drop dead subplans (cascading), then dead input nodes; returns
+        the number of nodes genuinely dropped (also ``stats.pruned``).
 
         A subplan dies when no view holds it (refcount zero) and no live
         node still subscribes to its output.  Dead roots first enter the
@@ -763,8 +627,22 @@ class SharedSubplanLayer(SharedInputLayer):
                         pending[orphan_order] = orphan_key
                         heappush(heap, orphan_order)
             pending = later
+        removed += self._prune_inputs()
         self.stats.pruned += removed
-        return removed + super().prune()
+        return removed
+
+    def _prune_inputs(self) -> int:
+        """Drop input nodes nothing subscribes to any more, withdrawing
+        their routing interests; returns the count."""
+        removed = 0
+        for cache in (self._vertex_nodes, self._edge_nodes):
+            for key in [k for k, n in cache.items() if n.subscriber_count == 0]:
+                self.router.unregister(cache.pop(key))
+                removed += 1
+        if self._unit_node is not None and self._unit_node.subscriber_count == 0:
+            self._unit_node = None
+            removed += 1
+        return removed
 
     def _drop_subplan(self, key: tuple) -> set[int]:
         """Genuinely remove one cached subplan and detach it upstream.
@@ -814,11 +692,47 @@ class SharedSubplanLayer(SharedInputLayer):
 
     @property
     def node_count(self) -> int:
-        return super().node_count + len(self._subplans) + len(self._param_nodes)
+        return (
+            len(self._vertex_nodes)
+            + len(self._edge_nodes)
+            + (self._unit_node is not None)
+            + len(self._subplans)
+            + len(self._param_nodes)
+        )
 
-    def _shared_nodes(self):
-        yield from super()._shared_nodes()
+    def upstream_closure(self, nodes) -> list[Node]:
+        """*nodes* and every layer-owned node feeding them, each once: the
+        shared state a view built on *nodes* reads."""
+        seen: dict[int, Node] = {}
+        stack = list(nodes)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen[id(node)] = node
+            key = self._key_by_node.get(id(node))
+            if key is None:
+                continue  # an input node
+            if key[0] is BINDING_TIER:
+                stack.append(self._param_nodes[(key[1], key[2])].node)
+            stack.extend(upstream for upstream, _ in self._subplans[key].upstreams)
+        return list(seen.values())
+
+    def shared_nodes(self):
+        """Every layer-owned node (public iteration for observability)."""
+        yield from self._vertex_nodes.values()
+        yield from self._edge_nodes.values()
+        if self._unit_node is not None:
+            yield self._unit_node
         for entry in self._subplans.values():
             yield entry.node
         for param_entry in self._param_nodes.values():
             yield param_entry.node
+
+    def memory_size(self) -> int:
+        """Total entries across layer-owned node memories (engine metric)."""
+        return sum(node.memory_size() for node in self.shared_nodes())
+
+    def memory_cells(self) -> int:
+        """Total stored tuple fields across layer-owned node memories."""
+        return sum(node.memory_cells() for node in self.shared_nodes())

@@ -9,8 +9,8 @@ property graphs; this module supplies it on top of the reproduction's two
 existing identities:
 
 * every registered view's **root** result lives in its production node,
-* with cross-view sharing, every shareable **interior subplan** of every
-  view lives in the engine's :class:`~repro.rete.sharing.SharedSubplanLayer`,
+* every shareable **interior subplan** of every view lives in the
+  engine's :class:`~repro.rete.sharing.SharingLayer`,
   keyed by ``(fingerprint, parameter bindings, variant)`` and kept exactly
   current by delta propagation.
 
@@ -77,7 +77,7 @@ from ..eval.interpreter import Interpreter, checked_count
 from ..eval.results import ResultTable
 from ..rete.deltas import as_row_delta
 from ..rete.nodes.production import ListingSpec
-from ..rete.sharing import SharedSubplanLayer, binding_key, subplan_cache_key
+from ..rete.sharing import binding_key, subplan_cache_key
 from .matcher import rewrite_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -298,25 +298,9 @@ class ViewCatalog:
     def root_count(self) -> int:
         return sum(len(views) for views in self._roots.values())
 
-    def _subplan_layer(self) -> SharedSubplanLayer | None:
-        layer = self._engine.input_layer
-        return layer if isinstance(layer, SharedSubplanLayer) else None
-
-    @property
-    def probes_lifted_plans(self) -> bool:
-        """Whether maintained state may live under lifted plan shapes.
-
-        True exactly when cross-binding sharing is active: views are then
-        registered with parameter-dependent selections lifted above their
-        binding-free cores, so the matcher must probe that form too.
-        """
-        layer = self._subplan_layer()
-        return layer is not None and layer.share_across_bindings
-
     @property
     def subplan_count(self) -> int:
-        layer = self._subplan_layer()
-        return layer.subplan_count if layer is not None else 0
+        return self._engine.input_layer.subplan_count
 
     def _servable(self, op: ops.Operator) -> bool:
         """Whether serving *op*'s subtree preserves one-shot semantics.
@@ -354,33 +338,32 @@ class ViewCatalog:
                 kind="view",
                 production=production,
             )
-        layer = self._subplan_layer()
-        if layer is not None:
-            node = layer.subplan_peek(key)
-            if node is not None and self._servable(op):
-                def fetch(layer=layer, node=node) -> Bag:
-                    return dict(as_row_delta(layer.state_delta(node)).items())
+        layer = self._engine.input_layer
+        node = layer.subplan_peek(key)
+        if node is not None and self._servable(op):
+            def fetch(layer=layer, node=node) -> Bag:
+                return dict(as_row_delta(layer.state_delta(node)).items())
 
-                return MaterializedSource(
-                    fetch=fetch,
-                    description=f"subplan[{_compact(op)}]",
-                    kind="subplan",
-                )
-            # binding-indexed tier: a parameterised σ whose shape is
-            # maintained for this exact binding as one partition of a
-            # shared node — reconstructed by asking the shared core for
-            # the rows the binding's equality conjuncts admit (the whole
-            # core only when it has none) and confirming the predicate
-            partition = layer.partition_peek(op, parameters, self._variant())
-            if partition is not None and self._servable(op):
-                def fetch_partition(layer=layer, node=partition) -> Bag:
-                    return dict(as_row_delta(layer.state_delta(node)).items())
+            return MaterializedSource(
+                fetch=fetch,
+                description=f"subplan[{_compact(op)}]",
+                kind="subplan",
+            )
+        # binding-indexed tier: a parameterised σ whose shape is maintained
+        # for this exact binding as one partition of a shared node —
+        # reconstructed by asking the shared core for the rows the
+        # binding's equality conjuncts admit (the whole core only when it
+        # has none) and confirming the predicate
+        partition = layer.partition_peek(op, parameters, self._variant())
+        if partition is not None and self._servable(op):
+            def fetch_partition(layer=layer, node=partition) -> Bag:
+                return dict(as_row_delta(layer.state_delta(node)).items())
 
-                return MaterializedSource(
-                    fetch=fetch_partition,
-                    description=f"binding-partition[{_compact(op)}]",
-                    kind="subplan",
-                )
+            return MaterializedSource(
+                fetch=fetch_partition,
+                description=f"binding-partition[{_compact(op)}]",
+                kind="subplan",
+            )
         return None
 
     # -- answering ----------------------------------------------------------

@@ -80,18 +80,17 @@ def rewrite_query(
     """Match a whole compiled query, probing both plan granularities.
 
     The optimised plan is probed first (root hits and exact-binding
-    subplans key on that shape).  With cross-binding sharing active,
-    maintained parameterised selections live under *lifted* shapes — the
-    σ hoisted above its binding-free core, the form views are registered
-    in — so on a miss the equivalent lifted plan is probed too, which is
-    how a one-shot per-user query gets served from the shared core's
-    partition for its binding.
+    subplans key on that shape).  Once a parameterised query's shape has
+    a second live binding, its maintained selections live under *lifted*
+    shapes — the σ hoisted above its binding-free core, the form such
+    views are registered in — so on a miss the equivalent lifted plan is
+    probed too, which is how a one-shot per-user query gets served from
+    the shared core's partition for its binding.
     """
     rewrite = rewrite_plan(catalog, compiled.plan, parameters)
     if rewrite is not None:
         return rewrite
-    if catalog.probes_lifted_plans:
-        lifted = lifted_plan(compiled)
-        if lifted is not compiled.plan:
-            return rewrite_plan(catalog, lifted, parameters)
+    lifted = lifted_plan(compiled)
+    if lifted is not compiled.plan:
+        return rewrite_plan(catalog, lifted, parameters)
     return None

@@ -9,7 +9,7 @@ from repro.algebra import ops
 from repro.compiler.costopt import estimated_cost, reorder_joins
 from repro.compiler.stats import GraphStatistics, estimate_cardinality
 from repro.eval import Interpreter
-from repro.rete.network import ReteNetwork
+from repro.rete.engine import IncrementalEngine
 from repro.workloads.random_graphs import random_graph
 
 
@@ -95,18 +95,15 @@ class TestReorderEquivalence:
     def test_incremental_views_identical_after_updates(self, query):
         graph = skewed_graph()
         stats = GraphStatistics.from_graph(graph)
-        plain = ReteNetwork(graph, compile_query(query).plan)
-        plain.populate()
-        costed = ReteNetwork(graph, compile_query(query, stats).plan)
-        costed.populate()
-        graph.subscribe(plain.dispatch)
-        graph.subscribe(costed.dispatch)
+        engine = IncrementalEngine(graph)
+        plain = engine.register(compile_query(query))
+        costed = engine.register(compile_query(query, stats))
         vertex = graph.add_vertex(labels=["Rare"], properties={"lang": "de"})
         common = next(iter(graph.vertices("Common")))
         graph.add_edge(vertex, common, "R")
         graph.set_vertex_property(common, "lang", "en")
         graph.remove_edge(next(iter(graph.edges("S"))))
-        assert plain.production.multiset() == costed.production.multiset()
+        assert plain.multiset() == costed.multiset()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -141,10 +138,10 @@ class TestReorderBenefit:
         graph = skewed_graph(rare=2, common=80)
         stats = GraphStatistics.from_graph(graph)
         query = "MATCH (x:Common), (y:Common), (r:Rare)-[:R]->(x) RETURN x, y, r"
-        plain = ReteNetwork(graph, compile_query(query).plan)
-        plain.populate()
-        costed = ReteNetwork(graph, compile_query(query, stats).plan)
-        costed.populate()
+        plain = IncrementalEngine(graph)
+        plain.register(compile_query(query))
+        costed = IncrementalEngine(graph)
+        costed.register(compile_query(query, stats))
         assert costed.memory_cells() < plain.memory_cells()
 
     def test_reorder_handles_plans_without_joins(self):

@@ -155,16 +155,14 @@ class TestObservabilityIsPure:
         "flags",
         [
             {"columnar_deltas": False},
-            {"route_events": False},
-            {"share_subplans": False},
+            {"detached_cache_size": 0},
             {"batch_transactions": True, "columnar_deltas": False},
-            {"batch_transactions": True, "share_subplans": False},
-            {"batch_transactions": True, "route_events": False},
+            {"batch_transactions": True, "detached_cache_size": 0},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )
     def test_flag_matrix_matches_baseline(self, flags):
-        """Instrumentation composes with every existing ablation flag."""
+        """Instrumentation composes with every other engine option."""
         pair = ObsMirrorPair(**flags)
         for query in QUERIES:
             pair.register(query)

@@ -1,16 +1,16 @@
 """Cross-binding sharing: one parameterised query, many bindings.
 
 The canonical "millions of users" workload registers the *same*
-parameterised view once per user, differing only in the binding.  With
-``share_across_bindings=True`` the engine lifts the parameterised σ above
-its binding-free core and cuts it over to one value-indexed
-:class:`~repro.rete.nodes.unary.BindingIndexedSelectionNode` with one
-output partition per live binding; ``share_across_bindings=False`` keeps
-the exact-binding cache keys (and pushed-down plans) as the ablation
-baseline.  The differential classes drive identical streams through both
-modes and require identical per-view contents and change logs throughout —
-random streams, rollback transactions, batched mode, and mid-stream
-register/detach across ≥3 distinct bindings.
+parameterised view once per user, differing only in the binding.  The
+first binding of a query shape keeps its pushed-down plan and exact
+binding keys; once a second distinct binding is live, the engine lifts
+the parameterised σ above its binding-free core and cuts it over to one
+value-indexed :class:`~repro.rete.nodes.unary.BindingIndexedSelectionNode`
+with one output partition per lifted binding.  The differential classes
+hold every view to recomputation after every step (type-exact cells, and
+each ``on_change`` log replaying to its view) — random streams, rollback
+transactions, batched mode, and mid-stream register/detach across ≥3
+distinct bindings — and the lifting-rule class pins when a plan lifts.
 """
 
 import itertools
@@ -24,8 +24,9 @@ from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
 from repro.rete.engine import IncrementalEngine
 from repro.rete.nodes.unary import SelectionPartitionNode
-from repro.rete.sharing import SharedInputLayer, SharedSubplanLayer
+from repro.rete.sharing import BINDING_TIER, SharingLayer
 
+from .oracle import OracleMirror
 from .test_sharing import _Abort, _random_op
 
 #: parameterised shapes: equality (value-indexed), range (scan path),
@@ -52,180 +53,102 @@ def param_oracle(engine: IncrementalEngine, query: str, parameters: dict):
     )
 
 
-class BindingMirrorPair:
-    """A cross-binding engine and its exact-binding baseline, fed identically."""
-
-    def __init__(self, batch_transactions: bool = False):
-        self.graphs = (PropertyGraph(), PropertyGraph())
-        self.engines = (
-            QueryEngine(
-                self.graphs[0],
-                share_across_bindings=True,
-                batch_transactions=batch_transactions,
-            ),
-            QueryEngine(
-                self.graphs[1],
-                share_across_bindings=False,
-                batch_transactions=batch_transactions,
-            ),
-        )
-        self.registered: list[tuple[str, dict]] = []
-        self.views: list[tuple] = []
-        self.logs: list[tuple] = []
-
-    def register(self, query: str, parameters: dict) -> None:
-        pair, logs = [], []
-        for engine in self.engines:
-            view = engine.register(query, parameters=parameters)
-            log: list = []
-            view.on_change(log.append)
-            pair.append(view)
-            logs.append(log)
-        self.registered.append((query, parameters))
-        self.views.append(tuple(pair))
-        self.logs.append(tuple(logs))
-
-    def detach(self, index: int) -> None:
-        for view in self.views.pop(index):
-            view.detach()
-        self.registered.pop(index)
-        self.logs.pop(index)
-
-    def apply(self, op) -> None:
-        for graph in self.graphs:
-            op(graph)
-
-    def assert_consistent(self, oracle: bool = False) -> None:
-        for (query, parameters), (shared, baseline) in zip(
-            self.registered, self.views
-        ):
-            assert shared.multiset() == baseline.multiset(), (query, parameters)
-            if oracle:
-                assert shared.multiset() == param_oracle(
-                    self.engines[0]._incremental, query, parameters
-                ), (query, parameters)
-        for (query, parameters), (shared_log, baseline_log) in zip(
-            self.registered, self.logs
-        ):
-            assert shared_log == baseline_log, (query, parameters)
-
-
-def register_all(pair: BindingMirrorPair, bindings=BINDINGS) -> None:
+def register_all(mirror: OracleMirror, bindings=BINDINGS) -> None:
     for query in PARAM_QUERIES:
         for value in bindings:
-            pair.register(query, {"lang": value})
+            mirror.register(query, {"lang": value})
 
 
 class TestBindingDifferential:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_stream_matches_exact_binding_baseline(self, seed):
-        pair = BindingMirrorPair()
-        register_all(pair)
+    def test_random_stream_matches_recomputation(self, seed):
+        mirror = OracleMirror(PropertyGraph())
+        register_all(mirror)
         rng = random.Random(500 + seed)
-        for step in range(60):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+        for _ in range(60):
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             if rng.random() < 0.08:
                 ops = [
                     _random_op(rng, vertices, edges)
                     for _ in range(rng.randint(1, 4))
                 ]
-
-                def aborted(graph, ops=ops):
-                    try:
-                        with graph.transaction():
-                            for op in ops:
-                                op(graph)
-                            raise _Abort()
-                    except (_Abort, GraphError):
-                        pass
-
-                pair.apply(aborted)
+                try:
+                    with mirror.graph.transaction():
+                        for op in ops:
+                            op(mirror.graph)
+                        raise _Abort()
+                except (_Abort, GraphError):
+                    pass
             else:
-                pair.apply(_random_op(rng, vertices, edges))
-            pair.assert_consistent(oracle=step % 20 == 0)
-        pair.assert_consistent(oracle=True)
+                _random_op(rng, vertices, edges)(mirror.graph)
+            mirror.assert_consistent()
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_batched_transactions_match_baseline(self, seed):
+    def test_batched_transactions_match_recomputation(self, seed):
         rng = random.Random(600 + seed)
-        pair = BindingMirrorPair(batch_transactions=True)
-        register_all(pair)
+        mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
+        register_all(mirror)
         for _ in range(20):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             ops = [
                 _random_op(rng, vertices, edges)
                 for _ in range(rng.randint(1, 5))
             ]
             abort = rng.random() < 0.3
-
-            def run(graph, ops=ops, abort=abort):
-                try:
-                    with graph.transaction():
-                        for op in ops:
-                            op(graph)
-                        if abort:
-                            raise _Abort()
-                except (_Abort, GraphError):
-                    pass
-
-            pair.apply(run)
-            pair.assert_consistent(oracle=True)
+            try:
+                with mirror.graph.transaction():
+                    for op in ops:
+                        op(mirror.graph)
+                    if abort:
+                        raise _Abort()
+            except (_Abort, GraphError):
+                pass
+            mirror.assert_consistent()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_mid_stream_register_and_detach_across_bindings(self, seed):
         """New bindings joining a live node (partition replay) stay exact."""
         rng = random.Random(700 + seed)
-        pair = BindingMirrorPair()
+        mirror = OracleMirror(PropertyGraph())
         for value in BINDINGS[:2]:
-            pair.register(PARAM_QUERIES[0], {"lang": value})
+            mirror.register(PARAM_QUERIES[0], {"lang": value})
         pool = [
             (query, {"lang": value})
             for query in PARAM_QUERIES
             for value in BINDINGS
         ]
-        for step in range(50):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+        for _ in range(50):
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             roll = rng.random()
             if roll < 0.15:
                 query, parameters = pool[rng.randrange(len(pool))]
-                pair.register(query, parameters)
-            elif roll < 0.25 and len(pair.views) > 1:
-                pair.detach(rng.randrange(len(pair.views)))
+                mirror.register(query, parameters)
+            elif roll < 0.25 and len(mirror.views) > 1:
+                mirror.detach(rng.randrange(len(mirror.views)))
             else:
-                pair.apply(_random_op(rng, vertices, edges))
-            pair.assert_consistent(oracle=step % 10 == 0)
-        pair.assert_consistent(oracle=True)
+                _random_op(rng, vertices, edges)(mirror.graph)
+            mirror.assert_consistent()
 
-    def test_mid_batch_register_of_new_binding_matches_baseline(self):
+    def test_mid_batch_register_of_new_binding_matches_recomputation(self):
         rng = random.Random(23)
-        pair = BindingMirrorPair()
+        mirror = OracleMirror(PropertyGraph())
+        graph = mirror.graph
         for value in BINDINGS[:2]:
-            pair.register(PARAM_QUERIES[0], {"lang": value})
-        for graph in pair.graphs:
-            a = graph.add_vertex(labels=["Person"], properties={"lang": "en"})
-            b = graph.add_vertex(labels=["Person"], properties={"lang": "de"})
-            graph.add_edge(a, b, "KNOWS")
-        scopes = [engine.batch() for engine in pair.engines]
-        for scope in scopes:
-            scope.__enter__()
-        try:
+            mirror.register(PARAM_QUERIES[0], {"lang": value})
+        a = graph.add_vertex(labels=["Person"], properties={"lang": "en"})
+        b = graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        graph.add_edge(a, b, "KNOWS")
+        with mirror.engine.batch():
             for _ in range(8):
-                vertices = list(pair.graphs[0].vertices())
-                edges = list(pair.graphs[0].edges())
-                pair.apply(_random_op(rng, vertices, edges))
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
             for value in BINDINGS[2:]:
-                pair.register(PARAM_QUERIES[0], {"lang": value})
+                mirror.register(PARAM_QUERIES[0], {"lang": value})
             for _ in range(8):
-                vertices = list(pair.graphs[0].vertices())
-                edges = list(pair.graphs[0].edges())
-                pair.apply(_random_op(rng, vertices, edges))
-        finally:
-            for scope in scopes:
-                scope.__exit__(None, None, None)
-        pair.assert_consistent(oracle=True)
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
+        mirror.assert_consistent()
 
 
 class TestBindingMechanics:
@@ -247,13 +170,16 @@ class TestBindingMechanics:
         layer = engine.input_layer
         for value in ("en", "de", "hu"):
             engine.register(PARAM_QUERIES[0], parameters={"lang": value})
+        # "en" keeps its pushed-down plan; "de" and "hu" lift
         assert layer.binding_node_count == 1
-        assert layer.binding_partition_count == 3
-        # the ⋈(©Person, ⇑KNOWS) core was built exactly once
+        assert layer.binding_partition_count == 2
+        # the binding-free ⋈(©Person, ⇑KNOWS) core was built exactly once
         join_entries = [
             entry
-            for entry in layer._subplans.values()
-            if type(entry.node).__name__ == "JoinNode"
+            for key, entry in layer._subplans.items()
+            if key[0] is not BINDING_TIER
+            and key[1] == ()
+            and type(entry.node).__name__ == "JoinNode"
         ]
         assert len(join_entries) == 1
 
@@ -261,6 +187,7 @@ class TestBindingMechanics:
         graph, _ = self.graph_with_people()
         engine = IncrementalEngine(graph)
         layer = engine.input_layer
+        engine.register(PARAM_QUERIES[0], parameters={"lang": "de"})
         first = engine.register(PARAM_QUERIES[0], parameters={"lang": "en"})
         hits_before = layer.stats.subplan_hits
         twin = engine.register(PARAM_QUERIES[0], parameters={"lang": "en"})
@@ -268,11 +195,15 @@ class TestBindingMechanics:
         assert layer.binding_partition_count == 1
         assert twin.multiset() == first.multiset()
 
-    def test_differently_named_parameters_share_across_bindings(self):
+    def test_differently_named_parameters_share_one_node(self):
         """$lang vs $l: the generalised fingerprint ignores the name."""
         graph, _ = self.graph_with_people()
         engine = IncrementalEngine(graph)
         layer = engine.input_layer
+        engine.register(  # the shape's first binding stays pushed down
+            "MATCH (p:Person) WHERE p.lang = $lang RETURN p",
+            parameters={"lang": "hu"},
+        )
         by_lang = engine.register(
             "MATCH (p:Person) WHERE p.lang = $lang RETURN p",
             parameters={"lang": "en"},
@@ -301,7 +232,10 @@ class TestBindingMechanics:
             repr(value): engine.register(query, parameters={"lang": value})
             for value in (1, True, 1.0, "1")
         }
-        assert engine.input_layer.binding_partition_count == 4
+        # the first binding stays pushed down; the lift rule keys bindings
+        # type-exactly too, so each of the others lifts into its own
+        assert pushed_down(views["1"])
+        assert engine.input_layer.binding_partition_count == 3
         for value in (1, True, 1.0, "1"):
             rows = views[repr(value)].rows()
             assert rows == [(value,)] or (
@@ -346,7 +280,7 @@ class TestBindingMechanics:
             for value in (1, 2, 3)
         }
         assert engine.input_layer.binding_node_count == 1
-        assert engine.input_layer.binding_partition_count == 3
+        assert engine.input_layer.binding_partition_count == 2
         assert {v: len(view.rows()) for v, view in views.items()} == {
             1: 3,
             2: 2,
@@ -374,22 +308,76 @@ class TestBindingMechanics:
                 engine, PARAM_QUERIES[0], {"lang": value}
             ), value
 
-    def test_ablation_engine_keeps_exact_binding_keys(self):
-        graph, _ = self.graph_with_people()
-        engine = IncrementalEngine(graph, share_across_bindings=False)
-        layer = engine.input_layer
-        assert isinstance(layer, SharedSubplanLayer)
-        for value in ("en", "de"):
-            engine.register(PARAM_QUERIES[0], parameters={"lang": value})
-        assert layer.binding_node_count == 0
-        assert layer.binding_partition_count == 0
-
     def test_profile_marks_the_shared_partition(self):
         graph, _ = self.graph_with_people()
         engine = IncrementalEngine(graph)
+        engine.register(PARAM_QUERIES[0], parameters={"lang": "de"})
         view = engine.register(PARAM_QUERIES[0], parameters={"lang": "en"})
         assert "BindingIndexedSelection (shared)" in view.profile()
         assert "SelectionPartition (shared)" in view.profile()
+
+
+def pushed_down(view) -> bool:
+    """Whether *view* was built from its query's pushed-down plan."""
+    return view.network.plan is view.compiled.plan
+
+
+class TestLiftingRule:
+    """A plan lifts only when another live binding of its shape differs."""
+
+    graph_with_people = TestBindingMechanics.graph_with_people
+
+    def test_one_binding_keeps_the_pushed_down_plan(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        view = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        layer = mirror.engine._incremental.input_layer
+        assert pushed_down(view)
+        assert layer.binding_node_count == 0
+        assert layer.binding_partition_count == 0
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
+        mirror.assert_consistent()
+
+    def test_second_distinct_binding_lifts_and_the_first_stays(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        second = mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        layer = mirror.engine._incremental.input_layer
+        assert pushed_down(first) and not pushed_down(second)
+        assert layer.binding_node_count == 1
+        assert layer.binding_partition_count == 1
+        people = list(mirror.graph.vertices("Person"))
+        late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        mirror.graph.add_edge(late, people[0], "KNOWS")
+        mirror.assert_consistent()
+
+    def test_same_binding_twice_is_a_root_hit(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        layer = mirror.engine._incremental.input_layer
+        nodes = layer.stats.subplan_nodes
+        twin = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        assert pushed_down(twin)
+        assert layer.stats.subplan_nodes == nodes  # cut over at the root
+        assert twin.network.production is not first.network.production
+        assert layer.binding_node_count == 0
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
+        mirror.assert_consistent()
+
+    def test_new_binding_joins_the_live_node_after_the_first_leaves(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        layer = mirror.engine._incremental.input_layer
+        (node,) = [entry.node for entry in layer._param_nodes.values()]
+        mirror.detach(0)  # the pushed-down first binding
+        hits = layer.stats.binding_core_hits
+        third = mirror.register(PARAM_QUERIES[0], {"lang": "hu"})
+        assert not pushed_down(third)
+        assert layer.stats.binding_core_hits == hits + 1
+        assert [entry.node for entry in layer._param_nodes.values()] == [node]
+        assert layer.binding_partition_count == 2
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "hu"})
+        mirror.assert_consistent()
 
 
 class TestBindingLifecycle:
@@ -419,6 +407,7 @@ class TestBindingLifecycle:
         graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         engine = IncrementalEngine(graph, detached_cache_size=4)
         layer = engine.input_layer
+        engine.register(PARAM_QUERIES[1], parameters={"lang": "hu"})
         view = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
         keeper = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
         partitions_before = layer.stats.binding_partitions
@@ -443,32 +432,35 @@ class TestBindingLifecycle:
         """register → detach → re-register under a *different* binding.
 
         The detached-LRU revival path must never hand the new binding the
-        old binding's partition (or, in the ablation, the old resolved
-        subplan) — partition keys carry the binding, so this pins that
-        isolation for both modes and both cache sizes.
+        old binding's partition (or its old resolved subplan) — both keys
+        carry the binding, so this pins that
+        isolation for both plan forms and both cache sizes: without a
+        keeper both registrations keep the pushed-down plan and exact
+        keys; beside a live keeper binding both lift into partitions.
         """
-        for share in (True, False):
+        for keeper in (None, "hu"):
             graph = PropertyGraph()
             for lang in ("en", "en", "de"):
                 graph.add_vertex(labels=["Post"], properties={"lang": lang})
-            engine = IncrementalEngine(
-                graph,
-                detached_cache_size=cache_size,
-                share_across_bindings=share,
-            )
+            engine = IncrementalEngine(graph, detached_cache_size=cache_size)
+            if keeper is not None:
+                engine.register(PARAM_QUERIES[1], parameters={"lang": keeper})
             first = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
+            assert pushed_down(first) == (keeper is None)
             assert len(first.rows()) == 2
             first.detach()
             second = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
-            assert len(second.rows()) == 1, (share, cache_size)
+            # the detached binding no longer counts as live
+            assert pushed_down(second) == (keeper is None)
+            assert len(second.rows()) == 1, (keeper, cache_size)
             assert second.multiset() == param_oracle(
                 engine, PARAM_QUERIES[1], {"lang": "de"}
-            ), (share, cache_size)
+            ), (keeper, cache_size)
             graph.add_vertex(labels=["Post"], properties={"lang": "de"})
             graph.add_vertex(labels=["Post"], properties={"lang": "en"})
             assert second.multiset() == param_oracle(
                 engine, PARAM_QUERIES[1], {"lang": "de"}
-            ), (share, cache_size)
+            ), (keeper, cache_size)
 
     def test_random_register_detach_cycles_leave_no_garbage(self):
         rng = random.Random(101)
@@ -744,6 +736,16 @@ def assert_new_binding_exact(engine, query, parameters, restricted: bool):
     return view
 
 
+def register_lone(engine, query, first):
+    """Register *query* under a binding no row and no later binding
+    matches: the shape's first binding keeps its pushed-down plan, so
+    *first* builds the binding-indexed node and every later binding joins
+    it live."""
+    return engine.register(
+        query, parameters={name: "no-such-binding" for name in first}
+    )
+
+
 ALL_SHAPES = [
     (name, shape, True) for name, shape in RESTRICTED_SHAPES.items()
 ] + [(name, shape, False) for name, shape in FALLBACK_SHAPES.items()]
@@ -761,6 +763,7 @@ class TestRestrictedReplay:
         graph, people, edges = people_graph()
         engine = QueryEngine(graph, batch_transactions=batched)
         rng = random.Random(11)
+        register_lone(engine, query, first)
         views = [(engine.register(query, parameters=first), first)]
         for parameters in later:
             # freed slots first: the scan must skip them and reused slots
@@ -789,6 +792,7 @@ class TestRestrictedReplay:
         graph, people, edges = people_graph()
         engine = QueryEngine(graph)
         rng = random.Random(13)
+        register_lone(engine, query, first)
         views = [(engine.register(query, parameters=first), first)]
         with engine.batch():
             churn(graph, people, edges, rng)
@@ -815,7 +819,8 @@ class TestRestrictedReplay:
         for i in range(11):  # a chain: no cycles, trails stay small
             graph.add_edge(people[i], people[i + 1], "KNOWS")
         engine = QueryEngine(graph, transitive_mode=mode)
-        engine.register(query, parameters={"v": "p0"})
+        engine.register(query, parameters={"v": "p0"})  # pushed down
+        engine.register(query, parameters={"v": "p1"})  # builds the node
         layer = engine._incremental.input_layer
         before = layer.stats.replay_rows_scanned
         view = engine.register(query, parameters={"v": "p8"})
@@ -834,6 +839,7 @@ class TestRestrictedReplay:
         )
         graph, people, edges = people_graph()
         engine = QueryEngine(graph)
+        register_lone(engine, query, first)
         engine.register(query, parameters=first)
         engine.register(query, parameters=later[0])
         churn(graph, people, edges, random.Random(17))
@@ -894,6 +900,7 @@ class TestRestrictedReplay:
         engine = QueryEngine(graph, collect_metrics=True)
         query = RESTRICTED_SHAPES["left"][0]
         stats = engine._incremental.input_layer.stats
+        register_lone(engine, query, {"v": "p0"})
         engine.register(query, parameters={"v": "p0"})
         assert stats.binding_core_hits == 0  # built the core
         engine.register(query, parameters={"v": "p1"})
@@ -920,7 +927,7 @@ class TestRestrictedReplay:
 # ---------------------------------------------------------------------------
 
 
-def fixpoint_prune(layer: SharedSubplanLayer) -> int:
+def fixpoint_prune(layer: SharingLayer) -> int:
     """Reference ``prune()``: rescan every cached subplan until nothing
     changes (what the layer did before the worklist)."""
     removed = 0
@@ -951,8 +958,9 @@ def fixpoint_prune(layer: SharedSubplanLayer) -> int:
                 removed += 1
                 changed = True
     layer._released.clear()
+    removed += layer._prune_inputs()
     layer.stats.pruned += removed
-    return removed + SharedInputLayer.prune(layer)
+    return removed
 
 
 #: overlapping chains (shared joins under differing tops) and parameterised

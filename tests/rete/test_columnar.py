@@ -7,10 +7,9 @@ widens the binding tier's discriminant to composite value tuples.  All of
 that must be *invisible*: the mirror classes here drive identical random
 streams through a columnar engine and its ``columnar_deltas=False``
 baseline (the exact PR 1–5 row path) and require identical per-view
-contents and change logs throughout — across every existing engine flag
-(``batch_transactions``, ``route_events``, ``share_subplans``,
-``share_across_bindings``), rollback transactions, batched windows, and
-mid-stream register/detach.  Mechanics classes pin the representation
+contents and change logs throughout — across the other engine options
+(``batch_transactions``, ``detached_cache_size``, ``answer_from_views``),
+rollback transactions, batched windows, and mid-stream register/detach.  Mechanics classes pin the representation
 itself (lazy transposition, unconsolidated occurrence lists), the
 zero-count index invariant, value-level routing, composite binding
 probes, and the profile columns.
@@ -174,18 +173,14 @@ class TestColumnarDifferential:
     @pytest.mark.parametrize(
         "flags",
         [
-            {"route_events": False},
-            {"share_subplans": False},
-            {"share_across_bindings": False},
-            {"route_events": False, "share_subplans": False},
-            {"batch_transactions": True, "route_events": False},
-            {"batch_transactions": True, "share_across_bindings": False},
+            {"batch_transactions": True},
+            {"detached_cache_size": 0},
             {"answer_from_views": False},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )
     def test_flag_matrix_matches_row_baseline(self, flags):
-        """Columnar mode composes with every existing ablation flag."""
+        """Columnar mode composes with every other engine option."""
         pair = ColumnarMirrorPair(**flags)
         pair.register_all()
         _drive(pair, random.Random(42), operations=30, oracle_every=10)
@@ -421,8 +416,9 @@ class TestCompositeBindings:
             for score in (1, 2)
         }
         layer = engine.input_layer
+        # ("en", 1) keeps its pushed-down plan; the other three lift
         assert layer.binding_node_count == 1
-        assert layer.binding_partition_count == 4
+        assert layer.binding_partition_count == 3
         binding_nodes = [entry.node for entry in layer._param_nodes.values()]
         assert len(binding_nodes) == 1
         assert len(binding_nodes[0]._disc_names) == 2  # composite, not first-only
@@ -440,6 +436,8 @@ class TestCompositeBindings:
     def test_row_mode_keeps_single_discriminant(self):
         graph, engine = _engine_pair(columnar_deltas=False)
         self.seed(graph)
+        # a first binding keeps its pushed-down plan; the second lifts
+        _register(engine, self.QUERY, {"lang": "zz", "score": 0})
         view = _register(engine, self.QUERY, {"lang": "en", "score": 1})
         layer = engine.input_layer
         binding_nodes = [entry.node for entry in layer._param_nodes.values()]

@@ -35,6 +35,7 @@ from repro.rete.nodes.base import LEFT, RIGHT, Node
 from repro.rete.nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode
 
 from ..conftest import PAPER_QUERY
+from .oracle import OracleMirror, fold
 from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, SCORES, _columnar_op
 from .test_populate import _Schema, dict_fold, exact
 from .test_sharing import SP_EDGE_TYPES, SP_LABELS, SP_VALUES, _Abort
@@ -48,16 +49,6 @@ OPTIONAL_QUERY = (
 )
 #: values Python equality conflates
 HOSTILE = (1, True, 1.0)
-
-
-def fold(bag: dict, items) -> None:
-    """Add signed ``(row, mult)`` items into *bag*, dropping zero counts."""
-    for row, mult in items:
-        count = bag.get(row, 0) + mult
-        if count:
-            bag[row] = count
-        else:
-            del bag[row]
 
 
 def _bindings():
@@ -75,41 +66,29 @@ def _hostile_op(rng: random.Random, vertices, edges):
     return _columnar_op(rng, vertices, edges)
 
 
-class RecomputationMirror:
-    """One engine whose views are held to recomputation and to their own
-    ``on_change`` streams.  The graph starts with a dozen vertices and
+class RecomputationMirror(OracleMirror):
+    """An :class:`~.oracle.OracleMirror` over a fixed random graph, with
+    the shared mutation pool.  The graph starts with a dozen vertices and
     edges, so views populate over data before the stream begins."""
 
     def __init__(self, plain: bool = True, **flags):
-        self.graph = PropertyGraph()
+        graph = PropertyGraph()
         rng = random.Random(5)
         for _ in range(12):
-            self.graph.add_vertex(
+            graph.add_vertex(
                 labels=rng.sample(SP_LABELS, rng.randint(1, 2)),
                 properties={
                     "lang": rng.choice(SP_VALUES),
                     "score": rng.choice(SCORES),
                 },
             )
-        vertices = list(self.graph.vertices())
+        vertices = list(graph.vertices())
         for _ in range(16):
-            self.graph.add_edge(
+            graph.add_edge(
                 rng.choice(vertices), rng.choice(vertices), rng.choice(SP_EDGE_TYPES)
             )
-        self.engine = QueryEngine(self.graph, **flags)
-        self.plain = plain
+        super().__init__(graph, plain, **flags)
         self.op = _columnar_op if plain else _hostile_op
-        self.registered: list[tuple[str, dict | None]] = []
-        self.views: list = []
-        self.replays: list[dict] = []
-
-    def register(self, query: str, parameters=None) -> None:
-        view = self.engine.register(query, parameters=parameters)
-        replay = dict(view.multiset())
-        view.on_change(lambda delta: fold(replay, delta.items()))
-        self.registered.append((query, parameters))
-        self.views.append(view)
-        self.replays.append(replay)
 
     def register_all(self) -> None:
         for query in QUERIES:
@@ -118,25 +97,6 @@ class RecomputationMirror:
             self.register(query, parameters)
         self.register(OPTIONAL_QUERY)
         self.register(PAPER_QUERY)
-
-    def detach(self, index: int) -> None:
-        self.views.pop(index).detach()
-        self.registered.pop(index)
-        self.replays.pop(index)
-
-    def same(self, left, right) -> bool:
-        if self.plain:
-            return exact(left) == exact(right)
-        return dict(left) == dict(right)
-
-    def assert_consistent(self) -> None:
-        for (query, parameters), view, replay in zip(
-            self.registered, self.views, self.replays
-        ):
-            held = view.multiset()
-            recomputed = self.engine.evaluate(query, parameters, use_views=False)
-            assert self.same(held, recomputed.multiset()), (query, parameters)
-            assert self.same(replay, held), (query, parameters)
 
     def step(self, rng: random.Random, rollback_chance: float = 0.08) -> None:
         """One mutation, or a transaction of a few that rolls back or
@@ -175,14 +135,8 @@ class TestColumnarMemoryDifferential:
         "flags",
         [
             {"columnar_deltas": False},
-            {"route_events": False},
-            {"share_subplans": False},
-            {"share_across_bindings": False},
             {"batch_transactions": True},
             {"batch_transactions": True, "columnar_deltas": False},
-            {"batch_transactions": True, "share_across_bindings": False},
-            {"columnar_deltas": False, "share_across_bindings": False},
-            {"batch_transactions": True, "route_events": False},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

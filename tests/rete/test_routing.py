@@ -1,12 +1,11 @@
-"""Differential suite: interest-routed dispatch vs. the broadcast oracle.
+"""Differential suite: interest-routed dispatch vs. recomputation.
 
-Two engines over two initially identical graphs — one with
-``route_events=True``, one with ``route_events=False`` — receive the same
-view registrations and the same random event stream.  Routing is a pure
-candidate-set reduction, so after every operation the two sides must hold
-identical view multisets and have fired identical ``on_change`` delta
-sequences; periodically both are additionally checked against one-shot
-re-evaluation (the paper's IVM property).
+One engine receives view registrations covering every routing bucket
+family and a random event stream.  Routing is a pure candidate-set
+reduction — a node the router skips must be one that would have produced
+an empty delta — so after every operation each view must equal one-shot
+re-evaluation (the paper's IVM property), compared type-exactly, and its
+``on_change`` log must replay to its contents.
 """
 
 import random
@@ -15,6 +14,8 @@ import pytest
 
 from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
+
+from .oracle import OracleMirror
 
 LABELS = ("Post", "Comm", "Person", "Tag")
 EDGE_TYPES = ("REPLY", "LIKES", "KNOWS")
@@ -40,55 +41,6 @@ QUERIES = (
 
 class _Abort(Exception):
     pass
-
-
-class MirrorPair:
-    """A routed engine and a broadcast engine fed identical histories."""
-
-    def __init__(self, batch_transactions: bool = False):
-        self.graphs = (PropertyGraph(), PropertyGraph())
-        self.engines = (
-            QueryEngine(
-                self.graphs[0],
-                route_events=True,
-                batch_transactions=batch_transactions,
-            ),
-            QueryEngine(
-                self.graphs[1],
-                route_events=False,
-                batch_transactions=batch_transactions,
-            ),
-        )
-        self.queries: list[str] = []
-        self.views: list[tuple] = []
-        self.logs: list[tuple[list, list]] = []
-
-    def register(self, query: str) -> None:
-        pair, logs = [], []
-        for engine in self.engines:
-            view = engine.register(query)
-            log: list = []
-            view.on_change(log.append)
-            pair.append(view)
-            logs.append(log)
-        self.queries.append(query)
-        self.views.append(tuple(pair))
-        self.logs.append(tuple(logs))
-
-    def apply(self, op) -> None:
-        for graph in self.graphs:
-            op(graph)
-
-    def assert_consistent(self, oracle: bool = False) -> None:
-        for query, (routed, broadcast) in zip(self.queries, self.views):
-            assert routed.multiset() == broadcast.multiset(), query
-            if oracle:
-                assert (
-                    routed.multiset()
-                    == self.engines[0].evaluate(query, use_views=False).multiset()
-                ), query
-        for query, (routed_log, broadcast_log) in zip(self.queries, self.logs):
-            assert routed_log == broadcast_log, query
 
 
 def _random_op(rng: random.Random, vertices: list[int], edges: list[int]):
@@ -126,14 +78,14 @@ def _random_op(rng: random.Random, vertices: list[int], edges: list[int]):
     return lambda g: g.remove_vertex(vertex, detach=True)
 
 
-def _drive(pair: MirrorPair, rng: random.Random, operations: int) -> None:
-    """Apply a random stream, checking consistency continuously."""
-    for step in range(operations):
-        vertices = list(pair.graphs[0].vertices())
-        edges = list(pair.graphs[0].edges())
+def _drive(mirror: OracleMirror, rng: random.Random, operations: int) -> None:
+    """Apply a random stream, checking consistency after every step."""
+    for _ in range(operations):
+        vertices = list(mirror.graph.vertices())
+        edges = list(mirror.graph.edges())
         if rng.random() < 0.08:
-            # a transaction that aborts: compensation events must replay
-            # identically through both dispatchers
+            # a transaction that aborts: compensation events must route to
+            # every node the forward events reached
             ops = [
                 _random_op(rng, vertices, edges) for _ in range(rng.randint(1, 4))
             ]
@@ -145,35 +97,33 @@ def _drive(pair: MirrorPair, rng: random.Random, operations: int) -> None:
                             op(graph)
                         raise _Abort()
                 except (_Abort, GraphError):
-                    # a mid-transaction graph error rolls back too, and does
-                    # so deterministically on both sides
+                    # a mid-transaction graph error rolls back too
                     pass
 
-            pair.apply(aborted)
+            aborted(mirror.graph)
         else:
-            pair.apply(_random_op(rng, vertices, edges))
-        pair.assert_consistent(oracle=step % 25 == 0)
-    pair.assert_consistent(oracle=True)
+            _random_op(rng, vertices, edges)(mirror.graph)
+        mirror.assert_consistent()
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_random_stream_matches_broadcast(seed):
-    pair = MirrorPair()
+def test_random_stream_matches_recomputation(seed):
+    mirror = OracleMirror(PropertyGraph())
     for query in QUERIES:
-        pair.register(query)
-    _drive(pair, random.Random(seed), operations=80)
+        mirror.register(query)
+    _drive(mirror, random.Random(seed), operations=80)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_batched_transactions_match_broadcast(seed):
+def test_batched_transactions_match_recomputation(seed):
     """Committed and rolled-back transactions under batch_transactions."""
     rng = random.Random(1000 + seed)
-    pair = MirrorPair(batch_transactions=True)
+    mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
     for query in QUERIES:
-        pair.register(query)
+        mirror.register(query)
     for _ in range(25):
-        vertices = list(pair.graphs[0].vertices())
-        edges = list(pair.graphs[0].edges())
+        vertices = list(mirror.graph.vertices())
+        edges = list(mirror.graph.edges())
         ops = [
             _random_op(rng, vertices, edges) for _ in range(rng.randint(1, 5))
         ]
@@ -186,11 +136,10 @@ def test_batched_transactions_match_broadcast(seed):
                             op(graph)
                         raise _Abort()
                 except (_Abort, GraphError):
-                    # a mid-transaction graph error rolls back too, and does
-                    # so deterministically on both sides
+                    # a mid-transaction graph error rolls back too
                     pass
 
-            pair.apply(aborted)
+            aborted(mirror.graph)
         else:
 
             def committed(graph, ops=ops):
@@ -201,46 +150,36 @@ def test_batched_transactions_match_broadcast(seed):
                 except GraphError:
                     pass
 
-            pair.apply(committed)
-        pair.assert_consistent(oracle=True)
+            committed(mirror.graph)
+        mirror.assert_consistent()
 
 
-def test_mid_batch_register_matches_broadcast():
+def test_mid_batch_register_matches_recomputation():
     """A view joining inside an open batch flushes pending work first."""
     rng = random.Random(7)
-    pair = MirrorPair()
+    mirror = OracleMirror(PropertyGraph())
+    graph = mirror.graph
     for query in QUERIES[:4]:
-        pair.register(query)
-    for graph in pair.graphs:
-        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
-        graph.add_edge(post, comm, "REPLY")
-    pair.assert_consistent(oracle=True)
+        mirror.register(query)
+    post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+    comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+    graph.add_edge(post, comm, "REPLY")
+    mirror.assert_consistent()
 
-    scopes = [engine.batch() for engine in pair.engines]
-    for scope in scopes:
-        scope.__enter__()
-    try:
+    with mirror.engine.batch():
         for _ in range(10):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
-            pair.apply(_random_op(rng, vertices, edges))
+            _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
         for query in QUERIES[4:]:
-            pair.register(query)
+            mirror.register(query)
         for _ in range(10):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
-            pair.apply(_random_op(rng, vertices, edges))
-    finally:
-        for scope in scopes:
-            scope.__exit__(None, None, None)
-    pair.assert_consistent(oracle=True)
+            _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
+    mirror.assert_consistent()
 
 
 def test_detach_withdraws_interests():
     """Pruned shared input nodes stop receiving routed events entirely."""
     graph = PropertyGraph()
-    engine = QueryEngine(graph, route_events=True, detached_cache_size=0)
+    engine = QueryEngine(graph, detached_cache_size=0)
     view = engine.register("MATCH (p:Post) RETURN p")
     keeper = engine.register("MATCH (c:Comm) RETURN c")
     router = engine._incremental.input_layer.router
@@ -254,33 +193,3 @@ def test_detach_withdraws_interests():
     graph.add_vertex(labels=["Comm"])
     graph.remove_vertex(post)
     assert keeper.multiset() == engine.evaluate("MATCH (c:Comm) RETURN c", use_views=False).multiset()
-
-
-def test_private_layer_routes_too():
-    """share_inputs=False networks route through their own router."""
-    pair_kwargs = dict(share_inputs=False)
-    graphs = (PropertyGraph(), PropertyGraph())
-    routed = QueryEngine(graphs[0], route_events=True, **pair_kwargs)
-    broadcast = QueryEngine(graphs[1], route_events=False, **pair_kwargs)
-    views = [
-        (routed.register(q), broadcast.register(q)) for q in QUERIES[:6]
-    ]
-    rng = random.Random(42)
-    for _ in range(60):
-        vertices = list(graphs[0].vertices())
-        edges = list(graphs[0].edges())
-        op = _random_op(rng, vertices, edges)
-        for graph in graphs:
-            op(graph)
-        for r, b in views:
-            assert r.multiset() == b.multiset()
-
-
-def test_routing_is_default_and_selectable():
-    graph = PropertyGraph()
-    assert QueryEngine(graph)._incremental.input_layer.router is not None
-    assert (
-        QueryEngine(PropertyGraph(), route_events=False)
-        ._incremental.input_layer.router
-        is None
-    )

@@ -1,10 +1,10 @@
 """Cross-view sharing: transparency, late joiners, detach, stats.
 
-Covers both tiers — the input layer (E11) and the subplan layer: the
-differential classes drive identical random streams through a
-``share_subplans=True`` engine and its input-only baseline and require
-identical view contents throughout, including rollback transactions,
-batched mode, and mid-stream register/detach.
+Covers shared input nodes and shared interior subplans: the differential
+classes drive random streams through one engine over heavily overlapping
+views and hold every view to recomputation after every step (type-exact
+cells, and each ``on_change`` log replaying to its view), including
+rollback transactions, batched mode, and mid-stream register/detach.
 """
 
 import random
@@ -14,8 +14,9 @@ import pytest
 from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
 from repro.rete.engine import IncrementalEngine
-from repro.rete.sharing import SharedSubplanLayer
 from repro.workloads.social import generate_social
+
+from .oracle import OracleMirror
 
 QUERIES = [
     "MATCH (p:Post) RETURN p.lang AS lang",
@@ -35,35 +36,30 @@ def small_graph():
 
 
 class TestTransparency:
-    @pytest.mark.parametrize("share", [True, False])
-    def test_rows_identical_under_both_modes(self, share):
-        graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=share)
-        views = [engine.register(q) for q in QUERIES]
-        snapshots = [sorted(v.rows(), key=repr) for v in views]
-        other = IncrementalEngine(small_graph()[0], share_inputs=not share)
-        for view, query, snapshot in zip(
-            [other.register(q) for q in QUERIES], QUERIES, snapshots
-        ):
-            assert sorted(view.rows(), key=repr) == snapshot
+    def test_rows_match_recomputation(self):
+        mirror = OracleMirror(small_graph()[0])
+        for query in QUERIES:
+            mirror.register(query)
+        mirror.assert_consistent()
 
-    def test_updates_propagate_identically(self):
-        results = {}
-        for share in (True, False):
-            graph, p1, p2, c1 = small_graph()
-            engine = IncrementalEngine(graph, share_inputs=share)
-            views = [engine.register(q) for q in QUERIES]
-            c2 = graph.add_vertex(labels=["Comm"], properties={"lang": "de"})
-            graph.add_edge(p2, c2, "REPLY")
-            graph.set_vertex_property(c1, "lang", "hu")
-            graph.remove_edge(next(iter(graph.edges("REPLY"))))
-            results[share] = [sorted(v.rows(), key=repr) for v in views]
-        assert results[True] == results[False]
+    def test_updates_propagate_exactly(self):
+        graph, p1, p2, c1 = small_graph()
+        mirror = OracleMirror(graph)
+        for query in QUERIES:
+            mirror.register(query)
+        c2 = graph.add_vertex(labels=["Comm"], properties={"lang": "de"})
+        mirror.assert_consistent()
+        graph.add_edge(p2, c2, "REPLY")
+        mirror.assert_consistent()
+        graph.set_vertex_property(c1, "lang", "hu")
+        mirror.assert_consistent()
+        graph.remove_edge(next(iter(graph.edges("REPLY"))))
+        mirror.assert_consistent()
 
     def test_differential_on_social_workload(self):
         bundle = generate_social(persons=8, posts_per_person=2, seed=7)
         graph = bundle.graph
-        engine = QueryEngine(graph, share_inputs=True)
+        engine = QueryEngine(graph)
         views = [engine.register(q) for q in QUERIES]
         post = next(iter(graph.vertices("Post")))
         graph.set_vertex_property(post, "lang", "zz")
@@ -74,18 +70,18 @@ class TestTransparency:
 
 
 class TestSharingMechanics:
-    def test_identical_views_share_all_inputs(self):
+    def test_views_over_one_relation_share_its_input(self):
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=True, share_subplans=False)
-        engine.register(QUERIES[2])
+        engine = IncrementalEngine(graph)
+        engine.register(QUERIES[0])
         stats_after_first = engine.input_layer.stats.nodes
-        engine.register(QUERIES[2])
+        engine.register(QUERIES[1])  # a different top over the same ©
         assert engine.input_layer.stats.nodes == stats_after_first
         assert engine.input_layer.stats.requests > engine.input_layer.stats.nodes
 
     def test_identical_views_share_whole_subplans(self):
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=True)
+        engine = IncrementalEngine(graph)
         engine.register(QUERIES[2])
         nodes_after_first = engine.input_layer.stats.subplan_nodes
         engine.register(QUERIES[2])
@@ -95,7 +91,7 @@ class TestSharingMechanics:
 
     def test_late_view_sees_current_state_once(self):
         graph, p1, p2, c1 = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=True)
+        engine = IncrementalEngine(graph)
         first = engine.register(QUERIES[0])
         # register the same query again after the layer is already live
         second = engine.register(QUERIES[0])
@@ -104,7 +100,7 @@ class TestSharingMechanics:
 
     def test_late_view_tracks_subsequent_updates(self):
         graph, p1, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=True)
+        engine = IncrementalEngine(graph)
         engine.register(QUERIES[0])
         late = engine.register(QUERIES[1])
         graph.add_vertex(labels=["Post"], properties={"lang": "en"})
@@ -113,7 +109,7 @@ class TestSharingMechanics:
     def test_detach_stops_updates_and_prunes(self):
         graph, *_ = small_graph()
         # strict eager pruning: no detached-subplan retention
-        engine = IncrementalEngine(graph, share_inputs=True, detached_cache_size=0)
+        engine = IncrementalEngine(graph, detached_cache_size=0)
         view_a = engine.register(QUERIES[0])
         view_b = engine.register(QUERIES[2])
         assert engine.input_layer.node_count > 0
@@ -125,22 +121,16 @@ class TestSharingMechanics:
 
     def test_detach_leaves_other_views_live(self):
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=True)
+        engine = IncrementalEngine(graph)
         doomed = engine.register(QUERIES[0])
         survivor = engine.register(QUERIES[0])
         doomed.detach()
         graph.add_vertex(labels=["Post"], properties={"lang": "fr"})
         assert ("fr",) in survivor.rows()
 
-    def test_unshared_engine_has_no_layer(self):
-        graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_inputs=False)
-        engine.register(QUERIES[0])
-        assert engine.input_layer is None
-
     def test_write_queries_drive_shared_views(self):
         graph = PropertyGraph()
-        engine = QueryEngine(graph, share_inputs=True)
+        engine = QueryEngine(graph)
         view_a = engine.register(QUERIES[0])
         view_b = engine.register(QUERIES[3])
         engine.execute(
@@ -206,106 +196,46 @@ def _random_op(rng: random.Random, vertices: list[int], edges: list[int]):
     return lambda g: g.remove_vertex(vertex, detach=True)
 
 
-class SubplanMirrorPair:
-    """A subplan-sharing engine and its input-only baseline, fed identically."""
-
-    def __init__(self, batch_transactions: bool = False):
-        self.graphs = (PropertyGraph(), PropertyGraph())
-        self.engines = (
-            QueryEngine(
-                self.graphs[0],
-                share_subplans=True,
-                batch_transactions=batch_transactions,
-            ),
-            QueryEngine(
-                self.graphs[1],
-                share_subplans=False,
-                batch_transactions=batch_transactions,
-            ),
-        )
-        self.queries: list[str] = []
-        self.views: list[tuple] = []
-        self.logs: list[tuple] = []
-
-    def register(self, query: str) -> None:
-        pair, logs = [], []
-        for engine in self.engines:
-            view = engine.register(query)
-            log: list = []
-            view.on_change(log.append)
-            pair.append(view)
-            logs.append(log)
-        self.queries.append(query)
-        self.views.append(tuple(pair))
-        self.logs.append(tuple(logs))
-
-    def detach(self, index: int) -> None:
-        for view in self.views.pop(index):
-            view.detach()
-        self.queries.pop(index)
-        self.logs.pop(index)
-
-    def apply(self, op) -> None:
-        for graph in self.graphs:
-            op(graph)
-
-    def assert_consistent(self, oracle: bool = False) -> None:
-        for query, (shared, private) in zip(self.queries, self.views):
-            assert shared.multiset() == private.multiset(), query
-            if oracle:
-                assert (
-                    shared.multiset()
-                    == self.engines[0].evaluate(query, use_views=False).multiset()
-                ), query
-        for query, (shared_log, private_log) in zip(self.queries, self.logs):
-            assert shared_log == private_log, query
-
-
-def _drive(pair: SubplanMirrorPair, rng: random.Random, operations: int) -> None:
-    for step in range(operations):
-        vertices = list(pair.graphs[0].vertices())
-        edges = list(pair.graphs[0].edges())
+def _drive(mirror: OracleMirror, rng: random.Random, operations: int) -> None:
+    for _ in range(operations):
+        vertices = list(mirror.graph.vertices())
+        edges = list(mirror.graph.edges())
         if rng.random() < 0.08:
-            # an aborted transaction: compensation must leave both engines'
-            # shared and private memories untouched
+            # an aborted transaction: compensation must leave shared and
+            # private memories untouched
             ops = [
                 _random_op(rng, vertices, edges) for _ in range(rng.randint(1, 4))
             ]
-
-            def aborted(graph, ops=ops):
-                try:
-                    with graph.transaction():
-                        for op in ops:
-                            op(graph)
-                        raise _Abort()
-                except (_Abort, GraphError):
-                    pass
-
-            pair.apply(aborted)
+            try:
+                with mirror.graph.transaction():
+                    for op in ops:
+                        op(mirror.graph)
+                    raise _Abort()
+            except (_Abort, GraphError):
+                pass
         else:
-            pair.apply(_random_op(rng, vertices, edges))
-        pair.assert_consistent(oracle=step % 20 == 0)
-    pair.assert_consistent(oracle=True)
+            _random_op(rng, vertices, edges)(mirror.graph)
+        mirror.assert_consistent()
 
 
 class TestSubplanDifferential:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_stream_matches_input_only_baseline(self, seed):
-        pair = SubplanMirrorPair()
+    def test_random_stream_matches_recomputation(self, seed):
+        mirror = OracleMirror(PropertyGraph())
         for query in SUBPLAN_QUERIES:
-            pair.register(query)
-        _drive(pair, random.Random(200 + seed), operations=60)
+            mirror.register(query)
+        _drive(mirror, random.Random(200 + seed), operations=60)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_batched_transactions_match_baseline(self, seed):
+    def test_batched_transactions_match_recomputation(self, seed):
         """Committed and rolled-back transactions under batch_transactions."""
         rng = random.Random(300 + seed)
-        pair = SubplanMirrorPair(batch_transactions=True)
+        mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
         for query in SUBPLAN_QUERIES:
-            pair.register(query)
+            mirror.register(query)
         for _ in range(20):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             ops = [
                 _random_op(rng, vertices, edges) for _ in range(rng.randint(1, 5))
             ]
@@ -321,57 +251,46 @@ class TestSubplanDifferential:
                 except (_Abort, GraphError):
                     pass
 
-            pair.apply(run)
-            pair.assert_consistent(oracle=True)
+            run(mirror.graph)
+            mirror.assert_consistent()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_mid_stream_register_and_detach(self, seed):
         """Views joining and leaving a live shared beta layer stay exact."""
         rng = random.Random(400 + seed)
-        pair = SubplanMirrorPair()
+        mirror = OracleMirror(PropertyGraph())
         for query in SUBPLAN_QUERIES[:5]:
-            pair.register(query)
+            mirror.register(query)
         pool = list(SUBPLAN_QUERIES)
-        for step in range(50):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+        for _ in range(50):
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             roll = rng.random()
             if roll < 0.10:
-                pair.register(pool[rng.randrange(len(pool))])
-            elif roll < 0.18 and len(pair.views) > 1:
-                pair.detach(rng.randrange(len(pair.views)))
+                mirror.register(pool[rng.randrange(len(pool))])
+            elif roll < 0.18 and len(mirror.views) > 1:
+                mirror.detach(rng.randrange(len(mirror.views)))
             else:
-                pair.apply(_random_op(rng, vertices, edges))
-            pair.assert_consistent(oracle=step % 10 == 0)
-        pair.assert_consistent(oracle=True)
+                _random_op(rng, vertices, edges)(mirror.graph)
+            mirror.assert_consistent()
 
-    def test_mid_batch_register_matches_baseline(self):
+    def test_mid_batch_register_matches_recomputation(self):
         rng = random.Random(17)
-        pair = SubplanMirrorPair()
+        mirror = OracleMirror(PropertyGraph())
+        graph = mirror.graph
         for query in SUBPLAN_QUERIES[:4]:
-            pair.register(query)
-        for graph in pair.graphs:
-            post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-            comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
-            graph.add_edge(post, comm, "REPLY")
-        scopes = [engine.batch() for engine in pair.engines]
-        for scope in scopes:
-            scope.__enter__()
-        try:
+            mirror.register(query)
+        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+        graph.add_edge(post, comm, "REPLY")
+        with mirror.engine.batch():
             for _ in range(8):
-                vertices = list(pair.graphs[0].vertices())
-                edges = list(pair.graphs[0].edges())
-                pair.apply(_random_op(rng, vertices, edges))
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
             for query in SUBPLAN_QUERIES[4:]:
-                pair.register(query)
+                mirror.register(query)
             for _ in range(8):
-                vertices = list(pair.graphs[0].vertices())
-                edges = list(pair.graphs[0].edges())
-                pair.apply(_random_op(rng, vertices, edges))
-        finally:
-            for scope in scopes:
-                scope.__exit__(None, None, None)
-        pair.assert_consistent(oracle=True)
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
+        mirror.assert_consistent()
 
 
 class TestSubplanMechanics:
@@ -386,15 +305,15 @@ class TestSubplanMechanics:
         assert engine.input_layer.stats.subplan_nodes <= nodes_before + 1
 
     def test_shared_beta_layer_reduces_memory(self):
-        engines = {}
-        for share in (True, False):
-            graph = generate_social(persons=10, posts_per_person=2, seed=3).graph
-            engine = IncrementalEngine(graph, share_subplans=share)
-            for query in SUBPLAN_QUERIES[:6]:
-                engine.register(query)
-                engine.register(query)  # a second identical subscriber
-            engines[share] = engine
-        assert engines[True].memory_cells() < engines[False].memory_cells()
+        """A view counts its shared nodes fully, so the sum over views is
+        what unshared networks would hold; the engine counts them once."""
+        graph = generate_social(persons=10, posts_per_person=2, seed=3).graph
+        engine = IncrementalEngine(graph)
+        views = []
+        for query in SUBPLAN_QUERIES[:6]:
+            views.append(engine.register(query))
+            views.append(engine.register(query))  # a second identical subscriber
+        assert engine.memory_cells() < sum(view.memory_cells() for view in views)
 
     def test_late_view_replays_interior_state_once(self):
         graph, p1, p2, c1 = small_graph()
@@ -470,7 +389,6 @@ class TestSubplanLifecycle:
         graph, *_ = small_graph()
         engine = IncrementalEngine(graph, detached_cache_size=0)
         layer = engine.input_layer
-        assert isinstance(layer, SharedSubplanLayer)
         view_a = engine.register(SUBPLAN_QUERIES[3])
         view_b = engine.register(SUBPLAN_QUERIES[4])  # shares the σ(⋈) core
         count_with_both = layer.subplan_count
@@ -527,12 +445,15 @@ class TestSubplanLifecycle:
         assert engine.input_layer.subplan_count == 0
         assert engine.input_layer.node_count == 0
 
-    def test_ablation_engine_has_no_subplan_cache(self):
-        graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, share_subplans=False)
-        engine.register(SUBPLAN_QUERIES[3])
-        assert not isinstance(engine.input_layer, SharedSubplanLayer)
-        assert engine.input_layer.stats.subplan_nodes == 0
+    def test_prune_counts_the_unit_node(self):
+        """A unit leaf dropped by prune counts like any other node."""
+        engine = IncrementalEngine(PropertyGraph(), detached_cache_size=0)
+        layer = engine.input_layer
+        view = engine.register("RETURN 1 AS x")
+        assert layer.node_count == 2  # π and the unit
+        view.detach()
+        assert layer.node_count == 0
+        assert layer.stats.pruned == 2
 
 
 def engine_oracle(engine: IncrementalEngine, query: str):

@@ -390,7 +390,10 @@ class TestMatchMemo:
         graph.add_edge(a, b, "E")
         graph.set_vertex_property(b, "v", True)
         graph.add_edge(b, a, "E")
-        engine.register(VIEWS[3][0], VIEWS[3][1])  # x = 1 only
+        # a first binding keeps its pushed-down plan; x = 1 lifts into the
+        # only partition
+        engine.register(VIEWS[3][0], {"x": "lone"})
+        engine.register(VIEWS[3][0], VIEWS[3][1])
         for _ in range(2):
             for x in (1, True, 1.0):
                 assert_read(engine, PARTITION_READ, {"x": x}, plain=True)

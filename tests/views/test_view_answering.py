@@ -14,7 +14,6 @@ import pytest
 
 from repro import PropertyGraph, QueryEngine
 from repro.compiler.fingerprint import fingerprint
-from repro.rete.sharing import SharedSubplanLayer
 from repro.workloads.random_graphs import random_graph, random_updates
 from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
 
@@ -280,7 +279,6 @@ class TestStalenessGates:
         )
         engine.register(query).detach()
         layer = engine._incremental.input_layer
-        assert isinstance(layer, SharedSubplanLayer)
         assert layer.detached_count > 0
         post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
         comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
@@ -581,10 +579,14 @@ class TestSnbDistinctFriends:
 class TestBindingPartitionServing:
     """One-shot queries served from a binding-indexed σ's partition.
 
-    With cross-binding sharing, the parameterised-σ state for every live
-    binding hangs off one shared node; a one-shot query under a binding
-    some view maintains must be servable even when no view root covers
-    the query's own shape (different projection on top)."""
+    Once a parameterised query's shape has a second live binding, the
+    parameterised-σ state for every lifted binding hangs off one shared
+    node; a one-shot query under a binding some view maintains must be
+    servable even when no view root covers the query's own shape
+    (different projection on top).  Tests that need lifted bindings first
+    register :attr:`LONE`, the shape's pushed-down first binding."""
+
+    LONE = {"lang": "zz"}
 
     QUERY = (
         "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang RETURN a, b"
@@ -597,6 +599,7 @@ class TestBindingPartitionServing:
 
     def test_partition_serves_other_projections(self):
         graph, engine = small_engine()
+        engine.register(self.QUERY, parameters=self.LONE)
         engine.register(self.QUERY, parameters={"lang": "en"})
         engine.register(self.QUERY, parameters={"lang": "de"})
         for lang in ("en", "de"):
@@ -613,6 +616,7 @@ class TestBindingPartitionServing:
 
     def test_unmaintained_binding_never_hits_a_partition(self):
         graph, engine = small_engine()
+        engine.register(self.QUERY, parameters=self.LONE)
         engine.register(self.QUERY, parameters={"lang": "en"})
         explain = engine.explain(self.READ, parameters={"lang": "hu"})
         # no partition for "hu": the walk descends *past* the σ and serves
@@ -630,6 +634,7 @@ class TestBindingPartitionServing:
 
     def test_partition_tracks_updates(self):
         graph, engine = small_engine()
+        engine.register(self.QUERY, parameters=self.LONE)
         engine.register(self.QUERY, parameters={"lang": "en"})
         post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
         comm = graph.add_vertex(labels=["Comm"], properties={"lang": "hu"})
@@ -644,6 +649,7 @@ class TestBindingPartitionServing:
 
     def test_detached_binding_keeps_serving_only_while_retained(self):
         graph, engine = small_engine(detached_cache_size=4)
+        engine.register(self.QUERY, parameters=self.LONE)
         view = engine.register(self.QUERY, parameters={"lang": "en"})
         keeper = engine.register(self.QUERY, parameters={"lang": "de"})
         view.detach()
@@ -662,6 +668,7 @@ class TestBindingPartitionServing:
 
     def test_strictly_pruned_binding_never_serves_stale(self):
         graph, engine = small_engine(detached_cache_size=0)
+        engine.register(self.QUERY, parameters=self.LONE)
         view = engine.register(self.QUERY, parameters={"lang": "en"})
         keeper = engine.register(self.QUERY, parameters={"lang": "de"})
         view.detach()
@@ -678,9 +685,12 @@ class TestBindingPartitionServing:
         ).rows()
         assert served == direct
 
-    def test_ablation_engine_serves_via_exact_binding_keys(self):
-        graph, engine = small_engine(share_across_bindings=False)
+    def test_lone_binding_serves_via_exact_binding_keys(self):
+        graph, engine = small_engine()
         engine.register(self.QUERY, parameters={"lang": "en"})
+        assert "binding-partition[" not in engine.explain(
+            self.READ, parameters={"lang": "en"}
+        )
         served = engine.evaluate(
             self.READ, parameters={"lang": "en"}, use_views=True
         ).rows()
