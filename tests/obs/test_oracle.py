@@ -156,8 +156,10 @@ class TestObservabilityIsPure:
         [
             {"columnar_deltas": False},
             {"detached_cache_size": 0},
+            {"transitive_mode": "reachability"},
             {"batch_transactions": True, "columnar_deltas": False},
             {"batch_transactions": True, "detached_cache_size": 0},
+            {"batch_transactions": True, "transitive_mode": "reachability"},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

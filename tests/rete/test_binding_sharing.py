@@ -379,6 +379,166 @@ class TestLiftingRule:
         mirror.graph.add_vertex(labels=["Person"], properties={"lang": "hu"})
         mirror.assert_consistent()
 
+    def test_a_twin_of_the_first_binding_lifts_once_two_are_live(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        twin = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        layer = mirror.engine._incremental.input_layer
+        assert pushed_down(first) and not pushed_down(twin)
+        assert layer.binding_node_count == 1
+        assert layer.binding_partition_count == 2
+        people = list(mirror.graph.vertices("Person"))
+        late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
+        mirror.graph.add_edge(late, people[1], "KNOWS")
+        mirror.assert_consistent()
+
+    def test_a_live_twin_keeps_its_binding_counted(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.detach(0)
+        second = mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        assert not pushed_down(second)
+        assert mirror.engine._incremental.input_layer.binding_node_count == 1
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        mirror.assert_consistent()
+
+    def test_a_shape_whose_views_all_left_starts_over(self):
+        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=0)
+        engine = mirror.engine._incremental
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        mirror.detach(1)
+        mirror.detach(0)
+        assert engine._live_bindings == {}
+        assert engine.input_layer.binding_node_count == 0
+        fresh = mirror.register(PARAM_QUERIES[0], {"lang": "hu"})
+        assert pushed_down(fresh)
+        assert engine.input_layer.binding_node_count == 0
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "hu"})
+        mirror.assert_consistent()
+
+    def test_shapes_are_counted_apart(self):
+        graph, _ = self.graph_with_people()
+        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        mirror = OracleMirror(graph)
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        other = mirror.register(PARAM_QUERIES[1], {"lang": "de"})
+        assert pushed_down(other)
+        assert mirror.engine._incremental.input_layer.binding_node_count == 1
+        mirror.graph.add_vertex(labels=["Post"], properties={"lang": "de"})
+        mirror.assert_consistent()
+
+    def test_bindings_differing_in_one_parameter_lift(self):
+        graph = PropertyGraph()
+        for lang, score in (("en", 1), ("en", 2), ("de", 1)):
+            graph.add_vertex(
+                labels=["Post"], properties={"lang": lang, "score": score}
+            )
+        mirror = OracleMirror(graph)
+        query = "MATCH (p:Post) WHERE p.lang = $lang AND p.score = $score RETURN p"
+        first = mirror.register(query, {"lang": "en", "score": 1})
+        second = mirror.register(query, {"lang": "en", "score": 2})
+        assert pushed_down(first) and not pushed_down(second)
+        assert mirror.engine._incremental.input_layer.binding_partition_count == 1
+        mirror.graph.add_vertex(
+            labels=["Post"], properties={"lang": "en", "score": 2}
+        )
+        mirror.assert_consistent()
+
+    def test_a_query_without_parameters_has_no_shape(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        view = mirror.register(
+            "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.lang = 'en' RETURN a, b"
+        )
+        assert pushed_down(view)
+        assert view._shape is None
+        assert mirror.engine._incremental._live_bindings == {}
+        mirror.assert_consistent()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"columnar_deltas": False},
+            {"batch_transactions": True},
+            {"detached_cache_size": 0},
+        ],
+        ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()),
+    )
+    def test_the_rule_holds_under_every_engine_option(self, options):
+        graph, _ = self.graph_with_people()
+        mirror = OracleMirror(graph, **options)
+        firsts = []
+        for query in PARAM_QUERIES:
+            views = [mirror.register(query, {"lang": v}) for v in ("en", "de", "hu")]
+            assert pushed_down(views[0])
+            assert not any(pushed_down(view) for view in views[1:])
+            firsts.append(views[0])
+        layer = mirror.engine._incremental.input_layer
+        # the projection and the aggregate over p.lang = $lang lift onto
+        # one binding-indexed σ
+        assert layer.binding_node_count == len(PARAM_QUERIES) - 1
+        rng = random.Random(77)
+        for _ in range(30):
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
+            if rng.random() < 0.1:
+                ops = [_random_op(rng, vertices, edges) for _ in range(3)]
+                try:
+                    with mirror.graph.transaction():
+                        for op in ops:
+                            op(mirror.graph)
+                        raise _Abort()
+                except (_Abort, GraphError):
+                    pass
+            else:
+                _random_op(rng, vertices, edges)(mirror.graph)
+            mirror.assert_consistent()
+        assert all(pushed_down(view) for view in firsts)  # never migrated
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lifts_follow_the_live_bindings_through_churn(self, seed):
+        """Random register/detach: a registration lifts exactly when
+        another live binding of its shape differs, and the engine's
+        live-binding table always matches its live views."""
+        rng = random.Random(300 + seed)
+        graph = PropertyGraph()
+        for lang in ("en", "de", "hu"):
+            graph.add_vertex(labels=["Person"], properties={"lang": lang})
+            graph.add_vertex(labels=["Post"], properties={"lang": lang})
+        mirror = OracleMirror(graph, detached_cache_size=rng.choice((0, 4)))
+        engine = mirror.engine._incremental
+        pool = [(query, value) for query in PARAM_QUERIES for value in BINDINGS[:4]]
+        for _ in range(40):
+            if mirror.views and rng.random() < 0.4:
+                mirror.detach(rng.randrange(len(mirror.views)))
+            else:
+                query, value = pool[rng.randrange(len(pool))]
+                others = {
+                    parameters["lang"]
+                    for registered, parameters in mirror.registered
+                    if registered == query
+                }
+                view = mirror.register(query, {"lang": value})
+                lifts = len(others) > 1 or bool(others and value not in others)
+                assert pushed_down(view) != lifts, (query, value, others)
+            table = {
+                (structure, binding): count
+                for structure, live in engine._live_bindings.items()
+                for binding, count in live.items()
+            }
+            expected: dict = {}
+            for view in mirror.views:
+                expected[view._shape] = expected.get(view._shape, 0) + 1
+            assert table == expected
+            _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
+            mirror.assert_consistent()
+        while mirror.views:
+            mirror.detach(0)
+        assert engine._live_bindings == {}
+
 
 class TestBindingLifecycle:
     def test_all_bindings_detached_drops_node_and_core(self):

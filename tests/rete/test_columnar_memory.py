@@ -135,8 +135,13 @@ class TestColumnarMemoryDifferential:
         "flags",
         [
             {"columnar_deltas": False},
+            {"detached_cache_size": 0},
+            {"answer_from_views": False},
+            {"transitive_mode": "reachability"},
             {"batch_transactions": True},
             {"batch_transactions": True, "columnar_deltas": False},
+            {"batch_transactions": True, "detached_cache_size": 0},
+            {"columnar_deltas": False, "detached_cache_size": 0},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

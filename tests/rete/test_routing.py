@@ -114,6 +114,25 @@ def test_random_stream_matches_recomputation(seed):
     _drive(mirror, random.Random(seed), operations=80)
 
 
+#: constant selections: pushed into input nodes as value buckets under
+#: ``columnar_deltas``, plain σ nodes in row mode
+CONSTANT_QUERIES = (
+    "MATCH (p:Post) WHERE p.lang = 'en' RETURN p",
+    "MATCH (p:Post)-[r:REPLY]->(c:Comm) WHERE c.score = 2 RETURN p, c",
+    "MATCH (a)-[r:LIKES]->(b) WHERE r.weight = 5 RETURN a, b",
+)
+
+
+@pytest.mark.parametrize("columnar", [True, False], ids=["pushdown", "row"])
+def test_constant_selections_route_exactly(columnar):
+    """Value-bucket routing skips only events whose value no pushed-down
+    selection wants; row mode routes on labels and types alone."""
+    mirror = OracleMirror(PropertyGraph(), columnar_deltas=columnar)
+    for query in QUERIES + CONSTANT_QUERIES:
+        mirror.register(query)
+    _drive(mirror, random.Random(11), operations=80)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_transactions_match_recomputation(seed):
     """Committed and rolled-back transactions under batch_transactions."""

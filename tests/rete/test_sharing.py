@@ -455,6 +455,32 @@ class TestSubplanLifecycle:
         assert layer.node_count == 0
         assert layer.stats.pruned == 2
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "UNWIND [1, 2] AS x RETURN x",
+            "MATCH (p:Post) RETURN p",
+            SUBPLAN_QUERIES[3],
+            "MATCH (p:Post) OPTIONAL MATCH (p)-[:REPLY]->(c:Comm) RETURN p, c",
+            "MATCH (p:Post) RETURN DISTINCT p.lang AS lang",
+            "MATCH (p:Post) RETURN p.lang AS lang, count(*) AS n",
+            "MATCH (p:Post)-[:REPLY*1..2]->(c:Comm) RETURN p, c",
+        ],
+        ids=["unwind", "scan", "join", "optional", "dedup", "aggregate", "closure"],
+    )
+    def test_prune_counts_every_node_it_drops(self, query):
+        """Every layer node a detach frees, leaf or interior, is counted
+        once in ``stats.pruned``."""
+        graph, *_ = small_graph()
+        engine = IncrementalEngine(graph, detached_cache_size=0)
+        layer = engine.input_layer
+        view = engine.register(query)
+        held = layer.node_count
+        assert held > 0
+        view.detach()
+        assert layer.node_count == 0
+        assert layer.stats.pruned == held
+
 
 def engine_oracle(engine: IncrementalEngine, query: str):
     """One-shot recomputation over the engine's graph (the IVM oracle)."""
