@@ -42,7 +42,6 @@ from time import perf_counter
 from typing import Any, Callable, Mapping
 
 from ..algebra.expressions import cache_stats
-from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import lifted_plan
 from ..compiler.pipeline import CompiledQuery, compile_query
 from ..errors import InvalidValueError, TransactionError
@@ -54,7 +53,7 @@ from ..obs.metrics import EngineMetrics
 from .batch import BatchAccumulator
 from .deltas import Delta
 from .network import ReteNetwork
-from .sharing import SharingLayer, binding_key
+from .sharing import SharingLayer
 
 
 class View:
@@ -132,11 +131,12 @@ class IncrementalEngine:
     fingerprint.
 
     Sharing crosses *parameter bindings* once there is a second one: while
-    a parameterised query's shape has a single live binding, its view
-    keeps the pushed-down plan; a view whose binding differs from another
-    live one of the same shape is registered with its parameter-dependent
-    selections lifted above a binding-free core, which every such binding
-    shares below one value-indexed σ node with a partition per binding.
+    a parameterised query's shape has a single live binding, its views
+    keep the pushed-down plan; when a different binding of the shape
+    registers, the shape's views move onto their lifted plans —
+    parameter-dependent selections above a binding-free core — which
+    every binding then shares below one value-indexed σ node with a
+    partition per binding.
     """
 
     def __init__(
@@ -163,11 +163,14 @@ class IncrementalEngine:
         )
         self._router = self.input_layer.router
         self._views: list[View] = []
-        # live bindings per parameterised query shape: generalised
-        # structure of the lifted plan → {binding keys: live views}
+        # live bindings per parameterised query shape (see
+        # _registered_plan): shape → {binding: live views}
         self._live_bindings: dict[tuple, dict[tuple, int]] = {}
+        # shapes whose views are built lifted, until their last view leaves
+        self._lifted_shapes: set[tuple] = set()
         # view-lifecycle observers (the view-answering catalog), called with
-        # ("register" | "detach", view) after the engine state is consistent
+        # ("register" | "lift" | "detach", view) once the engine state is
+        # consistent
         self._view_listeners: list[Callable[[str, View], None]] = []
         self._subscribed = False
         self.batch_transactions = batch_transactions
@@ -200,9 +203,8 @@ class IncrementalEngine:
         Raises :class:`~repro.errors.UnsupportedForIncrementalError` for
         queries outside the paper's maintainable fragment (ORDER BY / SKIP /
         LIMIT / top-k).  A parameterised query is built lifted, sharing a
-        binding-free core with the other bindings of its shape, only once
-        another binding of that shape is live (see
-        :meth:`_registered_plan`).
+        binding-free core with the other bindings of its shape, once
+        another binding of that shape is live (see :meth:`_registered_plan`).
         """
         compiled = compile_query(query) if isinstance(query, str) else query
         compiled.require_incremental()
@@ -213,9 +215,9 @@ class IncrementalEngine:
         if accumulator is not None and accumulator:
             self._accumulator = BatchAccumulator(self.graph)
             self._run_batch(accumulator)
-        plan, shape = self._registered_plan(compiled, parameters)
         metrics = self.metrics
         start = perf_counter() if metrics is not None else 0.0
+        plan, shape, rows = self._registered_plan(compiled, parameters)
         network = ReteNetwork(
             plan,
             self.input_layer,
@@ -225,7 +227,7 @@ class IncrementalEngine:
             binding_tier=plan is not compiled.plan,
         )
         built = perf_counter() if metrics is not None else 0.0
-        rows = network.populate()
+        rows += network.populate()
         if metrics is not None:
             metrics.register_build_seconds.observe(built - start)
             metrics.register_populate_seconds.observe(perf_counter() - built)
@@ -244,43 +246,98 @@ class IncrementalEngine:
 
     def _registered_plan(
         self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
-    ) -> tuple[Any, tuple | None]:
-        """The plan to build for one registration, and its binding shape.
+    ) -> tuple[Any, tuple | None, int]:
+        """The plan to build for one registration, its binding shape, and
+        the rows replayed to lift the shape's live views.
 
-        A plan with parameter-dependent selections has a *shape* (the
-        generalised structure of its lifted form) and a *binding* (the
-        type-exact keys of its parameters in the shape's order).  It is
-        built lifted — σ hoisted above a binding-free core that the
-        layer's binding-indexed node shares across bindings (see
-        :func:`~repro.compiler.optimizer.lift_parameter_selections`) —
-        only when another live view of the same shape holds a different
-        binding; a lone binding keeps the pushed-down plan, where a lifted
-        one would build an unfiltered core nobody else reads.  A view
-        never migrates: the first binding of a shape stays pushed down
-        after later ones lift.  Returns ``(plan, None)`` for a plan that
-        cannot lift or whose bindings have no type-exact key.
+        A lifted plan (:func:`~repro.compiler.optimizer.lifted_plan`)
+        hoists parameter-dependent selections above a binding-free core;
+        the σ the layer can share across bindings there (see
+        :meth:`~.sharing.SharingLayer.partition_key`) make up its *shape*
+        (their generalised structures) and its *binding* (their type-exact
+        binding keys).  Keying on the σ, not on the whole plan, lets two
+        queries that differ only above it — another RETURN, an aggregate —
+        count each other's bindings, as they share its binding-indexed
+        node.
+
+        A shape with one live binding keeps the pushed-down plan: lifted,
+        a lone binding would only build an unfiltered core nobody else
+        reads.  The first registration of a second distinct binding lifts
+        the shape: it moves the shape's live views onto their lifted plans
+        (:meth:`_lift`), whose nodes then hold the core once for every
+        binding, and every later view of the shape is built lifted until
+        the shape's last view leaves.  Returns ``(plan, None, 0)`` for a
+        plan that cannot lift or whose bindings have no type-exact key.
         """
+        shape = self._binding_shape(compiled, parameters)
+        if shape is None:
+            return compiled.plan, None, 0
+        structure, binding = shape
+        rows = 0
+        if structure not in self._lifted_shapes:
+            live = self._live_bindings.get(structure)
+            if not live or binding in live:
+                return compiled.plan, shape, 0
+            for view in self._views:
+                if view._shape is not None and view._shape[0] == structure:
+                    rows += self._lift(view)
+            self._lifted_shapes.add(structure)
+        return lifted_plan(compiled), shape, rows
+
+    def _binding_shape(
+        self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
+    ) -> tuple | None:
+        """``(shape, binding)`` of *compiled* under *parameters*, or ``None``."""
         lifted = lifted_plan(compiled)
         if lifted is compiled.plan:
-            return lifted, None
-        gfp = generalized_fingerprint(lifted)
-        if gfp is None:
-            return compiled.plan, None
+            return None
         try:
-            binding = tuple(
-                binding_key(parameters[name]) for name in gfp.param_order
-            )
-            hash(binding)
-        except (KeyError, TypeError, InvalidValueError):
-            return compiled.plan, None
-        shape = (gfp.structure, binding)
-        live = self._live_bindings.get(gfp.structure, ())
-        if len(live) > 1 or (live and binding not in live):
-            return lifted, shape  # another live binding differs
-        return compiled.plan, shape
+            keys = [
+                key
+                for op in lifted.walk()
+                if (key := self.input_layer.partition_key(op, parameters or {}))
+                is not None
+            ]
+        except InvalidValueError:
+            return None
+        if not keys:
+            return None
+        return tuple(key[1] for key in keys), tuple(key[3] for key in keys)
+
+    def _lift(self, view: View) -> int:
+        """Rebuild *view* from its lifted plan; returns the rows replayed.
+
+        The old network leaves first, and the nodes only it read are
+        dropped, not retained: the shape stays lifted while it has views,
+        so no registration asks for them again, and a lifted plan that
+        matches the pushed-down one subtree for subtree (a σ straight over
+        an input) must not cut over to them.  The lifted plan computes the
+        same bag, so the new network takes over the view's production node
+        (its contents, callbacks and listings) without a delta: no
+        ``on_change`` fires.
+        """
+        old = view.network
+        old.disconnect_shared()
+        self.input_layer.prune(retain=False)
+        network = ReteNetwork(
+            lifted_plan(view.compiled),
+            self.input_layer,
+            parameters=old.ctx.parameters,
+            transitive_mode=self.transitive_mode,
+            columnar_deltas=self.columnar_deltas,
+            binding_tier=True,
+        )
+        rows = network.populate()
+        network.adopt_production(old.production)
+        view.network = network
+        for listener in self._view_listeners:
+            listener("lift", view)
+        return rows
 
     def subscribe_views(self, listener: Callable[[str, "View"], None]) -> None:
-        """Observe view lifecycle: called with ("register"|"detach", view)."""
+        """Observe view lifecycle: called with ``("register", view)``,
+        ``("detach", view)``, or ``("lift", view)`` when a view's network
+        was rebuilt from its lifted plan (same contents, other nodes)."""
         self._view_listeners.append(listener)
 
     def _on_event(self, event: ev.GraphEvent) -> None:
@@ -439,7 +496,9 @@ class IncrementalEngine:
                 del live[binding]
                 if not live:
                     del self._live_bindings[structure]
+                    self._lifted_shapes.discard(structure)
         view.network.disconnect_shared()
+        view.network.production.dispose()
         self.input_layer.prune()
         for listener in self._view_listeners:
             listener("detach", view)

@@ -33,8 +33,8 @@ scopes:
   at its *generalised* fingerprint (parameter names and bindings
   abstracted away) to one binding-indexed node shared by every binding,
   this view subscribing below its own binding's partition.  The engine
-  hands the builder such a lifted plan only once a second binding of the
-  query's shape is live.
+  hands the builder such a lifted plan once a second binding of the
+  query's shape registers.
 
 The builder classifies every subscription edge it creates:
 
@@ -122,10 +122,10 @@ class ReteNetwork:
         self._replay_edges: list[tuple[Node, Node, int]] = []
         self._detach_edges: list[tuple[Node, Node, int]] = []
 
-        root = self._build(plan)
+        self._root = self._build(plan)
         self.production = ProductionNode(plan.schema)
         self.all_nodes.append(self.production)
-        self._connect(root, self.production, LEFT)
+        self._connect(self._root, self.production, LEFT)
         # The frontier between the sharing layer and this network, frozen:
         # exactly the edges disconnect_shared() must remove on detach.
         self.shared_edges: tuple[tuple[Node, Node, int], ...] = tuple(
@@ -562,7 +562,23 @@ class ReteNetwork:
         for key in self._acquired_keys:
             self.layer.release(key)
         self._acquired_keys = []
-        self.production.dispose()
+
+    def adopt_production(self, production: ProductionNode) -> None:
+        """Feed *production* in place of this network's own production node.
+
+        For a view moving onto an equivalent plan: this network is built
+        and populated, so its output equals *production*'s contents, and
+        the node carries over — bag, callbacks, listings — without a delta.
+        """
+        own = self.production
+        self._root.unsubscribe(own, LEFT)
+        self._root.subscribe(production, LEFT)
+        self.shared_edges = tuple(
+            (node, production if subscriber is own else subscriber, side)
+            for node, subscriber, side in self.shared_edges
+        )
+        self.all_nodes[self.all_nodes.index(own)] = production
+        self.production = production
 
     def profile(self) -> str:
         """PROFILE rendering: per-node traffic and memory counters.

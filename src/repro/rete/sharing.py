@@ -24,9 +24,9 @@ mode:
   :data:`BINDING_TIER`-tagged keys, so the LRU, stats and targeted
   activation are the same machinery; only their drop path differs (the
   binding leaves the node; the node leaves the core with its last
-  binding).  The engine registers a plan in this lifted form only once a
-  second distinct binding of its shape is live (see
-  :meth:`~.engine.IncrementalEngine.register`).
+  binding).  The engine builds a query's views in this lifted form once
+  a second distinct binding of its shape registers (see
+  :meth:`~.engine.IncrementalEngine._registered_plan`).
 
 ingraph and Viatra (the paper's lineage, refs [31, 33]) both rely on
 subnetwork sharing to keep many-view workloads affordable.
@@ -556,16 +556,17 @@ class SharingLayer:
 
     # -- maintenance ----------------------------------------------------------
 
-    def prune(self) -> int:
+    def prune(self, retain: bool = True) -> int:
         """Drop dead subplans (cascading), then dead input nodes; returns
         the number of nodes genuinely dropped (also ``stats.pruned``).
 
         A subplan dies when no view holds it (refcount zero) and no live
         node still subscribes to its output.  Dead roots first enter the
         detached LRU (still connected and maintained, see the class
-        docstring); only overflow — or ``detached_cache_size=0`` — makes
-        them genuinely drop, unsubscribing from their upstreams, which can
-        push *them* to zero subscribers.
+        docstring); only overflow — or ``detached_cache_size=0``, or
+        ``retain=False`` for state no registration will ask for again —
+        makes them genuinely drop, unsubscribing from their upstreams,
+        which can push *them* to zero subscribers.
 
         Only a released key or an upstream orphaned by a drop can have
         died, so the sweep is a worklist over exactly those, visited the
@@ -602,7 +603,7 @@ class SharingLayer:
                 ):
                     continue
                 orphans: set[int] = set()
-                if self.detached_cache_size > 0:
+                if retain and self.detached_cache_size > 0:
                     self._detached_lru[key] = None
                     if id(entry.node) in cascade_orphans:
                         self._detached_lru.move_to_end(key, last=False)

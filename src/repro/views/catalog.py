@@ -270,8 +270,9 @@ class ViewCatalog:
         self._memo.clear()
         if phase == "register":
             self._index_view(view)
-        else:
+        elif phase == "detach":
             self._drop_view(view)
+        # "lift": same plan and production, only the nodes below changed
 
     def _index_view(self, view: "View") -> None:
         key = subplan_cache_key(

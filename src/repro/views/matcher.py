@@ -81,9 +81,9 @@ def rewrite_query(
 
     The optimised plan is probed first (root hits and exact-binding
     subplans key on that shape).  Once a parameterised query's shape has
-    a second live binding, its maintained selections live under *lifted*
-    shapes — the σ hoisted above its binding-free core, the form such
-    views are registered in — so on a miss the equivalent lifted plan is
+    had a second live binding, its maintained selections live under
+    *lifted* shapes — the σ hoisted above its binding-free core, the form
+    such views are built in — so on a miss the equivalent lifted plan is
     probed too, which is how a one-shot per-user query gets served from
     the shared core's partition for its binding.
     """

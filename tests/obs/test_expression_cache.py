@@ -39,8 +39,8 @@ def compiled(engine):
 class TestCompileCountStopsGrowing:
     def test_fifty_bindings_of_one_template_compile_once(self):
         engine = QueryEngine(social_graph(), collect_metrics=True)
-        # the first binding keeps the pushed-down plan; the second builds
-        # the lifted one, whose shapes every later binding reuses
+        # the first binding keeps the pushed-down plan; the second lifts
+        # it and itself, and every later binding reuses the lifted shapes
         engine.register(TEMPLATE, parameters={"lang": "en", "n": 0})
         engine.register(TEMPLATE, parameters={"lang": "l0", "n": 0})
         after_second = compiled(engine)

@@ -6,8 +6,8 @@ That must be *invisible*: the mirror class here drives identical random
 streams through an engine that coalesces every step and a per-event
 baseline, and requires identical per-view contents and net change deltas
 throughout — under both ``columnar_deltas`` settings and both closure
-modes, with bindings that keep pushed-down plans and bindings that lift
-into partitions, multi-operation windows, rollback transactions, mid-stream
+modes, with parameterised views lifted into partitions, multi-operation
+windows, rollback transactions, mid-stream
 register/detach and a view joining inside an open window — with
 recomputation as the oracle.
 """

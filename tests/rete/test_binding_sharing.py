@@ -1,12 +1,13 @@
 """Cross-binding sharing: one parameterised query, many bindings.
 
 The canonical "millions of users" workload registers the *same*
-parameterised view once per user, differing only in the binding.  The
-first binding of a query shape keeps its pushed-down plan and exact
-binding keys; once a second distinct binding is live, the engine lifts
-the parameterised σ above its binding-free core and cuts it over to one
-value-indexed :class:`~repro.rete.nodes.unary.BindingIndexedSelectionNode`
-with one output partition per lifted binding.  The differential classes
+parameterised view once per user, differing only in the binding.  A
+lone binding of a query shape keeps its pushed-down plan and exact
+binding keys; once a second distinct binding registers, the engine moves
+the shape's views onto plans with the parameterised σ lifted above a
+binding-free core, cut over to one value-indexed
+:class:`~repro.rete.nodes.unary.BindingIndexedSelectionNode` with one
+output partition per binding.  The differential classes
 hold every view to recomputation after every step (type-exact cells, and
 each ``on_change`` log replaying to its view) — random streams, rollback
 transactions, batched mode, and mid-stream register/detach across ≥3
@@ -24,7 +25,7 @@ from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
 from repro.rete.engine import IncrementalEngine
 from repro.rete.nodes.unary import SelectionPartitionNode
-from repro.rete.sharing import BINDING_TIER, SharingLayer
+from repro.rete.sharing import SharingLayer
 
 from .oracle import OracleMirror
 from .test_sharing import _Abort, _random_op
@@ -170,16 +171,15 @@ class TestBindingMechanics:
         layer = engine.input_layer
         for value in ("en", "de", "hu"):
             engine.register(PARAM_QUERIES[0], parameters={"lang": value})
-        # "en" keeps its pushed-down plan; "de" and "hu" lift
+        # "de" lifted "en" with it; "hu" joined the live node
         assert layer.binding_node_count == 1
-        assert layer.binding_partition_count == 2
-        # the binding-free ⋈(©Person, ⇑KNOWS) core was built exactly once
+        assert layer.binding_partition_count == 3
+        # the ⋈(©Person, ⇑KNOWS) core was built exactly once, and "en"'s
+        # pushed-down chain left with the lift
         join_entries = [
             entry
-            for key, entry in layer._subplans.items()
-            if key[0] is not BINDING_TIER
-            and key[1] == ()
-            and type(entry.node).__name__ == "JoinNode"
+            for entry in layer._subplans.values()
+            if type(entry.node).__name__ == "JoinNode"
         ]
         assert len(join_entries) == 1
 
@@ -192,7 +192,7 @@ class TestBindingMechanics:
         hits_before = layer.stats.subplan_hits
         twin = engine.register(PARAM_QUERIES[0], parameters={"lang": "en"})
         assert layer.stats.subplan_hits > hits_before
-        assert layer.binding_partition_count == 1
+        assert layer.binding_partition_count == 2  # "de" and "en"
         assert twin.multiset() == first.multiset()
 
     def test_differently_named_parameters_share_one_node(self):
@@ -200,10 +200,6 @@ class TestBindingMechanics:
         graph, _ = self.graph_with_people()
         engine = IncrementalEngine(graph)
         layer = engine.input_layer
-        engine.register(  # the shape's first binding stays pushed down
-            "MATCH (p:Person) WHERE p.lang = $lang RETURN p",
-            parameters={"lang": "hu"},
-        )
         by_lang = engine.register(
             "MATCH (p:Person) WHERE p.lang = $lang RETURN p",
             parameters={"lang": "en"},
@@ -232,10 +228,9 @@ class TestBindingMechanics:
             repr(value): engine.register(query, parameters={"lang": value})
             for value in (1, True, 1.0, "1")
         }
-        # the first binding stays pushed down; the lift rule keys bindings
-        # type-exactly too, so each of the others lifts into its own
-        assert pushed_down(views["1"])
-        assert engine.input_layer.binding_partition_count == 3
+        # the lift rule keys bindings type-exactly too: the second binding
+        # lifts the first, and each binding gets its own partition
+        assert engine.input_layer.binding_partition_count == 4
         for value in (1, True, 1.0, "1"):
             rows = views[repr(value)].rows()
             assert rows == [(value,)] or (
@@ -280,7 +275,7 @@ class TestBindingMechanics:
             for value in (1, 2, 3)
         }
         assert engine.input_layer.binding_node_count == 1
-        assert engine.input_layer.binding_partition_count == 2
+        assert engine.input_layer.binding_partition_count == 3
         assert {v: len(view.rows()) for v, view in views.items()} == {
             1: 3,
             2: 2,
@@ -311,8 +306,9 @@ class TestBindingMechanics:
     def test_profile_marks_the_shared_partition(self):
         graph, _ = self.graph_with_people()
         engine = IncrementalEngine(graph)
-        engine.register(PARAM_QUERIES[0], parameters={"lang": "de"})
         view = engine.register(PARAM_QUERIES[0], parameters={"lang": "en"})
+        engine.register(PARAM_QUERIES[0], parameters={"lang": "de"})
+        # "en"'s lifted network built the node
         assert "BindingIndexedSelection (shared)" in view.profile()
         assert "SelectionPartition (shared)" in view.profile()
 
@@ -323,7 +319,8 @@ def pushed_down(view) -> bool:
 
 
 class TestLiftingRule:
-    """A plan lifts only when another live binding of its shape differs."""
+    """A shape lifts when a second distinct binding registers, and stays
+    lifted while it has views."""
 
     graph_with_people = TestBindingMechanics.graph_with_people
 
@@ -337,17 +334,46 @@ class TestLiftingRule:
         mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         mirror.assert_consistent()
 
-    def test_second_distinct_binding_lifts_and_the_first_stays(self):
-        mirror = OracleMirror(self.graph_with_people()[0])
+    def test_second_distinct_binding_lifts_the_first_too(self):
+        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=4)
         first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        production, rows = first.network.production, first.rows()
+        fired: list = []
+        first.on_change(fired.append)
         second = mirror.register(PARAM_QUERIES[0], {"lang": "de"})
         layer = mirror.engine._incremental.input_layer
-        assert pushed_down(first) and not pushed_down(second)
+        assert not pushed_down(first) and not pushed_down(second)
         assert layer.binding_node_count == 1
-        assert layer.binding_partition_count == 1
+        assert layer.binding_partition_count == 2
+        # the view kept its production node and contents; nothing fired
+        assert first.network.production is production
+        assert first.rows() == rows and fired == []
+        # the pushed-down chain was dropped, not retained
+        assert layer.detached_count == 0
         people = list(mirror.graph.vertices("Person"))
-        late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         mirror.graph.add_edge(late, people[0], "KNOWS")
+        mirror.assert_consistent()
+        assert fired
+
+    @pytest.mark.parametrize("batch_transactions", [False, True])
+    def test_a_lift_inside_an_open_window_is_exact(self, batch_transactions):
+        """The lift waits for the buffered changes to reach the pushed-down
+        view, then moves it; the rest of the window reaches it lifted."""
+        graph, people = self.graph_with_people()
+        mirror = OracleMirror(graph, batch_transactions=batch_transactions)
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        rng = random.Random(31)
+        with mirror.engine.batch():
+            late = graph.add_vertex(labels=["Person"], properties={"lang": "en"})
+            graph.add_edge(late, people[2], "KNOWS")
+            for _ in range(6):
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
+            mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+            assert not pushed_down(first)
+            graph.add_edge(people[0], late, "KNOWS")
+            for _ in range(6):
+                _random_op(rng, list(graph.vertices()), list(graph.edges()))(graph)
         mirror.assert_consistent()
 
     def test_same_binding_twice_is_a_root_hit(self):
@@ -364,12 +390,12 @@ class TestLiftingRule:
         mirror.assert_consistent()
 
     def test_new_binding_joins_the_live_node_after_the_first_leaves(self):
-        mirror = OracleMirror(self.graph_with_people()[0])
+        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=0)
         mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         mirror.register(PARAM_QUERIES[0], {"lang": "de"})
         layer = mirror.engine._incremental.input_layer
         (node,) = [entry.node for entry in layer._param_nodes.values()]
-        mirror.detach(0)  # the pushed-down first binding
+        mirror.detach(0)  # the first binding, lifted by the second
         hits = layer.stats.binding_core_hits
         third = mirror.register(PARAM_QUERIES[0], {"lang": "hu"})
         assert not pushed_down(third)
@@ -379,14 +405,17 @@ class TestLiftingRule:
         mirror.graph.add_vertex(labels=["Person"], properties={"lang": "hu"})
         mirror.assert_consistent()
 
-    def test_a_twin_of_the_first_binding_lifts_once_two_are_live(self):
+    def test_twins_lift_together_onto_one_root(self):
         mirror = OracleMirror(self.graph_with_people()[0])
-        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        twins = [mirror.register(PARAM_QUERIES[0], {"lang": "en"}) for _ in range(2)]
         mirror.register(PARAM_QUERIES[0], {"lang": "de"})
-        twin = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         layer = mirror.engine._incremental.input_layer
-        assert pushed_down(first) and not pushed_down(twin)
-        assert layer.binding_node_count == 1
+        nodes = layer.stats.subplan_nodes
+        late_twin = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        assert layer.stats.subplan_nodes == nodes  # a root hit, lifted
+        roots = {id(view.network._root) for view in twins + [late_twin]}
+        assert not any(pushed_down(view) for view in mirror.views)
+        assert len(roots) == 1
         assert layer.binding_partition_count == 2
         people = list(mirror.graph.vertices("Person"))
         late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
@@ -399,9 +428,20 @@ class TestLiftingRule:
         mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         mirror.detach(0)
         second = mirror.register(PARAM_QUERIES[0], {"lang": "de"})
-        assert not pushed_down(second)
+        assert not pushed_down(second) and not pushed_down(mirror.views[0])
         assert mirror.engine._incremental.input_layer.binding_node_count == 1
         mirror.graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        mirror.assert_consistent()
+
+    def test_a_lifted_shape_stays_lifted_down_to_one_binding(self):
+        mirror = OracleMirror(self.graph_with_people()[0])
+        mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        mirror.register(PARAM_QUERIES[0], {"lang": "de"})
+        mirror.detach(1)
+        twin = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        assert not pushed_down(twin)
+        assert twin.network._root is mirror.views[0].network._root
+        mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         mirror.assert_consistent()
 
     def test_a_shape_whose_views_all_left_starts_over(self):
@@ -412,6 +452,7 @@ class TestLiftingRule:
         mirror.detach(1)
         mirror.detach(0)
         assert engine._live_bindings == {}
+        assert engine._lifted_shapes == set()
         assert engine.input_layer.binding_node_count == 0
         fresh = mirror.register(PARAM_QUERIES[0], {"lang": "hu"})
         assert pushed_down(fresh)
@@ -431,6 +472,32 @@ class TestLiftingRule:
         mirror.graph.add_vertex(labels=["Post"], properties={"lang": "de"})
         mirror.assert_consistent()
 
+    def test_queries_over_one_selection_count_each_other(self):
+        """Two queries that differ only above their parameterised σ share
+        its binding-indexed node, so their bindings count together."""
+        mirror = OracleMirror(self.graph_with_people()[0])
+        counted = (
+            "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.lang = $lang "
+            "RETURN b, count(*) AS n"
+        )
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        second = mirror.register(counted, {"lang": "de"})
+        third = mirror.register(counted, {"lang": "en"})
+        layer = mirror.engine._incremental.input_layer
+        assert not any(pushed_down(view) for view in (first, second, third))
+        assert layer.binding_node_count == 1
+        assert layer.binding_partition_count == 2  # "en" is one partition
+        joins = [
+            entry
+            for entry in layer._subplans.values()
+            if type(entry.node).__name__ == "JoinNode"
+        ]
+        assert len(joins) == 1
+        people = list(mirror.graph.vertices("Person"))
+        late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "de"})
+        mirror.graph.add_edge(late, people[0], "KNOWS")
+        mirror.assert_consistent()
+
     def test_bindings_differing_in_one_parameter_lift(self):
         graph = PropertyGraph()
         for lang, score in (("en", 1), ("en", 2), ("de", 1)):
@@ -441,8 +508,8 @@ class TestLiftingRule:
         query = "MATCH (p:Post) WHERE p.lang = $lang AND p.score = $score RETURN p"
         first = mirror.register(query, {"lang": "en", "score": 1})
         second = mirror.register(query, {"lang": "en", "score": 2})
-        assert pushed_down(first) and not pushed_down(second)
-        assert mirror.engine._incremental.input_layer.binding_partition_count == 1
+        assert not pushed_down(first) and not pushed_down(second)
+        assert mirror.engine._incremental.input_layer.binding_partition_count == 2
         mirror.graph.add_vertex(
             labels=["Post"], properties={"lang": "en", "score": 2}
         )
@@ -470,12 +537,12 @@ class TestLiftingRule:
     def test_the_rule_holds_under_every_engine_option(self, options):
         graph, _ = self.graph_with_people()
         mirror = OracleMirror(graph, **options)
-        firsts = []
+        first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
+        assert pushed_down(first)
         for query in PARAM_QUERIES:
-            views = [mirror.register(query, {"lang": v}) for v in ("en", "de", "hu")]
-            assert pushed_down(views[0])
-            assert not any(pushed_down(view) for view in views[1:])
-            firsts.append(views[0])
+            for value in ("en", "de", "hu"):
+                mirror.register(query, {"lang": value})
+        assert not any(pushed_down(view) for view in mirror.views)
         layer = mirror.engine._incremental.input_layer
         # the projection and the aggregate over p.lang = $lang lift onto
         # one binding-indexed σ
@@ -496,13 +563,12 @@ class TestLiftingRule:
             else:
                 _random_op(rng, vertices, edges)(mirror.graph)
             mirror.assert_consistent()
-        assert all(pushed_down(view) for view in firsts)  # never migrated
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lifts_follow_the_live_bindings_through_churn(self, seed):
-        """Random register/detach: a registration lifts exactly when
-        another live binding of its shape differs, and the engine's
-        live-binding table always matches its live views."""
+        """Random register/detach: a shape lifts when a second distinct
+        binding registers and stays lifted until its views are gone, and
+        the engine's live-binding table always matches its live views."""
         rng = random.Random(300 + seed)
         graph = PropertyGraph()
         for lang in ("en", "de", "hu"):
@@ -510,20 +576,33 @@ class TestLiftingRule:
             graph.add_vertex(labels=["Post"], properties={"lang": lang})
         mirror = OracleMirror(graph, detached_cache_size=rng.choice((0, 4)))
         engine = mirror.engine._incremental
+        # the σ each query shares: the projection and the aggregate over
+        # (p:Post) WHERE p.lang = $lang count each other's bindings
+        selection = dict(zip(PARAM_QUERIES, ("knows", "post", "reply", "post")))
+        lifted: set[str] = set()
         pool = [(query, value) for query in PARAM_QUERIES for value in BINDINGS[:4]]
         for _ in range(40):
             if mirror.views and rng.random() < 0.4:
-                mirror.detach(rng.randrange(len(mirror.views)))
+                index = rng.randrange(len(mirror.views))
+                query = mirror.registered[index][0]
+                mirror.detach(index)
+                if not any(
+                    selection[registered] == selection[query]
+                    for registered, _ in mirror.registered
+                ):
+                    lifted.discard(selection[query])
             else:
                 query, value = pool[rng.randrange(len(pool))]
                 others = {
                     parameters["lang"]
                     for registered, parameters in mirror.registered
-                    if registered == query
+                    if selection[registered] == selection[query]
                 }
-                view = mirror.register(query, {"lang": value})
-                lifts = len(others) > 1 or bool(others and value not in others)
-                assert pushed_down(view) != lifts, (query, value, others)
+                mirror.register(query, {"lang": value})
+                if others - {value}:
+                    lifted.add(selection[query])
+            for (query, _), view in zip(mirror.registered, mirror.views):
+                assert pushed_down(view) == (selection[query] not in lifted)
             table = {
                 (structure, binding): count
                 for structure, live in engine._live_bindings.items()
@@ -538,6 +617,7 @@ class TestLiftingRule:
         while mirror.views:
             mirror.detach(0)
         assert engine._live_bindings == {}
+        assert engine._lifted_shapes == set()
 
 
 class TestBindingLifecycle:
@@ -567,7 +647,6 @@ class TestBindingLifecycle:
         graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         engine = IncrementalEngine(graph, detached_cache_size=4)
         layer = engine.input_layer
-        engine.register(PARAM_QUERIES[1], parameters={"lang": "hu"})
         view = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
         keeper = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
         partitions_before = layer.stats.binding_partitions
@@ -896,16 +975,6 @@ def assert_new_binding_exact(engine, query, parameters, restricted: bool):
     return view
 
 
-def register_lone(engine, query, first):
-    """Register *query* under a binding no row and no later binding
-    matches: the shape's first binding keeps its pushed-down plan, so
-    *first* builds the binding-indexed node and every later binding joins
-    it live."""
-    return engine.register(
-        query, parameters={name: "no-such-binding" for name in first}
-    )
-
-
 ALL_SHAPES = [
     (name, shape, True) for name, shape in RESTRICTED_SHAPES.items()
 ] + [(name, shape, False) for name, shape in FALLBACK_SHAPES.items()]
@@ -923,7 +992,6 @@ class TestRestrictedReplay:
         graph, people, edges = people_graph()
         engine = QueryEngine(graph, batch_transactions=batched)
         rng = random.Random(11)
-        register_lone(engine, query, first)
         views = [(engine.register(query, parameters=first), first)]
         for parameters in later:
             # freed slots first: the scan must skip them and reused slots
@@ -952,7 +1020,6 @@ class TestRestrictedReplay:
         graph, people, edges = people_graph()
         engine = QueryEngine(graph)
         rng = random.Random(13)
-        register_lone(engine, query, first)
         views = [(engine.register(query, parameters=first), first)]
         with engine.batch():
             churn(graph, people, edges, rng)
@@ -980,7 +1047,7 @@ class TestRestrictedReplay:
             graph.add_edge(people[i], people[i + 1], "KNOWS")
         engine = QueryEngine(graph, transitive_mode=mode)
         engine.register(query, parameters={"v": "p0"})  # pushed down
-        engine.register(query, parameters={"v": "p1"})  # builds the node
+        engine.register(query, parameters={"v": "p1"})  # lifts both
         layer = engine._incremental.input_layer
         before = layer.stats.replay_rows_scanned
         view = engine.register(query, parameters={"v": "p8"})
@@ -999,7 +1066,6 @@ class TestRestrictedReplay:
         )
         graph, people, edges = people_graph()
         engine = QueryEngine(graph)
-        register_lone(engine, query, first)
         engine.register(query, parameters=first)
         engine.register(query, parameters=later[0])
         churn(graph, people, edges, random.Random(17))
@@ -1060,10 +1126,9 @@ class TestRestrictedReplay:
         engine = QueryEngine(graph, collect_metrics=True)
         query = RESTRICTED_SHAPES["left"][0]
         stats = engine._incremental.input_layer.stats
-        register_lone(engine, query, {"v": "p0"})
         engine.register(query, parameters={"v": "p0"})
-        assert stats.binding_core_hits == 0  # built the core
-        engine.register(query, parameters={"v": "p1"})
+        assert stats.binding_core_hits == 0  # pushed down
+        engine.register(query, parameters={"v": "p1"})  # p0's lift builds it
         engine.register(query, parameters={"v": "p2"})
         engine.register(query, parameters={"v": "p1"})  # partition hit
         assert stats.binding_core_hits == 2
@@ -1087,7 +1152,7 @@ class TestRestrictedReplay:
 # ---------------------------------------------------------------------------
 
 
-def fixpoint_prune(layer: SharingLayer) -> int:
+def fixpoint_prune(layer: SharingLayer, retain: bool = True) -> int:
     """Reference ``prune()``: rescan every cached subplan until nothing
     changes (what the layer did before the worklist)."""
     removed = 0
@@ -1102,7 +1167,7 @@ def fixpoint_prune(layer: SharingLayer) -> int:
                 continue
             if key in layer._detached_lru:
                 continue
-            if layer.detached_cache_size > 0:
+            if retain and layer.detached_cache_size > 0:
                 layer._detached_lru[key] = None
                 if id(entry.node) in cascade_orphans:
                     layer._detached_lru.move_to_end(key, last=False)

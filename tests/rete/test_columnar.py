@@ -420,9 +420,8 @@ class TestCompositeBindings:
             for score in (1, 2)
         }
         layer = engine.input_layer
-        # ("en", 1) keeps its pushed-down plan; the other three lift
         assert layer.binding_node_count == 1
-        assert layer.binding_partition_count == 3
+        assert layer.binding_partition_count == 4
         binding_nodes = [entry.node for entry in layer._param_nodes.values()]
         assert len(binding_nodes) == 1
         assert len(binding_nodes[0]._disc_names) == 2  # composite, not first-only
@@ -440,7 +439,7 @@ class TestCompositeBindings:
     def test_row_mode_keeps_single_discriminant(self):
         graph, engine = _engine_pair(columnar_deltas=False)
         self.seed(graph)
-        # a first binding keeps its pushed-down plan; the second lifts
+        # a lone binding keeps its pushed-down plan; a second lifts both
         _register(engine, self.QUERY, {"lang": "zz", "score": 0})
         view = _register(engine, self.QUERY, {"lang": "en", "score": 1})
         layer = engine.input_layer

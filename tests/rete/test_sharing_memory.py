@@ -16,10 +16,6 @@ layer saves.  The layer's own cells must stay near-flat when the bindings
 double.  Each bound is the figure measured when the check was pinned,
 with 30 % tolerance; the cell counts are exactly reproducible, so a
 breach is a structural regression, not noise.
-
-The per-user ratio counts the shape's first binding, which keeps its
-pushed-down plan: that view's ⋈ stores the whole ``KNOWS`` relation a
-second time beside the lifted core's.
 """
 
 import random
@@ -28,7 +24,7 @@ from repro import PropertyGraph, QueryEngine
 
 #: Σ view cells / engine cells, as measured when pinned
 OVERLAP_RATIO = 2.42
-PER_USER_RATIO = 6.16
+PER_USER_RATIO = 10.86
 #: layer cells at 12 bindings / at 6, as measured when pinned
 PER_USER_GROWTH = 1.0
 TOLERANCE = 0.30

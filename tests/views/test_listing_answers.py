@@ -390,8 +390,8 @@ class TestMatchMemo:
         graph.add_edge(a, b, "E")
         graph.set_vertex_property(b, "v", True)
         graph.add_edge(b, a, "E")
-        # a first binding keeps its pushed-down plan; x = 1 lifts into the
-        # only partition
+        # a lone binding keeps its pushed-down plan; a second lifts the
+        # shape, so x = 1 has a partition
         engine.register(VIEWS[3][0], {"x": "lone"})
         engine.register(VIEWS[3][0], VIEWS[3][1])
         for _ in range(2):

@@ -580,11 +580,11 @@ class TestBindingPartitionServing:
     """One-shot queries served from a binding-indexed σ's partition.
 
     Once a parameterised query's shape has a second live binding, the
-    parameterised-σ state for every lifted binding hangs off one shared
-    node; a one-shot query under a binding some view maintains must be
-    servable even when no view root covers the query's own shape
-    (different projection on top).  Tests that need lifted bindings first
-    register :attr:`LONE`, the shape's pushed-down first binding."""
+    parameterised-σ state for every binding hangs off one shared node; a
+    one-shot query under a binding some view maintains must be servable
+    even when no view root covers the query's own shape (different
+    projection on top).  A lone binding keeps its pushed-down plan, so
+    tests that need a partition also register :attr:`LONE`."""
 
     LONE = {"lang": "zz"}
 
