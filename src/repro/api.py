@@ -43,23 +43,20 @@ class QueryEngine:
     """Evaluate openCypher queries over a property graph, one-shot or
     incrementally.
 
-    With ``answer_from_views=True`` (the default) one-shot ``evaluate``
-    calls first consult the :class:`~repro.views.ViewCatalog`: when a
-    registered view — or a shared interior subplan of one — already
-    materialises the query (or a subtree the query is residual work over),
-    the result is served from live maintained state instead of re-scanning
-    the graph.  ``evaluate(..., use_views=False)`` forces the full
-    recomputation baseline per call; ``answer_from_views=False`` makes it
-    the engine-wide default (the ablation configuration), which a call can
-    still override with ``use_views=True``.
+    One-shot ``evaluate`` calls first consult the
+    :class:`~repro.views.ViewCatalog`: when a registered view — or a shared
+    interior subplan of one — already materialises the query (or a subtree
+    the query is residual work over), the result is served from live
+    maintained state instead of re-scanning the graph.  Every maintained
+    node holds the bag the interpreter would compute, so a served result
+    equals recomputation; ``evaluate(..., use_views=False)`` is that
+    recomputation, per call.
     """
 
     def __init__(
         self,
         graph: PropertyGraph,
-        transitive_mode: str = "trails",
         batch_transactions: bool = False,
-        answer_from_views: bool = True,
         detached_cache_size: int = 4,
         columnar_deltas: bool = True,
         collect_metrics: bool = False,
@@ -68,14 +65,12 @@ class QueryEngine:
         self.graph = graph
         self._incremental = IncrementalEngine(
             graph,
-            transitive_mode=transitive_mode,
             batch_transactions=batch_transactions,
             detached_cache_size=detached_cache_size,
             columnar_deltas=columnar_deltas,
             collect_metrics=collect_metrics,
             trace_batches=trace_batches,
         )
-        self.answer_from_views = answer_from_views
         self._catalog = ViewCatalog(self._incremental)
         if self._incremental.metrics is not None:
             self._incremental.metrics.registry.add_collector(
@@ -115,20 +110,17 @@ class QueryEngine:
         self,
         query: str,
         parameters: Mapping[str, Any] | None = None,
-        use_views: bool | None = None,
+        use_views: bool = True,
     ) -> ResultTable:
         """One-shot evaluation: from materialised views when possible.
 
-        With ``use_views`` unset, the engine default (``answer_from_views``)
-        decides.  A catalog miss — no covering view, parameter mismatch,
-        open batch window — always falls back to full recomputation, so
-        the result is identical either way; ``use_views=False`` is the
-        explicit recomputation baseline (and what differential oracles
-        should ask for).
+        A catalog miss — no covering view, parameter mismatch, open batch
+        window — falls back to full recomputation, so the result is
+        identical either way; ``use_views=False`` is the explicit
+        recomputation baseline (and what differential oracles should ask
+        for).
         """
         compiled = self.compile(query)
-        if use_views is None:
-            use_views = self.answer_from_views
         if use_views:
             answered = self._catalog.try_answer(compiled, parameters)
             if answered is not None:
@@ -221,10 +213,7 @@ class QueryEngine:
         """The compilation pipeline's stages for *query*, plus how view
         answering would serve it against the current catalog."""
         compiled = self.compile(query)
-        if self.answer_from_views:
-            match = self._catalog.describe_match(compiled, parameters)
-        else:
-            match = "off (answer_from_views=False): evaluate() recomputes"
+        match = self._catalog.describe_match(compiled, parameters)
         text = compiled.explain() + f"\n\n== View answering ==\n{match}"
         snapshot = self.metrics_snapshot()
         if snapshot is not None:

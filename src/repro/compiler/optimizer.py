@@ -230,8 +230,8 @@ def prune_unused_path_aliases(plan: ops.Operator) -> ops.Operator:
     The pattern compiler materialises a path for every variable-length
     segment (named paths, relationship-list variables and edge-uniqueness
     predicates need them).  When nothing references the path, dropping it
-    lets the transitive-closure stage run in the cheaper pair/reachability
-    mode (ablation D2) and keeps tuples narrower.
+    keeps tuples narrower: the ⋈* node still maintains the trails, but
+    emits only their end vertex.
     """
     from ..algebra.fra import _expressions_of
 

@@ -142,7 +142,6 @@ class IncrementalEngine:
     def __init__(
         self,
         graph: PropertyGraph,
-        transitive_mode: str = "trails",
         batch_transactions: bool = False,
         detached_cache_size: int = 4,
         columnar_deltas: bool = True,
@@ -150,7 +149,6 @@ class IncrementalEngine:
         trace_batches: bool = False,
     ):
         self.graph = graph
-        self.transitive_mode = transitive_mode
         #: batched deltas travel the networks in columnar form, and the two
         #: value-level refinements (constant pushdown into input nodes and
         #: composite binding discriminants) are enabled; ``False`` is the
@@ -222,7 +220,6 @@ class IncrementalEngine:
             plan,
             self.input_layer,
             parameters=parameters,
-            transitive_mode=self.transitive_mode,
             columnar_deltas=self.columnar_deltas,
             binding_tier=plan is not compiled.plan,
         )
@@ -302,7 +299,7 @@ class IncrementalEngine:
             return None
         if not keys:
             return None
-        return tuple(key[1] for key in keys), tuple(key[3] for key in keys)
+        return tuple(key[1] for key in keys), tuple(key[2] for key in keys)
 
     def _lift(self, view: View) -> int:
         """Rebuild *view* from its lifted plan; returns the rows replayed.
@@ -323,7 +320,6 @@ class IncrementalEngine:
             lifted_plan(view.compiled),
             self.input_layer,
             parameters=old.ctx.parameters,
-            transitive_mode=self.transitive_mode,
             columnar_deltas=self.columnar_deltas,
             binding_tier=True,
         )

@@ -69,7 +69,7 @@ from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
 from .nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode, UnionNode
 from .nodes.production import ProductionNode
-from .nodes.transitive import EDGES, ReachabilityNode, TransitiveClosureNode
+from .nodes.transitive import EDGES, TransitiveClosureNode
 from .nodes.unary import (
     _INDEXABLE_ATOMS as _VALUE_ATOMS,
     BindingIndexedSelectionNode,
@@ -89,17 +89,13 @@ class ReteNetwork:
         plan: ops.Operator,
         layer: SharingLayer,
         parameters: Mapping[str, Any] | None = None,
-        transitive_mode: str = "trails",
         columnar_deltas: bool = True,
         binding_tier: bool = False,
     ):
         validate_fra(plan)
         check_incremental_fragment(plan)
-        if transitive_mode not in ("trails", "reachability"):
-            raise CompilerError(f"unknown transitive mode {transitive_mode!r}")
         self.plan = plan
         self.ctx = EvalContext(dict(parameters or {}))
-        self.transitive_mode = transitive_mode
         self.layer = layer
         #: batch translations travel as ColumnDelta; also enables the two
         #: value-level refinements that only pay off at batch granularity
@@ -163,7 +159,7 @@ class ReteNetwork:
             partition = self._build_binding_partition(op)
             if partition is not None:
                 return partition
-        key = subplan_cache_key(op, self.ctx.parameters, (self.transitive_mode,))
+        key = subplan_cache_key(op, self.ctx.parameters)
         if key is not None:
             cached = layer.subplan_lookup(key)
             if cached is not None:
@@ -273,8 +269,7 @@ class ReteNetwork:
           the core's replay/activation.
         """
         layer = self.layer
-        variant = (self.transitive_mode,)
-        pkey = layer.partition_key(op, self.ctx.parameters, variant)
+        pkey = layer.partition_key(op, self.ctx.parameters)
         if pkey is None:
             return None
         facade = layer.subplan_lookup(pkey)
@@ -487,25 +482,14 @@ class ReteNetwork:
             left = op.children[0]
             left_node = self._build(left)
             edges_node = self._build(op.edges)
-            source_index = left.schema.index_of(op.source)
-            if (
-                self.transitive_mode == "reachability"
-                and op.path_alias is None
-                and op.min_hops <= 1
-                and op.max_hops is None
-            ):
-                node: Node = ReachabilityNode(
-                    op.schema, source_index, op.direction, op.min_hops
-                )
-            else:
-                node = TransitiveClosureNode(
-                    op.schema,
-                    source_index,
-                    op.direction,
-                    op.min_hops,
-                    op.max_hops,
-                    emit_path=op.path_alias is not None,
-                )
+            node = TransitiveClosureNode(
+                op.schema,
+                left.schema.index_of(op.source),
+                op.direction,
+                op.min_hops,
+                op.max_hops,
+                emit_path=op.path_alias is not None,
+            )
             return node, [(left_node, LEFT), (edges_node, EDGES)]
 
         raise CompilerError(f"cannot build a Rete node for {type(op).__name__}")

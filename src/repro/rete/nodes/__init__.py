@@ -5,7 +5,7 @@ from .base import LEFT, RIGHT, Node
 from .input import EdgeInputNode, UnitNode, VertexInputNode
 from .join import AntiJoinNode, JoinNode, LeftOuterJoinNode, UnionNode
 from .production import ProductionNode
-from .transitive import EDGES, ReachabilityNode, TransitiveClosureNode
+from .transitive import EDGES, TransitiveClosureNode
 from .unary import DedupNode, ProjectionNode, SelectionNode, UnwindNode
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "UnionNode",
     "AggregateNode",
     "TransitiveClosureNode",
-    "ReachabilityNode",
     "ProductionNode",
 ]

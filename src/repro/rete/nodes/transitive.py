@@ -33,9 +33,8 @@ continuations straight off its stored trails.
   path has to be deleted and the new one inserted" as an index lookup —
   and drops the edge's arcs from the arc index.
 
-A cheaper pair-counting alternative (for queries that never observe the
-path) lives in :class:`ReachabilityNode`; the trade-off is benchmarked as
-ablation D2.
+Trails are the one semantics of ⋈*: a maintained closure holds the same
+bag the interpreter computes, so every ⋈* view and subplan is servable.
 """
 
 from __future__ import annotations
@@ -46,15 +45,15 @@ from .base import LEFT, Node
 
 EDGES = 1
 
-#: Cells one arc holds, in the arc index or an adjacency: tail, edge, head
-#: (the cells of the one-hop trail it stands for).
+#: Cells one arc holds in the arc index: tail, edge, head (the cells of
+#: the one-hop trail it stands for).
 ARC_CELLS = 3
 
 
 def _restricted_left(node: Node, left_width: int, restriction: tuple):
     """``left_index.items()`` of a ⋈* *node*, narrowed to the left rows
     that pass *restriction*'s pairs on left columns (targeted activation
-    under a binding: only those sources' trails/targets are expanded)."""
+    under a binding: only those sources' trails are expanded)."""
     pairs = [(c, v) for c, v in restriction if c < left_width]
     if not pairs:
         return node.left_index.items()
@@ -320,131 +319,3 @@ class TransitiveClosureNode(Node):
         )
         arc_cells = ARC_CELLS * sum(len(b) for b in self.arcs.values())
         return trail_cells + left_cells + arc_cells
-
-
-class ReachabilityNode(Node):
-    """⋈* in pair mode — ablation D2 (cf. Bergmann et al. [3]).
-
-    Maintains only ``(source, target)`` reachability with multiplicity 1,
-    recomputing the reachable set of each *active* source (sources present
-    in the left memory) by BFS when the edge set changes.  Valid only when
-    the query never observes the path value and deduplicates results (the
-    engine's ``transitive_mode="reachability"`` opt-in); supports
-    ``min_hops <= 1`` and no ``max_hops`` cap.
-    """
-
-    def __init__(self, schema, source_index: int, direction: str, min_hops: int):
-        if min_hops > 1:
-            raise ValueError("reachability mode supports min_hops <= 1 only")
-        super().__init__(schema)
-        self.source_index = source_index
-        self.direction = direction
-        self.min_hops = min_hops
-        self.left_index: dict[int, dict[tuple, int]] = {}
-        self.arcs: dict[int, dict[int, set[int]]] = {}  # u -> v -> {edge ids}
-        self.reachable: dict[int, set[int]] = {}  # source -> targets
-
-    def _add_arc(self, u: int, v: int, e: int) -> None:
-        self.arcs.setdefault(u, {}).setdefault(v, set()).add(e)
-
-    def _remove_arc(self, u: int, v: int, e: int) -> None:
-        targets = self.arcs.get(u)
-        if not targets:
-            return
-        edges = targets.get(v)
-        if not edges:
-            return
-        edges.discard(e)
-        if not edges:
-            del targets[v]
-            if not targets:
-                del self.arcs[u]
-
-    def _bfs(self, source: int) -> set[int]:
-        seen: set[int] = set()
-        frontier = [source]
-        visited = {source}
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in self.arcs.get(u, {}):
-                    if v not in seen:
-                        seen.add(v)
-                    if v not in visited:
-                        visited.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if self.min_hops == 0:
-            seen.add(source)
-        return seen
-
-    def _emit_target_diff(
-        self, out: Delta, source: int, before: set[int], after: set[int]
-    ) -> None:
-        rows = self.left_index.get(source, {})
-        for target in after - before:
-            for left_row, m in rows.items():
-                out.add(left_row + (target,), m)
-        for target in before - after:
-            for left_row, m in rows.items():
-                out.add(left_row + (target,), -m)
-
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        # transition-sensitive boundary (same rule as the trail mode above)
-        rows = as_row_delta(delta)
-        out = Delta()
-        if side == LEFT:
-            for row, multiplicity in rows.items():
-                source = row[self.source_index]
-                if source is None or not isinstance(source, int):
-                    continue
-                first_row_for_source = source not in self.reachable
-                if first_row_for_source:
-                    self.reachable[source] = self._bfs(source)
-                for target in self.reachable[source]:
-                    out.add(row + (target,), multiplicity)
-                index_insert(self.left_index, source, row, multiplicity)
-                if source not in self.left_index:
-                    del self.reachable[source]
-        else:
-            for row, multiplicity in rows.items():
-                s, e, t = row[0], row[1], row[2]
-                for u, v in _arcs_for(self.direction, s, t):
-                    if multiplicity > 0:
-                        self._add_arc(u, v, e)
-                    else:
-                        self._remove_arc(u, v, e)
-            for source in list(self.reachable):
-                before = self.reachable[source]
-                after = self._bfs(source)
-                if before != after:
-                    self._emit_target_diff(out, source, before, after)
-                    self.reachable[source] = after
-        self.emit_like(out, delta)
-
-    def state_delta(self, restriction: tuple = ()) -> Delta:
-        out = Delta()
-        left_width = len(self.schema) - 1
-        for source, rows in _restricted_left(self, left_width, restriction):
-            targets = self.reachable.get(source, ())
-            for row, multiplicity in rows.items():
-                for target in targets:
-                    out.add(row + (target,), multiplicity)
-        return out
-
-    def _arc_count(self) -> int:
-        return sum(len(edges) for heads in self.arcs.values() for edges in heads.values())
-
-    def memory_size(self) -> int:
-        return (
-            sum(len(v) for v in self.reachable.values())
-            + sum(len(b) for b in self.left_index.values())
-            + self._arc_count()
-        )
-
-    def memory_cells(self) -> int:
-        return (
-            2 * sum(len(v) for v in self.reachable.values())
-            + sum(len(row) for bucket in self.left_index.values() for row in bucket)
-            + ARC_CELLS * self._arc_count()
-        )

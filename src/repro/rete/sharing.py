@@ -166,14 +166,14 @@ def parameter_bindings(
 
 
 def subplan_cache_key(
-    op: ops.Operator, parameters: Mapping[str, Any], variant: tuple = ()
+    op: ops.Operator, parameters: Mapping[str, Any]
 ) -> tuple | None:
     """Canonical cache/match key for *op*'s subtree, or ``None``.
 
     The key pairs the alpha-equivalent structural fingerprint with the
-    resolved bindings of exactly the parameters the subtree mentions, plus
-    a *variant* folding in build options that change node semantics (the
-    engine's transitive mode).  Both the sharing layer and the
+    resolved bindings of exactly the parameters the subtree mentions: a
+    subtree's node semantics follow from its plan alone, so no build
+    option enters the key.  Both the sharing layer and the
     view-answering catalog key by this, which is what lets a one-shot
     query's plan be matched directly against live maintained state.
     """
@@ -183,7 +183,7 @@ def subplan_cache_key(
     bindings = parameter_bindings(fp, parameters)
     if bindings is None:
         return None
-    return (fp, bindings, variant)
+    return (fp, bindings)
 
 
 @dataclass
@@ -287,7 +287,7 @@ class SharingLayer:
         # keys released since the last prune(): the only entries (besides
         # the upstreams a drop orphans) that can have died in between
         self._released: list[tuple] = []
-        # binding-indexed σ nodes, keyed by (generalised structure, variant);
+        # binding-indexed σ nodes, keyed by generalised structure;
         # their per-binding partitions are ordinary _subplans entries under
         # BINDING_TIER-tagged keys
         self._param_nodes: dict[tuple, _ParamNodeEntry] = {}
@@ -381,10 +381,7 @@ class SharingLayer:
     # -- binding-indexed tier (cross-binding sharing of parameterised σ) ------
 
     def partition_key(
-        self,
-        op: ops.Operator,
-        parameters: Mapping[str, Any],
-        variant: tuple = (),
+        self, op: ops.Operator, parameters: Mapping[str, Any]
     ) -> tuple | None:
         """The binding-partition cache key for *op*, or ``None``.
 
@@ -412,11 +409,11 @@ class SharingLayer:
             hash(bindings)
         except (KeyError, TypeError):
             return None
-        return (BINDING_TIER, gfp.structure, variant, bindings)
+        return (BINDING_TIER, gfp.structure, bindings)
 
     def param_node(self, key: tuple) -> BindingIndexedSelectionNode | None:
         """The live binding-indexed node for a partition *key*, if any."""
-        entry = self._param_nodes.get((key[1], key[2]))
+        entry = self._param_nodes.get(key[1])
         if entry is None:
             return None
         self.stats.binding_core_hits += 1
@@ -426,7 +423,7 @@ class SharingLayer:
         self, key: tuple, node: BindingIndexedSelectionNode, upstream: Node, side: int
     ) -> None:
         """Take ownership of a freshly built binding-indexed σ node."""
-        self._param_nodes[(key[1], key[2])] = _ParamNodeEntry(node, upstream, side)
+        self._param_nodes[key[1]] = _ParamNodeEntry(node, upstream, side)
         self.stats.binding_nodes += 1
 
     def partition_adopt(
@@ -439,7 +436,7 @@ class SharingLayer:
         across views, so a probing view's differently-named parameters
         translate by position.
         """
-        entry = self._param_nodes[(key[1], key[2])]
+        entry = self._param_nodes[key[1]]
         gfp = generalized_fingerprint(op)
         ctx = EvalContext(
             {
@@ -450,7 +447,7 @@ class SharingLayer:
             }
         )
         facade = SelectionPartitionNode(entry.node.schema, entry.node, ctx)
-        entry.node.add_partition(key[3], facade)
+        entry.node.add_partition(key[2], facade)
         self._subplans[key] = _SubplanEntry(
             facade, ((entry.upstream, entry.side),), next(self._adoptions)
         )
@@ -459,17 +456,14 @@ class SharingLayer:
         return facade
 
     def partition_peek(
-        self,
-        op: ops.Operator,
-        parameters: Mapping[str, Any],
-        variant: tuple = (),
+        self, op: ops.Operator, parameters: Mapping[str, Any]
     ) -> SelectionPartitionNode | None:
         """The live partition serving *op* under *parameters*, if any.
 
         Read path for the view-answering catalog — same contract as
         :meth:`subplan_peek` (refreshes LRU recency, never revives).
         """
-        key = self.partition_key(op, parameters, variant)
+        key = self.partition_key(op, parameters)
         if key is None:
             return None
         node = self.subplan_peek(key)
@@ -658,11 +652,10 @@ class SharingLayer:
         self._detached_lru.pop(key, None)
         self._key_by_node.pop(id(entry.node), None)
         if key[0] is BINDING_TIER:
-            gen_key = (key[1], key[2])
-            node_entry = self._param_nodes[gen_key]
-            node_entry.node.remove_partition(key[3])
+            node_entry = self._param_nodes[key[1]]
+            node_entry.node.remove_partition(key[2])
             if not node_entry.node.has_partitions:
-                del self._param_nodes[gen_key]
+                del self._param_nodes[key[1]]
                 node_entry.upstream.unsubscribe(node_entry.node, node_entry.side)
                 return {id(node_entry.upstream)}
             return set()
@@ -715,7 +708,7 @@ class SharingLayer:
             if key is None:
                 continue  # an input node
             if key[0] is BINDING_TIER:
-                stack.append(self._param_nodes[(key[1], key[2])].node)
+                stack.append(self._param_nodes[key[1]].node)
             stack.extend(upstream for upstream, _ in self._subplans[key].upstreams)
         return list(seen.values())
 

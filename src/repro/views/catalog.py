@@ -11,8 +11,8 @@ existing identities:
 * every registered view's **root** result lives in its production node,
 * every shareable **interior subplan** of every view lives in the
   engine's :class:`~repro.rete.sharing.SharingLayer`,
-  keyed by ``(fingerprint, parameter bindings, variant)`` and kept exactly
-  current by delta propagation.
+  keyed by ``(fingerprint, parameter bindings)`` and kept exactly current
+  by delta propagation.
 
 :class:`ViewCatalog` indexes the roots under the *same* key shape and
 treats the sharing layer as the subplan tier of the catalog, so matching a
@@ -33,9 +33,9 @@ Consistency rules (each one differentially tested):
   as long as the sharing layer keeps maintaining them (held by other
   views, or retained in the detached LRU — both stay current);
 * parameterised subtrees match only under equal resolved bindings;
-* in ``reachability`` transitive mode the maintained closure semantics
-  differ from the interpreter's trail semantics, so subtrees containing a
-  transitive join are never served there.
+* every maintained node holds the bag the interpreter computes for its
+  subtree — a ⋈* included, which keeps one row per trail, as the
+  interpreter does — so any subtree that matches may be served.
 
 Read cost: a read over one view root whose residual is a chain of σ (its
 predicate a function of the row alone), identity π and δ, optionally
@@ -263,9 +263,6 @@ class ViewCatalog:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _variant(self) -> tuple:
-        return (self._engine.transitive_mode,)
-
     def _on_view_event(self, phase: str, view: "View") -> None:
         self._memo.clear()
         if phase == "register":
@@ -275,9 +272,7 @@ class ViewCatalog:
         # "lift": same plan and production, only the nodes below changed
 
     def _index_view(self, view: "View") -> None:
-        key = subplan_cache_key(
-            view.compiled.plan, view.network.ctx.parameters, self._variant()
-        )
+        key = subplan_cache_key(view.compiled.plan, view.network.ctx.parameters)
         if key is None:
             return  # unfingerprintable plan: maintained, but never matched
         self._roots.setdefault(key, []).append(view)
@@ -303,19 +298,6 @@ class ViewCatalog:
     def subplan_count(self) -> int:
         return self._engine.input_layer.subplan_count
 
-    def _servable(self, op: ops.Operator) -> bool:
-        """Whether serving *op*'s subtree preserves one-shot semantics.
-
-        Only the transitive closure has a mode whose maintained semantics
-        (reachability: one row per reachable target) diverge from the
-        interpreter's reference semantics (trails: one row per edge-
-        distinct walk); everywhere else maintained state *is* the bag the
-        interpreter would compute.
-        """
-        if self._engine.transitive_mode == "trails":
-            return True
-        return not any(isinstance(o, ops.TransitiveJoin) for o in op.walk())
-
     def lookup(
         self, op: ops.Operator, parameters: Mapping[str, Any]
     ) -> MaterializedSource | None:
@@ -326,11 +308,11 @@ class ViewCatalog:
         via ``state_delta``).  Pure read: no stats side effects, so the
         matcher and EXPLAIN can probe freely.
         """
-        key = subplan_cache_key(op, parameters, self._variant())
+        key = subplan_cache_key(op, parameters)
         if key is None:
             return None
         views = self._roots.get(key)
-        if views and self._servable(op):
+        if views:
             view = views[0]
             production = view.network.production
             return MaterializedSource(
@@ -341,7 +323,7 @@ class ViewCatalog:
             )
         layer = self._engine.input_layer
         node = layer.subplan_peek(key)
-        if node is not None and self._servable(op):
+        if node is not None:
             def fetch(layer=layer, node=node) -> Bag:
                 return dict(as_row_delta(layer.state_delta(node)).items())
 
@@ -355,8 +337,8 @@ class ViewCatalog:
         # reconstructed by asking the shared core for the rows the
         # binding's equality conjuncts admit (the whole core only when it
         # has none) and confirming the predicate
-        partition = layer.partition_peek(op, parameters, self._variant())
-        if partition is not None and self._servable(op):
+        partition = layer.partition_peek(op, parameters)
+        if partition is not None:
             def fetch_partition(layer=layer, node=partition) -> Bag:
                 return dict(as_row_delta(layer.state_delta(node)).items())
 

@@ -5,8 +5,8 @@ elementary events into one consolidated batch before any Rete node runs.
 That must be *invisible*: the mirror class here drives identical random
 streams through an engine that coalesces every step and a per-event
 baseline, and requires identical per-view contents and net change deltas
-throughout — under both ``columnar_deltas`` settings and both closure
-modes, with parameterised views lifted into partitions, multi-operation
+throughout — under both ``columnar_deltas`` settings, with
+parameterised views lifted into partitions, multi-operation
 windows, rollback transactions, mid-stream
 register/detach and a view joining inside an open window — with
 recomputation as the oracle.
@@ -23,20 +23,9 @@ from repro.rete.deltas import Delta
 from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, _columnar_op, oracle
 from .test_sharing import _Abort
 
-#: both delta representations, under either closure mode, must compose
-#: with coalescing
-FLAG_COMBOS = [
-    {"columnar_deltas": True},
-    {"columnar_deltas": False},
-    {"columnar_deltas": True, "transitive_mode": "reachability"},
-    {"columnar_deltas": False, "transitive_mode": "reachability"},
-]
-_COMBO_IDS = [
-    "columnar=1",
-    "columnar=0",
-    "columnar=1,reachability",
-    "columnar=0,reachability",
-]
+#: both delta representations must compose with coalescing
+FLAG_COMBOS = [{"columnar_deltas": True}, {"columnar_deltas": False}]
+_COMBO_IDS = ["columnar=1", "columnar=0"]
 
 
 def _merged(deltas) -> Delta:

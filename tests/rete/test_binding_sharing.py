@@ -1032,8 +1032,7 @@ class TestRestrictedReplay:
         for view, parameters in views:
             assert_tracks(engine, view, query, parameters, name)
 
-    @pytest.mark.parametrize("mode", ["trails", "reachability"])
-    def test_closure_restricts_left_rows_by_source(self, mode):
+    def test_closure_restricts_left_rows_by_source(self):
         query = (
             "MATCH (p:Person)-[:KNOWS*]->(f) WHERE p.name = $v "
             "RETURN DISTINCT p, f"
@@ -1045,7 +1044,7 @@ class TestRestrictedReplay:
         ]
         for i in range(11):  # a chain: no cycles, trails stay small
             graph.add_edge(people[i], people[i + 1], "KNOWS")
-        engine = QueryEngine(graph, transitive_mode=mode)
+        engine = QueryEngine(graph)
         engine.register(query, parameters={"v": "p0"})  # pushed down
         engine.register(query, parameters={"v": "p1"})  # lifts both
         layer = engine._incremental.input_layer

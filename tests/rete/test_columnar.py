@@ -8,8 +8,8 @@ that must be *invisible*: the mirror classes here drive identical random
 streams through a columnar engine and its ``columnar_deltas=False``
 baseline (the exact PR 1–5 row path) and require identical per-view
 contents and change logs throughout — across the other engine options
-(``batch_transactions``, ``detached_cache_size``, ``answer_from_views``,
-``transitive_mode``), rollback transactions, batched windows, and
+(``batch_transactions``, ``detached_cache_size``), rollback
+transactions, batched windows, and
 mid-stream register/detach.  Mechanics classes pin the representation
 itself (lazy transposition, unconsolidated occurrence lists), the
 zero-count index invariant, value-level routing, composite binding
@@ -176,10 +176,7 @@ class TestColumnarDifferential:
         [
             {"batch_transactions": True},
             {"detached_cache_size": 0},
-            {"answer_from_views": False},
-            {"transitive_mode": "reachability"},
             {"batch_transactions": True, "detached_cache_size": 0},
-            {"batch_transactions": True, "answer_from_views": False},
         ],
         ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
     )

@@ -136,8 +136,6 @@ class TestColumnarMemoryDifferential:
         [
             {"columnar_deltas": False},
             {"detached_cache_size": 0},
-            {"answer_from_views": False},
-            {"transitive_mode": "reachability"},
             {"batch_transactions": True},
             {"batch_transactions": True, "columnar_deltas": False},
             {"batch_transactions": True, "detached_cache_size": 0},

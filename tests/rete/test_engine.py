@@ -52,10 +52,15 @@ class TestRegistration:
         assert second.rows() == [(comment,)]
 
     def test_one_in_process_engine_has_no_workers_option(self, graph):
-        with pytest.raises(TypeError, match="workers"):
-            QueryEngine(graph, workers=2)
-        engine = QueryEngine(graph, answer_from_views=False)
-        assert engine.catalog is not None
+        """Retired options are gone, not ignored: ⋈* has one semantics,
+        and a read is served from views unless ``use_views=False``."""
+        for name, value in (
+            ("workers", 2),
+            ("transitive_mode", "trails"),
+            ("answer_from_views", True),
+        ):
+            with pytest.raises(TypeError, match=name):
+                QueryEngine(graph, **{name: value})
 
     def test_detach_stops_maintenance(self, graph, engine):
         view = engine.register("MATCH (p:Post) RETURN p")

@@ -18,12 +18,7 @@ from repro.graph import PropertyGraph
 from repro.graph.values import PathValue
 from repro.rete.deltas import ColumnDelta, Delta
 from repro.rete.nodes.base import LEFT, Node
-from repro.rete.nodes.transitive import (
-    ARC_CELLS,
-    EDGES,
-    ReachabilityNode,
-    TransitiveClosureNode,
-)
+from repro.rete.nodes.transitive import ARC_CELLS, EDGES, TransitiveClosureNode
 
 
 class Sink(Node):
@@ -263,22 +258,19 @@ def test_arc_from_a_live_tail_is_only_a_one_hop_trail():
 
 
 @pytest.mark.parametrize("direction", ["out", "in", "both"])
-def test_arcs_count_alike_in_both_modes(direction):
-    """With no live source every arc sits in an adjacency, and ⋈* and the
-    pair mode count it under the same rule."""
-    trail_node, _ = make_node(direction=direction, emit_path=False)
-    pair_node = ReachabilityNode(trail_node.schema, 0, direction, 1)
+def test_arcs_without_a_live_source_count_three_cells_each(direction):
+    """With no live source every arc sits in the arc index, where it is
+    counted once and holds tail, edge and head."""
+    node, _ = make_node(direction=direction, emit_path=False)
     shadow = Shadow()
     a, b, c, _, _ = shadow.vertices
     for src, tgt in ((a, b), (b, c), (c, c)):
         edge = shadow.graph.add_edge(src, tgt, "T")
-        for node in (trail_node, pair_node):
-            feed(node, [((src, edge, tgt), 1)], EDGES)
-    arcs = sum(map(len, expected_arcs(shadow, trail_node).values()))
+        feed(node, [((src, edge, tgt), 1)], EDGES)
+    arcs = sum(map(len, expected_arcs(shadow, node).values()))
     assert arcs == (5 if direction == "both" else 3)
-    for node in (trail_node, pair_node):
-        assert node.memory_size() == arcs
-        assert node.memory_cells() == ARC_CELLS * arcs
+    assert node.memory_size() == arcs
+    assert node.memory_cells() == ARC_CELLS * arcs
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,15 +99,6 @@ class TestExactHits:
             )
         assert engine.answer_stats().answered == 4
 
-    def test_engine_wide_ablation_switch(self):
-        graph, engine = small_engine(answer_from_views=False)
-        query = "MATCH (p:Post) WHERE p.lang = 'en' RETURN p"
-        engine.register(query)
-        engine.evaluate(query)
-        assert engine.answer_stats().queries == 0  # catalog never consulted
-        engine.evaluate(query, use_views=True)  # per-call override still works
-        assert engine.answer_stats().answered == 1
-
 
 class TestResidualHits:
     def test_distinct_over_shared_join_core(self):
@@ -153,20 +144,6 @@ class TestResidualHits:
         # explain is pure: no answering counters moved
         assert engine.answer_stats().queries == 0
 
-    def test_explain_reports_answering_off(self):
-        """With ``answer_from_views=False`` explain reports no hit that
-        evaluate() would not use."""
-        graph = PropertyGraph()
-        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        engine = QueryEngine(graph, answer_from_views=False)
-        query = "MATCH (p:Post) RETURN p.lang AS lang"
-        engine.register(query)
-        report = engine.explain(query)
-        assert "answer_from_views=False" in report
-        assert "exact hit" not in report and "listing" not in report
-        assert engine.evaluate(query).rows() == [("en",)]
-        assert engine.answer_stats().queries == 0
-
 
 #: (registered view, its binding, one-shot read) for every kind of hit
 ANSWERING_SHAPES = [
@@ -182,10 +159,9 @@ ANSWERING_SHAPES = [
 ]
 
 
-class TestAnsweringOff:
-    """``answer_from_views=False`` switches the engine default, not the
-    catalog: explain says so for every kind of hit, ``evaluate()``
-    recomputes, and a per-call ``use_views=True`` still serves."""
+class TestExplainAgreesWithEvaluate:
+    """For every kind of hit, explain reports the hit, ``evaluate()``
+    serves it, and the served result equals recomputation."""
 
     @pytest.mark.parametrize(
         "view, parameters, read",
@@ -193,28 +169,16 @@ class TestAnsweringOff:
         ids=["exact", "residual", "top-k", "binding-partition"],
     )
     def test_explain_matches_what_evaluate_does(self, view, parameters, read):
-        _, serving = small_engine()
-        _, engine = small_engine(answer_from_views=False)
-        for each in (serving, engine):
-            each.register(view, parameters=parameters)
+        _, engine = small_engine()
+        engine.register(view, parameters=parameters)
         answering = "== View answering ==\n"
-        served = serving.explain(read, parameters).split(answering)[1]
-        assert "hit" in served or "binding-partition[" in served, served
         report = engine.explain(read, parameters).split(answering)[1]
-        assert report.startswith("off (answer_from_views=False)"), report
-        assert "hit" not in report and "binding-partition[" not in report
-        direct = engine.evaluate(read, parameters, use_views=False).rows()
-        assert engine.evaluate(read, parameters).rows() == direct
-        assert engine.answer_stats().queries == 0
-
-    def test_per_call_use_views_still_serves(self):
-        _, engine = small_engine(answer_from_views=False)
-        query = VIEW_QUERIES[0]
-        engine.register(query)
-        served = engine.evaluate(query, use_views=True).rows()
-        assert served == engine.evaluate(query, use_views=False).rows()
+        assert "hit" in report or "binding-partition[" in report, report
+        assert engine.answer_stats().queries == 0  # explain is pure
+        served = engine.evaluate(read, parameters).rows()
         stats = engine.answer_stats()
         assert stats.queries == 1 and stats.answered == 1
+        assert served == engine.evaluate(read, parameters, use_views=False).rows()
 
 
 class TestParameterCompatibility:
@@ -456,24 +420,48 @@ class TestMechanics:
         assert len(router._union_cache) <= router._UNION_CACHE_LIMIT
         assert not any(key == ("ev", "k7") for key in router._union_cache)
 
-    def test_reachability_mode_never_serves_transitive_subtrees(self):
+    @pytest.mark.parametrize(
+        "arcs, trails",
+        [
+            (((0, 1), (1, 2), (0, 2)), (3, 2)),
+            # a→b, a→c, c→d, b→d: four trails from a, three targets
+            (((0, 1), (0, 2), (2, 3), (1, 3)), (4, 3)),
+        ],
+        ids=["triangle", "diamond"],
+    )
+    def test_transitive_views_are_served_as_trails(self, arcs, trails):
+        """A maintained ⋈* holds one row per trail, as the interpreter
+        does, so the catalog serves it: a count over the ⋈* sees every
+        trail and a DISTINCT every target, registered and served alike,
+        through deleting the last arc and adding it back."""
         graph = PropertyGraph()
-        engine = QueryEngine(graph, transitive_mode="reachability")
-        a = graph.add_vertex(labels=["Post"])
-        b = graph.add_vertex(labels=["Comm"])
-        c = graph.add_vertex(labels=["Comm"])
-        graph.add_edge(a, b, "REPLY")
-        graph.add_edge(b, c, "REPLY")
-        graph.add_edge(a, c, "REPLY")
-        query = "MATCH (p:Post)-[:REPLY*]->(x) RETURN p, x"
-        engine.register(query)
-        # trails oracle vs reachability view: multiplicities differ, so the
-        # catalog must refuse — evaluate stays trails-correct
-        assert (
-            engine.evaluate(query).rows()
-            == engine.evaluate(query, use_views=False).rows()
-        )
-        assert engine.answer_stats().answered == 0
+        engine = QueryEngine(graph)
+        vertices = [graph.add_vertex(labels=["P"])] + [
+            graph.add_vertex(labels=["C"]) for _ in range(max(map(max, arcs)))
+        ]
+        edges = [graph.add_edge(vertices[t], vertices[h], "R") for t, h in arcs]
+        match = "MATCH (p:P)-[:R*]->(x:C) "
+        views = [
+            engine.register(match + tail)
+            for tail in ("RETURN p, x", "RETURN p, count(x)", "RETURN DISTINCT p, x")
+        ]
+
+        def check(count):
+            assert views[1].multiset() == {(vertices[0], count): 1}
+            for view in views:
+                query = view.compiled.text
+                direct = engine.evaluate(query, use_views=False)
+                assert view.multiset() == direct.multiset()
+                answered = engine.answer_stats().answered
+                assert engine.evaluate(query).rows() == direct.rows()
+                assert engine.answer_stats().answered == answered + 1
+
+        check(trails[0])
+        graph.remove_edge(edges[-1])
+        check(trails[1])
+        tail, head = arcs[-1]
+        graph.add_edge(vertices[tail], vertices[head], "R")
+        check(trails[0])
 
 
 class TestRandomDifferential:
