@@ -299,8 +299,9 @@ _TYPE_RANK = {
 def order_key(value: Any) -> tuple:
     """A total-order sort key over the full value domain.
 
-    Used only by the non-incremental evaluator's ``ORDER BY`` (the
-    incremental fragment excludes ordering, per the paper).
+    Used by ``ORDER BY`` and by the canonical listing of an unordered
+    result (:func:`repro.eval.results.canonical_order`), which lists the
+    same bag identically only if distinct paths get distinct keys.
     """
     if value is None:
         return (_TYPE_RANK["null"],)
@@ -311,7 +312,12 @@ def order_key(value: Any) -> tuple:
     if isinstance(value, str):
         return (_TYPE_RANK["str"], value)
     if isinstance(value, PathValue):
-        return (_TYPE_RANK["path"], tuple(order_key(v) for v in value.vertices))
+        # vertices first; the edge ids only break ties between parallel edges
+        return (
+            _TYPE_RANK["path"],
+            tuple(order_key(v) for v in value.vertices),
+            value.edges,
+        )
     if isinstance(value, ListValue):
         return (_TYPE_RANK["list"], tuple(order_key(v) for v in value))
     if isinstance(value, MapValue):

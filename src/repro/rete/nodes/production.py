@@ -37,9 +37,8 @@ def _plain(rows) -> bool:
     """Whether every cell of *rows* lies in the splice domain.
 
     That is a ``_PLAIN`` value or a path whose vertex ids are all exactly
-    ``int``: its sort key is then a tuple of int keys, and ``==``-equal
-    paths share it.  Paths with equal keys but different edges (parallel
-    edges) are caught by the splice's run check and force a rebuild.
+    ``int``: its sort key is then a tuple of int keys and its edge ids,
+    and ``==``-equal paths share it.
     """
     if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
         return True
@@ -224,7 +223,7 @@ class ProductionNode(Node):
         Costs the rows changed since the previous call; a full sort only
         on the first call, after many changes, when a changed row or the
         listing holds a value outside ``int``/``str``/``None``/int-vertex
-        paths, or when a changed path ties another's key (parallel edges).
+        paths.
         """
         listing = self._canonical  # View.rows()' hot path: kept inline
         if listing is None or listing.seen <= self._last:

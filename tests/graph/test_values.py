@@ -205,6 +205,15 @@ class TestOrderKey:
         assert isinstance(ordered[0], MapValue)
         assert ordered[-1] is None
 
+    def test_parallel_edge_paths_get_distinct_keys(self):
+        """Paths over parallel edges share their vertices; the edge ids
+        order them, so a bag of them lists one way however it was built."""
+        first, second = PathValue((1, 2), (7,)), PathValue((1, 2), (3,))
+        longer = PathValue((1, 2, 4), (3, 5))
+        assert order_key(first) != order_key(second)
+        for values in ([first, longer, second], [second, first, longer]):
+            assert sorted(values, key=order_key) == [second, first, longer]
+
     @given(
         st.lists(
             st.one_of(

@@ -523,6 +523,78 @@ class TestRandomDifferential:
         assert engine.answer_stats().stale_declines > 0
 
 
+#: (registered view, its bindings, one-shot read) over unbounded ⋈*:
+#: exact, alpha-renamed and residual hits, every direction, a lower bound,
+#: returned paths and a binding partition
+CLOSURE_SHAPES = [
+    ("MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN p, c", [None],
+     "MATCH (x:Post)-[:REPLY*]->(y:Comm) RETURN x, y"),
+    ("MATCH (p:Post)-[:REPLY*]->(c) RETURN p, count(c) AS n", [None],
+     "MATCH (p:Post)-[:REPLY*]->(c) RETURN p, count(c) AS n"),
+    ("MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN p, c", [None],
+     "MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN DISTINCT p"),
+    ("MATCH (a:Person)<-[:KNOWS*]-(b) RETURN a, b", [None],
+     "MATCH (a:Person)<-[:KNOWS*]-(b) RETURN a, b"),
+    ("MATCH (a:Person)-[:KNOWS*]-(b:Person) RETURN DISTINCT a, b", [None],
+     "MATCH (a:Person)-[:KNOWS*]-(b:Person) RETURN DISTINCT a, b"),
+    ("MATCH (a)-[:LIKES*2..]->(b) RETURN a, b", [None],
+     "MATCH (a)-[:LIKES*2..]->(b) RETURN a, b"),
+    ("MATCH t = (p:Post)-[:REPLY*]->(c) RETURN t", [None],
+     "MATCH t = (p:Post)-[:REPLY*]->(c) RETURN t"),
+    ("MATCH (p:Post)-[:REPLY*]->(c) WHERE p.lang = $l RETURN p, c",
+     [{"l": "en"}, {"l": "de"}],
+     "MATCH (p:Post)-[:REPLY*]->(c) WHERE p.lang = $l RETURN c"),
+]  # fmt: skip
+
+
+class TestClosureDifferential:
+    """Every maintained ⋈* holds the interpreter's bag of trails, so the
+    catalog serves it: through a random stream, each view equals
+    recomputation and each read is served and lists as recomputation does,
+    per event, with row deltas and in coalesced transaction windows."""
+
+    @pytest.mark.parametrize(
+        "view, bindings, read",
+        CLOSURE_SHAPES,
+        ids=[
+            "exact", "count", "residual-distinct", "in", "both-distinct",
+            "lower-bound", "path", "binding-partition",
+        ],
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"columnar_deltas": False}, {"batch_transactions": True}],
+        ids=["default", "columnar=0", "batched"],
+    )
+    def test_served_closures_equal_recomputation(self, flags, view, bindings, read):
+        state = random_graph(vertices=14, edges=40, seed=3)
+        graph = state.graph
+        engine = QueryEngine(graph, **flags)
+        views = [engine.register(view, parameters=each) for each in bindings]
+        parameters = bindings[0]
+
+        def check():
+            for registered, each in zip(views, bindings):
+                direct = engine.evaluate(view, each, use_views=False)
+                assert registered.multiset() == direct.multiset()
+            answered = engine.answer_stats().answered
+            served = engine.evaluate(read, parameters).rows()
+            assert served == engine.evaluate(read, parameters, use_views=False).rows()
+            assert engine.answer_stats().answered == answered + 1
+
+        check()
+        rng = random.Random(43)
+        updates = random_updates(state, 80, seed=43)
+        done = False
+        while not done:
+            with graph.transaction():
+                for _ in range(rng.randint(1, 8)):
+                    if next(updates, None) is None:
+                        done = True
+                        break
+            check()
+
+
 class TestSnbDistinctFriends:
     """``ic2_distinct_friends`` over the SNB interactive views.
 
