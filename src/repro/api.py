@@ -26,16 +26,15 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Mapping
 
-from .compiler.pipeline import CompiledQuery, compile_query
+from .compiler.pipeline import CompiledQuery, compile_query, compile_syntax
 from .cypher import ast
-from .cypher.parser import parse, parse_script
-from .cypher.unparser import unparse
+from .cypher.parser import UnionQuery, parse, parse_script
 from .errors import UnsupportedForIncrementalError
 from .eval.interpreter import Interpreter
 from .eval.results import ResultTable
 from .graph.graph import PropertyGraph
 from .rete.engine import IncrementalEngine, View
-from .updates import ExecutionResult, UpdateExecutor, UpdateSummary
+from .updates import ExecutionResult, PreparedUpdate, UpdateSummary
 from .views import AnswerStats, ViewCatalog
 
 
@@ -76,7 +75,9 @@ class QueryEngine:
             self._incremental.metrics.registry.add_collector(
                 self._collect_catalog_gauges
             )
-        self._plan_cache: dict[str, CompiledQuery] = {}
+        #: one entry per distinct statement text: a read's compiled plan or
+        #: a write's prepared update (only successful ones are kept)
+        self._statements: dict[str, CompiledQuery | PreparedUpdate] = {}
 
     @property
     def batch_transactions(self) -> bool:
@@ -99,11 +100,13 @@ class QueryEngine:
         return self._incremental.batch()
 
     def compile(self, query: str) -> CompiledQuery:
-        """Compile (with caching) through GRA → NRA → FRA."""
-        compiled = self._plan_cache.get(query)
-        if compiled is None:
-            compiled = compile_query(query)
-            self._plan_cache[query] = compiled
+        """Compile (with caching) through GRA → NRA → FRA.
+
+        Shares :meth:`execute`'s statement cache: one entry per text."""
+        compiled = self._statements.get(query)
+        if not isinstance(compiled, CompiledQuery):
+            compiled = compile_query(query)  # raises for an updating query
+            self._statements[query] = compiled
         return compiled
 
     def evaluate(
@@ -120,7 +123,14 @@ class QueryEngine:
         recomputation baseline (and what differential oracles should ask
         for).
         """
-        compiled = self.compile(query)
+        return self._evaluate(self.compile(query), parameters, use_views)
+
+    def _evaluate(
+        self,
+        compiled: CompiledQuery,
+        parameters: Mapping[str, Any] | None,
+        use_views: bool = True,
+    ) -> ResultTable:
         if use_views:
             answered = self._catalog.try_answer(compiled, parameters)
             if answered is not None:
@@ -137,13 +147,31 @@ class QueryEngine:
         every registered incremental view.  Read-only queries evaluate
         one-shot and return an :class:`ExecutionResult` with an empty
         summary, so callers can use one entry point for both.
+
+        Each distinct text is parsed and prepared (or compiled) once, and
+        shares the cache :meth:`compile` uses; *parameters* bind per call.
         """
-        syntax = parse(query)
+        statement = self._statements.get(query)
+        if statement is None:
+            statement = self._prepare(query, parse(query))
+            self._statements[query] = statement
+        return self._run(statement, parameters)
+
+    def _prepare(
+        self, text: str, syntax: ast.Query | ast.UpdatingQuery | UnionQuery
+    ) -> CompiledQuery | PreparedUpdate:
         if isinstance(syntax, ast.UpdatingQuery):
-            return UpdateExecutor(
-                self.graph, parameters, batcher=self._update_batcher()
-            ).execute(syntax)
-        return ExecutionResult(UpdateSummary(), self.evaluate(query, parameters))
+            return PreparedUpdate(self.graph, syntax)
+        return compile_syntax(text, syntax)
+
+    def _run(
+        self,
+        statement: CompiledQuery | PreparedUpdate,
+        parameters: Mapping[str, Any] | None,
+    ) -> ExecutionResult:
+        if isinstance(statement, PreparedUpdate):
+            return statement.run(parameters, self._update_batcher())
+        return ExecutionResult(UpdateSummary(), self._evaluate(statement, parameters))
 
     def _update_batcher(self):
         """Batch-scope factory handed to update executors.
@@ -164,7 +192,9 @@ class QueryEngine:
 
         Statements execute in order and see each other's writes; a failure
         anywhere rolls back the whole script (views included).  Returns one
-        :class:`ExecutionResult` per statement.
+        :class:`ExecutionResult` per statement.  Each statement is prepared
+        (or compiled) from its parsed form as it is reached; script
+        statements do not enter the statement cache.
         """
         statements = parse_script(script)
         results: list[ExecutionResult] = []
@@ -175,17 +205,9 @@ class QueryEngine:
         )
         with scope:
             for statement in statements:
-                if isinstance(statement, ast.UpdatingQuery):
-                    results.append(
-                        UpdateExecutor(
-                            self.graph, parameters, batcher=self._update_batcher()
-                        ).execute(statement)
-                    )
-                else:
-                    # round-trip through the unparser: read statements use
-                    # the compiled pipeline, which takes query text
-                    table = self.evaluate(unparse(statement), parameters)
-                    results.append(ExecutionResult(UpdateSummary(), table))
+                results.append(
+                    self._run(self._prepare(script, statement), parameters)
+                )
         return results
 
     def register(
@@ -281,7 +303,8 @@ class QueryEngine:
         return self._incremental.last_trace
 
     def _collect_catalog_gauges(self) -> None:
-        """Sample view-catalog counters into gauges at snapshot time."""
+        """Sample view-catalog counters and the statement-cache size into
+        gauges at snapshot time."""
         gauge = self._incremental.metrics.registry.gauge
         help_by_name = {
             "queries": "View-catalog probes (try_answer calls)",
@@ -301,6 +324,10 @@ class QueryEngine:
                 f"repro_catalog_{name}",
                 help_by_name.get(name, "View-catalog counter"),
             ).set(value)
+        gauge(
+            "repro_statements_prepared",
+            "Distinct statement texts held compiled or prepared",
+        ).set(len(self._statements))
 
     @property
     def views(self) -> tuple[View, ...]:

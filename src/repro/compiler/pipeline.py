@@ -84,7 +84,15 @@ def compile_query(
     (ablation E13); without, join order follows the query's syntactic
     pattern order.
     """
-    syntax = parse(text)
+    return compile_syntax(text, parse(text), statistics)
+
+
+def compile_syntax(
+    text: str,
+    syntax: ast.Query | ast.UpdatingQuery | UnionQuery,
+    statistics: "GraphStatistics | None" = None,
+) -> CompiledQuery:
+    """:func:`compile_query` for *syntax*, already parsed from *text*."""
     if isinstance(syntax, ast.UpdatingQuery):
         raise CypherSemanticError(
             "updating queries (CREATE/DELETE/SET/REMOVE/MERGE) are executed "

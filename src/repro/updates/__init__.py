@@ -12,10 +12,11 @@ Each query executes inside a compensating transaction: a failure midway
 rolls back all of its writes, including their effects on live views.
 """
 
-from .executor import ExecutionResult, UpdateExecutor, execute_update
+from .executor import ExecutionResult, PreparedUpdate, UpdateExecutor, execute_update
 from .summary import UpdateSummary
 
 __all__ = [
+    "PreparedUpdate",
     "UpdateExecutor",
     "ExecutionResult",
     "UpdateSummary",

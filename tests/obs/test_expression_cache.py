@@ -2,9 +2,10 @@
 
 ``explain`` prints each σ/π's generated source under its operator line;
 ``metrics_snapshot()`` carries ``repro_expr_compiled_total`` and
-``repro_expr_cache_hits_total``; repeated registrations of one template and
-repeated ``evaluate()`` of one text compile once; and after every view is
-detached nothing the memo holds reaches a graph, a resolver or a context.
+``repro_expr_cache_hits_total``; repeated registrations of one template,
+repeated ``evaluate()`` of one text and repeated ``execute()`` of one write
+compile once; and after every view is detached nothing the memo holds
+reaches a graph, a resolver or a context.
 """
 
 import gc
@@ -62,6 +63,20 @@ class TestCompileCountStopsGrowing:
         for _ in range(49):
             assert engine.evaluate(READ, use_views=False).multiset() == first
         assert compiled(engine) == after_first
+
+    def test_fifty_executes_of_one_write_prepare_once(self):
+        engine = QueryEngine(social_graph(), collect_metrics=True)
+        write = (
+            "MATCH (p:Post)-[:REPLY]->(c:Comment) WHERE p.lang = $lang "
+            "SET c.len = c.len + $n RETURN c.len AS len ORDER BY len LIMIT 2"
+        )
+        engine.execute(write, {"lang": "en", "n": 0})
+        hits = cache_stats()["hits"]
+        for i in range(49):
+            engine.execute(write, {"lang": "en", "n": i % 2})
+        assert cache_stats()["hits"] == hits  # nothing is compiled per call
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["repro_statements_prepared"]["value"] == 1
 
 
 class TestTheMemoHoldsOnlyCode:

@@ -92,3 +92,34 @@ class TestExecuteScript:
             parameters={"lang": "hu"},
         )
         assert results[1].rows() == [("hu",)]
+
+    @pytest.mark.parametrize("value", [1, True, 1.0, -0.0, float("nan"), [1], None])
+    def test_read_results_equal_evaluate_of_the_same_text(self, value):
+        """Script reads compile from their parsed statements; each result
+        equals ``evaluate`` of that statement's text type-exactly, with a
+        second engine following the same writes one statement at a time."""
+        statements = [
+            "CREATE (:P {v: $x, k: 1}), (:P {v: 2.0, k: 2})",
+            "MATCH (p:P) RETURN p.v AS v, p.k AS k ORDER BY k",
+            "MATCH (p:P) WHERE p.v = $x RETURN count(*) AS c, collect(p.k) AS ks",
+            "MATCH (p:P {k: 1}) SET p.w = [$x, $x]",
+            "MATCH (p:P) RETURN p.k AS k, p.w AS w, $x AS x ORDER BY k DESC SKIP 0",
+            "MATCH (p:P) RETURN DISTINCT labels(p) AS l, p.k > 1 AS big",
+        ]
+        parameters = {"x": value}
+        scripted = QueryEngine(PropertyGraph())
+        stepped = QueryEngine(PropertyGraph())
+        results = scripted.execute_script("; ".join(statements), parameters)
+
+        def exact(table):
+            return table.columns, [
+                tuple((type(cell).__name__, repr(cell)) for cell in row)
+                for row in table.rows()
+            ]
+
+        for text, result in zip(statements, results):
+            if result.table is None:
+                stepped.execute(text, parameters)
+            else:
+                expected = stepped.evaluate(text, parameters)
+                assert exact(result.table) == exact(expected)
