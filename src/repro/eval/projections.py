@@ -50,15 +50,31 @@ def vertex_projection_value(
     raise ValueError(f"projection kind {projection.kind!r} not valid for vertices")
 
 
+#: the image of an entity a batch holds no before image for: live state
+_LIVE_VERTEX = (None, None)
+_LIVE_EDGE = (None, None, None, None)
+
+
 def vertex_projection_column(
-    graph: PropertyGraph, vertex_ids: list[int], projection: PropertyProjection
+    graph: PropertyGraph,
+    vertex_ids: list[int],
+    projection: PropertyProjection,
+    before: dict[int, tuple] | None = None,
 ) -> list:
     """:func:`vertex_projection_value` over the live graph for every id in
-    *vertex_ids*, in order — one comprehension per column."""
+    *vertex_ids*, in order — one comprehension per column.
+
+    *before* maps ids to ``(labels, properties)`` images (a coalesced
+    batch's window-start state) read instead of the live graph."""
+    if before:
+        return [
+            vertex_projection_value(graph, v, projection, labels=labels, properties=props)
+            for v in vertex_ids
+            for labels, props in (before.get(v, _LIVE_VERTEX),)
+        ]
     kind = projection.kind
     if kind == "property":
-        get, key = graph.vertex_property, projection.key
-        return [get(v, key) for v in vertex_ids]
+        return graph.vertex_property_column(vertex_ids, projection.key)
     if kind == "labels":
         labels = graph.labels_view
         return [labels_value(labels(v)) for v in vertex_ids]
@@ -69,10 +85,20 @@ def vertex_projection_column(
 
 
 def edge_projection_column(
-    graph: PropertyGraph, edge_ids: list[int], projection: PropertyProjection
+    graph: PropertyGraph,
+    edge_ids: list[int],
+    projection: PropertyProjection,
+    before: dict[int, tuple] | None = None,
 ) -> list:
     """:func:`edge_projection_value` over the live graph for every id in
-    *edge_ids*, in order."""
+    *edge_ids*, in order; *before* maps ids to ``(source, target, type,
+    properties)`` images read instead of the live graph."""
+    if before:
+        return [
+            edge_projection_value(graph, e, projection, edge_type=t, properties=props)
+            for e in edge_ids
+            for _, _, t, props in (before.get(e, _LIVE_EDGE),)
+        ]
     kind = projection.kind
     if kind == "property":
         get, key = graph.edge_property, projection.key

@@ -90,50 +90,16 @@ class EdgePropertySet(GraphEvent):
     new_value: Any
 
 
-# ---------------------------------------------------------------------------
-# Consolidated events (batching)
-# ---------------------------------------------------------------------------
-#
-# The store never emits the two events below.  They are produced by the
-# batching layer (:mod:`repro.rete.batch`), which coalesces a window of
-# elementary events into at most one *net* change per entity: an entity
-# created and destroyed inside the window vanishes entirely, and any number
-# of label/property events on a surviving entity collapse into a single
-# before → after transition.
-
-
-@dataclass(frozen=True, slots=True)
-class VertexChanged(GraphEvent):
-    """Net label/property transition of a vertex that survives a batch."""
-
-    vertex_id: int
-    before_labels: frozenset[str]
-    before_properties: Mapping[str, Any]
-    after_labels: frozenset[str]
-    after_properties: Mapping[str, Any]
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeChanged(GraphEvent):
-    """Net property transition of an edge that survives a batch."""
-
-    edge_id: int
-    source: int
-    target: int
-    edge_type: str
-    before_properties: Mapping[str, Any]
-    after_properties: Mapping[str, Any]
-
-
 def changed_property_keys(
     before: Mapping[str, Any], after: Mapping[str, Any]
 ) -> set[str]:
     """Keys whose value differs between two property maps.
 
     ``None`` and *absent* compare equal (the Cypher convention this event
-    model uses throughout).  Both the event router's candidate filters and
-    the input nodes' relevance checks must use this one definition — a
-    node the router skips must be one whose relevance check would fail.
+    model uses throughout).  Batch consolidation groups changed vertices
+    by these keys, and both the event router and the input nodes read
+    those groups — so a node the router skips is one with nothing to
+    translate.
     """
     return {
         key

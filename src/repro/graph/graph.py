@@ -455,6 +455,12 @@ class PropertyGraph:
         """Number of vertices carrying *label* (the size of its bucket)."""
         return len(self._label_index.get(label, ()))
 
+    def label_members(self, label: str) -> "set[int] | tuple":
+        """Ids of the vertices carrying *label*, uncopied — read-only by
+        contract, like :meth:`labels_view`.  Batch translation filters
+        many ids by one label with C-level membership probes."""
+        return self._label_index.get(label, ())
+
     def edges(self, edge_type: str | None = None) -> Iterator[int]:
         """Iterate edge ids, optionally restricted to a type."""
         if edge_type is None:
@@ -502,6 +508,12 @@ class PropertyGraph:
 
     def vertex_property(self, vertex_id: int, key: str, default: Any = None) -> Any:
         return self._vertex(vertex_id).properties.get(key, default)
+
+    def vertex_property_column(self, vertex_ids: Iterable[int], key: str) -> list:
+        """:meth:`vertex_property` for every id, in order — a pushed
+        property column built with no Python call per id."""
+        vertices = self._vertices
+        return [vertices[v].properties.get(key) for v in vertex_ids]
 
     def edge_properties(self, edge_id: int) -> dict[str, Any]:
         return dict(self._edge(edge_id).properties)

@@ -6,38 +6,43 @@ GDN) amortise that overhead by propagating the *net* change of a whole
 update window instead.  This module supplies the first half of that
 pipeline: a :class:`BatchAccumulator` buffers elementary
 :class:`~repro.graph.events.GraphEvent`\\ s and consolidates them into a
-:class:`CoalescedBatch` holding **at most one net change per entity**:
+:class:`CoalescedBatch` holding **at most one net record per entity** —
+added, removed or changed:
 
 * an entity created *and* destroyed inside the window vanishes entirely
   (the insert/delete pair cancels before any tuple is ever built),
 * any number of label/property events on one surviving entity collapse
-  into a single before → after transition
-  (:class:`~repro.graph.events.VertexChanged` /
-  :class:`~repro.graph.events.EdgeChanged`),
+  into a single *changed* record,
 * entities whose state round-trips back to the window-start value drop out.
+
+A record is an entry in a group, not an event object: a vertex id, or an
+edge's ``(source, edge, target)`` triple.  Vertices are grouped by label,
+edges by type, and changed vertices by each label they flipped and each
+property key that moved — the keys the event router indexes input nodes
+by — so an input node reads only the groups its signature names.
 
 The second half lives in the input nodes
 (:meth:`~repro.rete.nodes.input.VertexInputNode.batch_delta`): each input
-signature translates the consolidated batch once, into one net
-:class:`~repro.rete.deltas.Delta`, which then makes a single trip through
-the network.
+signature translates its groups once, column by column, into one net
+:class:`~repro.rete.deltas.ColumnDelta`, which then makes a single trip
+through the network.
 
 Correctness of deferred translation
 -----------------------------------
 Elementary events are translated *eagerly* in per-event mode because input
 nodes consult the live graph for state the event doesn't carry.  Deferred
-translation is sound because consolidation restores that invariant at
-flush time: the graph then holds exactly the *after* state of every
-consolidated record, and the *before* state of every changed or removed
-vertex is carried explicitly (``vertex_before_labels`` /
-``vertex_before_properties``), so retraction tuples can be rebuilt exactly
-as they were originally asserted — including for edges whose endpoints
-changed or disappeared within the window.
+translation is sound because the graph holds exactly the *after* state of
+every record at flush time, so assertion columns are built from the live
+graph by the same builders ``state_delta()`` uses at populate.  The
+*before* state is carried only for removed and changed entities
+(``vertex_before`` / ``edge_before``), so retraction columns are rebuilt
+exactly as they were originally asserted — including for edges whose
+endpoints changed or disappeared within the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..graph import events as ev
@@ -46,50 +51,46 @@ from ..graph.graph import PropertyGraph
 
 @dataclass(frozen=True, slots=True)
 class CoalescedBatch:
-    """The net effect of one update window, ready for translation.
+    """The net effect of one update window, grouped for translation.
 
-    ``vertex_events`` / ``edge_events`` contain at most one record per
-    entity: ``VertexAdded``/``EdgeAdded`` carry the entity's *final* state,
-    ``VertexRemoved``/``EdgeRemoved`` its *window-start* state, and
-    ``VertexChanged``/``EdgeChanged`` both.  The two override maps expose
-    the window-start labels/properties of every vertex that changed or
-    disappeared, for rebuilding edge retraction tuples whose endpoints no
-    longer hold their old state.
+    Every group lists its entries in the order the window first touched
+    them.  The after state of every record is the live graph's; the
+    batch keeps before images only for removed and changed entities.
     """
 
-    vertex_events: tuple[ev.GraphEvent, ...] = ()
-    edge_events: tuple[ev.GraphEvent, ...] = ()
-    vertex_before_labels: dict[int, frozenset[str]] = field(default_factory=dict)
-    vertex_before_properties: dict[int, dict[str, Any]] = field(default_factory=dict)
+    #: label → ``(added, removed)`` vertex ids, by the labels a vertex
+    #: holds at the end (added) or start (removed) of the window; the
+    #: ``None`` key lists every added and removed vertex
+    vertices: dict[str | None, tuple[list[int], list[int]]]
+    #: changed vertices by each label added or removed; ``None`` lists
+    #: every changed vertex with a flipped label
+    label_flips: dict[str | None, list[int]]
+    #: changed vertices by each property key whose value moved; ``None``
+    #: lists every changed vertex with a moved key
+    key_changes: dict[str | None, list[int]]
+    #: edge type → ``(added, removed, changed)`` ``(source, edge, target)``
+    #: triples
+    edges: dict[str, tuple[list, list, list]]
+    #: window-start ``(labels, properties)`` of removed and changed vertices
+    vertex_before: dict[int, tuple[frozenset[str], dict[str, Any]]]
+    #: window-start ``(source, target, type, properties)`` of removed and
+    #: changed edges
+    edge_before: dict[int, tuple[int, int, str, dict[str, Any]]]
+    #: added and changed edges, which an edge input's endpoint sweep
+    #: leaves to their own records
+    recorded_edges: set[int]
+    #: entities with a net record (the ``net_per_raw`` numerator)
+    net_records: int
     #: elementary events consumed to produce this batch (for reporting)
-    raw_events: int = 0
-
-    def __bool__(self) -> bool:
-        return bool(self.vertex_events or self.edge_events)
+    raw_events: int
 
 
-class _VertexTrace:
-    """What we must remember about a vertex touched inside the window."""
-
-    __slots__ = ("existed_before", "before_labels", "before_properties")
-
-    def __init__(self, existed_before, before_labels, before_properties):
-        self.existed_before = existed_before
-        self.before_labels = before_labels
-        self.before_properties = before_properties
-
-
-class _EdgeTrace:
-    """What we must remember about an edge touched inside the window."""
-
-    __slots__ = ("existed_before", "source", "target", "edge_type", "before_properties")
-
-    def __init__(self, existed_before, source, target, edge_type, before_properties):
-        self.existed_before = existed_before
-        self.source = source
-        self.target = target
-        self.edge_type = edge_type
-        self.before_properties = before_properties
+def _append(groups: dict, key, item) -> None:
+    group = groups.get(key)
+    if group is None:
+        groups[key] = [item]
+    else:
+        group.append(item)
 
 
 class BatchAccumulator:
@@ -98,15 +99,19 @@ class BatchAccumulator:
     ``record`` must be called synchronously from the graph's event stream
     (the store has just applied the mutation), because the first touch of a
     pre-existing entity snapshots its window-start state by unwinding the
-    triggering event from the *current* graph state.  After the first touch
-    only liveness matters — final state is read from the graph at
-    :meth:`consolidate` time.
+    triggering event from the *current* graph state.  That snapshot is
+    the entity's before image, ``(labels, properties)`` for a vertex and
+    ``(source, target, type, properties)`` for an edge; an entity the
+    window created has none (``None``, and properties ``None`` for an
+    edge, whose endpoints and type the batch still needs).  After the
+    first touch only liveness matters — final state is read from the graph
+    at :meth:`consolidate` time.
     """
 
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
-        self._vertices: dict[int, _VertexTrace] = {}
-        self._edges: dict[int, _EdgeTrace] = {}
+        self._vertices: dict[int, tuple | None] = {}
+        self._edges: dict[int, tuple] = {}
         self._raw_events = 0
 
     def __bool__(self) -> bool:
@@ -119,58 +124,27 @@ class BatchAccumulator:
 
     def record(self, event: ev.GraphEvent) -> None:
         self._raw_events += 1
-        if isinstance(event, ev.VertexAdded):
-            if event.vertex_id not in self._vertices:
-                self._vertices[event.vertex_id] = _VertexTrace(False, None, None)
-        elif isinstance(event, ev.VertexRemoved):
-            if event.vertex_id not in self._vertices:
-                self._vertices[event.vertex_id] = _VertexTrace(
-                    True, event.labels, dict(event.properties)
+        kind = type(event)
+        if kind is ev.EdgeAdded:
+            if event.edge_id not in self._edges:
+                self._edges[event.edge_id] = (
+                    event.source, event.target, event.edge_type, None
                 )
-        elif isinstance(event, ev.VertexLabelAdded):
+        elif kind is ev.VertexAdded:
             if event.vertex_id not in self._vertices:
-                labels = self.graph.labels_of(event.vertex_id)
-                self._vertices[event.vertex_id] = _VertexTrace(
-                    True,
-                    labels - {event.label},
-                    self.graph.vertex_properties(event.vertex_id),
-                )
-        elif isinstance(event, ev.VertexLabelRemoved):
+                self._vertices[event.vertex_id] = None
+        elif kind is ev.VertexPropertySet:
             if event.vertex_id not in self._vertices:
-                labels = self.graph.labels_of(event.vertex_id)
-                self._vertices[event.vertex_id] = _VertexTrace(
-                    True,
-                    labels | {event.label},
-                    self.graph.vertex_properties(event.vertex_id),
-                )
-        elif isinstance(event, ev.VertexPropertySet):
-            if event.vertex_id not in self._vertices:
-                self._vertices[event.vertex_id] = _VertexTrace(
-                    True,
+                self._vertices[event.vertex_id] = (
                     self.graph.labels_of(event.vertex_id),
                     ev.unwind_property_set(
                         self.graph.vertex_properties(event.vertex_id), event
                     ),
                 )
-        elif isinstance(event, ev.EdgeAdded):
-            if event.edge_id not in self._edges:
-                self._edges[event.edge_id] = _EdgeTrace(
-                    False, event.source, event.target, event.edge_type, None
-                )
-        elif isinstance(event, ev.EdgeRemoved):
-            if event.edge_id not in self._edges:
-                self._edges[event.edge_id] = _EdgeTrace(
-                    True,
-                    event.source,
-                    event.target,
-                    event.edge_type,
-                    dict(event.properties),
-                )
-        elif isinstance(event, ev.EdgePropertySet):
+        elif kind is ev.EdgePropertySet:
             if event.edge_id not in self._edges:
                 source, target = self.graph.endpoints(event.edge_id)
-                self._edges[event.edge_id] = _EdgeTrace(
-                    True,
+                self._edges[event.edge_id] = (
                     source,
                     target,
                     self.graph.type_of(event.edge_id),
@@ -178,95 +152,105 @@ class BatchAccumulator:
                         self.graph.edge_properties(event.edge_id), event
                     ),
                 )
+        elif kind is ev.EdgeRemoved:
+            if event.edge_id not in self._edges:
+                self._edges[event.edge_id] = (
+                    event.source,
+                    event.target,
+                    event.edge_type,
+                    dict(event.properties),
+                )
+        elif kind is ev.VertexRemoved:
+            if event.vertex_id not in self._vertices:
+                self._vertices[event.vertex_id] = (
+                    event.labels, dict(event.properties)
+                )
+        elif kind is ev.VertexLabelAdded or kind is ev.VertexLabelRemoved:
+            if event.vertex_id not in self._vertices:
+                labels = self.graph.labels_of(event.vertex_id)
+                self._vertices[event.vertex_id] = (
+                    labels ^ {event.label},
+                    self.graph.vertex_properties(event.vertex_id),
+                )
 
     # -- consolidation ------------------------------------------------------
 
     def consolidate(self) -> CoalescedBatch:
         """Classify every touched entity against the current graph state."""
         graph = self.graph
-        vertex_events: list[ev.GraphEvent] = []
-        before_labels: dict[int, frozenset[str]] = {}
-        before_properties: dict[int, dict[str, Any]] = {}
-        for vertex_id, trace in self._vertices.items():
-            alive = graph.has_vertex(vertex_id)
-            if alive and trace.existed_before:
-                after_labels = graph.labels_of(vertex_id)
-                after_properties = graph.vertex_properties(vertex_id)
-                if (
-                    trace.before_labels != after_labels
-                    or trace.before_properties != after_properties
-                ):
-                    vertex_events.append(
-                        ev.VertexChanged(
-                            vertex_id,
-                            trace.before_labels,
-                            trace.before_properties,
-                            after_labels,
-                            after_properties,
-                        )
+        has_vertex, labels_view = graph.has_vertex, graph.labels_view
+        vertices: dict[str | None, tuple[list[int], list[int]]] = {}
+        label_flips: dict[str | None, list[int]] = {}
+        key_changes: dict[str | None, list[int]] = {}
+        vertex_before: dict[int, tuple[frozenset[str], dict[str, Any]]] = {}
+        net = 0
+        for vertex_id, image in self._vertices.items():
+            if has_vertex(vertex_id):
+                if image is not None:
+                    labels, properties = image
+                    after = graph.vertex_properties(vertex_id)
+                    flipped = labels.symmetric_difference(labels_view(vertex_id))
+                    moved = (
+                        ev.changed_property_keys(properties, after)
+                        if properties != after
+                        else ()
                     )
-                    before_labels[vertex_id] = trace.before_labels
-                    before_properties[vertex_id] = trace.before_properties
-            elif alive:
-                vertex_events.append(
-                    ev.VertexAdded(
-                        vertex_id,
-                        graph.labels_of(vertex_id),
-                        graph.vertex_properties(vertex_id),
-                    )
-                )
-            elif trace.existed_before:
-                vertex_events.append(
-                    ev.VertexRemoved(
-                        vertex_id, trace.before_labels, trace.before_properties
-                    )
-                )
-                before_labels[vertex_id] = trace.before_labels
-                before_properties[vertex_id] = trace.before_properties
-            # else: created and destroyed inside the window — cancelled
+                    if not (flipped or moved):
+                        continue
+                    vertex_before[vertex_id] = image
+                    for groups, keys in ((label_flips, flipped), (key_changes, moved)):
+                        if keys:
+                            _append(groups, None, vertex_id)
+                            for key in keys:
+                                _append(groups, key, vertex_id)
+                    net += 1
+                    continue
+                kind, labels = 0, labels_view(vertex_id)
+            elif image is not None:
+                kind, labels = 1, image[0]
+                vertex_before[vertex_id] = image
+            else:
+                continue  # created and destroyed inside the window
+            net += 1
+            for label in (None, *labels):
+                group = vertices.get(label)
+                if group is None:
+                    group = vertices[label] = ([], [])
+                group[kind].append(vertex_id)
 
-        edge_events: list[ev.GraphEvent] = []
-        for edge_id, trace in self._edges.items():
-            alive = graph.has_edge(edge_id)
-            if alive and trace.existed_before:
-                after_properties = graph.edge_properties(edge_id)
-                if trace.before_properties != after_properties:
-                    edge_events.append(
-                        ev.EdgeChanged(
-                            edge_id,
-                            trace.source,
-                            trace.target,
-                            trace.edge_type,
-                            trace.before_properties,
-                            after_properties,
-                        )
-                    )
-            elif alive:
-                source, target = graph.endpoints(edge_id)
-                edge_events.append(
-                    ev.EdgeAdded(
-                        edge_id,
-                        source,
-                        target,
-                        graph.type_of(edge_id),
-                        graph.edge_properties(edge_id),
-                    )
-                )
-            elif trace.existed_before:
-                edge_events.append(
-                    ev.EdgeRemoved(
-                        edge_id,
-                        trace.source,
-                        trace.target,
-                        trace.edge_type,
-                        trace.before_properties,
-                    )
-                )
-
+        edges: dict[str, tuple[list, list, list]] = {}
+        edge_before: dict[int, tuple[int, int, str, dict[str, Any]]] = {}
+        recorded: set[int] = set()
+        has_edge = graph.has_edge
+        for edge_id, image in self._edges.items():
+            source, target, edge_type, properties = image
+            if has_edge(edge_id):
+                if properties is None:
+                    kind = 0
+                elif properties == graph.edge_properties(edge_id):
+                    continue
+                else:
+                    kind = 2
+                    edge_before[edge_id] = image
+                recorded.add(edge_id)
+            elif properties is not None:
+                kind = 1
+                edge_before[edge_id] = image
+            else:
+                continue
+            net += 1
+            group = edges.get(edge_type)
+            if group is None:
+                group = edges[edge_type] = ([], [], [])
+            group[kind].append((source, edge_id, target))
         return CoalescedBatch(
-            tuple(vertex_events),
-            tuple(edge_events),
-            before_labels,
-            before_properties,
+            vertices,
+            label_flips,
+            key_changes,
+            edges,
+            vertex_before,
+            edge_before,
+            recorded,
+            net,
             self._raw_events,
         )

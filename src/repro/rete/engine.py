@@ -22,10 +22,16 @@ Batched propagation
 -------------------
 ``engine.batch()`` opens a re-entrant scope that buffers elementary events
 instead.  On scope exit they are coalesced (:mod:`repro.rete.batch`) into
-one net delta per input signature — insert/delete pairs cancel before any
-tuple is built — which makes a single trip through every network, and each
-view's ``on_change`` callback fires **exactly once per batch** with the net
-output delta (or not at all when the batch nets to nothing).  Inside an
+at most one net record per entity — insert/delete pairs cancel before any
+tuple is built — grouped by vertex label, edge type, flipped label and
+moved property key.  The router offers the batch to the input nodes its
+group keys concern, and each builds one net
+:class:`~repro.rete.deltas.ColumnDelta` from the groups it reads, column
+by column (the after half from the live graph, the before half from the
+batch's window-start images).  That delta makes a single trip through
+every network, and each view's ``on_change`` callback fires **exactly
+once per batch** with the net output delta (or not at all when the batch
+nets to nothing).  Inside an
 open batch ``View.rows()`` is intentionally stale; it catches up at flush.
 
 With ``batch_transactions=True`` the engine additionally listens to
@@ -417,14 +423,13 @@ class IncrementalEngine:
             coalesce_seconds = perf_counter() - start
             if tracer is not None:
                 tracer.exit()
-            net_records = len(changes.vertex_events) + len(changes.edge_events)
             try:
                 self._propagate_batch(changes, tracer)
             finally:
                 if metrics is not None:
                     metrics.batches.inc()
                     metrics.batch_raw_events.inc(raw_events)
-                    metrics.batch_net_records.inc(net_records)
+                    metrics.batch_net_records.inc(changes.net_records)
                     metrics.coalesce_seconds.observe(coalesce_seconds)
                     metrics.batch_seconds.observe(perf_counter() - batch_start)
         finally:
@@ -433,10 +438,10 @@ class IncrementalEngine:
                 self.last_trace = tracer.finish()
 
     def _propagate_batch(self, changes, tracer=None) -> None:
-        if not changes:
+        net_records = changes.net_records
+        if not net_records:
             return
         metrics = self.metrics
-        net_records = len(changes.vertex_events) + len(changes.edge_events)
         productions = [view.network.production for view in self._views]
         for production in productions:
             production.begin_batch()

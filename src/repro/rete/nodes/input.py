@@ -2,10 +2,13 @@
 
 Each input node materialises one base relation (the paper's © and ⇑
 operators, including their pushed-down ``{prop → attr}`` columns) and
-translates graph events into tuple deltas.  Events carry *before* state, so
-retraction tuples are rebuilt exactly as they were emitted — the network
-never consults its own memory to undo an input.  The current relation
-(``state_delta``, what populate replays) is built straight from the graph as a :class:`~repro.rete.deltas.ColumnDelta`.
+translates graph changes into tuple deltas.  Per-event translation reads
+each event's *before* state, so retraction tuples are rebuilt exactly as
+they were emitted — the network never consults its own memory to undo an
+input.  The current relation (``state_delta``, what populate replays) and
+the net change of a coalesced batch (``batch_delta``) are built column by
+column as a :class:`~repro.rete.deltas.ColumnDelta`, by the same column
+builders.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ def _private_dict(properties) -> dict[str, Any]:
     return properties if type(properties) is dict else dict(properties)
 
 
+#: the batch group of a label no vertex in the batch carries (never mutated)
+_NO_VERTICES: tuple[list[int], list[int]] = ([], [])
+
+
 class UnitNode(Node):
     """Its state is the single empty tuple, in row form: a zero-width
     batch has no column to carry its one row."""
@@ -58,24 +65,81 @@ class _GraphInputNode(Node):
     ``state_delta`` builds the relation over the live graph column by
     column (one id column, one list per pushed projection) — the single
     builder behind population, targeted replay and the catalog.
-    ``columnar`` is the engine's wire format: with it off, batch
-    translations travel as consolidated row deltas.
+
+    ``batch_delta`` translates a :class:`~repro.rete.batch.CoalescedBatch`
+    with the same builders: it reads only the batch groups the node's
+    signature names (its labels or edge types, and the flipped labels and
+    moved property keys its columns read), builds the assertion half from
+    the live graph and the retraction half from the batch's before images,
+    and drops a changed entity whose before and after rows are ``==``.  No
+    row is built and nothing is transposed.  ``columnar`` is the engine's
+    wire format: with it off, the node emits the batch's row form.
     """
 
     columnar: bool
 
     def emit_batch(self, batch) -> None:
-        """Translate one coalesced batch and emit it, columnar when enabled.
-
-        The net delta is built in row form either way — consolidation is
-        what cancels a batch's internal insert/delete pairs — and the
-        columnar flag only changes the *wire* representation handed to
-        subscribers (one transpose for the whole batch)."""
+        """Translate one coalesced batch and emit it."""
         delta = self.batch_delta(batch)
-        if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema)))
-        else:
-            self.emit(delta)
+        self.emit(delta if self.columnar else delta.to_delta())
+
+    #: keys of the batch's ``label_flips`` / ``key_changes`` groups whose
+    #: vertices this node's relation can move with (``None``: every one)
+    _flip_keys: tuple
+    _move_keys: tuple
+
+    def _changed(self, batch) -> list[int]:
+        """The batch's changed vertices in the groups this node reads."""
+        flips, moves = batch.label_flips, batch.key_changes
+        if not (flips or moves):
+            return []
+        groups = [flips[key] for key in self._flip_keys if key in flips]
+        groups += [moves[key] for key in self._move_keys if key in moves]
+        if len(groups) <= 1:
+            return groups[0] if groups else []
+        return sorted({vertex for group in groups for vertex in group})
+
+    def _net(self, gone, new, both, was, now, images) -> ColumnDelta:
+        """One batch retracting the before rows of *gone* and asserting the
+        after rows of *new*.  A key of *both* (a changed entity) retracts
+        where *was* admits it and asserts where *now* does (``None`` admits
+        every key), and emits nothing when its two rows are ``==``, as a
+        row delta cancels it.  The node's ``_columns`` builds both halves,
+        the retraction half from *images*."""
+        pairs = None
+        if both:
+            gone, new, pairs = list(gone), list(new), []
+            for key in both:
+                old = was is None or was(key)
+                fresh = now is None or now(key)
+                if old:
+                    gone.append(key)
+                if fresh:
+                    new.append(key)
+                if old and fresh:
+                    pairs.append((len(gone) - 1, len(new) - 1))
+        n = len(gone)
+        if not new:
+            before = self._columns(gone, images)
+            return ColumnDelta(before, [-1] * n, len(before))
+        after = self._columns(new)
+        if not n:
+            return ColumnDelta(after, [1] * len(new), len(after))
+        before = self._columns(gone, images)
+        delta = ColumnDelta(
+            [b + a for b, a in zip(before, after)],
+            [-1] * n + [1] * len(new),
+            len(before),
+        )
+        same = [
+            (i, n + j)
+            for i, j in pairs or ()
+            if all(b[i] is a[j] or b[i] == a[j] for b, a in zip(before, after))
+        ]
+        if not same:
+            return delta
+        dropped = {position for pair in same for position in pair}
+        return delta.take([p for p in range(len(delta)) if p not in dropped])
 
     def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
         raise AssertionError("input nodes have no upstream")
@@ -115,6 +179,14 @@ class VertexInputNode(_GraphInputNode):
         )
         self._wants_labels = any(p.kind == "labels" for p in op.projections)
         self._wants_properties = any(p.kind == "properties" for p in op.projections)
+        # a batch's added/removed vertices are read from one required
+        # label's group, changed ones from flips of a required label or of
+        # a labels() column and from moves of a read key
+        self._seed = min(self.labels) if self.labels else None
+        self._flip_keys = (None,) if self._wants_labels else tuple(sorted(self.labels))
+        self._move_keys = (
+            (None,) if self._wants_properties else tuple(sorted(self._property_keys))
+        )
 
     def interest(self) -> VertexInterest:
         """The interest signature the event router indexes this node by."""
@@ -184,24 +256,31 @@ class VertexInputNode(_GraphInputNode):
         labels = graph.labels_view
         return [v for v in graph.vertices(seed) if rest <= labels(v)]
 
-    def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
+    def _columns(self, ids: list[int], images=None) -> list[list]:
+        """The id column and one column per pushed projection, from the
+        live graph or the ``(labels, properties)`` *images*."""
         graph = self.graph
-        ids = self._scan()
-        columns = [ids]
-        columns.extend(
-            vertex_projection_column(graph, ids, projection)
+        return [ids] + [
+            vertex_projection_column(graph, ids, projection, images)
             for projection in self.projections
-        )
-        delta = ColumnDelta(columns, [1] * len(ids), len(columns))
+        ]
+
+    def _value_filtered(self, delta: ColumnDelta) -> ColumnDelta:
         if not self.value_filters:
             return delta
-        filters = [(columns[i], value) for i, _, value in self.value_filters]
+        filters = [(delta.columns[i], value) for i, _, value in self.value_filters]
         return delta.take(
             [
                 position
-                for position in range(len(ids))
+                for position in range(len(delta))
                 if all(column[position] == value for column, value in filters)
             ]
+        )
+
+    def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
+        ids = self._scan()
+        return self._value_filtered(
+            ColumnDelta(self._columns(ids), [1] * len(ids), len(self.schema))
         )
 
     def on_event(self, event: ev.GraphEvent) -> None:
@@ -254,56 +333,22 @@ class VertexInputNode(_GraphInputNode):
             delta.add(self._tuple(vertex_id, labels=current), 1)
         self.emit(self._filtered(delta))
 
-    def batch_delta(self, batch) -> Delta:
-        """Net delta for one :class:`~repro.rete.batch.CoalescedBatch`.
-
-        Added/removed records carry their full final/window-start state, so
-        translation never consults the graph for retracted vertices; changed
-        records become retract-before / assert-after pairs (which cancel in
-        the delta when no relevant column moved).
-        """
-        delta = Delta()
-        for event in batch.vertex_events:
-            if isinstance(event, ev.VertexAdded):
-                if self._matches(event.labels):
-                    delta.add(
-                        self._tuple(
-                            event.vertex_id,
-                            labels=event.labels,
-                            properties=_private_dict(event.properties),
-                        ),
-                        1,
-                    )
-            elif isinstance(event, ev.VertexRemoved):
-                if self._matches(event.labels):
-                    delta.add(
-                        self._tuple(
-                            event.vertex_id,
-                            labels=event.labels,
-                            properties=_private_dict(event.properties),
-                        ),
-                        -1,
-                    )
-            else:  # VertexChanged
-                if self._matches(event.before_labels):
-                    delta.add(
-                        self._tuple(
-                            event.vertex_id,
-                            labels=event.before_labels,
-                            properties=_private_dict(event.before_properties),
-                        ),
-                        -1,
-                    )
-                if self._matches(event.after_labels):
-                    delta.add(
-                        self._tuple(
-                            event.vertex_id,
-                            labels=event.after_labels,
-                            properties=_private_dict(event.after_properties),
-                        ),
-                        1,
-                    )
-        return self._filtered(delta)
+    def batch_delta(self, batch) -> ColumnDelta:
+        """Net delta for one :class:`~repro.rete.batch.CoalescedBatch`."""
+        labels, images = self.labels, batch.vertex_before
+        view = self.graph.labels_view
+        added, removed = batch.vertices.get(self._seed, _NO_VERTICES)
+        if len(labels) > 1:
+            added = [v for v in added if labels <= view(v)]
+            removed = [v for v in removed if labels <= images[v][0]]
+        changed = self._changed(batch)
+        was = now = None
+        if changed and labels:
+            was = lambda v: labels <= images[v][0]
+            now = lambda v: labels <= view(v)
+        return self._value_filtered(
+            self._net(removed, added, changed, was, now, images)
+        )
 
     def _property_change(self, event: ev.VertexPropertySet) -> None:
         if not (self._wants_properties or event.key in self._property_keys):
@@ -372,6 +417,17 @@ class EdgeInputNode(_GraphInputNode):
             for p, role in zip(op.projections, self._roles)
             if role in ("src", "tgt")
         )
+        self._type_order = tuple(sorted(self.types))
+        self._flip_keys = (
+            (None,)
+            if self._wants_vertex_labels
+            else tuple(sorted(self.src_labels | self.tgt_labels))
+        )
+        self._move_keys = (
+            (None,)
+            if self._wants_vertex_properties
+            else tuple(sorted(self._vertex_property_keys))
+        )
 
     def interest(self) -> EdgeInterest:
         """The interest signature the event router indexes this node by."""
@@ -400,7 +456,7 @@ class EdgeInputNode(_GraphInputNode):
         if not self.types:
             yield from self.graph.incident_edges(vertex_id)
             return
-        for edge_type in self.types:
+        for edge_type in self._type_order:
             yield from self.graph.incident_edges(vertex_id, edge_type)
 
     def _orientations(self, source: int, target: int):
@@ -475,13 +531,40 @@ class EdgeInputNode(_GraphInputNode):
 
     # -- activation & events --------------------------------------------------
 
+    @staticmethod
+    def _oriented(triples: list[tuple[int, int, int]]) -> list:
+        """*triples* then their non-loop reversals (an undirected ⇑)."""
+        return triples + [(t, e, s) for s, e, t in triples if s != t]
+
+    def _columns(self, triples: list, images=None) -> list[list]:
+        """Columns over oriented ``(src, edge, tgt)`` triples, from the
+        live graph or the ``(vertex images, edge images)`` pair *images*."""
+        graph = self.graph
+        vertex_images, edge_images = images or (None, None)
+        if triples:
+            src, edges, tgt = map(list, zip(*triples))
+        else:
+            src, edges, tgt = [], [], []
+        columns = [src, edges, tgt]
+        for projection, role in zip(self.projections, self._roles):
+            if role == "edge":
+                columns.append(
+                    edge_projection_column(graph, edges, projection, edge_images)
+                )
+            else:
+                ids = src if role == "src" else tgt
+                columns.append(
+                    vertex_projection_column(graph, ids, projection, vertex_images)
+                )
+        return columns
+
     def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
         graph = self.graph
         triples: list[tuple[int, int, int]] = []
-        for edge_type in sorted(self.types) if self.types else (None,):
+        for edge_type in self._type_order or (None,):
             triples.extend(graph.edge_triples(edge_type))
         if not self.directed:
-            triples.extend([(t, e, s) for s, e, t in triples if s != t])
+            triples = self._oriented(triples)
         src_labels, tgt_labels = self.src_labels, self.tgt_labels
         if src_labels or tgt_labels:
             labels = graph.labels_view
@@ -490,18 +573,9 @@ class EdgeInputNode(_GraphInputNode):
                 for triple in triples
                 if src_labels <= labels(triple[0]) and tgt_labels <= labels(triple[2])
             ]
-        if triples:
-            src, edges, tgt = (list(column) for column in zip(*triples))
-        else:
-            src, edges, tgt = [], [], []
-        columns = [src, edges, tgt]
-        for projection, role in zip(self.projections, self._roles):
-            if role == "edge":
-                columns.append(edge_projection_column(graph, edges, projection))
-            else:
-                ids = src if role == "src" else tgt
-                columns.append(vertex_projection_column(graph, ids, projection))
-        return ColumnDelta(columns, [1] * len(edges), len(columns))
+        return ColumnDelta(
+            self._columns(triples), [1] * len(triples), len(self.schema)
+        )
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.EdgeAdded):
@@ -545,85 +619,47 @@ class EdgeInputNode(_GraphInputNode):
         elif isinstance(event, ev.VertexPropertySet):
             self._endpoint_property_change(event)
 
-    def batch_delta(self, batch) -> Delta:
+    def batch_delta(self, batch) -> ColumnDelta:
         """Net delta for one :class:`~repro.rete.batch.CoalescedBatch`.
 
-        Edge records are translated against the final graph state, with the
-        batch's *before* override maps standing in for endpoints that
-        changed or disappeared inside the window.  A final sweep covers
-        surviving edges that were untouched themselves but hang off a
-        vertex whose labels/properties changed (each such edge exactly
-        once, even when both endpoints changed).
+        Edge records come from the groups of this node's types (every
+        type when it has none), in sorted type order.  A final sweep
+        covers surviving edges that were untouched themselves but hang off
+        a vertex whose labels/properties changed in a way this node reads
+        (each such edge exactly once, even when both endpoints changed).
         """
-        delta = Delta()
-        before_labels = batch.vertex_before_labels
-        before_properties = batch.vertex_before_properties
-        touched: set[int] = set()
-        for event in batch.edge_events:
-            touched.add(event.edge_id)
-            if not self._type_matches(event.edge_type):
-                continue
-            if isinstance(event, ev.EdgeAdded):
-                self._edge_delta(
-                    event.edge_id, event.source, event.target, 1, delta,
-                    edge_type=event.edge_type,
-                    edge_properties=_private_dict(event.properties),
-                )
-            elif isinstance(event, ev.EdgeRemoved):
-                self._edge_delta(
-                    event.edge_id, event.source, event.target, -1, delta,
-                    edge_type=event.edge_type,
-                    edge_properties=_private_dict(event.properties),
-                    vertex_labels=before_labels,
-                    vertex_properties=before_properties,
-                )
-            else:  # EdgeChanged
-                self._edge_delta(
-                    event.edge_id, event.source, event.target, -1, delta,
-                    edge_type=event.edge_type,
-                    edge_properties=_private_dict(event.before_properties),
-                    vertex_labels=before_labels,
-                    vertex_properties=before_properties,
-                )
-                self._edge_delta(
-                    event.edge_id, event.source, event.target, 1, delta,
-                    edge_type=event.edge_type,
-                    edge_properties=_private_dict(event.after_properties),
-                )
-        swept: set[int] = set()
-        for event in batch.vertex_events:
-            if not isinstance(event, ev.VertexChanged):
-                continue
-            if not self._endpoint_change_relevant(event):
-                continue
-            for edge_id in self._interesting_incident(event.vertex_id):
-                if edge_id in touched or edge_id in swept:
-                    continue
-                swept.add(edge_id)
-                source, target = self.graph.endpoints(edge_id)
-                self._edge_delta(
-                    edge_id, source, target, -1, delta,
-                    vertex_labels=before_labels,
-                    vertex_properties=before_properties,
-                )
-                self._edge_delta(edge_id, source, target, 1, delta)
-        return delta
-
-    def _endpoint_change_relevant(self, event: ev.VertexChanged) -> bool:
-        """Whether a net endpoint transition can move this node's tuples."""
-        if event.before_labels != event.after_labels and self._relevant_label_change(
-            event.before_labels, event.after_labels
-        ):
-            return True
-        if event.before_properties != event.after_properties:
-            if self._wants_vertex_properties:
-                return True
-            return not self._vertex_property_keys.isdisjoint(
-                ev.changed_property_keys(
-                    event.before_properties, event.after_properties
-                )
-            )
-        return False
+        graph, groups = self.graph, batch.edges
+        gone, new, both = [], [], []
+        for edge_type in self._type_order or sorted(groups):
+            group = groups.get(edge_type)
+            if group is not None:
+                new += group[0]
+                gone += group[1]
+                both += group[2]
+        changed = self._changed(batch)
+        swept = set(batch.recorded_edges) if changed else None
+        for vertex in changed:
+            for e in self._interesting_incident(vertex):
+                if e not in swept:
+                    swept.add(e)
+                    s, t = graph.endpoints(e)
+                    both.append((s, e, t))
+        if not self.directed:
+            gone, new, both = map(self._oriented, (gone, new, both))
+        images = batch.vertex_before
+        was = now = None
+        src_labels, tgt_labels = self.src_labels, self.tgt_labels
+        for position, labels in ((0, src_labels), (2, tgt_labels)):
+            for label in labels:
+                members = graph.label_members(label)
+                new = [k for k in new if k[position] in members]
+        if (src_labels or tgt_labels) and (gone or both):
+            view = graph.labels_view
+            before = lambda v: images[v][0] if v in images else view(v)
+            was = lambda k: src_labels <= before(k[0]) and tgt_labels <= before(k[2])
+            now = lambda k: src_labels <= view(k[0]) and tgt_labels <= view(k[2])
+            gone = [k for k in gone if was(k)]
+        return self._net(gone, new, both, was, now, (images, batch.edge_before))
 
     def _edge_property_change(self, event: ev.EdgePropertySet) -> None:
         if not (

@@ -455,9 +455,11 @@ class EventRouter:
     def dispatch_batch(self, batch) -> None:
         """Feed one consolidated batch to the input nodes it concerns.
 
-        Candidate sets are the unions of the per-record interests; each
-        candidate then translates the whole batch once (irrelevant records
-        inside cancel to nothing).
+        Candidates are looked up by the batch's group keys — its labels,
+        edge types, flipped labels and moved property keys — never per
+        record; each candidate then translates the groups its own
+        signature names.  Vertex nodes run before edge nodes, each group
+        in registration order.
         """
         self.batches_routed += 1
         vertex_nodes = self._batch_vertex_candidates(batch)
@@ -468,66 +470,33 @@ class EventRouter:
         for node in edge_nodes:
             node.emit_batch(batch)
 
+    @staticmethod
+    def _keyed(bucketed: _Bucketed, keys) -> list[dict]:
+        """The wildcard and keyed buckets of *keys* (a batch group map,
+        whose ``None`` key is no bucket), or none when *keys* is empty."""
+        if not keys:
+            return []
+        return [bucketed.wildcard, *[bucketed.get(key) for key in keys if key is not None]]
+
     def _batch_vertex_candidates(self, batch) -> list[object]:
-        buckets: list[dict] = []
-        filtered: dict[int, tuple[int, object]] = {}
-        membership = self._v_membership
-        for event in batch.vertex_events:
-            if isinstance(event, ev.VertexChanged):
-                if event.before_labels == event.after_labels:
-                    # membership is stable: only nodes watching a changed
-                    # column (or a labels()/properties() wildcard) can move
-                    changed = ev.changed_property_keys(
-                        event.before_properties, event.after_properties
-                    )
-                    for entry_bucket in (
-                        membership.wildcard,
-                        *[
-                            membership.get(label)
-                            for label in event.after_labels
-                        ],
-                        *self._value_buckets(event.before_properties),
-                        *self._value_buckets(event.after_properties),
-                    ):
-                        for nid, entry in entry_bucket.items():
-                            node = entry[1]
-                            if node._wants_properties or not changed.isdisjoint(
-                                node._property_keys
-                            ):
-                                filtered[nid] = entry
-                    continue
-                labels = event.before_labels | event.after_labels
-                buckets.extend(self._value_buckets(event.before_properties))
-                buckets.extend(self._value_buckets(event.after_properties))
-            else:  # VertexAdded / VertexRemoved
-                labels = event.labels
-                buckets.extend(self._value_buckets(event.properties))
-            buckets.append(membership.wildcard)
-            buckets.extend(membership.get(label) for label in labels)
-        merged: dict[int, tuple[int, object]] = dict(filtered)
-        for bucket in buckets:
-            merged.update(bucket)
-        return [node for _, node in sorted(merged.values())]
+        # added/removed vertices reach the nodes their labels (or, for a
+        # value-filtered node, their values) admit; changed ones the nodes
+        # watching a flipped label or a moved key
+        buckets = self._keyed(self._v_membership, batch.vertices)
+        if self._v_value_key_counts and batch.vertices:
+            added, removed = batch.vertices[None]
+            images, live = batch.vertex_before, self.graph.vertex_property
+            for key in self._v_value_key_counts:
+                values = [live(v, key) for v in added]
+                values.extend(images[v][1].get(key) for v in removed)
+                buckets.extend(self._probe_value(key, value) for value in values)
+        buckets += self._keyed(self._v_label_watch, batch.label_flips)
+        buckets += self._keyed(self._v_prop_watch, batch.key_changes)
+        return _ordered(*buckets)
 
     def _batch_edge_candidates(self, batch) -> list[object]:
-        buckets: list[dict] = [self._e_type.wildcard] if batch.edge_events else []
-        for event in batch.edge_events:
-            buckets.append(self._e_type.get(event.edge_type))
-        for event in batch.vertex_events:
-            if not isinstance(event, ev.VertexChanged):
-                continue
-            changed_labels = event.before_labels ^ event.after_labels
-            if changed_labels:
-                buckets.append(self._e_label_watch.wildcard)
-                buckets.extend(
-                    self._e_label_watch.get(label) for label in changed_labels
-                )
-            if event.before_properties != event.after_properties:
-                buckets.append(self._e_vprop_watch.wildcard)
-                buckets.extend(
-                    self._e_vprop_watch.get(key)
-                    for key in ev.changed_property_keys(
-                        event.before_properties, event.after_properties
-                    )
-                )
-        return _ordered(*buckets)
+        return _ordered(
+            *self._keyed(self._e_type, batch.edges),
+            *self._keyed(self._e_label_watch, batch.label_flips),
+            *self._keyed(self._e_vprop_watch, batch.key_changes),
+        )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import PropertyGraph, QueryEngine
 from repro.obs.export import render_json, render_prometheus, render_table
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -91,6 +92,32 @@ class TestRegistry:
         assert "repro_batches_total" in snapshot
         assert "repro_batch_seconds" in snapshot
         assert snapshot["repro_batch_seconds"]["type"] == "histogram"
+
+
+class TestBatchCounters:
+    """The counters behind the harness's ``rete.batch.net_per_raw``."""
+
+    def test_one_committed_transaction(self):
+        graph = PropertyGraph()
+        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        engine = QueryEngine(graph, batch_transactions=True, collect_metrics=True)
+        view = engine.register("MATCH (p:Post) RETURN p, p.lang")
+        with graph.transaction():
+            # nets to 0 records: an ephemeral vertex and edge, and a
+            # property set that round-trips
+            ephemeral = graph.add_vertex(labels=["Post"])
+            edge = graph.add_edge(ephemeral, post, "REPLY")
+            graph.remove_edge(edge)
+            graph.remove_vertex(ephemeral)
+            graph.set_vertex_property(post, "lang", "de")
+            graph.set_vertex_property(post, "lang", "en")
+            # nets to 1 record: one surviving vertex
+            survivor = graph.add_vertex(labels=["Post"])
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["repro_batches_total"]["value"] == 1
+        assert snapshot["repro_batch_raw_events_total"]["value"] == 7
+        assert snapshot["repro_batch_net_records_total"]["value"] == 1
+        assert view.multiset() == {(post, "en"): 1, (survivor, None): 1}
 
 
 class TestExport:

@@ -13,6 +13,7 @@ import pytest
 from repro import PropertyGraph, QueryEngine
 from repro.errors import TransactionError
 from repro.rete.batch import BatchAccumulator
+from repro.rete.nodes.input import EdgeInputNode
 from repro.workloads import social
 
 from ..conftest import PAPER_QUERY, assert_view_matches_oracle
@@ -94,9 +95,32 @@ def test_accumulator_cancels_ephemeral_entities():
     graph.remove_vertex(vertex)
     batch = accumulator.consolidate()
     assert batch.raw_events == 5
-    assert batch.edge_events == ()  # edge add/remove cancelled
-    # only the surviving vertex remains, as a net addition
-    assert [event.vertex_id for event in batch.vertex_events] == [other]
+    assert batch.edges == {}  # edge add/remove cancelled
+    # only the surviving vertex remains, as a net addition under its label
+    assert batch.net_records == 1
+    assert batch.vertices == {None: ([other], []), "Comm": ([other], [])}
+    assert batch.label_flips == batch.key_changes == {}
+    assert batch.vertex_before == batch.edge_before == {}
+
+
+def test_changed_entity_whose_rows_are_equal_emits_nothing():
+    """An endpoint sweep retracts and asserts only rows that moved."""
+    graph = PropertyGraph()
+    a = graph.add_vertex(labels=["Person"], properties={"name": "a"})
+    b = graph.add_vertex(labels=["Person"], properties={"name": "b"})
+    graph.add_edge(a, b, "KNOWS")
+    engine = QueryEngine(graph)
+    query = "MATCH (x)-[:KNOWS]->(y:Person) RETURN x, y, y.name"
+    view = engine.register(query)
+    (edges,) = [n for n in view.network.nodes() if isinstance(n, EdgeInputNode)]
+    emitted = edges.emitted_rows
+    with engine.batch():
+        graph.set_vertex_property(a, "name", "z")  # a's name is no column
+    assert edges.emitted_rows == emitted
+    with engine.batch():
+        graph.set_vertex_property(b, "name", "z")  # b's is: -old, +new
+    assert edges.emitted_rows == emitted + 2
+    assert_view_matches_oracle(engine, view, query)
 
 
 # ---------------------------------------------------------------------------

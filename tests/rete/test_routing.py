@@ -133,12 +133,23 @@ def test_constant_selections_route_exactly(columnar):
     _drive(mirror, random.Random(11), operations=80)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_batched_transactions_match_recomputation(seed):
+#: batched translation paths the stream queries leave out: an undirected
+#: pattern with an endpoint column, and a two-label vertex input
+BATCH_QUERIES = (
+    "MATCH (a:Person)-[r:KNOWS]-(b) RETURN a, b, b.lang",
+    "MATCH (n:Post:Tag) RETURN n, n.score",
+)
+
+
+@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "rows"])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_transactions_match_recomputation(seed, columnar):
     """Committed and rolled-back transactions under batch_transactions."""
     rng = random.Random(1000 + seed)
-    mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
-    for query in QUERIES:
+    mirror = OracleMirror(
+        PropertyGraph(), batch_transactions=True, columnar_deltas=columnar
+    )
+    for query in QUERIES + CONSTANT_QUERIES + BATCH_QUERIES:
         mirror.register(query)
     for _ in range(25):
         vertices = list(mirror.graph.vertices())

@@ -6,7 +6,8 @@ consolidated :class:`~repro.rete.batch.CoalescedBatch` windows and every
 node's ``state_delta()`` are plain values: a caller can pickle them to
 persist or ship a change stream.  Each class here serialises one layer and
 requires the round trip to be lossless — including *replay parity*: a
-deserialised batch, applied to a graph that holds the window-start state,
+deserialised batch, applied to a graph that holds the window-start state
+with after state read from the window-end graph (as input nodes read it),
 rebuilds the window-end graph, and every live Rete node's serialised
 ``state_delta()`` equals its live memory.  The frozen values themselves are
 round-tripped in ``tests/graph/test_values.py``.
@@ -29,51 +30,74 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _replay(graph: PropertyGraph, batch: CoalescedBatch) -> None:
-    """Apply a consolidated batch's net records to *graph*.
+def _replay(replica: PropertyGraph, batch: CoalescedBatch, source: PropertyGraph):
+    """Apply a consolidated batch's net records to *replica*.
 
-    Edge removals run before vertex removals (the store forbids dangling
-    edges), vertex additions before edge additions (endpoints must exist),
-    and transitions in between; ``_restore_vertex``/``_restore_edge`` keep
-    the source's entity ids.
+    A batch carries ids, groups and window-start images, not after state:
+    at flush the after state is the source graph's, which is where the
+    input nodes read it too.  Every before image must equal the replica's
+    window-start state, and every group must list exactly the entities
+    whose labels, keys or type put them there.  Edge removals run before
+    vertex removals (the store forbids dangling edges), vertex additions
+    before edge additions (endpoints must exist), and changes in between;
+    ``_restore_vertex``/``_restore_edge`` keep the source's entity ids.
     """
-    vertex_events, edge_events = batch.vertex_events, batch.edge_events
-    for event in edge_events:
-        if isinstance(event, ev.EdgeRemoved):
-            graph.remove_edge(event.edge_id)
-    for event in vertex_events:
-        if isinstance(event, ev.VertexRemoved):
-            graph.remove_vertex(event.vertex_id)
-    for event in vertex_events:
-        if isinstance(event, ev.VertexAdded):
-            graph._restore_vertex(event.vertex_id, event.labels, event.properties)
-        elif isinstance(event, ev.VertexChanged):
-            for label in event.after_labels - event.before_labels:
-                graph.add_label(event.vertex_id, label)
-            for label in event.before_labels - event.after_labels:
-                graph.remove_label(event.vertex_id, label)
-            for key in ev.changed_property_keys(
-                event.before_properties, event.after_properties
-            ):
-                graph.set_vertex_property(
-                    event.vertex_id, key, event.after_properties.get(key)
-                )
-    for event in edge_events:
-        if isinstance(event, ev.EdgeAdded):
-            graph._restore_edge(
-                event.edge_id,
-                event.source,
-                event.target,
-                event.edge_type,
-                event.properties,
+    added, removed = batch.vertices.get(None, ([], []))
+    for label, (plus, minus) in batch.vertices.items():
+        if label is not None:
+            assert plus == [v for v in added if label in source.labels_of(v)]
+            assert minus == [v for v in removed if label in batch.vertex_before[v][0]]
+    for edge_id, (src, tgt, edge_type, properties) in batch.edge_before.items():
+        assert replica.endpoints(edge_id) == (src, tgt)
+        assert replica.type_of(edge_id) == edge_type
+        assert replica.edge_properties(edge_id) == properties
+    for vertex_id, (labels, properties) in batch.vertex_before.items():
+        assert replica.labels_of(vertex_id) == labels
+        assert replica.vertex_properties(vertex_id) == properties
+    for _, gone, _ in batch.edges.values():
+        for src, edge_id, tgt in gone:
+            assert batch.edge_before[edge_id][:2] == (src, tgt)
+            replica.remove_edge(edge_id)
+    for vertex_id in removed:
+        replica.remove_vertex(vertex_id)
+    for vertex_id in added:
+        replica._restore_vertex(
+            vertex_id, source.labels_of(vertex_id), source.vertex_properties(vertex_id)
+        )
+    changed = [v for v in batch.vertex_before if v not in removed]
+    assert set(changed) == set(batch.label_flips.get(None, ())) | set(
+        batch.key_changes.get(None, ())
+    )
+    for vertex_id in changed:
+        before, after = replica.labels_of(vertex_id), source.labels_of(vertex_id)
+        for label in before ^ after:
+            assert vertex_id in batch.label_flips[label]
+        for label in after - before:
+            replica.add_label(vertex_id, label)
+        for label in before - after:
+            replica.remove_label(vertex_id, label)
+        properties = source.vertex_properties(vertex_id)
+        for key in ev.changed_property_keys(
+            replica.vertex_properties(vertex_id), properties
+        ):
+            assert vertex_id in batch.key_changes[key]
+            replica.set_vertex_property(vertex_id, key, properties.get(key))
+    for edge_type, (new, _, changed) in batch.edges.items():
+        for src, edge_id, tgt in new:
+            assert source.type_of(edge_id) == edge_type
+            assert source.endpoints(edge_id) == (src, tgt)
+            assert edge_id in batch.recorded_edges
+            replica._restore_edge(
+                edge_id, src, tgt, edge_type, source.edge_properties(edge_id)
             )
-        elif isinstance(event, ev.EdgeChanged):
+        for src, edge_id, tgt in changed:
+            assert edge_id in batch.recorded_edges
+            assert batch.edge_before[edge_id][:2] == (src, tgt)
+            properties = source.edge_properties(edge_id)
             for key in ev.changed_property_keys(
-                event.before_properties, event.after_properties
+                replica.edge_properties(edge_id), properties
             ):
-                graph.set_edge_property(
-                    event.edge_id, key, event.after_properties.get(key)
-                )
+                replica.set_edge_property(edge_id, key, properties.get(key))
 
 
 EVENTS = [
@@ -82,13 +106,9 @@ EVENTS = [
     ev.VertexLabelAdded(1, "Comm"),
     ev.VertexLabelRemoved(1, "Comm"),
     ev.VertexPropertySet(1, "lang", "en", "de"),
-    ev.VertexChanged(
-        1, frozenset({"Post"}), {"lang": "en"}, frozenset({"Comm"}), {"lang": None}
-    ),
     ev.EdgeAdded(5, 1, 2, "REPLY", {"w": 1}),
     ev.EdgeRemoved(5, 1, 2, "REPLY", {"w": 1}),
     ev.EdgePropertySet(5, "w", 1, 2),
-    ev.EdgeChanged(5, 1, 2, "REPLY", {"w": 1}, {"w": 2}),
 ]
 
 
@@ -126,8 +146,9 @@ class TestDeltaRoundTrips:
 
 
 class TestBatchReplayParity:
-    """A pickled batch must carry a replica from the window-start graph
-    to the window-end graph."""
+    """A pickled batch, read against the window-end graph the way input
+    nodes read it, must carry a replica from the window-start graph to
+    the window-end graph."""
 
     def _assert_equal_graphs(self, left: PropertyGraph, right: PropertyGraph):
         left_vertices = {
@@ -168,14 +189,8 @@ class TestBatchReplayParity:
                 source.unsubscribe(accumulator.record)
             batch = accumulator.consolidate()
             restored = roundtrip(batch)
-            assert restored.vertex_events == batch.vertex_events
-            assert restored.edge_events == batch.edge_events
-            assert restored.vertex_before_labels == batch.vertex_before_labels
-            assert (
-                restored.vertex_before_properties
-                == batch.vertex_before_properties
-            )
-            _replay(replica, restored)
+            assert restored == batch
+            _replay(replica, restored, source)
             self._assert_equal_graphs(source, replica)
         # ids stay in lockstep too: fresh entities get identical ids
         assert source.add_vertex() == replica.add_vertex()
