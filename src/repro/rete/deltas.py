@@ -339,41 +339,21 @@ class StoreBucket:
             yield tuple(column[pos] for column in columns), mults[pos]
 
 
-class _KeyProbe:
-    """A dict probe that remembers which stored key it matched.
-
-    Hashes like the tuple it wraps; the dict settles a hash match by
-    comparing its stored key with the probe, which lands here (a tuple
-    does not know how to compare with this class) and is where the
-    stored object is captured.
-    """
-
-    __slots__ = ("key", "stored")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.stored: "tuple | None" = None
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        if self.key == other:
-            self.stored = other
-            return True
-        return False
-
-
 class ColumnStore:
     """A column-backed keyed bag memory (every counting-linear memory).
 
     Rows of a fixed width are split into *key* columns (the hash-index
     key, e.g. a join's shared attributes) and *payload* columns (the
     rest, in a caller-chosen order).  Payload values sit in parallel
-    lists beside one signed multiplicity column; ``index`` maps each
-    distinct key tuple to the list of live slot positions holding that
-    key.  Key cells are therefore stored once per distinct key, and
-    cancelled slots go on a free list for reuse.
+    lists beside one signed multiplicity column and one *slot key*
+    column; ``index`` maps each distinct key tuple to the list of live
+    slot positions holding that key.  Key cells are therefore stored once
+    per distinct key, and cancelled slots go on a free list for reuse.
+    ``slot_keys[pos]`` is the very key object under which ``index`` holds
+    that slot's bucket (``None`` for a free slot): bookkeeping like
+    ``mults``, no tuple field of its own, it maps a slot found by a column
+    scan to its bucket in O(1) (:meth:`select`) and names the stored key
+    object (:meth:`stored`).
 
     The read surface is a keyed bag index's (``get``/``items``/
     ``values``/truthiness); writes go through ``insert``/
@@ -393,6 +373,7 @@ class ColumnStore:
         "width",
         "columns",
         "mults",
+        "slot_keys",
         "index",
         "free",
         "_assemble",
@@ -410,6 +391,7 @@ class ColumnStore:
             )
         self.columns: list[list] = [[] for _ in self.payload_cols]
         self.mults: list[int] = []
+        self.slot_keys: list["tuple | None"] = []
         self.index: dict[tuple, list[int]] = {}
         self.free: list[int] = []
         # row[i] comes from the key tuple or a payload column — precomputed
@@ -436,7 +418,7 @@ class ColumnStore:
         index = self.index
         bucket = index.get(key)
         if bucket is None:
-            index[key] = [self._alloc(payload, multiplicity)]
+            index[key] = [self._alloc(payload, multiplicity, key)]
             return
         single = self._single
         for pos in bucket:
@@ -452,7 +434,9 @@ class ColumnStore:
             else:
                 break
         else:
-            bucket.append(self._alloc(payload, multiplicity))
+            bucket.append(
+                self._alloc(payload, multiplicity, self.slot_keys[bucket[0]])
+            )
             return
         count = self.mults[pos] + multiplicity
         if count:
@@ -463,7 +447,7 @@ class ColumnStore:
             if not bucket:
                 del index[key]
 
-    def _alloc(self, payload: tuple, multiplicity: int) -> int:
+    def _alloc(self, payload: tuple, multiplicity: int, key: tuple) -> int:
         free = self.free
         columns = self.columns
         if free:
@@ -471,17 +455,20 @@ class ColumnStore:
             for column, value in zip(columns, payload):
                 column[pos] = value
             self.mults[pos] = multiplicity
+            self.slot_keys[pos] = key
         else:
             pos = len(self.mults)
             for column, value in zip(columns, payload):
                 column.append(value)
             self.mults.append(multiplicity)
+            self.slot_keys.append(key)
         return pos
 
     def _release(self, pos: int) -> None:
         for column in self.columns:
             column[pos] = None
         self.mults[pos] = 0
+        self.slot_keys[pos] = None
         self.free.append(pos)
 
     def insert(self, key: tuple, row: tuple, multiplicity: int) -> None:
@@ -502,9 +489,11 @@ class ColumnStore:
         A store that has never held a slot bulk-loads (:meth:`_load`).
         Later batches run the batch fold: :meth:`_fold` written inline,
         one loop per payload shape, so an occurrence costs no Python call
-        and leaves slot for slot what :meth:`_fold` would.  Without payload
-        columns ``zip(*[])`` yields nothing, so ``repeat(())`` feeds the
-        multi-column loop, where such a bucket's one slot always matches.
+        and leaves slot for slot what :meth:`_fold` would (a new slot in a
+        live bucket takes the key object of the bucket's first slot).
+        Without payload columns ``zip(*[])`` yields nothing, so
+        ``repeat(())`` feeds the multi-column loop, where such a bucket's
+        one slot always matches.
         """
         if not self.mults:
             self._load(keys, [columns[i] for i in self.payload_cols], mults)
@@ -512,6 +501,7 @@ class ColumnStore:
         index = self.index
         get = index.get
         held_mults = self.mults
+        slot_keys = self.slot_keys
         free = self.free
         single = self._single
         if single is not None:
@@ -537,19 +527,23 @@ class ColumnStore:
                         else:
                             single[pos] = None
                             held_mults[pos] = 0
+                            slot_keys[pos] = None
                             free.append(pos)
                             bucket.remove(pos)
                             if not bucket:
                                 del index[key]
                         continue
+                    key = slot_keys[bucket[0]]
                 if free:
                     pos = free.pop()
                     single[pos] = value
                     held_mults[pos] = multiplicity
+                    slot_keys[pos] = key
                 else:
                     pos = len(held_mults)
                     single.append(value)
                     held_mults.append(multiplicity)
+                    slot_keys.append(key)
                 bucket.append(pos)
             return
         stored = self.columns
@@ -579,21 +573,25 @@ class ColumnStore:
                         for column in stored:
                             column[pos] = None
                         held_mults[pos] = 0
+                        slot_keys[pos] = None
                         free.append(pos)
                         bucket.remove(pos)
                         if not bucket:
                             del index[key]
                     continue
+                key = slot_keys[bucket[0]]
             if free:
                 pos = free.pop()
                 for column, value in zip(stored, payload):
                     column[pos] = value
                 held_mults[pos] = multiplicity
+                slot_keys[pos] = key
             else:
                 pos = len(held_mults)
                 for column, value in zip(stored, payload):
                     column.append(value)
                 held_mults.append(multiplicity)
+                slot_keys.append(key)
             bucket.append(pos)
 
     def _load(
@@ -604,7 +602,8 @@ class ColumnStore:
         Slot *i* is live occurrence *i*: one pass groups positions by key,
         and the payload columns and multiplicities are copied with C-level
         ``extend``.  Only a bucket that received several positions can hold
-        equal payloads, and only those are checked (:meth:`_merge_bucket`).
+        equal payloads, and only those are checked (:meth:`_merge_bucket`);
+        their later positions are re-keyed to the bucket's first key object.
         """
         if 0 in mults:
             occurring = [p for p, m in enumerate(mults) if m]
@@ -615,6 +614,8 @@ class ColumnStore:
             sources = [pick(source) for source in sources]
         index = self.index
         get = index.get
+        slot_keys = self.slot_keys
+        slot_keys.extend(keys)
         shared: list[tuple[tuple, list[int]]] = []
         for position, key in enumerate(keys):
             bucket = get(key)
@@ -624,6 +625,7 @@ class ColumnStore:
                 if len(bucket) == 1:
                     shared.append((key, bucket))
                 bucket.append(position)
+                slot_keys[position] = slot_keys[bucket[0]]
         for column, source in zip(self.columns, sources):
             column.extend(source)
         self.mults.extend(mults)
@@ -640,8 +642,9 @@ class ColumnStore:
         order with :meth:`_fold`'s identity (``is`` or ``==``): a repeat
         adds into the live slot holding its payload and frees its own, a
         merge that cancels to zero frees that slot too, and a bucket that
-        empties leaves the index — re-keyed by the occurrence that revives
-        it, which is the key object one-at-a-time folding would keep.
+        empties leaves the index — re-keyed, slot keys too, by the
+        occurrence that revives it, which is the key object one-at-a-time
+        folding would keep.
         """
         pick = gather(bucket)
         if self._single is not None:
@@ -679,6 +682,8 @@ class ColumnStore:
             del index[key]
             if live:
                 index[revived] = live
+                for slot in live:
+                    self.slot_keys[slot] = revived
         else:
             bucket[:] = live
 
@@ -712,13 +717,14 @@ class ColumnStore:
         key, this hands back the key object the index *holds*: ``1``,
         ``True`` and ``1.0`` hash and compare alike, so a probe built from
         a binding's ``True`` finds the bucket stored under ``1`` and must
-        not dress its rows in the binding's value.
+        not dress its rows in the binding's value.  The held key is the
+        bucket's first slot key.
         """
-        probe = _KeyProbe(key)
-        positions = self.index.get(probe)
+        positions = self.index.get(key)
         if positions is None:
             return None
-        return probe.stored, StoreBucket(self, probe.stored, positions)
+        stored = self.slot_keys[positions[0]]
+        return stored, StoreBucket(self, stored, positions)
 
     def select(
         self, pairs: Sequence[tuple[int, object]]
@@ -733,11 +739,12 @@ class ColumnStore:
         predicate the caller still evaluates, never an answer by itself —
         which is why every key and cell handed back is the *stored*
         object, never a pair's value.  Nothing is indexed for this: a
-        payload pair scans its one column (``list.index``, a C loop) and
-        the slots' keys are then recovered by walking the hash index (its
-        visited entries count as examined too); key pairs probe the index
-        directly when they cover the whole key and filter its distinct
-        keys otherwise.
+        payload pair scans its one column (``list.index``, a C loop), the
+        hits are grouped by their slot keys and each distinct key probes
+        the index once (examined: the scan plus the keys probed); buckets
+        come back in order of their lowest hit slot, each narrowed to its
+        hits in bucket order.  Key pairs probe the index directly when they
+        cover the whole key and filter its distinct keys otherwise.
         """
         index = self.index
         key_pairs = []
@@ -761,7 +768,9 @@ class ColumnStore:
         column = self.columns[first]
         mults = self.mults
         columns = self.columns
+        slot_keys = self.slot_keys
         hits = set()
+        keys = {}  # insertion order: lowest hit slot first
         position = -1
         try:
             while True:
@@ -771,22 +780,15 @@ class ColumnStore:
                     columns[j][position] == other for j, other in rest
                 ):
                     hits.add(position)
+                    keys[slot_keys[position]] = None
         except ValueError:
             pass
         found = []
-        remaining = len(hits)
-        visited = 0
-        for key, positions in index.items():
-            if not remaining:
-                break
-            visited += 1
-            if hits.isdisjoint(positions):
-                continue
-            kept = [p for p in positions if p in hits]
-            remaining -= len(kept)
+        for key in keys:
             if all(key[j] == other for j, other in key_pairs):
+                kept = [p for p in index[key] if p in hits]
                 found.append((key, StoreBucket(self, key, kept)))
-        return self.size() + visited, found
+        return self.size() + len(keys), found
 
     def __len__(self) -> int:
         return len(self.index)

@@ -150,9 +150,10 @@ class JoinNode(Node):
 
         A restricted look-up starts from the side that owns the restricted
         columns — :meth:`ColumnStore.select` finds that side's surviving
-        rows (one column scan, or an index probe for join-key columns) —
+        rows (one column scan whose hits reach their buckets through the
+        store's slot-key column, or an index probe for join-key columns) —
         and probes the other side once per surviving key, so the cost is
-        that side's rows plus the matches, not the whole join.  Pairs on
+        that side's scanned column plus the matches, not the whole join.  Pairs on
         the other side are left to the caller's predicate, which must see
         the very objects the full fold would show it — so every output
         cell comes from a memory, never from a pair's value.  No

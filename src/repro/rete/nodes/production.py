@@ -13,7 +13,6 @@ from ...graph.values import PathValue, order_key
 from ..deltas import (
     ColumnDelta,
     Delta,
-    _KeyProbe,
     as_row_delta,
     bag_insert,
     merged,
@@ -21,6 +20,32 @@ from ..deltas import (
 from .base import Node
 
 ChangeCallback = Callable[[Delta], None]
+
+
+class _KeyProbe:
+    """A dict probe that remembers which stored key it matched.
+
+    Hashes like the tuple it wraps; the dict settles a hash match by
+    comparing its stored key with the probe, which lands here (a tuple
+    does not know how to compare with this class) and is where the
+    stored object is captured.
+    """
+
+    __slots__ = ("key", "stored")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.stored: "tuple | None" = None
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        if self.key == other:
+            self.stored = other
+            return True
+        return False
+
 
 #: cell types whose ``==``-equal values are type-identical and whose sort
 #: keys are totally ordered — the domain in which splicing a changed row

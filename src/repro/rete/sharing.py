@@ -98,9 +98,9 @@ class SharingStats:
     releases: int = 0
     pruned: int = 0
     # targeted-activation work: rows read out of node memories (or the
-    # graph) to answer state_delta() — the answer's rows plus any slots and
-    # index entries a restricted look-up examined to find them — against
-    # rows handed over
+    # graph) to answer state_delta() — the answer's rows plus the slots a
+    # restricted look-up scanned and the distinct hit keys it probed the
+    # index for — against rows handed over
     replay_rows_scanned: int = 0
     replay_rows_emitted: int = 0
 

@@ -1108,9 +1108,9 @@ class TestRestrictedReplay:
         view = engine.register(query, parameters={"v": "p50"})
         assert len(view.multiset()) == 20
         assert stats.replay_rows_emitted - emitted == 20
-        # the 100-slot name column, at most 100 index entries walked to
-        # recover the hits' keys, the 20 matches — against 2 000 below
-        assert 100 + 20 <= stats.replay_rows_scanned - scanned <= 2 * 100 + 20
+        # the 100-slot name column, one index probe per distinct hit key
+        # (at most one per match), the 20 matches — against 2 000 below
+        assert 100 + 20 <= stats.replay_rows_scanned - scanned <= 100 + 20 + 20
         assert len(calls) == 20  # survivors only, not the 2 000-row core
         assert stats.binding_core_hits - hits == 1
         # the same registration as a full fold reads the whole join

@@ -51,6 +51,20 @@ OPTIONAL_QUERY = (
 HOSTILE = (1, True, 1.0)
 
 
+def assert_slot_keys(store: ColumnStore) -> None:
+    """Every live slot's key *is* its bucket's index key; free slots hold
+    ``None``; the column is as long as the multiplicities."""
+    assert len(store.slot_keys) == len(store.mults)
+    live = set()
+    for key, bucket in store.index.items():
+        for pos in bucket:
+            assert store.slot_keys[pos] is key
+            live.add(pos)
+    assert live.isdisjoint(store.free)
+    assert len(live) + len(store.free) == len(store.mults)
+    assert all(store.slot_keys[pos] is None for pos in store.free)
+
+
 def _bindings():
     for query, names in PARAM_QUERIES:
         for lang in LANGS[:3]:
@@ -409,6 +423,7 @@ class TestColumnStore:
         store with freed and reused slots."""
         store, plain = self._mirror(21, key_cols, payload_cols)
         assert store.free  # the stream cancelled some slots
+        assert_slot_keys(store)
         pair_sets = [
             [(0, 2)],
             [(1, 1)],
@@ -431,9 +446,20 @@ class TestColumnStore:
             assert got == want, pairs
             columns = {col for col, _ in pairs}
             if columns - set(key_cols):
-                # one column scan + the index entries walked for the keys
+                # one column scan + one look at each distinct key among the
+                # slots the payload pairs hit
+                hit_keys = {
+                    key
+                    for key, bucket in plain.items()
+                    for row in bucket
+                    if all(
+                        row[col] == value
+                        for col, value in pairs
+                        if col not in key_cols
+                    )
+                }
                 assert (
-                    store.size() <= examined <= store.size() + len(store)
+                    store.size() <= examined <= store.size() + len(hit_keys)
                 ), pairs
             elif len(pairs) == len(columns) == len(key_cols):
                 assert examined == 0, pairs  # direct index probe
@@ -455,7 +481,10 @@ class TestColumnStore:
 
     def test_select_and_stored_hand_back_stored_objects(self):
         """A probe equal to — but typed differently from — a stored key
-        must not lend its own objects to the rows it finds."""
+        must not lend its own objects to the rows it finds; nor must an
+        occurrence whose key is an equal ``(1.0,)`` that joined the bucket
+        stored under ``(1,)`` — one at a time, by the batch fold or inside
+        the first bulk load."""
         store = ColumnStore((0,), (1,))
         store.insert((1,), (1, "a"), 1)
         store.insert((4,), (4, 2), 1)
@@ -469,6 +498,36 @@ class TestColumnStore:
         (key, bucket), = store.select([(0, 4.0), (1, 2.0)])[1]
         assert [repr(row) for row, _ in bucket.items()] == ["(4, 2)"]
         assert store.stored((7,)) is None
+        for path in ("insert", "batch fold", "load"):
+            store = ColumnStore((0,), (1,))
+            if path == "load":
+                store.insert_columns([(1,), (1.0,)], [[1, 1.0], ["a", "b"]], [1, 1])
+            elif path == "batch fold":
+                store.insert_columns([(1,)], [[1], ["a"]], [1])
+                store.insert_columns([(1.0,)], [[1.0], ["b"]], [1])
+            else:
+                store.insert((1,), (1, "a"), 1)
+                store.insert((1.0,), (1.0, "b"), 1)
+            assert_slot_keys(store)
+            (key, bucket), = store.select([(1, "b")])[1]
+            assert type(key[0]) is int, path
+            assert [repr(row) for row, _ in bucket.items()] == ["(1, 'b')"]
+            key, bucket = store.stored((1.0,))
+            assert type(key[0]) is int, path
+            assert len(bucket) == 2
+
+    def test_select_examines_the_scan_and_the_hit_keys_only(self):
+        """One hit among 5 000 distinct keys costs the column scan plus one
+        index probe — not a walk over every key ahead of it."""
+        store = ColumnStore((0,), (1,))
+        n = 5000
+        store.insert_columns(
+            [(i,) for i in range(n)], [list(range(n)), ["x"] * (n - 1) + ["y"]],
+            [1] * n,
+        )
+        examined, buckets = store.select([(1, "y")])
+        assert [key for key, _ in buckets] == [(n - 1,)]
+        assert examined == store.size() + 1
 
 
 #: one NaN object, reused: it matches itself only by identity
@@ -508,6 +567,10 @@ class TestFoldKernel:
             assert len(column) == len(other)
             assert all(cell is held for cell, held in zip(column, other))
         assert batched.mults == single.mults
+        assert len(batched.slot_keys) == len(single.slot_keys)
+        assert all(
+            key is held for key, held in zip(batched.slot_keys, single.slot_keys)
+        )
         assert batched.free == single.free
 
     @settings(max_examples=200, deadline=None)
@@ -541,4 +604,6 @@ class TestFoldKernel:
                 for key, row, mult in zip(keys, rows, mults):
                     single.insert(key, row, mult)
             batched.insert_columns(keys, columns, mults)
+            assert_slot_keys(batched)
+            assert_slot_keys(single)
             self.assert_same_layout(batched, single)
