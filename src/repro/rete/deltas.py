@@ -33,7 +33,11 @@ Node *memories* split along the same line.  Every counting-linear memory
 (the ⋈, ▷ and ⟕ indexes) is a :class:`ColumnStore` — a column-backed
 keyed bag: non-key ("payload") values live in parallel columns beside a
 signed multiplicity column, and the hash index maps each distinct key
-tuple to a list of slot positions.  Key cells are stored once per
+tuple to its slot positions — a bare ``int`` while the key has one slot,
+a list from the second slot on.  Most keys of a join memory hold one
+slot, and an ``int``, unlike a list, is not tracked by the cyclic garbage
+collector, so a large memory does not make every full collection walk one
+container per key.  Key cells are stored once per
 *distinct* key instead of once per row; probes return lightweight bucket
 views whose ``payloads()`` hands a natural join its merge suffixes
 without reconstructing the stored row.  A columnar batch folds in with
@@ -291,16 +295,19 @@ class StoreBucket:
 
     Duck-typed like a ``{row: multiplicity}`` dict: truthy when non-empty,
     sized, and ``items()`` yields ``(row, mult)`` pairs with the row
-    reassembled from the bucket key and the payload columns.  ``payloads()`` skips the reassembly and yields the payload
-    tuples directly — for a natural join's right memory (payload order ==
+    reassembled from the bucket key and the payload columns.
+    ``payloads()`` skips the reassembly and yields the payload tuples
+    directly — for a natural join's right memory (payload order ==
     ``right_extra``) these are exactly the merge suffixes.  Both methods
     return a fresh generator per call, so a view may be iterated several
     times within one maintenance step (the outer-join null toggles do).
+    *positions* is always a sequence: the store hands a one-slot bucket,
+    held in its index as a bare ``int``, over as a one-element tuple.
     """
 
     __slots__ = ("_store", "_key", "_positions")
 
-    def __init__(self, store: "ColumnStore", key: tuple, positions: list[int]):
+    def __init__(self, store: "ColumnStore", key: tuple, positions: Sequence[int]):
         self._store = store
         self._key = key
         self._positions = positions
@@ -346,8 +353,13 @@ class ColumnStore:
     key, e.g. a join's shared attributes) and *payload* columns (the
     rest, in a caller-chosen order).  Payload values sit in parallel
     lists beside one signed multiplicity column and one *slot key*
-    column; ``index`` maps each distinct key tuple to the list of live
-    slot positions holding that key.  Key cells are therefore stored once
+    column; ``index`` maps each distinct key tuple to the live slot
+    positions holding that key: the position itself, a bare ``int``, while
+    there is one, and a list of two or more otherwise.  A bucket becomes a
+    list when its second slot arrives and an ``int`` again when it drops
+    back to one, so a list never holds fewer than two slots — and the
+    collector, which tracks every list but no ``int``, is spared one
+    container per single-slot key.  Key cells are therefore stored once
     per distinct key, and cancelled slots go on a free list for reuse.
     ``slot_keys[pos]`` is the very key object under which ``index`` holds
     that slot's bucket (``None`` for a free slot): bookkeeping like
@@ -392,7 +404,7 @@ class ColumnStore:
         self.columns: list[list] = [[] for _ in self.payload_cols]
         self.mults: list[int] = []
         self.slot_keys: list["tuple | None"] = []
-        self.index: dict[tuple, list[int]] = {}
+        self.index: dict[tuple, "int | list[int]"] = {}
         self.free: list[int] = []
         # row[i] comes from the key tuple or a payload column — precomputed
         # as (from_key, position-within-source) per output position
@@ -418,10 +430,12 @@ class ColumnStore:
         index = self.index
         bucket = index.get(key)
         if bucket is None:
-            index[key] = [self._alloc(payload, multiplicity, key)]
+            index[key] = self._alloc(payload, multiplicity, key)
             return
+        one = type(bucket) is int
+        slots = (bucket,) if one else bucket
         single = self._single
-        for pos in bucket:
+        for pos in slots:
             if single is not None:
                 held = single[pos]
                 if held is payload[0] or held == payload[0]:
@@ -434,18 +448,23 @@ class ColumnStore:
             else:
                 break
         else:
-            bucket.append(
-                self._alloc(payload, multiplicity, self.slot_keys[bucket[0]])
-            )
+            pos = self._alloc(payload, multiplicity, self.slot_keys[slots[0]])
+            if one:
+                index[key] = [bucket, pos]
+            else:
+                bucket.append(pos)
             return
         count = self.mults[pos] + multiplicity
         if count:
             self.mults[pos] = count
         else:
             self._release(pos)
-            bucket.remove(pos)
-            if not bucket:
+            if one:
                 del index[key]
+            else:
+                bucket.remove(pos)
+                if len(bucket) == 1:
+                    index[key] = bucket[0]
 
     def _alloc(self, payload: tuple, multiplicity: int, key: tuple) -> int:
         free = self.free
@@ -511,10 +530,9 @@ class ColumnStore:
                 if not multiplicity:
                     continue
                 bucket = get(key)
-                if bucket is None:
-                    index[key] = bucket = []
-                else:
-                    for pos in bucket:
+                if bucket is not None:
+                    one = type(bucket) is int
+                    for pos in (bucket,) if one else bucket:
                         held = single[pos]
                         if held is value or held == value:
                             break
@@ -529,11 +547,14 @@ class ColumnStore:
                             held_mults[pos] = 0
                             slot_keys[pos] = None
                             free.append(pos)
-                            bucket.remove(pos)
-                            if not bucket:
+                            if one:
                                 del index[key]
+                            else:
+                                bucket.remove(pos)
+                                if len(bucket) == 1:
+                                    index[key] = bucket[0]
                         continue
-                    key = slot_keys[bucket[0]]
+                    key = slot_keys[bucket if one else bucket[0]]
                 if free:
                     pos = free.pop()
                     single[pos] = value
@@ -544,7 +565,12 @@ class ColumnStore:
                     single.append(value)
                     held_mults.append(multiplicity)
                     slot_keys.append(key)
-                bucket.append(pos)
+                if bucket is None:
+                    index[key] = pos
+                elif one:
+                    index[key] = [bucket, pos]
+                else:
+                    bucket.append(pos)
             return
         stored = self.columns
         sources = [columns[i] for i in self.payload_cols]
@@ -553,10 +579,9 @@ class ColumnStore:
             if not multiplicity:
                 continue
             bucket = get(key)
-            if bucket is None:
-                index[key] = bucket = []
-            else:
-                for pos in bucket:
+            if bucket is not None:
+                one = type(bucket) is int
+                for pos in (bucket,) if one else bucket:
                     for column, value in zip(stored, payload):
                         held = column[pos]
                         if held is not value and held != value:
@@ -575,11 +600,14 @@ class ColumnStore:
                         held_mults[pos] = 0
                         slot_keys[pos] = None
                         free.append(pos)
-                        bucket.remove(pos)
-                        if not bucket:
+                        if one:
                             del index[key]
+                        else:
+                            bucket.remove(pos)
+                            if len(bucket) == 1:
+                                index[key] = bucket[0]
                     continue
-                key = slot_keys[bucket[0]]
+                key = slot_keys[bucket if one else bucket[0]]
             if free:
                 pos = free.pop()
                 for column, value in zip(stored, payload):
@@ -592,7 +620,12 @@ class ColumnStore:
                     column.append(value)
                 held_mults.append(multiplicity)
                 slot_keys.append(key)
-            bucket.append(pos)
+            if bucket is None:
+                index[key] = pos
+            elif one:
+                index[key] = [bucket, pos]
+            else:
+                bucket.append(pos)
 
     def _load(
         self, keys: Sequence[tuple], sources: list[list], mults: Sequence[int]
@@ -601,9 +634,11 @@ class ColumnStore:
 
         Slot *i* is live occurrence *i*: one pass groups positions by key,
         and the payload columns and multiplicities are copied with C-level
-        ``extend``.  Only a bucket that received several positions can hold
-        equal payloads, and only those are checked (:meth:`_merge_bucket`);
-        their later positions are re-keyed to the bucket's first key object.
+        ``extend``.  A key's first position enters the index as a bare
+        ``int``; its second turns the bucket into a list.  Only a bucket
+        that received several positions can hold equal payloads, and only
+        those are checked (:meth:`_merge_bucket`); their later positions are
+        re-keyed to the bucket's first key object.
         """
         if 0 in mults:
             occurring = [p for p, m in enumerate(mults) if m]
@@ -620,12 +655,14 @@ class ColumnStore:
         for position, key in enumerate(keys):
             bucket = get(key)
             if bucket is None:
-                index[key] = [position]
+                index[key] = position
+                continue
+            if type(bucket) is int:
+                index[key] = bucket = [bucket, position]
+                shared.append((key, bucket))
             else:
-                if len(bucket) == 1:
-                    shared.append((key, bucket))
                 bucket.append(position)
-                slot_keys[position] = slot_keys[bucket[0]]
+            slot_keys[position] = slot_keys[bucket[0]]
         for column, source in zip(self.columns, sources):
             column.extend(source)
         self.mults.extend(mults)
@@ -644,7 +681,8 @@ class ColumnStore:
         merge that cancels to zero frees that slot too, and a bucket that
         empties leaves the index — re-keyed, slot keys too, by the
         occurrence that revives it, which is the key object one-at-a-time
-        folding would keep.
+        folding would keep.  A bucket left with one live slot is stored as
+        that slot's ``int``.
         """
         pick = gather(bucket)
         if self._single is not None:
@@ -680,12 +718,11 @@ class ColumnStore:
         index = self.index
         if not live or revived is not None:
             del index[key]
-            if live:
-                index[revived] = live
-                for slot in live:
-                    self.slot_keys[slot] = revived
-        else:
-            bucket[:] = live
+            key = revived
+            for slot in live:
+                self.slot_keys[slot] = revived
+        if live:
+            index[key] = live if len(live) > 1 else live[0]
 
     def insert_payload(
         self, key: tuple, payload: tuple, multiplicity: int
@@ -700,15 +737,38 @@ class ColumnStore:
         positions = self.index.get(key)
         if positions is None:
             return default
+        if type(positions) is int:
+            positions = (positions,)
         return StoreBucket(self, key, positions)
 
     def items(self) -> Iterator[tuple[tuple, StoreBucket]]:
         for key, positions in self.index.items():
+            if type(positions) is int:
+                positions = (positions,)
             yield key, StoreBucket(self, key, positions)
 
     def values(self) -> Iterator[StoreBucket]:
-        for key, positions in self.index.items():
-            yield StoreBucket(self, key, positions)
+        for _, bucket in self.items():
+            yield bucket
+
+    def pair(self, keys: Sequence[tuple]) -> tuple[list[int], list[int], list[int]]:
+        """Batch positions paired with the slots their *keys* match (one
+        entry per pair, in parallel lists), and the positions that match
+        none: a columnar probe in one loop.  A one-slot bucket's ``int`` is
+        appended as it is."""
+        at: list[int] = []
+        slots: list[int] = []
+        missed: list[int] = []
+        for position, found in enumerate(map(self.index.get, keys)):
+            if found is None:
+                missed.append(position)
+            elif type(found) is int:
+                slots.append(found)
+                at.append(position)
+            else:
+                slots += found
+                at += [position] * len(found)
+        return at, slots, missed
 
     def stored(self, key: tuple) -> "tuple[tuple, StoreBucket] | None":
         """The index entry equal to *key* as ``(stored key, bucket)``.
@@ -723,6 +783,8 @@ class ColumnStore:
         positions = self.index.get(key)
         if positions is None:
             return None
+        if type(positions) is int:
+            positions = (positions,)
         stored = self.slot_keys[positions[0]]
         return stored, StoreBucket(self, stored, positions)
 
@@ -760,8 +822,8 @@ class ColumnStore:
                 )
                 return 0, [] if entry is None else [entry]
             return len(index), [
-                (key, StoreBucket(self, key, positions))
-                for key, positions in index.items()
+                (key, bucket)
+                for key, bucket in self.items()
                 if all(key[j] == value for j, value in key_pairs)
             ]
         (first, value), rest = payload_pairs[0], payload_pairs[1:]
@@ -786,7 +848,13 @@ class ColumnStore:
         found = []
         for key in keys:
             if all(key[j] == other for j, other in key_pairs):
-                kept = [p for p in index[key] if p in hits]
+                bucket = index[key]
+                # a hit's own key: a one-slot bucket is that very hit
+                kept = (
+                    (bucket,)
+                    if type(bucket) is int
+                    else [p for p in bucket if p in hits]
+                )
                 found.append((key, StoreBucket(self, key, kept)))
         return self.size() + len(keys), found
 
@@ -803,6 +871,8 @@ class ColumnStore:
         if positions is None:
             return 0
         mults = self.mults
+        if type(positions) is int:
+            return mults[positions]
         return sum(mults[pos] for pos in positions)
 
     # -- accounting ---------------------------------------------------------

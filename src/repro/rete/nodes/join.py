@@ -11,9 +11,10 @@ each node has one loop per delta form: a row loop over a
 :class:`~repro.rete.deltas.Delta` (per-event mode) and a column loop over
 a :class:`~repro.rete.deltas.ColumnDelta` (batched mode and populate).
 In the column loop key columns are extracted with one C-level transpose,
-the key column probes the store and the batch's value columns fold in
-directly (``insert_columns``: a bulk copy into a store that is still
-empty, as every memory is at populate, and the batch fold after that).
+the key column probes the store in one loop (``ColumnStore.pair``) and
+the batch's value columns fold in directly (``insert_columns``: a bulk
+copy into a store that is still empty, as every memory is at populate,
+and the batch fold after that).
 ⋈ and the left sides of ▷ and ⟕ gather their output column by column
 and build no row tuple at all.  All four maintenance rules are linear in
 row occurrences, so the column loops are exact on unconsolidated batches
@@ -38,21 +39,6 @@ def _complement(key: list[int], width: int) -> list[int]:
     """Payload columns of a *width*-wide row not covered by *key*."""
     covered = set(key)
     return [i for i in range(width) if i not in covered]
-
-
-def _pair(store: ColumnStore, keys: list[tuple]):
-    """Batch positions paired with the *store* slots their keys match (one
-    entry per pair, in parallel lists), and the positions that match none."""
-    at: list[int] = []
-    slots: list[int] = []
-    missed: list[int] = []
-    for position, found in enumerate(map(store.index.get, keys)):
-        if found is None:
-            missed.append(position)
-        else:
-            slots += found
-            at += [position] * len(found)
-    return at, slots, missed
 
 
 class JoinNode(Node):
@@ -124,7 +110,7 @@ class JoinNode(Node):
         else:
             keys = delta.key_column(self.right_key)
             probed, own = self.left_index, self.right_index
-        at, slots, _ = _pair(probed, keys)
+        at, slots, _ = probed.pair(keys)
         if at:
             from_batch, from_store = gather(at), gather(slots)
             if side == LEFT:
@@ -379,7 +365,7 @@ class LeftOuterJoinNode(Node):
         if side == LEFT:
             keys = delta.key_column(self.left_key)
             probed = self.right_index
-            at, slots, unmatched = _pair(probed, keys)
+            at, slots, unmatched = probed.pair(keys)
             from_batch, from_store, pad = gather(at), gather(slots), gather(unmatched)
             out = [from_batch(col) + pad(col) for col in cols]
             # payload order == right_extra: stored payloads are suffixes
@@ -442,7 +428,7 @@ class LeftOuterJoinNode(Node):
         return (
             self.left_index.size()
             + self.right_index.size()
-            + len(self.right_index.index)
+            + len(self.right_index)
         )
 
     def memory_cells(self) -> int:

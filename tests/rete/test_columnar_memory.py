@@ -17,9 +17,10 @@ and ⟕ fed random batches in either delta form must hold what
 recomputation over their two input bags gives (the Cypher front end never
 emits ▷, so this is where its column loop is exercised).  Mechanics
 classes pin the store itself against a dict fold (write/read equivalence,
-free-list reuse, accounting) and its batch fold against its
-one-occurrence fold, slot for slot; the drain test pins that detaching
-every view empties every memory and index.
+free-list reuse, accounting), its batch fold against its one-occurrence
+fold, slot for slot, and a bucket's form (a bare ``int`` at one slot, a
+list at two or more) through every write path; the drain test pins that
+detaching every view empties every memory and index.
 """
 
 import random
@@ -37,7 +38,7 @@ from repro.rete.nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode
 from ..conftest import PAPER_QUERY
 from .oracle import OracleMirror, fold
 from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, SCORES, _columnar_op
-from .test_populate import _Schema, dict_fold, exact
+from .test_populate import _Schema, as_columns, bucket_slots, dict_fold, exact
 from .test_sharing import SP_EDGE_TYPES, SP_LABELS, SP_VALUES, _Abort
 
 #: the outer-join query exercises the right count that lives in the store
@@ -53,11 +54,12 @@ HOSTILE = (1, True, 1.0)
 
 def assert_slot_keys(store: ColumnStore) -> None:
     """Every live slot's key *is* its bucket's index key; free slots hold
-    ``None``; the column is as long as the multiplicities."""
+    ``None``; the column is as long as the multiplicities; a bucket is an
+    ``int`` exactly when it holds one slot."""
     assert len(store.slot_keys) == len(store.mults)
     live = set()
     for key, bucket in store.index.items():
-        for pos in bucket:
+        for pos in bucket_slots(bucket):
             assert store.slot_keys[pos] is key
             live.add(pos)
     assert live.isdisjoint(store.free)
@@ -562,7 +564,8 @@ class TestFoldKernel:
         for (key, bucket), (other, slots) in zip(
             batched.index.items(), single.index.items()
         ):
-            assert key is other and bucket == slots
+            assert key is other and type(bucket) is type(slots)
+            assert bucket == slots
         for column, other in zip(batched.columns, single.columns):
             assert len(column) == len(other)
             assert all(cell is held for cell, held in zip(column, other))
@@ -607,3 +610,85 @@ class TestFoldKernel:
             assert_slot_keys(batched)
             assert_slot_keys(single)
             self.assert_same_layout(batched, single)
+
+
+class TestBucketForm:
+    """A one-slot bucket is its slot's bare ``int`` in ``index``; a list
+    appears with the second slot and collapses back at one, whichever
+    write path moves the bucket.  Each step pins the exact index value."""
+
+    @staticmethod
+    def assert_bucket(store: ColumnStore, key: tuple, expected) -> None:
+        held = store.index.get(key)
+        assert type(held) is type(expected) and held == expected
+        assert_slot_keys(store)
+
+    #: (payload, multiplicity, index value after the step) — 1 → 2 → 3
+    #: slots, then 3 → 2 → 1 → gone
+    WALK = [
+        ("a", 1, 0),
+        ("b", 1, [0, 1]),
+        ("c", 1, [0, 1, 2]),
+        ("a", -1, [1, 2]),
+        ("b", -1, 2),
+        ("c", -1, None),
+    ]
+
+    @pytest.mark.parametrize("payload_cols", [(1,), (1, 2)], ids=["one", "two"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["insert", "fold"])
+    def test_a_bucket_grows_and_shrinks_through_both_forms(
+        self, payload_cols, batched
+    ):
+        """``insert`` runs the one-occurrence fold; one-row batches run the
+        bulk load first and the batch fold (one- or two-column loop) after."""
+        store = ColumnStore((0,), payload_cols)
+        width = 1 + len(payload_cols)
+        for payload, mult, expected in self.WALK:
+            row = (1, payload, payload.upper())[:width]
+            if batched:
+                store.insert_columns([(1,)], as_columns([row], width), [mult])
+            else:
+                store.insert((1,), row, mult)
+            self.assert_bucket(store, (1,), expected)
+        assert not store and sorted(store.free) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "rows,mults,key,expected",
+        [
+            # three distinct payloads: the list stays as loaded
+            ([(1, "a"), (1, "b"), (1, "c")], [1, 1, 1], (1,), [0, 1, 2]),
+            # a repeat merges into its first slot: one slot left
+            ([(1, "a"), (1, "a")], [1, 1], (1,), 0),
+            # a cancelling pair beside a survivor
+            ([(1, "a"), (1, "b"), (1, "a")], [1, 1, -1], (1,), 1),
+            # the bucket's only pair cancels: the key leaves the index
+            ([(1, "a"), (1, "a")], [1, -1], (1,), None),
+            # emptied, then revived under a new key object, once or twice
+            ([(1, "a"), (1, "a"), (True, "b")], [1, -1, 1], (True,), 2),
+            (
+                [(1, "a"), (1, "a"), (True, "b"), (1.0, "c")],
+                [1, -1, 1, 1],
+                (True,),
+                [2, 3],
+            ),
+        ],
+    )
+    def test_bulk_load_merges_into_the_right_form(self, rows, mults, key, expected):
+        store = ColumnStore((0,), (1,))
+        store.insert_columns([(row[0],) for row in rows], as_columns(rows, 2), mults)
+        self.assert_bucket(store, (1,), expected)
+        if expected is not None:
+            (stored,) = store.index
+            assert stored == key and type(stored[0]) is type(key[0])
+
+    def test_a_loaded_bucket_shrinks_by_later_folds(self):
+        store = ColumnStore((0,), (1,))
+        rows = [(1, "a"), (1, "b"), (1, "c")]
+        store.insert_columns([(1,)] * 3, as_columns(rows, 2), [1, 1, 1])
+        self.assert_bucket(store, (1,), [0, 1, 2])
+        store.insert_columns([(1,)], as_columns([(1, "a")], 2), [-1])
+        self.assert_bucket(store, (1,), [1, 2])
+        store.insert((1,), (1, "b"), -1)
+        self.assert_bucket(store, (1,), 2)
+        store.insert_columns([(1,)], as_columns([(1, "c")], 2), [-1])
+        self.assert_bucket(store, (1,), None)

@@ -285,8 +285,18 @@ def store_contents(store: ColumnStore) -> Counter:
     )
 
 
+def bucket_slots(bucket) -> "tuple[int] | list[int]":
+    """The slot positions of one ``ColumnStore.index`` value, checking its
+    form: a one-slot bucket is that slot's bare ``int``, so a list always
+    holds two slots or more."""
+    if type(bucket) is int:
+        return (bucket,)
+    assert type(bucket) is list and len(bucket) >= 2, bucket
+    return bucket
+
+
 def assert_well_formed(store: ColumnStore) -> None:
-    live = [p for positions in store.index.values() for p in positions]
+    live = [p for bucket in store.index.values() for p in bucket_slots(bucket)]
     assert len(live) == len(set(live)) == store.size()
     assert sorted(live + store.free) == list(range(len(store.mults)))
     assert all(store.mults[p] for p in live)
