@@ -12,7 +12,17 @@ The store is optimised for the access paths the query engine needs:
 
 * label index (``get-vertices`` ©),
 * type index (``get-edges`` ⇑),
-* out/in adjacency (expansion and the non-incremental evaluator).
+* adjacency per edge type (expansion and the non-incremental evaluator):
+  ``edge type → vertex → star``, where a star holding one edge is that
+  edge's bare ``int`` and a ``set`` appears only at the second edge.
+
+Almost nothing the store holds is tracked by the cyclic garbage collector:
+edge records are ``(source, target, type)`` tuples of atoms, properties sit
+in dicts of their own (CPython never untracks a tuple holding a dict), each
+vertex points at an interned ``frozenset`` shared by every vertex with the
+same labels, and one-edge stars are ints.  The containers the collector
+walks are the ≥ 2-edge stars, the index sets and one set per label
+combination.
 
 Every elementary mutation emits one :mod:`~repro.graph.events` event to all
 subscribed listeners, synchronously, *after* the store has been updated —
@@ -36,24 +46,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .transactions import Transaction
 
 Listener = Callable[[ev.GraphEvent], None]
+# edge type → vertex → star: the edge's bare int, or a set of ≥ 2 edges
+Adjacency = dict[str, dict[int, Any]]
 
 
-class _VertexRecord:
-    __slots__ = ("labels", "properties")
-
-    def __init__(self, labels: set[str], properties: dict[str, Any]):
-        self.labels = labels
-        self.properties = properties
+def _frozen(properties: Mapping[str, Any]) -> dict[str, Any]:
+    return {k: freeze_value(v) for k, v in properties.items() if v is not None}
 
 
-class _EdgeRecord:
-    __slots__ = ("source", "target", "edge_type", "properties")
+def _link(adjacency: Adjacency, edge_type: str, vertex: int, edge_id: int) -> None:
+    """Add *edge_id* to *vertex*'s star of *edge_type* — the edge's bare
+    ``int`` while it is alone, a ``set`` from the second edge on."""
+    stars = adjacency.get(edge_type)
+    if stars is None:
+        adjacency[edge_type] = {vertex: edge_id}
+        return
+    star = stars.get(vertex)
+    if star is None:
+        stars[vertex] = edge_id
+    elif type(star) is int:
+        stars[vertex] = {star, edge_id}
+    else:
+        star.add(edge_id)
 
-    def __init__(self, source: int, target: int, edge_type: str, properties: dict[str, Any]):
-        self.source = source
-        self.target = target
-        self.edge_type = edge_type
-        self.properties = properties
+
+def _unlink(adjacency: Adjacency, edge_type: str, vertex: int, edge_id: int) -> None:
+    """Undo :func:`_link`: a set collapses back to an ``int`` at one edge,
+    and an emptied star leaves no key behind."""
+    stars = adjacency[edge_type]
+    star = stars[vertex]
+    if type(star) is int:
+        del stars[vertex]
+    else:
+        star.discard(edge_id)
+        if len(star) == 1:
+            stars[vertex] = star.pop()
+
+
+def _typed(adjacency: Adjacency, edge_type: str, vertex: int) -> "set[int] | tuple":
+    """The edges of one star, as an iterable (two dict probes)."""
+    stars = adjacency.get(edge_type)
+    star = () if stars is None else stars.get(vertex, ())
+    return (star,) if type(star) is int else star
+
+
+def _untyped(adjacency: Adjacency, vertex: int) -> list[int]:
+    """The edges of every type's star of *vertex*, types in first-seen order."""
+    edges: list[int] = []
+    for stars in adjacency.values():
+        star = stars.get(vertex)
+        if type(star) is int:
+            edges.append(star)
+        elif star is not None:
+            edges.extend(star)
+    return edges
 
 
 class PropertyGraph:
@@ -74,17 +120,17 @@ class PropertyGraph:
     """
 
     def __init__(self) -> None:
-        self._vertices: dict[int, _VertexRecord] = {}
-        self._edges: dict[int, _EdgeRecord] = {}
+        # vertex → its interned label set; one frozenset per combination
+        self._vertices: dict[int, frozenset[str]] = {}
+        self._label_sets: dict[frozenset[str], frozenset[str]] = {}
+        self._vprops: dict[int, dict[str, Any]] = {}
+        # edge → (source, target, type); its properties live in _eprops
+        self._edges: dict[int, tuple[int, int, str]] = {}
+        self._eprops: dict[int, dict[str, Any]] = {}
         self._label_index: dict[str, set[int]] = {}
         self._type_index: dict[str, set[int]] = {}
-        self._out: dict[int, set[int]] = {}
-        self._in: dict[int, set[int]] = {}
-        # per-type adjacency: vertex → edge type → edge ids.  Kept exactly
-        # in sync with _out/_in so type-filtered neighbourhood reads are
-        # direct lookups instead of filtered scans over the full star.
-        self._out_by_type: dict[int, dict[str, set[int]]] = {}
-        self._in_by_type: dict[int, dict[str, set[int]]] = {}
+        self._out: Adjacency = {}
+        self._in: Adjacency = {}
         self._next_vertex_id = 1
         self._next_edge_id = 1
         self._listeners: list[Listener] = []
@@ -171,7 +217,7 @@ class PropertyGraph:
             return
         bucket: dict[Any, set[int]] = {}
         for vertex_id in self._label_index.get(label, ()):
-            value = self._vertices[vertex_id].properties.get(key)
+            value = self._vprops[vertex_id].get(key)
             if value is not None:
                 bucket.setdefault(value, set()).add(vertex_id)
         self._property_indexes[index_key] = bucket
@@ -223,22 +269,7 @@ class PropertyGraph:
     ) -> int:
         """Create a vertex; returns its id."""
         vertex_id = self._next_vertex_id
-        self._next_vertex_id += 1
-        label_set = set(labels)
-        props = {
-            k: freeze_value(v) for k, v in (properties or {}).items() if v is not None
-        }
-        self._vertices[vertex_id] = _VertexRecord(label_set, props)
-        self._out[vertex_id] = set()
-        self._in[vertex_id] = set()
-        self._out_by_type[vertex_id] = {}
-        self._in_by_type[vertex_id] = {}
-        for label in label_set:
-            self._label_index.setdefault(label, set()).add(vertex_id)
-        self._index_add(vertex_id, label_set, props)
-        self._emit(
-            ev.VertexAdded(vertex_id, frozenset(label_set), dict(props))
-        )
+        self._restore_vertex(vertex_id, labels, properties or {})
         return vertex_id
 
     def remove_vertex(self, vertex_id: int, detach: bool = False) -> None:
@@ -249,8 +280,8 @@ class PropertyGraph:
         ``detach=True`` incident edges are removed first (``DETACH DELETE``),
         each emitting its own :class:`~repro.graph.events.EdgeRemoved`.
         """
-        record = self._vertex(vertex_id)
-        incident = self._out[vertex_id] | self._in[vertex_id]
+        labels = self._vertex(vertex_id)
+        incident = list(self.incident_edges(vertex_id))
         if incident:
             if not detach:
                 raise DanglingEdgeError(
@@ -259,52 +290,51 @@ class PropertyGraph:
                 )
             for edge_id in sorted(incident):
                 self.remove_edge(edge_id)
-        for label in record.labels:
+        for label in labels:
             self._label_index[label].discard(vertex_id)
-        self._index_remove(vertex_id, record.labels, record.properties)
+        properties = self._vprops.pop(vertex_id)
+        self._index_remove(vertex_id, labels, properties)
         del self._vertices[vertex_id]
-        del self._out[vertex_id]
-        del self._in[vertex_id]
-        del self._out_by_type[vertex_id]
-        del self._in_by_type[vertex_id]
-        self._emit(
-            ev.VertexRemoved(
-                vertex_id, frozenset(record.labels), dict(record.properties)
-            )
-        )
+        self._emit(ev.VertexRemoved(vertex_id, labels, properties))
+
+    def _relabel(self, vertex_id: int, labels: frozenset[str]) -> frozenset[str]:
+        """Point *vertex_id* at the interned set equal to *labels*."""
+        interned = self._vertices[vertex_id] = self._label_sets.setdefault(labels, labels)
+        return interned
 
     def add_label(self, vertex_id: int, label: str) -> None:
-        record = self._vertex(vertex_id)
-        if label in record.labels:
+        labels = self._vertex(vertex_id)
+        if label in labels:
             return
-        record.labels.add(label)
+        self._relabel(vertex_id, labels | {label})
         self._label_index.setdefault(label, set()).add(vertex_id)
-        self._index_add(vertex_id, {label}, record.properties)
+        self._index_add(vertex_id, (label,), self._vprops[vertex_id])
         self._emit(ev.VertexLabelAdded(vertex_id, label))
 
     def remove_label(self, vertex_id: int, label: str) -> None:
-        record = self._vertex(vertex_id)
-        if label not in record.labels:
+        labels = self._vertex(vertex_id)
+        if label not in labels:
             return
-        record.labels.discard(label)
+        self._relabel(vertex_id, labels - {label})
         self._label_index[label].discard(vertex_id)
-        self._index_remove(vertex_id, {label}, record.properties)
+        self._index_remove(vertex_id, (label,), self._vprops[vertex_id])
         self._emit(ev.VertexLabelRemoved(vertex_id, label))
 
     def set_vertex_property(self, vertex_id: int, key: str, value: Any) -> None:
         """Set (or, with ``value=None``, remove) a vertex property."""
-        record = self._vertex(vertex_id)
-        old = record.properties.get(key)
+        labels = self._vertex(vertex_id)
+        properties = self._vprops[vertex_id]
+        old = properties.get(key)
         new = freeze_value(value)
         if old == new and type(old) is type(new):
             return
         if old is not None:
-            self._index_remove(vertex_id, record.labels, {key: old})
+            self._index_remove(vertex_id, labels, {key: old})
         if new is None:
-            record.properties.pop(key, None)
+            properties.pop(key, None)
         else:
-            record.properties[key] = new
-            self._index_add(vertex_id, record.labels, {key: new})
+            properties[key] = new
+            self._index_add(vertex_id, labels, {key: new})
         self._emit(ev.VertexPropertySet(vertex_id, key, old, new))
 
     def _restore_vertex(
@@ -313,25 +343,21 @@ class PropertyGraph:
         labels: Iterable[str],
         properties: Mapping[str, Any],
     ) -> None:
-        """Re-create a previously removed vertex under its original id.
-
-        Used by transaction rollback and WAL replay; emits a normal
-        :class:`~repro.graph.events.VertexAdded` event.
+        """Create a vertex under *vertex_id*: the next fresh id for
+        :meth:`add_vertex`, the original one for transaction rollback and
+        WAL replay.  Emits a normal :class:`~repro.graph.events.VertexAdded`.
         """
         if vertex_id in self._vertices:
             raise GraphError(f"vertex id {vertex_id} already exists")
-        label_set = set(labels)
-        props = {k: freeze_value(v) for k, v in properties.items() if v is not None}
-        self._vertices[vertex_id] = _VertexRecord(label_set, props)
-        self._out[vertex_id] = set()
-        self._in[vertex_id] = set()
-        self._out_by_type[vertex_id] = {}
-        self._in_by_type[vertex_id] = {}
+        # freeze first: a rejected value must leave no trace of the vertex
+        props = _frozen(properties)
+        label_set = self._relabel(vertex_id, frozenset(labels))
+        self._vprops[vertex_id] = props
         for label in label_set:
             self._label_index.setdefault(label, set()).add(vertex_id)
         self._index_add(vertex_id, label_set, props)
         self._next_vertex_id = max(self._next_vertex_id, vertex_id + 1)
-        self._emit(ev.VertexAdded(vertex_id, frozenset(label_set), dict(props)))
+        self._emit(ev.VertexAdded(vertex_id, label_set, dict(props)))
 
     # ------------------------------------------------------------------
     # mutations: edges
@@ -345,39 +371,18 @@ class PropertyGraph:
         properties: Mapping[str, Any] | None = None,
     ) -> int:
         """Create a directed edge of *edge_type*; returns its id."""
-        self._vertex(source)
-        self._vertex(target)
         edge_id = self._next_edge_id
-        self._next_edge_id += 1
-        props = {
-            k: freeze_value(v) for k, v in (properties or {}).items() if v is not None
-        }
-        self._edges[edge_id] = _EdgeRecord(source, target, edge_type, props)
-        self._type_index.setdefault(edge_type, set()).add(edge_id)
-        self._out[source].add(edge_id)
-        self._in[target].add(edge_id)
-        self._out_by_type[source].setdefault(edge_type, set()).add(edge_id)
-        self._in_by_type[target].setdefault(edge_type, set()).add(edge_id)
-        self._emit(ev.EdgeAdded(edge_id, source, target, edge_type, dict(props)))
+        self._restore_edge(edge_id, source, target, edge_type, properties or {})
         return edge_id
 
     def remove_edge(self, edge_id: int) -> None:
-        record = self._edge(edge_id)
-        self._type_index[record.edge_type].discard(edge_id)
-        self._out[record.source].discard(edge_id)
-        self._in[record.target].discard(edge_id)
-        self._typed_discard(self._out_by_type[record.source], record.edge_type, edge_id)
-        self._typed_discard(self._in_by_type[record.target], record.edge_type, edge_id)
+        source, target, edge_type = self._edge(edge_id)
+        self._type_index[edge_type].discard(edge_id)
+        _unlink(self._out, edge_type, source, edge_id)
+        _unlink(self._in, edge_type, target, edge_id)
         del self._edges[edge_id]
-        self._emit(
-            ev.EdgeRemoved(
-                edge_id,
-                record.source,
-                record.target,
-                record.edge_type,
-                dict(record.properties),
-            )
-        )
+        properties = self._eprops.pop(edge_id)
+        self._emit(ev.EdgeRemoved(edge_id, source, target, edge_type, properties))
 
     def _restore_edge(
         self,
@@ -387,45 +392,51 @@ class PropertyGraph:
         edge_type: str,
         properties: Mapping[str, Any],
     ) -> None:
-        """Re-create a previously removed edge under its original id."""
+        """Create an edge under *edge_id* (fresh for :meth:`add_edge`, the
+        original for rollback and WAL replay)."""
         if edge_id in self._edges:
             raise GraphError(f"edge id {edge_id} already exists")
         self._vertex(source)
         self._vertex(target)
-        props = {k: freeze_value(v) for k, v in properties.items() if v is not None}
-        self._edges[edge_id] = _EdgeRecord(source, target, edge_type, props)
-        self._type_index.setdefault(edge_type, set()).add(edge_id)
-        self._out[source].add(edge_id)
-        self._in[target].add(edge_id)
-        self._out_by_type[source].setdefault(edge_type, set()).add(edge_id)
-        self._in_by_type[target].setdefault(edge_type, set()).add(edge_id)
+        props = _frozen(properties)
+        self._link_edge(edge_id, source, target, edge_type, props)
         self._next_edge_id = max(self._next_edge_id, edge_id + 1)
         self._emit(ev.EdgeAdded(edge_id, source, target, edge_type, dict(props)))
 
+    def _link_edge(
+        self, edge_id: int, source: int, target: int, edge_type: str, props: dict
+    ) -> None:
+        self._edges[edge_id] = (source, target, edge_type)
+        self._eprops[edge_id] = props
+        self._type_index.setdefault(edge_type, set()).add(edge_id)
+        _link(self._out, edge_type, source, edge_id)
+        _link(self._in, edge_type, target, edge_id)
+
     def set_edge_property(self, edge_id: int, key: str, value: Any) -> None:
         """Set (or, with ``value=None``, remove) an edge property."""
-        record = self._edge(edge_id)
-        old = record.properties.get(key)
+        self._edge(edge_id)
+        properties = self._eprops[edge_id]
+        old = properties.get(key)
         new = freeze_value(value)
         if old == new and type(old) is type(new):
             return
         if new is None:
-            record.properties.pop(key, None)
+            properties.pop(key, None)
         else:
-            record.properties[key] = new
+            properties[key] = new
         self._emit(ev.EdgePropertySet(edge_id, key, old, new))
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
 
-    def _vertex(self, vertex_id: int) -> _VertexRecord:
+    def _vertex(self, vertex_id: int) -> frozenset[str]:
         try:
             return self._vertices[vertex_id]
         except KeyError:
             raise EntityNotFoundError("vertex", vertex_id) from None
 
-    def _edge(self, edge_id: int) -> _EdgeRecord:
+    def _edge(self, edge_id: int) -> tuple[int, int, str]:
         try:
             return self._edges[edge_id]
         except KeyError:
@@ -456,9 +467,11 @@ class PropertyGraph:
         return len(self._label_index.get(label, ()))
 
     def label_members(self, label: str) -> "set[int] | tuple":
-        """Ids of the vertices carrying *label*, uncopied — read-only by
-        contract, like :meth:`labels_view`.  Batch translation filters
-        many ids by one label with C-level membership probes."""
+        """Ids of the vertices carrying *label*: the live index bucket,
+        uncopied, so it is read-only by contract (the graph mutates it in
+        place, unlike the immutable sets :meth:`labels_view` returns).
+        Batch translation filters many ids by one label with C-level
+        membership probes."""
         return self._label_index.get(label, ())
 
     def edges(self, edge_type: str | None = None) -> Iterator[int]:
@@ -469,69 +482,75 @@ class PropertyGraph:
 
     def edge_triples(self, edge_type: str | None = None) -> Iterator[tuple[int, int, int]]:
         """Iterate ``(source, edge, target)`` triples — the ⇑ base relation."""
+        records = self._edges
         for edge_id in self.edges(edge_type):
-            record = self._edges[edge_id]
-            yield record.source, edge_id, record.target
+            source, target, _ = records[edge_id]
+            yield source, edge_id, target
 
     def labels_of(self, vertex_id: int) -> frozenset[str]:
-        return frozenset(self._vertex(vertex_id).labels)
+        """The vertex's labels: the interned set every vertex with the same
+        labels shares, so no copy is made."""
+        return self._vertex(vertex_id)
 
-    def labels_view(self, vertex_id: int) -> set[str]:
-        """The vertex's label set *uncopied* — read-only by contract.
-
-        Hot paths (the event router narrows candidates per routed property
-        event) read labels without keeping them; handing out the internal
-        set skips the frozenset copy :meth:`labels_of` pays.  Callers must
-        neither mutate nor retain the result across graph mutations.
-        """
-        return self._vertex(vertex_id).labels
+    def labels_view(self, vertex_id: int) -> frozenset[str]:
+        """The vertex's label set, uncopied and immutable — the same object
+        as :meth:`labels_of`.  A label flip swaps the vertex to another
+        interned set and never mutates this one, so a caller may keep it as
+        a before image."""
+        return self._vertex(vertex_id)
 
     def has_label(self, vertex_id: int, label: str) -> bool:
-        return label in self._vertex(vertex_id).labels
+        return label in self._vertex(vertex_id)
 
     def type_of(self, edge_id: int) -> str:
-        return self._edge(edge_id).edge_type
+        return self._edge(edge_id)[2]
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
-        record = self._edge(edge_id)
-        return record.source, record.target
+        source, target, _ = self._edge(edge_id)
+        return source, target
 
     def source_of(self, edge_id: int) -> int:
-        return self._edge(edge_id).source
+        return self._edge(edge_id)[0]
 
     def target_of(self, edge_id: int) -> int:
-        return self._edge(edge_id).target
+        return self._edge(edge_id)[1]
 
     def vertex_properties(self, vertex_id: int) -> dict[str, Any]:
         """A copy of the vertex's property map (values are immutable)."""
-        return dict(self._vertex(vertex_id).properties)
+        self._vertex(vertex_id)
+        return dict(self._vprops[vertex_id])
 
     def vertex_property(self, vertex_id: int, key: str, default: Any = None) -> Any:
-        return self._vertex(vertex_id).properties.get(key, default)
+        self._vertex(vertex_id)
+        return self._vprops[vertex_id].get(key, default)
 
     def vertex_property_column(self, vertex_ids: Iterable[int], key: str) -> list:
         """:meth:`vertex_property` for every id, in order — a pushed
         property column built with no Python call per id."""
-        vertices = self._vertices
-        return [vertices[v].properties.get(key) for v in vertex_ids]
+        vprops = self._vprops
+        return [vprops[v].get(key) for v in vertex_ids]
 
     def edge_properties(self, edge_id: int) -> dict[str, Any]:
-        return dict(self._edge(edge_id).properties)
+        self._edge(edge_id)
+        return dict(self._eprops[edge_id])
 
     def edge_property(self, edge_id: int, key: str, default: Any = None) -> Any:
-        return self._edge(edge_id).properties.get(key, default)
+        self._edge(edge_id)
+        return self._eprops[edge_id].get(key, default)
 
     def out_edges(self, vertex_id: int, edge_type: str | None = None) -> Iterator[int]:
         """Edges whose source is *vertex_id* (optionally type-filtered)."""
+        vid = self._require(vertex_id)
         if edge_type is None:
-            return iter(self._out[self._require(vertex_id)])
-        return iter(self._out_by_type[self._require(vertex_id)].get(edge_type, ()))
+            return iter(_untyped(self._out, vid))
+        return iter(_typed(self._out, edge_type, vid))
 
     def in_edges(self, vertex_id: int, edge_type: str | None = None) -> Iterator[int]:
         """Edges whose target is *vertex_id* (optionally type-filtered)."""
+        vid = self._require(vertex_id)
         if edge_type is None:
-            return iter(self._in[self._require(vertex_id)])
-        return iter(self._in_by_type[self._require(vertex_id)].get(edge_type, ()))
+            return iter(_untyped(self._in, vid))
+        return iter(_typed(self._in, edge_type, vid))
 
     def incident_edges(
         self, vertex_id: int, edge_type: str | None = None
@@ -539,37 +558,28 @@ class PropertyGraph:
         """Edges incident on *vertex_id*, each yielded once (loops included).
 
         Snapshots eagerly (safe to mutate the graph while consuming, and a
-        missing vertex raises at the call site) without building the
-        ``out | in`` union set the seed paid for — one list and O(1)
-        membership probes instead of rehashing both sets.  With
-        *edge_type* only that type's (indexed) buckets are walked.
+        missing vertex raises at the call site): the out edges, then the in
+        edges whose source is another vertex (a loop is already out).  With
+        *edge_type* only that type's two stars are read.
         """
         vid = self._require(vertex_id)
         if edge_type is None:
-            out, inc = self._out[vid], self._in[vid]
+            edges, inc = _untyped(self._out, vid), _untyped(self._in, vid)
         else:
-            out = self._out_by_type[vid].get(edge_type, ())
-            inc = self._in_by_type[vid].get(edge_type, ())
-        edges = list(out)
-        edges.extend(edge_id for edge_id in inc if edge_id not in out)
+            edges = list(_typed(self._out, edge_type, vid))
+            inc = _typed(self._in, edge_type, vid)
+        records = self._edges
+        edges.extend(edge_id for edge_id in inc if records[edge_id][0] != vid)
         return iter(edges)
 
     def degree(self, vertex_id: int) -> int:
         vid = self._require(vertex_id)
-        return len(self._out[vid]) + len(self._in[vid])
+        return len(_untyped(self._out, vid)) + len(_untyped(self._in, vid))
 
     def _require(self, vertex_id: int) -> int:
         if vertex_id not in self._vertices:
             raise EntityNotFoundError("vertex", vertex_id)
         return vertex_id
-
-    @staticmethod
-    def _typed_discard(buckets: dict[str, set[int]], edge_type: str, edge_id: int) -> None:
-        entries = buckets.get(edge_type)
-        if entries is not None:
-            entries.discard(edge_id)
-            if not entries:
-                del buckets[edge_type]
 
     def labels(self) -> frozenset[str]:
         """All labels with at least one vertex."""
@@ -587,32 +597,17 @@ class PropertyGraph:
         """A deep copy of the store (listeners are *not* copied).
 
         Ids are preserved, which makes copies suitable as before/after
-        snapshots in differential tests.
+        snapshots in differential tests.  Label sets and edge records are
+        immutable, so the copy shares them.
         """
         clone = PropertyGraph()
-        for vertex_id, record in self._vertices.items():
-            clone._vertices[vertex_id] = _VertexRecord(
-                set(record.labels), dict(record.properties)
-            )
-            clone._out[vertex_id] = set()
-            clone._in[vertex_id] = set()
-            clone._out_by_type[vertex_id] = {}
-            clone._in_by_type[vertex_id] = {}
-            for label in record.labels:
-                clone._label_index.setdefault(label, set()).add(vertex_id)
-        for edge_id, record in self._edges.items():
-            clone._edges[edge_id] = _EdgeRecord(
-                record.source, record.target, record.edge_type, dict(record.properties)
-            )
-            clone._type_index.setdefault(record.edge_type, set()).add(edge_id)
-            clone._out[record.source].add(edge_id)
-            clone._in[record.target].add(edge_id)
-            clone._out_by_type[record.source].setdefault(
-                record.edge_type, set()
-            ).add(edge_id)
-            clone._in_by_type[record.target].setdefault(
-                record.edge_type, set()
-            ).add(edge_id)
+        clone._vertices = dict(self._vertices)
+        clone._label_sets = dict(self._label_sets)
+        clone._vprops = {v: dict(props) for v, props in self._vprops.items()}
+        clone._label_index = {l: set(vs) for l, vs in self._label_index.items()}
+        for edge_id, (source, target, edge_type) in self._edges.items():
+            props = dict(self._eprops[edge_id])
+            clone._link_edge(edge_id, source, target, edge_type, props)
         clone._property_indexes = {
             index_key: {value: set(ids) for value, ids in bucket.items()}
             for index_key, bucket in self._property_indexes.items()
