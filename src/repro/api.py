@@ -56,8 +56,6 @@ class QueryEngine:
         self,
         graph: PropertyGraph,
         batch_transactions: bool = False,
-        detached_cache_size: int = 4,
-        columnar_deltas: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
     ):
@@ -65,8 +63,6 @@ class QueryEngine:
         self._incremental = IncrementalEngine(
             graph,
             batch_transactions=batch_transactions,
-            detached_cache_size=detached_cache_size,
-            columnar_deltas=columnar_deltas,
             collect_metrics=collect_metrics,
             trace_batches=trace_batches,
         )

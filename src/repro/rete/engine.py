@@ -38,8 +38,8 @@ With ``batch_transactions=True`` the engine additionally listens to
 :meth:`PropertyGraph.transaction` phases: every transaction scope becomes a
 batch that flushes at commit, and a rollback — whose compensation events
 land in the same window — nets to zero, leaving views untouched and
-callbacks silent.  The per-event path stays the default (and serves as the
-batch-size-1 ablation baseline).
+callbacks silent.  The per-event path stays the default: each mutation
+propagates as it lands and ``on_change`` fires once per event.
 """
 
 from __future__ import annotations
@@ -149,22 +149,11 @@ class IncrementalEngine:
         self,
         graph: PropertyGraph,
         batch_transactions: bool = False,
-        detached_cache_size: int = 4,
-        columnar_deltas: bool = True,
         collect_metrics: bool = False,
         trace_batches: bool = False,
     ):
         self.graph = graph
-        #: batched deltas travel the networks in columnar form, and the two
-        #: value-level refinements (constant pushdown into input nodes and
-        #: composite binding discriminants) are enabled; ``False`` is the
-        #: exact row-at-a-time ablation baseline
-        self.columnar_deltas = columnar_deltas
-        self.input_layer = SharingLayer(
-            graph,
-            detached_cache_size=detached_cache_size,
-            columnar_deltas=columnar_deltas,
-        )
+        self.input_layer = SharingLayer(graph)
         self._router = self.input_layer.router
         self._views: list[View] = []
         # live bindings per parameterised query shape (see
@@ -226,7 +215,6 @@ class IncrementalEngine:
             plan,
             self.input_layer,
             parameters=parameters,
-            columnar_deltas=self.columnar_deltas,
             binding_tier=plan is not compiled.plan,
         )
         built = perf_counter() if metrics is not None else 0.0
@@ -311,22 +299,21 @@ class IncrementalEngine:
         """Rebuild *view* from its lifted plan; returns the rows replayed.
 
         The old network leaves first, and the nodes only it read are
-        dropped, not retained: the shape stays lifted while it has views,
-        so no registration asks for them again, and a lifted plan that
-        matches the pushed-down one subtree for subtree (a σ straight over
-        an input) must not cut over to them.  The lifted plan computes the
+        dropped: the shape stays lifted while it has views, so no
+        registration asks for them again, and a lifted plan that matches
+        the pushed-down one subtree for subtree (a σ straight over an
+        input) must not cut over to them.  The lifted plan computes the
         same bag, so the new network takes over the view's production node
         (its contents, callbacks and listings) without a delta: no
         ``on_change`` fires.
         """
         old = view.network
         old.disconnect_shared()
-        self.input_layer.prune(retain=False)
+        self.input_layer.prune()
         network = ReteNetwork(
             lifted_plan(view.compiled),
             self.input_layer,
             parameters=old.ctx.parameters,
-            columnar_deltas=self.columnar_deltas,
             binding_tier=True,
         )
         rows = network.populate()
@@ -625,12 +612,8 @@ class IncrementalEngine:
             (stats.replay_rows_emitted, "repro_sharing_replay_rows_emitted_total", "Rows targeted activation handed to new subscribers"),
             (stats.acquires, "repro_sharing_acquires", "Subplan refcount acquires"),
             (stats.releases, "repro_sharing_releases", "Subplan refcount releases"),
-            (stats.pruned, "repro_sharing_pruned", "Shared nodes genuinely dropped by prune"),
-            (stats.detached_retained, "repro_sharing_detached_retained", "Dead subplan roots retained in the LRU"),
-            (stats.detached_revived, "repro_sharing_detached_revived", "Retained subplans revived by a later view"),
-            (stats.detached_evicted, "repro_sharing_detached_evicted", "Retained subplans evicted on LRU overflow"),
+            (stats.pruned, "repro_sharing_pruned", "Shared nodes dropped by prune"),
             (layer.subplan_count, "repro_sharing_subplans_live", "Live cached subplan entries"),
-            (layer.detached_count, "repro_sharing_detached_live", "Dead-but-retained subplan roots"),
             (layer.binding_node_count, "repro_sharing_binding_nodes", "Live binding-indexed selection nodes"),
             (layer.binding_partition_count, "repro_sharing_binding_partitions", "Live binding partitions"),
         ):
@@ -650,10 +633,11 @@ class IncrementalEngine:
         downstream, counted by the always-on traffic counters (so this
         works with ``collect_metrics`` off and never touches the hot
         path).  A shared node's cost is split evenly across the views
-        that currently read it; work done by nodes no view reads any more
-        (detached-LRU residents and their upstream chains) lands in the
-        ``unattributed`` bucket.  The per-view shares plus that bucket sum
-        to ``total`` exactly, up to float rounding.
+        that currently read it; work done by layer-owned nodes no live
+        view reads directly (the chain below a subplan whose building view
+        has detached) lands in the ``unattributed`` bucket.  The per-view
+        shares plus that bucket sum to ``total`` exactly, up to float
+        rounding.
         """
         readers: dict[int, int] = {}
         for view in self._views:

@@ -64,14 +64,13 @@ from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import split_conjuncts
 from ..cypher import ast
 from ..errors import CompilerError
-from .deltas import ColumnDelta, Delta, as_row_delta
+from .deltas import ColumnDelta, Delta
 from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
 from .nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode, UnionNode
 from .nodes.production import ProductionNode
 from .nodes.transitive import EDGES, TransitiveClosureNode
 from .nodes.unary import (
-    _INDEXABLE_ATOMS as _VALUE_ATOMS,
     BindingIndexedSelectionNode,
     DedupNode,
     ProjectionNode,
@@ -89,7 +88,6 @@ class ReteNetwork:
         plan: ops.Operator,
         layer: SharingLayer,
         parameters: Mapping[str, Any] | None = None,
-        columnar_deltas: bool = True,
         binding_tier: bool = False,
     ):
         validate_fra(plan)
@@ -97,12 +95,6 @@ class ReteNetwork:
         self.plan = plan
         self.ctx = EvalContext(dict(parameters or {}))
         self.layer = layer
-        #: batch translations travel as ColumnDelta; also enables the two
-        #: value-level refinements that only pay off at batch granularity
-        #: (constant pushdown into input nodes / router value buckets, and
-        #: composite discriminants on the binding-indexed σ tier) — False
-        #: reproduces the row-at-a-time path exactly (ablation)
-        self.columnar_deltas = columnar_deltas
         #: cut parameterised σ over to binding-indexed nodes: set for a
         #: lifted plan, whose σ sit above binding-free cores
         self.binding_tier = binding_tier
@@ -179,74 +171,6 @@ class ReteNetwork:
             self._connect(upstream, node, side)
         return node
 
-    def _constant_conjuncts(
-        self, op: ops.Select
-    ) -> list[tuple[int, ast.Expression, Any]]:
-        """``(column, value expr, frozen atom)`` per constant equality conjunct.
-
-        A conjunct qualifies when it is ``<column variable> = <literal
-        atom>`` (either order) over the child schema.  Disabled along with
-        ``columnar_deltas`` so the ablation reproduces the plain σ path.
-        """
-        if not self.columnar_deltas:
-            return []
-        child_schema = op.children[0].schema
-        found: list[tuple[int, ast.Expression, Any]] = []
-        for conjunct in split_conjuncts(op.predicate):
-            if not (
-                isinstance(conjunct, ast.Comparison) and conjunct.ops == ("=",)
-            ):
-                continue
-            for var_side, const_side in (
-                conjunct.operands,
-                conjunct.operands[::-1],
-            ):
-                if (
-                    isinstance(var_side, ast.Variable)
-                    and isinstance(const_side, ast.Literal)
-                    and isinstance(const_side.value, _VALUE_ATOMS)
-                    and var_side.name in child_schema.names
-                ):
-                    found.append(
-                        (
-                            child_schema.index_of(var_side.name),
-                            var_side,
-                            const_side.value,
-                        )
-                    )
-                    break
-        return found
-
-    def _vertex_value_filters(
-        self,
-        op: ops.Select,
-        conjuncts: list[tuple[int, ast.Expression, Any]],
-    ) -> tuple[tuple[int, str, Any], ...]:
-        """Constant filters pushable into the © node below this σ.
-
-        Only columns backed by a pushed ``property`` projection qualify
-        (column 0 is the vertex id; ``labels()``/``properties()`` columns
-        carry collection values the value index cannot bucket), and only
-        when the predicate is parameter-free — parameterised σ belongs to
-        the binding tier, whose sharing keys must not fork per constant.
-        """
-        child = op.children[0]
-        if not isinstance(child, ops.GetVertices) or not conjuncts:
-            return ()
-        if any(
-            isinstance(node, ast.Parameter) for node in ast.walk(op.predicate)
-        ):
-            return ()
-        filters = []
-        for column, _, value in conjuncts:
-            if column == 0:
-                continue
-            projection = child.projections[column - 1]
-            if projection.kind != "property":
-                continue
-            filters.append((column, projection.key, value))
-        return tuple(filters)
-
     def _build_binding_partition(self, op: ops.Operator) -> Node | None:
         """Cut a parameterised σ over to the binding-indexed tier.
 
@@ -255,9 +179,9 @@ class ReteNetwork:
         resolved exact-binding tier then proceeds as before).  Three
         cases:
 
-        * the partition for this binding already exists (live or retained
-          in the detached LRU) — an ordinary shared hit; the generic
-          replay machinery feeds its current state to this view's nodes;
+        * the partition for this binding already exists — an ordinary
+          shared hit; the generic replay machinery feeds its current state
+          to this view's nodes;
         * the node exists but this binding is new — the partition is
           created on the live node; it is *not* marked fresh, so populate
           replays the shared core's state — restricted to the rows this
@@ -314,9 +238,7 @@ class ReteNetwork:
         predicate once per live binding.  The third component is the
         child-schema column index when the expr is a bare column variable
         (``None`` otherwise) — the columnar path extracts such composite
-        keys with one transpose.  With ``columnar_deltas=False`` the list
-        is truncated to its first component, reproducing the
-        single-discriminant index exactly.
+        keys with one transpose.
         """
         param_order = generalized_fingerprint(op).param_order
         child_schema = op.children[0].schema
@@ -352,29 +274,14 @@ class ReteNetwork:
                         )
                     )
                     break
-        if not found:
-            return None
-        if not self.columnar_deltas:
-            return (found[0],)
-        return tuple(found)
+        return tuple(found) if found else None
 
     def _make_node(
         self, op: ops.Operator
     ) -> tuple[Node, list[tuple[Node, int]]]:
         """Build the node for *op* plus its (not yet subscribed) upstreams."""
         if isinstance(op, ops.Select):
-            value_filters = self._vertex_value_filters(
-                op, self._constant_conjuncts(op)
-            )
-            if value_filters:
-                # value pushdown: the σ reads a constant-filtered © node, so
-                # the router narrows dispatch by value (the σ still runs the
-                # full predicate over every surviving tuple)
-                child = self._use_shared(
-                    self.layer.vertex_node(op.children[0], value_filters)
-                )
-            else:
-                child = self._build(op.children[0])
+            child = self._build(op.children[0])
             node = SelectionNode(
                 op.schema,
                 compile_predicate(op.predicate, op.children[0].schema),
@@ -509,10 +416,9 @@ class ReteNetwork:
         that state from the graph, column by column; interior subplans
         reconstruct it from their memories (``state_delta``), in row form,
         and each such answer is transposed once here, so populate runs the
-        same column kernels a batched commit does (``columnar_deltas=False``
-        gets rows throughout).  Construction and population happen
-        back-to-back inside ``register``, so no graph event can slip in
-        between.
+        same column kernels a batched commit does.  Construction and
+        population happen back-to-back inside ``register``, so no graph
+        event can slip in between.
         """
         for aggregate in self.aggregates:
             aggregate.initialize()
@@ -522,9 +428,7 @@ class ReteNetwork:
             delta = answers.get(id(node))
             if delta is None:
                 delta = self.layer.state_delta(node)
-                if not self.columnar_deltas:
-                    delta = as_row_delta(delta)
-                elif type(delta) is Delta:
+                if type(delta) is Delta:
                     delta = ColumnDelta.from_delta(delta, len(node.schema))
                 answers[id(node)] = delta
             if delta:

@@ -72,16 +72,12 @@ class _GraphInputNode(Node):
     moved property keys its columns read), builds the assertion half from
     the live graph and the retraction half from the batch's before images,
     and drops a changed entity whose before and after rows are ``==``.  No
-    row is built and nothing is transposed.  ``columnar`` is the engine's
-    wire format: with it off, the node emits the batch's row form.
+    row is built and nothing is transposed.
     """
-
-    columnar: bool
 
     def emit_batch(self, batch) -> None:
         """Translate one coalesced batch and emit it."""
-        delta = self.batch_delta(batch)
-        self.emit(delta if self.columnar else delta.to_delta())
+        self.emit(self.batch_delta(batch))
 
     #: keys of the batch's ``label_flips`` / ``key_changes`` groups whose
     #: vertices this node's relation can move with (``None``: every one)
@@ -148,32 +144,16 @@ class _GraphInputNode(Node):
 class VertexInputNode(_GraphInputNode):
     """© — vertices carrying all required labels, with pushed-down columns.
 
-    ``value_filters`` — ``(column, property key, frozen atom)`` triples from
-    constant equality conjuncts the builder pushed below the σ — restrict
-    the relation to vertices whose pushed column equals the constant, so
-    the event router can narrow dispatch by *value* (its per-(key, value)
-    bucket index) and every tuple travelling the network already satisfied
-    the constant.  The filter is a necessary condition only (Python ``==``
-    over-approximates Cypher ``=`` on atoms; the downstream σ re-confirms),
-    and it is a pure function of each built tuple, so retract/assert pairs
-    filter symmetrically and net deltas stay exact.
+    A constant filter on a pushed column is no part of the relation: it is
+    the σ above, so every view over the same labels and columns shares one
+    node whatever constants its σ compares with.
     """
 
-    def __init__(
-        self,
-        op: GetVertices,
-        graph: PropertyGraph,
-        value_filters: tuple[tuple[int, str, Any], ...] = (),
-        columnar: bool = False,
-    ):
+    def __init__(self, op: GetVertices, graph: PropertyGraph):
         super().__init__(op.schema)
         self.graph = graph
         self.labels = frozenset(op.labels)
         self.projections = op.projections
-        self.value_filters = value_filters
-        #: emit activations and batch translations as ColumnDelta (engine
-        #: columnar flag)
-        self.columnar = columnar
         self._property_keys = frozenset(
             p.key for p in op.projections if p.kind == "property"
         )
@@ -195,24 +175,7 @@ class VertexInputNode(_GraphInputNode):
             property_keys=self._property_keys,
             all_properties=self._wants_properties,
             label_values=self._wants_labels,
-            property_values=tuple(
-                (key, value) for _, key, value in self.value_filters
-            ),
         )
-
-    # -- value filtering ----------------------------------------------------
-
-    def _passes(self, row: tuple) -> bool:
-        return all(row[i] == v for i, _, v in self.value_filters)
-
-    def _filtered(self, delta: Delta) -> Delta:
-        if not self.value_filters:
-            return delta
-        out = Delta()
-        for row, multiplicity in delta.items():
-            if self._passes(row):
-                out.add(row, multiplicity)
-        return out
 
     # -- tuple building -----------------------------------------------------
 
@@ -265,23 +228,9 @@ class VertexInputNode(_GraphInputNode):
             for projection in self.projections
         ]
 
-    def _value_filtered(self, delta: ColumnDelta) -> ColumnDelta:
-        if not self.value_filters:
-            return delta
-        filters = [(delta.columns[i], value) for i, _, value in self.value_filters]
-        return delta.take(
-            [
-                position
-                for position in range(len(delta))
-                if all(column[position] == value for column, value in filters)
-            ]
-        )
-
     def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
         ids = self._scan()
-        return self._value_filtered(
-            ColumnDelta(self._columns(ids), [1] * len(ids), len(self.schema))
-        )
+        return ColumnDelta(self._columns(ids), [1] * len(ids), len(self.schema))
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.VertexAdded):
@@ -291,10 +240,9 @@ class VertexInputNode(_GraphInputNode):
                     labels=event.labels,
                     properties=_private_dict(event.properties),
                 )
-                if self._passes(row):
-                    delta = Delta()
-                    delta.add(row, 1)
-                    self.emit(delta)
+                delta = Delta()
+                delta.add(row, 1)
+                self.emit(delta)
         elif isinstance(event, ev.VertexRemoved):
             if self._matches(event.labels):
                 row = self._tuple(
@@ -302,10 +250,9 @@ class VertexInputNode(_GraphInputNode):
                     labels=event.labels,
                     properties=_private_dict(event.properties),
                 )
-                if self._passes(row):
-                    delta = Delta()
-                    delta.add(row, -1)
-                    self.emit(delta)
+                delta = Delta()
+                delta.add(row, -1)
+                self.emit(delta)
         elif isinstance(event, ev.VertexLabelAdded):
             current = self.graph.labels_of(event.vertex_id)
             before = current - {event.label}
@@ -331,7 +278,7 @@ class VertexInputNode(_GraphInputNode):
             # membership unchanged but a labels(...) column changed value
             delta.add(self._tuple(vertex_id, labels=before), -1)
             delta.add(self._tuple(vertex_id, labels=current), 1)
-        self.emit(self._filtered(delta))
+        self.emit(delta)
 
     def batch_delta(self, batch) -> ColumnDelta:
         """Net delta for one :class:`~repro.rete.batch.CoalescedBatch`."""
@@ -346,9 +293,7 @@ class VertexInputNode(_GraphInputNode):
         if changed and labels:
             was = lambda v: labels <= images[v][0]
             now = lambda v: labels <= view(v)
-        return self._value_filtered(
-            self._net(removed, added, changed, was, now, images)
-        )
+        return self._net(removed, added, changed, was, now, images)
 
     def _property_change(self, event: ev.VertexPropertySet) -> None:
         if not (self._wants_properties or event.key in self._property_keys):
@@ -360,7 +305,7 @@ class VertexInputNode(_GraphInputNode):
         delta = Delta()
         delta.add(self._tuple(event.vertex_id, properties=before), -1)
         delta.add(self._tuple(event.vertex_id, properties=after), 1)
-        self.emit(self._filtered(delta))
+        self.emit(delta)
 
 
 class EdgeInputNode(_GraphInputNode):
@@ -373,12 +318,9 @@ class EdgeInputNode(_GraphInputNode):
     change membership or pushed-column values of incident edge tuples).
     """
 
-    def __init__(self, op: GetEdges, graph: PropertyGraph, columnar: bool = False):
+    def __init__(self, op: GetEdges, graph: PropertyGraph):
         super().__init__(op.schema)
         self.graph = graph
-        #: emit activations and batch translations as ColumnDelta (engine
-        #: columnar flag)
-        self.columnar = columnar
         self.types = frozenset(op.types)
         self.src_labels = frozenset(op.src_labels)
         self.tgt_labels = frozenset(op.tgt_labels)

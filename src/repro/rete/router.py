@@ -19,17 +19,7 @@ those signatures:
   label-free nodes,
 * label-watch and property-key buckets for vertex column changes,
 * edge nodes keyed by edge type, endpoint label, endpoint property key and
-  edge property key, each with its wildcard bucket,
-* **value-level** buckets for vertex nodes carrying a pushed constant
-  (``value_filters`` — see :class:`~.nodes.input.VertexInputNode`): such a
-  node is keyed by its first ``(property key, constant)`` pair *instead
-  of* a membership label, so dispatch probes the event's actual property
-  values and skips every node whose constant differs — candidate sets
-  narrow by value, not just by key.  Value probes are necessary
-  conditions only (the node and its σ still run their exact checks), and
-  events whose value for a filter key is unhashable or non-atomic simply
-  match no value bucket — such a vertex can never satisfy an atomic
-  constant filter.
+  edge property key, each with its wildcard bucket.
 
 ``dispatch`` then touches only nodes whose relevance predicate can
 possibly pass; the nodes' own exact checks stay in place, so routing is a
@@ -43,19 +33,14 @@ router, the one dispatch path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .nodes.input import EdgeInputNode, VertexInputNode
-
-#: atom types safe to probe value buckets with (hashable, and Python ``==``
-#: over-approximates Cypher ``=`` on them — see the unary module's note)
-_ATOMS = (bool, int, float, str)
-
 
 @dataclass(frozen=True, slots=True)
 class VertexInterest:
@@ -69,9 +54,6 @@ class VertexInterest:
     all_properties: bool
     #: carries a labels(...) column — every label flip is relevant
     label_values: bool
-    #: pushed constant equality filters as (property key, atom) pairs —
-    #: the node only ever emits tuples whose column equals the constant
-    property_values: tuple[tuple[str, Any], ...] = field(default=())
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,10 +155,6 @@ class EventRouter:
         self._v_membership = _Bucketed()  # discriminator label / label-free
         self._v_label_watch = _Bucketed()  # required label / labels() column
         self._v_prop_watch = _Bucketed()  # property key / properties() column
-        self._v_value = _Bucketed()  # (property key, constant) — value level
-        # filter keys with live value-bucket members (key → member count);
-        # dispatch probes each live key against the event's actual values
-        self._v_value_key_counts: dict[str, int] = {}
         # edge-node indexes
         self._e_type = _Bucketed()  # edge type / type-free
         self._e_label_watch = _Bucketed()  # endpoint label / labels() column
@@ -227,18 +205,7 @@ class EventRouter:
         seq = self._seq
         self._seq += 1
         buckets: list[tuple] = []
-        if interest.property_values:
-            # value-filtered node: its first (key, constant) pair replaces
-            # the membership discriminator — a vertex whose value for that
-            # key differs can never enter this node's relation
-            buckets.append(
-                self._v_value.add_keyed(interest.property_values[0], node, seq)
-            )
-            fk = interest.property_values[0][0]
-            self._v_value_key_counts[fk] = (
-                self._v_value_key_counts.get(fk, 0) + 1
-            )
-        elif interest.labels:
+        if interest.labels:
             # any one required label is a necessary membership condition
             discriminator = min(interest.labels)
             buckets.append(self._v_membership.add_keyed(discriminator, node, seq))
@@ -291,14 +258,6 @@ class EventRouter:
         self._union_cache.clear()
         for bucketed, key in entry[1]:
             bucketed.discard(key, id(node))
-        values = getattr(entry[0], "property_values", ())
-        if values:
-            fk = values[0][0]
-            count = self._v_value_key_counts.get(fk, 0) - 1
-            if count > 0:
-                self._v_value_key_counts[fk] = count
-            else:
-                self._v_value_key_counts.pop(fk, None)
 
     # -- candidate selection ------------------------------------------------
 
@@ -317,58 +276,10 @@ class EventRouter:
             *[self._v_membership.get(label) for label in key],
         )
 
-    def _probe_value(self, key: str, value) -> dict:
-        """Value bucket for ``(key, value)``; non-atoms match no bucket."""
-        if isinstance(value, _ATOMS):
-            return self._v_value.get((key, value))
-        return _EMPTY
-
-    def _value_buckets(self, properties) -> list[dict]:
-        """Value buckets matching one vertex's property map."""
-        buckets = []
-        for fk in self._v_value_key_counts:
-            bucket = self._probe_value(fk, properties.get(fk))
-            if bucket:
-                buckets.append(bucket)
-        return buckets
-
-    def _value_buckets_for_set(self, event: ev.VertexPropertySet) -> list[dict]:
-        """Value buckets a property change can concern.
-
-        For the changed key both the old and new value are probed (the
-        retract tuple carries the old, the assert tuple the new); every
-        other live filter key is probed at the vertex's current value.
-        """
-        buckets = []
-        current = None
-        for fk in self._v_value_key_counts:
-            if fk == event.key:
-                for value in (event.old_value, event.new_value):
-                    bucket = self._probe_value(fk, value)
-                    if bucket:
-                        buckets.append(bucket)
-            else:
-                if current is None:
-                    current = self.graph.vertex_properties(event.vertex_id)
-                bucket = self._probe_value(fk, current.get(fk))
-                if bucket:
-                    buckets.append(bucket)
-        return buckets
-
     def vertex_candidates(self, event: ev.GraphEvent) -> list[object]:
         """© nodes that may produce a non-empty delta for *event*."""
         if isinstance(event, (ev.VertexAdded, ev.VertexRemoved)):
-            if not self._v_value_key_counts:
-                return self._vertex_membership_candidates(event.labels)
-            # value probes depend on the event's property payload, so this
-            # union is not memoised (the membership part alone would be)
-            labels = event.labels
-            key = labels if isinstance(labels, frozenset) else frozenset(labels)
-            return _ordered(
-                self._v_membership.wildcard,
-                *[self._v_membership.get(label) for label in key],
-                *self._value_buckets(event.properties),
-            )
+            return self._vertex_membership_candidates(event.labels)
         if isinstance(event, (ev.VertexLabelAdded, ev.VertexLabelRemoved)):
             return self._union(
                 ("vl", event.label),
@@ -379,19 +290,9 @@ class EventRouter:
             # membership first (one no-copy labels read replaces N lookups),
             # then the per-node key filter on the usually tiny candidate set
             key = event.key
-            if not self._v_value_key_counts:
-                base = self._vertex_membership_candidates(
-                    self.graph.labels_view(event.vertex_id)
-                )
-            else:
-                base = _ordered(
-                    self._v_membership.wildcard,
-                    *[
-                        self._v_membership.get(label)
-                        for label in self.graph.labels_view(event.vertex_id)
-                    ],
-                    *self._value_buckets_for_set(event),
-                )
+            base = self._vertex_membership_candidates(
+                self.graph.labels_view(event.vertex_id)
+            )
             return [
                 node
                 for node in base
@@ -479,20 +380,13 @@ class EventRouter:
         return [bucketed.wildcard, *[bucketed.get(key) for key in keys if key is not None]]
 
     def _batch_vertex_candidates(self, batch) -> list[object]:
-        # added/removed vertices reach the nodes their labels (or, for a
-        # value-filtered node, their values) admit; changed ones the nodes
-        # watching a flipped label or a moved key
-        buckets = self._keyed(self._v_membership, batch.vertices)
-        if self._v_value_key_counts and batch.vertices:
-            added, removed = batch.vertices[None]
-            images, live = batch.vertex_before, self.graph.vertex_property
-            for key in self._v_value_key_counts:
-                values = [live(v, key) for v in added]
-                values.extend(images[v][1].get(key) for v in removed)
-                buckets.extend(self._probe_value(key, value) for value in values)
-        buckets += self._keyed(self._v_label_watch, batch.label_flips)
-        buckets += self._keyed(self._v_prop_watch, batch.key_changes)
-        return _ordered(*buckets)
+        # added/removed vertices reach the nodes their labels admit;
+        # changed ones the nodes watching a flipped label or a moved key
+        return _ordered(
+            *self._keyed(self._v_membership, batch.vertices),
+            *self._keyed(self._v_label_watch, batch.label_flips),
+            *self._keyed(self._v_prop_watch, batch.key_changes),
+        )
 
     def _batch_edge_candidates(self, batch) -> list[object]:
         return _ordered(

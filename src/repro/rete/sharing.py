@@ -21,7 +21,7 @@ mode:
   :class:`~.nodes.unary.BindingIndexedSelectionNode` per generalised σ
   shape, fed by the core below it, with one partition per live binding.
   Partitions are ordinary refcounted entries under
-  :data:`BINDING_TIER`-tagged keys, so the LRU, stats and targeted
+  :data:`BINDING_TIER`-tagged keys, so refcounting, stats and targeted
   activation are the same machinery; only their drop path differs (the
   binding leaves the node; the node leaves the core with its last
   binding).  The engine builds a query's views in this lifted form once
@@ -47,10 +47,7 @@ plus probes), the partition's predicate confirming each.
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from itertools import count
 from typing import Any, Mapping
 
 from ..algebra import ops
@@ -88,12 +85,9 @@ class SharingStats:
     # a new binding joining a live binding-indexed σ: the whole core below
     # it is reused, though the partition lookup itself counts as a miss
     binding_core_hits: int = 0
-    detached_retained: int = 0
-    detached_revived: int = 0
-    detached_evicted: int = 0
     release_underflows: int = 0
     # refcount traffic (observability): every successful acquire/release
-    # pair and every node genuinely dropped by prune()
+    # pair and every node dropped by prune()
     acquires: int = 0
     releases: int = 0
     pruned: int = 0
@@ -192,8 +186,6 @@ class _SubplanEntry:
 
     node: Node
     upstreams: tuple[tuple[Node, int], ...]
-    #: adoption sequence number — the entry's position in ``_subplans``
-    order: int
     refcount: int = 0
 
 
@@ -201,8 +193,8 @@ class _BindingTier:
     """Singleton head of binding-partition cache keys.
 
     Partition entries live in the same ``_subplans`` map as resolved-key
-    entries (so refcounting, the detached LRU, stats and ``state_delta``
-    reconstruction are shared machinery); the identity-singleton head
+    entries (so refcounting, stats and ``state_delta`` reconstruction are
+    shared machinery); the identity-singleton head
     keeps them unmistakable — a resolved key always starts with a
     :class:`~repro.compiler.fingerprint.SubplanFingerprint`.
     """
@@ -224,7 +216,7 @@ class _ParamNodeEntry:
     has partitions, and each partition is an ordinary refcounted
     ``_subplans`` entry.  ``prune()`` therefore drops individual bindings
     first; only the last partition's drop detaches the node from its core
-    (which may then cascade the core itself into the detached LRU).
+    (which may then cascade the core itself out of the layer).
     """
 
     node: BindingIndexedSelectionNode
@@ -252,29 +244,13 @@ class SharingLayer:
     :meth:`prune` drops entries whose refcount is zero *and* that no live
     subscriber still reads, unsubscribing them from their upstreams — which
     can free upstream shared subplans and, finally, input nodes, so one
-    pass cascades the release down the whole shared chain.
-
-    **Detached-subplan LRU.**  Register/detach churn otherwise rebuilds a
-    just-pruned subplan from scratch on the next registration.  With
-    ``detached_cache_size > 0``, :meth:`prune` instead *retains* up to that
-    many dead subplan roots: a retained node stays subscribed to its
-    upstreams and keeps receiving deltas, so its memory stays exactly
-    current (it is still a correct materialisation of its subtree, and the
-    view-answering catalog may serve from it).  A later registration that
-    needs the same subtree revives it for free; the least-recently-touched
-    root is genuinely dropped when the cache overflows, which can cascade
-    its upstream chain into the cache or out of the layer.  The retained
-    chain's upkeep (per-event delta work) is the price of instant revival —
-    bounded by the cache size; ``detached_cache_size=0`` restores strict
-    eager pruning.
+    pass cascades the release down the whole shared chain.  A dead
+    subplan is dropped at once: nothing keeps maintaining state no view
+    reads.
     """
 
     graph: PropertyGraph
     stats: SharingStats = field(default_factory=SharingStats)
-    #: emit batch translations as ColumnDelta (engine columnar flag);
-    #: cached input nodes are created with the matching wire format
-    columnar_deltas: bool = True
-    detached_cache_size: int = 4
 
     def __post_init__(self) -> None:
         self._vertex_nodes: dict[tuple, VertexInputNode] = {}
@@ -283,7 +259,6 @@ class SharingLayer:
         self.router = EventRouter(self.graph)
         self._subplans: dict[tuple, _SubplanEntry] = {}
         self._key_by_node: dict[int, tuple] = {}
-        self._adoptions = count()
         # keys released since the last prune(): the only entries (besides
         # the upstreams a drop orphans) that can have died in between
         self._released: list[tuple] = []
@@ -291,28 +266,16 @@ class SharingLayer:
         # their per-binding partitions are ordinary _subplans entries under
         # BINDING_TIER-tagged keys
         self._param_nodes: dict[tuple, _ParamNodeEntry] = {}
-        # dead-but-retained subplan roots, least-recently-used first;
-        # members are also (still) present in _subplans
-        self._detached_lru: OrderedDict[tuple, None] = OrderedDict()
 
     # -- input nodes ------------------------------------------------------------
 
-    def vertex_node(
-        self, op: ops.GetVertices, value_filters: tuple = ()
-    ) -> VertexInputNode:
-        """The © node for *op*.  A pushed constant filter narrows the
-        node's relation, so the filters are part of its key; two views
-        selecting the same constant still share one filtered node."""
+    def vertex_node(self, op: ops.GetVertices) -> VertexInputNode:
+        """The © node for *op*, keyed by its labels and pushed columns."""
         self.stats.vertex_requests += 1
-        key = (op.labels, op.projections, value_filters)
+        key = (op.labels, op.projections)
         node = self._vertex_nodes.get(key)
         if node is None:
-            node = VertexInputNode(
-                op,
-                self.graph,
-                value_filters=value_filters,
-                columnar=self.columnar_deltas,
-            )
+            node = VertexInputNode(op, self.graph)
             self._vertex_nodes[key] = node
             self.stats.vertex_nodes += 1
             self.router.register_vertex_node(node)
@@ -330,7 +293,7 @@ class SharingLayer:
         )
         node = self._edge_nodes.get(key)
         if node is None:
-            node = EdgeInputNode(op, self.graph, columnar=self.columnar_deltas)
+            node = EdgeInputNode(op, self.graph)
             self._edge_nodes[key] = node
             self.stats.edge_nodes += 1
             self.router.register_edge_node(node)
@@ -350,31 +313,19 @@ class SharingLayer:
         if entry is None:
             return None
         self.stats.subplan_hits += 1
-        # revival is an acquire()-side event: a bare probe (EXPLAIN, the
-        # view matcher, a lookup the builder abandons) must not count one
         return entry.node
 
     def subplan_peek(self, key: tuple) -> Node | None:
-        """The cached node for *key* without counting a sharing request.
-
-        Read path for the view-answering catalog: a retained (detached)
-        node is servable — it is still maintained — and a peek refreshes
-        its LRU recency, but does not revive it.
-        """
+        """The cached node for *key* without counting a sharing request
+        (the view-answering catalog's read path)."""
         entry = self._subplans.get(key)
-        if entry is None:
-            return None
-        if key in self._detached_lru:
-            self._detached_lru.move_to_end(key)
-        return entry.node
+        return None if entry is None else entry.node
 
     def subplan_adopt(
         self, key: tuple, node: Node, upstreams: tuple[tuple[Node, int], ...]
     ) -> None:
         """Take ownership of a freshly built node under *key*."""
-        self._subplans[key] = _SubplanEntry(
-            node, upstreams, next(self._adoptions)
-        )
+        self._subplans[key] = _SubplanEntry(node, upstreams)
         self._key_by_node[id(node)] = key
         self.stats.subplan_nodes += 1
 
@@ -448,9 +399,7 @@ class SharingLayer:
         )
         facade = SelectionPartitionNode(entry.node.schema, entry.node, ctx)
         entry.node.add_partition(key[2], facade)
-        self._subplans[key] = _SubplanEntry(
-            facade, ((entry.upstream, entry.side),), next(self._adoptions)
-        )
+        self._subplans[key] = _SubplanEntry(facade, ((entry.upstream, entry.side),))
         self._key_by_node[id(facade)] = key
         self.stats.binding_partitions += 1
         return facade
@@ -460,8 +409,7 @@ class SharingLayer:
     ) -> SelectionPartitionNode | None:
         """The live partition serving *op* under *parameters*, if any.
 
-        Read path for the view-answering catalog — same contract as
-        :meth:`subplan_peek` (refreshes LRU recency, never revives).
+        Read path for the view-answering catalog, as :meth:`subplan_peek`.
         """
         key = self.partition_key(op, parameters)
         if key is None:
@@ -472,11 +420,6 @@ class SharingLayer:
     def acquire(self, key: tuple) -> None:
         self._subplans[key].refcount += 1
         self.stats.acquires += 1
-        # a held subplan is live again, not a detached-cache resident;
-        # leaving the LRU under an acquire is precisely a revival
-        if key in self._detached_lru:
-            del self._detached_lru[key]
-            self.stats.detached_revived += 1
 
     def release(self, key: tuple) -> None:
         entry = self._subplans.get(key)
@@ -550,78 +493,34 @@ class SharingLayer:
 
     # -- maintenance ----------------------------------------------------------
 
-    def prune(self, retain: bool = True) -> int:
+    def prune(self) -> int:
         """Drop dead subplans (cascading), then dead input nodes; returns
-        the number of nodes genuinely dropped (also ``stats.pruned``).
+        the number of nodes dropped (also ``stats.pruned``).
 
         A subplan dies when no view holds it (refcount zero) and no live
-        node still subscribes to its output.  Dead roots first enter the
-        detached LRU (still connected and maintained, see the class
-        docstring); only overflow — or ``detached_cache_size=0``, or
-        ``retain=False`` for state no registration will ask for again —
-        makes them genuinely drop, unsubscribing from their upstreams,
-        which can push *them* to zero subscribers.
-
+        node still subscribes to its output.  Dropping it unsubscribes it
+        from its upstreams, which can push *them* to zero subscribers.
         Only a released key or an upstream orphaned by a drop can have
-        died, so the sweep is a worklist over exactly those, visited the
-        way a repeated full scan of ``_subplans`` would meet them (LRU
-        order depends on it): in adoption order, an orphan adopted after
-        the entry being visited still in this pass, an earlier one in the
-        next.
+        died, and a drop only ever lowers other nodes' counts, so the
+        sweep is a worklist over exactly those, in any order.
         """
         removed = 0
-        # upstreams orphaned by an eviction this sweep: they died only
-        # because their (colder) downstream was dropped, so they must not
-        # enter the LRU as most-recent and displace genuinely warm roots
-        cascade_orphans: set[int] = set()
-        subplans = self._subplans
-        pending = {
-            subplans[key].order: key
-            for key in self._released
-            if key in subplans
-        }
-        self._released.clear()
+        subplans, key_by_node = self._subplans, self._key_by_node
+        pending, self._released = self._released, []
         while pending:
-            later: dict[int, tuple] = {}
-            heap = list(pending)
-            heapify(heap)
-            while heap:
-                order = heappop(heap)
-                key = pending[order]
-                entry = subplans.get(key)
-                if (
-                    entry is None  # dropped by an eviction earlier in this sweep
-                    or entry.refcount != 0
-                    or entry.node.subscriber_count != 0
-                    or key in self._detached_lru  # retained; ages out via overflow
-                ):
-                    continue
-                orphans: set[int] = set()
-                if retain and self.detached_cache_size > 0:
-                    self._detached_lru[key] = None
-                    if id(entry.node) in cascade_orphans:
-                        self._detached_lru.move_to_end(key, last=False)
-                    self.stats.detached_retained += 1
-                    while len(self._detached_lru) > self.detached_cache_size:
-                        oldest, _ = self._detached_lru.popitem(last=False)
-                        orphans |= self._drop_subplan(oldest)
-                        self.stats.detached_evicted += 1
-                        removed += 1
-                else:
-                    orphans = self._drop_subplan(key)
-                    removed += 1
-                cascade_orphans |= orphans
-                for node_id in orphans:
-                    orphan_key = self._key_by_node.get(node_id)
-                    if orphan_key is None:
-                        continue  # an input node: swept below
-                    orphan_order = subplans[orphan_key].order
-                    if orphan_order < order:
-                        later[orphan_order] = orphan_key
-                    elif orphan_order not in pending:
-                        pending[orphan_order] = orphan_key
-                        heappush(heap, orphan_order)
-            pending = later
+            key = pending.pop()
+            entry = subplans.get(key)
+            if (
+                entry is None  # dropped earlier in this sweep
+                or entry.refcount != 0
+                or entry.node.subscriber_count != 0
+            ):
+                continue
+            removed += 1
+            for node_id in self._drop_subplan(key):
+                orphan_key = key_by_node.get(node_id)
+                if orphan_key is not None:  # else an input node: swept below
+                    pending.append(orphan_key)
         removed += self._prune_inputs()
         self.stats.pruned += removed
         return removed
@@ -640,7 +539,7 @@ class SharingLayer:
         return removed
 
     def _drop_subplan(self, key: tuple) -> set[int]:
-        """Genuinely remove one cached subplan and detach it upstream.
+        """Remove one cached subplan and detach it upstream.
 
         Returns the ids of the upstream nodes it unsubscribed from — the
         candidates the drop may have orphaned.  Binding-partition keys
@@ -649,7 +548,6 @@ class SharingLayer:
         partition — individual bindings die before the core does.
         """
         entry = self._subplans.pop(key)
-        self._detached_lru.pop(key, None)
         self._key_by_node.pop(id(entry.node), None)
         if key[0] is BINDING_TIER:
             node_entry = self._param_nodes[key[1]]
@@ -678,11 +576,6 @@ class SharingLayer:
         return sum(
             entry.node.partition_count for entry in self._param_nodes.values()
         )
-
-    @property
-    def detached_count(self) -> int:
-        """Dead-but-retained subplan roots currently in the LRU."""
-        return len(self._detached_lru)
 
     @property
     def node_count(self) -> int:

@@ -30,8 +30,7 @@ Consistency rules (each one differentially tested):
   graph — snapshot reads are never served stale;
 * a detached view leaves the root index immediately (the engine notifies
   the catalog before ``detach()`` returns); its subplans survive exactly
-  as long as the sharing layer keeps maintaining them (held by other
-  views, or retained in the detached LRU — both stay current);
+  as long as other views hold them, and stay current while they do;
 * parameterised subtrees match only under equal resolved bindings;
 * every maintained node holds the bag the interpreter computes for its
   subtree — a ⋈* included, which keeps one row per trail, as the
@@ -51,10 +50,8 @@ interpreter over a fresh copy of the materialised bag.  The match itself,
 with the listing spec it implies, is memoised per (compiled query,
 type-exact parameter bindings) and the memo is cleared on every view
 register/detach event — the only points where what
-:meth:`ViewCatalog.lookup` can see changes (``prune()`` and detached-LRU
-eviction run inside detach).  A memoised read therefore does not refresh a
-retained subplan's LRU recency; the first read after each lifecycle event
-does.
+:meth:`ViewCatalog.lookup` can see changes (``prune()`` runs inside
+detach).
 """
 
 from __future__ import annotations

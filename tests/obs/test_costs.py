@@ -2,8 +2,9 @@
 
 ``view_costs()`` reads the always-on node traffic counters (it needs no
 ``collect_metrics``), splits shared nodes' work evenly across their
-reader views, and books work done by reader-less nodes (detached-LRU
-residents) as ``unattributed``.  The invariant pinned throughout: the
+reader views, and books work done by nodes no view reads directly (the
+chain below a reused subplan whose building view has detached) as
+``unattributed``.  The invariant pinned throughout: the
 per-view shares plus the unattributed bucket sum to the engine-wide
 total exactly, up to float rounding.
 """
@@ -81,22 +82,48 @@ class TestAttribution:
         assert costs["views"] == []
         assert costs["unattributed"] == pytest.approx(costs["total"])
 
-    def test_detached_lru_work_lands_in_unattributed(self):
+    def test_detaching_the_builder_of_a_reused_subplan_keeps_the_sum(self):
         graph = PropertyGraph()
-        # retain detached subplans so their nodes keep doing reader-less work
-        engine = IncrementalEngine(graph, detached_cache_size=4)
-        keeper = engine.register("MATCH (p:Post) RETURN p.lang AS lang")
-        doomed = engine.register(
-            "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c"
-        )
+        engine = QueryEngine(graph)
+        query = "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c"
+        builder = engine.register(query)
+        # a root hit: the keeper reads the shared root, not the inputs
+        keeper = engine.register(query)
         churn(graph, operations=15)
-        doomed.detach()
+        builder.detach()
         churn(graph, operations=15, seed=8)
         costs = engine.view_costs()
         assert len(costs["views"]) == 1
-        assert costs["unattributed"] > 0
         assert_sums_to_total(costs)
-        assert keeper.multiset() is not None
+        direct = engine.evaluate(query, use_views=False)
+        assert keeper.multiset() == direct.multiset()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    def test_a_detached_views_private_chain_leaves_the_books(self, batched):
+        """A detached view's nodes are dropped at once: nothing it alone
+        read keeps accruing, so the survivor is charged the whole total."""
+        graph = PropertyGraph()
+        engine = QueryEngine(graph, batch_transactions=batched)
+        query = "MATCH (c:Comm) RETURN c.lang AS lang"
+        leaver = engine.register("MATCH (p:Post) RETURN p.lang AS lang")
+        keeper = engine.register(query)
+        churn(graph, operations=15)
+        leaver.detach()
+        rng = random.Random(12)
+        for _ in range(10):
+            with graph.transaction():
+                for _ in range(rng.randint(1, 3)):
+                    vertices = list(graph.vertices())
+                    edges = list(graph.edges())
+                    _random_op(rng, vertices, edges)(graph)
+        costs = engine.view_costs()
+        (entry,) = costs["views"]
+        assert entry["query"] == query
+        assert costs["unattributed"] == 0
+        assert entry["cost"] == pytest.approx(costs["total"])
+        assert costs["total"] > 0
+        direct = engine.evaluate(query, use_views=False)
+        assert keeper.multiset() == direct.multiset()
 
     def test_costs_need_no_metrics_flag(self):
         graph = PropertyGraph()

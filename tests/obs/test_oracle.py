@@ -153,13 +153,8 @@ class TestObservabilityIsPure:
 
     @pytest.mark.parametrize(
         "flags",
-        [
-            {"columnar_deltas": False},
-            {"detached_cache_size": 0},
-            {"batch_transactions": True, "columnar_deltas": False},
-            {"batch_transactions": True, "detached_cache_size": 0},
-        ],
-        ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
+        [{}, {"batch_transactions": True}],
+        ids=["default", "batch_transactions=True"],
     )
     def test_flag_matrix_matches_baseline(self, flags):
         """Instrumentation composes with every other engine option."""

@@ -13,9 +13,21 @@ stored type may legitimately survive an ``==``-equal write.
 
 from __future__ import annotations
 
+import itertools
+
 from repro import QueryEngine
 
 from .test_populate import exact
+
+#: every combination of the engine's options, for flag-matrix tests
+ENGINE_OPTIONS = [
+    dict(zip(("batch_transactions", "collect_metrics", "trace_batches"), values))
+    for values in itertools.product((False, True), repeat=3)
+]
+ENGINE_OPTION_IDS = [
+    "+".join(name for name, on in options.items() if on) or "default"
+    for options in ENGINE_OPTIONS
+]
 
 
 def fold(bag: dict, items) -> None:

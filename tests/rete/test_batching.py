@@ -189,12 +189,11 @@ def test_unbalanced_end_batch_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("columnar", [True, False])
-def test_batched_equals_per_event_on_churn_stream(columnar):
+def test_batched_equals_per_event_on_churn_stream():
     net = social.generate_social(persons=6, posts_per_person=1, comments_per_post=3)
     graph = net.graph
-    batched = QueryEngine(graph, columnar_deltas=columnar)
-    per_event = QueryEngine(graph, columnar_deltas=columnar)
+    batched = QueryEngine(graph)
+    per_event = QueryEngine(graph)
 
     queries = [PAPER_QUERY, social.QUERIES["popular_posts"]]
     batched_views = [batched.register(q) for q in queries]

@@ -25,9 +25,9 @@ from repro import PropertyGraph, QueryEngine
 from repro.errors import GraphError
 from repro.rete.engine import IncrementalEngine
 from repro.rete.nodes.unary import SelectionPartitionNode
-from repro.rete.sharing import SharingLayer
+from repro.rete.sharing import SharingLayer, subplan_cache_key
 
-from .oracle import OracleMirror
+from .oracle import ENGINE_OPTION_IDS, ENGINE_OPTIONS, OracleMirror
 from .test_sharing import _Abort, _random_op
 
 #: parameterised shapes: equality (value-indexed), range (scan path),
@@ -335,7 +335,7 @@ class TestLiftingRule:
         mirror.assert_consistent()
 
     def test_second_distinct_binding_lifts_the_first_too(self):
-        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=4)
+        mirror = OracleMirror(self.graph_with_people()[0])
         first = mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         production, rows = first.network.production, first.rows()
         fired: list = []
@@ -348,8 +348,11 @@ class TestLiftingRule:
         # the view kept its production node and contents; nothing fired
         assert first.network.production is production
         assert first.rows() == rows and fired == []
-        # the pushed-down chain was dropped, not retained
-        assert layer.detached_count == 0
+        # the pushed-down chain was dropped
+        pushed = [
+            subplan_cache_key(op, {"lang": "en"}) for op in first.compiled.plan.walk()
+        ]
+        assert not any(key and key[1] and key in layer._subplans for key in pushed)
         people = list(mirror.graph.vertices("Person"))
         late = mirror.graph.add_vertex(labels=["Person"], properties={"lang": "en"})
         mirror.graph.add_edge(late, people[0], "KNOWS")
@@ -390,7 +393,7 @@ class TestLiftingRule:
         mirror.assert_consistent()
 
     def test_new_binding_joins_the_live_node_after_the_first_leaves(self):
-        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=0)
+        mirror = OracleMirror(self.graph_with_people()[0])
         mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         mirror.register(PARAM_QUERIES[0], {"lang": "de"})
         layer = mirror.engine._incremental.input_layer
@@ -445,7 +448,7 @@ class TestLiftingRule:
         mirror.assert_consistent()
 
     def test_a_shape_whose_views_all_left_starts_over(self):
-        mirror = OracleMirror(self.graph_with_people()[0], detached_cache_size=0)
+        mirror = OracleMirror(self.graph_with_people()[0])
         engine = mirror.engine._incremental
         mirror.register(PARAM_QUERIES[0], {"lang": "en"})
         mirror.register(PARAM_QUERIES[0], {"lang": "de"})
@@ -525,15 +528,7 @@ class TestLiftingRule:
         assert mirror.engine._incremental._live_bindings == {}
         mirror.assert_consistent()
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"columnar_deltas": False},
-            {"batch_transactions": True},
-            {"detached_cache_size": 0},
-        ],
-        ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()),
-    )
+    @pytest.mark.parametrize("options", ENGINE_OPTIONS, ids=ENGINE_OPTION_IDS)
     def test_the_rule_holds_under_every_engine_option(self, options):
         graph, _ = self.graph_with_people()
         mirror = OracleMirror(graph, **options)
@@ -574,7 +569,7 @@ class TestLiftingRule:
         for lang in ("en", "de", "hu"):
             graph.add_vertex(labels=["Person"], properties={"lang": lang})
             graph.add_vertex(labels=["Post"], properties={"lang": lang})
-        mirror = OracleMirror(graph, detached_cache_size=rng.choice((0, 4)))
+        mirror = OracleMirror(graph)
         engine = mirror.engine._incremental
         # the σ each query shares: the projection and the aggregate over
         # (p:Post) WHERE p.lang = $lang count each other's bindings
@@ -624,7 +619,7 @@ class TestBindingLifecycle:
     def test_all_bindings_detached_drops_node_and_core(self):
         graph = PropertyGraph()
         graph.add_vertex(labels=["Person"], properties={"lang": "en"})
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         layer = engine.input_layer
         views = [
             engine.register(PARAM_QUERIES[0], parameters={"lang": value})
@@ -642,64 +637,40 @@ class TestBindingLifecycle:
         assert layer.subplan_count == 0
         assert layer.node_count == 0
 
-    def test_detached_binding_is_retained_and_revived(self):
-        graph = PropertyGraph()
-        graph.add_vertex(labels=["Person"], properties={"lang": "en"})
-        engine = IncrementalEngine(graph, detached_cache_size=4)
-        layer = engine.input_layer
-        view = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
-        keeper = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
-        partitions_before = layer.stats.binding_partitions
-        view.detach()
-        assert layer.binding_partition_count == 2  # retained, still maintained
-        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        revived = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
-        # revival reused the retained partition instead of building anew
-        assert layer.stats.binding_partitions == partitions_before
-        assert layer.stats.detached_revived >= 1
-        assert revived.multiset() == param_oracle(
-            engine, PARAM_QUERIES[1], {"lang": "en"}
-        )
-        assert keeper.multiset() == param_oracle(
-            engine, PARAM_QUERIES[1], {"lang": "de"}
-        )
-
-    @pytest.mark.parametrize("cache_size", [0, 2])
+    @pytest.mark.parametrize("keeper", [None, "hu"], ids=["pushed-down", "lifted"])
     def test_reregister_under_a_different_binding_is_not_served_stale(
-        self, cache_size
+        self, keeper
     ):
         """register → detach → re-register under a *different* binding.
 
-        The detached-LRU revival path must never hand the new binding the
-        old binding's partition (or its old resolved subplan) — both keys
-        carry the binding, so this pins that
-        isolation for both plan forms and both cache sizes: without a
-        keeper both registrations keep the pushed-down plan and exact
-        keys; beside a live keeper binding both lift into partitions.
+        The new binding must never get the old binding's partition (or its
+        old resolved subplan) — both keys carry the binding, so this pins
+        that isolation for both plan forms: without a keeper both
+        registrations keep the pushed-down plan and exact keys; beside a
+        live keeper binding both lift into partitions.
         """
-        for keeper in (None, "hu"):
-            graph = PropertyGraph()
-            for lang in ("en", "en", "de"):
-                graph.add_vertex(labels=["Post"], properties={"lang": lang})
-            engine = IncrementalEngine(graph, detached_cache_size=cache_size)
-            if keeper is not None:
-                engine.register(PARAM_QUERIES[1], parameters={"lang": keeper})
-            first = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
-            assert pushed_down(first) == (keeper is None)
-            assert len(first.rows()) == 2
-            first.detach()
-            second = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
-            # the detached binding no longer counts as live
-            assert pushed_down(second) == (keeper is None)
-            assert len(second.rows()) == 1, (keeper, cache_size)
-            assert second.multiset() == param_oracle(
-                engine, PARAM_QUERIES[1], {"lang": "de"}
-            ), (keeper, cache_size)
-            graph.add_vertex(labels=["Post"], properties={"lang": "de"})
-            graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-            assert second.multiset() == param_oracle(
-                engine, PARAM_QUERIES[1], {"lang": "de"}
-            ), (keeper, cache_size)
+        graph = PropertyGraph()
+        for lang in ("en", "en", "de"):
+            graph.add_vertex(labels=["Post"], properties={"lang": lang})
+        engine = IncrementalEngine(graph)
+        if keeper is not None:
+            engine.register(PARAM_QUERIES[1], parameters={"lang": keeper})
+        first = engine.register(PARAM_QUERIES[1], parameters={"lang": "en"})
+        assert pushed_down(first) == (keeper is None)
+        assert len(first.rows()) == 2
+        first.detach()
+        second = engine.register(PARAM_QUERIES[1], parameters={"lang": "de"})
+        # the detached binding no longer counts as live
+        assert pushed_down(second) == (keeper is None)
+        assert len(second.rows()) == 1
+        assert second.multiset() == param_oracle(
+            engine, PARAM_QUERIES[1], {"lang": "de"}
+        )
+        graph.add_vertex(labels=["Post"], properties={"lang": "de"})
+        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+        assert second.multiset() == param_oracle(
+            engine, PARAM_QUERIES[1], {"lang": "de"}
+        )
 
     def test_random_register_detach_cycles_leave_no_garbage(self):
         rng = random.Random(101)
@@ -707,7 +678,7 @@ class TestBindingLifecycle:
         for lang in ("en", "de", "hu"):
             graph.add_vertex(labels=["Person"], properties={"lang": lang})
             graph.add_vertex(labels=["Post"], properties={"lang": lang})
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         live = []
         pool = [
             (query, {"lang": value})
@@ -735,7 +706,7 @@ class TestSharingLayerRegressions:
     def test_double_release_clamps_at_zero(self, caplog):
         graph = PropertyGraph()
         graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         layer = engine.input_layer
         view = engine.register("MATCH (p:Post) RETURN p")
         keeper = engine.register("MATCH (p:Post) RETURN p")
@@ -759,25 +730,6 @@ class TestSharingLayerRegressions:
         view.detach()
         keeper.detach()
         assert layer.subplan_count == 0
-
-    def test_probes_do_not_count_revivals(self):
-        graph = PropertyGraph()
-        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        engine = IncrementalEngine(graph, detached_cache_size=4)
-        layer = engine.input_layer
-        view = engine.register("MATCH (p:Post) RETURN p, p.lang")
-        view.detach()
-        assert layer.detached_count > 0
-        assert layer.stats.detached_revived == 0
-        key = next(iter(layer._detached_lru))
-        # EXPLAIN/matcher-style probes: neither peek nor bare lookup revive
-        layer.subplan_peek(key)
-        layer.subplan_lookup(key)
-        layer.subplan_lookup(key)
-        assert layer.stats.detached_revived == 0
-        # an actual re-registration acquires — exactly one revival
-        engine.register("MATCH (p:Post) RETURN p, p.lang")
-        assert layer.stats.detached_revived == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1147,15 +1099,14 @@ class TestRestrictedReplay:
 
 
 # ---------------------------------------------------------------------------
-# worklist prune(): same drops, same LRU order as scanning to a fixpoint
+# worklist prune(): same drops as scanning to a fixpoint
 # ---------------------------------------------------------------------------
 
 
-def fixpoint_prune(layer: SharingLayer, retain: bool = True) -> int:
+def fixpoint_prune(layer: SharingLayer) -> int:
     """Reference ``prune()``: rescan every cached subplan until nothing
     changes (what the layer did before the worklist)."""
     removed = 0
-    cascade_orphans: set[int] = set()
     changed = True
     while changed:
         changed = False
@@ -1164,23 +1115,9 @@ def fixpoint_prune(layer: SharingLayer, retain: bool = True) -> int:
                 continue
             if entry.refcount != 0 or entry.node.subscriber_count != 0:
                 continue
-            if key in layer._detached_lru:
-                continue
-            if retain and layer.detached_cache_size > 0:
-                layer._detached_lru[key] = None
-                if id(entry.node) in cascade_orphans:
-                    layer._detached_lru.move_to_end(key, last=False)
-                layer.stats.detached_retained += 1
-                while len(layer._detached_lru) > layer.detached_cache_size:
-                    oldest, _ = layer._detached_lru.popitem(last=False)
-                    cascade_orphans |= layer._drop_subplan(oldest)
-                    layer.stats.detached_evicted += 1
-                    removed += 1
-                    changed = True
-            else:
-                cascade_orphans |= layer._drop_subplan(key)
-                removed += 1
-                changed = True
+            layer._drop_subplan(key)
+            removed += 1
+            changed = True
     layer._released.clear()
     removed += layer._prune_inputs()
     layer.stats.pruned += removed
@@ -1223,40 +1160,28 @@ def layer_state(engine: IncrementalEngine) -> dict:
     layer, stats = engine.input_layer, engine.input_layer.stats
     return {
         "subplans": list(layer._subplans),
-        "lru": list(layer._detached_lru),
         "subplan_count": layer.subplan_count,
-        "detached_count": layer.detached_count,
         "binding_nodes": layer.binding_node_count,
         "partitions": layer.binding_partition_count,
         "node_count": layer.node_count,
         "pruned": stats.pruned,
-        "retained": stats.detached_retained,
-        "evicted": stats.detached_evicted,
-        "revived": stats.detached_revived,
         "memory_cells": engine.memory_cells(),
     }
 
 
 class TestWorklistPrune:
-    def engines(self, cache_size: int):
-        worklist = IncrementalEngine(
-            lifecycle_graph(), detached_cache_size=cache_size
-        )
-        reference = IncrementalEngine(
-            lifecycle_graph(), detached_cache_size=cache_size
-        )
+    def engines(self, **options):
+        worklist = IncrementalEngine(lifecycle_graph(), **options)
+        reference = IncrementalEngine(lifecycle_graph(), **options)
         reference.input_layer.prune = types.MethodType(
             fixpoint_prune, reference.input_layer
         )
         return worklist, reference
 
-    @pytest.mark.parametrize("cache_size", [0, 1, 3])
-    def test_detach_order_permutations_match_the_fixpoint_sweep(
-        self, cache_size
-    ):
+    def test_detach_order_permutations_match_the_fixpoint_sweep(self):
         pool = LIFECYCLE_POOL[:1] + LIFECYCLE_POOL[4:8]
         for order in itertools.permutations(range(len(pool))):
-            worklist, reference = self.engines(cache_size)
+            worklist, reference = self.engines()
             pairs = [
                 tuple(
                     engine.register(query, parameters=parameters)
@@ -1268,15 +1193,13 @@ class TestWorklistPrune:
                 for view in pairs[index]:
                     view.detach()
                 assert layer_state(worklist) == layer_state(reference), order
-            if cache_size == 0:
-                assert worklist.input_layer.node_count == 0
-                assert worklist.memory_cells() == 0
+            assert worklist.input_layer.node_count == 0
+            assert worklist.memory_cells() == 0
 
-    @pytest.mark.parametrize("cache_size", [0, 2, 4])
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_churn_matches_the_fixpoint_sweep(self, cache_size, seed):
+    def test_random_churn_matches_the_fixpoint_sweep(self, seed):
         rng = random.Random(seed)
-        worklist, reference = self.engines(cache_size)
+        worklist, reference = self.engines()
         live: list[tuple] = []
         for _ in range(120):
             if live and rng.random() < 0.5:
@@ -1295,19 +1218,78 @@ class TestWorklistPrune:
             for view in live.pop(rng.randrange(len(live))):
                 view.detach()
             assert layer_state(worklist) == layer_state(reference)
-        if cache_size == 0:
-            assert worklist.input_layer.node_count == 0
-            assert worklist.memory_cells() == 0
+        assert worklist.input_layer.node_count == 0
+        assert worklist.memory_cells() == 0
 
-    @pytest.mark.parametrize("cache_size", [0, 2, 4])
-    def test_one_sweep_over_many_releases_visits_in_adoption_order(
-        self, cache_size
-    ):
-        """Several roots dying in one sweep enter the LRU in the order a
-        scan of the cache would meet them, whatever the release order."""
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_churn_between_writes_matches_the_fixpoint_sweep(self, seed, batched):
+        """Register/detach churn interleaved with committed writes: each
+        drop frees what the rescan frees from memories that hold data, and
+        the surviving views stay equal to recomputation."""
+        rng = random.Random(50 + seed)
+        worklist, reference = self.engines(batch_transactions=batched)
+        graphs = (worklist.graph, reference.graph)
+        live: list[tuple] = []
+        for _ in range(60):
+            roll = rng.random()
+            if live and roll < 0.3:
+                _, _, views = live.pop(rng.randrange(len(live)))
+                for view in views:
+                    view.detach()
+            elif roll < 0.6:
+                query, parameters = rng.choice(LIFECYCLE_POOL)
+                views = tuple(
+                    engine.register(query, parameters=parameters)
+                    for engine in (worklist, reference)
+                )
+                live.append((query, parameters, views))
+            else:
+                vertices = list(graphs[0].vertices())
+                edges = list(graphs[0].edges())
+                ops = [
+                    _random_op(rng, vertices, edges) for _ in range(rng.randint(1, 3))
+                ]
+                for graph in graphs:
+                    try:
+                        with graph.transaction():
+                            for op in ops:
+                                op(graph)
+                    except GraphError:
+                        pass
+            assert layer_state(worklist) == layer_state(reference)
+        for query, parameters, (view, _) in live:
+            assert view.multiset() == param_oracle(worklist, query, parameters)
+
+    @pytest.mark.parametrize(
+        "query, parameters", LIFECYCLE_POOL, ids=range(len(LIFECYCLE_POOL))
+    )
+    def test_a_detached_subplan_is_rebuilt_not_revived(self, query, parameters):
+        """Nothing outlives its last view: detaching leaves an empty layer,
+        and registering again builds fresh nodes into the same state."""
+        engine = IncrementalEngine(lifecycle_graph())
+        first = engine.register(query, parameters=parameters)
+        state = layer_state(engine)
+        old_nodes = list(first.network.nodes())
+        first.detach()
+        layer = engine.input_layer
+        assert (layer.subplan_count, layer.node_count) == (0, 0)
+        assert engine.memory_cells() == 0
+        second = engine.register(query, parameters=parameters)
+        assert not any(
+            new is old for new in second.network.nodes() for old in old_nodes
+        )
+        again = layer_state(engine)
+        assert again.pop("pruned") > state.pop("pruned")
+        assert again == state
+        assert second.multiset() == param_oracle(engine, query, parameters)
+
+    def test_one_sweep_over_many_releases_matches_the_fixpoint_sweep(self):
+        """Several roots dying in one sweep drop what a rescan of the cache
+        drops, whatever the release order."""
         pool = LIFECYCLE_POOL[2:6]
         for order in itertools.permutations(range(len(pool))):
-            worklist, reference = self.engines(cache_size)
+            worklist, reference = self.engines()
             for engine in (worklist, reference):
                 views = [
                     engine.register(query, parameters=parameters)

@@ -1,18 +1,13 @@
-"""Columnar delta batches: differential oracle against the row path.
+"""Columnar delta batches: the column path held to recomputation.
 
-``columnar_deltas=True`` switches the input/translation layer to emit
-:class:`~repro.rete.deltas.ColumnDelta` batches, pushes constant equality
-selections into value-level router buckets and input-node filters, and
-widens the binding tier's discriminant to composite value tuples.  All of
-that must be *invisible*: the mirror classes here drive identical random
-streams through a columnar engine and its ``columnar_deltas=False``
-baseline (the exact PR 1–5 row path) and require identical per-view
-contents and change logs throughout — across the other engine options
-(``batch_transactions``, ``detached_cache_size``), rollback
-transactions, batched windows, and
-mid-stream register/detach.  Mechanics classes pin the representation
-itself (lazy transposition, unconsolidated occurrence lists), the
-zero-count index invariant, value-level routing, composite binding
+Batches travel the networks as :class:`~repro.rete.deltas.ColumnDelta`,
+and the binding tier's discriminants are composite value tuples.  The
+differential classes drive random streams through one engine and require
+every view to equal recomputation, and every ``on_change`` log to replay
+to its view, after each step — under ``batch_transactions``, rollback
+transactions, batched windows and mid-stream register/detach.  Mechanics
+classes pin the representation itself (lazy transposition, unconsolidated
+occurrence lists), the zero-count index invariant, composite binding
 probes, and the profile columns.
 """
 
@@ -20,7 +15,7 @@ import random
 
 import pytest
 
-from repro import PropertyGraph, QueryEngine
+from repro import PropertyGraph
 from repro.errors import GraphError
 from repro.rete.deltas import (
     ColumnDelta,
@@ -30,6 +25,7 @@ from repro.rete.deltas import (
 )
 from repro.rete.engine import IncrementalEngine
 
+from .oracle import OracleMirror
 from .test_sharing import _Abort, _random_op
 
 #: flows through σ-with-constant, ⋈, δ, γ, π and ⋈* — every boundary the
@@ -78,187 +74,122 @@ def oracle(graph: PropertyGraph, query: str, parameters=None):
     return Interpreter(graph, parameters).run(compile_query(query).plan).multiset()
 
 
-class ColumnarMirrorPair:
-    """A columnar engine and its row-path baseline, fed identically."""
-
-    def __init__(self, **flags):
-        self.graphs = (PropertyGraph(), PropertyGraph())
-        self.engines = (
-            QueryEngine(self.graphs[0], columnar_deltas=True, **flags),
-            QueryEngine(self.graphs[1], columnar_deltas=False, **flags),
-        )
-        self.registered: list[tuple[str, dict | None]] = []
-        self.views: list[tuple] = []
-        self.logs: list[tuple] = []
-
-    def register(self, query: str, parameters=None) -> None:
-        pair, logs = [], []
-        for engine in self.engines:
-            view = engine.register(query, parameters=parameters)
-            log: list = []
-            view.on_change(log.append)
-            pair.append(view)
-            logs.append(log)
-        self.registered.append((query, parameters))
-        self.views.append(tuple(pair))
-        self.logs.append(tuple(logs))
-
-    def register_all(self) -> None:
-        for query in QUERIES:
-            self.register(query)
-        for query, names in PARAM_QUERIES:
-            for lang in LANGS[:3]:
-                binding = {"lang": lang}
-                if "score" in names:
-                    binding["score"] = SCORES[0]
-                self.register(query, binding)
-
-    def detach(self, index: int) -> None:
-        for view in self.views.pop(index):
-            view.detach()
-        self.registered.pop(index)
-        self.logs.pop(index)
-
-    def apply(self, op) -> None:
-        for graph in self.graphs:
-            op(graph)
-
-    def assert_consistent(self, use_oracle: bool = False) -> None:
-        for (query, parameters), (columnar, baseline) in zip(
-            self.registered, self.views
-        ):
-            assert columnar.multiset() == baseline.multiset(), (query, parameters)
-            if use_oracle:
-                assert columnar.multiset() == oracle(
-                    self.graphs[0], query, parameters
-                ), (query, parameters)
-        for (query, parameters), (columnar_log, baseline_log) in zip(
-            self.registered, self.logs
-        ):
-            assert columnar_log == baseline_log, (query, parameters)
+def register_all(mirror: OracleMirror) -> None:
+    for query in QUERIES:
+        mirror.register(query)
+    for query, names in PARAM_QUERIES:
+        for lang in LANGS[:3]:
+            binding = {"lang": lang}
+            if "score" in names:
+                binding["score"] = SCORES[0]
+            mirror.register(query, binding)
 
 
-def _drive(pair, rng, operations=60, rollback_chance=0.08, oracle_every=20):
-    for step in range(operations):
-        vertices = list(pair.graphs[0].vertices())
-        edges = list(pair.graphs[0].edges())
+def _aborted(ops):
+    def run(graph):
+        try:
+            with graph.transaction():
+                for op in ops:
+                    op(graph)
+                raise _Abort()
+        except (_Abort, GraphError):
+            pass
+
+    return run
+
+
+def _drive(mirror, rng, operations=60, rollback_chance=0.08):
+    for _ in range(operations):
+        vertices = list(mirror.graph.vertices())
+        edges = list(mirror.graph.edges())
         if rng.random() < rollback_chance:
             ops = [
                 _columnar_op(rng, vertices, edges)
                 for _ in range(rng.randint(1, 4))
             ]
-
-            def aborted(graph, ops=ops):
-                try:
-                    with graph.transaction():
-                        for op in ops:
-                            op(graph)
-                        raise _Abort()
-                except (_Abort, GraphError):
-                    pass
-
-            pair.apply(aborted)
+            _aborted(ops)(mirror.graph)
         else:
-            pair.apply(_columnar_op(rng, vertices, edges))
-        pair.assert_consistent(use_oracle=step % oracle_every == 0)
-    pair.assert_consistent(use_oracle=True)
+            _columnar_op(rng, vertices, edges)(mirror.graph)
+        mirror.assert_consistent()
 
 
 class TestColumnarDifferential:
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_stream_matches_row_baseline(self, seed):
-        pair = ColumnarMirrorPair()
-        pair.register_all()
-        _drive(pair, random.Random(900 + seed))
+    def test_random_stream_matches_recomputation(self, seed):
+        mirror = OracleMirror(PropertyGraph())
+        register_all(mirror)
+        _drive(mirror, random.Random(900 + seed))
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            {"batch_transactions": True},
-            {"detached_cache_size": 0},
-            {"batch_transactions": True, "detached_cache_size": 0},
-        ],
-        ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
-    )
-    def test_flag_matrix_matches_row_baseline(self, flags):
-        """Columnar mode composes with every other engine option."""
-        pair = ColumnarMirrorPair(**flags)
-        pair.register_all()
-        _drive(pair, random.Random(42), operations=30, oracle_every=10)
+    def test_batched_option_matches_recomputation(self):
+        """The column path composes with ``batch_transactions``."""
+        mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
+        register_all(mirror)
+        _drive(mirror, random.Random(42), operations=30)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_batched_transactions_match_baseline(self, seed):
+    def test_batched_transactions_match_recomputation(self, seed):
         rng = random.Random(1000 + seed)
-        pair = ColumnarMirrorPair(batch_transactions=True)
-        pair.register_all()
+        mirror = OracleMirror(PropertyGraph(), batch_transactions=True)
+        register_all(mirror)
         for _ in range(20):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             ops = [
                 _columnar_op(rng, vertices, edges)
                 for _ in range(rng.randint(1, 5))
             ]
-            abort = rng.random() < 0.3
-
-            def run(graph, ops=ops, abort=abort):
+            if rng.random() < 0.3:
+                _aborted(ops)(mirror.graph)
+            else:
                 try:
-                    with graph.transaction():
+                    with mirror.graph.transaction():
                         for op in ops:
-                            op(graph)
-                        if abort:
-                            raise _Abort()
-                except (_Abort, GraphError):
+                            op(mirror.graph)
+                except GraphError:
                     pass
-
-            pair.apply(run)
-            pair.assert_consistent(use_oracle=True)
+            mirror.assert_consistent()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_mid_stream_register_and_detach(self, seed):
         """Late joiners replay shared state (always row-form) correctly."""
         rng = random.Random(1100 + seed)
-        pair = ColumnarMirrorPair()
-        pair.register(QUERIES[2])
+        mirror = OracleMirror(PropertyGraph())
+        mirror.register(QUERIES[2])
         pool = [(query, None) for query in QUERIES] + [
             (query, {"lang": lang, **({"score": 1} if "score" in names else {})})
             for query, names in PARAM_QUERIES
             for lang in LANGS[:3]
         ]
-        for step in range(50):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
+        for _ in range(50):
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
             roll = rng.random()
             if roll < 0.15:
                 query, parameters = pool[rng.randrange(len(pool))]
-                pair.register(query, parameters)
-            elif roll < 0.25 and len(pair.views) > 1:
-                pair.detach(rng.randrange(len(pair.views)))
+                mirror.register(query, parameters)
+            elif roll < 0.25 and len(mirror.views) > 1:
+                mirror.detach(rng.randrange(len(mirror.views)))
             else:
-                pair.apply(_columnar_op(rng, vertices, edges))
-            pair.assert_consistent(use_oracle=step % 10 == 0)
-        pair.assert_consistent(use_oracle=True)
+                _columnar_op(rng, vertices, edges)(mirror.graph)
+            mirror.assert_consistent()
 
     def test_state_delta_replay_parity_after_stream(self):
         """Registering every query again after a long stream must replay
-        shared node state (``state_delta``) to the same contents the
-        continuously-maintained twins hold."""
+        shared node state (``state_delta``) to the contents the
+        continuously-maintained views hold."""
         rng = random.Random(7)
-        pair = ColumnarMirrorPair()
-        pair.register_all()
+        mirror = OracleMirror(PropertyGraph())
+        register_all(mirror)
         for _ in range(40):
-            vertices = list(pair.graphs[0].vertices())
-            edges = list(pair.graphs[0].edges())
-            pair.apply(_columnar_op(rng, vertices, edges))
-        before = len(pair.views)
-        for query, parameters in list(pair.registered[:before]):
-            pair.register(query, parameters)
-        for (query, parameters), (columnar, _) in zip(
-            pair.registered[before:], pair.views[before:]
-        ):
-            assert columnar.multiset() == oracle(
-                pair.graphs[0], query, parameters
-            ), (query, parameters)
-        pair.assert_consistent(use_oracle=True)
+            vertices = list(mirror.graph.vertices())
+            edges = list(mirror.graph.edges())
+            _columnar_op(rng, vertices, edges)(mirror.graph)
+        before = len(mirror.views)
+        for query, parameters in list(mirror.registered[:before]):
+            mirror.register(query, parameters)
+        for maintained, replayed in zip(mirror.views, mirror.views[before:]):
+            assert replayed.multiset() == maintained.multiset()
+        mirror.assert_consistent()
 
 
 class TestColumnDelta:
@@ -323,74 +254,6 @@ def _engine_pair(**flags):
     return graph, IncrementalEngine(graph, **flags)
 
 
-class TestValueRouting:
-    def seed_graph(self, graph):
-        en = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        de = graph.add_vertex(labels=["Post"], properties={"lang": "de"})
-        return en, de
-
-    def test_constant_selection_registers_value_bucket(self):
-        graph, engine = _engine_pair()
-        self.seed_graph(graph)
-        view = _register(engine, "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        router = engine.input_layer.router
-        assert router._v_value_key_counts.get("lang", 0) >= 1
-        assert len(view.rows()) == 1
-
-    def test_irrelevant_value_changes_skip_the_node(self):
-        graph, engine = _engine_pair()
-        en, de = self.seed_graph(graph)
-        view = _register(engine, "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        node = next(iter(engine.input_layer._vertex_nodes.values()))
-        assert node.value_filters
-        activations = []
-        inner = node.on_event
-        node.on_event = lambda event: (activations.append(event), inner(event))
-        # de -> hu: neither old nor new value matches the filter
-        graph.set_vertex_property(de, "lang", "hu")
-        assert not activations, "value routing must skip non-matching changes"
-        assert len(view.rows()) == 1
-        # hu -> en: must reach the node and appear in the view
-        graph.set_vertex_property(de, "lang", "en")
-        assert activations
-        assert len(view.rows()) == 2
-        # en -> de on the original: retraction also routes by old value
-        graph.set_vertex_property(en, "lang", "de")
-        assert len(view.rows()) == 1
-
-    def test_filtered_and_unfiltered_nodes_never_collide(self):
-        graph, engine = _engine_pair()
-        self.seed_graph(graph)
-        filtered = _register(engine, "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        unfiltered = _register(engine, "MATCH (p:Post) RETURN p")
-        assert len(filtered.rows()) == 1
-        assert len(unfiltered.rows()) == 2
-
-    def test_detach_unregisters_value_bucket(self):
-        # detached_cache_size=0: no LRU keeps the node alive past detach
-        graph, engine = _engine_pair(detached_cache_size=0)
-        self.seed_graph(graph)
-        view = _register(engine, "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        assert engine.input_layer.router._v_value_key_counts.get("lang", 0) >= 1
-        view.detach()
-        assert engine.input_layer.router._v_value_key_counts.get("lang", 0) == 0
-
-    def test_row_mode_disables_pushdown_and_batches(self):
-        graph, engine = _engine_pair(columnar_deltas=False)
-        en, de = self.seed_graph(graph)
-        view = _register(engine, "MATCH (p:Post) WHERE p.lang = 'en' RETURN p")
-        for node in engine.input_layer._vertex_nodes.values():
-            assert not node.value_filters
-            assert not node.columnar
-        assert not engine.input_layer.router._v_value_key_counts
-        graph.set_vertex_property(de, "lang", "en")
-        assert len(view.rows()) == 2
-        network = engine.views[0].network
-        assert all(
-            node.columnar_batches == 0 for node in network.nodes()
-        ), "row mode must never see a ColumnDelta"
-
-
 def _register(engine: IncrementalEngine, query: str, parameters=None):
     from repro.compiler.pipeline import compile_query
 
@@ -433,18 +296,6 @@ class TestCompositeBindings:
         graph.remove_vertex(extra)
         assert len(views[("de", 2)].rows()) == 0
 
-    def test_row_mode_keeps_single_discriminant(self):
-        graph, engine = _engine_pair(columnar_deltas=False)
-        self.seed(graph)
-        # a lone binding keeps its pushed-down plan; a second lifts both
-        _register(engine, self.QUERY, {"lang": "zz", "score": 0})
-        view = _register(engine, self.QUERY, {"lang": "en", "score": 1})
-        layer = engine.input_layer
-        binding_nodes = [entry.node for entry in layer._param_nodes.values()]
-        assert len(binding_nodes) == 1
-        assert len(binding_nodes[0]._disc_names) == 1  # PR 5 behaviour exactly
-        assert len(view.rows()) == 1
-
     def test_non_atom_binding_falls_back_to_scan(self):
         graph, engine = _engine_pair()
         self.seed(graph)
@@ -473,11 +324,3 @@ class TestProfile:
         assert "rows/call" in report
         assert "batch fill" in report
         assert len(view.rows()) == 5
-
-    def test_profile_row_mode_shows_no_batches(self):
-        graph, engine = _engine_pair(columnar_deltas=False)
-        _register(engine, "MATCH (p:Post) RETURN p")
-        graph.add_vertex(labels=["Post"])
-        report = engine.views[0].profile()
-        assert "rows/call" in report
-        assert "batch fill" in report

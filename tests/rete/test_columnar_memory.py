@@ -36,7 +36,7 @@ from repro.rete.nodes.base import LEFT, RIGHT, Node
 from repro.rete.nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode
 
 from ..conftest import PAPER_QUERY
-from .oracle import OracleMirror, fold
+from .oracle import ENGINE_OPTION_IDS, ENGINE_OPTIONS, OracleMirror, fold
 from .test_columnar import LANGS, PARAM_QUERIES, QUERIES, SCORES, _columnar_op
 from .test_populate import _Schema, as_columns, bucket_slots, dict_fold, exact
 from .test_sharing import SP_EDGE_TYPES, SP_LABELS, SP_VALUES, _Abort
@@ -147,21 +147,10 @@ class TestColumnarMemoryDifferential:
         mirror.register_all()
         _drive(mirror, random.Random(1300 + seed))
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            {"columnar_deltas": False},
-            {"detached_cache_size": 0},
-            {"batch_transactions": True},
-            {"batch_transactions": True, "columnar_deltas": False},
-            {"batch_transactions": True, "detached_cache_size": 0},
-            {"columnar_deltas": False, "detached_cache_size": 0},
-        ],
-        ids=lambda flags: ",".join(f"{k}={v}" for k, v in flags.items()),
-    )
+    @pytest.mark.parametrize("flags", ENGINE_OPTIONS, ids=ENGINE_OPTION_IDS)
     def test_flag_matrix_matches_recomputation(self, flags):
-        """Column memories compose with every engine flag — including row
-        deltas folding into column stores."""
+        """Column memories compose with every engine flag — including the
+        per-event path's row deltas folding into column stores."""
         mirror = RecomputationMirror(**flags)
         mirror.register_all()
         _drive(mirror, random.Random(64), operations=30)
@@ -227,9 +216,7 @@ class TestColumnarMemoryDifferential:
         """After the last view detaches nothing is left: no memory cell,
         no shared node, no router registration, no catalog root — and
         detaching every view a second time changes nothing."""
-        mirror = RecomputationMirror(
-            detached_cache_size=0, batch_transactions=batched
-        )
+        mirror = RecomputationMirror(batch_transactions=batched)
         mirror.register_all()
         rng = random.Random(31)
         for _ in range(30):

@@ -5,10 +5,14 @@ full-recomputation oracle — the paper's IVM property — and, where the
 *content* of the change matters, also asserts exact rows.
 """
 
+import inspect
+
 import pytest
 
 from repro import PropertyGraph, QueryEngine, UnsupportedForIncrementalError
 from repro.graph.values import ListValue, PathValue
+from repro.rete.engine import IncrementalEngine
+from repro.rete.sharing import SharingLayer
 
 from ..conftest import PAPER_QUERY, assert_view_matches_oracle
 
@@ -34,6 +38,24 @@ class TestRegistration:
             engine.register("MATCH (n:Post) RETURN n ORDER BY n")
         with pytest.raises(UnsupportedForIncrementalError):
             engine.register("MATCH (n:Post) RETURN n LIMIT 3")
+
+    def test_engine_takes_exactly_three_options(self):
+        parameters = list(inspect.signature(QueryEngine.__init__).parameters)
+        assert parameters == [
+            "self", "graph", "batch_transactions", "collect_metrics", "trace_batches",
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("option", ["columnar_deltas", "detached_cache_size"])
+    @pytest.mark.parametrize(
+        "make",
+        [QueryEngine, IncrementalEngine, SharingLayer],
+        ids=["QueryEngine", "IncrementalEngine", "SharingLayer"],
+    )
+    def test_retired_options_are_rejected(self, graph, make, option):
+        """Input nodes always emit column deltas and a dead subplan is
+        dropped at once: neither behaviour has a switch left to set."""
+        with pytest.raises(TypeError):
+            make(graph, **{option: 0})
 
     def test_same_query_evaluates_one_shot(self, engine):
         # outside the fragment → still supported one-shot (paper's trade-off)

@@ -108,8 +108,7 @@ class TestSharingMechanics:
 
     def test_detach_stops_updates_and_prunes(self):
         graph, *_ = small_graph()
-        # strict eager pruning: no detached-subplan retention
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         view_a = engine.register(QUERIES[0])
         view_b = engine.register(QUERIES[2])
         assert engine.input_layer.node_count > 0
@@ -387,7 +386,7 @@ class TestSubplanMechanics:
 class TestSubplanLifecycle:
     def test_detach_releases_refcounts_bottom_up(self):
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         layer = engine.input_layer
         view_a = engine.register(SUBPLAN_QUERIES[3])
         view_b = engine.register(SUBPLAN_QUERIES[4])  # shares the σ(⋈) core
@@ -415,7 +414,7 @@ class TestSubplanLifecycle:
 
     def test_memories_freed_and_rebuild_is_correct(self):
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         view = engine.register(SUBPLAN_QUERIES[3])
         assert engine.memory_cells() > 0
         view.detach()
@@ -429,7 +428,7 @@ class TestSubplanLifecycle:
     def test_random_register_detach_cycles_leave_no_garbage(self):
         rng = random.Random(99)
         bundle = generate_social(persons=6, posts_per_person=2, seed=11)
-        engine = IncrementalEngine(bundle.graph, detached_cache_size=0)
+        engine = IncrementalEngine(bundle.graph)
         live = []
         for _ in range(40):
             if live and rng.random() < 0.45:
@@ -447,7 +446,7 @@ class TestSubplanLifecycle:
 
     def test_prune_counts_the_unit_node(self):
         """A unit leaf dropped by prune counts like any other node."""
-        engine = IncrementalEngine(PropertyGraph(), detached_cache_size=0)
+        engine = IncrementalEngine(PropertyGraph())
         layer = engine.input_layer
         view = engine.register("RETURN 1 AS x")
         assert layer.node_count == 2  # π and the unit
@@ -472,7 +471,7 @@ class TestSubplanLifecycle:
         """Every layer node a detach frees, leaf or interior, is counted
         once in ``stats.pruned``."""
         graph, *_ = small_graph()
-        engine = IncrementalEngine(graph, detached_cache_size=0)
+        engine = IncrementalEngine(graph)
         layer = engine.input_layer
         view = engine.register(query)
         held = layer.node_count

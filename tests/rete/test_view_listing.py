@@ -288,15 +288,15 @@ class TestListingLifecycle:
         assert production.listing_rows == 0
         stream.op(("add", 2, None))  # no longer noted anywhere
 
-    def test_columnar_and_row_engines_list_alike(self):
-        """Two engines over one graph, one per delta form: their listings
-        agree row for row, the listing gauge counts every listed row, and
-        detaching releases the listing."""
+    def test_per_event_and_batched_engines_list_alike(self):
+        """Two engines over one graph, one per event and one per
+        transaction: their listings agree row for row, the listing gauge
+        counts every listed row, and detaching releases the listing."""
         graph = PropertyGraph()
-        rows_engine = QueryEngine(graph, columnar_deltas=False)
-        columnar = QueryEngine(graph, collect_metrics=True)
+        per_event = QueryEngine(graph)
+        batched = QueryEngine(graph, batch_transactions=True, collect_metrics=True)
         pairs = [
-            (rows_engine.register(q), columnar.register(q)) for q in QUERIES[:3]
+            (per_event.register(q), batched.register(q)) for q in QUERIES[:3]
         ]
         rng = random.Random(3)
         for _ in range(12):
@@ -315,7 +315,7 @@ class TestListingLifecycle:
                 assert count in repr(mine) and count in repr(theirs)
         productions = [theirs.network.production for _, theirs in pairs]
         assert sum(p.listing_splices for p in productions) > 0
-        snapshot = columnar.metrics_snapshot()
+        snapshot = batched.metrics_snapshot()
         assert snapshot["repro_view_listing_rows"]["value"] == sum(
             len(theirs.rows()) for _, theirs in pairs
         )

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro import ListValue, MapValue, PathValue, PropertyGraph, QueryEngine
+from repro.errors import GraphError
 from repro.graph import events as ev
 from repro.rete.batch import BatchAccumulator, CoalescedBatch
 from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
@@ -210,23 +211,33 @@ class TestStateDeltaReplayParity:
         "MATCH (p:Post)-[:REPLY*1..2]->(c:Comm) RETURN p, c",
     )
 
-    def _populate(self, graph, rng):
+    def _populate(self, graph, rng, batched=False):
         for _ in range(40):
             vertices = list(graph.vertices())
             edges = list(graph.edges())
-            _random_op(rng, vertices, edges)(graph)
+            if not batched:
+                _random_op(rng, vertices, edges)(graph)
+                continue
+            ops = [_random_op(rng, vertices, edges) for _ in range(rng.randint(1, 4))]
+            try:
+                with graph.transaction():
+                    for op in ops:
+                        op(graph)
+            except GraphError:
+                pass
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "rows"])
-    def test_every_node_state_survives_the_wire(self, columnar):
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+    def test_every_node_state_survives_the_wire(self, batched):
+        """Node states built per event, or by coalesced transactions."""
         graph = PropertyGraph()
-        engine = QueryEngine(graph, columnar_deltas=columnar)
+        engine = QueryEngine(graph, batch_transactions=batched)
         views = [engine.register(query) for query in self.QUERIES]
         views.append(
             engine.register(
                 "MATCH (p:Post) WHERE p.lang = $lang RETURN p", {"lang": "en"}
             )
         )
-        self._populate(graph, random.Random(901))
+        self._populate(graph, random.Random(901), batched)
         checked = 0
         for view in views:
             for node in view.network.nodes():

@@ -330,9 +330,8 @@ class TestMatchMemo:
         assert_read(engine, self.QUERY, None, plain=True)
         assert stats.answered == 1 and stats.listing_answers == 1
 
-    @pytest.mark.parametrize("cache", [0, 4])
-    def test_detach_never_leaves_a_stale_source(self, cache):
-        graph, engine = self.engine(detached_cache_size=cache)
+    def test_detach_never_leaves_a_stale_source(self):
+        graph, engine = self.engine()
         views = [engine.register(VIEWS[0][0]), engine.register(VIEWS[1][0])]
         for query in (self.QUERY, self.RESIDUAL):
             engine.evaluate(query)
@@ -353,8 +352,8 @@ class TestMatchMemo:
             for query in (self.QUERY, self.RESIDUAL):
                 assert_read(engine, query, None, plain=True)
         assert stats.root_hits == 4
-        # retained subplans keep serving (maintained); dropped ones never do
-        assert stats.subplan_hits == (4 if cache else 0)
+        # dropped subplans never serve
+        assert stats.subplan_hits == 0
 
     def test_a_second_view_takes_over_first_in_first_out(self):
         graph, engine = self.engine()

@@ -220,7 +220,7 @@ class TestParameterCompatibility:
 
 class TestStalenessGates:
     def test_mid_stream_detach_stops_serving_the_root(self):
-        graph, engine = small_engine(detached_cache_size=0)
+        graph, engine = small_engine()
         query = "MATCH (p:Post) WHERE p.lang = 'en' RETURN p"
         view = engine.register(query)
         engine.evaluate(query)
@@ -232,26 +232,6 @@ class TestStalenessGates:
             == engine.evaluate(query, use_views=False).rows()
         )
         assert engine.answer_stats().answered == 1  # second read fell back
-
-    def test_retained_subplans_keep_serving_correctly(self):
-        """With the detached LRU, pruned-but-retained subplans are still
-        maintained — serving from them must stay oracle-equal under
-        subsequent updates."""
-        graph, engine = small_engine(detached_cache_size=4)
-        query = (
-            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
-        )
-        engine.register(query).detach()
-        layer = engine._incremental.input_layer
-        assert layer.detached_count > 0
-        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
-        graph.add_edge(post, comm, "REPLY")
-        assert (
-            engine.evaluate(query).rows()
-            == engine.evaluate(query, use_views=False).rows()
-        )
-        assert engine.answer_stats().subplan_hits >= 1
 
     def test_open_batch_window_declines(self):
         graph, engine = small_engine()
@@ -324,58 +304,34 @@ class TestStalenessGates:
         )
         assert len(engine.evaluate(query).rows()) == 2
 
-
-class TestDetachedLru:
-    QUERY = (
-        "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
-    )
-
-    def test_register_detach_churn_revives_subplans(self):
-        graph, engine = small_engine(detached_cache_size=4)
+    def test_detach_drops_every_subplan(self):
+        graph, engine = small_engine()
         layer = engine._incremental.input_layer
-        engine.register(self.QUERY).detach()
-        built_once = layer.stats.subplan_nodes
-        view = engine.register(self.QUERY)
-        assert layer.stats.subplan_nodes == built_once  # nothing rebuilt
-        assert layer.stats.detached_revived > 0
-        # the revived chain is live and correct
-        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
-        graph.add_edge(post, comm, "REPLY")
-        assert view.multiset() == engine.evaluate(
-            self.QUERY, use_views=False
-        ).multiset()
-
-    def test_retention_is_bounded_and_evicts_lru(self):
-        graph, engine = small_engine(detached_cache_size=1)
-        layer = engine._incremental.input_layer
-        engine.register(self.QUERY).detach()
-        engine.register("MATCH (c:Comm) RETURN c.lang AS l, count(*) AS n").detach()
-        assert layer.detached_count <= 1
-        assert layer.stats.detached_evicted > 0
-
-    def test_eviction_cascade_does_not_displace_warm_roots(self):
-        """Evicting a cold root orphans its upstream chain; those orphans
-        must not enter the LRU as most-recent and push out the root that
-        was detached last (whose instant revival is the feature)."""
-        graph, engine = small_engine(detached_cache_size=1)
-        layer = engine._incremental.input_layer
-        engine.register("MATCH (p:Post) WHERE p.lang = 'en' RETURN p").detach()
-        engine.register(self.QUERY).detach()  # deep chain, detached last
-        assert layer.detached_count <= 1
-        # the retained root is the most recently detached chain's root:
-        # re-registering it rebuilds nothing
-        built = layer.stats.subplan_nodes
-        engine.register(self.QUERY)
-        assert layer.stats.subplan_nodes == built
-
-    def test_zero_cache_restores_strict_pruning(self):
-        graph, engine = small_engine(detached_cache_size=0)
-        layer = engine._incremental.input_layer
-        engine.register(self.QUERY).detach()
+        engine.register(
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
+        ).detach()
         assert layer.subplan_count == 0
         assert layer.node_count == 0
-        assert layer.detached_count == 0
+
+    @pytest.mark.parametrize("query", VIEW_QUERIES, ids=range(len(VIEW_QUERIES)))
+    def test_a_detached_view_serves_nothing(self, query):
+        """Once its only view leaves, a shape's root and subplans are gone:
+        its reads fall back to recomputation, before and after writes."""
+        graph, engine = small_engine()
+        view = engine.register(query)
+        stats = engine.answer_stats()
+        engine.evaluate(query)
+        assert stats.answered == 1
+        view.detach()
+        assert engine._incremental.input_layer.subplan_count == 0
+        for lang in (None, "en", "de"):
+            assert_answers_match(engine, [query])
+            post = graph.add_vertex(labels=["Post"], properties={"lang": lang})
+            comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+            graph.add_edge(post, comm, "REPLY")
+            graph.add_edge(post, comm, "LIKES", {"score": 2})
+        assert_answers_match(engine, [query])
+        assert stats.answered == 1
 
 
 class TestMechanics:
@@ -551,7 +507,8 @@ class TestClosureDifferential:
     """Every maintained ⋈* holds the interpreter's bag of trails, so the
     catalog serves it: through a random stream, each view equals
     recomputation and each read is served and lists as recomputation does,
-    per event, with row deltas and in coalesced transaction windows."""
+    per event, in coalesced transaction windows and with every
+    instrument on."""
 
     @pytest.mark.parametrize(
         "view, bindings, read",
@@ -563,8 +520,12 @@ class TestClosureDifferential:
     )  # fmt: skip
     @pytest.mark.parametrize(
         "flags",
-        [{}, {"columnar_deltas": False}, {"batch_transactions": True}],
-        ids=["default", "columnar=0", "batched"],
+        [
+            {},
+            {"batch_transactions": True},
+            {"collect_metrics": True, "trace_batches": True},
+        ],
+        ids=["default", "batched", "instrumented"],
     )
     def test_served_closures_equal_recomputation(self, flags, view, bindings, read):
         state = random_graph(vertices=14, edges=40, seed=3)
@@ -707,27 +668,8 @@ class TestBindingPartitionServing:
         ).rows()
         assert served == direct
 
-    def test_detached_binding_keeps_serving_only_while_retained(self):
-        graph, engine = small_engine(detached_cache_size=4)
-        engine.register(self.QUERY, parameters=self.LONE)
-        view = engine.register(self.QUERY, parameters={"lang": "en"})
-        keeper = engine.register(self.QUERY, parameters={"lang": "de"})
-        view.detach()
-        # the partition is LRU-retained and still maintained: serving it
-        # stays oracle-equal even under further updates
-        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
-        graph.add_edge(post, comm, "REPLY")
-        served = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=True
-        ).rows()
-        direct = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=False
-        ).rows()
-        assert served == direct
-
     def test_strictly_pruned_binding_never_serves_stale(self):
-        graph, engine = small_engine(detached_cache_size=0)
+        graph, engine = small_engine()
         engine.register(self.QUERY, parameters=self.LONE)
         view = engine.register(self.QUERY, parameters={"lang": "en"})
         keeper = engine.register(self.QUERY, parameters={"lang": "de"})
