@@ -15,6 +15,11 @@ order, not cost order).
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package lives in ../../src
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from repro import PropertyGraph, compile_query
 from repro.bench import Timer, format_table, speedup
@@ -40,7 +45,6 @@ def skewed_social(moderators=2, posts=30, comments_per_post=8, seed=17):
         post = graph.add_vertex(labels=["Post"])
         graph.add_edge(rng.choice(mods), post, "MODERATES")
         previous = post
-        previous_label = "Post"
         for _ in range(comments_per_post):
             comment = graph.add_vertex(labels=["Comment"])
             graph.add_edge(previous, comment, "REPLY")
@@ -65,46 +69,8 @@ def drive_updates(graph, comments, count=30, seed=3):
         graph.remove_vertex(child)
 
 
-# -- pytest-benchmark kernels ----------------------------------------------------
-
-
-def test_register_syntactic(benchmark):
-    graph, _ = skewed_social()
-    benchmark(lambda: build(graph, cost_based=False))
-
-
-def test_register_cost_based(benchmark):
-    graph, _ = skewed_social()
-    benchmark(lambda: build(graph, cost_based=True))
-
-
-def test_update_syntactic(benchmark):
-    graph, comments = skewed_social()
-    build(graph, cost_based=False)
-    benchmark(lambda: drive_updates(graph, comments, count=5))
-
-
-def test_update_cost_based(benchmark):
-    graph, comments = skewed_social()
-    build(graph, cost_based=True)
-    benchmark(lambda: drive_updates(graph, comments, count=5))
-
-
-def test_both_orders_agree():
-    graph, comments = skewed_social(moderators=2, posts=8, comments_per_post=4)
-    plain = build(graph, cost_based=False)
-    costed = build(graph, cost_based=True)
-    parent = comments[0]
-    child = graph.add_vertex(labels=["Comment"])
-    graph.add_edge(parent, child, "REPLY")
-    assert plain.multiset() == costed.multiset()
-
-
-# -- standalone report --------------------------------------------------------------
-
-
 def main() -> None:
-    rows = []
+    rows, contents = [], []
     for cost_based, label in ((False, "syntactic (written order)"), (True, "cost-based")):
         graph, comments = skewed_social(posts=40, comments_per_post=10)
         with Timer() as t_register:
@@ -120,6 +86,8 @@ def main() -> None:
                 t_update.seconds / 100,
             ]
         )
+        contents.append(view.multiset())
+    assert contents[0] == contents[1], "the join orders disagree"
     plain, costed = rows
     print(
         format_table(

@@ -13,7 +13,12 @@ naive alternative for a schema-free data model.  Costs measured:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from pathlib import Path
+
+# run from a checkout without installing: the package lives in ../../src
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from repro import compile_query
 from repro.algebra import ops
@@ -70,58 +75,8 @@ def workload(persons=12):
     )
 
 
-# -- pytest-benchmark kernels ----------------------------------------------------
-
-
-def test_register_inferred(benchmark, bench_sizes):
-    net = workload(bench_sizes["persons"])
-    benchmark(lambda: build_view(net.graph, inferred=True))
-
-
-def test_register_all_properties(benchmark, bench_sizes):
-    net = workload(bench_sizes["persons"])
-    benchmark(lambda: build_view(net.graph, inferred=False))
-
-
-def test_update_inferred(benchmark, bench_sizes):
-    net = workload(bench_sizes["persons"])
-    build_view(net.graph, inferred=True)
-    counter = iter(range(10**9))
-
-    def update():
-        # content edits never touch the inferred {lang} columns
-        message = net.posts[next(counter) % len(net.posts)]
-        net.graph.set_vertex_property(message, "content", f"edit {next(counter)}")
-
-    benchmark(update)
-
-
-def test_update_all_properties(benchmark, bench_sizes):
-    net = workload(bench_sizes["persons"])
-    build_view(net.graph, inferred=False)
-    counter = iter(range(10**9))
-
-    def update():
-        message = net.posts[next(counter) % len(net.posts)]
-        net.graph.set_vertex_property(message, "content", f"edit {next(counter)}")
-
-    benchmark(update)
-
-
-def test_both_modes_agree():
-    net = workload(persons=6)
-    inferred = build_view(net.graph, inferred=True)
-    naive = build_view(net.graph, inferred=False)
-    social.add_comment(net, net.posts[0], "en")
-    net.graph.set_vertex_property(net.posts[0], "lang", "de")
-    assert inferred.multiset() == naive.multiset()
-
-
-# -- standalone report --------------------------------------------------------------
-
-
 def main() -> None:
-    rows = []
+    rows, contents = [], []
     for inferred, label in ((True, "inferred (paper)"), (False, "all properties")):
         net = workload(persons=20)
         with Timer() as t_reg:
@@ -143,6 +98,8 @@ def main() -> None:
                 t_relevant.seconds / 100,
             ]
         )
+        contents.append(view.multiset())
+    assert contents[0] == contents[1], "shipping all properties changed the view"
     base, naive = rows
     print(
         format_table(

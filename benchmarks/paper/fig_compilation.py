@@ -7,6 +7,12 @@ compilation cost per stage across a mix of query shapes.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package lives in ../../src
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
 from repro.bench import Timer, format_table
 from repro.compiler import compile_query
 from repro.compiler.cypher_to_gra import compile_to_gra
@@ -24,43 +30,6 @@ QUERY_MIX = {
     "connected_segments": trainbenchmark.QUERIES["ConnectedSegments"],
     "aggregation": social.QUERIES["posts_per_person"],
 }
-
-
-# -- pytest-benchmark kernels --------------------------------------------------
-
-
-def test_parse(benchmark):
-    benchmark(lambda: parse(PAPER_QUERY))
-
-
-def test_compile_full_pipeline(benchmark):
-    benchmark(lambda: compile_query(PAPER_QUERY))
-
-
-def test_compile_route_sensor(benchmark):
-    benchmark(lambda: compile_query(trainbenchmark.QUERIES["RouteSensor"]))
-
-
-def test_compile_connected_segments(benchmark):
-    benchmark(lambda: compile_query(trainbenchmark.QUERIES["ConnectedSegments"]))
-
-
-def test_stage_gra(benchmark):
-    syntax = parse(PAPER_QUERY)
-    benchmark(lambda: compile_to_gra(syntax))
-
-
-def test_stage_nra(benchmark):
-    gra = compile_to_gra(parse(PAPER_QUERY))
-    benchmark(lambda: lower_to_nra(gra))
-
-
-def test_stage_fra(benchmark):
-    nra = lower_to_nra(compile_to_gra(parse(PAPER_QUERY)))
-    benchmark(lambda: flatten_to_fra(nra))
-
-
-# -- standalone report ----------------------------------------------------------
 
 
 def main() -> None:

@@ -13,6 +13,12 @@ including the atomic-path delete/re-derive case the paper motivates.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package lives in ../../src
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
 from repro import PropertyGraph, QueryEngine
 from repro.bench import Timer, format_table, speedup
 from repro.workloads import social
@@ -39,76 +45,6 @@ def bigger_example(threads: int = 50, depth: int = 6):
         seed=42,
     )
     return net
-
-
-# -- pytest-benchmark kernels -------------------------------------------------
-
-
-def test_register_view(benchmark):
-    net = bigger_example()
-
-    def register():
-        engine = QueryEngine(net.graph)
-        view = engine.register(QUERY)
-        view.detach()
-        return view
-
-    benchmark(register)
-
-
-def test_incremental_new_reply(benchmark):
-    net = bigger_example()
-    engine = QueryEngine(net.graph)
-    engine.register(QUERY)
-    posts = net.posts
-
-    counter = iter(range(10**9))
-
-    def add_comment():
-        social.add_comment(net, posts[next(counter) % len(posts)], "en")
-
-    benchmark(add_comment)
-
-
-def test_recompute_new_reply(benchmark):
-    net = bigger_example()
-    engine = QueryEngine(net.graph)
-    posts = net.posts
-    counter = iter(range(10**9))
-
-    def add_comment_and_recompute():
-        social.add_comment(net, posts[next(counter) % len(posts)], "en")
-        engine.evaluate(QUERY, use_views=False)
-
-    benchmark(add_comment_and_recompute)
-
-
-def test_incremental_path_delete(benchmark):
-    net = bigger_example()
-    engine = QueryEngine(net.graph)
-    engine.register(QUERY)
-    graph = net.graph
-
-    def delete_and_restore():
-        edge = next(iter(graph.edges("REPLY")))
-        source, target = graph.endpoints(edge)
-        graph.remove_edge(edge)
-        graph.add_edge(source, target, "REPLY")
-
-    benchmark(delete_and_restore)
-
-
-def test_oracle_agreement():
-    """Sanity: the measured view is correct, not just fast."""
-    net = bigger_example(threads=10, depth=4)
-    engine = QueryEngine(net.graph)
-    view = engine.register(QUERY)
-    for _ in social.update_stream(net, 50, seed=3):
-        pass
-    assert view.multiset() == engine.evaluate(QUERY, use_views=False).multiset()
-
-
-# -- standalone report --------------------------------------------------------
 
 
 def main() -> None:

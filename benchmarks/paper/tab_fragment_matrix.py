@@ -9,7 +9,13 @@ its maintenance cost is measured.
 
 from __future__ import annotations
 
-from repro import PropertyGraph, QueryEngine, UnsupportedForIncrementalError
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package lives in ../../src
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from repro import QueryEngine, UnsupportedForIncrementalError
 from repro.bench import Timer, format_table
 from repro.compiler import compile_query
 from repro.workloads import social
@@ -57,53 +63,6 @@ def workload():
     )
 
 
-# -- pytest-benchmark kernels ---------------------------------------------------
-
-
-def test_compile_matrix(benchmark):
-    def compile_all():
-        for query, _ in MATRIX.values():
-            compile_query(query)
-
-    benchmark(compile_all)
-
-
-def test_maintain_supported_fragment(benchmark):
-    net = workload()
-    engine = QueryEngine(net.graph)
-    for name, (query, in_fragment) in MATRIX.items():
-        if in_fragment:
-            engine.register(query)
-    posts = net.posts
-    counter = iter(range(10**9))
-
-    def one_update():
-        social.add_comment(net, posts[next(counter) % len(posts)], "en")
-
-    benchmark(one_update)
-
-
-def test_matrix_correctness():
-    net = workload()
-    engine = QueryEngine(net.graph)
-    for name, (query, in_fragment) in MATRIX.items():
-        assert compile_query(query).is_incremental == in_fragment, name
-        if in_fragment:
-            view = engine.register(query)
-            assert view.multiset() == engine.evaluate(query, use_views=False).multiset(), name
-        else:
-            try:
-                engine.register(query)
-            except UnsupportedForIncrementalError:
-                pass
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"{name} should be rejected for IVM")
-            engine.evaluate(query, use_views=False)  # one-shot stays supported
-
-
-# -- standalone report -------------------------------------------------------------
-
-
 def main() -> None:
     net = workload()
     engine = QueryEngine(net.graph)
@@ -135,6 +94,7 @@ def main() -> None:
             title="E3/E4 — incrementally maintainable fragment matrix",
         )
     )
+    assert all(row[3] in ("ok", "rejected (ORD), one-shot ok") for row in rows)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,12 @@
-"""Offline-friendly shim: `python setup.py develop` when pip's isolated
-build is unavailable.  Configuration lives in pyproject.toml."""
+"""Package metadata for ``pip install -e .`` (or ``python setup.py develop``
+where pip's isolated build is unavailable).  The library is pure Python
+with no runtime dependencies; its packages live under ``src/``."""
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+)

@@ -1,5 +1,5 @@
-"""Benchmark harness utilities shared by the ``benchmarks/`` experiments."""
+"""Benchmark helpers shared by the ``benchmarks/paper/`` scripts."""
 
-from .harness import Measurement, Timer, format_table, speedup, timed
+from .harness import Timer, format_table, speedup
 
-__all__ = ["Measurement", "Timer", "timed", "format_table", "speedup"]
+__all__ = ["Timer", "format_table", "speedup"]

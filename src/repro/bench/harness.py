@@ -1,40 +1,15 @@
-"""Shared benchmark harness: timing, comparison runs, table rendering.
+"""Timing and table rendering for the paper-reproduction scripts.
 
-Every experiment in ``benchmarks/`` reports through these helpers so the
-output format is uniform: one table per experiment, with the incremental
-engine and the full-recomputation baseline side by side (the shape the
-Train Benchmark and the paper's companion evaluations report).
+Every script in ``benchmarks/paper/`` reports through these helpers so the
+output format is uniform: one fixed-width table per experiment, with the
+incremental engine and the full-recomputation baseline side by side where
+the experiment compares them.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
-
-
-@dataclass
-class Measurement:
-    """Wall-clock samples for one (experiment, series, x) cell."""
-
-    label: str
-    samples: list[float] = field(default_factory=list)
-
-    def record(self, seconds: float) -> None:
-        self.samples.append(seconds)
-
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.samples) if self.samples else 0.0
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.samples) if self.samples else 0.0
+from typing import Any, Sequence
 
 
 class Timer:
@@ -46,12 +21,6 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.seconds = time.perf_counter() - self._start
-
-
-def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
 
 
 def format_table(

@@ -39,7 +39,10 @@ With ``batch_transactions=True`` the engine additionally listens to
 batch that flushes at commit, and a rollback — whose compensation events
 land in the same window — nets to zero, leaving views untouched and
 callbacks silent.  The per-event path stays the default: each mutation
-propagates as it lands and ``on_change`` fires once per event.
+propagates as it lands, and ``on_change`` fires once per delta that
+reaches the production node — usually once per event, but a view whose
+join reads the same input on both sides (``(x)-[:K]->(y), (y)-[:K]->(x)``)
+fires once per side an ``add_edge`` arrives on.
 """
 
 from __future__ import annotations
@@ -368,10 +371,6 @@ class IncrementalEngine:
         """
         return BatchScope(self)
 
-    @property
-    def in_batch(self) -> bool:
-        return self._batch_depth > 0
-
     def _begin_batch(self) -> None:
         self._batch_depth += 1
         if self._batch_depth == 1:
@@ -632,20 +631,24 @@ class IncrementalEngine:
         node — the rows a node consumed plus the rows it pushed
         downstream, counted by the always-on traffic counters (so this
         works with ``collect_metrics`` off and never touches the hot
-        path).  A shared node's cost is split evenly across the views
-        that currently read it; work done by layer-owned nodes no live
-        view reads directly (the chain below a subplan whose building view
-        has detached) lands in the ``unattributed`` bucket.  The per-view
-        shares plus that bucket sum to ``total`` exactly, up to float
-        rounding.
+        path).  A view reads every layer-owned node upstream of the
+        shared nodes it holds (the layer's ``upstream_closure``, the set
+        ``memory_cells`` counts), and a shared node's cost is split evenly
+        across the views that currently read it.  Only work no live view
+        reads lands in the ``unattributed`` bucket.  The per-view shares
+        plus that bucket sum to ``total`` exactly, up to float rounding.
         """
+        closures = [
+            self.input_layer.upstream_closure(view.network._shared_nodes.values())
+            for view in self._views
+        ]
         readers: dict[int, int] = {}
-        for view in self._views:
-            for node in view.network._shared_nodes.values():
+        for closure in closures:
+            for node in closure:
                 readers[id(node)] = readers.get(id(node), 0) + 1
         views = []
         attributed = 0.0
-        for index, view in enumerate(self._views):
+        for index, (view, closure) in enumerate(zip(self._views, closures)):
             cost = float(
                 sum(
                     node.applied_rows + node.emitted_rows
@@ -653,7 +656,7 @@ class IncrementalEngine:
                 )
             )
             shared = 0.0
-            for node in view.network._shared_nodes.values():
+            for node in closure:
                 shared += (
                     node.applied_rows + node.emitted_rows
                 ) / readers[id(node)]

@@ -52,7 +52,7 @@ from ..eval.interpreter import GraphResolver
 from ..eval.results import ResultTable, canonical_order
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, order_key
-from .matcher import PatternMatcher, pattern_bindings
+from .matcher import PatternMatcher, check_no_bound_reuse_conflicts, pattern_bindings
 from .summary import UpdateSummary
 
 #: One prepared clause: ``step(rows, ctx, summary)`` returns the next rows.
@@ -173,6 +173,7 @@ class PreparedUpdate:
     def _prepare_match(
         self, clause: ast.MatchClause, schema: Schema
     ) -> tuple[Step, Schema]:
+        _check_bound_kinds(clause.pattern, schema)
         matcher = PatternMatcher(
             self.graph, clause.pattern, schema, self.resolver, clause.where
         )
@@ -749,7 +750,14 @@ def _count_of(fn: CompiledExpr, ctx: EvalContext) -> int:
     return value
 
 
+def _check_bound_kinds(pattern: ast.Pattern, schema: Schema) -> None:
+    """Reject a bound variable that *pattern* reuses as another kind, e.g.
+    an edge as a node: the matcher and CREATE would read its id as one."""
+    check_no_bound_reuse_conflicts(pattern, {a.name: a.kind for a in schema})
+
+
 def _check_create_pattern(pattern: ast.Pattern, schema: Schema) -> None:
+    _check_bound_kinds(pattern, schema)
     for part in pattern.parts:
         for element in part.elements:
             if isinstance(element, ast.RelationshipPattern):

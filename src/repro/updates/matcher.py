@@ -407,14 +407,6 @@ class PatternMatcher:
             yield ListValue(trail.edges), trail.edges, end
 
 
-def match_clause_schema(
-    clause: ast.MatchClause, input_schema: Schema
-) -> Schema:
-    """Output schema of a MATCH clause over *input_schema*."""
-    new = pattern_bindings(clause.pattern, frozenset(input_schema.names))
-    return Schema(tuple(input_schema.attributes) + tuple(new))
-
-
 def check_no_bound_reuse_conflicts(
     pattern: ast.Pattern, bound: Mapping[str, AttrKind]
 ) -> None:

@@ -10,7 +10,7 @@ import pytest
 from repro import QueryEngine, UnsupportedForIncrementalError, compile_query
 
 #: (query, in_fragment) — the fragment matrix reported by
-#: benchmarks/bench_tab_fragment_matrix.py
+#: benchmarks/paper/tab_fragment_matrix.py
 FRAGMENT_MATRIX = [
     # IVM-supported: bag-based constructs
     ("MATCH (n:Post) RETURN n", True),

@@ -95,6 +95,7 @@ class TestAttribution:
         costs = engine.view_costs()
         assert len(costs["views"]) == 1
         assert_sums_to_total(costs)
+        assert costs["unattributed"] == 0  # the keeper reads the inputs too
         direct = engine.evaluate(query, use_views=False)
         assert keeper.multiset() == direct.multiset()
 

@@ -1,7 +1,6 @@
 """Tests for the shared benchmark harness (formatting and timing)."""
 
 from repro.bench import Timer, format_table, speedup
-from repro.bench.harness import Measurement, timed
 
 
 class TestTimer:
@@ -9,26 +8,6 @@ class TestTimer:
         with Timer() as timer:
             sum(range(1000))
         assert timer.seconds >= 0
-
-    def test_timed_returns_value_and_duration(self):
-        value, duration = timed(lambda: 42)
-        assert value == 42
-        assert duration >= 0
-
-
-class TestMeasurement:
-    def test_statistics(self):
-        m = Measurement("x")
-        for sample in (1.0, 2.0, 3.0):
-            m.record(sample)
-        assert m.total == 6.0
-        assert m.mean == 2.0
-        assert m.median == 2.0
-
-    def test_empty_measurement(self):
-        m = Measurement("x")
-        assert m.mean == 0.0
-        assert m.median == 0.0
 
 
 class TestFormatTable:

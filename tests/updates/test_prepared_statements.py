@@ -166,6 +166,32 @@ class TestPreparationFailures:
         assert events == []  # it raised before any write
 
 
+class TestEntityKindReuse:
+    """A variable bound to an edge is no vertex, and a vertex no edge: a
+    write statement that reuses one as the other is rejected before any
+    write, as a read is, instead of reading the id as the other kind."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "MATCH ()-[r:K]->() MATCH (r)-[:K]->(x) SET x.v = 1",
+            "MATCH (n:P) MATCH ()-[n]->() SET n.v = 2",
+            "MATCH ()-[r:K]->() CREATE (r)-[:K]->(x:New)",
+            "MATCH ()-[r:K]->() MERGE (r)-[:K]->(x:New)",
+            "MATCH (n:P) WITH n MATCH ()-[n]->() DELETE n",
+        ],
+    )
+    def test_rejected_before_any_write(self, text):
+        graph = PropertyGraph()
+        a, b = graph.add_vertex(["P"]), graph.add_vertex(["P"])
+        graph.add_edge(a, b, "K")
+        engine = QueryEngine(graph)
+        before = graph_state(graph)
+        with pytest.raises(CypherSemanticError, match="reused as"):
+            engine.execute(text)
+        assert graph_state(graph) == before
+
+
 class TestPerRowChecksStayPerRow:
     @pytest.mark.parametrize(
         "text, error",

@@ -90,6 +90,8 @@ class TestQueries:
             assert not engine.is_incremental(query)
             with pytest.raises(UnsupportedForIncrementalError):
                 engine.register(query)
+            # one-shot evaluation stays supported: LIMIT 3 bounds it
+            assert len(engine.evaluate(query, use_views=False).rows()) <= 3
 
     def test_views_match_oracle_through_update_stream(self):
         net = generate_snb(
