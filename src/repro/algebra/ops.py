@@ -561,28 +561,3 @@ class Unit(Operator):
 
     def __init__(self) -> None:
         self._init((), Schema(()))
-
-
-class ViewScan(Operator):
-    """A materialised scan: reads a maintained view or shared subplan bag.
-
-    Spliced into one-shot plans by the view-answering rewriter
-    (:mod:`repro.views`) in place of a subtree some live materialisation
-    already computes — never produced by the compiler and not part of any
-    algebra stage, so it appears only in plans handed directly to the
-    interpreter.  ``source`` is a zero-argument callable returning a fresh
-    ``row → multiplicity`` bag whose tuple layout matches the replaced
-    subtree (and therefore ``schema``: fingerprint equality guarantees
-    positional layout equality even when variable names differ).
-
-    ``listing``, when not ``None``, is a zero-argument callable returning
-    the same bag already expanded in canonical order as a fresh list (a
-    view root's maintained listing), so readers that need the canonical
-    order skip the expansion and the sort.
-    """
-
-    __slots__ = ("source", "label", "listing")
-
-    def __init__(self, schema: Schema, source, label: str = "view", listing=None):
-        self._init((), schema)
-        self._set(source=source, label=label, listing=listing)

@@ -103,8 +103,6 @@ def format_label(op: ops.Operator) -> str:
         )
     if isinstance(op, ops.Unit):
         return "unit"
-    if isinstance(op, ops.ViewScan):
-        return f"scan⟨{op.label}⟩"
     return type(op).__name__
 
 

@@ -43,13 +43,18 @@ class QueryEngine:
     incrementally.
 
     One-shot ``evaluate`` calls first consult the
-    :class:`~repro.views.ViewCatalog`: when a registered view — or a shared
-    interior subplan of one — already materialises the query (or a subtree
-    the query is residual work over), the result is served from live
-    maintained state instead of re-scanning the graph.  Every maintained
-    node holds the bag the interpreter would compute, so a served result
-    equals recomputation; ``evaluate(..., use_views=False)`` is that
-    recomputation, per call.
+    :class:`~repro.views.ViewCatalog`: a read whose plan is a live view's
+    root — or that root under one σ, identity π, δ, ``ORDER BY`` on bare
+    columns and ``SKIP``/``LIMIT`` — is served from that view's maintained
+    listing instead of re-scanning the graph; every other read is
+    recomputed by the interpreter.  Every production holds the bag the
+    interpreter would compute, so a served result equals recomputation;
+    ``evaluate(..., use_views=False)`` is that recomputation, per call.
+
+    A view's ``on_change`` callbacks run inside propagation.  One that
+    raises does not stop the others, nor the delta's trip to the other
+    views: the first error is re-raised once the outermost propagation
+    returns, and later ones are dropped.
     """
 
     def __init__(
@@ -111,13 +116,13 @@ class QueryEngine:
         parameters: Mapping[str, Any] | None = None,
         use_views: bool = True,
     ) -> ResultTable:
-        """One-shot evaluation: from materialised views when possible.
+        """One-shot evaluation: from a view root's listing when possible.
 
-        A catalog miss — no covering view, parameter mismatch, open batch
-        window — falls back to full recomputation, so the result is
-        identical either way; ``use_views=False`` is the explicit
-        recomputation baseline (and what differential oracles should ask
-        for).
+        A catalog miss — no view root under a listing read, parameter
+        mismatch, open batch window — falls back to full recomputation,
+        so the result is identical either way; ``use_views=False`` is the
+        explicit recomputation baseline (and what differential oracles
+        should ask for).
         """
         return self._evaluate(self.compile(query), parameters, use_views)
 
@@ -175,7 +180,13 @@ class QueryEngine:
         With ``batch_transactions`` enabled, a write query's side effects
         reach the views as one consolidated delta after its transaction
         commits; otherwise ``None`` keeps the per-event path (and the
-        mid-query trigger semantics that come with it).
+        mid-query trigger semantics that come with it: each write
+        propagates as it lands, so an ``on_change`` callback sees the
+        statement's earlier writes but not its later ones, and a callback
+        that raises fails the statement, which rolls back).  Either way a
+        raising callback stops neither the other callbacks nor
+        propagation: the first error is re-raised once the delta has
+        reached every view, and later ones are dropped.
         """
         if self._incremental.batch_transactions:
             return self._incremental.batch
@@ -304,16 +315,12 @@ class QueryEngine:
         gauge = self._incremental.metrics.registry.gauge
         help_by_name = {
             "queries": "View-catalog probes (try_answer calls)",
-            "answered": "One-shot queries served from maintained state",
-            "exact": "Catalog answers covering the whole plan",
-            "residual": "Catalog answers with residual operators on top",
-            "root_hits": "Catalog sources read from view result tables",
-            "subplan_hits": "Catalog sources read from shared subplan memories",
-            "fallbacks": "Catalog declines (no cover / params / stale)",
+            "answered": "One-shot queries served from a view root's listing",
+            "exact": "Catalog answers whose plan is a view root: its canonical listing",
+            "residual": "σ/δ/ORDER BY/SKIP/LIMIT reads served as a slice of a view's maintained listing",
+            "fallbacks": "Catalog declines (no root / params / stale / predicate raised)",
             "stale_declines": "Declines forced by an open batch window",
             "memo_hits": "Catalog matches (hits and misses) served from the match memo",
-            "listing_answers": "Exact hits returned as the view's maintained listing",
-            "residual_listing_answers": "Residual σ/δ/ORDER BY/SKIP/LIMIT reads served as a slice of a view's maintained listing",
         }
         for name, value in self._catalog.stats.as_dict().items():
             gauge(

@@ -127,10 +127,7 @@ class Shell:
                 self._print(f"detached view [{index}]")
         elif command == ":catalog":
             catalog = self.engine.catalog
-            self._print(
-                f"{catalog.root_count} view root(s), "
-                f"{catalog.subplan_count} shared subplan(s) servable"
-            )
+            self._print(f"{catalog.root_count} view root(s) servable")
             stats = catalog.stats
             self._print(
                 f"answered {stats.answered}/{stats.queries} one-shot "

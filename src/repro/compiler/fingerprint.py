@@ -37,8 +37,8 @@ opting out is always safe.
 Fingerprints are **memoised per operator** (operators are immutable, so
 the cached value can never go stale): each subtree is canonicalised once,
 its parents embed the cached child structures, and repeated callers —
-``ReteNetwork._build`` asking per level, the view-answering matcher asking
-per query — pay a dict-free attribute read instead of re-walking the
+``ReteNetwork._build`` asking per level, the view catalog asking per
+step of a read's chain — pay a dict-free attribute read instead of re-walking the
 subtree, turning the total cost per plan from O(depth·size) into O(size).
 """
 

@@ -176,14 +176,7 @@ class Interpreter:
         return [row for row, m in bag.items() for _ in range(m)]
 
     def _canonical_rows(self, op: ops.Operator) -> list[tuple]:
-        """*op*'s rows expanded in canonical order, as a fresh list.
-
-        A view root's scan already maintains exactly that list (type-exact
-        to ``canonical_order`` of its expanded bag), so it is read, not
-        re-derived.
-        """
-        if isinstance(op, ops.ViewScan) and op.listing is not None:
-            return op.listing()
+        """*op*'s rows expanded in canonical order, as a fresh list."""
         return canonical_order(self._expand(self.evaluate(op)))
 
     def _sorted(
@@ -205,12 +198,6 @@ class Interpreter:
 
     def _eval_Unit(self, op: ops.Unit) -> Bag:
         return {(): 1}
-
-    def _eval_ViewScan(self, op: ops.ViewScan) -> Bag:
-        # The view-answering rewriter spliced this leaf in: read the live
-        # materialisation instead of recomputing the subtree from the
-        # graph.  ``source`` returns a fresh bag, safe to hand upstream.
-        return op.source()
 
     def _eval_GetVertices(self, op: ops.GetVertices) -> Bag:
         graph = self.graph

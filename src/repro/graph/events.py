@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .values import same_value
+
 
 @dataclass(frozen=True, slots=True)
 class GraphEvent:
@@ -93,7 +95,7 @@ class EdgePropertySet(GraphEvent):
 def changed_property_keys(
     before: Mapping[str, Any], after: Mapping[str, Any]
 ) -> set[str]:
-    """Keys whose value differs between two property maps.
+    """Keys whose value differs, type-exactly, between two property maps.
 
     ``None`` and *absent* compare equal (the Cypher convention this event
     model uses throughout).  Batch consolidation groups changed vertices
@@ -101,11 +103,12 @@ def changed_property_keys(
     those groups — so a node the router skips is one with nothing to
     translate.
     """
-    return {
-        key
-        for key in set(before) | set(after)
-        if before.get(key) != after.get(key)
-    }
+    changed = set()
+    for key in set(before) | set(after):
+        old, new = before.get(key), after.get(key)
+        if old is not new and (old != new or not same_value(old, new)):
+            changed.add(key)
+    return changed
 
 
 def unwind_property_set(

@@ -40,7 +40,7 @@ from ..errors import (
     TransactionError,
 )
 from . import events as ev
-from .values import freeze_value
+from .values import freeze_value, same_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .transactions import Transaction
@@ -326,7 +326,7 @@ class PropertyGraph:
         properties = self._vprops[vertex_id]
         old = properties.get(key)
         new = freeze_value(value)
-        if old == new and type(old) is type(new):
+        if old is new or (old == new and same_value(old, new)):
             return
         if old is not None:
             self._index_remove(vertex_id, labels, {key: old})
@@ -418,7 +418,7 @@ class PropertyGraph:
         properties = self._eprops[edge_id]
         old = properties.get(key)
         new = freeze_value(value)
-        if old == new and type(old) is type(new):
+        if old is new or (old == new and same_value(old, new)):
             return
         if new is None:
             properties.pop(key, None)

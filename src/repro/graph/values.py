@@ -213,6 +213,32 @@ def thaw_value(value: Any) -> Any:
     return value
 
 
+def same_value(a: Any, b: Any) -> bool:
+    """Type-exact value identity, for tuples of values (rows) too.
+
+    Python ``==`` conflates ``1``, ``True`` and ``1.0``, and lists or
+    paths holding them; Cypher ``=`` does not (``1 = true`` is false), so
+    a change between two such values is a change the network must see.
+    A NaN is the same value only as the very same object.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):  # rows and ListValue
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, MapValue):
+        return same_value(a._items, b._items)
+    if isinstance(a, PathValue):
+        return a.edges == b.edges and same_value(a.vertices, b.vertices)
+    return a == b
+
+
+def same_properties(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
+    """Two property maps hold the same keys and type-exactly the same values."""
+    return a == b and all(same_value(value, b[key]) for key, value in a.items())
+
+
 def is_list_like(value: Any) -> bool:
     """True for values Cypher treats as lists (lists and paths)."""
     return isinstance(value, (ListValue, PathValue))

@@ -47,6 +47,7 @@ from typing import Any
 
 from ..graph import events as ev
 from ..graph.graph import PropertyGraph
+from ..graph.values import same_properties
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +193,7 @@ class BatchAccumulator:
                     flipped = labels.symmetric_difference(labels_view(vertex_id))
                     moved = (
                         ev.changed_property_keys(properties, after)
-                        if properties != after
+                        if not same_properties(properties, after)
                         else ()
                     )
                     if not (flipped or moved):
@@ -227,7 +228,7 @@ class BatchAccumulator:
             if has_edge(edge_id):
                 if properties is None:
                     kind = 0
-                elif properties == graph.edge_properties(edge_id):
+                elif same_properties(properties, graph.edge_properties(edge_id)):
                     continue
                 else:
                     kind = 2

@@ -43,6 +43,14 @@ propagates as it lands, and ``on_change`` fires once per delta that
 reaches the production node — usually once per event, but a view whose
 join reads the same input on both sides (``(x)-[:K]->(y), (y)-[:K]->(x)``)
 fires once per side an ``add_edge`` arrives on.
+
+A raising ``on_change`` callback
+--------------------------------
+Each callback runs under its own ``try``, so one that raises stops neither
+the view's other callbacks nor the delta's trip through the other views:
+every view still equals recomputation afterwards.  The engine keeps the
+first error and re-raises it once the outermost propagation — one event's
+dispatch, or one batch's delivery — returns; later errors are dropped.
 """
 
 from __future__ import annotations
@@ -186,6 +194,11 @@ class IncrementalEngine:
         self._accumulator: BatchAccumulator | None = None
         self._batch_depth = 0
         self._dispatch_depth = 0
+        #: open batch deliveries (``_propagate_batch``'s callback loop)
+        self._delivering = 0
+        #: the first error an ``on_change`` callback raised, until the
+        #: outermost propagation returns and re-raises it
+        self._callback_error: BaseException | None = None
         if batch_transactions:
             graph.subscribe_transactions(self._on_transaction)
 
@@ -226,6 +239,7 @@ class IncrementalEngine:
             metrics.register_build_seconds.observe(built - start)
             metrics.register_populate_seconds.observe(perf_counter() - built)
             metrics.populate_rows.inc(rows)
+        network.production.callback_failed = self._callback_failed
         view = View(self, compiled, network, shape)
         if shape is not None:
             live = self._live_bindings.setdefault(shape[0], {})
@@ -358,6 +372,22 @@ class IncrementalEngine:
             if tracer is not None:
                 tracing.ACTIVE = None
                 self.last_trace = tracer.finish()
+            error = None if self._callback_error is None else self._outermost_error()
+        if error is not None:
+            raise error
+
+    def _callback_failed(self, error: BaseException) -> None:
+        """Keep the first error a view's ``on_change`` callback raised."""
+        if self._callback_error is None:
+            self._callback_error = error
+
+    def _outermost_error(self) -> BaseException | None:
+        """The kept callback error, taken off the engine for the caller to
+        raise, if the propagation that just returned was the outermost."""
+        if self._dispatch_depth or self._delivering:
+            return None
+        error, self._callback_error = self._callback_error, None
+        return error
 
     # -- batched propagation --------------------------------------------------
 
@@ -445,22 +475,21 @@ class IncrementalEngine:
             start = perf_counter() if metrics is not None else 0.0
             # callbacks fire here, outside the dispatch loops; writes they
             # issue land in the fresh accumulator (or per-event when none).
-            # One raising callback must not strand the other productions in
-            # batch mode, so every end_batch runs before the first error
-            # resurfaces.
-            error: BaseException | None = None
-            for production in productions:
-                try:
+            # A raising callback hands its error to the engine, so every
+            # end_batch runs before the first error resurfaces.
+            self._delivering += 1
+            try:
+                for production in productions:
                     production.end_batch()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
+            finally:
+                self._delivering -= 1
             if metrics is not None:
                 metrics.merge_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracer.exit()
-            if error is not None:
-                raise error
+            error = None if self._callback_error is None else self._outermost_error()
+        if error is not None:
+            raise error
 
     def _on_transaction(self, phase: str) -> None:
         if phase == "begin":

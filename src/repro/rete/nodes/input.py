@@ -24,6 +24,7 @@ from ...eval.projections import (
 )
 from ...graph import events as ev
 from ...graph.graph import PropertyGraph
+from ...graph.values import same_value
 from ..deltas import ColumnDelta, Delta
 from ..router import EdgeInterest, VertexInterest
 from .base import Node
@@ -71,9 +72,33 @@ class _GraphInputNode(Node):
     signature names (its labels or edge types, and the flipped labels and
     moved property keys its columns read), builds the assertion half from
     the live graph and the retraction half from the batch's before images,
-    and drops a changed entity whose before and after rows are ``==``.  No
-    row is built and nothing is transposed.
+    and drops a changed entity whose before and after rows are the same
+    values.  No row is built and nothing is transposed.
     """
+
+    def _emit_change(self, gone: list[tuple], new: list[tuple]) -> None:
+        """Emit one event's retraction of the *gone* rows and assertion of
+        the *new* ones.
+
+        A row delta cancels a retraction against an ``==`` assertion, so a
+        value that only changed type (``1`` → ``True``) would never reach a
+        σ that tells the two apart.  Such a change travels as an
+        unconsolidated column batch instead, retractions first, so every
+        memory folds the old row out before the new one comes in.
+        """
+        delta = Delta()
+        for row in gone:
+            delta.add(row, -1)
+        for row in new:
+            delta.add(row, 1)
+        if len(delta) < len(gone) + len(new):
+            held = {row: row for row in gone}
+            if any(
+                row in held and not same_value(held[row], row) for row in new
+            ):
+                mults = [-1] * len(gone) + [1] * len(new)
+                delta = ColumnDelta.from_rows(gone + new, mults, len(self.schema))
+        self.emit(delta)
 
     def emit_batch(self, batch) -> None:
         """Translate one coalesced batch and emit it."""
@@ -99,8 +124,8 @@ class _GraphInputNode(Node):
         """One batch retracting the before rows of *gone* and asserting the
         after rows of *new*.  A key of *both* (a changed entity) retracts
         where *was* admits it and asserts where *now* does (``None`` admits
-        every key), and emits nothing when its two rows are ``==``, as a
-        row delta cancels it.  The node's ``_columns`` builds both halves,
+        every key), and emits nothing when its two rows are the same
+        values (:func:`~repro.graph.values.same_value`).  The node's ``_columns`` builds both halves,
         the retraction half from *images*."""
         pairs = None
         if both:
@@ -130,7 +155,10 @@ class _GraphInputNode(Node):
         same = [
             (i, n + j)
             for i, j in pairs or ()
-            if all(b[i] is a[j] or b[i] == a[j] for b, a in zip(before, after))
+            if all(
+                b[i] is a[j] or (b[i] == a[j] and same_value(b[i], a[j]))
+                for b, a in zip(before, after)
+            )
         ]
         if not same:
             return delta
@@ -302,10 +330,10 @@ class VertexInputNode(_GraphInputNode):
             return
         after = self.graph.vertex_properties(event.vertex_id)
         before = ev.unwind_property_set(after, event)
-        delta = Delta()
-        delta.add(self._tuple(event.vertex_id, properties=before), -1)
-        delta.add(self._tuple(event.vertex_id, properties=after), 1)
-        self.emit(delta)
+        self._emit_change(
+            [self._tuple(event.vertex_id, properties=before)],
+            [self._tuple(event.vertex_id, properties=after)],
+        )
 
 
 class EdgeInputNode(_GraphInputNode):
@@ -471,6 +499,15 @@ class EdgeInputNode(_GraphInputNode):
             if row is not None:
                 delta.add(row, sign)
 
+    def _edge_rows(
+        self, edge_id: int, source: int, target: int, rows: list, **overrides
+    ) -> None:
+        """Append the edge's oriented rows under *overrides* to *rows*."""
+        for src, tgt in self._orientations(source, target):
+            row = self._row(edge_id, src, tgt, **overrides)
+            if row is not None:
+                rows.append(row)
+
     # -- activation & events --------------------------------------------------
 
     @staticmethod
@@ -613,14 +650,11 @@ class EdgeInputNode(_GraphInputNode):
         source, target = self.graph.endpoints(event.edge_id)
         after = self.graph.edge_properties(event.edge_id)
         before = ev.unwind_property_set(after, event)
-        delta = Delta()
-        self._edge_delta(
-            event.edge_id, source, target, -1, delta, edge_properties=before
-        )
-        self._edge_delta(
-            event.edge_id, source, target, 1, delta, edge_properties=after
-        )
-        self.emit(delta)
+        gone: list[tuple] = []
+        new: list[tuple] = []
+        self._edge_rows(event.edge_id, source, target, gone, edge_properties=before)
+        self._edge_rows(event.edge_id, source, target, new, edge_properties=after)
+        self._emit_change(gone, new)
 
     def _relevant_label_change(self, before, current) -> bool:
         changed = before ^ current
@@ -652,15 +686,16 @@ class EdgeInputNode(_GraphInputNode):
             return
         after = self.graph.vertex_properties(event.vertex_id)
         before = ev.unwind_property_set(after, event)
-        delta = Delta()
+        gone: list[tuple] = []
+        new: list[tuple] = []
         for edge_id in self._interesting_incident(event.vertex_id):
             source, target = self.graph.endpoints(edge_id)
-            self._edge_delta(
-                edge_id, source, target, -1, delta,
+            self._edge_rows(
+                edge_id, source, target, gone,
                 vertex_properties={event.vertex_id: before},
             )
-            self._edge_delta(
-                edge_id, source, target, 1, delta,
+            self._edge_rows(
+                edge_id, source, target, new,
                 vertex_properties={event.vertex_id: after},
             )
-        self.emit(delta)
+        self._emit_change(gone, new)

@@ -22,6 +22,10 @@ from .base import Node
 ChangeCallback = Callable[[Delta], None]
 
 
+def _reraise(error: BaseException) -> None:
+    raise error
+
+
 class _KeyProbe:
     """A dict probe that remembers which stored key it matched.
 
@@ -153,7 +157,9 @@ class ProductionNode(Node):
     immediately.  During a batch (``begin_batch`` … ``end_batch``) the
     partial output deltas are buffered instead and the callbacks fire
     exactly once, at ``end_batch``, with the consolidated net delta — or
-    not at all when the batch nets to nothing.
+    not at all when the batch nets to nothing.  Each callback runs under
+    its own ``try``: an error it raises goes to :attr:`callback_failed`
+    and the next callback still runs.
 
     Reads are served from *listings*: the bag expanded in order, beside
     each row's sort key.  A :class:`ListingSpec` says which rows a listing
@@ -171,6 +177,9 @@ class ProductionNode(Node):
         super().__init__(schema)
         self.results: dict[tuple, int] = {}
         self._callbacks: list[ChangeCallback] = []
+        #: takes the error a callback raised; the engine keeps the first
+        #: and re-raises it once propagation is over (standalone: at once)
+        self.callback_failed: Callable[[BaseException], None] = _reraise
         self._batch_depth = 0
         self._pending: list[Delta] = []
         #: the canonical listing, once read
@@ -209,8 +218,7 @@ class ProductionNode(Node):
         pending, self._pending = self._pending, []
         net = merged(pending)
         if net:
-            for callback in self._callbacks:
-                callback(net)
+            self._notify(net)
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         # transition-sensitive boundary: consolidate columnar batches so a
@@ -237,8 +245,14 @@ class ProductionNode(Node):
             if self._batch_depth > 0:
                 self._pending.append(real)
             else:
-                for callback in self._callbacks:
-                    callback(real)
+                self._notify(real)
+
+    def _notify(self, delta: Delta) -> None:
+        for callback in self._callbacks:
+            try:
+                callback(delta)
+            except BaseException as error:  # noqa: BLE001 - handed on
+                self.callback_failed(error)
 
     # -- listings ---------------------------------------------------------------
 

@@ -169,7 +169,7 @@ def subplan_cache_key(
     subtree's node semantics follow from its plan alone, so no build
     option enters the key.  Both the sharing layer and the
     view-answering catalog key by this, which is what lets a one-shot
-    query's plan be matched directly against live maintained state.
+    query's plan be matched directly against live view roots.
     """
     fp = fingerprint(op)
     if fp is None:
@@ -315,12 +315,6 @@ class SharingLayer:
         self.stats.subplan_hits += 1
         return entry.node
 
-    def subplan_peek(self, key: tuple) -> Node | None:
-        """The cached node for *key* without counting a sharing request
-        (the view-answering catalog's read path)."""
-        entry = self._subplans.get(key)
-        return None if entry is None else entry.node
-
     def subplan_adopt(
         self, key: tuple, node: Node, upstreams: tuple[tuple[Node, int], ...]
     ) -> None:
@@ -403,19 +397,6 @@ class SharingLayer:
         self._key_by_node[id(facade)] = key
         self.stats.binding_partitions += 1
         return facade
-
-    def partition_peek(
-        self, op: ops.Operator, parameters: Mapping[str, Any]
-    ) -> SelectionPartitionNode | None:
-        """The live partition serving *op* under *parameters*, if any.
-
-        Read path for the view-answering catalog, as :meth:`subplan_peek`.
-        """
-        key = self.partition_key(op, parameters)
-        if key is None:
-            return None
-        node = self.subplan_peek(key)
-        return node if isinstance(node, SelectionPartitionNode) else None
 
     def acquire(self, key: tuple) -> None:
         self._subplans[key].refcount += 1

@@ -1,27 +1,15 @@
-"""Answering one-shot queries from materialised views (view matching).
+"""Answering one-shot queries from materialised views.
 
-The subsystem has three parts, wired through
-:meth:`repro.api.QueryEngine.evaluate`:
-
-* :mod:`.catalog` — :class:`ViewCatalog` indexes every live view's FRA
-  root and (via the sharing layer) every shared interior subplan by the
-  canonical fingerprint key;
-* :mod:`.matcher` — finds the highest-covering catalog entry for a
-  one-shot plan, exact hits first, then containment hits where the query
-  is residual work over a cached subtree, with parameter-binding checks;
-* :mod:`.rewriter` — splices :class:`~repro.algebra.ops.ViewScan` leaves
-  reading the live materialisations under the residual operators.
+:class:`ViewCatalog` (:mod:`.catalog`), wired through
+:meth:`repro.api.QueryEngine.evaluate`, indexes every live view's FRA root
+by the canonical fingerprint key.  A read whose plan is a *listing read*
+over a live root — the root itself, or the root under at most one σ,
+identity π and δ, an optional ``ORDER BY`` on bare columns and
+``SKIP``/``LIMIT`` — is served as a slice of a listing the root's
+production node maintains (:class:`.catalog.ListingRead`); every other
+read is recomputed.
 """
 
-from .catalog import AnswerStats, MaterializedSource, ViewCatalog
-from .matcher import rewrite_plan
-from .rewriter import RewriteResult, make_view_scan
+from .catalog import AnswerStats, ViewCatalog
 
-__all__ = [
-    "AnswerStats",
-    "MaterializedSource",
-    "RewriteResult",
-    "ViewCatalog",
-    "make_view_scan",
-    "rewrite_plan",
-]
+__all__ = ["AnswerStats", "ViewCatalog"]

@@ -1,27 +1,22 @@
-"""The view catalog: answering one-shot queries from materialised views.
+"""The view catalog: answering one-shot reads from view roots' listings.
 
-The paper's engine maintains views incrementally but, until this module,
-every ``evaluate()`` still paid full recomputation — even when a
-registered view (or a shared interior subplan of one) already held exactly
-the state the query needs.  MV4PG (Xu et al., 2024) calls view matching +
-query rewriting the missing half of a materialised-view system for
-property graphs; this module supplies it on top of the reproduction's two
-existing identities:
+The rule is one sentence: ``evaluate()`` is answered from a view if and
+only if its plan is a *listing read* over a live view root, and everything
+else is recomputed by the interpreter (:meth:`repro.api.QueryEngine.evaluate`).
+A listing read is the root itself, or the root under at most one σ (its
+predicate a function of the row alone), identity π and δ, optionally
+topped by an ``ORDER BY`` on bare columns and ``SKIP`` / ``LIMIT``.  It is
+served as a slice of a listing the root's production node maintains for
+that spec (see :meth:`ViewCatalog.listing_read` and
+:meth:`~repro.rete.nodes.production.ProductionNode.listing`): it costs the
+rows changed since that listing's last read plus the slice, with no bag
+copy, no interpreter run and no sort.  The root itself is the empty spec,
+the canonical listing.
 
-* every registered view's **root** result lives in its production node,
-* every shareable **interior subplan** of every view lives in the
-  engine's :class:`~repro.rete.sharing.SharingLayer`,
-  keyed by ``(fingerprint, parameter bindings)`` and kept exactly current
-  by delta propagation.
-
-:class:`ViewCatalog` indexes the roots under the *same* key shape and
-treats the sharing layer as the subplan tier of the catalog, so matching a
-one-shot plan is a dict lookup per subtree — no containment search over
-query text, no re-derivation.  A hit is served through the targeted-
-activation protocol (``state_delta`` — reconstruct a node's output bag
-from its memories) and spliced into the plan as a
-:class:`~repro.algebra.ops.ViewScan` leaf; residual operators above the
-splice point run unchanged in the pull interpreter.
+:class:`ViewCatalog` indexes every live view's root under the key the
+sharing layer keys subplans by (:func:`~repro.rete.sharing.subplan_cache_key`:
+the alpha-equivalent fingerprint plus resolved bindings), so matching is
+one walk down the read's chain with a dict probe per step.
 
 Consistency rules (each one differentially tested):
 
@@ -29,29 +24,16 @@ Consistency rules (each one differentially tested):
   networks, so the catalog declines and evaluation falls back to the
   graph — snapshot reads are never served stale;
 * a detached view leaves the root index immediately (the engine notifies
-  the catalog before ``detach()`` returns); its subplans survive exactly
-  as long as other views hold them, and stay current while they do;
-* parameterised subtrees match only under equal resolved bindings;
-* every maintained node holds the bag the interpreter computes for its
-  subtree — a ⋈* included, which keeps one row per trail, as the
-  interpreter does — so any subtree that matches may be served.
+  the catalog before ``detach()`` returns);
+* a parameterised root matches only under equal, type-exact bindings;
+* every production holds the bag the interpreter computes for its plan —
+  a ⋈* included, which keeps one row per trail, as the interpreter does —
+  so its listings list what recomputation lists.
 
-Read cost: a read over one view root whose residual is a chain of σ (its
-predicate a function of the row alone), identity π and δ, optionally
-topped by ``ORDER BY`` on bare columns and ``SKIP`` / ``LIMIT``, is a slice
-of a listing the production node maintains for that spec (see
-:func:`listing_read` and
-:meth:`~repro.rete.nodes.production.ProductionNode.listing`): it costs the
-rows changed since that listing's last read plus the slice, with no bag
-copy, no interpreter run and no sort.  An exact hit is the same path with
-the empty spec, the canonical listing.  Any other residual — γ, joins, a
-second σ, sorting on an expression — and every shared-subplan hit runs the
-interpreter over a fresh copy of the materialised bag.  The match itself,
-with the listing spec it implies, is memoised per (compiled query,
-type-exact parameter bindings) and the memo is cleared on every view
-register/detach event — the only points where what
-:meth:`ViewCatalog.lookup` can see changes (``prune()`` runs inside
-detach).
+The match, with the listing spec it implies, is memoised per (compiled
+query, type-exact parameter bindings) and the memo is cleared on every
+view register/detach/lift event — the only points where what the walk can
+see changes.
 """
 
 from __future__ import annotations
@@ -66,43 +48,22 @@ from ..algebra.expressions import (
     compile_predicate,
     reads_graph,
 )
-from ..algebra.printer import format_compact, format_label
+from ..algebra.printer import format_label
 from ..algebra.schema import Schema
 from ..cypher import ast
 from ..errors import InvalidValueError, ReproError
-from ..eval.interpreter import Interpreter, checked_count
+from ..eval.interpreter import checked_count
 from ..eval.results import ResultTable
-from ..rete.deltas import as_row_delta
 from ..rete.nodes.production import ListingSpec
 from ..rete.sharing import binding_key, subplan_cache_key
-from .matcher import rewrite_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..compiler.pipeline import CompiledQuery
     from ..rete.engine import IncrementalEngine, View
     from ..rete.nodes.production import ProductionNode
-    from .rewriter import RewriteResult
-
-Bag = dict[tuple, int]
-_Match = tuple["RewriteResult", "ListingRead | None"]
 
 #: match-memo entries kept before the memo is cleared wholesale
 MATCH_MEMO_LIMIT = 1024
-
-
-@dataclass(frozen=True)
-class MaterializedSource:
-    """One servable materialisation: where a spliced scan reads from."""
-
-    #: returns a fresh ``row → multiplicity`` bag of the current contents
-    fetch: Callable[[], Bag]
-    #: human-readable origin, for EXPLAIN / the CLI
-    description: str
-    #: ``"view"`` (production-backed root) or ``"subplan"`` (shared node)
-    kind: str
-    #: view roots only: the production node whose maintained listings
-    #: serve reads (the canonical one feeds the scan's ``listing``)
-    production: "ProductionNode | None" = None
 
 
 @dataclass
@@ -110,16 +71,12 @@ class AnswerStats:
     """Counters for the ablation report and EXPLAIN output."""
 
     queries: int = 0  # try_answer calls
-    answered: int = 0  # served from the catalog
-    exact: int = 0  # whole plan was one materialisation
-    residual: int = 0  # served with residual operators on top
-    root_hits: int = 0  # sources read from view result tables
-    subplan_hits: int = 0  # sources read from shared subplan memories
-    fallbacks: int = 0  # full evaluation (no cover / params / stale)
+    answered: int = 0  # served from a view root's listing
+    exact: int = 0  # the whole plan was a view root
+    residual: int = 0  # σ/δ/ORDER BY/SKIP/LIMIT over a root: a listing slice
+    fallbacks: int = 0  # recomputed (no root / stale / predicate raised)
     stale_declines: int = 0  # fallbacks forced by an open batch window
     memo_hits: int = 0  # matches (hits and misses) served from the memo
-    listing_answers: int = 0  # exact hits returned as a view's listing
-    residual_listing_answers: int = 0  # residuals served as a listing slice
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
@@ -129,7 +86,10 @@ class AnswerStats:
 class ListingRead:
     """A plan served as a slice of one view root's maintained listing."""
 
+    view: "View"
     production: "ProductionNode"
+    #: the subtree of the read's plan that the view's root materialises
+    root: ops.Operator
     spec: ListingSpec
     #: the ``SKIP``/``LIMIT`` counts over the listing, innermost first, as
     #: ``(is a limit, compiled count)``
@@ -143,7 +103,7 @@ class ListingRead:
         self, schema, parameters: Mapping[str, Any], graph
     ) -> ResultTable | None:
         """The result table, or ``None`` when the listing's predicate
-        raised (the interpreter path then meets the error itself)."""
+        raised (recomputation then meets the error itself)."""
         rows = self.production.listing(self.spec, parameters)
         if rows is None:
             return None
@@ -165,71 +125,6 @@ class ListingRead:
         )
 
 
-def listing_read(
-    rewrite: "RewriteResult", parameters: Mapping[str, Any]
-) -> ListingRead | None:
-    """Serve *rewrite* from its view root's listings, if its shape allows.
-
-    That shape is one exact root scan under a chain of σ (at most one, its
-    predicate a function of the row alone), identity π and δ, optionally
-    topped by a ``Sort`` on bare columns and then ``SKIP``/``LIMIT``.  The
-    σ, the δ and the sort items make the listing's spec; the counts slice
-    it.  Anything else is ``None``: the interpreter path serves it.
-    """
-    op = rewrite.plan
-    slices, labels = [], []
-    while isinstance(op, (ops.Skip, ops.Limit)):
-        try:
-            count = compile_expr(op.count, Schema(()))
-        except ReproError:
-            return None
-        slices.append((isinstance(op, ops.Limit), count))
-        labels.append(format_label(op))
-        op = op.children[0]
-    order: tuple[tuple[int, bool], ...] = ()
-    if isinstance(op, ops.Sort):
-        schema = op.children[0].schema
-        if not all(isinstance(e, ast.Variable) and e.name in schema for e, _ in op.items):
-            return None
-        order = tuple((schema.index_of(e.name), ascending) for e, ascending in op.items)
-        labels.append(format_label(op))
-        op = op.children[0]
-    select, distinct = None, False
-    while not isinstance(op, ops.ViewScan):
-        if isinstance(op, ops.Dedup):
-            distinct = True
-        elif isinstance(op, ops.Select) and select is None:
-            select = op
-        elif not (isinstance(op, ops.Project) and _identity(op)):
-            return None
-        if not isinstance(op, ops.Project):
-            labels.append(format_label(op))
-        op = op.children[0]
-    production = rewrite.sources[0].production
-    if production is None:
-        return None  # a shared subplan: no listings there
-    predicate, bindings = None, ()
-    if select is not None:
-        schema = select.children[0].schema
-        names = dict.fromkeys(
-            n.name for n in ast.walk(select.predicate) if isinstance(n, ast.Parameter)
-        )
-        try:
-            if reads_graph(select.predicate, schema):
-                return None
-            bindings = tuple((name, binding_key(parameters[name])) for name in names)
-            predicate = compile_predicate(select.predicate, schema).row
-        except (KeyError, TypeError, ReproError):
-            return None  # unbound, unkeyable or uncompilable: not a spec
-    return ListingRead(
-        production,
-        ListingSpec(predicate, bindings, distinct, order),
-        tuple(reversed(slices)),
-        bool(slices) or bool(order),
-        " ∘ ".join(labels),
-    )
-
-
 def _identity(op: ops.Project) -> bool:
     """Whether π *op* passes each row through unchanged."""
     names = [e.name if isinstance(e, ast.Variable) else None for _, e in op.items]
@@ -237,13 +132,11 @@ def _identity(op: ops.Project) -> bool:
 
 
 class ViewCatalog:
-    """Fingerprint-indexed registry of everything live views materialise.
+    """Fingerprint-indexed registry of the live views' roots.
 
     Owned by :class:`~repro.api.QueryEngine`; subscribes to the
     incremental engine's view lifecycle so the root index tracks
-    register/detach exactly, and reads the sharing layer in place for the
-    subplan tier (which the layer already keeps consistent under
-    register/detach/prune).
+    register/detach exactly.
     """
 
     def __init__(self, engine: "IncrementalEngine"):
@@ -252,7 +145,7 @@ class ViewCatalog:
         self._roots: dict[tuple, list["View"]] = {}
         self._root_keys: dict[int, tuple] = {}  # id(view) → its key
         #: (id(compiled), binding keys) → (compiled, match or None)
-        self._memo: dict[tuple, tuple["CompiledQuery", "_Match | None"]] = {}
+        self._memo: dict[tuple, tuple["CompiledQuery", ListingRead | None]] = {}
         self.stats = AnswerStats()
         engine.subscribe_views(self._on_view_event)
         for view in engine.views:
@@ -291,60 +184,76 @@ class ViewCatalog:
     def root_count(self) -> int:
         return sum(len(views) for views in self._roots.values())
 
-    @property
-    def subplan_count(self) -> int:
-        return self._engine.input_layer.subplan_count
+    def listing_read(
+        self, plan: ops.Operator, parameters: Mapping[str, Any]
+    ) -> ListingRead | None:
+        """How a live view root's listings serve *plan*, or ``None``.
 
-    def lookup(
-        self, op: ops.Operator, parameters: Mapping[str, Any]
-    ) -> MaterializedSource | None:
-        """The live materialisation covering *op* exactly, if any.
-
-        Root entries (production-backed — the whole result is already a
-        bag) win over shared subplans (reconstructed from node memories
-        via ``state_delta``).  Pure read: no stats side effects, so the
-        matcher and EXPLAIN can probe freely.
+        One walk down the read's chain: ``SKIP``/``LIMIT``, then an optional
+        ``Sort`` on bare columns, then σ (at most one, its predicate a
+        function of the row alone), identity π and δ, probing the root
+        index at each step of the latter.  The first root found serves (the
+        highest, so the least residual work); the σ, the δ and the sort
+        items make the listing's spec, and the counts slice it.  A step of
+        any other kind ends the walk with ``None``: recomputation serves it.
         """
-        key = subplan_cache_key(op, parameters)
-        if key is None:
-            return None
-        views = self._roots.get(key)
-        if views:
-            view = views[0]
-            production = view.network.production
-            return MaterializedSource(
-                fetch=production.multiset,
-                description=f"view[{view.compiled.text.strip()}]",
-                kind="view",
-                production=production,
+        op = plan
+        slices, labels = [], []
+        while isinstance(op, (ops.Skip, ops.Limit)):
+            try:
+                count = compile_expr(op.count, Schema(()))
+            except ReproError:
+                return None
+            slices.append((isinstance(op, ops.Limit), count))
+            labels.append(format_label(op))
+            op = op.children[0]
+        order: tuple[tuple[int, bool], ...] = ()
+        if isinstance(op, ops.Sort):
+            schema = op.children[0].schema
+            if not all(isinstance(e, ast.Variable) and e.name in schema for e, _ in op.items):
+                return None
+            order = tuple((schema.index_of(e.name), ascending) for e, ascending in op.items)
+            labels.append(format_label(op))
+            op = op.children[0]
+        roots = self._roots
+        select, distinct = None, False
+        while True:
+            key = subplan_cache_key(op, parameters)
+            views = None if key is None else roots.get(key)
+            if views:
+                break
+            if isinstance(op, ops.Dedup):
+                distinct = True
+            elif isinstance(op, ops.Select) and select is None:
+                select = op
+            elif not (isinstance(op, ops.Project) and _identity(op)):
+                return None
+            if not isinstance(op, ops.Project):
+                labels.append(format_label(op))
+            op = op.children[0]
+        predicate, bindings = None, ()
+        if select is not None:
+            schema = select.children[0].schema
+            names = dict.fromkeys(
+                n.name for n in ast.walk(select.predicate) if isinstance(n, ast.Parameter)
             )
-        layer = self._engine.input_layer
-        node = layer.subplan_peek(key)
-        if node is not None:
-            def fetch(layer=layer, node=node) -> Bag:
-                return dict(as_row_delta(layer.state_delta(node)).items())
-
-            return MaterializedSource(
-                fetch=fetch,
-                description=f"subplan[{_compact(op)}]",
-                kind="subplan",
-            )
-        # binding-indexed tier: a parameterised σ whose shape is maintained
-        # for this exact binding as one partition of a shared node —
-        # reconstructed by asking the shared core for the rows the
-        # binding's equality conjuncts admit (the whole core only when it
-        # has none) and confirming the predicate
-        partition = layer.partition_peek(op, parameters)
-        if partition is not None:
-            def fetch_partition(layer=layer, node=partition) -> Bag:
-                return dict(as_row_delta(layer.state_delta(node)).items())
-
-            return MaterializedSource(
-                fetch=fetch_partition,
-                description=f"binding-partition[{_compact(op)}]",
-                kind="subplan",
-            )
-        return None
+            try:
+                if reads_graph(select.predicate, schema):
+                    return None
+                bindings = tuple((name, binding_key(parameters[name])) for name in names)
+                predicate = compile_predicate(select.predicate, schema).row
+            except (KeyError, TypeError, ReproError):
+                return None  # unbound, unkeyable or uncompilable: not a spec
+        view = views[0]
+        return ListingRead(
+            view,
+            view.network.production,
+            op,
+            ListingSpec(predicate, bindings, distinct, order),
+            tuple(reversed(slices)),
+            bool(slices) or bool(order),
+            " ∘ ".join(labels),
+        )
 
     # -- answering ----------------------------------------------------------
 
@@ -353,66 +262,53 @@ class ViewCatalog:
         compiled: "CompiledQuery",
         parameters: Mapping[str, Any] | None = None,
     ) -> ResultTable | None:
-        """Answer *compiled* from materialised state, or ``None`` to fall
+        """Answer *compiled* from a view root's listing, or ``None`` to fall
         back to full evaluation."""
-        self.stats.queries += 1
+        stats = self.stats
+        stats.queries += 1
         if self._engine.pending_changes():
             # an open batch window: the graph is ahead of every memory
-            self.stats.stale_declines += 1
-            self.stats.fallbacks += 1
+            stats.stale_declines += 1
+            stats.fallbacks += 1
             return None
-        if not self._roots and self.subplan_count == 0:
-            self.stats.fallbacks += 1
+        read = self._match(compiled, parameters) if self._roots else None
+        # a slice of a listing the view maintains: the very rows, in the
+        # very order, the interpreter would derive from the root's bag
+        table = (
+            None
+            if read is None
+            else read.serve(compiled.plan.schema, parameters or {}, self._engine.graph)
+        )
+        if table is None:
+            stats.fallbacks += 1
             return None
-        match = self._match(compiled, parameters)
-        if match is None:
-            self.stats.fallbacks += 1
-            return None
-        rewrite, read = match
-        self.stats.answered += 1
-        if rewrite.exact:
-            self.stats.exact += 1
+        stats.answered += 1
+        if read.root is compiled.plan:
+            stats.exact += 1
         else:
-            self.stats.residual += 1
-        for source in rewrite.sources:
-            if source.kind == "view":
-                self.stats.root_hits += 1
-            else:
-                self.stats.subplan_hits += 1
-        if read is not None:
-            # a slice of a listing the view maintains: the very rows, in the
-            # very order, the interpreter would derive from the root's bag
-            table = read.serve(
-                compiled.plan.schema, parameters or {}, self._engine.graph
-            )
-            if table is not None:
-                if rewrite.exact:
-                    self.stats.listing_answers += 1
-                else:
-                    self.stats.residual_listing_answers += 1
-                return table
-        return Interpreter(self._engine.graph, parameters).run(rewrite.plan)
+            stats.residual += 1
+        return table
 
     def _match(
         self,
         compiled: "CompiledQuery",
         parameters: Mapping[str, Any] | None,
-    ) -> "_Match | None":
-        """:func:`rewrite_query` and :func:`listing_read`, memoised until
-        the next view event."""
+    ) -> ListingRead | None:
+        """:meth:`listing_read` of *compiled*, memoised until the next view
+        event."""
         try:
             bindings = sorted(
                 (name, binding_key(value)) for name, value in (parameters or {}).items()
             )
         except (TypeError, InvalidValueError):
             # a binding with no type-exact key: match without the memo
-            return _rewrite(self, compiled, parameters)
+            return self.listing_read(compiled.plan, parameters or {})
         key = (id(compiled), tuple(bindings))
         entry = self._memo.get(key)
         if entry is not None and entry[0] is compiled:
             self.stats.memo_hits += 1
             return entry[1]
-        match = _rewrite(self, compiled, parameters)
+        match = self.listing_read(compiled.plan, parameters or {})
         if len(self._memo) >= MATCH_MEMO_LIMIT:
             self._memo.clear()
         self._memo[key] = (compiled, match)
@@ -432,43 +328,13 @@ class ViewCatalog:
                 "declined (open batch/transaction window — maintained "
                 "state lags the graph); full evaluation"
             )
-        match = _rewrite(self, compiled, parameters)
-        if match is None:
-            return "no covering view or shared subplan; full evaluation"
-        rewrite, read = match
-        lines = []
-        if rewrite.exact:
-            lines.append(f"exact hit: {rewrite.sources[0].description}")
-            if read is not None:
-                lines.append("  served from the view's maintained listing")
-        elif read is not None:
-            lines.append(f"residual hit: {rewrite.sources[0].description}")
-            lines.append(
-                f"  served from the view's maintained listing: {read.description}"
-            )
-        else:
-            lines.append(
-                f"containment hit: residual plan over "
-                f"{len(rewrite.sources)} materialised source(s)"
-            )
-            for source in rewrite.sources:
-                lines.append(f"  - {source.description}")
-        return "\n".join(lines)
-
-
-def _rewrite(
-    catalog: ViewCatalog,
-    compiled: "CompiledQuery",
-    parameters: Mapping[str, Any] | None,
-) -> "_Match | None":
-    """The catalog's match for *compiled*: the rewritten plan, and how a
-    view's listing serves it (``None`` when the interpreter must)."""
-    rewrite = rewrite_query(catalog, compiled, parameters)
-    if rewrite is None:
-        return None
-    return rewrite, listing_read(rewrite, parameters or {})
-
-
-def _compact(op: ops.Operator, limit: int = 72) -> str:
-    text = format_compact(op)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+        read = self.listing_read(compiled.plan, parameters or {})
+        if read is None:
+            return "no covering view root lists this read; full evaluation"
+        source = f"view[{read.view.compiled.text.strip()}]"
+        if read.root is compiled.plan:
+            return f"exact hit: {source}\n  served from the view's maintained listing"
+        return (
+            f"residual hit: {source}\n"
+            f"  served from the view's maintained listing: {read.description}"
+        )

@@ -67,13 +67,9 @@ class TestAnswerStatsShape:
             "answered",
             "exact",
             "residual",
-            "root_hits",
-            "subplan_hits",
             "fallbacks",
             "stale_declines",
             "memo_hits",
-            "listing_answers",
-            "residual_listing_answers",
         ]
         assert all(isinstance(value, int) for value in stats.values())
         assert stats["queries"] >= 1
@@ -87,8 +83,8 @@ class TestAnswerStatsShape:
         snapshot = engine.metrics_snapshot()
         for name, value in (
             ("repro_catalog_memo_hits", 1),
-            ("repro_catalog_listing_answers", 2),
-            ("repro_catalog_residual_listing_answers", 1),
+            ("repro_catalog_exact", 2),
+            ("repro_catalog_residual", 1),
         ):
             assert snapshot[name]["type"] == "gauge"
             assert snapshot[name]["value"] == value

@@ -367,6 +367,66 @@ def test_raising_callback_does_not_strand_other_views():
     assert_view_matches_oracle(engine, calm, "MATCH (p:Post) RETURN p.lang AS lang")
 
 
+@pytest.mark.parametrize("batch_transactions", [False, True], ids=["per-event", "batched"])
+def test_a_raising_callback_strands_no_view_on_autocommitted_writes(batch_transactions):
+    """A callback that raises once: the error reaches the writer, and still
+    every view, the raiser's other callback and served reads see both
+    autocommitted writes."""
+    graph = PropertyGraph()
+    engine = QueryEngine(graph, batch_transactions=batch_transactions)
+    rows, values = "MATCH (a:A) RETURN a", "MATCH (a:A) RETURN a.v AS v"
+    first, second = engine.register(rows), engine.register(values)
+    raised = []
+
+    def explode(delta):
+        if not raised:
+            raised.append(delta)
+            raise RuntimeError("bad subscriber")
+
+    seen = []
+    first.on_change(explode)
+    first.on_change(seen.append)
+    with pytest.raises(RuntimeError, match="bad subscriber"):
+        graph.add_vertex(labels=["A"], properties={"v": 1})
+    graph.add_vertex(labels=["A"], properties={"v": 2})
+    assert len(raised) == 1 and len(seen) == 2
+    expected = [(1,), (2,)]
+    assert engine.evaluate(values, use_views=False).rows() == expected
+    assert second.rows() == expected
+    assert engine.evaluate(values).rows() == expected
+    assert engine.answer_stats().answered == 1
+    assert_view_matches_oracle(engine, first, rows)
+
+
+@pytest.mark.parametrize("batch_transactions", [False, True], ids=["per-event", "batched"])
+def test_a_raising_callback_and_a_write_statement(batch_transactions):
+    """Per event the error fails the statement mid-way, which rolls back;
+    batched it surfaces after the commit.  Either way every view, and the
+    raiser's other callback, agree with the graph."""
+    graph = PropertyGraph()
+    engine = QueryEngine(graph, batch_transactions=batch_transactions)
+    rows, values = "MATCH (a:A) RETURN a", "MATCH (a:A) RETURN a.v AS v"
+    first, second = engine.register(rows), engine.register(values)
+
+    def explode(delta):
+        raise RuntimeError("bad subscriber")
+
+    seen = []
+    first.on_change(explode)
+    first.on_change(seen.append)
+    with pytest.raises(RuntimeError, match="bad subscriber"):
+        engine.execute("CREATE (:A {v: 1}) CREATE (:A {v: 2})")
+    expected = [(1,), (2,)] if batch_transactions else []
+    assert engine.evaluate(values, use_views=False).rows() == expected
+    assert second.rows() == engine.evaluate(values).rows() == expected
+    assert_view_matches_oracle(engine, first, rows)
+    replayed: dict = {}
+    for delta in seen:
+        for row, count in delta.items():
+            replayed[row] = replayed.get(row, 0) + count
+    assert {row: n for row, n in replayed.items() if n} == first.multiset()
+
+
 def test_per_event_path_unchanged_without_opt_in():
     """batch_size=1 baseline: no batching, one callback per elementary change."""
     graph = PropertyGraph()

@@ -1009,23 +1009,6 @@ class TestRestrictedReplay:
         narrow, full = both_folds(layer, partition_of(view))
         assert narrow == full and len(narrow) == 3
 
-    def test_partition_served_evaluate_agrees(self):
-        query, first, later = RESTRICTED_SHAPES["right"]
-        read = (
-            "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE b.name = $v "
-            "RETURN DISTINCT a"
-        )
-        graph, people, edges = people_graph()
-        engine = QueryEngine(graph)
-        engine.register(query, parameters=first)
-        engine.register(query, parameters=later[0])
-        churn(graph, people, edges, random.Random(17))
-        for parameters in (first, later[0]):
-            assert "binding-partition[" in engine.explain(read, parameters)
-            served = engine.evaluate(read, parameters, use_views=True)
-            direct = engine.evaluate(read, parameters, use_views=False)
-            assert exact(served.multiset()) == exact(direct.multiset())
-
     def test_registration_work_is_bounded_by_the_restricted_side(self):
         """Binding N+1 on a live 2 000-row join: one scan of the Person
         memory plus the matches — the full fold cannot silently return."""

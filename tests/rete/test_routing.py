@@ -133,9 +133,9 @@ def test_constant_selections_route_exactly():
 
 #: five views that differ only in one constant, per compared element:
 #: (query template, the constants, the compared element, its key, the
-#: values churn writes to that key).  ``True`` stays out of the numeric
-#: pool: a ``1.0`` → ``True`` write cancels as ``==`` in the row delta
-#: (ROADMAP item 1), which is not what these tests pin.
+#: values churn writes to that key).  The numeric pool holds ``True``
+#: beside ``1`` and ``1.0``: a write between two ``==`` values of different
+#: types moves a row between the ``= 1`` view and the others.
 CONSTANT_FAMILIES = {
     "vertex-string": (
         "MATCH (p:Post) WHERE p.lang = {} RETURN p.content",
@@ -149,7 +149,7 @@ CONSTANT_FAMILIES = {
         ("0", "1", "2", "2.5", "-1"),
         "post",
         "score",
-        (0, 1, 1.0, 2, 2.5, -1, "1", None),
+        (0, 1, 1.0, True, 2, 2.5, -1, "1", None),
     ),
     "edge": (
         "MATCH (p:Post)-[r:REPLY]->(c:Comm) WHERE r.w = {} RETURN c.content",

@@ -73,6 +73,22 @@ class TestMetaCommands:
         assert "detached view [0]" in output
         assert "no views registered" in output
 
+    def test_catalog(self):
+        status, output = run_shell(
+            ":register MATCH (p:Post) RETURN p\n"
+            "CREATE (n:Post);\n"
+            "MATCH (p:Post) RETURN p;\n"
+            "MATCH (p:Post) RETURN count(*) AS n;\n"
+            ":catalog\n"
+        )
+        assert status == 0
+        assert "1 view root(s) servable" in output
+        assert "subplan" not in output
+        assert (
+            "answered 1/2 one-shot queries from views "
+            "(1 exact, 0 residual, 1 full evaluations)" in output
+        )
+
     def test_explain(self):
         status, output = run_shell(":explain MATCH (p:Post) RETURN p\n")
         assert status == 0

@@ -1,11 +1,12 @@
 """Answering one-shot queries from materialised views: the differential gate.
 
 The central contract: ``evaluate(use_views=True)`` must be row-for-row
-identical to ``evaluate(use_views=False)`` — across exact hits, residual
-(containment) hits, parameter mismatches (which must fall back), mid-stream
-detach (stale entries must never serve), and batched/rollback transaction
-windows (in-flight state must never serve).  Random graphs and random
-update streams drive the property form of the claim.
+identical to ``evaluate(use_views=False)`` — across exact hits, listing
+residuals over a view root, reads no root lists (which are recomputed),
+parameter mismatches (which must fall back), mid-stream detach (stale
+entries must never serve), and batched/rollback transaction windows
+(in-flight state must never serve).  Random graphs and random update
+streams drive the property form of the claim.
 """
 
 import random
@@ -15,7 +16,6 @@ import pytest
 from repro import PropertyGraph, QueryEngine
 from repro.compiler.fingerprint import fingerprint
 from repro.workloads.random_graphs import random_graph, random_updates
-from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
 
 #: registered view shapes over the random-graph schema
 VIEW_QUERIES = [
@@ -26,8 +26,8 @@ VIEW_QUERIES = [
     "MATCH (p:Post) OPTIONAL MATCH (p)-[:REPLY]->(c:Comm) RETURN p, c",
 ]
 
-#: one-shot reads: exact hits, alpha-renamed hits, residual hits over view
-#: roots and shared subplans, ordering residuals, and guaranteed misses
+#: one-shot reads: exact hits, alpha-renamed hits, reads no root lists,
+#: ordering residuals over a root, and guaranteed misses
 READ_QUERIES = [
     "MATCH (p:Post) WHERE p.lang = 'en' RETURN p",
     "MATCH (x:Post) WHERE x.lang = 'en' RETURN x",
@@ -69,7 +69,7 @@ class TestExactHits:
         assert result.multiset() == view.multiset()
         assert result.rows() == engine.evaluate(query, use_views=False).rows()
         stats = engine.answer_stats()
-        assert stats.exact == 1 and stats.root_hits == 1
+        assert stats.exact == stats.answered == 1
 
     def test_alpha_renamed_query_hits_the_same_view(self):
         graph, engine = small_engine()
@@ -101,7 +101,9 @@ class TestExactHits:
 
 
 class TestResidualHits:
-    def test_distinct_over_shared_join_core(self):
+    def test_another_projection_of_a_view_is_recomputed(self):
+        """A read over a view's subtree, not its root, is no listing read:
+        the interpreter recomputes it, though views share that subtree."""
         graph, engine = small_engine()
         engine.register(
             "MATCH (p:Post)-[:REPLY]->(c:Comm) WHERE p.lang = c.lang RETURN p, c"
@@ -115,7 +117,8 @@ class TestResidualHits:
             == engine.evaluate(read, use_views=False).rows()
         )
         stats = engine.answer_stats()
-        assert stats.residual == 1 and stats.subplan_hits >= 1
+        assert (stats.answered, stats.fallbacks) == (0, 1)
+        assert "no covering view root" in engine.explain(read)
 
     def test_topk_over_maintained_aggregate(self):
         """Top-k is outside the maintainable fragment, but a maintained
@@ -145,39 +148,44 @@ class TestResidualHits:
         assert engine.answer_stats().queries == 0
 
 
-#: (registered view, its binding, one-shot read) for every kind of hit
+BOUND_VIEW = "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang RETURN a, b"
+
+#: (registered view, its binding, one-shot read, served from a listing?)
+#: for every kind of hit and for reads no root lists
 ANSWERING_SHAPES = [
-    (VIEW_QUERIES[0], None, READ_QUERIES[1]),
-    (VIEW_QUERIES[1], None, READ_QUERIES[2]),
-    (VIEW_QUERIES[2], None, READ_QUERIES[3]),
+    (VIEW_QUERIES[0], None, READ_QUERIES[1], True),
+    (VIEW_QUERIES[1], None, READ_QUERIES[2], False),
+    (VIEW_QUERIES[2], None, READ_QUERIES[3], True),
+    (BOUND_VIEW, {"lang": "en"}, BOUND_VIEW, True),
     (
-        "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang RETURN a, b",
+        BOUND_VIEW,
         {"lang": "en"},
         "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang "
         "RETURN DISTINCT b",
+        False,
     ),
 ]
 
 
 class TestExplainAgreesWithEvaluate:
-    """For every kind of hit, explain reports the hit, ``evaluate()``
-    serves it, and the served result equals recomputation."""
+    """For every kind of read, explain reports a hit exactly when
+    ``evaluate()`` serves one, and the result equals recomputation."""
 
     @pytest.mark.parametrize(
-        "view, parameters, read",
+        "view, parameters, read, listed",
         ANSWERING_SHAPES,
-        ids=["exact", "residual", "top-k", "binding-partition"],
+        ids=["exact", "residual", "top-k", "binding", "binding-projection"],
     )
-    def test_explain_matches_what_evaluate_does(self, view, parameters, read):
+    def test_explain_matches_what_evaluate_does(self, view, parameters, read, listed):
         _, engine = small_engine()
         engine.register(view, parameters=parameters)
         answering = "== View answering ==\n"
         report = engine.explain(read, parameters).split(answering)[1]
-        assert "hit" in report or "binding-partition[" in report, report
+        assert ("hit" in report) == listed, report
         assert engine.answer_stats().queries == 0  # explain is pure
         served = engine.evaluate(read, parameters).rows()
         stats = engine.answer_stats()
-        assert stats.queries == 1 and stats.answered == 1
+        assert stats.queries == 1 and stats.answered == int(listed)
         assert served == engine.evaluate(read, parameters, use_views=False).rows()
 
 
@@ -481,14 +489,14 @@ class TestRandomDifferential:
 
 #: (registered view, its bindings, one-shot read) over unbounded ⋈*:
 #: exact, alpha-renamed and residual hits, every direction, a lower bound,
-#: returned paths and a binding partition
+#: returned paths and a root built lifted over a binding partition
 CLOSURE_SHAPES = [
     ("MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN p, c", [None],
      "MATCH (x:Post)-[:REPLY*]->(y:Comm) RETURN x, y"),
     ("MATCH (p:Post)-[:REPLY*]->(c) RETURN p, count(c) AS n", [None],
      "MATCH (p:Post)-[:REPLY*]->(c) RETURN p, count(c) AS n"),
     ("MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN p, c", [None],
-     "MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN DISTINCT p"),
+     "MATCH (p:Post)-[:REPLY*]->(c:Comm) RETURN DISTINCT p, c"),
     ("MATCH (a:Person)<-[:KNOWS*]-(b) RETURN a, b", [None],
      "MATCH (a:Person)<-[:KNOWS*]-(b) RETURN a, b"),
     ("MATCH (a:Person)-[:KNOWS*]-(b:Person) RETURN DISTINCT a, b", [None],
@@ -499,7 +507,7 @@ CLOSURE_SHAPES = [
      "MATCH t = (p:Post)-[:REPLY*]->(c) RETURN t"),
     ("MATCH (p:Post)-[:REPLY*]->(c) WHERE p.lang = $l RETURN p, c",
      [{"l": "en"}, {"l": "de"}],
-     "MATCH (p:Post)-[:REPLY*]->(c) WHERE p.lang = $l RETURN c"),
+     "MATCH (x:Post)-[:REPLY*]->(y) WHERE x.lang = $l RETURN x, y"),
 ]  # fmt: skip
 
 
@@ -515,7 +523,7 @@ class TestClosureDifferential:
         CLOSURE_SHAPES,
         ids=[
             "exact", "count", "residual-distinct", "in", "both-distinct",
-            "lower-bound", "path", "binding-partition",
+            "lower-bound", "path", "lifted-binding",
         ],
     )  # fmt: skip
     @pytest.mark.parametrize(
@@ -554,149 +562,3 @@ class TestClosureDifferential:
                         done = True
                         break
             check()
-
-
-class TestSnbDistinctFriends:
-    """``ic2_distinct_friends`` over the SNB interactive views.
-
-    The matcher cannot see π + δ over the ``ic2_friend_messages`` root
-    (that view's ⇑ also pushes down ``m.content``, so the join fingerprints
-    differ): the read is a containment hit on the shared ``KNOWS`` subplan
-    with the ``HAS_CREATOR`` / ``recent`` join recomputed from the graph.
-    Whatever serves it must equal recomputation, under a write stream too.
-    """
-
-    QUERY = (
-        "MATCH (p:Person)-[:KNOWS]->(f:Person)<-[:HAS_CREATOR]-(m:Post) "
-        "WHERE m.recent = TRUE RETURN DISTINCT f.name AS friend"
-    )
-    VIEWS = (
-        "is3_friends",
-        "ic2_friend_messages",
-        "ic4_friend_tags",
-        "ic5_forum_posts",
-        "ic7_likers",
-        "ic8_replies",
-    )
-
-    def test_served_equals_recomputation(self):
-        net = generate_snb(
-            persons=12, forums=2, posts_per_forum=4, comments_per_post=2, seed=71
-        )
-        engine = QueryEngine(net.graph)
-        for key in self.VIEWS:
-            engine.register(SNB_QUERIES[key])
-        assert "subplan[(©(p:Person) ⋈ ⇑(p)-[_e1:KNOWS]" in engine.explain(self.QUERY)
-        for round_ in range(3):
-            served = engine.evaluate(self.QUERY).rows()
-            assert served == engine.evaluate(self.QUERY, use_views=False).rows()
-            assert served
-            for _, apply in update_stream(net, 10, seed=71 + round_):
-                apply()
-        stats = engine.answer_stats()
-        assert stats.residual == 3 and stats.subplan_hits == 3
-
-
-class TestBindingPartitionServing:
-    """One-shot queries served from a binding-indexed σ's partition.
-
-    Once a parameterised query's shape has a second live binding, the
-    parameterised-σ state for every binding hangs off one shared node; a
-    one-shot query under a binding some view maintains must be servable
-    even when no view root covers the query's own shape (different
-    projection on top).  A lone binding keeps its pushed-down plan, so
-    tests that need a partition also register :attr:`LONE`."""
-
-    LONE = {"lang": "zz"}
-
-    QUERY = (
-        "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang RETURN a, b"
-    )
-    #: same σ/core, different residual top — can only hit the partition
-    READ = (
-        "MATCH (a:Post)-[:REPLY]->(b:Comm) WHERE a.lang = $lang "
-        "RETURN DISTINCT b"
-    )
-
-    def test_partition_serves_other_projections(self):
-        graph, engine = small_engine()
-        engine.register(self.QUERY, parameters=self.LONE)
-        engine.register(self.QUERY, parameters={"lang": "en"})
-        engine.register(self.QUERY, parameters={"lang": "de"})
-        for lang in ("en", "de"):
-            explain = engine.explain(self.READ, parameters={"lang": lang})
-            assert "binding-partition[" in explain, explain
-            served = engine.evaluate(
-                self.READ, parameters={"lang": lang}, use_views=True
-            ).rows()
-            direct = engine.evaluate(
-                self.READ, parameters={"lang": lang}, use_views=False
-            ).rows()
-            assert served == direct
-        assert engine.answer_stats().subplan_hits >= 2
-
-    def test_unmaintained_binding_never_hits_a_partition(self):
-        graph, engine = small_engine()
-        engine.register(self.QUERY, parameters=self.LONE)
-        engine.register(self.QUERY, parameters={"lang": "en"})
-        explain = engine.explain(self.READ, parameters={"lang": "hu"})
-        # no partition for "hu": the walk descends *past* the σ and serves
-        # the binding-free core residually (σ + δ on top) — never a
-        # partition keyed to another binding
-        assert "binding-partition[" not in explain
-        assert "subplan[" in explain
-        served = engine.evaluate(
-            self.READ, parameters={"lang": "hu"}, use_views=True
-        ).rows()
-        direct = engine.evaluate(
-            self.READ, parameters={"lang": "hu"}, use_views=False
-        ).rows()
-        assert served == direct
-
-    def test_partition_tracks_updates(self):
-        graph, engine = small_engine()
-        engine.register(self.QUERY, parameters=self.LONE)
-        engine.register(self.QUERY, parameters={"lang": "en"})
-        post = graph.add_vertex(labels=["Post"], properties={"lang": "en"})
-        comm = graph.add_vertex(labels=["Comm"], properties={"lang": "hu"})
-        graph.add_edge(post, comm, "REPLY")
-        served = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=True
-        ).rows()
-        direct = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=False
-        ).rows()
-        assert served == direct
-
-    def test_strictly_pruned_binding_never_serves_stale(self):
-        graph, engine = small_engine()
-        engine.register(self.QUERY, parameters=self.LONE)
-        view = engine.register(self.QUERY, parameters={"lang": "en"})
-        keeper = engine.register(self.QUERY, parameters={"lang": "de"})
-        view.detach()
-        explain = engine.explain(self.READ, parameters={"lang": "en"})
-        # the "en" partition is gone for good; the keeper still holds the
-        # binding-free core, which may serve residually — but the dropped
-        # partition itself must never be consulted again
-        assert "binding-partition[" not in explain
-        served = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=True
-        ).rows()
-        direct = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=False
-        ).rows()
-        assert served == direct
-
-    def test_lone_binding_serves_via_exact_binding_keys(self):
-        graph, engine = small_engine()
-        engine.register(self.QUERY, parameters={"lang": "en"})
-        assert "binding-partition[" not in engine.explain(
-            self.READ, parameters={"lang": "en"}
-        )
-        served = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=True
-        ).rows()
-        direct = engine.evaluate(
-            self.READ, parameters={"lang": "en"}, use_views=False
-        ).rows()
-        assert served == direct
