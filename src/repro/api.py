@@ -26,6 +26,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Mapping
 
+from .algebra.printer import format_plan
 from .compiler.pipeline import CompiledQuery, compile_query, compile_syntax
 from .cypher import ast
 from .cypher.parser import UnionQuery, parse, parse_script
@@ -239,11 +240,17 @@ class QueryEngine:
     def explain(
         self, query: str, parameters: Mapping[str, Any] | None = None
     ) -> str:
-        """The compilation pipeline's stages for *query*, plus how view
-        answering would serve it against the current catalog."""
+        """The compilation pipeline's stages for *query*, the plan
+        ``register`` would build from it now, and how view answering would
+        serve it against the current catalog."""
         compiled = self.compile(query)
+        text = compiled.explain()
+        if compiled.is_incremental:
+            plan = self._incremental.plan_to_build(compiled, parameters)
+            built = format_plan(plan, sources=True)
+            text += f"\n\n== Built plan (what register builds now) ==\n{built}"
         match = self._catalog.describe_match(compiled, parameters)
-        text = compiled.explain() + f"\n\n== View answering ==\n{match}"
+        text += f"\n\n== View answering ==\n{match}"
         snapshot = self.metrics_snapshot()
         if snapshot is not None:
             lines = ["", "== Live stats =="]

@@ -14,6 +14,7 @@ aggregation, or ordering boundaries, where it would change semantics).
 from __future__ import annotations
 
 from ..algebra import ops
+from ..algebra.schema import AttrKind
 from ..cypher import ast
 from .treeutil import rebuild
 
@@ -262,3 +263,188 @@ def prune_unused_path_aliases(plan: ops.Operator) -> ops.Operator:
         return rebuild(op, children)
 
     return prune(plan)
+
+
+# ---------------------------------------------------------------------------
+# join-side narrowing (what a Rete network's join memories store)
+# ---------------------------------------------------------------------------
+
+
+def built_plan(compiled, lifted: bool = False) -> ops.Operator:
+    """Memoised :func:`narrow_join_sides` over a compiled query's plan (or,
+    with *lifted*, over its :func:`lifted_plan`): the plan an incremental
+    engine builds.  ``compiled.plan`` itself stays unnarrowed — it is what
+    one-shot evaluation runs, so every recomputation oracle checks this
+    pass instead of sharing it."""
+    attr = "_built_lifted_plan" if lifted else "_built_plan"
+    try:
+        return getattr(compiled, attr)
+    except AttributeError:
+        pass
+    plan = narrow_join_sides(lifted_plan(compiled) if lifted else compiled.plan)
+    object.__setattr__(compiled, attr, plan)
+    return plan
+
+
+def narrow_join_sides(plan: ops.Operator) -> ops.Operator:
+    """Fold label-only scans into their edges, then narrow join sides.
+
+    * A ``©`` with no pushed-down column joined on one endpoint of a ``⇑``
+      (bare or under σ) is the label check the ``⇑`` already knows how to
+      make: the join becomes that ``⇑`` with the labels added to
+      ``src_labels`` / ``tgt_labels`` (with no label it is an identity).
+    * Every ⋈, ⟕ and ▷ side is cut to the columns read above it — join
+      keys, σ conjuncts, π / γ / ω expressions, and all of a δ, ∪ or
+      ordering operator's input — by a π of bare columns in child-schema
+      order.  A bag π keeps multiplicities, so rows equal on the kept
+      columns become one memory slot with their summed weight.  A kept
+      value column keeps its entity's id beside it (:func:`_narrow_side`).
+
+    The root schema is unchanged and the pass is idempotent; a plan with
+    nothing to fold or narrow comes back as the same object.
+    """
+    names = plan.schema.names
+    narrowed = _narrow(_fold_label_scans(plan), frozenset(names))
+    if narrowed.schema.names != names:
+        narrowed = _pick(narrowed, names)  # a fold reordered the root
+    return narrowed
+
+
+def _pick(child: ops.Operator, names) -> ops.Operator:
+    return ops.Project(child, tuple((name, ast.Variable(name)) for name in names))
+
+
+def _fold_label_scans(op: ops.Operator) -> ops.Operator:
+    children = [_fold_label_scans(child) for child in op.children]
+    if isinstance(op, ops.Join):
+        for scan, other in (children, children[::-1]):
+            if isinstance(scan, ops.GetVertices) and not scan.projections:
+                folded = _with_endpoint_labels(other, scan.var, scan.labels)
+                if folded is not None:
+                    return folded
+    return rebuild(op, children)
+
+
+def _with_endpoint_labels(
+    side: ops.Operator, var: str, labels: tuple[str, ...]
+) -> ops.Operator | None:
+    """*side* — a ⇑ under σ only, with *var* an endpoint — requiring
+    *labels* of that endpoint, or ``None`` when *side* is no such ⇑."""
+    if isinstance(side, ops.Select):
+        inner = _with_endpoint_labels(side.children[0], var, labels)
+        return None if inner is None else ops.Select(inner, side.predicate)
+    if not (isinstance(side, ops.GetEdges) and var in (side.src, side.tgt)):
+        return None
+    edges = side
+    src_labels, tgt_labels = edges.src_labels, edges.tgt_labels
+    if var == edges.src:
+        src_labels = tuple(dict.fromkeys(src_labels + labels))
+    else:
+        tgt_labels = tuple(dict.fromkeys(tgt_labels + labels))
+    return ops.GetEdges(
+        edges.src,
+        edges.edge,
+        edges.tgt,
+        types=edges.types,
+        src_labels=src_labels,
+        tgt_labels=tgt_labels,
+        directed=edges.directed,
+        projections=edges.projections,
+    )
+
+
+_JOINS = (ops.Join, ops.LeftOuterJoin, ops.AntiJoin)
+
+
+def _reads(exprs) -> frozenset[str]:
+    names: set[str] = set()
+    for expr in exprs:
+        names |= ast.free_variables(expr)
+    return frozenset(names)
+
+
+def _narrow(op: ops.Operator, needed: frozenset[str]) -> ops.Operator:
+    """*op* with every join side below it cut to what is read above it;
+    *needed* names the columns of *op* that its parent reads."""
+    if isinstance(op, _JOINS):
+        left, right = op.children
+        keys = frozenset(op.common)
+        # ▷ reads nothing of its right side but the keys it counts
+        right_needed = keys if isinstance(op, ops.AntiJoin) else needed | keys
+        return rebuild(
+            op, [_narrow_side(left, needed | keys), _narrow_side(right, right_needed)]
+        )
+    if isinstance(op, ops.TransitiveJoin):
+        left, edges = op.children
+        return rebuild(op, [_narrow(left, needed | {op.source}), edges])
+    if isinstance(op, ops.Select):
+        reads = needed | _reads([op.predicate])
+    elif isinstance(op, ops.Project):
+        reads = _reads(expr for _, expr in op.items)
+    elif isinstance(op, ops.Aggregate):
+        reads = _reads(expr for _, expr in op.keys) | _reads(
+            spec.argument for spec in op.aggregates if spec.argument is not None
+        )
+    elif isinstance(op, ops.Unwind):
+        reads = (needed - {op.alias}) | _reads([op.expression])
+    else:
+        # δ and ∪ observe whole rows, ordering operators break ties on
+        # them; base relations have no children
+        return rebuild(
+            op, [_narrow(c, frozenset(c.schema.names)) for c in op.children]
+        )
+    return rebuild(op, [_narrow(op.children[0], reads)])
+
+
+def _narrow_side(side: ops.Operator, needed: frozenset[str]) -> ops.Operator:
+    """*side* cut to the columns *needed* above it, each kept value column
+    with the id of the entity it belongs to.
+
+    Ids (and paths, which hold only ids) that are ``==`` are the same
+    value.  Property values are not: ``1``, ``True`` and ``1.0`` are
+    ``==`` but differ in Cypher, and a memory slot, a row delta and a bag
+    π all merge ``==`` rows.  With the value's entity id kept, rows that
+    merge hold one entity's value, so they hold the identical value.  A
+    kept value column with no such id (a γ or ω result, a renamed
+    expression) leaves the side whole.
+    """
+    narrowed = _narrow(side, needed)
+    schema = narrowed.schema
+    names = schema.names
+    kept = {name for name in names if name in needed} or set(names[:1])
+    subjects = _subjects(narrowed)
+    for name in tuple(kept):
+        if schema.kind_of(name) is AttrKind.VALUE:
+            if name not in subjects:
+                return narrowed
+            kept.add(subjects[name])
+    if len(kept) == len(names):
+        return narrowed
+    return _pick(narrowed, [name for name in names if name in kept])
+
+
+def _subjects(op: ops.Operator) -> dict[str, str]:
+    """Value column of *op* → the id column of *op* whose entity it is a
+    pushed-down property (label set, type, property map) of."""
+    if isinstance(op, (ops.GetVertices, ops.GetEdges)):
+        return {p.output: p.subject for p in op.projections}
+    if isinstance(op, ops.Project):
+        inner = _subjects(op.children[0])
+        bare = [(name, e.name) for name, e in op.items if isinstance(e, ast.Variable)]
+        renamed = {source: name for name, source in bare}
+        return {
+            name: renamed[inner[source]]
+            for name, source in bare
+            if inner.get(source) in renamed
+        }
+    if isinstance(op, ops.AntiJoin):
+        return _subjects(op.children[0])
+    if isinstance(
+        op, (ops.Select, ops.Dedup, ops.Join, ops.LeftOuterJoin, ops.TransitiveJoin)
+    ):
+        # each keeps its inputs' columns under their own names
+        found: dict[str, str] = {}
+        for child in op.children:
+            found.update(_subjects(child))
+        return found
+    return {}

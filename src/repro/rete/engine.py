@@ -59,7 +59,7 @@ from time import perf_counter
 from typing import Any, Callable, Mapping
 
 from ..algebra.expressions import cache_stats
-from ..compiler.optimizer import lifted_plan
+from ..compiler.optimizer import built_plan, lifted_plan
 from ..compiler.pipeline import CompiledQuery, compile_query
 from ..errors import InvalidValueError, TransactionError
 from ..eval.results import ResultTable
@@ -226,12 +226,12 @@ class IncrementalEngine:
             self._run_batch(accumulator)
         metrics = self.metrics
         start = perf_counter() if metrics is not None else 0.0
-        plan, shape, rows = self._registered_plan(compiled, parameters)
+        lifted, shape, rows = self._registered_plan(compiled, parameters)
         network = ReteNetwork(
-            plan,
+            built_plan(compiled, lifted),
             self.input_layer,
             parameters=parameters,
-            binding_tier=plan is not compiled.plan,
+            binding_tier=lifted,
         )
         built = perf_counter() if metrics is not None else 0.0
         rows += network.populate()
@@ -254,9 +254,11 @@ class IncrementalEngine:
 
     def _registered_plan(
         self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
-    ) -> tuple[Any, tuple | None, int]:
-        """The plan to build for one registration, its binding shape, and
-        the rows replayed to lift the shape's live views.
+    ) -> tuple[bool, tuple | None, int]:
+        """Whether one registration builds its query's lifted plan, its
+        binding shape, and the rows replayed to lift the shape's live
+        views.  Either plan is built narrowed
+        (:func:`~repro.compiler.optimizer.built_plan`).
 
         A lifted plan (:func:`~repro.compiler.optimizer.lifted_plan`)
         hoists parameter-dependent selections above a binding-free core;
@@ -274,35 +276,52 @@ class IncrementalEngine:
         the shape: it moves the shape's live views onto their lifted plans
         (:meth:`_lift`), whose nodes then hold the core once for every
         binding, and every later view of the shape is built lifted until
-        the shape's last view leaves.  Returns ``(plan, None, 0)`` for a
+        the shape's last view leaves.  Returns ``(False, None, 0)`` for a
         plan that cannot lift or whose bindings have no type-exact key.
         """
         shape = self._binding_shape(compiled, parameters)
-        if shape is None:
-            return compiled.plan, None, 0
-        structure, binding = shape
+        if not self._lifts(shape):
+            return False, shape, 0
+        structure = shape[0]
         rows = 0
         if structure not in self._lifted_shapes:
-            live = self._live_bindings.get(structure)
-            if not live or binding in live:
-                return compiled.plan, shape, 0
             for view in self._views:
                 if view._shape is not None and view._shape[0] == structure:
                     rows += self._lift(view)
             self._lifted_shapes.add(structure)
-        return lifted_plan(compiled), shape, rows
+        return True, shape, rows
+
+    def _lifts(self, shape: tuple | None) -> bool:
+        """Whether a registration of binding *shape* builds lifted: its
+        shape is lifted already, or another binding of it is live."""
+        if shape is None:
+            return False
+        structure, binding = shape
+        if structure in self._lifted_shapes:
+            return True
+        live = self._live_bindings.get(structure)
+        return bool(live) and binding not in live
+
+    def plan_to_build(
+        self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None = None
+    ) -> Any:
+        """The plan :meth:`register` would build for *compiled* under
+        *parameters* now (it lifts nothing)."""
+        lifted = self._lifts(self._binding_shape(compiled, parameters))
+        return built_plan(compiled, lifted)
 
     def _binding_shape(
         self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
     ) -> tuple | None:
-        """``(shape, binding)`` of *compiled* under *parameters*, or ``None``."""
-        lifted = lifted_plan(compiled)
-        if lifted is compiled.plan:
+        """``(shape, binding)`` of *compiled* under *parameters*, or ``None``:
+        keyed on the σ of the narrowed lifted plan, which is what a lifted
+        view builds."""
+        if lifted_plan(compiled) is compiled.plan:
             return None
         try:
             keys = [
                 key
-                for op in lifted.walk()
+                for op in built_plan(compiled, lifted=True).walk()
                 if (key := self.input_layer.partition_key(op, parameters or {}))
                 is not None
             ]
@@ -328,7 +347,7 @@ class IncrementalEngine:
         old.disconnect_shared()
         self.input_layer.prune()
         network = ReteNetwork(
-            lifted_plan(view.compiled),
+            built_plan(view.compiled, lifted=True),
             self.input_layer,
             parameters=old.ctx.parameters,
             binding_tier=True,

@@ -436,8 +436,9 @@ class TestParameters:
 
 class TestProfileCells:
     def test_profile_reports_cells_for_beta_nodes(self, graph, engine):
+        # p ships a property, so its © stays joined to the ⇑
         view = engine.register(
-            "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c"
+            "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p.lang, c"
         )
         post = graph.add_vertex(labels=["Post"])
         comm = graph.add_vertex(labels=["Comm"])

@@ -17,7 +17,6 @@ replay hands buckets over in slot order.
 import pytest
 
 from repro import QueryEngine
-from repro.compiler.optimizer import lifted_plan
 from repro.eval import Interpreter
 from repro.rete.deltas import as_row_delta
 from repro.rete.sharing import BINDING_TIER, subplan_cache_key
@@ -34,20 +33,20 @@ def assert_interior_state(engine: QueryEngine) -> tuple[int, int]:
     seen = {}
     for view in engine.views:
         parameters = view.network.ctx.parameters
-        plans = {id(plan): plan for plan in (view.compiled.plan, lifted_plan(view.compiled))}
-        for plan in plans.values():
-            for op in plan.walk():
-                for key in (
-                    subplan_cache_key(op, parameters),
-                    layer.partition_key(op, parameters),
-                ):
-                    node = None if key is None else layer.subplan_lookup(key)
-                    if node is None:
-                        continue
-                    held = dict(as_row_delta(layer.state_delta(node)).items())
-                    expected = Interpreter(graph, parameters).evaluate(op)
-                    assert held == expected, (view.compiled.text, key)
-                    seen[key] = node
+        # the plan the network was built from: narrowed, and lifted once
+        # its shape has a second binding
+        for op in view.network.plan.walk():
+            for key in (
+                subplan_cache_key(op, parameters),
+                layer.partition_key(op, parameters),
+            ):
+                node = None if key is None else layer.subplan_lookup(key)
+                if node is None:
+                    continue
+                held = dict(as_row_delta(layer.state_delta(node)).items())
+                expected = Interpreter(graph, parameters).evaluate(op)
+                assert held == expected, (view.compiled.text, key)
+                seen[key] = node
     # every live entry belongs to some view's plan, and was checked
     assert set(seen) == set(layer._subplans)
     partitions = sum(key[0] is BINDING_TIER for key in seen)
