@@ -112,14 +112,19 @@ def _trivial(expr, name: str) -> bool:
     return isinstance(expr, ast.Variable) and expr.name == name
 
 
-def format_plan(op: ops.Operator, indent: int = 0, sources: bool = False) -> str:
+def format_plan(
+    op: ops.Operator, indent: int = 0, sources: bool = False, notes=None
+) -> str:
     """Indented multi-line rendering of the operator tree.
 
     With *sources* (flat plans only) each σ/π line is followed by the
     Python source generated for its predicate / items — the code its Rete
-    node runs.
+    node runs.  *notes*, when given, maps an operator to lines printed
+    under its own.
     """
     lines = ["  " * indent + format_label(op)]
+    if notes is not None:
+        lines.extend("  " * indent + "  └ " + note for note in notes(op))
     if sources and isinstance(op, (ops.Select, ops.Project)):
         schema = op.children[0].schema
         if isinstance(op, ops.Select):
@@ -129,7 +134,7 @@ def format_plan(op: ops.Operator, indent: int = 0, sources: bool = False) -> str
         margin = "  " * indent + "  │ "
         lines.extend(margin + line for line in generated.source.splitlines())
     for child in op.children:
-        lines.append(format_plan(child, indent + 1, sources))
+        lines.append(format_plan(child, indent + 1, sources, notes))
     return "\n".join(lines)
 
 

@@ -247,7 +247,9 @@ class QueryEngine:
         text = compiled.explain()
         if compiled.is_incremental:
             plan = self._incremental.plan_to_build(compiled, parameters)
-            built = format_plan(plan, sources=True)
+            built = format_plan(
+                plan, sources=True, notes=self._incremental.live_notes(parameters)
+            )
             text += f"\n\n== Built plan (what register builds now) ==\n{built}"
         match = self._catalog.describe_match(compiled, parameters)
         text += f"\n\n== View answering ==\n{match}"

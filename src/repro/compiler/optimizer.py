@@ -299,6 +299,9 @@ def narrow_join_sides(plan: ops.Operator) -> ops.Operator:
       order.  A bag π keeps multiplicities, so rows equal on the kept
       columns become one memory slot with their summed weight.  A kept
       value column keeps its entity's id beside it (:func:`_narrow_side`).
+    * A σ conjunct equating a vertex column of each side of the ⋈ right
+      below it — a cyclic pattern's second visit of a vertex — joins on
+      it instead (:func:`_key_on_equated_vertices`).
 
     The root schema is unchanged and the pass is idempotent; a plan with
     nothing to fold or narrow comes back as the same object.
@@ -311,6 +314,13 @@ def narrow_join_sides(plan: ops.Operator) -> ops.Operator:
 
 
 def _pick(child: ops.Operator, names) -> ops.Operator:
+    """*child* cut to the columns *names*: one π of bare columns, the
+    child's own when it is one already."""
+    if isinstance(child, ops.Project) and all(
+        isinstance(expr, ast.Variable) for _, expr in child.items
+    ):
+        items = dict(child.items)
+        return ops.Project(child.children[0], tuple((name, items[name]) for name in names))
     return ops.Project(child, tuple((name, ast.Variable(name)) for name in names))
 
 
@@ -366,6 +376,10 @@ def _reads(exprs) -> frozenset[str]:
 def _narrow(op: ops.Operator, needed: frozenset[str]) -> ops.Operator:
     """*op* with every join side below it cut to what is read above it;
     *needed* names the columns of *op* that its parent reads."""
+    if isinstance(op, ops.Select) and isinstance(op.children[0], ops.Join):
+        keyed = _key_on_equated_vertices(op, needed)
+        if keyed is not op:
+            return _narrow(keyed, needed)
     if isinstance(op, _JOINS):
         left, right = op.children
         keys = frozenset(op.common)
@@ -394,6 +408,44 @@ def _narrow(op: ops.Operator, needed: frozenset[str]) -> ops.Operator:
             op, [_narrow(c, frozenset(c.schema.names)) for c in op.children]
         )
     return rebuild(op, [_narrow(op.children[0], reads)])
+
+
+def _key_on_equated_vertices(select: ops.Select, needed: frozenset[str]) -> ops.Operator:
+    """``σ[a = b](L ⋈ R)``, *a* a vertex column of *L* alone and *b* one of
+    *R* alone, as ``L ⋈ π[b AS a](R)`` under the rest of the σ — when
+    nothing above reads *b*; else *select* itself.
+
+    Vertex ids are ``==`` exactly when they are the same vertex, so the
+    hash join on *a* keeps the rows the conjunct keeps and no other.
+    """
+    left, right = select.children[0].children
+    left_only = set(left.schema.names) - set(right.schema.names)
+    right_only = set(right.schema.names) - set(left.schema.names)
+    conjuncts = split_conjuncts(select.predicate)
+    for position, conjunct in enumerate(conjuncts):
+        if not (
+            isinstance(conjunct, ast.Comparison)
+            and conjunct.ops == ("=",)
+            and all(isinstance(operand, ast.Variable) for operand in conjunct.operands)
+        ):
+            continue
+        a, b = (operand.name for operand in conjunct.operands)
+        if a in right_only:
+            a, b = b, a
+        rest = conjuncts[:position] + conjuncts[position + 1 :]
+        if (
+            a in left_only
+            and b in right_only
+            and left.schema.kind_of(a) is AttrKind.VERTEX
+            and right.schema.kind_of(b) is AttrKind.VERTEX
+            and b not in needed | _reads(rest)
+        ):
+            renamed = ops.Project(
+                right,
+                tuple((a if n == b else n, ast.Variable(n)) for n in right.schema.names),
+            )
+            return _select(ops.Join(left, renamed), rest)
+    return select
 
 
 def _narrow_side(side: ops.Operator, needed: frozenset[str]) -> ops.Operator:

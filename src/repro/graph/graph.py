@@ -572,6 +572,48 @@ class PropertyGraph:
         edges.extend(edge_id for edge_id in inc if records[edge_id][0] != vid)
         return iter(edges)
 
+    def star_triples(
+        self, vertex_ids: Iterable[int], edge_type: str | None, outgoing: bool
+    ) -> list[tuple[int, int, int]]:
+        """``(source, edge, target)`` of the edges leaving (*outgoing*) or
+        entering each of *vertex_ids*, of *edge_type* (``None``: every
+        type), vertex by vertex — one star read each, and none for a
+        missing vertex.  The keyed read a probe-side join makes in place
+        of a memory."""
+        adjacency = self._out if outgoing else self._in
+        if edge_type is None:
+            by_type = list(adjacency.values())
+        else:
+            stars = adjacency.get(edge_type)
+            by_type = [] if stars is None else [stars]
+        records = self._edges
+        triples: list[tuple[int, int, int]] = []
+        for vertex in vertex_ids:
+            for stars in by_type:
+                star = stars.get(vertex)
+                if star is None:
+                    continue
+                if type(star) is int:
+                    star = (star,)
+                if outgoing:
+                    triples += [(vertex, e, records[e][1]) for e in star]
+                else:
+                    triples += [(records[e][0], e, vertex) for e in star]
+        return triples
+
+    def star_count(self, edge_type: str | None, outgoing: bool) -> int:
+        """How many vertices have edges of *edge_type* (``None``: of any
+        type, counted per type) leaving (*outgoing*) or entering them."""
+        adjacency = self._out if outgoing else self._in
+        if edge_type is None:
+            return sum(map(len, adjacency.values()))
+        return len(adjacency.get(edge_type, ()))
+
+    def edge_record(self, edge_id: int) -> "tuple[int, int, str] | None":
+        """``(source, target, type)`` of *edge_id*, or ``None`` when there
+        is no such edge."""
+        return self._edges.get(edge_id)
+
     def degree(self, vertex_id: int) -> int:
         vid = self._require(vertex_id)
         return len(_untyped(self._out, vid)) + len(_untyped(self._in, vid))

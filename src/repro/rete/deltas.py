@@ -53,6 +53,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ..graph.values import same_value
+
 
 def gather(positions: Sequence[int]) -> Callable[[Sequence], list]:
     """A function picking *positions* (in order, repeats allowed) out of a
@@ -245,6 +247,33 @@ def as_row_delta(delta: "Delta | ColumnDelta") -> Delta:
     return delta
 
 
+def exact_items(delta: "Delta | ColumnDelta") -> Iterable[tuple[tuple, int]]:
+    """*delta*'s net ``(row, multiplicity)`` pairs, merging two
+    occurrences only when they are the same values
+    (:func:`~repro.graph.values.same_value`).
+
+    :func:`as_row_delta` merges ``==`` rows, so an entity whose value only
+    changed type (``1`` → ``True``) would cancel out of a columnar batch.
+    A row delta has merged its rows already and passes as it is.
+    """
+    if type(delta) is not ColumnDelta:
+        return delta.items()
+    held: dict[tuple, list[list]] = {}
+    rows = zip(*delta.columns) if delta.width else [()] * len(delta.mults)
+    for row, multiplicity in zip(rows, delta.mults):
+        entries = held.get(row)
+        if entries is None:
+            held[row] = [[row, multiplicity]]
+            continue
+        for entry in entries:
+            if same_value(entry[0], row):
+                entry[1] += multiplicity
+                break
+        else:
+            entries.append([row, multiplicity])
+    return [(row, m) for entries in held.values() for row, m in entries if m]
+
+
 def merged(deltas: Iterable["Delta"]) -> Delta:
     """Consolidate several deltas into one net delta.
 
@@ -417,6 +446,38 @@ class ColumnStore:
         # join memories overwhelmingly carry one payload column; the fold
         # loop takes a dedicated branch that skips the per-column zip
         self._single = self.columns[0] if len(self.columns) == 1 else None
+
+    def over(self, columns: list[list], mults: list[int]) -> "ColumnStore":
+        """A read-only store of this one's layout over the rows of a
+        batch's *columns*, which it indexes but never copies: slot *i* is
+        occurrence *i*, and equal rows keep a slot each (every read of a
+        bag sums them).  What a probe-side join reads the graph's rows
+        into."""
+        store = object.__new__(ColumnStore)
+        store.key_cols = key_cols = self.key_cols
+        store.payload_cols = self.payload_cols
+        store.width = self.width
+        store._assemble = self._assemble
+        store.free = []
+        keys = store.slot_keys = (
+            list(zip(*[columns[i] for i in key_cols]))
+            if key_cols
+            else [()] * len(mults)
+        )
+        store.columns = payload = [columns[i] for i in self.payload_cols]
+        store._single = payload[0] if len(payload) == 1 else None
+        store.mults = mults
+        store.index = index = {}
+        get = index.get
+        for position, key in enumerate(keys):
+            bucket = get(key)
+            if bucket is None:
+                index[key] = position
+            elif type(bucket) is int:
+                index[key] = [bucket, position]
+            else:
+                bucket.append(position)
+        return store
 
     # -- writes -------------------------------------------------------------
 

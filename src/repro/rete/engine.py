@@ -69,8 +69,8 @@ from ..obs import tracing
 from ..obs.metrics import EngineMetrics
 from .batch import BatchAccumulator
 from .deltas import Delta
-from .network import ReteNetwork
-from .sharing import SharingLayer
+from .network import ReteNetwork, probe_note
+from .sharing import SharingLayer, subplan_cache_key
 
 
 class View:
@@ -166,6 +166,7 @@ class IncrementalEngine:
         self.graph = graph
         self.input_layer = SharingLayer(graph)
         self._router = self.input_layer.router
+        self._propagation = self.input_layer.propagation
         self._views: list[View] = []
         # live bindings per parameterised query shape (see
         # _registered_plan): shape → {binding: live views}
@@ -310,6 +311,18 @@ class IncrementalEngine:
         lifted = self._lifts(self._binding_shape(compiled, parameters))
         return built_plan(compiled, lifted)
 
+    def live_notes(self, parameters: Mapping[str, Any] | None = None):
+        """For :func:`~repro.algebra.printer.format_plan`: an operator's
+        live ⋈ with a probe side, noted by :func:`~.network.probe_note`."""
+        layer = self.input_layer
+
+        def notes(op) -> list[str]:
+            key = subplan_cache_key(op, parameters or {})
+            node = None if key is None else layer._subplans.get(key)
+            return [] if node is None else probe_note(node.node)
+
+        return notes
+
     def _binding_shape(
         self, compiled: CompiledQuery, parameters: Mapping[str, Any] | None
     ) -> tuple | None:
@@ -381,9 +394,11 @@ class IncrementalEngine:
         # not; on_change callbacks run inside this window and must not be
         # served half-updated maintained state (see pending_changes).
         self._dispatch_depth += 1
+        self._propagation.begin()
         try:
             self._router.dispatch(event)
         finally:
+            self._propagation.end()
             self._dispatch_depth -= 1
             if metrics is not None:
                 metrics.events.inc()
@@ -483,9 +498,11 @@ class IncrementalEngine:
         if tracer is not None:
             tracer.enter("dispatch", f"net_records={net_records}", net_records)
         start = perf_counter() if metrics is not None else 0.0
+        self._propagation.begin()
         try:
             self._router.dispatch_batch(changes)
         finally:
+            self._propagation.end()
             if metrics is not None:
                 metrics.dispatch_seconds.observe(perf_counter() - start)
             if tracer is not None:
@@ -675,9 +692,10 @@ class IncrementalEngine:
     def view_costs(self) -> dict:
         """Maintenance cost attributed to each registered view.
 
-        The cost unit is *row-work*: ``applied_rows + emitted_rows`` per
-        node — the rows a node consumed plus the rows it pushed
-        downstream, counted by the always-on traffic counters (so this
+        The cost unit is *row-work*: ``applied_rows + emitted_rows +
+        probe_rows`` per node — the rows a node consumed, the rows it
+        pushed downstream, and the rows a ⋈ probe side read from the graph
+        in place of a memory, counted by the always-on traffic counters (so this
         works with ``collect_metrics`` off and never touches the hot
         path).  A view reads every layer-owned node upstream of the
         shared nodes it holds (the layer's ``upstream_closure``, the set
@@ -699,15 +717,12 @@ class IncrementalEngine:
         for index, (view, closure) in enumerate(zip(self._views, closures)):
             cost = float(
                 sum(
-                    node.applied_rows + node.emitted_rows
-                    for node in view.network.all_nodes
+                    _row_work(node) for node in view.network.all_nodes
                 )
             )
             shared = 0.0
             for node in closure:
-                shared += (
-                    node.applied_rows + node.emitted_rows
-                ) / readers[id(node)]
+                shared += _row_work(node) / readers[id(node)]
             cost += shared
             attributed += cost
             views.append(
@@ -718,18 +733,18 @@ class IncrementalEngine:
                     "shared_cost": shared,
                 }
             )
-        total = float(
-            sum(
-                node.applied_rows + node.emitted_rows
-                for node in self._live_nodes()
-            )
-        )
+        total = float(sum(_row_work(node) for node in self._live_nodes()))
         return {
-            "unit": "row-work (applied_rows + emitted_rows)",
+            "unit": "row-work (applied_rows + emitted_rows + probe_rows)",
             "views": views,
             "unattributed": total - attributed,
             "total": total,
         }
+
+
+def _row_work(node) -> int:
+    """One node's maintenance cost in :meth:`IncrementalEngine.view_costs`."""
+    return node.applied_rows + node.emitted_rows + node.probe_rows
 
 
 class BatchScope:

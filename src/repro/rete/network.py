@@ -67,7 +67,8 @@ from ..errors import CompilerError
 from .deltas import ColumnDelta, Delta
 from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
-from .nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode, UnionNode
+from .nodes.input import BETWEEN, EdgeInputNode, VertexInputNode
+from .nodes.join import AntiJoinNode, JoinNode, LeftOuterJoinNode, SideProbe, UnionNode
 from .nodes.production import ProductionNode
 from .nodes.transitive import EDGES, TransitiveClosureNode
 from .nodes.unary import (
@@ -109,6 +110,8 @@ class ReteNetwork:
         self._acquired_keys: list[tuple] = []
         self._replay_edges: list[tuple[Node, Node, int]] = []
         self._detach_edges: list[tuple[Node, Node, int]] = []
+        # edges into ⋈ probe sides: subscribed once populate is done
+        self._probe_edges: list[tuple[Node, Node, int]] = []
 
         self._root = self._build(plan)
         self.production = ProductionNode(plan.schema)
@@ -127,13 +130,21 @@ class ReteNetwork:
         return node
 
     def _connect(self, upstream: Node, node: Node, side: int) -> None:
-        """Subscribe and classify one dataflow edge (see module docstring)."""
-        upstream.subscribe(node, side)
+        """Subscribe and classify one dataflow edge (see module docstring).
+
+        An edge into a ⋈ probe side is never replayed — that side's state
+        is the graph — and is subscribed only after :meth:`populate`, so
+        no populate delta reaches it either."""
+        probed = isinstance(node, JoinNode) and node.probe_side == side
+        if probed:
+            self._probe_edges.append((upstream, node, side))
+        else:
+            upstream.subscribe(node, side)
         if id(upstream) not in self._shared_nodes:
             return  # private upstream: lives and dies with this network
         if id(node) not in self._shared_nodes:
             self._detach_edges.append((upstream, node, side))
-        if id(upstream) not in self._fresh_shared:
+        if not probed and id(upstream) not in self._fresh_shared:
             # input nodes are never in _fresh_shared: their "state" is the
             # graph itself, so even a node the layer just created replays
             self._replay_edges.append((upstream, node, side))
@@ -340,15 +351,20 @@ class ReteNetwork:
             left, right = op.children
             left_node = self._build(left)
             right_node = self._build(right)
+            left_key = [left.schema.index_of(n) for n in op.common]
+            right_key = [right.schema.index_of(n) for n in op.common]
             node = JoinNode(
                 op.schema,
-                [left.schema.index_of(n) for n in op.common],
-                [right.schema.index_of(n) for n in op.common],
+                left_key,
+                right_key,
                 [
                     i
                     for i, a in enumerate(right.schema)
                     if a.name not in op.common
                 ],
+                self._side_probe(right_node, right_key, RIGHT)
+                or self._side_probe(left_node, left_key, LEFT),
+                self.layer.propagation,
             )
             return node, [(left_node, LEFT), (right_node, RIGHT)]
 
@@ -401,6 +417,32 @@ class ReteNetwork:
 
         raise CompilerError(f"cannot build a Rete node for {type(op).__name__}")
 
+    def _side_probe(self, node: Node, key: list[int], side: int) -> SideProbe | None:
+        """The probe that reads the ⋈ *side* fed by *node* from the graph,
+        when *node* is a ⇑/© input under σ and bare-column π only and the
+        side's *key* holds one of that input's id columns; else ``None``."""
+        chain: list[Node] = []
+        origin = list(range(len(node.schema)))
+        while not isinstance(node, (VertexInputNode, EdgeInputNode)):
+            if type(node) is ProjectionNode and None not in node.source_cols:
+                origin = [node.source_cols[column] for column in origin]
+            elif type(node) is not SelectionNode:
+                return None
+            chain.append(node)
+            node = self.layer.upstream_of(node)
+            if node is None:
+                return None
+        if not any(type(link) is SelectionNode for link in chain):
+            chain = []  # a π-only side is its origin columns
+        found = {origin[held]: position for position, held in enumerate(key)}
+        if BETWEEN[0] in found and BETWEEN[1] in found and 1 not in found:
+            positions = tuple(found[column] for column in BETWEEN)
+            return SideProbe(side, node, BETWEEN, positions, chain[::-1], origin)
+        for column in node.id_columns:
+            if column in found:
+                return SideProbe(side, node, column, found[column], chain[::-1], origin)
+        return None
+
     # -- lifecycle ------------------------------------------------------------
 
     def populate(self) -> int:
@@ -424,16 +466,28 @@ class ReteNetwork:
             aggregate.initialize()
         rows = 0
         answers: dict[int, Any] = {}
-        for node, subscriber, side in self._replay_edges:
-            delta = answers.get(id(node))
-            if delta is None:
-                delta = self.layer.state_delta(node)
-                if type(delta) is Delta:
-                    delta = ColumnDelta.from_delta(delta, len(node.schema))
-                answers[id(node)] = delta
-            if delta:
-                rows += len(delta)
-                subscriber.apply(delta, side)
+        # this network's joins pair their stored sides at once, even when a
+        # callback registers mid-propagation: populate is no change in flight
+        propagation = self.layer.propagation
+        depth, propagation.depth = propagation.depth, 0
+        try:
+            for node, subscriber, side in self._replay_edges:
+                if _feeds_nothing(subscriber):
+                    continue  # it feeds only probe sides, not subscribed yet
+                delta = answers.get(id(node))
+                if delta is None:
+                    delta = self.layer.state_delta(node)
+                    if type(delta) is Delta:
+                        delta = ColumnDelta.from_delta(delta, len(node.schema))
+                    answers[id(node)] = delta
+                if delta:
+                    rows += len(delta)
+                    subscriber.apply(delta, side)
+        finally:
+            propagation.depth = depth
+        for upstream, node, side in self._probe_edges:
+            upstream.subscribe(node, side)
+        self._probe_edges = []
         return rows
 
     def disconnect_shared(self) -> None:
@@ -473,7 +527,8 @@ class ReteNetwork:
 
         One line per node in construction (bottom-up) order; shared nodes
         (inputs and subplans) are marked, and their counters cover traffic
-        for *all* views they feed.
+        for *all* views they feed.  A ⋈ with a probe side is followed by a
+        line for that side: 0 cells, and the probes it made.
         """
         header = (
             f"{'node':<28} {'schema':<34} {'deltas':>8} {'rows':>10} "
@@ -482,8 +537,10 @@ class ReteNetwork:
         lines = [header, "-" * len(header)]
         for node in self._shared_nodes.values():
             lines.append(self._profile_line(node, shared=True))
+            lines.extend(probe_note(node, "  └ "))
         for node in self.all_nodes:
             lines.append(self._profile_line(node, shared=False))
+            lines.extend(probe_note(node, "  └ "))
         return "\n".join(lines)
 
     def nodes(self):
@@ -546,3 +603,22 @@ class ReteNetwork:
 
     def node_count(self) -> int:
         return len(self.all_nodes)
+
+
+def _feeds_nothing(node: Node) -> bool:
+    """Whether *node* is a σ/π whose output reaches no node yet — while a
+    network populates, one read only by ⋈ probe sides."""
+    return type(node) in (SelectionNode, ProjectionNode) and all(
+        _feeds_nothing(subscriber) for subscriber, _ in node._subscribers
+    )
+
+
+def probe_note(node: Node, prefix: str = "") -> list[str]:
+    """One line on *node*'s probe side, if it is a ⋈ with one."""
+    if not isinstance(node, JoinNode) or node.probe is None:
+        return []
+    side = "right" if node.probe_side == RIGHT else "left"
+    return [
+        f"{prefix}{side} side probes the graph: 0 cells, "
+        f"{node.probe_reads} probes, {node.probe_rows} rows read"
+    ]

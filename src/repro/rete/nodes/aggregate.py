@@ -16,7 +16,7 @@ from ...algebra.expressions import (
     CompiledExpr,
     EvalContext,
 )
-from ..deltas import ColumnDelta, Delta, as_row_delta
+from ..deltas import ColumnDelta, Delta, exact_items
 from .base import Node
 
 
@@ -63,9 +63,10 @@ class AggregateNode(Node):
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         # transition-sensitive boundary: aggregator state machines (notably
         # min/max undo logs) depend on net per-row changes, so columnar
-        # batches consolidate at entry
+        # batches consolidate at entry — type-exactly, so a row whose value
+        # only changed type (1 → true) retracts from its old group
         touched: dict[tuple, tuple | None] = {}
-        for row, multiplicity in as_row_delta(delta).items():
+        for row, multiplicity in exact_items(delta):
             key = tuple(fn(row, self.ctx) for fn in self.key_fns)
             group = self.groups.get(key)
             if key not in touched:

@@ -11,6 +11,23 @@ maintenance rule exact:
 (each side's delta is joined against the other side's *current* memory,
 then folded into this side's memory before anything else runs).
 
+A ⋈ whose side is a *probe side* (:class:`~.join.SideProbe`) keeps no
+memory for it: that side's current state is read from the graph.  The
+graph, though, is already in its new state while a change propagates —
+``R_new``, not the ``R`` the sides have seen so far.  So the rule runs in
+the other order: a probe-side delta joins the stored side's current
+memory and folds nothing, and a delta arriving on the stored side while a
+propagation is in flight waits in the engine's :class:`Propagation`
+until the outermost one ends, then joins the graph and folds:
+
+    Δ(L ⋈ R) = L_old ⋈ ΔR   followed by   ΔL ⋈ R_new
+
+Every state a downstream node sees between the two is a real bag (never
+a negative count), and a callback that writes mid-propagation only adds
+changes the waiting delta's read of the graph already includes.  At
+populate the waiting is off and the probe side is never replayed: its
+state is the graph.
+
 Deltas travel in either physical representation — the row-at-a-time
 :class:`~repro.rete.deltas.Delta` or the columnar
 :class:`~repro.rete.deltas.ColumnDelta` batch — and every node's ``apply``
@@ -21,11 +38,64 @@ columns again, :meth:`Node.emit_like`).
 
 from __future__ import annotations
 
+from collections import deque
+
 from ...obs import tracing
 from ..deltas import ColumnDelta, Delta
 
 LEFT = 0
 RIGHT = 1
+
+
+class Propagation:
+    """Whether an engine propagation is in flight, and what waits for its end.
+
+    ``depth`` counts the propagations in flight — one per event dispatched,
+    one per batch delivered, nested when a callback writes.  While it is
+    positive a ⋈ with a probe side does not pair a delta arriving on its
+    stored side: it queues it in ``deferred``.  The outermost :meth:`end`
+    hands the queue back in arrival order
+    (:meth:`~.join.JoinNode.fold_deferred`) before it counts itself out,
+    so what those folds emit queues behind them, and every stored side
+    receives its deltas in the order they were sent (see the module
+    docstring).
+    """
+
+    __slots__ = ("depth", "deferred")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.deferred: deque = deque()
+
+    def begin(self) -> None:
+        self.depth += 1
+
+    def end(self) -> None:
+        outermost = self.depth == 1
+        try:
+            deferred = self.deferred
+            while outermost and deferred:
+                node, delta, side = deferred.popleft()
+                if tracing.ACTIVE is None:
+                    node.fold_deferred(delta, side)
+                else:
+                    _fold_traced(tracing.ACTIVE, node, delta, side)
+        finally:
+            if outermost:
+                self.deferred.clear()
+            self.depth -= 1
+
+
+def _fold_traced(tracer, node, delta, side: int) -> None:
+    """A deferred fold in its own span, named as ``Node.emit`` names the
+    ``apply`` it stands in for."""
+    label = type(node).__name__.removesuffix("Node")
+    detail = f"side={'right' if side else 'left'} deferred"
+    tracer.enter(f"apply {label}", detail, len(delta))
+    try:
+        node.fold_deferred(delta, side)
+    finally:
+        tracer.exit()
 
 
 class Node:
@@ -53,6 +123,9 @@ class Node:
         #: examined to find its answer (the answer's own rows are counted
         #: by the caller)
         self.replay_scanned = 0
+
+    #: rows read from the graph in place of a memory (a ⋈ probe side)
+    probe_rows = 0
 
     def subscribe(self, node: "Node", side: int = LEFT) -> None:
         self._subscribers.append((node, side))

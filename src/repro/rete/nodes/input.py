@@ -27,7 +27,7 @@ from ...graph.graph import PropertyGraph
 from ...graph.values import same_value
 from ..deltas import ColumnDelta, Delta
 from ..router import EdgeInterest, VertexInterest
-from .base import Node
+from .base import LEFT, Node
 
 
 def _private_dict(properties) -> dict[str, Any]:
@@ -39,6 +39,9 @@ def _private_dict(properties) -> dict[str, Any]:
     """
     return properties if type(properties) is dict else dict(properties)
 
+
+#: the probe column of an edge input keyed on both endpoints
+BETWEEN = (0, 2)
 
 #: the batch group of a label no vertex in the batch carries (never mutated)
 _NO_VERTICES: tuple[list[int], list[int]] = ([], [])
@@ -168,6 +171,51 @@ class _GraphInputNode(Node):
     def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
         raise AssertionError("input nodes have no upstream")
 
+    # -- keyed probes ---------------------------------------------------------
+
+    def probe(self, column: int, values, chain=(), picks=None) -> ColumnDelta:
+        """*chain* — the σ and bare-column π above this node, bottom up —
+        over the rows whose id *column* holds one of *values*, read from
+        the live graph by key (:meth:`_keyed`) and built by :meth:`_columns`.
+        The state a probe-side ⋈ reads in place of a memory.  A chain of
+        π only may come as the columns it *picks* instead: just those are
+        built."""
+        keys = self._keyed(column, values)
+        ones = [1] * len(keys)
+        if picks is not None:
+            columns = self._columns(keys, wanted=picks)
+            return ColumnDelta([columns[c] for c in picks], ones, len(picks))
+        delta = ColumnDelta(self._columns(keys), ones, len(self.schema))
+        for node in chain:
+            delta = node.transform(delta, LEFT)
+        return delta
+
+    #: the columns :meth:`probe` reads by (entity ids), the cheapest first
+    id_columns: tuple[int, ...]
+
+    def lookup(self, column: int, value) -> "tuple[int, list] | None":
+        """``(id column, ids)`` such that every row with ``row[column] ==
+        value`` has one of *ids* in that id column, or ``None`` when only a
+        scan of the relation could tell — what the restricted replay of a
+        probe side reads by."""
+        raise NotImplementedError
+
+    def _vertices_holding(self, projection, labels, value) -> "list[int] | None":
+        """Vertices carrying *labels* whose pushed *projection* can be
+        ``== value``: a property-index lookup when one of *labels* has an
+        index on its key, else a scan of the smallest label's members
+        (``None`` without a label or for another projection kind)."""
+        if projection.kind != "property" or not labels:
+            return None
+        graph, key = self.graph, projection.key
+        for label in sorted(labels):
+            if graph.has_index(label, key):
+                return list(graph.lookup_index(label, key, value))
+        seed = min(labels, key=lambda label: (graph.label_count(label), label))
+        members = list(graph.label_members(seed))
+        held = graph.vertex_property_column(members, key)
+        return [v for v, found in zip(members, held) if found == value]
+
 
 class VertexInputNode(_GraphInputNode):
     """© — vertices carrying all required labels, with pushed-down columns.
@@ -247,18 +295,39 @@ class VertexInputNode(_GraphInputNode):
         labels = graph.labels_view
         return [v for v in graph.vertices(seed) if rest <= labels(v)]
 
-    def _columns(self, ids: list[int], images=None) -> list[list]:
+    def _columns(self, ids: list[int], images=None, wanted=None) -> list[list]:
         """The id column and one column per pushed projection, from the
-        live graph or the ``(labels, properties)`` *images*."""
+        live graph or the ``(labels, properties)`` *images* (``None`` for a
+        projection outside *wanted*, when given)."""
         graph = self.graph
         return [ids] + [
             vertex_projection_column(graph, ids, projection, images)
-            for projection in self.projections
+            if wanted is None or column in wanted
+            else None
+            for column, projection in enumerate(self.projections, 1)
         ]
 
     def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
         ids = self._scan()
         return ColumnDelta(self._columns(ids), [1] * len(ids), len(self.schema))
+
+    id_columns = (0,)
+
+    def _keyed(self, column: int, values) -> list[int]:
+        """The vertices among *values* carrying every required label."""
+        graph = self.graph
+        ids = [v for v in dict.fromkeys(values) if graph.has_vertex(v)]
+        for label in self.labels:
+            members = graph.label_members(label)
+            ids = [v for v in ids if v in members]
+        return ids
+
+    def lookup(self, column: int, value) -> "tuple[int, list] | None":
+        if column:
+            projection = self.projections[column - 1]
+            ids = self._vertices_holding(projection, self.labels, value)
+            return None if ids is None else (0, ids)
+        return 0, [value]
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.VertexAdded):
@@ -515,9 +584,10 @@ class EdgeInputNode(_GraphInputNode):
         """*triples* then their non-loop reversals (an undirected ⇑)."""
         return triples + [(t, e, s) for s, e, t in triples if s != t]
 
-    def _columns(self, triples: list, images=None) -> list[list]:
+    def _columns(self, triples: list, images=None, wanted=None) -> list[list]:
         """Columns over oriented ``(src, edge, tgt)`` triples, from the
-        live graph or the ``(vertex images, edge images)`` pair *images*."""
+        live graph or the ``(vertex images, edge images)`` pair *images*
+        (``None`` for a projection outside *wanted*, when given)."""
         graph = self.graph
         vertex_images, edge_images = images or (None, None)
         if triples:
@@ -525,8 +595,11 @@ class EdgeInputNode(_GraphInputNode):
         else:
             src, edges, tgt = [], [], []
         columns = [src, edges, tgt]
-        for projection, role in zip(self.projections, self._roles):
-            if role == "edge":
+        roles = zip(self.projections, self._roles)
+        for column, (projection, role) in enumerate(roles, 3):
+            if wanted is not None and column not in wanted:
+                columns.append(None)
+            elif role == "edge":
                 columns.append(
                     edge_projection_column(graph, edges, projection, edge_images)
                 )
@@ -555,6 +628,68 @@ class EdgeInputNode(_GraphInputNode):
         return ColumnDelta(
             self._columns(triples), [1] * len(triples), len(self.schema)
         )
+
+    #: the edge first: one record read against a whole star
+    id_columns = (1, 0, 2)
+
+    def _keyed(self, column, values) -> list[tuple[int, int, int]]:
+        """The oriented triples whose *column* — source (0), edge (1) or
+        target (2) — holds one of *values*: one star read per vertex and
+        admissible type, one record read per edge.  Column
+        :data:`BETWEEN` takes ``(source, target)`` pairs, read through one
+        endpoint."""
+        graph = self.graph
+        triples: list[tuple[int, int, int]] = []
+        if column == BETWEEN:
+            # through the endpoint with the more stars of these types, the
+            # one whose stars are the smaller on average
+            wanted = set(values)
+            side = 0 if self._stars(True) >= self._stars(False) else 1
+            keyed = self._keyed(2 * side, {pair[side] for pair in wanted})
+            return [triple for triple in keyed if (triple[0], triple[2]) in wanted]
+        if column == 1:
+            for edge_id in dict.fromkeys(values):
+                record = graph.edge_record(edge_id)
+                if record is not None and self._type_matches(record[2]):
+                    triples.append((record[0], edge_id, record[1]))
+            if not self.directed:
+                triples = self._oriented(triples)
+        else:
+            outgoing = column == 0
+            vertices = list(dict.fromkeys(values))
+            for edge_type in self._type_order or (None,):
+                triples += graph.star_triples(vertices, edge_type, outgoing)
+                if not self.directed:
+                    # the edges on the other side of the stars, reversed
+                    triples += [
+                        (t, e, s)
+                        for s, e, t in graph.star_triples(
+                            vertices, edge_type, not outgoing
+                        )
+                        if s != t
+                    ]
+        for position, labels in ((0, self.src_labels), (2, self.tgt_labels)):
+            for label in labels:
+                members = graph.label_members(label)
+                triples = [triple for triple in triples if triple[position] in members]
+        return triples
+
+    def _stars(self, outgoing: bool) -> int:
+        """How many vertices have a star of this node's types as sources
+        (*outgoing*) or as targets."""
+        count = self.graph.star_count
+        types = self._type_order or (None,)
+        return sum(count(edge_type, outgoing) for edge_type in types)
+
+    def lookup(self, column: int, value) -> "tuple[int, list] | None":
+        if column < 3:
+            return column, [value]
+        role = self._roles[column - 3]
+        if role == "edge":
+            return None
+        labels = self.src_labels if role == "src" else self.tgt_labels
+        ids = self._vertices_holding(self.projections[column - 3], labels, value)
+        return None if ids is None else (0 if role == "src" else 2, ids)
 
     def on_event(self, event: ev.GraphEvent) -> None:
         if isinstance(event, ev.EdgeAdded):

@@ -1,9 +1,13 @@
 """Binary beta nodes: natural join, antijoin, left outer join, union.
 
-All four maintain per-side memories indexed by the shared (natural-join)
-attributes and follow the sequential counting rule — an incoming delta is
-joined against the *other* side's current memory, then folded into this
-side's memory (see :mod:`.base`).
+▷, ⟕ and ⋈* keep per-side memories indexed by the shared (natural-join)
+attributes, and so does ⋈ unless one of its sides is a *probe side* (see
+:class:`SideProbe`): a ⇑ or © input under σ and bare-column π only, keyed
+on one of that input's id columns, which the node reads from the graph's
+adjacency or vertex table instead of storing.  All follow the sequential
+counting rule — an incoming delta is joined against the *other* side's
+current memory, then folded into this side's memory (see :mod:`.base`,
+which also states how a probe side keeps the rule exact).
 
 Every memory is a :class:`~repro.rete.deltas.ColumnStore` — key cells
 stored once per distinct key, payload values in parallel columns — and
@@ -32,7 +36,7 @@ from __future__ import annotations
 from operator import mul
 
 from ..deltas import ColumnDelta, ColumnStore, Delta, gather
-from .base import LEFT, Node
+from .base import LEFT, RIGHT, Node
 
 
 def _complement(key: list[int], width: int) -> list[int]:
@@ -41,8 +45,79 @@ def _complement(key: list[int], width: int) -> list[int]:
     return [i for i in range(width) if i not in covered]
 
 
+class SideProbe:
+    """A ⋈ side the graph holds: the σ / bare-column π *chain* (bottom up)
+    over the input node *source*, read by key instead of stored.
+
+    *column* is the source's id column that the side's join-key position
+    *position* holds — or both endpoints of an edge source
+    (:data:`~.input.BETWEEN`), held at a pair of positions — and
+    ``origin[c]`` is the source column under side column *c*.  A side
+    with no σ on the way comes with no *chain*: its rows are just its
+    origin columns.  :meth:`read` hands the side's rows under a set of
+    keys back in a transient store laid out like the memory it replaces
+    (``template``, set by the join), so every pairing loop of
+    :class:`JoinNode` runs over it unchanged.
+    """
+
+    __slots__ = (
+        "side", "source", "column", "position", "chain", "origin", "picks", "template"
+    )
+
+    def __init__(self, side, source, column, position, chain, origin):
+        self.side = side
+        self.source = source
+        self.column = column
+        self.position = position
+        self.chain = tuple(chain)
+        self.origin = tuple(origin)
+        # no chain to run: the side is its origin columns, built alone
+        self.picks = None if self.chain else self.origin
+        self.template: ColumnStore | None = None
+
+    def _probe(self, column: int, values) -> ColumnDelta:
+        return self.source.probe(column, values, self.chain, self.picks)
+
+    def read(self, keys) -> ColumnStore:
+        """The side's rows whose probed id is that of one of *keys* (a
+        superset of the rows under *keys*)."""
+        position = self.position
+        if type(position) is tuple:
+            first, second = position
+            values = [(key[first], key[second]) for key in keys]
+        else:
+            values = [key[position] for key in keys]
+        return self._load(self._probe(self.column, values))
+
+    def restricted(self, pairs) -> "ColumnStore | None":
+        """The side's rows that can hold ``row[c] == value`` for every
+        ``(c, value)`` of *pairs*, read through the first pair the graph
+        indexes (an id first); ``None`` when none is indexed."""
+        source, origin = self.source, self.origin
+        ids = source.id_columns
+        ordered = sorted(pairs, key=lambda pair: origin[pair[0]] not in ids)
+        for column, value in ordered:
+            found = source.lookup(origin[column], value)
+            if found is not None:
+                return self._load(self._probe(*found))
+        return None
+
+    def _load(self, delta: ColumnDelta) -> ColumnStore:
+        return self.template.over(delta.columns, delta.mults)
+
+
 class JoinNode(Node):
-    """⋈ — natural join with two hash memories."""
+    """⋈ — natural join with two hash memories, or one and a probe side.
+
+    With a probe side (:class:`SideProbe`) that side keeps no store: a
+    delta on the probe side pairs with the stored memory and folds
+    nothing, and a delta on the *stored* side pairs with the probe side's
+    rows read from the graph.  The graph is already in its new state, so
+    while a propagation is in flight a stored-side delta waits in the
+    engine's :class:`~.base.Propagation` and pairs once the change's
+    probe-side deltas have (:meth:`fold_deferred`): ``L_old ⋈ ΔR`` first,
+    then ``ΔL ⋈ R_new`` (see :mod:`.base`).
+    """
 
     def __init__(
         self,
@@ -50,86 +125,130 @@ class JoinNode(Node):
         left_key: list[int],
         right_key: list[int],
         right_extra: list[int],
+        probe: SideProbe | None = None,
+        propagation=None,
     ):
         super().__init__(schema)
         self.left_key = left_key
         self.right_key = right_key
         self.right_extra = right_extra
         left_width = len(schema) - len(right_extra)
-        self.left_index = ColumnStore(left_key, _complement(left_key, left_width))
+        left = ColumnStore(left_key, _complement(left_key, left_width))
         # payload order == right_extra: probe hits are merge suffixes
-        self.right_index = ColumnStore(right_key, right_extra)
+        right = ColumnStore(right_key, right_extra)
+        #: the side read from the graph, or ``None`` when both are stored
+        self.probe = probe
+        self.probe_side = None if probe is None else probe.side
+        if probe is not None:
+            probe.template = (left, right)[probe.side]
+        self.left_index = None if self.probe_side == LEFT else left
+        self.right_index = None if self.probe_side == RIGHT else right
+        self.propagation = propagation
+        #: probe-side reads, and the rows they handed back
+        self.probe_reads = 0
+        self.probe_rows = 0
 
     def _merge(self, left_row: tuple, right_row: tuple) -> tuple:
         return left_row + tuple(right_row[i] for i in self.right_extra)
 
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+        if (
+            self.probe is not None
+            and side != self.probe_side
+            and self.propagation.depth
+        ):
+            self.propagation.deferred.append((self, delta, side))
+        else:
+            self.fold_deferred(delta, side)
+
+    def fold_deferred(self, delta: "Delta | ColumnDelta", side: int) -> None:
+        """Pair *delta* with the other side and fold it into its own (a
+        probe side folds nothing); a stored-side delta the propagation held
+        back comes here when it ends."""
         if type(delta) is ColumnDelta:
             self._apply_columnar(delta, side)
         else:
             self._apply_rows(delta, side)
 
+    def _other(self, side: int, keys) -> ColumnStore:
+        """The memory opposite *side*: its store, or the probe side's rows
+        under *keys* read from the graph."""
+        store = self.right_index if side == LEFT else self.left_index
+        if store is not None:
+            return store
+        store = self.probe.read(keys)
+        self.probe_reads += 1
+        self.probe_rows += len(store.mults)
+        return store
+
     def _apply_rows(self, delta: Delta, side: int) -> None:
+        key = self.left_key if side == LEFT else self.right_key
+        items = list(delta.items())
+        keys = [tuple(row[i] for i in key) for row, _ in items]
         out = Delta()
+        self._pair_rows(out, items, keys, side, self._other(side, keys))
+        own = self.left_index if side == LEFT else self.right_index
+        if own is not None:
+            for key, (row, multiplicity) in zip(keys, items):
+                own.insert(key, row, multiplicity)
+        self.emit(out)
+
+    def _pair_rows(self, out: Delta, items, keys, side: int, probed) -> None:
+        probe = probed.get
         if side == LEFT:
-            probe = self.right_index.get
-            fold = self.left_index.insert
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.left_key)
+            for key, (row, multiplicity) in zip(keys, items):
                 bucket = probe(key)
                 if bucket is not None:
                     for suffix, m2 in bucket.payloads():
                         out.add(row + suffix, multiplicity * m2)
-                fold(key, row, multiplicity)
-        else:
-            extra = self.right_extra
-            probe = self.left_index.get
-            fold = self.right_index.insert_payload
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.right_key)
+            return
+        extra = self.right_extra
+        for key, (row, multiplicity) in zip(keys, items):
+            bucket = probe(key)
+            if bucket is not None:
                 suffix = tuple(row[i] for i in extra)
-                bucket = probe(key)
-                if bucket is not None:
-                    for other, m2 in bucket.items():
-                        out.add(other + suffix, multiplicity * m2)
-                fold(key, suffix, multiplicity)
-        self.emit(out)
+                for other, m2 in bucket.items():
+                    out.add(other + suffix, multiplicity * m2)
 
     def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
         """Gathered: one probe loop pairs batch positions with the other
-        store's matching slots, then every output column is gathered from
-        its source — batch columns by position, stored payload by slot,
-        and a left row's key cells from the probing batch's key columns —
-        and the value columns fold in directly (``insert_columns``).  No
-        row tuple is built."""
-        mults = delta.mults
-        cols = delta.columns
-        if side == LEFT:
-            keys = delta.key_column(self.left_key)
-            probed, own = self.right_index, self.left_index
-        else:
-            keys = delta.key_column(self.right_key)
-            probed, own = self.left_index, self.right_index
+        store's matching slots (:meth:`_gather`), and the value columns
+        fold in directly (``insert_columns``).  No row tuple is built."""
+        keys = delta.key_column(self.left_key if side == LEFT else self.right_key)
+        out = self._gather(delta, side, keys, self._other(side, keys))
+        own = self.left_index if side == LEFT else self.right_index
+        if own is not None:
+            own.insert_columns(keys, delta.columns, delta.mults)
+        if out is not None:
+            self.emit(out)
+
+    def _gather(
+        self, delta: ColumnDelta, side: int, keys, probed
+    ) -> "ColumnDelta | None":
+        """*delta* on *side* paired with the *probed* store: every output
+        column is gathered from its source — batch columns by position,
+        stored payload by slot, and a left row's key cells from the
+        probing batch's key columns."""
         at, slots, _ = probed.pair(keys)
-        if at:
-            from_batch, from_store = gather(at), gather(slots)
-            if side == LEFT:
-                # payload order == right_extra: stored payloads are suffixes
-                out = [from_batch(col) for col in cols]
-                out += [from_store(col) for col in probed.columns]
-            else:
-                right_key = self.right_key
-                out = [
-                    from_batch(cols[right_key[j]])
-                    if from_key
-                    else from_store(probed.columns[j])
-                    for from_key, j in probed._assemble
-                ]
-                out += [from_batch(cols[i]) for i in self.right_extra]
-            out_mults = list(map(mul, from_batch(mults), from_store(probed.mults)))
-        own.insert_columns(keys, cols, mults)
-        if at:
-            self.emit(ColumnDelta(out, out_mults, len(self.schema)))
+        if not at:
+            return None
+        cols = delta.columns
+        from_batch, from_store = gather(at), gather(slots)
+        if side == LEFT:
+            # payload order == right_extra: stored payloads are suffixes
+            out = [from_batch(col) for col in cols]
+            out += [from_store(col) for col in probed.columns]
+        else:
+            right_key = self.right_key
+            out = [
+                from_batch(cols[right_key[j]])
+                if from_key
+                else from_store(probed.columns[j])
+                for from_key, j in probed._assemble
+            ]
+            out += [from_batch(cols[i]) for i in self.right_extra]
+        out_mults = list(map(mul, from_batch(delta.mults), from_store(probed.mults)))
+        return ColumnDelta(out, out_mults, len(self.schema))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         """The join of the two memories, narrowed by *restriction*.
@@ -143,17 +262,13 @@ class JoinNode(Node):
         the other side are left to the caller's predicate, which must see
         the very objects the full fold would show it — so every output
         cell comes from a memory, never from a pair's value.  No
-        restriction is the full fold.
+        restriction is the full fold.  A probe side answers by key from
+        the graph (:meth:`_probed_state`).
         """
+        if self.probe is not None:
+            return self._probed_state(restriction)
         out = Delta()
-        left_pairs: list[tuple] = []
-        right_pairs: list[tuple] = []
-        left_width = self.left_index.width
-        for column, value in restriction:
-            if column < left_width:
-                left_pairs.append((column, value))
-            else:
-                right_pairs.append((self.right_extra[column - left_width], value))
+        left_pairs, right_pairs = self._split(restriction)
         if right_pairs and not left_pairs:
             examined, survivors = self.right_index.select(right_pairs)
             self.replay_scanned += examined
@@ -175,16 +290,80 @@ class JoinNode(Node):
                 self._cross(out, bucket, matches)
         return out
 
+    def _split(self, restriction: tuple) -> tuple[list, list]:
+        """*restriction* as ``(column, value)`` pairs on the left rows and
+        on the right rows."""
+        left_pairs: list[tuple] = []
+        right_pairs: list[tuple] = []
+        left_width = len(self.schema) - len(self.right_extra)
+        for column, value in restriction:
+            if column < left_width:
+                left_pairs.append((column, value))
+            else:
+                right_pairs.append((self.right_extra[column - left_width], value))
+        return left_pairs, right_pairs
+
+    def _probed_state(self, restriction: tuple) -> Delta:
+        """:meth:`state_delta` with a probe side.  Restricted on the stored
+        side only or both, the stored side selects and the probe side is
+        read by the surviving keys; restricted on the probe side only, the
+        graph answers by key — an id through the adjacency, a pushed
+        property through its index or a label scan
+        (:meth:`SideProbe.restricted`) — and each key read probes the
+        stored side; unrestricted, the whole stored side reads by key."""
+        out = Delta()
+        pairs = self._split(restriction)
+        probe_side = self.probe_side
+        probe_pairs, stored_pairs = pairs[probe_side], pairs[1 - probe_side]
+        stored = self.left_index if probe_side == RIGHT else self.right_index
+        probed = None
+        if probe_pairs and not stored_pairs:
+            probed = self.probe.restricted(probe_pairs)
+        if probed is not None:
+            self.probe_reads += 1
+            self.probe_rows += len(probed.mults)
+            self.replay_scanned += len(probed.mults)
+            for key, bucket in probed.items():
+                if probe_side == RIGHT:
+                    entry = stored.stored(key)
+                    if entry is not None:
+                        self._cross(out, entry[1], bucket)
+                else:
+                    matches = stored.get(key)
+                    if matches:
+                        self._cross(out, bucket, matches)
+            return out
+        if stored_pairs:
+            examined, entries = stored.select(stored_pairs)
+            self.replay_scanned += examined
+        else:
+            entries = list(stored.items())
+        probed = self._other(1 - probe_side, [key for key, _ in entries])
+        for key, bucket in entries:
+            if probe_side == RIGHT:
+                matches = probed.get(key)
+                if matches:
+                    self._cross(out, bucket, matches)
+            else:
+                entry = probed.stored(key)
+                if entry is not None:
+                    self._cross(out, entry[1], bucket)
+        return out
+
     def _cross(self, out: Delta, bucket, matches) -> None:
         for row, multiplicity in bucket.items():
             for other, m2 in matches.items():
                 out.add(self._merge(row, other), multiplicity * m2)
 
+    def _stores(self) -> list[ColumnStore]:
+        stores = (self.left_index, self.right_index)
+        return [store for store in stores if store is not None]
+
     def memory_size(self) -> int:
-        return self.left_index.size() + self.right_index.size()
+        return sum(store.size() for store in self._stores())
 
     def memory_cells(self) -> int:
-        return self.left_index.cells() + self.right_index.cells()
+        return sum(store.cells() for store in self._stores())
 
 
 class AntiJoinNode(Node):

@@ -60,7 +60,7 @@ from ..compiler.fingerprint import (
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, freeze_value
 from .deltas import ColumnDelta, Delta, as_row_delta
-from .nodes.base import Node
+from .nodes.base import Node, Propagation
 from .nodes.input import EdgeInputNode, UnitNode, VertexInputNode
 from .nodes.unary import BindingIndexedSelectionNode, SelectionPartitionNode
 from .router import EventRouter
@@ -251,6 +251,8 @@ class SharingLayer:
 
     graph: PropertyGraph
     stats: SharingStats = field(default_factory=SharingStats)
+    #: the engine's propagations in flight, for the joins with a probe side
+    propagation: Propagation = field(default_factory=Propagation)
 
     def __post_init__(self) -> None:
         self._vertex_nodes: dict[tuple, VertexInputNode] = {}
@@ -322,6 +324,15 @@ class SharingLayer:
         self._subplans[key] = _SubplanEntry(node, upstreams)
         self._key_by_node[id(node)] = key
         self.stats.subplan_nodes += 1
+
+    def upstream_of(self, node: Node) -> Node | None:
+        """The one node feeding the layer-owned unary subplan *node*
+        (``None`` for an input, a private node or a binding partition)."""
+        key = self._key_by_node.get(id(node))
+        if key is None or key[0] is BINDING_TIER:
+            return None
+        upstreams = self._subplans[key].upstreams
+        return upstreams[0][0] if len(upstreams) == 1 else None
 
     # -- binding-indexed tier (cross-binding sharing of parameterised σ) ------
 

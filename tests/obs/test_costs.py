@@ -45,7 +45,7 @@ class TestAttribution:
         )
         churn(graph)
         costs = engine.view_costs()
-        assert costs["unit"] == "row-work (applied_rows + emitted_rows)"
+        assert costs["unit"] == "row-work (applied_rows + emitted_rows + probe_rows)"
         assert costs["total"] > 0
         assert_sums_to_total(costs)
         assert [entry["view"] for entry in costs["views"]] == [0, 1]

@@ -11,7 +11,8 @@ batches, with both parameterised views registered under two bindings so
 their shapes lift and hold one partition per binding.
 
 CI runs this module under two ``PYTHONHASHSEED`` values: restricted
-replay hands buckets over in slot order.
+replay hands buckets over in slot order.  A ⋈ with a probe side answers
+from its stored side and the graph, and is held to the same bag.
 """
 
 import pytest
@@ -47,8 +48,10 @@ def assert_interior_state(engine: QueryEngine) -> tuple[int, int]:
                 expected = Interpreter(graph, parameters).evaluate(op)
                 assert held == expected, (view.compiled.text, key)
                 seen[key] = node
-    # every live entry belongs to some view's plan, and was checked
+    # every live entry belongs to some view's plan, and was checked —
+    # joins whose probe side is read from the graph among them
     assert set(seen) == set(layer._subplans)
+    assert any(getattr(node, "probe", None) is not None for node in seen.values())
     partitions = sum(key[0] is BINDING_TIER for key in seen)
     return len(seen) - partitions, partitions
 

@@ -23,6 +23,7 @@ from repro.algebra.printer import format_plan
 from repro.compiler.optimizer import built_plan
 from repro.compiler.pipeline import compile_query
 from repro.cypher import ast
+from repro.rete.nodes.base import LEFT, RIGHT
 from repro.rete.nodes.join import AntiJoinNode
 from repro.rete.sharing import subplan_cache_key
 from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
@@ -105,8 +106,9 @@ def folds_missed(plan: ops.Operator) -> list[str]:
 
 
 def check_stores(engine: QueryEngine, view) -> int:
-    """Every join-family node of *view* stores exactly its sides' columns;
-    returns how many such nodes were checked."""
+    """Every join-family node of *view* stores exactly its sides' columns,
+    and a ⋈ probe side stores nothing; returns how many such nodes were
+    checked."""
     layer = engine._incremental.input_layer
     parameters = view.network.ctx.parameters
     checked = 0
@@ -116,9 +118,17 @@ def check_stores(engine: QueryEngine, view) -> int:
         node = layer.subplan_lookup(subplan_cache_key(op, parameters))
         assert node is not None, op
         left, right = op.children
-        assert node.left_index.width == len(left.schema)
+        probe_side = getattr(node, "probe_side", None)
+        if probe_side == LEFT:
+            assert node.left_index is None
+            assert node.memory_cells() == node.right_index.cells()
+        else:
+            assert node.left_index.width == len(left.schema)
         if isinstance(node, AntiJoinNode):
             assert all(len(key) == len(op.common) for key in node.right_counts)
+        elif probe_side == RIGHT:
+            assert node.right_index is None
+            assert node.memory_cells() == node.left_index.cells()
         else:
             assert node.right_index.width == len(right.schema)
         checked += 1
@@ -296,7 +306,10 @@ def test_explain_prints_the_plan_register_would_build_now():
     assert pushed != lifted
 
     def strip(text: str) -> str:  # the operator lines, without generated code
-        return "\n".join(line for line in text.splitlines() if "│" not in line)
+        # or the notes on a live ⋈'s probe side
+        return "\n".join(
+            line for line in text.splitlines() if "│" not in line and "└" not in line
+        )
 
     assert strip(explained("a")) == strip(pushed)
     assert strip(explained("b")) == strip(lifted)
