@@ -170,6 +170,25 @@ class ColumnDelta:
         columns = [list(col) for col in zip(*rows)] if width else []
         return cls(columns, list(mults), width)
 
+    @classmethod
+    def concat(cls, deltas: Sequence["Delta | ColumnDelta"]) -> "ColumnDelta":
+        """The occurrences of non-empty *deltas* one after another, in
+        either form, as one batch — never consolidated, so ``-(a, 1)`` and
+        ``+(a, True)`` stay two occurrences in their order."""
+        parts = [
+            delta if type(delta) is ColumnDelta
+            else cls.from_delta(delta, len(next(iter(delta._counts))))
+            for delta in deltas
+        ]
+        width = parts[0].width
+        columns = [[] for _ in range(width)]
+        mults: list[int] = []
+        for part in parts:
+            for column, values in zip(columns, part.columns):
+                column += values
+            mults += part.mults
+        return cls(columns, mults, width)
+
     # -- access -------------------------------------------------------------
 
     def column(self, index: int) -> list:

@@ -22,11 +22,20 @@ until the outermost one ends, then joins the graph and folds:
 
     Δ(L ⋈ R) = L_old ⋈ ΔR   followed by   ΔL ⋈ R_new
 
-Every state a downstream node sees between the two is a real bag (never
-a negative count), and a callback that writes mid-propagation only adds
-changes the waiting delta's read of the graph already includes.  At
-populate the waiting is off and the probe side is never replayed: its
-state is the graph.
+The queue is kept per ``(join, side)``: deltas that wait for the same
+stored side are merged unconsolidated, in arrival order, and pair as one
+batch with one read of the graph — ``ΔL₁ + ΔL₂`` against the same
+``R_new`` is linear, so the net is exact.  Entries drain upstream joins
+first (the order the joins were built in), so a chain's outputs reach a
+downstream join's entry before it is popped, and each join reads the
+graph once per drain; any other order would be as exact, since a probe
+side is fed by an input node alone and all its deltas pair during the
+dispatch.  Every state a downstream node sees between the two terms is a
+real bag (never a negative count), and a callback that writes
+mid-propagation only adds changes the waiting delta's read of the graph
+already includes — a write that reaches an entry already popped queues a
+new one behind it.  At populate the waiting is off and the probe side is
+never replayed: its state is the graph.
 
 Deltas travel in either physical representation — the row-at-a-time
 :class:`~repro.rete.deltas.Delta` or the columnar
@@ -38,7 +47,7 @@ columns again, :meth:`Node.emit_like`).
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 
 from ...obs import tracing
 from ..deltas import ColumnDelta, Delta
@@ -53,29 +62,55 @@ class Propagation:
     ``depth`` counts the propagations in flight — one per event dispatched,
     one per batch delivered, nested when a callback writes.  While it is
     positive a ⋈ with a probe side does not pair a delta arriving on its
-    stored side: it queues it in ``deferred``.  The outermost :meth:`end`
-    hands the queue back in arrival order
-    (:meth:`~.join.JoinNode.fold_deferred`) before it counts itself out,
-    so what those folds emit queues behind them, and every stored side
+    stored side: it queues it (:meth:`defer`).  The queue holds one entry
+    per ``(join, side)``, a list of the deltas that arrived for it in
+    arrival order.  The outermost :meth:`end` pops one entry at a time —
+    the join built first, so downstream of no join still waiting — and
+    hands its deltas to :meth:`~.join.JoinNode.fold_deferred` as one batch,
+    merged unconsolidated (:meth:`ColumnDelta.concat`): the join reads the
+    graph once for all of them.  It does so before it counts itself out,
+    so what those folds emit queues behind them, and a delta for an entry
+    already popped (a callback's write) starts a new one: every stored side
     receives its deltas in the order they were sent (see the module
     docstring).
     """
 
-    __slots__ = ("depth", "deferred")
+    __slots__ = ("depth", "deferred", "_order", "_built")
 
     def __init__(self) -> None:
         self.depth = 0
-        self.deferred: deque = deque()
+        #: ``(join, side)`` → the deltas waiting for it, in arrival order
+        self.deferred: dict[tuple, list] = {}
+        #: a heap of ``(join rank, side, join)``, one per entry
+        self._order: list[tuple] = []
+        self._built = 0
+
+    def rank(self) -> int:
+        """The drain rank of a join built now.  A network is built bottom
+        up, so a join ranks after every join upstream of it."""
+        self._built += 1
+        return self._built
 
     def begin(self) -> None:
         self.depth += 1
 
+    def defer(self, node, delta: "Delta | ColumnDelta", side: int) -> None:
+        key = (node, side)
+        waiting = self.deferred.get(key)
+        if waiting is None:
+            self.deferred[key] = [delta]
+            heappush(self._order, (node.rank, side, node))
+        else:
+            waiting.append(delta)
+
     def end(self) -> None:
         outermost = self.depth == 1
         try:
-            deferred = self.deferred
-            while outermost and deferred:
-                node, delta, side = deferred.popleft()
+            deferred, order = self.deferred, self._order
+            while outermost and order:
+                _, side, node = heappop(order)
+                deltas = deferred.pop((node, side))
+                delta = deltas[0] if len(deltas) == 1 else ColumnDelta.concat(deltas)
                 if tracing.ACTIVE is None:
                     node.fold_deferred(delta, side)
                 else:
@@ -83,6 +118,7 @@ class Propagation:
         finally:
             if outermost:
                 self.deferred.clear()
+                self._order.clear()
             self.depth -= 1
 
 

@@ -116,7 +116,11 @@ class JoinNode(Node):
     while a propagation is in flight a stored-side delta waits in the
     engine's :class:`~.base.Propagation` and pairs once the change's
     probe-side deltas have (:meth:`fold_deferred`): ``L_old ⋈ ΔR`` first,
-    then ``ΔL ⋈ R_new`` (see :mod:`.base`).
+    then ``ΔL ⋈ R_new`` (see :mod:`.base`).  The queue is per
+    ``(join, side)`` and drains upstream joins first: the deltas waiting
+    for this join's stored side when its entry is popped arrive as one
+    batch, merged unconsolidated in arrival order, and pair with one read
+    of the graph.
     """
 
     def __init__(
@@ -144,6 +148,8 @@ class JoinNode(Node):
         self.left_index = None if self.probe_side == LEFT else left
         self.right_index = None if self.probe_side == RIGHT else right
         self.propagation = propagation
+        #: when this join's waiting deltas drain (:meth:`.Propagation.rank`)
+        self.rank = 0 if probe is None else propagation.rank()
         #: probe-side reads, and the rows they handed back
         self.probe_reads = 0
         self.probe_rows = 0
@@ -157,7 +163,7 @@ class JoinNode(Node):
             and side != self.probe_side
             and self.propagation.depth
         ):
-            self.propagation.deferred.append((self, delta, side))
+            self.propagation.defer(self, delta, side)
         else:
             self.fold_deferred(delta, side)
 

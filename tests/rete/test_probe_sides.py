@@ -16,7 +16,10 @@ an open batch, a trigger writing to a probe side's relation from inside
 ``on_change``, self-joins over one input, undirected and self-loop
 edges, label flips on the key endpoint, and new bindings replayed from a
 probe join by restricted ``state_delta``.  The deferred queue is empty
-after every commit, and detaching every view drains every memory.
+after every commit, and detaching every view drains every memory.  The
+queue merges the deltas waiting for one ``(join, side)`` unconsolidated,
+so each probe join reads the graph once per commit, and a callback's
+write that reaches a drained join queues it again.
 """
 
 import random
@@ -27,8 +30,8 @@ from repro import PropertyGraph, QueryEngine
 from repro.algebra import ops
 from repro.compiler.optimizer import built_plan
 from repro.compiler.pipeline import compile_query
-from repro.rete.deltas import as_row_delta
-from repro.rete.nodes.base import LEFT, RIGHT
+from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
+from repro.rete.nodes.base import LEFT, RIGHT, Propagation
 from repro.rete.nodes.join import JoinNode
 from repro.workloads import trainbenchmark as tb
 from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
@@ -178,6 +181,41 @@ def test_a_trigger_writes_to_a_probe_sides_relation_mid_propagation():
     mirror.assert_consistent()
 
 
+@pytest.mark.parametrize("scope", ["transaction", "batch"])
+def test_a_trigger_writes_mid_drain_in_a_batch(scope):
+    """Batched engine, an autocommitted edge whose path rows come only
+    from the join's drained entry: the callback runs mid-drain and writes
+    to the stored and probe side's relation in a batch of its own.  The
+    write queues the join again after its entry was popped."""
+    graph = PropertyGraph()
+    v = [graph.add_vertex(["P"]) for _ in range(5)]
+    graph.add_edge(v[1], v[2], "K")
+    mirror = OracleMirror(graph, batch_transactions=True)
+    path = mirror.register("MATCH (a:P)-[:K]->(b:P)-[:K]->(c:P) RETURN a, c")
+    mirror.register("MATCH (a:P)-[:K]->(b:P) RETURN a, count(*) AS n")
+    (join,) = [n for n in path.network.nodes() if isinstance(n, JoinNode)]
+    assert join.probe is not None
+    propagation = mirror.engine._incremental.input_layer.propagation
+    depths = []
+
+    def write_in_a_batch(delta):
+        if depths:
+            return
+        depths.append(propagation.depth)
+        with graph.transaction() if scope == "transaction" else mirror.engine.batch():
+            graph.add_edge(v[2], v[3], "K")
+            graph.add_edge(v[3], v[4], "K")
+
+    path.on_change(write_in_a_batch)
+    reads = join.probe_reads
+    graph.add_edge(v[0], v[1], "K")
+    assert depths == [1]  # inside the outermost propagation's drain
+    assert join.probe_reads - reads == 2  # its first entry, then the new one
+    assert_settled(mirror.engine)
+    mirror.assert_consistent()
+    assert sorted(path.rows()) == sorted([(v[0], v[2]), (v[1], v[3]), (v[2], v[4])])
+
+
 SHAPES = [
     # one input on both sides of a ⋈
     "MATCH (x:P)-[:K]->(y:P), (y)-[:K]->(x) RETURN x, y",
@@ -318,6 +356,92 @@ def test_restricted_state_is_the_full_state_narrowed():
 
 
 # -- the propagation's queue, and draining ---------------------------------------
+
+
+class _Join:
+    """A stand-in for a ⋈ that records what reaches its fold."""
+
+    def __init__(self, propagation):
+        self.rank = propagation.rank()
+        self.folded = []
+
+    def fold_deferred(self, delta, side):
+        self.folded.append((delta, side))
+
+
+def test_waiting_deltas_merge_unconsolidated_in_arrival_order():
+    propagation = Propagation()
+    join, other = _Join(propagation), _Join(propagation)
+    retract = ColumnDelta([["x"], [1]], [-1], 2)
+    insert = ColumnDelta([["x"], [True]], [1], 2)
+    propagation.begin()
+    propagation.defer(join, retract, LEFT)
+    propagation.defer(other, Delta([(("y",), 1)]), RIGHT)
+    propagation.defer(join, insert, LEFT)
+    assert list(propagation.deferred) == [(join, LEFT), (other, RIGHT)]
+    propagation.end()
+    ((merged, side),) = join.folded
+    assert side == LEFT and type(merged) is ColumnDelta
+    # two occurrences, the retraction first, 1 and True kept apart
+    rows = list(merged.items())
+    assert rows == [(("x", 1), -1), (("x", True), 1)]
+    assert [type(row[1]) for row, _ in rows] == [int, bool]
+    # a lone delta passes unchanged
+    ((alone, side),) = other.folded
+    assert side == RIGHT and alone == Delta([(("y",), 1)])
+    assert propagation.depth == 0 and not propagation.deferred
+
+
+def test_a_delta_for_a_drained_entry_queues_again():
+    """A write from a callback downstream reaches a join whose entry has
+    already drained: it waits in a new entry, behind the first."""
+    propagation = Propagation()
+    first, second = ColumnDelta([[1]], [1], 1), ColumnDelta([[2]], [1], 1)
+
+    class Downstream(_Join):
+        def fold_deferred(self, delta, side):
+            super().fold_deferred(delta, side)
+            propagation.defer(upstream, second, LEFT)
+
+    upstream, downstream = _Join(propagation), Downstream(propagation)
+    propagation.begin()
+    propagation.defer(downstream, first, RIGHT)
+    propagation.defer(upstream, first, LEFT)
+    propagation.end()
+    assert [delta for delta, _ in upstream.folded] == [first, second]
+    assert [delta for delta, _ in downstream.folded] == [first]
+    assert not propagation.deferred
+
+
+def test_each_probe_join_reads_the_graph_once_per_commit():
+    model = tb.generate_railway(routes=6, seed=3)
+    graph = model.graph
+    mirror = OracleMirror(graph, batch_transactions=True)
+    for query in tb.QUERIES.values():
+        mirror.register(query)
+    joins = probe_joins(mirror.engine)
+    rng = random.Random(11)
+    names = list(tb.QUERIES)
+    most = 0
+    for round_ in range(12):
+        name = names[round_ % len(names)]
+        view = mirror.views[names.index(name)]
+        for commit in ("inject", "repair"):
+            before = [join.probe_reads for join in joins]
+            with graph.transaction():
+                if commit == "repair":
+                    tb.repair(model, name, view.rows(), 4, rng)
+                elif name == "ConnectedSegments":
+                    for _ in range(4):
+                        tb.inject(model, name, 3, rng)
+                else:
+                    tb.inject(model, name, 3, rng)
+            reads = [join.probe_reads - old for join, old in zip(joins, before)]
+            assert max(reads) <= 1, (name, commit, reads)
+            most = max(most, sum(reads))
+            assert_settled(mirror.engine)
+            mirror.assert_consistent()
+    assert most >= 5
 
 
 @BATCHED
