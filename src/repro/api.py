@@ -52,10 +52,10 @@ class QueryEngine:
     interpreter would compute, so a served result equals recomputation;
     ``evaluate(..., use_views=False)`` is that recomputation, per call.
 
-    A view's ``on_change`` callbacks run inside propagation.  One that
-    raises does not stop the others, nor the delta's trip to the other
-    views: the first error is re-raised once the outermost propagation
-    returns, and later ones are dropped.
+    A view's ``on_change`` callbacks run once their commit has reached
+    every view, in registration order.  One that raises stops no other
+    delivery: the first error is re-raised once the last has run, and
+    later ones are dropped.
     """
 
     def __init__(
@@ -181,13 +181,14 @@ class QueryEngine:
         With ``batch_transactions`` enabled, a write query's side effects
         reach the views as one consolidated delta after its transaction
         commits; otherwise ``None`` keeps the per-event path (and the
-        mid-query trigger semantics that come with it: each write
-        propagates as it lands, so an ``on_change`` callback sees the
+        mid-query trigger semantics that come with it: each write is a
+        commit of its own, so an ``on_change`` callback sees the
         statement's earlier writes but not its later ones, and a callback
         that raises fails the statement, which rolls back).  Either way a
-        raising callback stops neither the other callbacks nor
-        propagation: the first error is re-raised once the delta has
-        reached every view, and later ones are dropped.
+        trigger runs once its commit has reached every view, so every view
+        it reads, served or not, equals recomputation; a write it makes is
+        the next commit, whose callbacks run after it returns.  The first
+        error a callback raises re-raises after the last delivery.
         """
         if self._incremental.batch_transactions:
             return self._incremental.batch

@@ -293,20 +293,6 @@ def exact_items(delta: "Delta | ColumnDelta") -> Iterable[tuple[tuple, int]]:
     return [(row, m) for entries in held.values() for row, m in entries if m]
 
 
-def merged(deltas: Iterable["Delta"]) -> Delta:
-    """Consolidate several deltas into one net delta.
-
-    Multiplicities for the same row merge and cancel (an insert/delete
-    pair of the same row vanishes), which is what makes a batch's many
-    partial output deltas collapse into the single net delta handed to
-    ``on_change`` callbacks.
-    """
-    out = Delta()
-    for delta in deltas:
-        out.update(delta)
-    return out
-
-
 def bag_insert(bag: dict[tuple, int], row: tuple, multiplicity: int) -> int:
     """Adjust *row*'s count in a bag; returns the new count (may be 0)."""
     count = bag.get(row, 0) + multiplicity

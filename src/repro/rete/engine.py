@@ -18,6 +18,16 @@ or ordered by bare columns — for the filtered and top-k reads
 (:meth:`~repro.rete.nodes.production.ProductionNode.listing`); every
 listing splices its own changes from one change log.
 
+Commits: propagate, then notify
+-------------------------------
+A commit — one elementary change on the per-event path, or one batch —
+first propagates through every network and drains what waited
+(:class:`~repro.rete.nodes.base.Propagation`), then calls each changed
+view's ``on_change`` callbacks once with its net output delta, in
+view-registration order.  So a callback sees every view equal to its
+query re-evaluated, and a write it makes is the *next* commit: it
+propagates at once and is delivered by the delivery loop's next round.
+
 Batched propagation
 -------------------
 ``engine.batch()`` opens a re-entrant scope that buffers elementary events
@@ -29,32 +39,25 @@ group keys concern, and each builds one net
 :class:`~repro.rete.deltas.ColumnDelta` from the groups it reads, column
 by column (the after half from the live graph, the before half from the
 batch's window-start images).  That delta makes a single trip through
-every network, and each view's ``on_change`` callback fires **exactly
-once per batch** with the net output delta (or not at all when the batch
-nets to nothing).  Inside an
-open batch ``View.rows()`` is intentionally stale; it catches up at flush.
+every network, and the batch is one commit.  Inside an open batch
+``View.rows()`` is intentionally stale; it catches up at flush.
 
 With ``batch_transactions=True`` the engine additionally listens to
 :meth:`PropertyGraph.transaction` phases: every transaction scope becomes a
 batch that flushes at commit, and a rollback — whose compensation events
 land in the same window — nets to zero, leaving views untouched and
-callbacks silent.  The per-event path stays the default: each mutation
-propagates as it lands, and ``on_change`` fires once per delta that
-reaches the production node — usually once per event, but a view whose
-join reads the same input on both sides (``(x)-[:K]->(y), (y)-[:K]->(x)``)
-fires once per side an ``add_edge`` arrives on.
+callbacks silent.  The per-event path stays the default.
 
 A raising ``on_change`` callback
 --------------------------------
-Each callback runs under its own ``try``, so one that raises stops neither
-the view's other callbacks nor the delta's trip through the other views:
-every view still equals recomputation afterwards.  The engine keeps the
-first error and re-raises it once the outermost propagation — one event's
-dispatch, or one batch's delivery — returns; later errors are dropped.
+Each callback runs under its own ``try``, so one that raises stops no
+other delivery.  The first error re-raises once, from the call that
+started the delivery loop, after its last round; later ones are dropped.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
@@ -114,7 +117,8 @@ class View:
         )
 
     def on_change(self, callback: Callable[[Delta], None]) -> None:
-        """Invoke *callback* with the net output delta of each change."""
+        """Invoke *callback* with this view's net output delta of each
+        commit that changes it, once that commit has reached every view."""
         self._production.on_change(callback)
 
     def detach(self) -> None:
@@ -194,12 +198,11 @@ class IncrementalEngine:
         self.last_trace: tracing.Span | None = None
         self._accumulator: BatchAccumulator | None = None
         self._batch_depth = 0
-        self._dispatch_depth = 0
-        #: open batch deliveries (``_propagate_batch``'s callback loop)
-        self._delivering = 0
-        #: the first error an ``on_change`` callback raised, until the
-        #: outermost propagation returns and re-raises it
-        self._callback_error: BaseException | None = None
+        #: productions changed since the last delivery round began
+        self._touched: list = []
+        #: registrations so far, the last one's delivery serial
+        self._registered = 0
+        self._delivering = False
         if batch_transactions:
             graph.subscribe_transactions(self._on_transaction)
 
@@ -240,7 +243,9 @@ class IncrementalEngine:
             metrics.register_build_seconds.observe(built - start)
             metrics.register_populate_seconds.observe(perf_counter() - built)
             metrics.populate_rows.inc(rows)
-        network.production.callback_failed = self._callback_failed
+        self._registered += 1
+        production = network.production
+        production.touched, production.serial = self._touched, self._registered
         view = View(self, compiled, network, shape)
         if shape is not None:
             live = self._live_bindings.setdefault(shape[0], {})
@@ -385,42 +390,70 @@ class IncrementalEngine:
         metrics = self.metrics
         tracer = None
         if self.trace_batches and tracing.ACTIVE is None:
-            # one tracer per outermost dispatch; events raised by callbacks
-            # mid-propagation nest into the active tree via Node.emit
+            # one tracer per outermost commit; commits made by callbacks
+            # nest into the active tree's merge span via Node.emit
             tracer = tracing.BatchTracer("event", type(event).__name__)
             tracing.ACTIVE = tracer
         start = perf_counter() if metrics is not None else 0.0
-        # Mid-propagation, some networks have seen the delta and some have
-        # not; on_change callbacks run inside this window and must not be
-        # served half-updated maintained state (see pending_changes).
-        self._dispatch_depth += 1
-        self._propagation.begin()
         try:
-            self._router.dispatch(event)
+            self._propagate(self._router.dispatch, event)
         finally:
-            self._propagation.end()
-            self._dispatch_depth -= 1
+            error = self._deliver(False, tracer)
             if metrics is not None:
                 metrics.events.inc()
                 metrics.event_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracing.ACTIVE = None
                 self.last_trace = tracer.finish()
-            error = None if self._callback_error is None else self._outermost_error()
         if error is not None:
             raise error
 
-    def _callback_failed(self, error: BaseException) -> None:
-        """Keep the first error a view's ``on_change`` callback raised."""
-        if self._callback_error is None:
-            self._callback_error = error
+    def _propagate(self, dispatch: Callable[[Any], None], changes: Any) -> None:
+        """A commit's first phase: *changes* reach every network."""
+        propagation = self._propagation
+        propagation.begin()
+        try:
+            dispatch(changes)
+        finally:
+            propagation.end()
 
-    def _outermost_error(self) -> BaseException | None:
-        """The kept callback error, taken off the engine for the caller to
-        raise, if the propagation that just returned was the outermost."""
-        if self._dispatch_depth or self._delivering:
+    def _deliver(self, batched: bool, tracer=None) -> BaseException | None:
+        """A commit's second phase: each touched production's net delta to
+        its callbacks, in registration order; returns the first error a
+        callback raised.  A commit made by a callback is delivered by the
+        running loop's next round.  A batched commit's round walks every
+        view (most are touched), one event's sorts just what it touched.
+        """
+        touched = self._touched
+        if self._delivering or not touched:
             return None
-        error, self._callback_error = self._callback_error, None
+        self._delivering = True
+        if tracer is not None:
+            tracer.enter("merge", f"productions={len(touched)}")
+        error = None
+        try:
+            while touched:
+                if batched:
+                    productions = [view._production for view in self._views]
+                    batched = False
+                else:
+                    productions = sorted(touched, key=attrgetter("serial"))
+                touched.clear()
+                # take the round's deltas first: a callback's write is the
+                # next round's, even for a production later in this one
+                taken = []
+                for production in productions:
+                    pending = production._pending
+                    if pending is not None:
+                        production._pending = None
+                        if pending:
+                            taken.append((production, pending))
+                for production, pending in taken:
+                    error = production.deliver(pending, error)
+        finally:
+            self._delivering = False
+            if tracer is not None:
+                tracer.exit()
         return error
 
     # -- batched propagation --------------------------------------------------
@@ -492,38 +525,20 @@ class IncrementalEngine:
         if not net_records:
             return
         metrics = self.metrics
-        productions = [view.network.production for view in self._views]
-        for production in productions:
-            production.begin_batch()
         if tracer is not None:
             tracer.enter("dispatch", f"net_records={net_records}", net_records)
         start = perf_counter() if metrics is not None else 0.0
-        self._propagation.begin()
         try:
-            self._router.dispatch_batch(changes)
+            self._propagate(self._router.dispatch_batch, changes)
         finally:
-            self._propagation.end()
             if metrics is not None:
                 metrics.dispatch_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracer.exit()
-                tracer.enter("merge", f"productions={len(productions)}")
             start = perf_counter() if metrics is not None else 0.0
-            # callbacks fire here, outside the dispatch loops; writes they
-            # issue land in the fresh accumulator (or per-event when none).
-            # A raising callback hands its error to the engine, so every
-            # end_batch runs before the first error resurfaces.
-            self._delivering += 1
-            try:
-                for production in productions:
-                    production.end_batch()
-            finally:
-                self._delivering -= 1
+            error = self._deliver(True, tracer)
             if metrics is not None:
                 metrics.merge_seconds.observe(perf_counter() - start)
-            if tracer is not None:
-                tracer.exit()
-            error = None if self._callback_error is None else self._outermost_error()
         if error is not None:
             raise error
 
@@ -556,20 +571,10 @@ class IncrementalEngine:
             listener("detach", view)
 
     def pending_changes(self) -> bool:
-        """Whether view contents may lag the graph right now.
-
-        True inside any open batch/transaction window — buffered events
-        have mutated the graph but not yet reached the networks — and
-        while an event is mid-propagation (an ``on_change`` callback
-        evaluating a query must not read sibling views that have not seen
-        the delta yet); maintained state must not serve snapshot reads
-        until both have settled.
-        """
-        return (
-            self._batch_depth > 0
-            or self._dispatch_depth > 0
-            or (self._accumulator is not None and bool(self._accumulator))
-        )
+        """Whether view contents may lag the graph right now: inside an
+        open batch/transaction window, whose buffered events have mutated
+        the graph but not yet reached the networks."""
+        return self._batch_depth > 0
 
     @property
     def views(self) -> tuple[View, ...]:

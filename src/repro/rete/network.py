@@ -466,25 +466,18 @@ class ReteNetwork:
             aggregate.initialize()
         rows = 0
         answers: dict[int, Any] = {}
-        # this network's joins pair their stored sides at once, even when a
-        # callback registers mid-propagation: populate is no change in flight
-        propagation = self.layer.propagation
-        depth, propagation.depth = propagation.depth, 0
-        try:
-            for node, subscriber, side in self._replay_edges:
-                if _feeds_nothing(subscriber):
-                    continue  # it feeds only probe sides, not subscribed yet
-                delta = answers.get(id(node))
-                if delta is None:
-                    delta = self.layer.state_delta(node)
-                    if type(delta) is Delta:
-                        delta = ColumnDelta.from_delta(delta, len(node.schema))
-                    answers[id(node)] = delta
-                if delta:
-                    rows += len(delta)
-                    subscriber.apply(delta, side)
-        finally:
-            propagation.depth = depth
+        for node, subscriber, side in self._replay_edges:
+            if _feeds_nothing(subscriber):
+                continue  # it feeds only probe sides, not subscribed yet
+            delta = answers.get(id(node))
+            if delta is None:
+                delta = self.layer.state_delta(node)
+                if type(delta) is Delta:
+                    delta = ColumnDelta.from_delta(delta, len(node.schema))
+                answers[id(node)] = delta
+            if delta:
+                rows += len(delta)
+                subscriber.apply(delta, side)
         for upstream, node, side in self._probe_edges:
             upstream.subscribe(node, side)
         self._probe_edges = []

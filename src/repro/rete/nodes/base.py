@@ -18,7 +18,7 @@ graph, though, is already in its new state while a change propagates —
 the other order: a probe-side delta joins the stored side's current
 memory and folds nothing, and a delta arriving on the stored side while a
 propagation is in flight waits in the engine's :class:`Propagation`
-until the outermost one ends, then joins the graph and folds:
+until it ends, then joins the graph and folds:
 
     Δ(L ⋈ R) = L_old ⋈ ΔR   followed by   ΔL ⋈ R_new
 
@@ -31,11 +31,11 @@ downstream join's entry before it is popped, and each join reads the
 graph once per drain; any other order would be as exact, since a probe
 side is fed by an input node alone and all its deltas pair during the
 dispatch.  Every state a downstream node sees between the two terms is a
-real bag (never a negative count), and a callback that writes
-mid-propagation only adds changes the waiting delta's read of the graph
-already includes — a write that reaches an entry already popped queues a
-new one behind it.  At populate the waiting is off and the probe side is
-never replayed: its state is the graph.
+real bag (never a negative count).  No callback runs while a propagation
+is in flight — the engine delivers each commit's changes only after its
+drain — so the graph cannot move under a waiting delta, and one
+propagation never starts inside another.  At populate nothing is in
+flight and the probe side is never replayed: its state is the graph.
 
 Deltas travel in either physical representation — the row-at-a-time
 :class:`~repro.rete.deltas.Delta` or the columnar
@@ -59,26 +59,24 @@ RIGHT = 1
 class Propagation:
     """Whether an engine propagation is in flight, and what waits for its end.
 
-    ``depth`` counts the propagations in flight — one per event dispatched,
-    one per batch delivered, nested when a callback writes.  While it is
-    positive a ⋈ with a probe side does not pair a delta arriving on its
-    stored side: it queues it (:meth:`defer`).  The queue holds one entry
-    per ``(join, side)``, a list of the deltas that arrived for it in
-    arrival order.  The outermost :meth:`end` pops one entry at a time —
-    the join built first, so downstream of no join still waiting — and
-    hands its deltas to :meth:`~.join.JoinNode.fold_deferred` as one batch,
-    merged unconsolidated (:meth:`ColumnDelta.concat`): the join reads the
-    graph once for all of them.  It does so before it counts itself out,
-    so what those folds emit queues behind them, and a delta for an entry
-    already popped (a callback's write) starts a new one: every stored side
-    receives its deltas in the order they were sent (see the module
-    docstring).
+    ``active`` is set from :meth:`begin` — one event dispatched, or one
+    batch — until :meth:`end` returns.  While it is set a ⋈ with a probe
+    side does not pair a delta arriving on its stored side: it queues it
+    (:meth:`defer`).  The queue holds one entry per ``(join, side)``, a
+    list of the deltas that arrived for it in arrival order.  :meth:`end`
+    pops one entry at a time — the join built first, so downstream of no
+    join still waiting — and hands its deltas to
+    :meth:`~.join.JoinNode.fold_deferred` as one batch, merged
+    unconsolidated (:meth:`ColumnDelta.concat`): the join reads the graph
+    once for all of them.  What those folds emit to joins further down
+    queues behind them, so every stored side receives its deltas in the
+    order they were sent (see the module docstring).
     """
 
-    __slots__ = ("depth", "deferred", "_order", "_built")
+    __slots__ = ("active", "deferred", "_order", "_built")
 
     def __init__(self) -> None:
-        self.depth = 0
+        self.active = False
         #: ``(join, side)`` → the deltas waiting for it, in arrival order
         self.deferred: dict[tuple, list] = {}
         #: a heap of ``(join rank, side, join)``, one per entry
@@ -92,7 +90,7 @@ class Propagation:
         return self._built
 
     def begin(self) -> None:
-        self.depth += 1
+        self.active = True
 
     def defer(self, node, delta: "Delta | ColumnDelta", side: int) -> None:
         key = (node, side)
@@ -104,10 +102,9 @@ class Propagation:
             waiting.append(delta)
 
     def end(self) -> None:
-        outermost = self.depth == 1
+        deferred, order = self.deferred, self._order
         try:
-            deferred, order = self.deferred, self._order
-            while outermost and order:
+            while order:
                 _, side, node = heappop(order)
                 deltas = deferred.pop((node, side))
                 delta = deltas[0] if len(deltas) == 1 else ColumnDelta.concat(deltas)
@@ -116,10 +113,9 @@ class Propagation:
                 else:
                     _fold_traced(tracing.ACTIVE, node, delta, side)
         finally:
-            if outermost:
-                self.deferred.clear()
-                self._order.clear()
-            self.depth -= 1
+            deferred.clear()
+            order.clear()
+            self.active = False
 
 
 def _fold_traced(tracer, node, delta, side: int) -> None:

@@ -161,7 +161,7 @@ class JoinNode(Node):
         if (
             self.probe is not None
             and side != self.probe_side
-            and self.propagation.depth
+            and self.propagation.active
         ):
             self.propagation.defer(self, delta, side)
         else:

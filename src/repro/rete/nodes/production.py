@@ -10,20 +10,10 @@ from typing import Any, Callable, Mapping, NamedTuple
 from ...algebra.expressions import EvalContext
 from ...eval.results import row_order_key, sort_pass
 from ...graph.values import PathValue, order_key
-from ..deltas import (
-    ColumnDelta,
-    Delta,
-    as_row_delta,
-    bag_insert,
-    merged,
-)
+from ..deltas import ColumnDelta, Delta, as_row_delta, bag_insert
 from .base import Node
 
 ChangeCallback = Callable[[Delta], None]
-
-
-def _reraise(error: BaseException) -> None:
-    raise error
 
 
 class _KeyProbe:
@@ -153,13 +143,13 @@ class _Listing:
 class ProductionNode(Node):
     """Holds the view's bag of result rows and notifies subscribers.
 
-    In per-event mode every applied delta fires the change callbacks
-    immediately.  During a batch (``begin_batch`` … ``end_batch``) the
-    partial output deltas are buffered instead and the callbacks fire
-    exactly once, at ``end_batch``, with the consolidated net delta — or
-    not at all when the batch nets to nothing.  Each callback runs under
-    its own ``try``: an error it raises goes to :attr:`callback_failed`
-    and the next callback still runs.
+    Applying a delta never runs a callback: the changes of one commit
+    accumulate into one pending :class:`~repro.rete.deltas.Delta`, and on
+    its first change of a commit the node appends itself to the engine's
+    :attr:`touched` list.  Once the commit has propagated, the engine takes
+    the pending delta and, unless it netted to nothing, hands it to every
+    callback (:meth:`deliver`).  Each callback runs under its own ``try``:
+    the first error is handed back and the next callback still runs.
 
     Reads are served from *listings*: the bag expanded in order, beside
     each row's sort key.  A :class:`ListingSpec` says which rows a listing
@@ -177,11 +167,14 @@ class ProductionNode(Node):
         super().__init__(schema)
         self.results: dict[tuple, int] = {}
         self._callbacks: list[ChangeCallback] = []
-        #: takes the error a callback raised; the engine keeps the first
-        #: and re-raises it once propagation is over (standalone: at once)
-        self.callback_failed: Callable[[BaseException], None] = _reraise
-        self._batch_depth = 0
-        self._pending: list[Delta] = []
+        #: the engine's list of changed productions, joined on the first
+        #: change of a commit; ``None`` until registered (populate is no
+        #: change) and once detached
+        self.touched: list[ProductionNode] | None = None
+        #: the current commit's net change, ``None`` while untouched
+        self._pending: Delta | None = None
+        #: registration order, which delivery follows
+        self.serial = 0
         #: the canonical listing, once read
         self._canonical: _Listing | None = None
         #: the derived listings, least recently read first
@@ -206,20 +199,6 @@ class ProductionNode(Node):
     def on_change(self, callback: ChangeCallback) -> None:
         self._callbacks.append(callback)
 
-    def begin_batch(self) -> None:
-        """Start buffering change notifications (re-entrant)."""
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Fire callbacks once with the batch's net output delta."""
-        self._batch_depth -= 1
-        if self._batch_depth > 0:
-            return
-        pending, self._pending = self._pending, []
-        net = merged(pending)
-        if net:
-            self._notify(net)
-
     def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
         # transition-sensitive boundary: consolidate columnar batches so a
         # transient delete/insert pair can never trip the negative check
@@ -242,17 +221,27 @@ class ProductionNode(Node):
                 self._last = tick
                 if len(log) > self._room:
                     self._compact()
-            if self._batch_depth > 0:
-                self._pending.append(real)
-            else:
-                self._notify(real)
+            pending = self._pending
+            if pending is not None:
+                pending.update(real)
+            elif self.touched is not None:
+                self._pending = real
+                self.touched.append(self)
 
-    def _notify(self, delta: Delta) -> None:
-        for callback in self._callbacks:
-            try:
-                callback(delta)
-            except BaseException as error:  # noqa: BLE001 - handed on
-                self.callback_failed(error)
+    def deliver(
+        self, delta: Delta, error: BaseException | None
+    ) -> BaseException | None:
+        """Hand *delta*, a commit's net change, to every callback, each
+        under its own ``try`` (a view detached since hears nothing);
+        returns *error*, or else the first error raised."""
+        if self.touched is not None:
+            for callback in self._callbacks:
+                try:
+                    callback(delta)
+                except BaseException as raised:  # noqa: BLE001 - handed back
+                    if error is None:
+                        error = raised
+        return error
 
     # -- listings ---------------------------------------------------------------
 
@@ -424,6 +413,7 @@ class ProductionNode(Node):
         return sum(len(listing.rows) for listing in self._listings())
 
     def dispose(self) -> None:
+        self.touched = self._pending = None  # a detached view hears nothing
         self._canonical = None
         self._derived.clear()
         self._log, self._room = None, 0

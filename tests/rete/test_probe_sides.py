@@ -30,6 +30,7 @@ from repro import PropertyGraph, QueryEngine
 from repro.algebra import ops
 from repro.compiler.optimizer import built_plan
 from repro.compiler.pipeline import compile_query
+from repro.errors import CypherSemanticError
 from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
 from repro.rete.nodes.base import LEFT, RIGHT, Propagation
 from repro.rete.nodes.join import JoinNode
@@ -53,7 +54,7 @@ def probe_joins(engine: QueryEngine) -> list[JoinNode]:
 def assert_settled(engine: QueryEngine) -> None:
     """No propagation in flight and nothing waiting for one."""
     propagation = engine._incremental.input_layer.propagation
-    assert propagation.depth == 0
+    assert not propagation.active
     assert not propagation.deferred
 
 
@@ -184,9 +185,10 @@ def test_a_trigger_writes_to_a_probe_sides_relation_mid_propagation():
 @pytest.mark.parametrize("scope", ["transaction", "batch"])
 def test_a_trigger_writes_mid_drain_in_a_batch(scope):
     """Batched engine, an autocommitted edge whose path rows come only
-    from the join's drained entry: the callback runs mid-drain and writes
-    to the stored and probe side's relation in a batch of its own.  The
-    write queues the join again after its entry was popped."""
+    from the join's drained entry: the callback writes to the stored and
+    probe side's relation in a batch of its own.  It runs once the commit
+    has drained, with no propagation in flight, so its write is the next
+    commit: one graph read for each of the two commits."""
     graph = PropertyGraph()
     v = [graph.add_vertex(["P"]) for _ in range(5)]
     graph.add_edge(v[1], v[2], "K")
@@ -196,12 +198,12 @@ def test_a_trigger_writes_mid_drain_in_a_batch(scope):
     (join,) = [n for n in path.network.nodes() if isinstance(n, JoinNode)]
     assert join.probe is not None
     propagation = mirror.engine._incremental.input_layer.propagation
-    depths = []
+    in_flight = []
 
     def write_in_a_batch(delta):
-        if depths:
+        if in_flight:
             return
-        depths.append(propagation.depth)
+        in_flight.append((propagation.active, dict(propagation.deferred)))
         with graph.transaction() if scope == "transaction" else mirror.engine.batch():
             graph.add_edge(v[2], v[3], "K")
             graph.add_edge(v[3], v[4], "K")
@@ -209,8 +211,8 @@ def test_a_trigger_writes_mid_drain_in_a_batch(scope):
     path.on_change(write_in_a_batch)
     reads = join.probe_reads
     graph.add_edge(v[0], v[1], "K")
-    assert depths == [1]  # inside the outermost propagation's drain
-    assert join.probe_reads - reads == 2  # its first entry, then the new one
+    assert in_flight == [(False, {})]  # after the commit's drain
+    assert join.probe_reads - reads == 2  # one read per commit
     assert_settled(mirror.engine)
     mirror.assert_consistent()
     assert sorted(path.rows()) == sorted([(v[0], v[2]), (v[1], v[3]), (v[2], v[4])])
@@ -389,7 +391,7 @@ def test_waiting_deltas_merge_unconsolidated_in_arrival_order():
     # a lone delta passes unchanged
     ((alone, side),) = other.folded
     assert side == RIGHT and alone == Delta([(("y",), 1)])
-    assert propagation.depth == 0 and not propagation.deferred
+    assert not propagation.active and not propagation.deferred
 
 
 def test_a_delta_for_a_drained_entry_queues_again():
@@ -550,3 +552,64 @@ def test_profile_and_explain_mark_the_probe_side():
     assert join.probe_reads > 0 and join.probe_side in (LEFT, RIGHT)
     costs = engine.view_costs()
     assert costs["total"] >= join.probe_rows > 0
+
+
+# -- edge ids: never a join key, but a restricted replay's key --------------------
+
+
+def test_no_join_keys_on_an_edge_id():
+    """A ⋈ keys on the variables its sides share, and a relationship
+    variable is bound once: the compiler refuses to rebind one, and
+    ``WHERE f = e`` stays a σ over ×.  So no probe side reads by edge id
+    when a join pairs its rows."""
+    with pytest.raises(CypherSemanticError, match="relationship variable 'e' is already bound"):
+        compile_query("MATCH (a)-[e:K]->(b) MATCH (c)-[e]->(d) RETURN a, d")
+    equal = built_plan(
+        compile_query("MATCH (a)-[e:K]->(b), (c)-[f:K]->(d) WHERE f = e RETURN a, d")
+    )
+    assert [op.common for op in equal.walk() if isinstance(op, ops.Join)] == [()]
+    net = generate_snb(persons=8, forums=2, posts_per_forum=3, comments_per_post=2)
+    engine = QueryEngine(net.graph)
+    name = net.graph.vertex_property(net.persons[2], "name")
+    for query in list(SNB_QUERIES.values()) + SHAPES:
+        engine.register(query, {"name": name})
+    railway = QueryEngine(tb.generate_railway(routes=3, seed=1).graph)
+    for query in tb.QUERIES.values():
+        railway.register(query)
+    joins = probe_joins(engine) + probe_joins(railway)
+    assert joins and all(join.probe.column != 1 for join in joins)
+
+
+@BATCHED
+def test_a_binding_on_an_edge_replays_by_edge_id(batched, monkeypatch):
+    """Two bindings of ``e = $x`` lift the shape; the second's population
+    restricts the probe side ``(b)-[e:K]->(c)`` by edge id, a read of one
+    edge record.  Every binding's view stays equal to recomputation."""
+    reads = []
+    edge_record = PropertyGraph.edge_record
+
+    def counted(graph, edge_id):
+        reads.append(edge_id)
+        return edge_record(graph, edge_id)
+
+    monkeypatch.setattr(PropertyGraph, "edge_record", counted)
+    graph = PropertyGraph()
+    v = [graph.add_vertex(["P"]) for _ in range(5)]
+    k = [graph.add_edge(v[i], v[i + 1], "K") for i in range(4)]
+    for i in range(4):
+        graph.add_edge(v[i + 1], v[i], "L")
+    mirror = OracleMirror(graph, batch_transactions=batched)
+    query = "MATCH (a)-[:L]->(b)-[e:K]->(c) WHERE e = $x RETURN a, c"
+    for edge in (k[1], k[2], k[1]):
+        mirror.register(query, {"x": edge})
+        mirror.assert_consistent()
+    assert k[2] in reads and k[1] in reads
+    rng = random.Random(4)
+    for _ in range(8):
+        with graph.transaction():
+            graph.add_edge(rng.choice(v), rng.choice(v), rng.choice(("K", "L")))
+            edges = sorted(graph.edges("L"))
+            graph.remove_edge(rng.choice(edges))
+        mirror.assert_consistent()
+    mirror.register(query, {"x": k[3]})
+    mirror.assert_consistent()

@@ -125,9 +125,12 @@ class TestParametersBindPerCall:
         )
         fresh, fresh_views, fresh_results = build(uncached)
         assert cached_results == fresh_results
+        # a write made from a callback is the next commit, delivered by the
+        # delivery loop's next round: level 2 runs after level 1 returns,
+        # and both inside the delivery of level 0's first commit
         assert [(level, rows) for level, rows, _ in cached_results] == [
-            (2, [(3, 2)]), (1, [(2, 1)]), (0, [(1, 0)])
-        ]  # innermost run finishes first
+            (1, [(2, 1)]), (2, [(3, 2)]), (0, [(1, 0)])
+        ]
         assert cached.evaluate(
             "MATCH (a:A) RETURN max(a.level) AS top", use_views=False
         ).rows() == [(3,)]
