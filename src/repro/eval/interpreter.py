@@ -476,12 +476,3 @@ class Interpreter:
             rows = self._canonical_rows(op.children[0])
             return self._sorted(rows, op, op.children[0].schema)
         return self._canonical_rows(op)
-
-
-def evaluate_plan(
-    graph: PropertyGraph,
-    plan: ops.Operator,
-    parameters: Mapping[str, Any] | None = None,
-) -> ResultTable:
-    """One-shot evaluation of *plan* against *graph*."""
-    return Interpreter(graph, parameters).run(plan)

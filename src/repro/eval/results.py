@@ -7,7 +7,7 @@ rendering helpers resolve them against the originating graph on demand.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from ..algebra.schema import AttrKind, Schema
 from ..graph.graph import PropertyGraph
@@ -161,10 +161,3 @@ class ResultTable:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"ResultTable({len(self._rows)} rows, columns={self.columns})"
-
-
-def bag_equal(a: Mapping[tuple, int], b: Mapping[tuple, int]) -> bool:
-    """Multiset equality ignoring zero-count entries."""
-    a_clean = {k: v for k, v in a.items() if v}
-    b_clean = {k: v for k, v in b.items() if v}
-    return a_clean == b_clean

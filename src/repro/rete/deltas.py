@@ -6,28 +6,31 @@ as ``tuple → multiplicity``, and changes travel as *deltas* mapping tuples
 to signed multiplicity changes.  A delta with ``+2`` means "two more copies
 of this row"; ``-1`` means "one copy retracted".
 
-Two physical representations carry the same logical object:
+Two physical representations carry the same logical object, each where
+it is the real data:
 
-* :class:`Delta` — the row-at-a-time form: a ``dict`` keyed by row tuple.
-  Always *consolidated* (zero-count entries vanish), which is what lets a
-  batch's insert/delete pairs cancel before they travel.
-* :class:`ColumnDelta` — the columnar batch form: parallel value columns
-  plus one signed multiplicity column.  It is an *unconsolidated* record
-  of changes (the same row may appear several times; occurrences sum),
-  built once at the batched input boundary and streamed through the
-  hot-path nodes without per-row dict churn.  Row tuples are materialised
-  lazily — column projection (:meth:`ColumnDelta.column`) and key
-  extraction (:meth:`ColumnDelta.key_column`) work on the columns
+* :class:`ColumnDelta` — the columnar batch form, and the only form that
+  crosses a network edge: parallel value columns plus one signed
+  multiplicity column.  It is an *unconsolidated* record of changes (the
+  same row may appear several times; occurrences sum), built at the input
+  boundary — one event or one coalesced batch — and streamed through the
+  nodes without per-row dict churn.  Row tuples are materialised lazily;
+  key extraction (:meth:`ColumnDelta.key_column`) works on the columns
   directly, one C-level ``zip`` per call instead of one Python-level
   tuple build per row.
+* :class:`Delta` — the row form: a ``dict`` keyed by row tuple, always
+  *consolidated* (zero-count entries vanish).  It is what the
+  transition-sensitive nodes compute in, what stateful nodes answer
+  ``state_delta`` with, and what a view's ``on_change`` receives.
 
 Counting-linear operators (σ, π, ω, ∪, ⋈ and both antijoin/outer-join
 memories) consume a :class:`ColumnDelta` as-is: their maintenance rule is
 linear in occurrences, so an unconsolidated batch nets to exactly the same
 output.  Transition-sensitive operators (δ, γ, ⋈*, the production node) are
-defined on *net* per-row changes and consolidate at entry via
-:func:`as_row_delta` — the boundary-materialisation rule of the columnar
-hot path — then hand their answer on as columns again.
+defined on *net* per-row changes: they consolidate at entry
+(:meth:`ColumnDelta.to_delta`, or :func:`exact_items` where a value that
+only changed type must still count as a change), compute in rows and hand
+their answer on transposed (:meth:`ColumnDelta.from_delta`).
 
 Node *memories* split along the same line.  Every counting-linear memory
 (the ⋈, ▷ and ⟕ indexes) is a :class:`ColumnStore` — a column-backed
@@ -38,11 +41,10 @@ a list from the second slot on.  Most keys of a join memory hold one
 slot, and an ``int``, unlike a list, is not tracked by the cyclic garbage
 collector, so a large memory does not make every full collection walk one
 container per key.  Key cells are stored once per
-*distinct* key instead of once per row; probes return lightweight bucket
-views whose ``payloads()`` hands a natural join its merge suffixes
-without reconstructing the stored row.  A columnar batch folds in with
-no Python call per occurrence (the *batch fold*); a per-event row keeps
-a one-occurrence fold, cheaper than a one-element batch.  Every
+*distinct* key instead of once per row; a join pairs a batch with the
+slots its keys match and gathers its output from the stored columns
+(:meth:`ColumnStore.pair`) without reconstructing a stored row.  A batch
+folds in with no Python call per occurrence (the *batch fold*).  Every
 transition-sensitive memory (δ, γ, ⋈*, production) is a plain ``dict``
 count map maintained by :func:`bag_insert` / :func:`index_insert`.
 """
@@ -171,29 +173,20 @@ class ColumnDelta:
         return cls(columns, list(mults), width)
 
     @classmethod
-    def concat(cls, deltas: Sequence["Delta | ColumnDelta"]) -> "ColumnDelta":
-        """The occurrences of non-empty *deltas* one after another, in
-        either form, as one batch — never consolidated, so ``-(a, 1)`` and
+    def concat(cls, deltas: Sequence["ColumnDelta"]) -> "ColumnDelta":
+        """The occurrences of *deltas* (at least one, all of one width) one
+        after another as one batch — never consolidated, so ``-(a, 1)`` and
         ``+(a, True)`` stay two occurrences in their order."""
-        parts = [
-            delta if type(delta) is ColumnDelta
-            else cls.from_delta(delta, len(next(iter(delta._counts))))
-            for delta in deltas
-        ]
-        width = parts[0].width
+        width = deltas[0].width
         columns = [[] for _ in range(width)]
         mults: list[int] = []
-        for part in parts:
+        for part in deltas:
             for column, values in zip(columns, part.columns):
                 column += values
             mults += part.mults
         return cls(columns, mults, width)
 
     # -- access -------------------------------------------------------------
-
-    def column(self, index: int) -> list:
-        """Zero-copy projection of one column."""
-        return self.columns[index]
 
     def key_column(self, indices: Sequence[int]) -> list[tuple]:
         """Key tuples for every position, extracted column-wise.
@@ -250,33 +243,14 @@ class ColumnDelta:
         return out
 
 
-#: either physical representation of a delta (see module docstring)
-AnyDelta = "Delta | ColumnDelta"
-
-
-def as_row_delta(delta: "Delta | ColumnDelta") -> Delta:
-    """*delta* as a consolidated :class:`Delta` (identity for row deltas).
-
-    The entry conversion of transition-sensitive nodes: their maintenance
-    rules are defined on net per-row changes, so a columnar batch must
-    consolidate before they see it.
-    """
-    if type(delta) is ColumnDelta:
-        return delta.to_delta()
-    return delta
-
-
-def exact_items(delta: "Delta | ColumnDelta") -> Iterable[tuple[tuple, int]]:
+def exact_items(delta: ColumnDelta) -> Iterable[tuple[tuple, int]]:
     """*delta*'s net ``(row, multiplicity)`` pairs, merging two
     occurrences only when they are the same values
     (:func:`~repro.graph.values.same_value`).
 
-    :func:`as_row_delta` merges ``==`` rows, so an entity whose value only
-    changed type (``1`` → ``True``) would cancel out of a columnar batch.
-    A row delta has merged its rows already and passes as it is.
+    :meth:`ColumnDelta.to_delta` merges ``==`` rows, so an entity whose
+    value only changed type (``1`` → ``True``) would cancel out of it.
     """
-    if type(delta) is not ColumnDelta:
-        return delta.items()
     held: dict[tuple, list[list]] = {}
     rows = zip(*delta.columns) if delta.width else [()] * len(delta.mults)
     for row, multiplicity in zip(rows, delta.mults):
@@ -329,12 +303,9 @@ class StoreBucket:
 
     Duck-typed like a ``{row: multiplicity}`` dict: truthy when non-empty,
     sized, and ``items()`` yields ``(row, mult)`` pairs with the row
-    reassembled from the bucket key and the payload columns.
-    ``payloads()`` skips the reassembly and yields the payload tuples
-    directly — for a natural join's right memory (payload order ==
-    ``right_extra``) these are exactly the merge suffixes.  Both methods
-    return a fresh generator per call, so a view may be iterated several
-    times within one maintenance step (the outer-join null toggles do).
+    reassembled from the bucket key and the payload columns — a fresh
+    generator per call, so a view may be iterated several times within
+    one maintenance step (the outer-join null toggles do).
     *positions* is always a sequence: the store hands a one-slot bucket,
     held in its index as a bare ``int``, over as a one-element tuple.
     """
@@ -367,18 +338,6 @@ class StoreBucket:
                 mults[pos],
             )
 
-    def payloads(self) -> Iterator[tuple[tuple, int]]:
-        store = self._store
-        mults = store.mults
-        single = store._single
-        if single is not None:
-            for pos in self._positions:
-                yield (single[pos],), mults[pos]
-            return
-        columns = store.columns
-        for pos in self._positions:
-            yield tuple(column[pos] for column in columns), mults[pos]
-
 
 class ColumnStore:
     """A column-backed keyed bag memory (every counting-linear memory).
@@ -402,11 +361,11 @@ class ColumnStore:
     object (:meth:`stored`).
 
     The read surface is a keyed bag index's (``get``/``items``/
-    ``values``/truthiness); writes go through ``insert``/
-    ``insert_payload`` (one row occurrence, :meth:`_fold`) or
-    ``insert_columns`` (the first batch a store ever receives — a join
-    memory at populate — is copied in bulk; later batches run the batch
-    fold, with no Python call per occurrence and no row tuple built).
+    truthiness); writes go through ``insert`` (one row occurrence,
+    :meth:`_fold`) or ``insert_columns`` (the first batch a store ever
+    receives — a join memory at populate — is copied in bulk; later
+    batches run the batch fold, with no Python call per occurrence and no
+    row tuple built).
     Both folds agree slot for slot: a payload matches by ``is``-or-``==``,
     a slot whose count sums to zero is freed and reused first, emptied
     buckets leave the index and a new bucket is keyed by the incoming
@@ -488,11 +447,8 @@ class ColumnStore:
 
     def _fold(self, key: tuple, payload: tuple, multiplicity: int) -> None:
         """One occurrence into the bucket of *key*; prunes cancelled slots.
-
-        Per-event writes (:meth:`insert`, :meth:`insert_payload`) stay on
-        this path: as one-element batches through :meth:`insert_columns`
-        they measured +4–5 % per-event ``commit_ms_p50``.
-        """
+        The reference the batch fold (:meth:`insert_columns`) agrees with
+        slot for slot."""
         index = self.index
         bucket = index.get(key)
         if bucket is None:
@@ -790,13 +746,6 @@ class ColumnStore:
         if live:
             index[key] = live if len(live) > 1 else live[0]
 
-    def insert_payload(
-        self, key: tuple, payload: tuple, multiplicity: int
-    ) -> None:
-        """One occurrence whose payload tuple the caller already holds."""
-        if multiplicity:
-            self._fold(key, payload, multiplicity)
-
     # -- reads (keyed bag index surface) ------------------------------------
 
     def get(self, key: tuple, default=None):
@@ -812,10 +761,6 @@ class ColumnStore:
             if type(positions) is int:
                 positions = (positions,)
             yield key, StoreBucket(self, key, positions)
-
-    def values(self) -> Iterator[StoreBucket]:
-        for _, bucket in self.items():
-            yield bucket
 
     def pair(self, keys: Sequence[tuple]) -> tuple[list[int], list[int], list[int]]:
         """Batch positions paired with the slots their *keys* match (one

@@ -632,8 +632,6 @@ class IncrementalEngine:
             ("emitted_rows", "repro_node_emitted_rows", "Rows emitted across live nodes"),
             ("applied_deltas", "repro_node_applied_deltas", "Delta applications across live nodes"),
             ("applied_rows", "repro_node_applied_rows", "Rows applied across live nodes"),
-            ("columnar_batches", "repro_node_columnar_batches", "Columnar batches applied across live nodes"),
-            ("columnar_rows", "repro_node_columnar_rows", "Rows applied in columnar form across live nodes"),
         ):
             gauge(name, help).set(
                 sum(getattr(node, attribute) for node in nodes)

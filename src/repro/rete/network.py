@@ -64,7 +64,6 @@ from ..compiler.fingerprint import generalized_fingerprint
 from ..compiler.optimizer import split_conjuncts
 from ..cypher import ast
 from ..errors import CompilerError
-from .deltas import ColumnDelta, Delta
 from .nodes.aggregate import AggregateNode
 from .nodes.base import LEFT, RIGHT, Node
 from .nodes.input import BETWEEN, EdgeInputNode, VertexInputNode
@@ -248,8 +247,8 @@ class ReteNetwork:
         probe for ``a.x = $p AND a.y = $q``) instead of evaluating the
         predicate once per live binding.  The third component is the
         child-schema column index when the expr is a bare column variable
-        (``None`` otherwise) — the columnar path extracts such composite
-        keys with one transpose.
+        (``None`` otherwise) — the node extracts such composite keys with
+        one transpose.
         """
         param_order = generalized_fingerprint(op).param_order
         child_schema = op.children[0].schema
@@ -453,12 +452,10 @@ class ReteNetwork:
         empty-state rows, then every replay edge feeds its subscriber.
 
         Shared nodes use *targeted activation*: each replay edge applies
-        the upstream's current-state delta only to the subscriber built by
-        this network, never re-emitting to other views.  Input nodes build
-        that state from the graph, column by column; interior subplans
-        reconstruct it from their memories (``state_delta``), in row form,
-        and each such answer is transposed once here, so populate runs the
-        same column kernels a batched commit does.  Construction and
+        the upstream's current-state batch only to the subscriber built by
+        this network, never re-emitting to other views (see
+        :meth:`~.sharing.SharingLayer.state_delta`), so populate runs the
+        same column kernels a commit does.  Construction and
         population happen back-to-back inside ``register``, so no graph
         event can slip in between.
         """
@@ -471,10 +468,7 @@ class ReteNetwork:
                 continue  # it feeds only probe sides, not subscribed yet
             delta = answers.get(id(node))
             if delta is None:
-                delta = self.layer.state_delta(node)
-                if type(delta) is Delta:
-                    delta = ColumnDelta.from_delta(delta, len(node.schema))
-                answers[id(node)] = delta
+                delta = answers[id(node)] = self.layer.state_delta(node)
             if delta:
                 rows += len(delta)
                 subscriber.apply(delta, side)
@@ -525,7 +519,7 @@ class ReteNetwork:
         """
         header = (
             f"{'node':<28} {'schema':<34} {'deltas':>8} {'rows':>10} "
-            f"{'rows/call':>10} {'batch fill':>11} {'memory':>8} {'cells':>8}"
+            f"{'rows/call':>10} {'memory':>8} {'cells':>8}"
         )
         lines = [header, "-" * len(header)]
         for node in self._shared_nodes.values():
@@ -548,22 +542,16 @@ class ReteNetwork:
         columns = ", ".join(node.schema.names)
         if len(columns) > 32:
             columns = columns[:29] + "..."
-        # input-side batching metrics: rows consumed per apply() call, and
-        # the occupancy of columnar batches specifically (input nodes have
-        # no upstream and show "-")
+        # input-side batching: rows consumed per apply() call (input nodes
+        # have no upstream and show "-")
         rows_per_call = (
             f"{node.applied_rows / node.applied_deltas:>10.1f}"
             if node.applied_deltas
             else f"{'-':>10}"
         )
-        batch_fill = (
-            f"{node.columnar_rows / node.columnar_batches:>11.1f}"
-            if node.columnar_batches
-            else f"{'-':>11}"
-        )
         return (
             f"{name:<28} {columns:<34} {node.emitted_deltas:>8} "
-            f"{node.emitted_rows:>10} {rows_per_call} {batch_fill} "
+            f"{node.emitted_rows:>10} {rows_per_call} "
             f"{node.memory_size():>8} {node.memory_cells():>8}"
         )
 
@@ -593,9 +581,6 @@ class ReteNetwork:
     def private_memory_cells(self) -> int:
         """Stored tuple fields in memories owned by this network alone."""
         return sum(node.memory_cells() for node in self.all_nodes)
-
-    def node_count(self) -> int:
-        return len(self.all_nodes)
 
 
 def _feeds_nothing(node: Node) -> bool:

@@ -56,15 +56,14 @@ class AggregateNode(Node):
         if self.is_global:
             group = self._fresh_group()
             self.groups[()] = group
-            delta = Delta()
-            delta.add(self._result_row((), group), 1)
-            self.emit(delta)
+            row = self._result_row((), group)
+            self.emit(ColumnDelta.from_rows([row], [1], len(self.schema)))
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         # transition-sensitive boundary: aggregator state machines (notably
-        # min/max undo logs) depend on net per-row changes, so columnar
-        # batches consolidate at entry — type-exactly, so a row whose value
-        # only changed type (1 → true) retracts from its old group
+        # min/max undo logs) depend on net per-row changes, so each batch
+        # consolidates at entry — type-exactly, so a row whose value only
+        # changed type (1 → true) retracts from its old group
         touched: dict[tuple, tuple | None] = {}
         for row, multiplicity in exact_items(delta):
             key = tuple(fn(row, self.ctx) for fn in self.key_fns)
@@ -103,7 +102,7 @@ class AggregateNode(Node):
                 out.add(old_row, -1)
             if new_row is not None:
                 out.add(new_row, 1)
-        self.emit_like(out, delta)
+        self.emit(ColumnDelta.from_delta(out, len(self.schema)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()

@@ -37,12 +37,12 @@ drain — so the graph cannot move under a waiting delta, and one
 propagation never starts inside another.  At populate nothing is in
 flight and the probe side is never replayed: its state is the graph.
 
-Deltas travel in either physical representation — the row-at-a-time
-:class:`~repro.rete.deltas.Delta` or the columnar
-:class:`~repro.rete.deltas.ColumnDelta` batch — and every node's ``apply``
-accepts both (transition-sensitive nodes consolidate columnar batches at
-entry via :func:`~repro.rete.deltas.as_row_delta` and answer them in
-columns again, :meth:`Node.emit_like`).
+Every delta that crosses an edge is a
+:class:`~repro.rete.deltas.ColumnDelta` batch, whether it carries one
+event's rows, a coalesced batch or a replayed state: counting-linear nodes
+run their column kernels on it as it is, and transition-sensitive nodes
+consolidate it at entry into a row :class:`~repro.rete.deltas.Delta`,
+compute in rows and emit their answer transposed.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Propagation:
     def begin(self) -> None:
         self.active = True
 
-    def defer(self, node, delta: "Delta | ColumnDelta", side: int) -> None:
+    def defer(self, node, delta: ColumnDelta, side: int) -> None:
         key = (node, side)
         waiting = self.deferred.get(key)
         if waiting is None:
@@ -135,11 +135,9 @@ class Node:
 
     Every node keeps cheap traffic counters that PROFILE output reads:
     ``emitted_deltas``/``emitted_rows`` on the output side, and
-    ``applied_deltas``/``applied_rows`` plus the columnar pair
-    (``columnar_batches``/``columnar_rows``) on the input side — the
-    latter make the batch-at-a-time win observable per node (rows per
-    ``apply()`` call, columnar batch fill).  They cost a few integer
-    additions per propagated delta.
+    ``applied_deltas``/``applied_rows`` on the input side — the latter
+    make the batch-at-a-time win observable per node (rows per ``apply()``
+    call).  They cost a few integer additions per propagated delta.
     """
 
     def __init__(self, schema) -> None:
@@ -149,8 +147,6 @@ class Node:
         self.emitted_rows = 0
         self.applied_deltas = 0
         self.applied_rows = 0
-        self.columnar_batches = 0
-        self.columnar_rows = 0
         #: memory slots and index entries a *restricted* :meth:`state_delta`
         #: examined to find its answer (the answer's own rows are counted
         #: by the caller)
@@ -170,35 +166,21 @@ class Node:
     def subscriber_count(self) -> int:
         return len(self._subscribers)
 
-    def emit(self, delta: "Delta | ColumnDelta") -> None:
+    def emit(self, delta: ColumnDelta) -> None:
         if not delta:
             return
         rows = len(delta)
         self.emitted_deltas += 1
         self.emitted_rows += rows
-        columnar = type(delta) is ColumnDelta
         if tracing.ACTIVE is not None:
-            self._emit_traced(tracing.ACTIVE, delta, rows, columnar)
+            self._emit_traced(tracing.ACTIVE, delta, rows)
             return
         for node, side in self._subscribers:
             node.applied_deltas += 1
             node.applied_rows += rows
-            if columnar:
-                node.columnar_batches += 1
-                node.columnar_rows += rows
             node.apply(delta, side)
 
-    def emit_like(self, out: Delta, received: "Delta | ColumnDelta") -> None:
-        """Emit a transition-sensitive node's answer in the form of the
-        delta it answers.  Such nodes consolidate a columnar batch at entry
-        and build their output in rows; handing it on as columns (one
-        transpose) keeps the counting-linear nodes below — a ⋈ over a ⋈*,
-        say — on their column kernels, at populate as in batched commits."""
-        if type(received) is ColumnDelta and out:
-            out = ColumnDelta.from_delta(out, len(self.schema))
-        self.emit(out)
-
-    def _emit_traced(self, tracer, delta, rows: int, columnar: bool) -> None:
+    def _emit_traced(self, tracer, delta, rows: int) -> None:
         """The ``emit`` loop with one span per subscriber ``apply``.
 
         Spans nest with the synchronous depth-first propagation, so the
@@ -206,15 +188,11 @@ class Node:
         counters are maintained identically to the untraced loop.
         """
         label = type(self).__name__.removesuffix("Node")
-        form = "columnar" if columnar else "rows"
-        tracer.enter(f"emit {label}", f"({', '.join(self.schema.names)}) {form}", rows)
+        tracer.enter(f"emit {label}", f"({', '.join(self.schema.names)})", rows)
         try:
             for node, side in self._subscribers:
                 node.applied_deltas += 1
                 node.applied_rows += rows
-                if columnar:
-                    node.columnar_batches += 1
-                    node.columnar_rows += rows
                 target = type(node).__name__.removesuffix("Node")
                 tracer.enter(
                     f"apply {target}", f"side={'right' if side else 'left'}", rows
@@ -226,7 +204,7 @@ class Node:
         finally:
             tracer.exit()
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         raise NotImplementedError
 
     def state_delta(self, restriction: tuple = ()) -> "Delta | ColumnDelta | None":
@@ -235,14 +213,13 @@ class Node:
         Shared (cross-view) nodes use this for *targeted activation*: a
         late-registering view replays the node's present output onto only
         its own subscription edges.  Input nodes build it from the graph
-        and answer in column form — a :class:`~repro.rete.deltas.ColumnDelta`
-        that is also what their ``activate()`` emits at populate.  Stateful
-        interior nodes reconstruct the bag from their memories and answer
-        in row form (a :class:`~repro.rete.deltas.Delta`); populate
-        transposes each such answer once.
-        Stateless nodes return ``None`` and the sharing layer derives their
-        output by running :meth:`transform` over the upstream states
-        instead.
+        and answer in column form, a
+        :class:`~repro.rete.deltas.ColumnDelta`.  Stateful interior nodes
+        reconstruct the bag from their memories and answer in row form (a
+        :class:`~repro.rete.deltas.Delta`), which :meth:`state_columns`
+        transposes once.  Stateless nodes return ``None`` and the sharing
+        layer derives their output by running :meth:`transform` over the
+        upstream states instead.
 
         *restriction* — ``(output column, atom)`` pairs from a binding
         partition's equality conjuncts — is a prefilter the node *may*
@@ -255,14 +232,21 @@ class Node:
         """
         return None
 
+    def state_columns(self, restriction: tuple = ()) -> "ColumnDelta | None":
+        """:meth:`state_delta` as a batch, the form a replay hands on."""
+        state = self.state_delta(restriction)
+        if state is None:
+            return None
+        return ColumnDelta.from_delta(state, len(self.schema))
+
     def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
         """*restriction* on this stateless node's output, re-expressed on
         the columns of its *side* input (pairs that do not map are
         dropped — a shorter restriction is only a coarser prefilter)."""
         return ()
 
-    def transform(self, delta: Delta, side: int) -> Delta:
-        """Pure output delta for *delta* on *side* — stateless nodes only.
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
+        """Pure output batch for *delta* on *side* — stateless nodes only.
 
         Must not touch memories or emit; ``apply`` of a stateless node is
         ``emit(transform(...))``, and the sharing layer reuses the same

@@ -2,20 +2,23 @@
 
 Each input node materialises one base relation (the paper's © and ⇑
 operators, including their pushed-down ``{prop → attr}`` columns) and
-translates graph changes into tuple deltas.  Per-event translation reads
-each event's *before* state, so retraction tuples are rebuilt exactly as
-they were emitted — the network never consults its own memory to undo an
-input.  The current relation (``state_delta``, what populate replays) and
-the net change of a coalesced batch (``batch_delta``) are built column by
-column as a :class:`~repro.rete.deltas.ColumnDelta`, by the same column
-builders.
+translates graph changes into :class:`~repro.rete.deltas.ColumnDelta`
+batches, the one form that crosses a network edge.  Per-event translation
+reads each event's *before* state, so retraction tuples are rebuilt
+exactly as they were emitted — the network never consults its own memory
+to undo an input — and transposes the event's few rows into a batch.  The
+current relation (``state_delta``, what populate replays) and the net
+change of a coalesced batch (``batch_delta``) are built column by column,
+by the same column builders.  Both paths drop a changed entity whose
+before and after rows are the same values, and emit every other
+retraction before its assertion, unconsolidated.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ...algebra.ops import GetEdges, GetVertices, PropertyProjection
+from ...algebra.ops import GetEdges, GetVertices
 from ...eval.projections import (
     edge_projection_column,
     edge_projection_value,
@@ -25,7 +28,7 @@ from ...eval.projections import (
 from ...graph import events as ev
 from ...graph.graph import PropertyGraph
 from ...graph.values import same_value
-from ..deltas import ColumnDelta, Delta
+from ..deltas import ColumnDelta
 from ..router import EdgeInterest, VertexInterest
 from .base import LEFT, Node
 
@@ -48,18 +51,18 @@ _NO_VERTICES: tuple[list[int], list[int]] = ([], [])
 
 
 class UnitNode(Node):
-    """Its state is the single empty tuple, in row form: a zero-width
-    batch has no column to carry its one row."""
+    """Its state is the single empty tuple: a zero-width batch of one
+    occurrence."""
 
-    def state_delta(self, restriction: tuple = ()) -> Delta:
-        delta = Delta()
-        delta.add((), 1)
-        return delta
+    def state_delta(self, restriction: tuple = ()) -> ColumnDelta:
+        return ColumnDelta([], [1], 0)
+
+    state_columns = state_delta
 
     def on_event(self, event: ev.GraphEvent) -> None:  # pragma: no cover
         pass
 
-    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
+    def apply(self, delta: ColumnDelta, side: int) -> None:  # pragma: no cover
         raise AssertionError("input nodes have no upstream")
 
 
@@ -79,29 +82,37 @@ class _GraphInputNode(Node):
     values.  No row is built and nothing is transposed.
     """
 
+    def state_columns(self, restriction: tuple = ()) -> ColumnDelta:
+        """:meth:`state_delta`, built in columns already."""
+        return self.state_delta(restriction)
+
+    def _emit_rows(self, rows: list[tuple], multiplicity: int) -> None:
+        """Emit one event's *rows*, each at *multiplicity*, as a batch."""
+        if rows:
+            mults = [multiplicity] * len(rows)
+            self.emit(ColumnDelta.from_rows(rows, mults, len(self.schema)))
+
     def _emit_change(self, gone: list[tuple], new: list[tuple]) -> None:
         """Emit one event's retraction of the *gone* rows and assertion of
-        the *new* ones.
+        the *new* ones (each list holds distinct rows).
 
-        A row delta cancels a retraction against an ``==`` assertion, so a
-        value that only changed type (``1`` → ``True``) would never reach a
-        σ that tells the two apart.  Such a change travels as an
-        unconsolidated column batch instead, retractions first, so every
-        memory folds the old row out before the new one comes in.
+        A gone row and a new row that are the same values
+        (:func:`~repro.graph.values.same_value`) are dropped, as
+        :meth:`_net` drops them from a batch.  A value that only changed
+        type (``1`` → ``True``) is ``==`` but not the same, so it still
+        reaches a σ that tells the two apart: every other row is emitted,
+        retractions first, so every memory folds the old row out before
+        the new one comes in.
         """
-        delta = Delta()
-        for row in gone:
-            delta.add(row, -1)
-        for row in new:
-            delta.add(row, 1)
-        if len(delta) < len(gone) + len(new):
-            held = {row: row for row in gone}
-            if any(
-                row in held and not same_value(held[row], row) for row in new
-            ):
-                mults = [-1] * len(gone) + [1] * len(new)
-                delta = ColumnDelta.from_rows(gone + new, mults, len(self.schema))
-        self.emit(delta)
+        if gone and new:
+            held = dict(zip(gone, gone))
+            same = {row for row in new if row in held and same_value(held[row], row)}
+            if same:
+                gone = [row for row in gone if row not in same]
+                new = [row for row in new if row not in same]
+        mults = [-1] * len(gone) + [1] * len(new)
+        if mults:
+            self.emit(ColumnDelta.from_rows(gone + new, mults, len(self.schema)))
 
     def emit_batch(self, batch) -> None:
         """Translate one coalesced batch and emit it."""
@@ -168,7 +179,7 @@ class _GraphInputNode(Node):
         dropped = {position for pair in same for position in pair}
         return delta.take([p for p in range(len(delta)) if p not in dropped])
 
-    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
+    def apply(self, delta: ColumnDelta, side: int) -> None:  # pragma: no cover
         raise AssertionError("input nodes have no upstream")
 
     # -- keyed probes ---------------------------------------------------------
@@ -330,26 +341,14 @@ class VertexInputNode(_GraphInputNode):
         return 0, [value]
 
     def on_event(self, event: ev.GraphEvent) -> None:
-        if isinstance(event, ev.VertexAdded):
+        if isinstance(event, (ev.VertexAdded, ev.VertexRemoved)):
             if self._matches(event.labels):
                 row = self._tuple(
                     event.vertex_id,
                     labels=event.labels,
                     properties=_private_dict(event.properties),
                 )
-                delta = Delta()
-                delta.add(row, 1)
-                self.emit(delta)
-        elif isinstance(event, ev.VertexRemoved):
-            if self._matches(event.labels):
-                row = self._tuple(
-                    event.vertex_id,
-                    labels=event.labels,
-                    properties=_private_dict(event.properties),
-                )
-                delta = Delta()
-                delta.add(row, -1)
-                self.emit(delta)
+                self._emit_rows([row], 1 if isinstance(event, ev.VertexAdded) else -1)
         elif isinstance(event, ev.VertexLabelAdded):
             current = self.graph.labels_of(event.vertex_id)
             before = current - {event.label}
@@ -364,18 +363,16 @@ class VertexInputNode(_GraphInputNode):
     def _label_transition(self, vertex_id: int, before, current) -> None:
         was = self._matches(before)
         now = self._matches(current)
-        if not was and not now:
-            return
-        delta = Delta()
         if was and not now:
-            delta.add(self._tuple(vertex_id, labels=before), -1)
+            self._emit_rows([self._tuple(vertex_id, labels=before)], -1)
         elif now and not was:
-            delta.add(self._tuple(vertex_id, labels=current), 1)
-        elif self._wants_labels:
+            self._emit_rows([self._tuple(vertex_id, labels=current)], 1)
+        elif was and self._wants_labels:
             # membership unchanged but a labels(...) column changed value
-            delta.add(self._tuple(vertex_id, labels=before), -1)
-            delta.add(self._tuple(vertex_id, labels=current), 1)
-        self.emit(delta)
+            self._emit_change(
+                [self._tuple(vertex_id, labels=before)],
+                [self._tuple(vertex_id, labels=current)],
+            )
 
     def batch_delta(self, batch) -> ColumnDelta:
         """Net delta for one :class:`~repro.rete.batch.CoalescedBatch`."""
@@ -554,20 +551,6 @@ class EdgeInputNode(_GraphInputNode):
                 )
         return tuple(row)
 
-    def _edge_delta(
-        self,
-        edge_id: int,
-        source: int,
-        target: int,
-        sign: int,
-        delta: Delta,
-        **overrides,
-    ) -> None:
-        for src, tgt in self._orientations(source, target):
-            row = self._row(edge_id, src, tgt, **overrides)
-            if row is not None:
-                delta.add(row, sign)
-
     def _edge_rows(
         self, edge_id: int, source: int, target: int, rows: list, **overrides
     ) -> None:
@@ -692,32 +675,18 @@ class EdgeInputNode(_GraphInputNode):
         return None if ids is None else (0 if role == "src" else 2, ids)
 
     def on_event(self, event: ev.GraphEvent) -> None:
-        if isinstance(event, ev.EdgeAdded):
+        if isinstance(event, (ev.EdgeAdded, ev.EdgeRemoved)):
             if self._type_matches(event.edge_type):
-                delta = Delta()
-                self._edge_delta(
+                rows: list[tuple] = []
+                self._edge_rows(
                     event.edge_id,
                     event.source,
                     event.target,
-                    1,
-                    delta,
+                    rows,
                     edge_type=event.edge_type,
                     edge_properties=_private_dict(event.properties),
                 )
-                self.emit(delta)
-        elif isinstance(event, ev.EdgeRemoved):
-            if self._type_matches(event.edge_type):
-                delta = Delta()
-                self._edge_delta(
-                    event.edge_id,
-                    event.source,
-                    event.target,
-                    -1,
-                    delta,
-                    edge_type=event.edge_type,
-                    edge_properties=_private_dict(event.properties),
-                )
-                self.emit(delta)
+                self._emit_rows(rows, 1 if isinstance(event, ev.EdgeAdded) else -1)
         elif isinstance(event, ev.EdgePropertySet):
             self._edge_property_change(event)
         elif isinstance(event, ev.VertexLabelAdded):
@@ -800,18 +769,17 @@ class EdgeInputNode(_GraphInputNode):
     def _endpoint_label_change(self, vertex_id: int, before, current) -> None:
         if not self._relevant_label_change(before, current):
             return
-        delta = Delta()
+        gone: list[tuple] = []
+        new: list[tuple] = []
         for edge_id in self._interesting_incident(vertex_id):
             source, target = self.graph.endpoints(edge_id)
-            self._edge_delta(
-                edge_id, source, target, -1, delta,
-                vertex_labels={vertex_id: before},
+            self._edge_rows(
+                edge_id, source, target, gone, vertex_labels={vertex_id: before}
             )
-            self._edge_delta(
-                edge_id, source, target, 1, delta,
-                vertex_labels={vertex_id: current},
+            self._edge_rows(
+                edge_id, source, target, new, vertex_labels={vertex_id: current}
             )
-        self.emit(delta)
+        self._emit_change(gone, new)
 
     def _endpoint_property_change(self, event: ev.VertexPropertySet) -> None:
         if not (

@@ -11,17 +11,16 @@ which also states how a probe side keeps the rule exact).
 
 Every memory is a :class:`~repro.rete.deltas.ColumnStore` — key cells
 stored once per distinct key, payload values in parallel columns — and
-each node has one loop per delta form: a row loop over a
-:class:`~repro.rete.deltas.Delta` (per-event mode) and a column loop over
-a :class:`~repro.rete.deltas.ColumnDelta` (batched mode and populate).
-In the column loop key columns are extracted with one C-level transpose,
+every delta is a :class:`~repro.rete.deltas.ColumnDelta` batch (one
+event's rows, a coalesced batch or a replayed state), so each node has
+one loop per side: key columns are extracted with one C-level transpose,
 the key column probes the store in one loop (``ColumnStore.pair``) and
 the batch's value columns fold in directly (``insert_columns``: a bulk
 copy into a store that is still empty, as every memory is at populate,
 and the batch fold after that).
 ⋈ and the left sides of ▷ and ⟕ gather their output column by column
 and build no row tuple at all.  All four maintenance rules are linear in
-row occurrences, so the column loops are exact on unconsolidated batches
+row occurrences, so the loops are exact on unconsolidated batches
 (duplicate occurrences sum; any compensating output pairs cancel at the
 next consolidation boundary).
 
@@ -157,7 +156,7 @@ class JoinNode(Node):
     def _merge(self, left_row: tuple, right_row: tuple) -> tuple:
         return left_row + tuple(right_row[i] for i in self.right_extra)
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         if (
             self.probe is not None
             and side != self.probe_side
@@ -166,15 +165,6 @@ class JoinNode(Node):
             self.propagation.defer(self, delta, side)
         else:
             self.fold_deferred(delta, side)
-
-    def fold_deferred(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        """Pair *delta* with the other side and fold it into its own (a
-        probe side folds nothing); a stored-side delta the propagation held
-        back comes here when it ends."""
-        if type(delta) is ColumnDelta:
-            self._apply_columnar(delta, side)
-        else:
-            self._apply_rows(delta, side)
 
     def _other(self, side: int, keys) -> ColumnStore:
         """The memory opposite *side*: its store, or the probe side's rows
@@ -187,39 +177,13 @@ class JoinNode(Node):
         self.probe_rows += len(store.mults)
         return store
 
-    def _apply_rows(self, delta: Delta, side: int) -> None:
-        key = self.left_key if side == LEFT else self.right_key
-        items = list(delta.items())
-        keys = [tuple(row[i] for i in key) for row, _ in items]
-        out = Delta()
-        self._pair_rows(out, items, keys, side, self._other(side, keys))
-        own = self.left_index if side == LEFT else self.right_index
-        if own is not None:
-            for key, (row, multiplicity) in zip(keys, items):
-                own.insert(key, row, multiplicity)
-        self.emit(out)
-
-    def _pair_rows(self, out: Delta, items, keys, side: int, probed) -> None:
-        probe = probed.get
-        if side == LEFT:
-            for key, (row, multiplicity) in zip(keys, items):
-                bucket = probe(key)
-                if bucket is not None:
-                    for suffix, m2 in bucket.payloads():
-                        out.add(row + suffix, multiplicity * m2)
-            return
-        extra = self.right_extra
-        for key, (row, multiplicity) in zip(keys, items):
-            bucket = probe(key)
-            if bucket is not None:
-                suffix = tuple(row[i] for i in extra)
-                for other, m2 in bucket.items():
-                    out.add(other + suffix, multiplicity * m2)
-
-    def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
-        """Gathered: one probe loop pairs batch positions with the other
-        store's matching slots (:meth:`_gather`), and the value columns
-        fold in directly (``insert_columns``).  No row tuple is built."""
+    def fold_deferred(self, delta: ColumnDelta, side: int) -> None:
+        """Pair *delta* with the other side and fold it into its own (a
+        probe side folds nothing); a stored-side delta the propagation held
+        back comes here when it ends.  Gathered: one probe loop pairs batch
+        positions with the other store's matching slots (:meth:`_gather`),
+        and the value columns fold in directly (``insert_columns``).  No
+        row tuple is built."""
         keys = delta.key_column(self.left_key if side == LEFT else self.right_key)
         out = self._gather(delta, side, keys, self._other(side, keys))
         own = self.left_index if side == LEFT else self.right_index
@@ -389,36 +353,7 @@ class AntiJoinNode(Node):
         # is nothing for column storage to deduplicate
         self.right_counts: dict[tuple, int] = {}
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        if type(delta) is ColumnDelta:
-            self._apply_columnar(delta, side)
-            return
-        out = Delta()
-        if side == LEFT:
-            fold = self.left_index.insert
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.left_key)
-                if self.right_counts.get(key, 0) == 0:
-                    out.add(row, multiplicity)
-                fold(key, row, multiplicity)
-        else:
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.right_key)
-                before = self.right_counts.get(key, 0)
-                after = before + multiplicity
-                if after:
-                    self.right_counts[key] = after
-                else:
-                    self.right_counts.pop(key, None)
-                if before == 0 and after > 0:
-                    for left_row, m in self.left_index.get(key, {}).items():
-                        out.add(left_row, -m)
-                elif before > 0 and after == 0:
-                    for left_row, m in self.left_index.get(key, {}).items():
-                        out.add(left_row, m)
-        self.emit(out)
-
-    def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         mults = delta.mults
         if side == LEFT:
             # the output is the batch at its unmatched positions, taken
@@ -492,59 +427,14 @@ class LeftOuterJoinNode(Node):
     def _merge(self, left_row: tuple, right_row: tuple) -> tuple:
         return left_row + tuple(right_row[i] for i in self.right_extra)
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        if type(delta) is ColumnDelta:
-            self._apply_columnar(delta, side)
-        else:
-            self._apply_rows(delta, side)
-
-    def _apply_rows(self, delta: Delta, side: int) -> None:
-        """The right count is ``key_weight`` (the bucket's summed
-        multiplicity), read just before each fold, so the before/after
-        zero-crossing that toggles null padding is decided per occurrence."""
-        out = Delta()
-        nulls = self._nulls
-        if side == LEFT:
-            probe = self.right_index.get
-            fold = self.left_index.insert
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.left_key)
-                bucket = probe(key)
-                if bucket is not None:
-                    for suffix, m2 in bucket.payloads():
-                        out.add(row + suffix, multiplicity * m2)
-                else:
-                    out.add(row + nulls, multiplicity)
-                fold(key, row, multiplicity)
-        else:
-            extra = self.right_extra
-            left = self.left_index.get
-            right_store = self.right_index
-            for row, multiplicity in delta.items():
-                key = tuple(row[i] for i in self.right_key)
-                suffix = tuple(row[i] for i in extra)
-                bucket = left(key)
-                if bucket is not None:
-                    for left_row, m in bucket.items():
-                        out.add(left_row + suffix, multiplicity * m)
-                before = right_store.key_weight(key)
-                right_store.insert_payload(key, suffix, multiplicity)
-                after = before + multiplicity
-                if bucket is not None:
-                    if before == 0 and after > 0:
-                        for left_row, m in bucket.items():
-                            out.add(left_row + nulls, -m)
-                    elif before > 0 and after == 0:
-                        for left_row, m in bucket.items():
-                            out.add(left_row + nulls, m)
-        self.emit(out)
-
-    def _apply_columnar(self, delta: ColumnDelta, side: int) -> None:
-        """The right side keeps the row loop's per-occurrence interleaving
-        of joins and count transition, tallying each key's weight so the
-        store folds the batch once, after the loop.  The left side builds
-        no row tuple: matches are gathered as in ⋈, misses taken from the
-        batch and padded with ``None`` columns."""
+    def apply(self, delta: ColumnDelta, side: int) -> None:
+        """The right side interleaves joins and count transitions per
+        occurrence: a key's right count is the store's bucket weight
+        (``key_weight``) plus what the batch has moved it by so far, so
+        the zero-crossing that toggles null padding is decided per
+        occurrence and the store folds the batch once, after the loop.
+        The left side builds no row tuple: matches are gathered as in ⋈,
+        misses taken from the batch and padded with ``None`` columns."""
         mults = delta.mults
         cols = delta.columns
         if side == LEFT:
@@ -630,24 +520,15 @@ class UnionNode(Node):
         # every tuple through an identity permutation is pure overhead
         self._identity = right_permutation == tuple(range(len(right_permutation)))
 
-    def transform(self, delta: "Delta | ColumnDelta", side: int):
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
         if side == LEFT or self._identity:
-            if type(delta) is ColumnDelta:
-                return delta  # pass-through: columns are immutable downstream
-            out = Delta()
-            out.update(delta)  # empty-destination bulk copy, no per-row adds
-            return out
-        if type(delta) is ColumnDelta:
-            # zero-copy column projection: permute the column list itself
-            return ColumnDelta(
-                [delta.columns[i] for i in self.right_permutation],
-                delta.mults,
-                delta.width,
-            )
-        out = Delta()
-        for row, multiplicity in delta.items():
-            out.add(tuple(row[i] for i in self.right_permutation), multiplicity)
-        return out
+            return delta  # pass-through: columns are immutable downstream
+        # zero-copy column projection: permute the column list itself
+        return ColumnDelta(
+            [delta.columns[i] for i in self.right_permutation],
+            delta.mults,
+            delta.width,
+        )
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         self.emit(self.transform(delta, side))

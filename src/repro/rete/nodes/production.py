@@ -10,7 +10,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 from ...algebra.expressions import EvalContext
 from ...eval.results import row_order_key, sort_pass
 from ...graph.values import PathValue, order_key
-from ..deltas import ColumnDelta, Delta, as_row_delta, bag_insert
+from ..deltas import ColumnDelta, Delta, bag_insert
 from .base import Node
 
 ChangeCallback = Callable[[Delta], None]
@@ -199,13 +199,12 @@ class ProductionNode(Node):
     def on_change(self, callback: ChangeCallback) -> None:
         self._callbacks.append(callback)
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
-        # transition-sensitive boundary: consolidate columnar batches so a
+    def apply(self, delta: ColumnDelta, side: int) -> None:
+        # transition-sensitive boundary: consolidate each batch so a
         # transient delete/insert pair can never trip the negative check
-        delta = as_row_delta(delta)
         real = Delta()
         log, tick = self._log, self._tick
-        for row, multiplicity in delta.items():
+        for row, multiplicity in delta.to_delta().items():
             before = self.results.get(row, 0)
             after = bag_insert(self.results, row, multiplicity)
             if after < 0:

@@ -40,7 +40,7 @@ bag the interpreter computes, so every ⋈* view and subplan is servable.
 from __future__ import annotations
 
 from ...graph.values import PathValue
-from ..deltas import ColumnDelta, Delta, as_row_delta, index_insert
+from ..deltas import ColumnDelta, Delta, index_insert
 from .base import LEFT, Node
 
 EDGES = 1
@@ -212,10 +212,10 @@ class TransitiveClosureNode(Node):
 
     # -- delta application --------------------------------------------------------
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         # transition-sensitive boundary: trail derivation replays edge
-        # occurrences one at a time, so columnar batches consolidate at entry
-        rows = as_row_delta(delta)
+        # occurrences one at a time, so each batch consolidates at entry
+        rows = delta.to_delta()
         out = Delta()
         if side == LEFT:
             for row, multiplicity in rows.items():
@@ -242,7 +242,7 @@ class TransitiveClosureNode(Node):
                 else:
                     for _ in range(-multiplicity):
                         self._remove_edge(s, e, t, out)
-        self.emit_like(out, delta)
+        self.emit(ColumnDelta.from_delta(out, len(self.schema)))
 
     def _insert_edge(self, s: int, e: int, t: int, out: Delta) -> None:
         cap = self.max_hops

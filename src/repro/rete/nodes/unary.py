@@ -1,13 +1,13 @@
 """Stateless and lightly-stateful unary nodes: σ, π, δ (dedup), unwind.
 
 The stateless nodes (σ, π, ω and the binding-indexed σ's partitions) are
-counting-linear, so their ``transform`` accepts both delta representations
-and answers in kind: a columnar batch goes through the generated column
+counting-linear: their ``transform`` runs a
+:class:`~repro.rete.deltas.ColumnDelta` batch through the generated column
 form of its expressions (:class:`~repro.algebra.expressions.Generated`
-``.cols``) and never becomes row tuples, a row delta goes through the row
-form of the same generated body.  δ (dedup) is transition-sensitive and
-consolidates columnar batches at entry
-(:func:`~repro.rete.deltas.as_row_delta`).
+``.cols``), and the batch never becomes row tuples.  δ (dedup) is
+transition-sensitive: it consolidates each batch at entry
+(:meth:`~repro.rete.deltas.ColumnDelta.to_delta`) and emits its answer
+transposed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any
 
 from ...algebra.expressions import CompiledExpr, EvalContext, Generated
 from ...graph.values import ListValue, freeze_value
-from ..deltas import ColumnDelta, Delta, as_row_delta, bag_insert
+from ..deltas import ColumnDelta, Delta, bag_insert
 from .base import Node
 
 #: atom types whose Python hashing/equality agree with Cypher ``=`` closely
@@ -29,18 +29,13 @@ _INDEXABLE_ATOMS = (bool, int, float, str)
 _NO_PARAMS = EvalContext({})
 
 
-def _select(predicate: Generated, ctx: EvalContext, delta: "Delta | ColumnDelta"):
-    """The part of *delta* on which *predicate* is exactly true, in kind."""
-    if type(delta) is ColumnDelta:
-        keep = predicate.cols(delta.columns, len(delta.mults), ctx)
-        # a batch is immutable once emitted: all kept means the same batch
-        return delta if len(keep) == len(delta.mults) else delta.take(keep)
-    out = Delta()
-    row_predicate = predicate.row
-    for row, multiplicity in delta.items():
-        if row_predicate(row, ctx) is True:
-            out.add(row, multiplicity)
-    return out
+def _select(
+    predicate: Generated, ctx: EvalContext, delta: ColumnDelta
+) -> ColumnDelta:
+    """The part of *delta* on which *predicate* is exactly true."""
+    keep = predicate.cols(delta.columns, len(delta.mults), ctx)
+    # a batch is immutable once emitted: all kept means the same batch
+    return delta if len(keep) == len(delta.mults) else delta.take(keep)
 
 
 class SelectionNode(Node):
@@ -56,10 +51,10 @@ class SelectionNode(Node):
         self.predicate = predicate
         self.ctx = ctx
 
-    def transform(self, delta: "Delta | ColumnDelta", side: int):
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
         return _select(self.predicate, self.ctx, delta)
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         self.emit(self.transform(delta, side))
 
     def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
@@ -91,10 +86,10 @@ class SelectionPartitionNode(Node):
     def passes(self, row: tuple) -> bool:
         return self.owner.predicate.row(row, self.ctx) is True
 
-    def transform(self, delta: "Delta | ColumnDelta", side: int):
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
         return _select(self.owner.predicate, self.ctx, delta)
 
-    def apply(self, delta: Delta, side: int) -> None:  # pragma: no cover
+    def apply(self, delta: ColumnDelta, side: int) -> None:  # pragma: no cover
         raise AssertionError("partitions are fed by their owning node")
 
     def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
@@ -125,7 +120,7 @@ class BindingIndexedSelectionNode(Node):
     per-event translation work).
 
     When every discriminant expression is a bare column reference, the
-    columnar path extracts the whole composite key column with one C-level
+    node extracts the whole composite key column with one C-level
     transpose (:meth:`~repro.rete.deltas.ColumnDelta.key_column`) instead
     of evaluating compiled expressions per row.
     """
@@ -240,66 +235,39 @@ class BindingIndexedSelectionNode(Node):
                 return self._scan
         return self._index.get(key, ())
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         if not self._partitions:
             return
         if self._disc_exprs is None:
             for facade in self._partitions.values():
                 facade.emit(facade.transform(delta, side))
             return
-        if type(delta) is ColumnDelta:
-            self._apply_columnar(delta)
-            return
-        routed: dict[int, tuple[SelectionPartitionNode, Delta]] = {}
-        for row, multiplicity in delta.items():
-            for facade in self._candidates(row):
-                if facade.passes(row):
-                    slot = routed.get(id(facade))
-                    if slot is None:
-                        slot = (facade, Delta())
-                        routed[id(facade)] = slot
-                    slot[1].add(row, multiplicity)
-        for facade, out in routed.values():
-            facade.emit(out)
-
-    def _apply_columnar(self, delta: ColumnDelta) -> None:
-        mults = delta.mults
-        routed: dict[int, tuple[SelectionPartitionNode, list, list]] = {}
-        get_slot = routed.get
         if self._disc_cols is not None:
             # direct-column path: route on the prebuilt composite key
             # column and materialise a row tuple only at the (typically
             # few) positions whose key has candidate partitions
-            keys = delta.key_column(self._disc_cols)
             columns = delta.columns
-            for position, key in enumerate(keys):
-                candidates = self._key_candidates(key)
-                if not candidates:
-                    continue
-                row = tuple(column[position] for column in columns)
-                multiplicity = mults[position]
-                for facade in candidates:
-                    if facade.passes(row):
-                        slot = get_slot(id(facade))
-                        if slot is None:
-                            slot = (facade, [], [])
-                            routed[id(facade)] = slot
-                        slot[1].append(row)
-                        slot[2].append(multiplicity)
+            keys = delta.key_column(self._disc_cols)
+            found = [
+                (position, tuple(column[position] for column in columns), candidates)
+                for position, candidates in enumerate(map(self._key_candidates, keys))
+                if candidates
+            ]
         else:
-            for position, row in enumerate(delta.rows()):
-                candidates = self._candidates(row)
-                if not candidates:
-                    continue
-                multiplicity = mults[position]
-                for facade in candidates:
-                    if facade.passes(row):
-                        slot = get_slot(id(facade))
-                        if slot is None:
-                            slot = (facade, [], [])
-                            routed[id(facade)] = slot
-                        slot[1].append(row)
-                        slot[2].append(multiplicity)
+            found = [
+                (position, row, self._candidates(row))
+                for position, row in enumerate(delta.rows())
+            ]
+        mults = delta.mults
+        routed: dict[int, tuple[SelectionPartitionNode, list, list]] = {}
+        for position, row, candidates in found:
+            for facade in candidates:
+                if facade.passes(row):
+                    slot = routed.get(id(facade))
+                    if slot is None:
+                        slot = routed[id(facade)] = (facade, [], [])
+                    slot[1].append(row)
+                    slot[2].append(mults[position])
         width = len(self.schema)
         for facade, out_rows, out_mults in routed.values():
             facade.emit(ColumnDelta.from_rows(out_rows, out_mults, width))
@@ -323,19 +291,12 @@ class ProjectionNode(Node):
         #: for computed items) — what lets a restriction pass through π
         self.source_cols = source_cols
 
-    def transform(self, delta: "Delta | ColumnDelta", side: int):
-        ctx = self.ctx
-        if type(delta) is ColumnDelta:
-            mults = delta.mults  # shared with the input: batches are immutable
-            columns = self.items.cols(delta.columns, len(mults), ctx)
-            return ColumnDelta(columns, mults, len(columns))
-        out = Delta()
-        items = self.items.row
-        for row, multiplicity in delta.items():
-            out.add(items(row, ctx), multiplicity)
-        return out
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
+        mults = delta.mults  # shared with the input: batches are immutable
+        columns = self.items.cols(delta.columns, len(mults), self.ctx)
+        return ColumnDelta(columns, mults, len(columns))
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         self.emit(self.transform(delta, side))
 
     def upstream_restriction(self, restriction: tuple, side: int) -> tuple:
@@ -350,16 +311,16 @@ class ProjectionNode(Node):
 class DedupNode(Node):
     """δ — collapses multiplicities to one; emits only 0↔positive edges.
 
-    Transition-sensitive: defined on net per-row changes, so columnar
-    batches consolidate at entry (boundary-materialisation rule)."""
+    Transition-sensitive: defined on net per-row changes, so each batch
+    consolidates at entry (boundary-materialisation rule)."""
 
     def __init__(self, schema):
         super().__init__(schema)
         self.counts: dict[tuple, int] = {}
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         out = Delta()
-        for row, multiplicity in as_row_delta(delta).items():
+        for row, multiplicity in delta.to_delta().items():
             before = self.counts.get(row, 0)
             after = bag_insert(self.counts, row, multiplicity)
             if before == 0 and after > 0:
@@ -368,7 +329,7 @@ class DedupNode(Node):
                 out.add(row, -1)
             elif after < 0:
                 raise AssertionError(f"negative multiplicity for {row}")
-        self.emit_like(out, delta)
+        self.emit(ColumnDelta.from_delta(out, len(self.schema)))
 
     def state_delta(self, restriction: tuple = ()) -> Delta:
         out = Delta()
@@ -393,33 +354,21 @@ class UnwindNode(Node):
         self.expression = expression
         self.ctx = ctx
 
-    def transform(self, delta: "Delta | ColumnDelta", side: int):
-        ctx = self.ctx
-        if type(delta) is ColumnDelta:
-            (values,) = self.expression.cols(delta.columns, len(delta.mults), ctx)
-            positions: list[int] = []
-            elements: list = []
-            for position, value in enumerate(values):
-                if value is None:
-                    continue
-                if isinstance(value, ListValue):
-                    positions.extend([position] * len(value))
-                    elements.extend(value)
-                else:
-                    positions.append(position)
-                    elements.append(value)
-            out = delta.take(positions)
-            return ColumnDelta(out.columns + [elements], out.mults, out.width + 1)
-        out = Delta()
-        expression = self.expression.row
-        for row, multiplicity in delta.items():
-            (value,) = expression(row, ctx)
+    def transform(self, delta: ColumnDelta, side: int) -> ColumnDelta:
+        (values,) = self.expression.cols(delta.columns, len(delta.mults), self.ctx)
+        positions: list[int] = []
+        elements: list = []
+        for position, value in enumerate(values):
             if value is None:
                 continue
-            elements = list(value) if isinstance(value, ListValue) else [value]
-            for element in elements:
-                out.add(row + (element,), multiplicity)
-        return out
+            if isinstance(value, ListValue):
+                positions.extend([position] * len(value))
+                elements.extend(value)
+            else:
+                positions.append(position)
+                elements.append(value)
+        out = delta.take(positions)
+        return ColumnDelta(out.columns + [elements], out.mults, out.width + 1)
 
-    def apply(self, delta: "Delta | ColumnDelta", side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
         self.emit(self.transform(delta, side))

@@ -35,13 +35,14 @@ Late registration is handled by *targeted activation*: when a view joins a
 live node, the current-state delta is applied only to the new view's
 subscription edges, never re-emitted to existing subscribers.  Input nodes
 build that delta from the graph, in columns; interior nodes reconstruct it
-from their memories, in rows (both via ``state_delta``), with stateless
-nodes derived on demand by replaying their upstreams' state through the
-node's pure ``transform``.  A new binding joining a live binding-indexed σ
-does not fold the whole shared core for its handful of rows: its partition
-hands its equality conjuncts down as a *restriction* and the first
-stateful node below answers just the rows that can pass (one column scan
-plus probes), the partition's predicate confirming each.
+from their memories, in rows transposed once (both via
+``state_columns``), with stateless nodes derived on demand by replaying
+their upstreams' state through the node's pure ``transform``.  A new
+binding joining a live binding-indexed σ does not fold the whole shared
+core for its handful of rows: its partition hands its equality conjuncts
+down as a *restriction* and the first stateful node below answers just
+the rows that can pass (one column scan plus probes), the partition's
+predicate confirming each.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from ..compiler.fingerprint import (
 )
 from ..graph.graph import PropertyGraph
 from ..graph.values import ListValue, MapValue, PathValue, freeze_value
-from .deltas import ColumnDelta, Delta, as_row_delta
+from .deltas import ColumnDelta
 from .nodes.base import Node, Propagation
 from .nodes.input import EdgeInputNode, UnitNode, VertexInputNode
 from .nodes.unary import BindingIndexedSelectionNode, SelectionPartitionNode
@@ -435,17 +436,17 @@ class SharingLayer:
 
     # -- targeted activation --------------------------------------------------
 
-    def state_delta(self, node: Node) -> "Delta | ColumnDelta":
-        """Current output of a layer-owned node, for targeted activation.
+    def state_delta(self, node: Node) -> ColumnDelta:
+        """Current output of a layer-owned node, for targeted activation,
+        as a batch that may be unconsolidated.
 
-        Stateful nodes answer from their own memories, in row form;
-        stateless ones are derived by replaying each upstream's state
-        through the node's pure ``transform`` (upstream chains bottom out
-        at input nodes, whose state is the graph itself, answered in
-        columns).  A stateless node with one upstream answers in the form
-        its ``transform`` hands back — over an input, an unconsolidated
-        column batch — and only a ∪ merges its arms into rows; row-form
-        readers call :func:`~.deltas.as_row_delta`.
+        Stateful nodes answer from their own memories, in row form
+        transposed once (:meth:`~.nodes.base.Node.state_columns`), before
+        any stateless ``transform`` sees it; stateless ones are derived by
+        replaying each upstream's state through the node's pure
+        ``transform`` (upstream chains bottom out at input nodes, whose
+        state is the graph itself, built in columns).  A ∪ hands its arms
+        on one after the other (:meth:`ColumnDelta.concat`).
 
         A value-indexed binding partition on the way contributes its
         ``(column, atom)`` equality pairs as a *restriction*: stateless
@@ -459,10 +460,10 @@ class SharingLayer:
         self.stats.replay_rows_emitted += len(out)
         return out
 
-    def _replay(self, node: Node, restriction: tuple) -> "Delta | ColumnDelta":
+    def _replay(self, node: Node, restriction: tuple) -> ColumnDelta:
         """*node*'s state under *restriction* (see :meth:`state_delta`)."""
         examined = node.replay_scanned
-        own = node.state_delta(restriction)
+        own = node.state_columns(restriction)
         if own is not None:
             self.stats.replay_rows_scanned += (
                 len(own) + node.replay_scanned - examined
@@ -476,12 +477,7 @@ class SharingLayer:
             )
             for upstream, side in entry.upstreams
         ]
-        if len(answers) == 1:
-            return answers[0]
-        out = Delta()
-        for answer in answers:
-            out.update(as_row_delta(answer))
-        return out
+        return answers[0] if len(answers) == 1 else ColumnDelta.concat(answers)
 
     # -- maintenance ----------------------------------------------------------
 

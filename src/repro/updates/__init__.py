@@ -12,7 +12,7 @@ Each query executes inside a compensating transaction: a failure midway
 rolls back all of its writes, including their effects on live views.
 """
 
-from .executor import ExecutionResult, PreparedUpdate, UpdateExecutor, execute_update
+from .executor import ExecutionResult, PreparedUpdate, UpdateExecutor
 from .summary import UpdateSummary
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "UpdateExecutor",
     "ExecutionResult",
     "UpdateSummary",
-    "execute_update",
 ]

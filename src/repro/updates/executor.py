@@ -839,12 +839,3 @@ class UpdateExecutor:
     def execute(self, query: ast.UpdatingQuery) -> ExecutionResult:
         """Run *query* atomically; returns counters and the RETURN table."""
         return PreparedUpdate(self.graph, query).run(self.parameters, self.batcher)
-
-
-def execute_update(
-    graph: PropertyGraph,
-    query: ast.UpdatingQuery,
-    parameters: Mapping[str, Any] | None = None,
-) -> ExecutionResult:
-    """Execute *query* against *graph* inside a transaction."""
-    return PreparedUpdate(graph, query).run(parameters)

@@ -37,16 +37,6 @@ class UpdateSummary:
             )
         )
 
-    def merge(self, other: "UpdateSummary") -> None:
-        """Accumulate *other* into this summary (multi-statement scripts)."""
-        self.nodes_created += other.nodes_created
-        self.nodes_deleted += other.nodes_deleted
-        self.relationships_created += other.relationships_created
-        self.relationships_deleted += other.relationships_deleted
-        self.properties_set += other.properties_set
-        self.labels_added += other.labels_added
-        self.labels_removed += other.labels_removed
-
     def __str__(self) -> str:
         parts = [
             f"{value} {name.replace('_', ' ')}"

@@ -6,7 +6,7 @@ import pytest
 from repro import PropertyGraph, QueryEngine
 from repro.compiler import compile_query
 from repro.errors import EvaluationError
-from repro.eval import Interpreter, enumerate_trails, evaluate_plan
+from repro.eval import Interpreter, enumerate_trails
 from repro.graph.values import ListValue, PathValue
 
 

@@ -43,11 +43,11 @@ class TestProfileShape:
             "deltas",
             "rows",
             "rows/call",
-            "batch fill",
             "memory",
             "cells",
         ):
             assert column in header
+        assert "batch fill" not in header
         assert set(lines[1]) == {"-"}
         assert len(lines) > 2  # at least one node line
 

@@ -882,12 +882,14 @@ def churn(graph, people, edges, rng, steps: int = 25) -> None:
 
 
 def exact(bag) -> dict:
-    """*bag* keyed type-exactly: ``==`` on rows conflates 1, True and 1.0,
-    which is precisely what a restricted look-up could get wrong."""
-    return {
-        tuple((type(value).__name__, repr(value)) for value in row): mult
-        for row, mult in dict(bag).items()
-    }
+    """*bag* — a dict or a possibly unconsolidated batch — keyed
+    type-exactly: ``==`` on rows conflates 1, True and 1.0, which is
+    precisely what a restricted look-up could get wrong."""
+    out: dict = {}
+    for row, mult in bag.items():
+        key = tuple((type(value).__name__, repr(value)) for value in row)
+        out[key] = out.get(key, 0) + mult
+    return {key: mult for key, mult in out.items() if mult}
 
 
 def assert_tracks(engine, view, query, parameters, label=None) -> None:
@@ -1030,13 +1032,13 @@ class TestRestrictedReplay:
         (entry,) = layer._param_nodes.values()
         predicate, calls = entry.node.predicate, []
 
-        class Counting:  # replay hands state over in row form
-            cols = predicate.cols
+        class Counting:  # replay hands state over as a batch
+            row = predicate.row
 
             @staticmethod
-            def row(row, ctx):
-                calls.append(row)
-                return predicate.row(row, ctx)
+            def cols(columns, n, ctx):
+                calls.append(n)
+                return predicate.cols(columns, n, ctx)
 
         entry.node.predicate = Counting
         stats = layer.stats
@@ -1048,7 +1050,7 @@ class TestRestrictedReplay:
         # the 100-slot name column, one index probe per distinct hit key
         # (at most one per match), the 20 matches — against 2 000 below
         assert 100 + 20 <= stats.replay_rows_scanned - scanned <= 100 + 20 + 20
-        assert len(calls) == 20  # survivors only, not the 2 000-row core
+        assert sum(calls) == 20  # survivors only, not the 2 000-row core
         assert stats.binding_core_hits - hits == 1
         # the same registration as a full fold reads the whole join
         facade = partition_of(view)

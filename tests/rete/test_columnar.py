@@ -20,7 +20,6 @@ from repro.errors import GraphError
 from repro.rete.deltas import (
     ColumnDelta,
     Delta,
-    as_row_delta,
     index_insert,
 )
 from repro.rete.engine import IncrementalEngine
@@ -215,12 +214,19 @@ class TestColumnDelta:
         assert len(batch.mults) == 2  # occurrence list, not a bag
         assert list(batch.to_delta().items()) == []  # cancels on consolidation
 
-    def test_as_row_delta_passes_row_deltas_through(self):
-        delta = Delta()
-        delta.add((1,), 1)
-        assert as_row_delta(delta) is delta
+    def test_to_delta_sums_occurrences(self):
         batch = ColumnDelta.from_rows([(1,), (1,)], [1, 1], 1)
-        assert dict(as_row_delta(batch).items()) == {(1,): 2}
+        assert dict(batch.to_delta().items()) == {(1,): 2}
+
+    def test_concat_keeps_every_occurrence_in_order(self):
+        first = ColumnDelta.from_rows([(1, "a")], [-1], 2)
+        second = ColumnDelta.from_rows([(True, "a"), (2, "b")], [1, 1], 2)
+        batch = ColumnDelta.concat([first, second])
+        assert [repr(row) for row in batch.rows()] == [
+            "(1, 'a')", "(True, 'a')", "(2, 'b')"
+        ]
+        assert batch.mults == [-1, 1, 1] and batch.width == 2
+        assert first.columns == [[1], ["a"]]  # the parts are left as they were
 
     def test_empty_width_zero_rows(self):
         batch = ColumnDelta.from_rows([(), ()], [1, 1], 0)
@@ -307,7 +313,7 @@ class TestCompositeBindings:
 
 
 class TestProfile:
-    def test_profile_reports_rows_per_call_and_batch_fill(self):
+    def test_profile_reports_rows_per_call(self):
         graph, engine = _engine_pair(batch_transactions=True)
         view = _register(
             engine, "MATCH (p:Post)-[:REPLY]->(c:Comm) RETURN p, c"
@@ -321,6 +327,11 @@ class TestProfile:
             for post in posts:
                 graph.add_edge(post, comment, "REPLY")
         report = engine.views[0].profile()
-        assert "rows/call" in report
-        assert "batch fill" in report
+        header, _, *lines = report.splitlines()
+        assert "rows/call" in header
+        # every delta is a column batch: a batch-fill column would repeat rows/call
+        assert "batch fill" not in header
+        production = next(line for line in lines if line.startswith("Production"))
+        # the batch's five edges reach the view in one call
+        assert float(production.split()[-3]) == 5.0
         assert len(view.rows()) == 5

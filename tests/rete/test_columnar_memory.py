@@ -264,9 +264,9 @@ def _spec(kind, left: dict, right: dict) -> dict:
 
 
 class TestJoinFamilyAgainstRecomputation:
-    """Each join-family node, fed random batches on both sides in either
-    delta form, holds an output that recomputation over the two input bags
-    reproduces after every batch."""
+    """Each join-family node, fed random batches on both sides, as they
+    come or consolidated, holds an output that recomputation over the two
+    input bags reproduces after every batch."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize(
@@ -296,7 +296,9 @@ class TestJoinFamilyAgainstRecomputation:
                 rows.append(row)
                 mults.append(mult)
             batch = ColumnDelta.from_rows(rows, mults, 2)
-            node.apply(batch if rng.random() < 0.6 else batch.to_delta(), side)
+            if rng.random() >= 0.6:
+                batch = ColumnDelta.from_delta(batch.to_delta(), 2)
+            node.apply(batch, side)
             bags[side].clear()
             bags[side].update(held)
             assert exact(collector.bag) == exact(_spec(kind, *bags))
@@ -396,7 +398,6 @@ class TestColumnStore:
         bucket = store.get((1,))
         assert list(bucket.items()) == [((1, "a"), 2)]
         assert list(bucket.items()) == [((1, "a"), 2)]  # fresh generator
-        assert list(bucket.payloads()) == [(("a",), 2)]
         assert len(bucket) == 1 and bool(bucket)
 
     def test_key_payload_must_partition_the_width(self):

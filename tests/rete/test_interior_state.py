@@ -19,7 +19,6 @@ import pytest
 
 from repro import QueryEngine
 from repro.eval import Interpreter
-from repro.rete.deltas import as_row_delta
 from repro.rete.sharing import BINDING_TIER, subplan_cache_key
 from repro.workloads.snb import SNB_QUERIES, generate_snb, update_stream
 
@@ -44,7 +43,7 @@ def assert_interior_state(engine: QueryEngine) -> tuple[int, int]:
                 node = None if key is None else layer.subplan_lookup(key)
                 if node is None:
                     continue
-                held = dict(as_row_delta(layer.state_delta(node)).items())
+                held = dict(layer.state_delta(node).to_delta().items())
                 expected = Interpreter(graph, parameters).evaluate(op)
                 assert held == expected, (view.compiled.text, key)
                 seen[key] = node

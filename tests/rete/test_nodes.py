@@ -1,4 +1,4 @@
-"""Unit tests for individual Rete nodes, driven with hand-built deltas."""
+"""Unit tests for individual Rete nodes, driven with hand-built batches."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.algebra.expressions import (
 from repro.algebra.schema import AttrKind, Attribute, Schema
 from repro.cypher import parse_expression
 from repro.graph.values import ListValue, PathValue
-from repro.rete.deltas import Delta
+from repro.rete.deltas import ColumnDelta, Delta
 from repro.rete.nodes.aggregate import AggregateNode
 from repro.rete.nodes.base import LEFT, RIGHT, Node
 from repro.rete.nodes.join import (
@@ -37,10 +37,11 @@ class Sink(Node):
 
     def __init__(self):
         super().__init__(Schema(()))
-        self.deltas: list[Delta] = []
+        self.deltas: list[ColumnDelta] = []
         self.bag: dict[tuple, int] = {}
 
-    def apply(self, delta: Delta, side: int) -> None:
+    def apply(self, delta: ColumnDelta, side: int) -> None:
+        assert type(delta) is ColumnDelta
         self.deltas.append(delta)
         for row, multiplicity in delta.items():
             count = self.bag.get(row, 0) + multiplicity
@@ -51,10 +52,9 @@ class Sink(Node):
 
 
 def delta(*items):
-    d = Delta()
-    for row, multiplicity in items:
-        d.add(row, multiplicity)
-    return d
+    """A batch of ``(row, multiplicity)`` occurrences, unconsolidated."""
+    rows = [row for row, _ in items]
+    return ColumnDelta.from_rows(rows, [m for _, m in items], len(rows[0]))
 
 
 def value_schema(*names):
@@ -63,19 +63,19 @@ def value_schema(*names):
 
 class TestDelta:
     def test_zero_entries_vanish(self):
-        d = delta((("a",), 1), (("a",), -1))
+        d = delta((("a",), 1), (("a",), -1)).to_delta()
         assert not d
         assert len(d) == 0
 
     def test_accumulation(self):
-        d = delta((("a",), 1), (("a",), 2))
+        d = delta((("a",), 1), (("a",), 2)).to_delta()
         assert dict(d.items()) == {("a",): 3}
 
     def test_negated(self):
-        assert dict(delta((("a",), 2)).negated().items()) == {("a",): -2}
+        assert dict(Delta([(("a",), 2)]).negated().items()) == {("a",): -2}
 
     def test_update_into_empty_copies(self):
-        source = delta((("a",), 2), (("b",), -1))
+        source = Delta([(("a",), 2), (("b",), -1)])
         target = Delta()
         target.update(source)
         assert dict(target.items()) == {("a",): 2, ("b",): -1}
@@ -84,8 +84,8 @@ class TestDelta:
         assert dict(source.items()) == {("a",): 2, ("b",): -1}
 
     def test_update_merges_and_cancels(self):
-        target = delta((("a",), 1))
-        target.update(delta((("a",), -1), (("b",), 3)))
+        target = Delta([(("a",), 1)])
+        target.update(Delta([(("a",), -1), (("b",), 3)]))
         assert dict(target.items()) == {("b",): 3}
 
 

@@ -166,13 +166,12 @@ class TestPopulateEqualsIncremental:
 
 class TestRowPathGuard:
     def test_corpus_registers_without_the_row_join_loop(self, monkeypatch):
-        """Default flags: populate never reaches ⋈'s row loop nor
-        materialises a batch's row tuples."""
+        """Populate hands every node columns (there is no row loop to
+        reach) and never materialises a batch's row tuples."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("populate took a row path")
 
-        monkeypatch.setattr(JoinNode, "_apply_rows", forbidden)
         monkeypatch.setattr(ColumnDelta, "rows", forbidden)
         graph = hostile_snb()
         for labels, value in ((["X"], 1), (["Y"], 2.0)):
@@ -305,8 +304,7 @@ def assert_well_formed(store: ColumnStore) -> None:
 
 def fold_each(store: ColumnStore, rows, mults) -> None:
     for row, mult in zip(rows, mults):
-        key = tuple(row[i] for i in store.key_cols)
-        store.insert_payload(key, tuple(row[i] for i in store.payload_cols), mult)
+        store.insert(tuple(row[i] for i in store.key_cols), row, mult)
 
 
 class TestBulkLoad:

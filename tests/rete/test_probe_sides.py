@@ -31,7 +31,7 @@ from repro.algebra import ops
 from repro.compiler.optimizer import built_plan
 from repro.compiler.pipeline import compile_query
 from repro.errors import CypherSemanticError
-from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
+from repro.rete.deltas import ColumnDelta
 from repro.rete.nodes.base import LEFT, RIGHT, Propagation
 from repro.rete.nodes.join import JoinNode
 from repro.workloads import trainbenchmark as tb
@@ -350,7 +350,7 @@ def test_restricted_state_is_the_full_state_narrowed():
         for row in list(full)[:4]:
             for column in range(len(row)):
                 restriction = ((column, row[column]),)
-                held = dict(as_row_delta(node.state_delta(restriction)).items())
+                held = dict(node.state_delta(restriction).items())
                 wanted = {r: m for r, m in full.items() if r[column] == row[column]}
                 assert {r: held.get(r) for r in wanted} == wanted, (node.schema.names, column)
                 checked += 1
@@ -378,7 +378,8 @@ def test_waiting_deltas_merge_unconsolidated_in_arrival_order():
     insert = ColumnDelta([["x"], [True]], [1], 2)
     propagation.begin()
     propagation.defer(join, retract, LEFT)
-    propagation.defer(other, Delta([(("y",), 1)]), RIGHT)
+    lone = ColumnDelta([["y"]], [1], 1)
+    propagation.defer(other, lone, RIGHT)
     propagation.defer(join, insert, LEFT)
     assert list(propagation.deferred) == [(join, LEFT), (other, RIGHT)]
     propagation.end()
@@ -390,7 +391,7 @@ def test_waiting_deltas_merge_unconsolidated_in_arrival_order():
     assert [type(row[1]) for row, _ in rows] == [int, bool]
     # a lone delta passes unchanged
     ((alone, side),) = other.folded
-    assert side == RIGHT and alone == Delta([(("y",), 1)])
+    assert side == RIGHT and alone is lone
     assert not propagation.active and not propagation.deferred
 
 

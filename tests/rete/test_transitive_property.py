@@ -16,7 +16,7 @@ from repro.algebra.schema import AttrKind, Attribute, Schema
 from repro.eval import enumerate_trails
 from repro.graph import PropertyGraph
 from repro.graph.values import PathValue
-from repro.rete.deltas import ColumnDelta, Delta
+from repro.rete.deltas import ColumnDelta
 from repro.rete.nodes.base import LEFT, Node
 from repro.rete.nodes.transitive import ARC_CELLS, EDGES, TransitiveClosureNode
 
@@ -53,12 +53,12 @@ def make_node(direction="out", min_hops=1, max_hops=None, emit_path=True):
 
 
 def feed(node, items, side, columnar=False):
-    """Apply ``(row, multiplicity)`` *items* as one delta of either form."""
-    delta = Delta()
-    for row, multiplicity in items:
-        delta.add(row, multiplicity)
-    if columnar:
-        delta = ColumnDelta.from_delta(delta, len(items[0][0]))
+    """Apply ``(row, multiplicity)`` *items* as one batch: consolidated
+    first, or (*columnar*) occurrence by occurrence as given."""
+    rows = [row for row, _ in items]
+    delta = ColumnDelta.from_rows(rows, [m for _, m in items], len(rows[0]))
+    if not columnar:
+        delta = ColumnDelta.from_delta(delta.to_delta(), delta.width)
     node.apply(delta, side)
 
 

@@ -22,7 +22,7 @@ from repro import ListValue, MapValue, PathValue, PropertyGraph, QueryEngine
 from repro.errors import GraphError
 from repro.graph import events as ev
 from repro.rete.batch import BatchAccumulator, CoalescedBatch
-from repro.rete.deltas import ColumnDelta, Delta, as_row_delta
+from repro.rete.deltas import ColumnDelta, Delta
 
 from .test_sharing import _random_op
 
@@ -245,8 +245,10 @@ class TestStateDeltaReplayParity:
                 if state is None:
                     continue
                 # input nodes answer in columns, interior nodes in rows
-                restored = as_row_delta(roundtrip(state))
-                state = as_row_delta(state)
+                restored, state = (
+                    delta.to_delta() if type(delta) is ColumnDelta else delta
+                    for delta in (roundtrip(state), state)
+                )
                 assert restored == state, type(node).__name__
                 assert dict(restored.items()) == dict(state.items())
                 checked += 1
